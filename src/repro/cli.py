@@ -62,14 +62,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import pathlib
+import re
 import sys
+from typing import Callable
 
 from repro.analysis import analyze_program, render_figure
 from repro.analysis.blocks import partition_procedure
 from repro.errors import AssertionViolation, ReproError
 from repro.interp import Interp, ThreadSpec, run_random
-from repro.mc import Explorer
+from repro.mc import Explorer, observers
 from repro.obs import ObsConfig, Tracer, ledger
 from repro.synl.inline import inline_calls
 from repro.synl.parser import parse_program
@@ -105,32 +108,44 @@ def _load(path: str, inline: bool = True, with_text: bool = False):
     return (program, text) if with_text else program
 
 
-def _split_calls(text: str) -> list[str]:
-    """Split on commas outside parentheses: "P(1,2),Q()" -> 2 calls."""
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        current.append(ch)
-    parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
+#: one thread-spec call, ``NAME(INT, ...)``
+_CALL = r"\s*([A-Za-z_]\w*)\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\)\s*"
+_CALL_RE = re.compile(_CALL)
+_SPEC_RE = re.compile(rf"(?:{_CALL},)*{_CALL}")
 
 
 def _parse_spec(text: str) -> ThreadSpec:
+    """``"P(1,2),Q()"`` -> a two-call script; a trailing ``*`` repeats
+    it forever.  Anything else is a usage error."""
     repeat = text.endswith("*")
-    if repeat:
-        text = text[:-1]
-    calls = []
-    for part in _split_calls(text):
-        name, _, arg_text = part.partition("(")
-        arg_text = arg_text.rstrip(")")
-        args = tuple(int(a) for a in arg_text.split(",") if a.strip())
-        calls.append((name,) + args)
+    body = text[:-1] if repeat else text
+    if not _SPEC_RE.fullmatch(body):
+        raise ReproError(
+            f"bad thread spec {text!r}: expected comma-separated "
+            f"NAME(INT, ...) calls, optionally followed by '*'")
+    calls = [(m.group(1),) + tuple(int(a) for a in (m.group(2) or "")
+                                   .split(",") if a.strip())
+             for m in _CALL_RE.finditer(body)]
     return ThreadSpec.of(*calls, repeat=repeat)
+
+
+def _number(kind: type, ok: Callable, what: str):
+    """argparse ``type=``: a finite ``kind`` value satisfying ``ok``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _number(int, lambda n: n >= 1, "an integer >= 1")
+_period = _number(float, lambda x: x > 0, "a finite number > 0")
+_budget = _number(float, lambda x: x >= 0, "a finite number >= 0")
 
 
 def _obs_setup(args) -> tuple[ObsConfig, Tracer]:
@@ -658,7 +673,6 @@ def cmd_mc(args) -> int:
         annotations = heatmap.uid_annotations(interp, analysis)
     graph = None
     if args.graph_out:
-        from repro.obs import heatmap
         from repro.obs.graph import GraphWriter, stable_uid_map
         graph = GraphWriter(args.graph_out, mode=args.mode,
                             threads=len(specs),
@@ -666,16 +680,21 @@ def cmd_mc(args) -> int:
                             mover_of=heatmap.mover_fn(annotations),
                             uid_map=stable_uid_map(interp),
                             events=events)
+    observer = observers.compose(
+        observers.Events(events) if events is not None else None,
+        observers.Profile(profiler, events) if profiler.enabled else None,
+        observers.Heartbeat(args.progress, args.deadline, events=events)
+        if args.progress is not None or args.deadline is not None
+        else None,
+        observers.TraceMalloc() if args.trace_malloc else None,
+        observers.Coverage(),
+        graph,
+        observers.Spans(tracer) if tracer.enabled else None)
     try:
         with _sampling(sampler):
             result = Explorer(interp, specs, mode=args.mode,
                               max_states=args.max_states,
-                              tracer=tracer,
-                              events=events, profiler=profiler,
-                              progress=args.progress,
-                              trace_malloc=args.trace_malloc,
-                              deadline=args.deadline,
-                              graph=graph).run()
+                              observer=observer).run()
     finally:
         if graph is not None:
             graph.close()
@@ -690,9 +709,8 @@ def cmd_mc(args) -> int:
     if args.json:
         doc = result.to_dict()
         if annotations is not None:
-            from repro.obs.heatmap import build_heatmap
-            doc["heatmap"] = build_heatmap(
-                result.metrics.get("mc.stmt_heat", []), annotations,
+            doc["heatmap"] = heatmap.build_heatmap(
+                result.metrics["mc.stmt_heat"], annotations,
                 annotated=analysis is not None)
         if cex is not None:
             doc["counterexample"] = cex.to_dict()
@@ -1285,14 +1303,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("threads", nargs="+")
     p.add_argument("--mode", default="full",
                    choices=["full", "por", "atomic", "both"])
-    p.add_argument("--max-states", type=int, default=1_000_000,
+    p.add_argument("--max-states", type=_count, default=1_000_000,
                    help="abort the search after N states (a capped "
                         "run exits with status 3)")
     p.add_argument("--explain-cex", action="store_true",
                    help="on violation, render the counterexample as "
                         "an annotated per-thread timeline (mover "
                         "types + theorem citations)")
-    p.add_argument("--progress", type=float, metavar="SECONDS",
+    p.add_argument("--progress", type=_period, metavar="SECONDS",
                    default=None,
                    help="print a live heartbeat (states/transitions/"
                         "frontier/depth/RSS) to stderr every N "
@@ -1300,7 +1318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-malloc", action="store_true",
                    help="record top allocation sites via tracemalloc "
                         "(mc.malloc_top metric; slows the search)")
-    p.add_argument("--deadline", type=float, metavar="SECONDS",
+    p.add_argument("--deadline", type=_budget, metavar="SECONDS",
                    default=None,
                    help="soft wall-clock budget: stop the search "
                         "gracefully after N seconds with verdict "
@@ -1522,7 +1540,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "verdicts are identical to a sequential run")
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="section63: driver threads (default: 3)")
-    p.add_argument("--max-states", type=int, default=None,
+    p.add_argument("--max-states", type=_count, default=None,
                    metavar="N",
                    help="section63: per-mode state cap (default: "
                         "2000000)")

@@ -63,15 +63,3 @@ class AssertionViolation(InterpError):
         self.thread_id = thread_id
         self.pos = pos
         super().__init__(message)
-
-
-class PropertyViolation(ReproError):
-    """A model-checking property failed in some reachable state."""
-
-    def __init__(self, message: str, trace: list | None = None):
-        self.trace = trace or []
-        super().__init__(message)
-
-
-class ExplorationLimit(ReproError):
-    """The model checker exceeded a configured state or step budget."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.corpus.gao_hesselink import GH_PROGRAM1
 from repro.experiments.common import Table
 from repro.interp import Interp, ThreadSpec
-from repro.mc import Explorer, MCResult
+from repro.mc import Explorer, MCResult, observers
 
 PAPER = {
     "none": 4_069_080,
@@ -68,15 +68,12 @@ class Section63Result:
 
 
 def _run_one(mode: str, n_threads: int, max_states: int,
-             events=None, profiler=None) -> MCResult:
+             observer=None) -> MCResult:
     interp = Interp(GH_PROGRAM1)
     specs = [ThreadSpec.of(("Apply", g + 1)) for g in range(n_threads)]
-    explorer = Explorer(
-        interp, specs,
-        mode={"none": "full"}.get(mode, mode),
-        commutes=commutes if mode == "both" else None,
-        max_states=max_states, events=events, profiler=profiler)
-    return explorer.run()
+    return Explorer(interp, specs, mode={"none": "full"}.get(mode, mode),
+                    commutes=commutes if mode == "both" else None,
+                    max_states=max_states, observer=observer).run()
 
 
 #: MCResult fields a fleet worker ships back to the parent — the
@@ -113,9 +110,10 @@ def run(n_threads: int = 3, max_states: int = 2_000_000,
     from repro.obs import fleet
 
     def worker(mode, spool_handle):
-        result = _run_one(mode, n_threads, max_states,
-                          events=spool_handle.events,
-                          profiler=spool_handle.profiler)
+        events = spool_handle.events
+        result = _run_one(mode, n_threads, max_states, observers.compose(
+            observers.Events(events),
+            observers.Profile(spool_handle.profiler, events)))
         return {"mode": mode,
                 **{f: getattr(result, f) for f in _CELL_FIELDS}}
 

@@ -4,7 +4,7 @@ rationale)."""
 
 from repro.mc.atomic import AtomicOutcome, run_to_commit, run_variant
 from repro.mc.canonical import quiescent_key, shared_key, state_key
-from repro.mc.explorer import Explorer, MCResult, explore
+from repro.mc.explorer import Explorer, MCResult
 from repro.mc.por import SafetyCache
 from repro.mc.properties import (NoAssertFailures, Property, QueueContents,
                                  QueueShape)
@@ -12,7 +12,6 @@ from repro.mc.properties import (NoAssertFailures, Property, QueueContents,
 __all__ = [
     "Explorer",
     "MCResult",
-    "explore",
     "state_key",
     "quiescent_key",
     "shared_key",

@@ -15,11 +15,18 @@ The explorer is a DFS with canonical state hashing, property checking
 quiescent-state set (used by the soundness tests, which verify that the
 reduced explorations reach exactly the quiescent states of the full
 one), a state cap, and violation traces.
+
+It collects only the core counters (:meth:`Explorer._metrics`).  All
+other telemetry — events, profiler regions, heartbeat and deadline,
+tracemalloc, graph capture, coverage — is an observer passed as
+``observer=`` (the hook protocol, and which ``repro mc`` flag attaches
+which observer: :mod:`repro.mc.observers`); ``None``, the default,
+costs one ``is None`` test per hook site.  Library runs get coverage
+(``mc.depth``, ``mc.stmt_heat``, …) only by passing ``Coverage()``.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -27,50 +34,20 @@ from typing import Callable, Optional
 from repro.errors import AssertionViolation
 from repro.interp.interp import AssumeFailed, Interp
 from repro.interp.state import Event, ThreadSpec, World
-from repro.mc.atomic import AtomicOutcome, run_to_commit, run_variant
+from repro.mc.atomic import run_to_commit, run_variant
 from repro.mc.canonical import quiescent_key, shared_key, state_key
 from repro.mc.por import SafetyCache
 from repro.mc.properties import Property
 from repro.obs import ledger
 from repro.obs.export import MIN_RATE_WINDOW_S
-from repro.obs.metrics import EwmaRate
-from repro.obs.profile import NULL_PROFILER, malloc_top, peak_rss_mb
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.profile import peak_rss_mb
 
-#: the DFS checks the progress/heartbeat clock once per this many loop
-#: iterations — cheap enough to leave always on
-_BEAT_CHECK_MASK = 0xFF
+#: the DFS calls the observer's clock tick every 256 loop iterations
+_TICK_MASK = 0xFF
 
-#: frontier-size sampling starts at this transition stride and doubles
-#: (halving the retained samples) whenever the buffer fills, keeping
-#: the per-run series bounded no matter how long the search runs
-_FRONTIER_SAMPLE_STRIDE = 64
-_FRONTIER_MAX_SAMPLES = 256
-
-
-def _depth_summary(depth_counts: dict[int, int]) -> dict:
-    """Exact summary statistics over a ``{depth: pushes}`` histogram
-    (unlike the log-bucketed Histogram sketch, depths are small ints
-    so exact percentiles are free)."""
-    total = sum(depth_counts.values())
-    if not total:
-        return {"count": 0, "min": 0, "max": 0, "mean": 0.0,
-                "p50": 0, "p95": 0, "p99": 0}
-    ordered = sorted(depth_counts)
-    out = {"count": total, "min": ordered[0], "max": ordered[-1],
-           "mean": round(sum(d * n for d, n in depth_counts.items())
-                         / total, 3)}
-    for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-        rank = max(1, int(q * total + 0.999999))
-        seen = 0
-        value = ordered[-1]
-        for depth in ordered:
-            seen += depth_counts[depth]
-            if seen >= rank:
-                value = depth
-                break
-        out[name] = value
-    return out
+#: the step record of the initial state (``MCResult.path[0]``)
+_INIT_STEP = {"tid": -1, "uid": None, "desc": "init", "kind": "init",
+              "via": None}
 
 
 @dataclass
@@ -91,16 +68,15 @@ class MCResult:
     #: the --deadline soft timeout fired: the search stopped
     #: gracefully with the verdict UNKNOWN — no violation was found,
     #: but the state space was not exhausted either.  Partial state/
-    #: transition counts and the full coverage telemetry are
-    #: preserved, exactly as for a capped run.
+    #: transition counts and the observers' telemetry are preserved,
+    #: exactly as for a capped run.
     deadline_hit: bool = False
-    #: explorer metrics snapshot (states/sec, canonical-hash cache
-    #: hits, ample-set reduction counts, coverage telemetry such as
-    #: ``mc.depth`` / ``mc.frontier_samples`` / ``mc.mem_peak_mb``)
-    #: — see ``Explorer._finish``
+    #: explorer metrics snapshot: the core counters
+    #: (``Explorer._metrics``) plus whatever the attached observers add
+    #: (e.g. ``Coverage``'s ``mc.depth`` / ``mc.stmt_heat``)
     metrics: dict = field(default_factory=dict)
     #: ranked hotspot document (``Profiler.to_dict`` shape) when the
-    #: exploration ran with a profiler, else empty
+    #: exploration ran with a ``Profile`` observer, else empty
     profile: dict = field(default_factory=dict)
     quiescent: Optional[set] = None
     #: quiescent states where every thread's script has completed.
@@ -168,12 +144,7 @@ class Explorer:
                  commutes: Optional[Callable] = None,
                  collect_quiescent: bool = False,
                  atomic_step_budget: int = 10_000,
-                 tracer=None, events=None, profiler=None,
-                 progress: Optional[float] = None,
-                 progress_sink: Optional[Callable[[str], None]] = None,
-                 trace_malloc: bool = False,
-                 deadline: Optional[float] = None,
-                 graph=None):
+                 observer=None):
         if mode not in ("full", "por", "atomic", "both"):
             raise ValueError(f"unknown mode {mode!r}")
         self.interp = interp
@@ -187,51 +158,12 @@ class Explorer:
         self.collect_quiescent = collect_quiescent
         self.atomic_step_budget = atomic_step_budget
         self.safety = SafetyCache()
-        self.tracer = tracer or NULL_TRACER
-        #: optional :class:`repro.obs.events.EventStream` receiving
-        #: ``mc.push`` / ``mc.pop`` / ``mc.ample`` / ``mc.violation`` /
-        #: ``mc.cap`` events (None = off)
-        self.events = events
-        #: work-counter profiler attributing cost per explorer
-        #: sub-step (``mc.successors`` / ``mc.canonicalize`` /
-        #: ``mc.dedup`` / ``mc.por_ample``); NULL_PROFILER = off
-        self.profiler = profiler or NULL_PROFILER
-        #: heartbeat period in seconds (None = no heartbeat); each
-        #: beat prints one progress line and emits an
-        #: ``explorer.progress`` event
-        self.progress = progress
-        self.progress_sink = progress_sink or (
-            lambda line: print(line, file=sys.stderr))
-        #: when True, collect tracemalloc top-allocation sites into
-        #: ``metrics["mc.malloc_top"]`` (starts tracing if needed)
-        self.trace_malloc = trace_malloc
-        #: soft wall-clock budget in seconds (None = unbounded): the
-        #: DFS checks the clock on the heartbeat stride and stops
-        #: gracefully once exceeded, preserving all telemetry and
-        #: reporting the verdict UNKNOWN (``MCResult.deadline_hit``)
-        self.deadline = deadline
-        #: optional :class:`repro.obs.graph.GraphWriter` streaming the
-        #: visited state graph to JSONL (None = off); node records are
-        #: emitted exactly when a state is counted and edge records
-        #: exactly when a transition is counted, so the capture totals
-        #: reconcile with the result by construction
-        self.graph = graph
-        #: EWMA states/sec estimator feeding the heartbeat's rate/ETA
-        self._rate = EwmaRate()
+        #: telemetry hooks (:class:`repro.mc.observers.Observer`);
+        #: None = core counters only
+        self.observer = observer
         # ample-set bookkeeping (plain ints: DFS is single-threaded)
-        self._ample_reduced = 0
-        self._ample_full = 0
-        self._prof_on = self.profiler.enabled
-        self._ample_wall = 0.0
-        self._ample_checks = 0
-        # POR-pruned transition capture (only with a graph writer that
-        # asked for it): ample-set code stashes the not-taken
-        # successors here; the DFS drains the buffer into the writer
-        self._record_pruned = graph is not None and graph.record_pruned
-        self._pruned_buf: list[_Succ] = []
-        # always-on per-statement heat: uid -> [visits, switches, tidmask]
-        self._stmt_heat: dict[int, list] = {}
-        self._cache_hits = 0
+        self.ample_reduced = 0
+        self.ample_full = 0
 
     # -- successor generation --------------------------------------------------
     def _step_thread(self, world: World, tid: int) -> _Succ:
@@ -257,112 +189,68 @@ class Explorer:
         return _Succ(desc, w, [event] if event is not None else [],
                      tid=tid, uid=uid, kind=kind, proc=proc)
 
-    def _interleaved(self, world: World,
-                     on_stack: set) -> list[_Succ]:
-        enabled = self.interp.enabled_threads(world)
-        if self.mode == "por":
-            for tid in enabled:
-                if self._prof_on:
-                    t0 = time.perf_counter()
-                    safe = self.safety.thread_safe(self.interp, world,
-                                                   tid)
-                    self._ample_wall += time.perf_counter() - t0
-                    self._ample_checks += 1
-                else:
-                    safe = self.safety.thread_safe(self.interp, world,
-                                                   tid)
-                if not safe:
-                    continue
-                succ = self._step_thread(world, tid)
-                if succ.violation is not None:
-                    return [succ]
-                if succ.world is None:
-                    continue
-                if state_key(succ.world) in on_stack:
-                    continue  # cycle proviso: fall back to full expansion
-                self._ample_reduced += 1
-                if self.events is not None:
-                    self.events.emit("mc.ample", tid=tid, desc=succ.desc)
-                if self._record_pruned:
-                    # the transitions a full expansion would also have
-                    # taken, executed solely to capture their targets
-                    self._pruned_buf = [self._step_thread(world, o)
-                                        for o in enabled if o != tid]
-                return [succ]
-            self._ample_full += 1
-        return [self._step_thread(world, tid) for tid in enabled]
-
     def _atomic_one(self, world: World, tid: int) -> list[_Succ]:
-        if self.variant_interp is not None and self.variant_map is not None:
-            name, _args = world.threads[tid].current_call()
-            out: list[_Succ] = []
-            for vname in self.variant_map.get(name, [name]):
-                outcome = run_variant(self.interp, self.variant_interp,
-                                      world, tid, vname,
-                                      self.atomic_step_budget)
-                out.append(_Succ(outcome.desc, outcome.world,
-                                 outcome.events, outcome.violation,
-                                 tid=tid, kind="atomic", via=vname,
-                                 proc=name))
-            return out
         name, _args = world.threads[tid].current_call()
-        outcome = run_to_commit(self.interp, world, tid,
-                                self.atomic_step_budget)
-        return [_Succ(outcome.desc, outcome.world, outcome.events,
-                      outcome.violation, tid=tid, kind="atomic",
-                      proc=name)]
+        if self.variant_interp is not None and self.variant_map is not None:
+            outcomes = [(vname, run_variant(self.interp,
+                                            self.variant_interp, world,
+                                            tid, vname,
+                                            self.atomic_step_budget))
+                        for vname in self.variant_map.get(name, [name])]
+        else:
+            outcomes = [(None, run_to_commit(self.interp, world, tid,
+                                             self.atomic_step_budget))]
+        return [_Succ(o.desc, o.world, o.events, o.violation, tid=tid,
+                      kind="atomic", via=via, proc=name)
+                for via, o in outcomes]
 
-    def _atomic(self, world: World, on_stack: set) -> list[_Succ]:
-        live = [t.tid for t in world.threads if not t.done]
-        if self.mode == "both" and self.commutes is not None:
-            # ample set at operation granularity: a thread whose next
-            # operation commutes with every other live thread's next
-            # operation may be explored alone (cycle proviso applies)
-            for tid in live:
-                mine = world.threads[tid].current_call()
-                if self._prof_on:
-                    t0 = time.perf_counter()
-                    alone = all(
-                        self.commutes(mine,
-                                      world.threads[o].current_call())
-                        for o in live if o != tid)
-                    self._ample_wall += time.perf_counter() - t0
-                    self._ample_checks += 1
-                else:
-                    alone = all(
-                        self.commutes(mine,
-                                      world.threads[o].current_call())
-                        for o in live if o != tid)
-                if not alone:
+    def expand_thread(self, world: World, tid: int) -> list[_Succ]:
+        """One thread's successors at the mode's transition
+        granularity: one statement, or one whole operation."""
+        if self.mode in ("full", "por"):
+            return [self._step_thread(world, tid)]
+        return self._atomic_one(world, tid)
+
+    def _alone(self, world: World, tid: int, tids: list[int]) -> bool:
+        """Ample-set candidate test: may ``tid`` be explored alone?
+        ``por`` asks the safety cache about its next statement;
+        ``both`` asks whether its next operation commutes with every
+        other live thread's."""
+        if self.mode == "por":
+            return self.safety.thread_safe(self.interp, world, tid)
+        mine = world.threads[tid].current_call()
+        return all(self.commutes(mine, world.threads[o].current_call())
+                   for o in tids if o != tid)
+
+    def _successors(self, world: World, on_stack: set) -> list[_Succ]:
+        if self.mode in ("full", "por"):
+            tids = self.interp.enabled_threads(world)
+        else:
+            tids = [t.tid for t in world.threads if not t.done]
+        if self.mode == "por" or (self.mode == "both"
+                                  and self.commutes is not None):
+            for tid in tids:
+                if not self._alone(world, tid, tids):
                     continue
-                succs = [s for s in self._atomic_one(world, tid)]
-                if any(s.violation for s in succs):
+                succs = self.expand_thread(world, tid)
+                if any(s.violation is not None for s in succs):
                     return succs
                 real = [s for s in succs if s.world is not None]
                 if not real:
                     continue  # disabled here; try another thread
                 if any(state_key(s.world) in on_stack for s in real):
-                    continue
-                self._ample_reduced += 1
-                if self.events is not None:
-                    self.events.emit("mc.ample", tid=tid,
-                                     desc=real[0].desc)
-                if self._record_pruned:
-                    self._pruned_buf = [
-                        s for o in live if o != tid
-                        for s in self._atomic_one(world, o)]
+                    continue  # cycle proviso: fall back to full expansion
+                self.ample_reduced += 1
+                if self.observer is not None:
+                    self.observer.ample(world, tid, real[0].desc, tids)
                 return succs
-        if self.mode == "both":
-            self._ample_full += 1
-        out: list[_Succ] = []
-        for tid in live:
-            out.extend(self._atomic_one(world, tid))
-        return out
+        if self.mode in ("por", "both"):
+            self.ample_full += 1
+        return [s for tid in tids for s in self.expand_thread(world, tid)]
 
-    def _successors(self, world: World, on_stack: set) -> list[_Succ]:
-        if self.mode in ("full", "por"):
-            return self._interleaved(world, on_stack)
-        return self._atomic(world, on_stack)
+    def _key(self, world: World, ghosts: tuple) -> tuple:
+        """The dedup key of a successor state."""
+        return (state_key(world), ghosts)
 
     # -- property plumbing -------------------------------------------------------
     def _apply_events(self, ghosts: tuple, events: list[Event]) -> tuple:
@@ -385,19 +273,133 @@ class Explorer:
                     return message
         return None
 
+    def _record_quiescent(self, result: MCResult, world: World) -> None:
+        if not world.quiescent():
+            return
+        key = quiescent_key(world)
+        result.quiescent.add(key)
+        if all(t.done for t in world.threads):
+            result.final.add(key)
+            result.final_shared.add(shared_key(world))
+
     # -- the search ---------------------------------------------------------------
-    def _finish(self, result: MCResult, start: float,
-                cache_hits: int, max_depth: int) -> MCResult:
-        """Stamp timing, the metrics snapshot, and the coverage
-        telemetry onto the result (``time.perf_counter`` throughout —
-        monotonic, immune to wall-clock jumps)."""
+    def run(self) -> MCResult:
+        """Explore, then stamp the elapsed time (``time.perf_counter``
+        — monotonic) and the core counters on the result."""
+        result = MCResult(self.mode)
+        if self.collect_quiescent:
+            result.quiescent, result.final = set(), set()
+            result.final_shared = set()
+        if self.observer is not None:
+            self.observer.start(self, result)
+        start = time.perf_counter()
+        max_depth = self._run(result)
         result.elapsed = time.perf_counter() - start
-        self._cache_hits = cache_hits
-        lookups = cache_hits + result.states
-        hit_rate = round(cache_hits / lookups, 6) if lookups else 0.0
-        ample_total = self._ample_reduced + self._ample_full
-        depth_counts = getattr(self, "_depth_counts", {})
-        result.metrics = {
+        result.metrics = self._metrics(result, max_depth)
+        if self.observer is not None:
+            self.observer.finish(result)
+        # outcome capture for the persistent run ledger: verdict +
+        # counterexample fingerprint (no-op outside a recorded run)
+        ledger.note_mc(result)
+        return result
+
+    def _run(self, result: MCResult) -> int:
+        """The DFS; fills ``result`` and returns the maximum depth."""
+        obs = self.observer
+        collect = self.collect_quiescent
+        world0 = self.interp.make_world(self.specs)
+        ghosts0 = tuple(p.initial_ghost() for p in self.properties)
+        key0 = (state_key(world0), ghosts0)
+        seen = {key0}
+        result.states = 1
+        if obs is not None:
+            obs.state(key0, world0, 1)
+        message = self._check(world0, ghosts0)
+        if message is not None:
+            result.violation = message
+            return 1
+        if collect:
+            self._record_quiescent(result, world0)
+        on_stack = {key0[0]}
+        # entries: [key, world, ghosts, successors (None until
+        # expanded), next successor index, step that reached it]
+        stack = [[key0, world0, ghosts0, None, 0, _INIT_STEP]]
+        max_depth = 1
+        loop_i = 0
+        while stack:
+            loop_i += 1
+            if obs is not None and not (loop_i & _TICK_MASK) \
+                    and obs.tick():
+                # graceful stop: every counter survives, the verdict
+                # becomes UNKNOWN
+                result.deadline_hit = True
+                break
+            entry = stack[-1]
+            key, world, ghosts, succs, index, _step = entry
+            if succs is None:
+                succs = entry[3] = self._successors(world, on_stack)
+                if obs is not None:
+                    obs.expanded(ghosts, succs)
+            if index >= len(succs):
+                stack.pop()
+                on_stack.discard(key[0])
+                if obs is not None:
+                    obs.pop(len(stack))
+                continue
+            entry[4] += 1
+            succ = succs[index]
+            if succ.violation is not None:
+                self._violation(result, stack, succ, succ.violation)
+                break
+            if succ.world is None:
+                continue  # disabled transition
+            result.transitions += 1
+            new_ghosts = self._apply_events(ghosts, succ.events)
+            new_key = self._key(succ.world, new_ghosts)
+            dup = new_key in seen
+            if obs is not None:
+                obs.transition(succ, new_key, dup)
+            if dup:
+                continue
+            seen.add(new_key)
+            result.states += 1
+            depth = len(stack) + 1
+            if obs is not None:
+                obs.state(new_key, succ.world, depth)
+            message = self._check(succ.world, new_ghosts)
+            if message is not None:
+                self._violation(result, stack, succ, message)
+                break
+            if collect:
+                self._record_quiescent(result, succ.world)
+            if self.max_states is not None \
+                    and result.states >= self.max_states:
+                result.capped = True
+                break
+            on_stack.add(new_key[0])
+            stack.append([new_key, succ.world, new_ghosts, None, 0,
+                          succ.step_info()])
+            if depth > max_depth:
+                max_depth = depth
+            if obs is not None:
+                obs.push(succ, depth)
+        return max_depth
+
+    @staticmethod
+    def _violation(result: MCResult, stack: list, succ: _Succ,
+                   message: str) -> None:
+        result.violation = message
+        result.path = [dict(e[5]) for e in stack] + [succ.step_info()]
+        result.trace = [s["desc"] for s in result.path]
+
+    def _metrics(self, result: MCResult, max_depth: int) -> dict:
+        """The core counters every exploration reports."""
+        # every counted transition either hit the seen set or added a
+        # state, so the dedup hits need no counter of their own
+        cache_hits = result.transitions - (result.states - 1)
+        hit_rate = round(cache_hits / (cache_hits + result.states), 6)
+        ample_total = self.ample_reduced + self.ample_full
+        return {
             "mc.states": result.states,
             "mc.transitions": result.transitions,
             "mc.states_per_s": round(result.states_per_s, 3),
@@ -407,322 +409,13 @@ class Explorer:
             # records and the regression watchdog use
             "mc.dedup_hit_rate": hit_rate,
             "mc.max_depth": max_depth,
-            "mc.ample_reduced": self._ample_reduced,
-            "mc.ample_full": self._ample_full,
+            "mc.ample_reduced": self.ample_reduced,
+            "mc.ample_full": self.ample_full,
             "mc.ample_reduction_ratio":
-                round(self._ample_reduced / ample_total, 6)
+                round(self.ample_reduced / ample_total, 6)
                 if ample_total else 0.0,
             "mc.safety_cache_hits": self.safety.hits,
             "mc.safety_cache_misses": self.safety.misses,
             "mc.deadline_hit": bool(result.deadline_hit),
             "mc.mem_peak_mb": peak_rss_mb(),
-            "mc.depth": _depth_summary(depth_counts),
-            "mc.depth_hist": [[d, depth_counts[d]]
-                              for d in sorted(depth_counts)],
-            "mc.frontier_samples": [
-                list(pair)
-                for pair in getattr(self, "_frontier_samples", [])],
-            # per-statement heat: [uid, visits, switches, n_threads]
-            # (always on — the source-heatmap substrate)
-            "mc.stmt_heat": [
-                [uid, heat[0], heat[1], bin(heat[2]).count("1")]
-                for uid, heat in sorted(self._stmt_heat.items())],
         }
-        if self.trace_malloc:
-            result.metrics["mc.malloc_top"] = malloc_top()
-        if self._prof_on:
-            prof = self.profiler
-            prof.acc("mc.por_ample", self._ample_wall,
-                     work=self._ample_checks,
-                     calls=self._ample_checks)
-            # dedup: calls = canonical-key lookups, work = hits
-            prof.acc("mc.dedup", 0.0, work=cache_hits, calls=lookups)
-            result.profile = prof.to_dict()
-            prof.emit_hotspots(self.events)
-        if self.progress is not None:
-            self._beat(result, start, final=True)
-        # outcome capture for the persistent run ledger: verdict +
-        # counterexample fingerprint (no-op outside a recorded run)
-        ledger.note_mc(result)
-        return result
-
-    def _eta_fields(self, result: MCResult, now: float,
-                    elapsed: float) -> tuple[str, dict]:
-        """EWMA rate + ETA for the heartbeat: the suffix of the
-        stderr line and the extra event fields.  The ETA targets the
-        state cap when one is set; a running deadline additionally
-        reports its remaining budget."""
-        rate = self._rate.update(result.states, now)
-        text = f" rate={rate:,.0f}/s"
-        fields: dict = {"rate_states_per_s": round(rate, 1)}
-        if self.max_states is not None:
-            eta = self._rate.eta_s(self.max_states - result.states)
-            text += f" eta_cap={eta:.1f}s" if eta is not None \
-                else " eta_cap=?"
-            if eta is not None:
-                fields["eta_cap_s"] = round(eta, 3)
-        if self.deadline is not None:
-            left = max(0.0, self.deadline - elapsed)
-            text += f" deadline_in={left:.1f}s"
-            fields["deadline_in_s"] = round(left, 3)
-        return text, fields
-
-    def _beat(self, result: MCResult, start: float,
-              final: bool = False) -> None:
-        """One ``--progress`` heartbeat: a stderr line plus an
-        ``explorer.progress`` event."""
-        now = time.perf_counter()
-        elapsed = now - start
-        frontier = getattr(self, "_stack_len", 0)
-        tag = "done " if final else ""
-        eta_text, eta_fields = self._eta_fields(result, now, elapsed)
-        self.progress_sink(
-            f"[mc:{self.mode}] {tag}t={elapsed:.1f}s "
-            f"states={result.states} trans={result.transitions} "
-            f"frontier={frontier} "
-            f"depth_max={getattr(self, '_max_depth_seen', 0)} "
-            f"mem={peak_rss_mb():.1f}MB{eta_text}")
-        if self.events is not None:
-            hits = self._cache_hits
-            lookups = hits + result.states
-            self.events.emit("explorer.progress",
-                             states=result.states,
-                             transitions=result.transitions,
-                             depth=getattr(self, "_max_depth_seen", 0),
-                             frontier=frontier,
-                             elapsed_s=round(elapsed, 3),
-                             dedup_hit_rate=round(hits / lookups, 6)
-                             if lookups else 0.0,
-                             mem_mb=round(peak_rss_mb(), 1),
-                             final=final,
-                             **eta_fields)
-
-    def run(self) -> MCResult:
-        with self.tracer.span("mc:run", mode=self.mode):
-            return self._run()
-
-    def _run(self) -> MCResult:
-        start = time.perf_counter()
-        self._ample_reduced = 0
-        self._ample_full = 0
-        self._prof_on = self.profiler.enabled
-        self._ample_wall = 0.0
-        self._ample_checks = 0
-        # coverage telemetry (plain containers: DFS is single-threaded)
-        self._depth_counts: dict[int, int] = {}
-        self._frontier_samples: list[tuple[int, int]] = []
-        self._stack_len = 1
-        self._max_depth_seen = 1
-        self._stmt_heat = {}
-        self._cache_hits = 0
-        graph = self.graph
-        self._record_pruned = graph is not None and graph.record_pruned
-        self._pruned_buf = []
-        sample_stride = _FRONTIER_SAMPLE_STRIDE
-        next_sample = sample_stride
-        if self.trace_malloc:
-            import tracemalloc
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-        next_beat = start + self.progress \
-            if self.progress is not None else None
-        deadline_at = start + self.deadline \
-            if self.deadline is not None else None
-        check_clock = next_beat is not None or deadline_at is not None
-        self._rate = EwmaRate()
-        loop_i = 0
-        # profiler hot-loop accumulators, flushed once at the end
-        succ_wall = 0.0
-        succ_calls = 0
-        succ_work = 0
-        canon_wall = 0.0
-        canon_calls = 0
-        cache_hits = 0  # canonical-hash lookups that found a seen state
-        max_depth = 1
-        result = MCResult(self.mode)
-        if self.collect_quiescent:
-            result.quiescent = set()
-            result.final = set()
-            result.final_shared = set()
-
-        def record_quiescent(world: World) -> None:
-            if not self.collect_quiescent or not world.quiescent():
-                return
-            key = quiescent_key(world)
-            result.quiescent.add(key)
-            if all(t.done for t in world.threads):
-                result.final.add(key)
-                result.final_shared.add(shared_key(world))
-
-        with self.tracer.span("mc:init"):
-            world0 = self.interp.make_world(self.specs)
-            ghosts0 = tuple(p.initial_ghost() for p in self.properties)
-            key0 = (state_key(world0), ghosts0)
-            seen = {key0}
-            result.states = 1
-            gid0 = graph.node(key0, 1, init=True,
-                              quiescent=world0.quiescent()) \
-                if graph is not None else None
-            message = self._check(world0, ghosts0)
-        if message is not None:
-            result.violation = message
-            return self._finish(result, start, cache_hits, max_depth)
-        record_quiescent(world0)
-
-        dfs_span = self.tracer.span("mc:dfs")
-        dfs_span.__enter__()
-        on_stack = {key0[0]}
-        init_step = {"tid": -1, "uid": None, "desc": "init",
-                     "kind": "init", "via": None}
-
-        def record_violation(message: str, succ: _Succ) -> None:
-            result.violation = message
-            result.path = [dict(e[5]) for e in stack] \
-                + [succ.step_info()]
-            result.trace = [s["desc"] for s in result.path]
-            if self.events is not None:
-                self.events.emit("mc.violation", desc=succ.desc,
-                                 message=message)
-
-        # stack entries: (key, world, ghosts, successor list, index,
-        # step, graph node id)
-        stack = [[key0, world0, ghosts0, None, 0, init_step, gid0]]
-        prof_on = self._prof_on
-        while stack:
-            loop_i += 1
-            if check_clock and not (loop_i & _BEAT_CHECK_MASK):
-                now = time.perf_counter()
-                if deadline_at is not None and now >= deadline_at:
-                    # graceful stop: keep every counter and the
-                    # telemetry; the verdict becomes UNKNOWN
-                    result.deadline_hit = True
-                    if self.events is not None:
-                        self.events.emit("mc.deadline",
-                                         states=result.states,
-                                         deadline_s=self.deadline)
-                    break
-                if next_beat is not None and now >= next_beat:
-                    self._stack_len = len(stack)
-                    self._max_depth_seen = max_depth
-                    self._cache_hits = cache_hits
-                    self._beat(result, start)
-                    next_beat = now + self.progress
-            entry = stack[-1]
-            key, world, ghosts, succs, index, step = entry[:6]
-            if succs is None:
-                if prof_on:
-                    t0 = time.perf_counter()
-                    succs = self._successors(world, on_stack)
-                    succ_wall += time.perf_counter() - t0
-                    succ_calls += 1
-                    succ_work += len(succs)
-                else:
-                    succs = self._successors(world, on_stack)
-                entry[3] = succs
-                if self._pruned_buf:
-                    # POR elected not to take these from this state;
-                    # record the would-be edges (same filters as the
-                    # counting path: disabled and violating successors
-                    # never become transitions)
-                    for s in self._pruned_buf:
-                        if s.world is None or s.violation is not None:
-                            continue
-                        graph.pruned(
-                            entry[6],
-                            (state_key(s.world),
-                             self._apply_events(ghosts, s.events)),
-                            tid=s.tid, uid=s.uid, op=s.kind)
-                    self._pruned_buf = []
-            if index >= len(succs):
-                stack.pop()
-                on_stack.discard(key[0])
-                if self.events is not None:
-                    self.events.emit("mc.pop", depth=len(stack))
-                continue
-            entry[4] += 1
-            succ = succs[index]
-            if succ.violation is not None:
-                record_violation(succ.violation, succ)
-                break
-            if succ.world is None:
-                continue  # disabled transition
-            result.transitions += 1
-            if succ.uid is not None:
-                # always-on source heat: visits / context switches /
-                # which threads ran this statement (one dict op per
-                # transition — noise next to the canonical-hash walk)
-                heat = self._stmt_heat.get(succ.uid)
-                if heat is None:
-                    heat = self._stmt_heat[succ.uid] = [0, 0, 0]
-                heat[0] += 1
-                parent_tid = step["tid"]
-                if 0 <= parent_tid != succ.tid:
-                    heat[1] += 1
-                if succ.tid >= 0:
-                    heat[2] |= 1 << succ.tid
-            if result.transitions >= next_sample:
-                self._frontier_samples.append(
-                    (result.transitions, len(stack)))
-                if len(self._frontier_samples) >= _FRONTIER_MAX_SAMPLES:
-                    self._frontier_samples = \
-                        self._frontier_samples[::2]
-                    sample_stride *= 2
-                next_sample = result.transitions + sample_stride
-            new_ghosts = self._apply_events(ghosts, succ.events)
-            if prof_on:
-                t0 = time.perf_counter()
-                new_key = (state_key(succ.world), new_ghosts)
-                canon_wall += time.perf_counter() - t0
-                canon_calls += 1
-            else:
-                new_key = (state_key(succ.world), new_ghosts)
-            dup = new_key in seen
-            if graph is not None:
-                graph.edge(entry[6], new_key, tid=succ.tid,
-                           uid=succ.uid, op=succ.kind, dup=dup)
-            if dup:
-                cache_hits += 1
-                continue
-            seen.add(new_key)
-            result.states += 1
-            new_gid = graph.node(new_key, len(stack) + 1,
-                                 quiescent=succ.world.quiescent()) \
-                if graph is not None else None
-            message = self._check(succ.world, new_ghosts)
-            if message is not None:
-                record_violation(message, succ)
-                break
-            record_quiescent(succ.world)
-            if self.max_states is not None \
-                    and result.states >= self.max_states:
-                result.capped = True
-                if self.events is not None:
-                    self.events.emit("mc.cap", states=result.states)
-                break
-            on_stack.add(new_key[0])
-            stack.append([new_key, succ.world, new_ghosts, None, 0,
-                          succ.step_info(), new_gid])
-            depth = len(stack)
-            self._depth_counts[depth] = \
-                self._depth_counts.get(depth, 0) + 1
-            if depth > max_depth:
-                max_depth = depth
-            if self.events is not None:
-                self.events.emit("mc.push", depth=depth,
-                                 desc=succ.desc, states=result.states)
-        dfs_span.__exit__(None, None, None)
-
-        self._stack_len = len(stack)
-        self._max_depth_seen = max_depth
-        if prof_on:
-            self.profiler.acc("mc.successors", succ_wall,
-                              work=succ_work, calls=succ_calls)
-            self.profiler.acc("mc.canonicalize", canon_wall,
-                              calls=canon_calls, work=canon_calls)
-        return self._finish(result, start, cache_hits, max_depth)
-
-
-def explore(interp: Interp, specs: list[ThreadSpec], mode: str = "full",
-            **kwargs) -> MCResult:
-    """Convenience wrapper around :class:`Explorer`."""
-    return Explorer(interp, specs, mode=mode, **kwargs).run()

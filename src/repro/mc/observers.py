@@ -1,0 +1,367 @@
+"""Observers: the model checker's telemetry, kept out of its search.
+
+:class:`~repro.mc.explorer.Explorer` takes one ``observer`` and calls
+its hooks at fixed points of the DFS; ``None`` (the default) costs one
+``is None`` test per hook site.  :class:`Observer` is the protocol and
+:func:`compose` combines several observers into one.
+
+``repro mc`` composes what its flags ask for (``--events-out`` /
+``--trace-out`` → :class:`Events`, ``--profile`` → :class:`Profile`,
+``--progress`` / ``--deadline`` → :class:`Heartbeat`,
+``--trace-malloc`` → :class:`TraceMalloc`, ``--trace`` →
+:class:`Spans`, ``--graph-out`` → :class:`repro.obs.graph.GraphWriter`)
+and always attaches :class:`Coverage`.  Library runs collect only the
+explorer's core counters unless given observers.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from typing import Callable, Optional
+
+from repro.obs.metrics import EwmaRate
+from repro.obs.profile import malloc_top, peak_rss_mb
+
+#: frontier-size sampling starts at this transition stride and doubles
+#: (halving the retained samples) whenever the buffer fills, keeping
+#: the per-run series bounded no matter how long the search runs
+_FRONTIER_SAMPLE_STRIDE = 64
+_FRONTIER_MAX_SAMPLES = 256
+
+
+class Observer:
+    """The hook protocol.  Subclasses override the hooks they need; an
+    ``Observer(*children)`` dispatches every hook to its children in
+    order (see :func:`compose`), and one without children does nothing.
+    The hooks, in the order a search meets them:
+
+    * ``start(explorer, result)`` — before the first state; ``result``
+      is the live :class:`~repro.mc.explorer.MCResult`;
+    * ``state(key, world, depth)`` — a new state was counted (the
+      initial one at depth 1), before its property check;
+    * ``expanded(ghosts, succs)`` — the stack top was expanded;
+    * ``ample(world, tid, desc, tids)`` — POR explored ``tid`` alone;
+    * ``transition(succ, key, dup)`` — a transition was counted
+      (``dup``: into a seen state);
+    * ``push(succ, depth)`` / ``pop(depth)`` — the stack grew / shrank;
+    * ``tick()`` — every 256 loop iterations; True stops the search
+      (``MCResult.deadline_hit``, the verdict UNKNOWN);
+    * ``finish(result)`` — the core counters are on ``result.metrics``.
+    """
+
+    children: tuple = ()
+
+    def __init__(self, *children: "Observer"):
+        self.children = children
+
+    def start(self, explorer, result) -> None:
+        for o in self.children:
+            o.start(explorer, result)
+
+    def state(self, key, world, depth: int) -> None:
+        for o in self.children:
+            o.state(key, world, depth)
+
+    def expanded(self, ghosts: tuple, succs: list) -> None:
+        for o in self.children:
+            o.expanded(ghosts, succs)
+
+    def ample(self, world, tid: int, desc: str, tids: list) -> None:
+        for o in self.children:
+            o.ample(world, tid, desc, tids)
+
+    def transition(self, succ, key, dup: bool) -> None:
+        for o in self.children:
+            o.transition(succ, key, dup)
+
+    def push(self, succ, depth: int) -> None:
+        for o in self.children:
+            o.push(succ, depth)
+
+    def pop(self, depth: int) -> None:
+        for o in self.children:
+            o.pop(depth)
+
+    def tick(self) -> bool:
+        return any(o.tick() for o in self.children)
+
+    def finish(self, result) -> None:
+        for o in self.children:
+            o.finish(result)
+
+
+def compose(*observers: Optional[Observer]) -> Optional[Observer]:
+    """One observer out of several (``None`` entries are skipped);
+    ``None`` when nothing is left."""
+    live = [o for o in observers if o is not None]
+    if len(live) > 1:
+        return Observer(*live)
+    return live[0] if live else None
+
+
+class Spans(Observer):
+    """``mc:run`` > ``mc:init``, ``mc:dfs`` spans on a
+    :class:`~repro.obs.tracing.Tracer`."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+
+    def start(self, explorer, result):
+        self._run = self.tracer.span("mc:run", mode=explorer.mode)
+        self._init = self.tracer.span("mc:init")
+
+    def expanded(self, ghosts, succs):
+        if self._init is not None:
+            self._init.__exit__(None, None, None)
+            self._init = None
+            self.tracer.span("mc:dfs")
+
+    def finish(self, result):
+        # closing the root also closes whichever phase is still open
+        self._run.__exit__(None, None, None)
+
+
+class Events(Observer):
+    """``mc.push`` / ``mc.pop`` / ``mc.ample`` / ``mc.violation`` /
+    ``mc.cap`` events on an :class:`~repro.obs.events.EventStream`."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def start(self, explorer, result):
+        self._result = result
+
+    def ample(self, world, tid, desc, tids):
+        self.events.emit("mc.ample", tid=tid, desc=desc)
+
+    def push(self, succ, depth):
+        self.events.emit("mc.push", depth=depth, desc=succ.desc,
+                         states=self._result.states)
+
+    def pop(self, depth):
+        self.events.emit("mc.pop", depth=depth)
+
+    def finish(self, result):
+        if result.violation and result.path:
+            self.events.emit("mc.violation", desc=result.path[-1]["desc"],
+                             message=result.violation)
+        elif result.capped:
+            self.events.emit("mc.cap", states=result.states)
+
+
+class Profile(Observer):
+    """Profiler regions for the explorer's sub-steps: ``mc.successors``,
+    ``mc.canonicalize`` and ``mc.por_ample`` time the explorer's
+    ``_successors``, ``_key`` and ``_alone``; ``mc.dedup`` counts
+    canonical-key lookups (calls) and hits (work).  The ranked document
+    lands in ``result.profile``; the top hotspots are mirrored into
+    ``events`` when given."""
+
+    _REGIONS = (("mc.successors", "_successors", len),
+                ("mc.canonicalize", "_key", None),
+                ("mc.por_ample", "_alone", None))
+
+    def __init__(self, profiler, events=None):
+        self.profiler = profiler
+        self.events = events
+
+    def start(self, explorer, result):
+        # region -> [calls, work, wall_s], flushed once at finish
+        self._acc = {}
+        for region, method, work in self._REGIONS:
+            acc = self._acc[region] = [0, 0, 0.0]
+            setattr(explorer, method,
+                    _timed(getattr(explorer, method), acc, work))
+
+    def finish(self, result):
+        prof = self.profiler
+        for region, (calls, work, wall) in self._acc.items():
+            prof.acc(region, wall, work=work, calls=calls)
+        hits = result.metrics["mc.cache_hits"]
+        prof.acc("mc.dedup", 0.0, work=hits, calls=hits + result.states)
+        result.profile = prof.to_dict()
+        prof.emit_hotspots(self.events)
+
+
+def _timed(fn: Callable, acc: list, work: Optional[Callable]) -> Callable:
+    perf = time.perf_counter
+
+    def timed(*args):
+        t0 = perf()
+        out = fn(*args)
+        acc[2] += perf() - t0
+        acc[0] += 1
+        acc[1] += 1 if work is None else work(out)
+        return out
+
+    return timed
+
+
+class Heartbeat(Observer):
+    """The ``--progress`` heartbeat and the ``--deadline`` soft timeout,
+    sharing the explorer's clock tick.  Every ``period`` seconds, and
+    once after the search, a beat writes a progress line (EWMA rate,
+    ETA to the state cap, deadline budget left) to ``sink`` (default:
+    stderr) and emits ``explorer.progress``; past ``deadline`` seconds
+    the tick emits ``mc.deadline`` and stops the search."""
+
+    def __init__(self, period: Optional[float] = None,
+                 deadline: Optional[float] = None,
+                 sink: Optional[Callable[[str], None]] = None,
+                 events=None):
+        self.period = period
+        self.deadline = deadline
+        self.sink = sink or (lambda line: print(line, file=sys.stderr))
+        self.events = events
+
+    def start(self, explorer, result):
+        self._mode, self._cap = explorer.mode, explorer.max_states
+        self._result = result
+        self._rate = EwmaRate()
+        self._frontier = self._max_depth = 1
+        self._t0 = time.perf_counter()
+        self._next_beat = None if self.period is None \
+            else self._t0 + self.period
+
+    def push(self, succ, depth):
+        self._frontier = depth
+        self._max_depth = max(self._max_depth, depth)
+
+    def pop(self, depth):
+        self._frontier = depth
+
+    def tick(self):
+        now = time.perf_counter()
+        if self.deadline is not None and now - self._t0 >= self.deadline:
+            if self.events is not None:
+                self.events.emit("mc.deadline", states=self._result.states,
+                                 deadline_s=self.deadline)
+            return True
+        if self._next_beat is not None and now >= self._next_beat:
+            self._beat(now)
+            self._next_beat = now + self.period
+        return False
+
+    def finish(self, result):
+        if self.period is not None:
+            self._beat(time.perf_counter(), final=True)
+
+    def _beat(self, now: float, final: bool = False) -> None:
+        r = self._result
+        elapsed = now - self._t0
+        rate = self._rate.update(r.states, now)
+        text = f" rate={rate:,.0f}/s"
+        fields: dict = {"rate_states_per_s": round(rate, 1)}
+        if self._cap is not None:
+            eta = self._rate.eta_s(self._cap - r.states)
+            text += " eta_cap=?" if eta is None else f" eta_cap={eta:.1f}s"
+            if eta is not None:
+                fields["eta_cap_s"] = round(eta, 3)
+        if self.deadline is not None:
+            left = max(0.0, self.deadline - elapsed)
+            text += f" deadline_in={left:.1f}s"
+            fields["deadline_in_s"] = round(left, 3)
+        self.sink(f"[mc:{self._mode}] {'done ' if final else ''}"
+                  f"t={elapsed:.1f}s states={r.states} "
+                  f"trans={r.transitions} frontier={self._frontier} "
+                  f"depth_max={self._max_depth} "
+                  f"mem={peak_rss_mb():.1f}MB{text}")
+        if self.events is not None:
+            lookups = r.transitions + 1   # the initial state's too
+            self.events.emit(
+                "explorer.progress", states=r.states,
+                transitions=r.transitions, depth=self._max_depth,
+                frontier=self._frontier, elapsed_s=round(elapsed, 3),
+                dedup_hit_rate=round((lookups - r.states) / lookups, 6),
+                mem_mb=round(peak_rss_mb(), 1), final=final, **fields)
+
+
+class TraceMalloc(Observer):
+    """Top allocation sites (``mc.malloc_top``) via :mod:`tracemalloc`,
+    which it starts if needed."""
+
+    def start(self, explorer, result):
+        import tracemalloc
+
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+
+    def finish(self, result):
+        result.metrics["mc.malloc_top"] = malloc_top()
+
+
+class Coverage(Observer):
+    """Where the search spent its transitions: ``mc.stmt_heat`` (per
+    CFG statement: visits, context switches into it, distinct threads),
+    the push-depth distribution ``mc.depth`` / ``mc.depth_hist``, and
+    ``mc.frontier_samples`` (``[transitions, stack depth]`` pairs)."""
+
+    def start(self, explorer, result):
+        self._result = result
+        self._heat: dict[int, list] = {}  # uid -> [visits, switches, tidmask]
+        self._depth_counts: dict[int, int] = {}
+        self._samples: list[list[int]] = []
+        self._stride = self._next_sample = _FRONTIER_SAMPLE_STRIDE
+        #: the thread that reached each DFS stack entry (-1: initial)
+        self._tids = [-1]
+
+    def transition(self, succ, key, dup):
+        if succ.uid is not None:
+            heat = self._heat.get(succ.uid)
+            if heat is None:
+                heat = self._heat[succ.uid] = [0, 0, 0]
+            heat[0] += 1
+            if 0 <= self._tids[-1] != succ.tid:
+                heat[1] += 1
+            if succ.tid >= 0:
+                heat[2] |= 1 << succ.tid
+        transitions = self._result.transitions
+        if transitions >= self._next_sample:
+            self._samples.append([transitions, len(self._tids)])
+            if len(self._samples) >= _FRONTIER_MAX_SAMPLES:
+                self._samples = self._samples[::2]
+                self._stride *= 2
+            self._next_sample = transitions + self._stride
+
+    def push(self, succ, depth):
+        self._tids.append(succ.tid)
+        self._depth_counts[depth] = self._depth_counts.get(depth, 0) + 1
+
+    def pop(self, depth):
+        self._tids.pop()
+
+    def finish(self, result):
+        counts = self._depth_counts
+        result.metrics.update({
+            "mc.depth": depth_summary(counts),
+            "mc.depth_hist": [[d, counts[d]] for d in sorted(counts)],
+            "mc.frontier_samples": self._samples,
+            # [uid, visits, switches, n_threads]
+            "mc.stmt_heat": [
+                [uid, heat[0], heat[1], bin(heat[2]).count("1")]
+                for uid, heat in sorted(self._heat.items())],
+        })
+
+
+def depth_summary(depth_counts: dict[int, int]) -> dict:
+    """Exact summary statistics over a ``{depth: pushes}`` histogram
+    (depths are small ints, so exact nearest-rank percentiles are
+    free); all zeros when empty."""
+    total = sum(depth_counts.values())
+    if not total:
+        return {"count": 0, "min": 0, "max": 0, "mean": 0.0,
+                "p50": 0, "p95": 0, "p99": 0}
+    ordered = sorted(depth_counts)
+    out = {"count": total, "min": ordered[0], "max": ordered[-1],
+           "mean": round(sum(d * n for d, n in depth_counts.items())
+                         / total, 3)}
+    for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        rank = max(1, int(q * total + 0.999999))
+        seen = 0
+        for depth in ordered:
+            seen += depth_counts[depth]
+            if seen >= rank:
+                out[name] = depth
+                break
+    return out

@@ -304,11 +304,13 @@ def _mc_case(name: str, source: str, specs_fn: Callable, mode: str,
              commutes: Optional[Callable] = None) -> BenchCase:
     from repro.interp import Interp
     from repro.mc import Explorer
+    from repro.mc.observers import Profile
 
     def run(profiler=NULL_PROFILER) -> tuple:
         interp = Interp(source)
+        observer = Profile(profiler) if profiler.enabled else None
         result = Explorer(interp, specs_fn(), mode=mode,
-                          commutes=commutes, profiler=profiler,
+                          commutes=commutes, observer=observer,
                           max_states=max_states).run()
         fields = {
             "states": result.states,

@@ -521,16 +521,14 @@ def mc_to_dict(result) -> dict:
         "states_per_s": round(result.states_per_s, 3),
         "violation": result.violation,
         "capped": result.capped,
-        "deadline_hit": bool(getattr(result, "deadline_hit", False)),
+        "deadline_hit": result.deadline_hit,
         "trace": list(result.trace),
-        "metrics": dict(getattr(result, "metrics", {}) or {}),
+        "metrics": dict(result.metrics),
     }
-    path = getattr(result, "path", None)
-    if path:
-        out["path"] = [dict(step) for step in path]
-    profile = getattr(result, "profile", None)
-    if profile:
-        out["profile"] = dict(profile)
+    if result.path:
+        out["path"] = [dict(step) for step in result.path]
+    if result.profile:
+        out["profile"] = dict(result.profile)
     out["run_meta"] = run_meta()
     return out
 

@@ -52,6 +52,7 @@ import pathlib
 import random
 from typing import IO, Callable, Optional, Union
 
+from repro.mc.observers import Observer
 from repro.obs.schemas import GRAPH as SCHEMA_VERSION
 
 #: node-record emission cap when ``REPRO_GRAPH_NODE_CAP`` is unset
@@ -134,14 +135,17 @@ class _Thinner:
         return self.count > self.written
 
 
-class GraphWriter:
+class GraphWriter(Observer):
     """Streams graph records to a JSONL file during exploration.
 
-    The explorer calls :meth:`node` exactly when it counts a new state
-    and :meth:`edge` exactly when it counts a transition, so the
+    The writer is an :class:`~repro.mc.explorer.Explorer` observer: it
+    writes a node record exactly when the explorer counts a new state
+    and an edge record exactly when it counts a transition, so the
     summary totals reconcile with :class:`~repro.mc.explorer.MCResult`
-    by construction.  ``mover_of`` (uid → ``"R"|"L"|"B"|"N"`` or None)
-    tags edges with the static mover classification when available.
+    by construction.  With ``record_pruned`` it also executes the
+    successors an ample-set choice left out and writes them as pruned
+    records.  ``mover_of`` (uid → ``"R"|"L"|"B"|"N"`` or None) tags
+    edges with the static mover classification when available.
     """
 
     def __init__(self, path: Union[str, pathlib.Path], *,
@@ -156,7 +160,7 @@ class GraphWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         cap = node_cap if node_cap is not None else node_cap_from_env()
         self.record_pruned = record_pruned
-        self.mover_of = mover_of
+        self.mover_of = mover_of or (lambda uid: None)
         #: raw uid → stable index (:func:`stable_uid_map`); applied to
         #: the program-counter uids inside state keys before hashing
         #: and to edge uid tags, so captures compare across processes
@@ -181,52 +185,63 @@ class GraphWriter:
             key = (rebase_node_uids(world_key, self.uid_map), ghosts)
         return key_id(key)
 
-    def _uid(self, uid: Optional[int]) -> Optional[int]:
-        if uid is None:
-            return None
-        return self.uid_map.get(uid, uid)
+    # -- explorer observer hooks ---------------------------------------------
+    def start(self, explorer, result) -> None:
+        self._explorer = explorer
+        #: node id of each DFS stack entry (edges leave the top one)
+        self._src: list[str] = []
+        #: successors the last ample-set choice left out
+        self._not_taken: list = []
 
-    def node(self, key, depth: int, *, init: bool = False,
-             quiescent: bool = False) -> str:
-        """Record a newly-counted state; returns its canonical id."""
+    def state(self, key, world, depth: int) -> None:
         gid = self._key_id(key)
-        if depth > self._max_depth:
-            self._max_depth = depth
+        self._max_depth = max(self._max_depth, depth)
         if self._nodes.admit():
             record = {"kind": "node", "id": gid, "depth": depth}
-            if init:
+            if not self._src:
                 record["init"] = True
-            if quiescent:
+            if world.quiescent():
                 record["q"] = True
             self._write(record)
-        return gid
+        self._src.append(gid)
 
-    def edge(self, src: str, dst_key, *, tid: int, uid: Optional[int],
-             op: str, dup: bool) -> None:
-        """Record an explored transition (``dup`` = into a seen state)."""
+    def pop(self, depth: int) -> None:
+        self._src.pop()
+
+    def transition(self, succ, key, dup: bool) -> None:
         if self._edges.admit():
-            self._write({"kind": "edge", "src": src,
-                         "dst": self._key_id(dst_key), "tid": tid,
-                         "uid": self._uid(uid), "op": op,
-                         "mover": self.mover_of(uid)
-                         if self.mover_of is not None else None,
-                         "dup": dup})
+            self._write({"kind": "edge", "src": self._src[-1],
+                         "dst": self._key_id(key), "tid": succ.tid,
+                         "uid": self.uid_map.get(succ.uid, succ.uid),
+                         "op": succ.kind,
+                         "mover": self.mover_of(succ.uid), "dup": dup})
 
-    def pruned(self, src: str, dst_key, *, tid: int,
-               uid: Optional[int], op: str) -> None:
-        """Record a transition POR elected *not* to explore."""
-        self._pruned_n += 1
-        self._write({"kind": "pruned", "src": src,
-                     "dst": self._key_id(dst_key), "tid": tid,
-                     "uid": self._uid(uid), "op": op})
+    def ample(self, world, tid: int, desc: str, tids: list) -> None:
+        if self.record_pruned:
+            # the transitions a full expansion would also have taken,
+            # executed solely to capture their targets
+            self._not_taken = [s for o in tids if o != tid
+                               for s in self._explorer.expand_thread(
+                                   world, o)]
 
-    @property
-    def nodes(self) -> int:
-        return self._nodes.count
+    def expanded(self, ghosts: tuple, succs: list) -> None:
+        if not self._not_taken:
+            return
+        from repro.mc import explorer as mc_explorer
 
-    @property
-    def edges(self) -> int:
-        return self._edges.count
+        # same filters as the counting path: disabled and violating
+        # successors never become transitions
+        for s in self._not_taken:
+            if s.world is None or s.violation is not None:
+                continue
+            key = (mc_explorer.state_key(s.world),
+                   self._explorer._apply_events(ghosts, s.events))
+            self._pruned_n += 1
+            self._write({"kind": "pruned", "src": self._src[-1],
+                         "dst": self._key_id(key), "tid": s.tid,
+                         "uid": self.uid_map.get(s.uid, s.uid),
+                         "op": s.kind})
+        self._not_taken = []
 
     def close(self) -> None:
         """Write the exact-total summary record and close the file."""
@@ -248,12 +263,6 @@ class GraphWriter:
                              edges=self._edges.count,
                              pruned=self._pruned_n,
                              truncated=truncated, path=str(self.path))
-
-    def __enter__(self) -> "GraphWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # -- reading ---------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Source-level state-space heatmaps.
 
-The explorer keeps always-on per-statement counters — for every
+The explorer's :class:`~repro.mc.observers.Coverage` observer (always
+attached by ``repro mc``) keeps per-statement counters — for every
 explored transition that executed CFG node ``uid``: how many times it
 ran (*visits*), how many of those runs were a context switch (the
 scheduled thread differed from the thread that took the parent step —
 *switches*, a direct measure of interleaving pressure at that
-statement), and which threads ever ran it.  The counters cost one dict
-operation per transition, noise next to the canonical-hash walk the
-same loop iteration performs, so they need no flag.
+statement), and which threads ever ran it.
 
 This module turns those raw ``[[uid, visits, switches, tid_mask]]``
 rows into a *source overlay*: each CFG uid is resolved back to its
@@ -64,18 +63,13 @@ def mover_fn(annotations: dict[int, dict]
              ) -> Callable[[Optional[int]], Optional[str]]:
     """A uid → mover lookup suitable for
     :class:`repro.obs.graph.GraphWriter`'s ``mover_of``."""
-    def mover_of(uid: Optional[int]) -> Optional[str]:
-        if uid is None:
-            return None
-        record = annotations.get(uid)
-        return record["mover"] if record is not None else None
-    return mover_of
+    return lambda uid: (annotations.get(uid) or {}).get("mover")
 
 
 def build_heatmap(stmt_heat: list, annotations: dict[int, dict],
                   annotated: bool = True) -> dict:
     """Assemble the schema-versioned heatmap document from the
-    explorer's raw rows (``metrics["mc.stmt_heat"]``).
+    Coverage observer's raw rows (``metrics["mc.stmt_heat"]``).
 
     Rows are ordered by procedure then uid — source order within a
     procedure — and uids the annotation map does not know (e.g. a

@@ -397,7 +397,7 @@ def stop(recorder: Optional[RunRecorder]) -> None:
 @contextlib.contextmanager
 def muted():
     """Temporarily detach the active recorder so globally-hooked notes
-    (``note_mc`` from ``Explorer._finish``, …) don't land in the run.
+    (``note_mc`` from ``Explorer.run``, …) don't land in the run.
     The experiments variant grid runs its cells under this: the grid's
     drift-diffable record is the aggregated ``experiments`` note, and
     a parallel (``--jobs``) grid — whose forked workers never see the
@@ -567,7 +567,7 @@ def _normalize_cex_steps(path: list, trace: list) -> list:
 
 def note_mc(result) -> None:
     """Record an exploration's verdict (hooked from
-    ``Explorer._finish``); a violation gets a deterministic
+    ``Explorer.run``); a violation gets a deterministic
     counterexample fingerprint so replays can assert identity."""
     rec = _CURRENT
     if rec is None:

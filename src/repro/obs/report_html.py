@@ -18,8 +18,8 @@ Sections (each ``<section id="sec-NAME">``, see :data:`SECTIONS`):
 * ``hotspots``  — ranked profiler tables (+ share bar chart);
 * ``coverage``  — depth histogram + frontier-size chart per MC run;
 * ``statespace`` — graph-capture analytics (``--graph-out`` JSONL:
-  depth layers, branching, POR reduction) plus the always-on
-  source-level statement heatmap embedded in MC documents;
+  depth layers, branching, POR reduction) plus the source-level
+  statement heatmap embedded in MC documents;
 * ``lint``      — findings grouped by target;
 * ``summary``   — incremental-analysis summary-cache traffic
   (``repro summaries canary --stats-out`` / store stats documents):
@@ -265,8 +265,11 @@ def _svg_bars(pairs: list[tuple], width: int = 460, height: int = 140,
 
 
 def _svg_line(points: list[tuple], width: int = 460, height: int = 120,
-              color: str = "#2e7d32", title: str = "") -> str:
-    """Polyline chart over ``(x, y)`` points (x need not be uniform)."""
+              color: str = "#2e7d32", title: str = "",
+              marks: tuple = (), mark_color: str = "#c62828") -> str:
+    """Polyline chart over ``(x, y)`` points (x need not be uniform),
+    with a dashed vertical rule at each x value in ``marks`` (the
+    changepoint-annotated trajectory)."""
     if not points:
         return "<p class='empty'>(no data)</p>"
     xs = [float(x) for x, _ in points]
@@ -284,7 +287,6 @@ def _svg_line(points: list[tuple], width: int = 460, height: int = 120,
         return pad + plot_h * (1 - y / y1)
 
     if len(points) == 1:
-        coords = f"{px(xs[0]):.1f},{py(ys[0]):.1f}"
         body = (f"<circle cx='{px(xs[0]):.1f}' cy='{py(ys[0]):.1f}' "
                 f"r='2.5' fill='{color}'/>")
     else:
@@ -292,6 +294,12 @@ def _svg_line(points: list[tuple], width: int = 460, height: int = 120,
                           for x, y in zip(xs, ys))
         body = (f"<polyline points='{coords}' fill='none' "
                 f"stroke='{color}' stroke-width='1.5'/>")
+    for mark in marks:
+        mx = px(float(mark))
+        body += (f"<line x1='{mx:.1f}' y1='{pad}' x2='{mx:.1f}' "
+                 f"y2='{height - pad}' stroke='{mark_color}' "
+                 f"stroke-width='1' stroke-dasharray='3,2'>"
+                 f"<title>step at entry {mark}</title></line>")
     return (f"<svg viewBox='0 0 {width} {height}' class='chart' "
             f"role='img' aria-label='{_esc(title)}'>{body}"
             f"<title>{_esc(title)} (max {y1:g})</title></svg>")
@@ -579,9 +587,9 @@ def _coverage(inputs: ReportInputs) -> str:
                             title=f"states over time {label}"))
     if not parts:
         return _placeholder(
-            "coverage telemetry", "re-run repro mc --json (the "
-            "explorer always embeds mc.depth_hist and "
-            "mc.frontier_samples in its metrics)")
+            "coverage telemetry", "re-run repro mc --json (its "
+            "Coverage observer embeds mc.depth_hist and "
+            "mc.frontier_samples in the metrics)")
     return "".join(parts)
 
 
@@ -895,46 +903,6 @@ def _runs(inputs: ReportInputs) -> str:
     return "".join(parts)
 
 
-def _svg_line_marked(points: list[tuple], marks: list[int],
-                     width: int = 460, height: int = 120,
-                     color: str = "#2e7d32",
-                     mark_color: str = "#c62828",
-                     title: str = "") -> str:
-    """Polyline chart with dashed vertical rules at ``marks`` (x
-    values) — the changepoint-annotated trajectory."""
-    if not points:
-        return "<p class='empty'>(no data)</p>"
-    xs = [float(x) for x, _ in points]
-    ys = [float(y) for _, y in points]
-    x0, x1 = min(xs), max(xs)
-    y1 = max(ys) or 1.0
-    pad = 4
-    span_x = (x1 - x0) or 1.0
-    plot_w, plot_h = width - pad * 2, height - pad * 2
-
-    def px(x: float) -> float:
-        return pad + plot_w * (x - x0) / span_x
-
-    def py(y: float) -> float:
-        return pad + plot_h * (1 - y / y1)
-
-    coords = " ".join(f"{px(x):.1f},{py(y):.1f}"
-                      for x, y in zip(xs, ys))
-    parts = [f"<svg viewBox='0 0 {width} {height}' class='chart' "
-             f"role='img' aria-label='{_esc(title)}'>"
-             f"<polyline points='{coords}' fill='none' "
-             f"stroke='{color}' stroke-width='1.5'/>"]
-    for mark in marks:
-        mx = px(float(mark))
-        parts.append(
-            f"<line x1='{mx:.1f}' y1='{pad}' x2='{mx:.1f}' "
-            f"y2='{height - pad}' stroke='{mark_color}' "
-            f"stroke-width='1' stroke-dasharray='3,2'>"
-            f"<title>step at entry {mark}</title></line>")
-    parts.append(f"<title>{_esc(title)} (max {y1:g})</title></svg>")
-    return "".join(parts)
-
-
 def _forensics(inputs: ReportInputs) -> str:
     """Perf forensics: ranked differential-profiling attribution
     tables + per-region delta bars from perfdiff documents, and a
@@ -1005,8 +973,8 @@ def _forensics(inputs: ReportInputs) -> str:
                 parts.append(
                     f"<h4>{_esc(name)} — wall ms with step "
                     f"marker(s)</h4>"
-                    + _svg_line_marked(
-                        series.get(name, []), marks,
+                    + _svg_line(
+                        series.get(name, []), marks=marks,
                         title=f"changepoint trajectory — {name}"))
         else:
             parts.append("<p>no changepoints detected — the "

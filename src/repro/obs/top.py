@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
+from repro.mc.observers import depth_summary
 from repro.obs.metrics import EwmaRate
 
 #: default refresh period in seconds
@@ -49,6 +50,9 @@ DEFAULT_INTERVAL = 1.0
 DEFAULT_DURATION = 60.0
 
 _SPARK = " .:-=+*#%@"
+
+#: statuses after which a dashboard stops waiting for events
+_TERMINAL = ("done", "VIOLATION", "CAPPED", "DEADLINE")
 
 
 def _bar(value: float, peak: float, width: int = 24) -> str:
@@ -77,27 +81,13 @@ class TopState:
         """Fold one event in; True when the frame should refresh."""
         self.events += 1
         kind = event.get("kind")
-        if kind == "explorer.progress":
+        if kind in ("explorer.progress", "fleet.heartbeat"):
+            # a worker-process beat folds like explorer.progress, with
+            # done/total instead of states
             self.progress = event
             self.beats += 1
             self.ewma_rate = self.rate.update(
-                event.get("states", 0),
-                event.get("elapsed_s", event.get("t", 0.0)))
-            if self.ewma_rate > self.peak_rate:
-                self.peak_rate = self.ewma_rate
-            if self.status == "waiting":
-                self.status = "running"
-            if event.get("final"):
-                self.status = "done" if self.status == "running" \
-                    else self.status
-            return True
-        if kind == "fleet.heartbeat":
-            # worker-process progress beat: same shape of fold as
-            # explorer.progress, with done/total instead of states
-            self.progress = event
-            self.beats += 1
-            self.ewma_rate = self.rate.update(
-                event.get("done", 0),
+                event.get("states", event.get("done", 0)),
                 event.get("elapsed_s", event.get("t", 0.0)))
             if self.ewma_rate > self.peak_rate:
                 self.peak_rate = self.ewma_rate
@@ -124,22 +114,8 @@ class TopState:
 
     def depth_percentiles(self) -> tuple[int, int, int]:
         """(p50, p95, max) over observed push depths."""
-        total = sum(self.depth_counts.values())
-        if not total:
-            return (0, 0, 0)
-        ordered = sorted(self.depth_counts)
-        out = []
-        for q in (0.50, 0.95):
-            rank = max(1, int(q * total + 0.999999))
-            seen = 0
-            value = ordered[-1]
-            for depth in ordered:
-                seen += self.depth_counts[depth]
-                if seen >= rank:
-                    value = depth
-                    break
-            out.append(value)
-        return (out[0], out[1], ordered[-1])
+        summary = depth_summary(self.depth_counts)
+        return (summary["p50"], summary["p95"], summary["max"])
 
     def to_dict(self) -> dict:
         p50, p95, dmax = self.depth_percentiles()
@@ -271,8 +247,7 @@ class FleetTail:
         least one worker was observed)."""
         if not self.states:
             return False
-        return all(s.status.startswith(("done", "VIOLATION", "CAPPED",
-                                        "DEADLINE"))
+        return all(s.status.startswith(_TERMINAL)
                    for s in self.states.values())
 
     def aggregate(self) -> dict:
@@ -293,6 +268,57 @@ class FleetTail:
     def close(self) -> None:
         for tail in self.tails.values():
             tail.close()
+
+    def frame(self, path: str) -> list[str]:
+        return render_fleet_frame(self, path)
+
+    def line(self) -> str:
+        return render_fleet_line(self)
+
+    def snapshot(self) -> None:
+        pass
+
+
+class _FileTail:
+    """One events file folded into a :class:`TopState`, with the
+    :class:`FleetTail` interface :func:`run_top` drives."""
+
+    def __init__(self, path: str):
+        self.tail = _Tail(path)
+        self.state = TopState()
+
+    @property
+    def events(self) -> int:
+        return self.state.events
+
+    def poll(self) -> bool:
+        fresh = False
+        for event in self.tail.poll():
+            fresh = self.state.feed(event) or fresh
+        return fresh
+
+    def finished(self) -> bool:
+        return self.state.status.startswith(_TERMINAL)
+
+    def to_dict(self) -> dict:
+        return self.state.to_dict()
+
+    def close(self) -> None:
+        self.tail.close()
+
+    def frame(self, path: str) -> list[str]:
+        return render_frame(self.state, path)
+
+    def line(self) -> str:
+        return render_line(self.state)
+
+    def snapshot(self) -> None:
+        """``--once``: say why the status is not final."""
+        state = self.state
+        if state.status == "running":
+            state.status = "running (snapshot)"
+        elif state.status == "waiting" and state.events:
+            state.status = "no heartbeats recorded (run mc with --progress)"
 
 
 def render_fleet_frame(fleet: FleetTail, path: str) -> list[str]:
@@ -323,59 +349,10 @@ def render_fleet_line(fleet: FleetTail) -> str:
     """One-line fleet summary (line-mode / non-TTY fallback)."""
     agg = fleet.aggregate()
     running = sum(1 for s in fleet.states.values()
-                  if not s.status.startswith(("done", "VIOLATION",
-                                              "CAPPED", "DEADLINE")))
+                  if not s.status.startswith(_TERMINAL))
     return (f"[top] fleet workers={agg['workers']} running={running} "
             f"done={agg['done']} rate={agg['rate']:,.1f}/s "
             f"rss={agg['rss_mb']:.1f}MB events={agg['events']}")
-
-
-def _run_top_fleet(path: str, *, interval: float,
-                   duration: Optional[float], once: bool,
-                   as_json: bool, out: IO,
-                   is_tty: bool) -> int:
-    fleet = FleetTail(path)
-    deadline = time.monotonic() + (duration if duration is not None
-                                   else DEFAULT_DURATION)
-    painted = 0
-
-    def paint() -> None:
-        nonlocal painted
-        lines = render_fleet_frame(fleet, path)
-        if is_tty and painted:
-            out.write(f"\x1b[{painted}F\x1b[J")
-        out.write("\n".join(lines) + "\n")
-        out.flush()
-        painted = len(lines)
-
-    try:
-        if once:
-            fleet.poll()
-            if as_json:
-                out.write(json.dumps(fleet.to_dict(), indent=2) + "\n")
-            else:
-                out.write("\n".join(render_fleet_frame(fleet, path))
-                          + "\n")
-            return 0 if fleet.events else 2
-        while time.monotonic() < deadline:
-            if fleet.poll():
-                if is_tty:
-                    paint()
-                else:
-                    out.write(render_fleet_line(fleet) + "\n")
-                    out.flush()
-            if fleet.finished():
-                break
-            time.sleep(interval)
-        if as_json:
-            out.write(json.dumps(fleet.to_dict(), indent=2) + "\n")
-        elif is_tty:
-            paint()
-        else:
-            out.write(render_fleet_line(fleet) + "\n")
-        return 0 if fleet.events else 2
-    finally:
-        fleet.close()
 
 
 def run_top(path: str, *, interval: float = DEFAULT_INTERVAL,
@@ -398,19 +375,14 @@ def run_top(path: str, *, interval: float = DEFAULT_INTERVAL,
     out = out or sys.stdout
     is_tty = force_tty if force_tty is not None \
         else getattr(out, "isatty", lambda: False)()
-    if os.path.isdir(path):
-        return _run_top_fleet(path, interval=interval,
-                              duration=duration, once=once,
-                              as_json=as_json, out=out, is_tty=is_tty)
-    tail = _Tail(path)
-    state = TopState()
+    view = FleetTail(path) if os.path.isdir(path) else _FileTail(path)
     deadline = time.monotonic() + (duration if duration is not None
                                    else DEFAULT_DURATION)
     painted = 0
 
     def paint() -> None:
         nonlocal painted
-        lines = render_frame(state, path)
+        lines = view.frame(path)
         if is_tty and painted:
             out.write(f"\x1b[{painted}F\x1b[J")  # up + clear below
         out.write("\n".join(lines) + "\n")
@@ -419,38 +391,29 @@ def run_top(path: str, *, interval: float = DEFAULT_INTERVAL,
 
     try:
         if once:
-            for event in tail.poll():
-                state.feed(event)
-            if state.status == "running":
-                state.status = "running (snapshot)"
-            elif state.status == "waiting" and state.events:
-                state.status = ("no heartbeats recorded "
-                                "(run mc with --progress)")
+            view.poll()
+            view.snapshot()
             if as_json:
-                out.write(json.dumps(state.to_dict(), indent=2) + "\n")
+                out.write(json.dumps(view.to_dict(), indent=2) + "\n")
             else:
-                out.write("\n".join(render_frame(state, path)) + "\n")
-            return 0 if state.events else 2
+                out.write("\n".join(view.frame(path)) + "\n")
+            return 0 if view.events else 2
         while time.monotonic() < deadline:
-            fresh = False
-            for event in tail.poll():
-                fresh = state.feed(event) or fresh
-            if fresh:
+            if view.poll():
                 if is_tty:
                     paint()
                 else:
-                    out.write(render_line(state) + "\n")
+                    out.write(view.line() + "\n")
                     out.flush()
-            if state.status.startswith(("done", "VIOLATION", "CAPPED",
-                                        "DEADLINE")):
+            if view.finished():
                 break
             time.sleep(interval)
         if as_json:
-            out.write(json.dumps(state.to_dict(), indent=2) + "\n")
+            out.write(json.dumps(view.to_dict(), indent=2) + "\n")
         elif is_tty:
             paint()
         else:
-            out.write(render_line(state) + "\n")
-        return 0 if state.events else 2
+            out.write(view.line() + "\n")
+        return 0 if view.events else 2
     finally:
-        tail.close()
+        view.close()

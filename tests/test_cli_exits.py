@@ -310,3 +310,57 @@ def test_bench_trend_changepoints_stays_informational(
                  "--changepoints"])
     assert code == 0
     assert "[STEP] mc/x wall_s:" in capsys.readouterr().out
+
+
+# -- usage errors: thread specs and budget flags -----------------------------------
+
+@pytest.mark.parametrize("command", ["mc", "run"])
+@pytest.mark.parametrize("spec", ["PopCheck(x)", "PopCheck(", "PopCheck",
+                                  "PopCheck(1,)", "PopCheck()x", "()"])
+def test_bad_thread_spec_exits_2(ledger_root, tmp_path, capsys, command,
+                                 spec):
+    path = _write(tmp_path, "aba.synl", corpus.ABA_STACK)
+    code = main([command, path, spec, "Recycle()"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad thread spec")
+    assert "Traceback" not in err
+    _assert_recorded(ledger_root, 2, "error")
+
+
+def test_thread_spec_forms_still_parse(ledger_root, tmp_path, capsys):
+    code = main(["mc", _write(tmp_path, "sem.synl", corpus.SEMAPHORE),
+                 " Down( ) ", "Up(),Down()*", "--mode", "atomic",
+                 "--max-states", "50"])
+    assert code in (0, EXIT_CAPPED)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--progress", "0"], ["--progress", "-1"], ["--progress", "nan"],
+    ["--progress", "inf"], ["--deadline", "-5"], ["--deadline", "nan"],
+    ["--deadline", "inf"], ["--deadline", "soon"], ["--max-states", "0"],
+    ["--max-states", "-3"], ["--max-states", "1.5"],
+])
+def test_mc_bad_budget_flag_exits_2(ledger_root, tmp_path, capsys, argv):
+    path = _write(tmp_path, "sem.synl", corpus.SEMAPHORE)
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", path, "Down()", "Up()"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_experiments_bad_max_states_exits_2(ledger_root, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiments", "section63", "--max-states", value])
+    assert exc.value.code == 2
+    assert "argument --max-states" in capsys.readouterr().err
+
+
+def test_mc_budget_flag_boundaries_accepted(ledger_root, tmp_path,
+                                            capsys):
+    code = main(["mc", _write(tmp_path, "sem.synl", corpus.SEMAPHORE),
+                 "Down()", "Up()", "--max-states", "1",
+                 "--progress", "0.5", "--deadline", "0"])
+    assert code in (EXIT_CAPPED, EXIT_DEADLINE)

@@ -12,7 +12,7 @@ import pytest
 from repro import corpus
 from repro.dynamic import TracingInterp
 from repro.interp import Interp, ThreadSpec, run_random
-from repro.mc import Explorer
+from repro.mc import Explorer, observers
 from repro.obs.events import (EVENT_SCHEMA, KINDS, EventStream,
                               read_jsonl)
 from repro.obs.export import validate
@@ -105,7 +105,7 @@ def test_explorer_emits_push_pop_violation():
     interp = Interp(program, events=events)
     specs = [ThreadSpec.of(("DownBad",)), ThreadSpec.of(("DownBad",))]
     result = Explorer(interp, specs, mode="full",
-                      events=events).run()
+                      observer=observers.Events(events)).run()
     assert result.violation
     kinds = {e["kind"] for e in events.snapshot()}
     assert {"mc.push", "mc.pop", "mc.violation"} <= kinds
@@ -120,7 +120,8 @@ def test_explorer_emits_ample_in_por_mode():
     events = EventStream()
     interp = Interp(corpus.NFQ_PRIME, events=events)
     specs = [ThreadSpec.of(("AddNode", 1)), ThreadSpec.of(("DeqP",))]
-    result = Explorer(interp, specs, mode="por", events=events).run()
+    result = Explorer(interp, specs, mode="por",
+                      observer=observers.Events(events)).run()
     assert result.violation is None
     amples = events.snapshot("mc.ample")
     assert amples and all("tid" in e and "desc" in e for e in amples)
@@ -261,14 +262,13 @@ def test_graph_writer_emits_mc_graph_event(tmp_path):
     from repro.obs.graph import GraphWriter
 
     stream = EventStream()
-    writer = GraphWriter(tmp_path / "g.jsonl", mode="full", threads=2,
+    writer = GraphWriter(tmp_path / "g.jsonl", mode="full", threads=1,
                          events=stream)
-    writer.node((("init",), ()), 1, init=True)
-    writer.edge("aa", (("next",), ()), tid=0, uid=1, op="stmt",
-                dup=False)
+    Explorer(Interp(corpus.SEMAPHORE), [ThreadSpec.of(("Up",))],
+             observer=writer).run()
     writer.close()
     (event,) = stream.snapshot("mc.graph")
-    assert event["nodes"] == 1 and event["edges"] == 1
+    assert event["nodes"] == event["edges"] + 1
     assert event["path"].endswith("g.jsonl")
     assert not event["truncated"]
     # bounded drain keeps the newest records, graph event included
@@ -279,8 +279,9 @@ def test_final_progress_beat_carries_extended_fields():
     events = EventStream()
     interp = Interp(corpus.SEMAPHORE)
     specs = [ThreadSpec.of(("Down",)), ThreadSpec.of(("Up",))]
-    Explorer(interp, specs, mode="full", events=events,
-             progress=9999).run()
+    Explorer(interp, specs, mode="full",
+             observer=observers.Heartbeat(9999, sink=lambda line: None,
+                                          events=events)).run()
     beats = events.snapshot("explorer.progress")
     assert beats, "a final heartbeat must always be emitted"
     final = beats[-1]

@@ -6,7 +6,7 @@ import pytest
 
 from repro import corpus
 from repro.interp import Interp, ThreadSpec
-from repro.mc import Explorer, QueueContents, QueueShape
+from repro.mc import Explorer, QueueContents, QueueShape, observers
 
 TINY = """
 global G;
@@ -170,7 +170,9 @@ def test_variant_mode_matches_run_to_commit():
 def test_deadline_zero_stops_immediately_with_telemetry():
     specs = [ThreadSpec.of(("Inc",)), ThreadSpec.of(("Inc",)),
              ThreadSpec.of(("Inc",))]
-    r = _explore(TINY, specs, "full", deadline=0.0)
+    r = _explore(TINY, specs, "full",
+                 observer=observers.compose(observers.Heartbeat(deadline=0.0),
+                                            observers.Coverage()))
     assert r.deadline_hit and not r.capped and r.violation is None
     # the stop is graceful: partial counts and telemetry survive
     assert r.states >= 1
@@ -181,7 +183,8 @@ def test_deadline_zero_stops_immediately_with_telemetry():
 
 def test_generous_deadline_never_fires():
     specs = [ThreadSpec.of(("Inc",)), ThreadSpec.of(("Inc",))]
-    r = _explore(TINY, specs, "full", deadline=3600.0)
+    r = _explore(TINY, specs, "full",
+                 observer=observers.Heartbeat(deadline=3600.0))
     assert not r.deadline_hit
     assert r.metrics["mc.deadline_hit"] is False
     assert "UNKNOWN" not in str(r)
@@ -200,19 +203,20 @@ def test_deadline_emits_event():
     specs = [ThreadSpec.of(("Inc",)), ThreadSpec.of(("Inc",)),
              ThreadSpec.of(("Inc",))]
     interp = Interp(TINY)
-    r = Explorer(interp, specs, mode="full", deadline=0.0,
-                 events=events).run()
+    r = Explorer(interp, specs, mode="full",
+                 observer=observers.Heartbeat(deadline=0.0,
+                                              events=events)).run()
     assert r.deadline_hit
     assert events.snapshot("mc.deadline")
 
 
-# -- always-on statement heat counters ---------------------------------------------
+# -- statement heat counters (the Coverage observer) -------------------------------
 
 def test_stmt_heat_counts_visits_and_switches():
     specs = [ThreadSpec.of(("Inc",)), ThreadSpec.of(("Inc",))]
-    r = _explore(TINY, specs, "full")
+    r = _explore(TINY, specs, "full", observer=observers.Coverage())
     heat = r.metrics["mc.stmt_heat"]
-    assert heat, "the explorer always collects statement heat"
+    assert heat, "Coverage collects statement heat"
     # rows are [uid, visits, switches, distinct threads], sorted by uid
     assert heat == sorted(heat)
     assert all(len(row) == 4 for row in heat)
@@ -227,7 +231,8 @@ def test_stmt_heat_counts_visits_and_switches():
 
 
 def test_stmt_heat_single_thread_has_no_switches():
-    r = _explore(TINY, [ThreadSpec.of(("Set", 5))], "full")
+    r = _explore(TINY, [ThreadSpec.of(("Set", 5))], "full",
+                 observer=observers.Coverage())
     heat = r.metrics["mc.stmt_heat"]
     assert heat
     assert all(row[2] == 0 for row in heat)     # nothing to switch from
@@ -238,8 +243,10 @@ def test_stmt_heat_is_deterministic():
     # raw CFG uids shift between program builds (process-global
     # counter), but relative order and every count column must agree
     specs = [ThreadSpec.of(("Inc",)), ThreadSpec.of(("Inc",))]
-    a = _explore(TINY, specs, "full").metrics["mc.stmt_heat"]
-    b = _explore(TINY, specs, "full").metrics["mc.stmt_heat"]
+    a = _explore(TINY, specs, "full",
+                 observer=observers.Coverage()).metrics["mc.stmt_heat"]
+    b = _explore(TINY, specs, "full",
+                 observer=observers.Coverage()).metrics["mc.stmt_heat"]
     assert [row[1:] for row in a] == [row[1:] for row in b]
 
 
@@ -251,7 +258,8 @@ def test_heatmap_document_annotates_statements():
     interp = Interp(corpus.GH_PROGRAM1)
     analysis = analyze_program(corpus.GH_PROGRAM1)
     specs = [ThreadSpec.of(("Apply", 1)), ThreadSpec.of(("Apply", 2))]
-    r = Explorer(interp, specs, mode="full").run()
+    r = Explorer(interp, specs, mode="full",
+                 observer=observers.Coverage()).run()
     annotations = uid_annotations(interp, analysis)
     doc = build_heatmap(r.metrics["mc.stmt_heat"], annotations,
                         annotated=True)
@@ -269,7 +277,8 @@ def test_heatmap_without_analysis_is_unannotated():
 
     interp = Interp(TINY)
     specs = [ThreadSpec.of(("Inc",)), ThreadSpec.of(("Inc",))]
-    r = Explorer(interp, specs, mode="full").run()
+    r = Explorer(interp, specs, mode="full",
+                 observer=observers.Coverage()).run()
     annotations = uid_annotations(interp, None)
     doc = build_heatmap(r.metrics["mc.stmt_heat"], annotations,
                         annotated=False)

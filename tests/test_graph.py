@@ -32,7 +32,7 @@ def _capture(tmp_path, name, mode, *, record_pruned=False,
                          uid_map=stable_uid_map(interp))
     try:
         result = Explorer(interp, specs or GH_SPECS, mode=mode,
-                          graph=writer).run()
+                          observer=writer).run()
     finally:
         writer.close()
     return result, read_graph(tmp_path / name)
@@ -153,7 +153,7 @@ def test_mover_tags_ride_edges(tmp_path):
                          mover_of=heatmap.mover_fn(annotations),
                          uid_map=stable_uid_map(interp))
     try:
-        Explorer(interp, GH_SPECS, mode="full", graph=writer).run()
+        Explorer(interp, GH_SPECS, mode="full", observer=writer).run()
     finally:
         writer.close()
     doc = read_graph(tmp_path / "g.jsonl")

@@ -14,7 +14,7 @@ from repro.analysis import analyze_program
 from repro.analysis.report import (line_provenance, render_figure,
                                    variant_lines)
 from repro.interp import Interp, ThreadSpec
-from repro.mc import Explorer
+from repro.mc import Explorer, observers
 from repro.obs import (Counter, Histogram, MetricsRegistry, ObsConfig,
                        Tracer)
 from repro.obs.export import (ANALYSIS_SCHEMA, BENCH_FILE_SCHEMA,
@@ -278,7 +278,8 @@ def test_explorer_tracing():
     tracer = Tracer()
     interp = Interp(corpus.NFQ_PRIME)
     result = Explorer(interp, [ThreadSpec.of(("UpdateTail",))],
-                      mode="full", tracer=tracer).run()
+                      mode="full",
+                      observer=observers.Spans(tracer)).run()
     assert result.states > 0
     (root,) = tracer.roots
     assert root.name == "mc:run"

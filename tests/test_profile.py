@@ -13,7 +13,7 @@ import pytest
 from repro import corpus
 from repro.analysis.inference import analyze_program
 from repro.interp import Interp, ThreadSpec
-from repro.mc import Explorer
+from repro.mc import Explorer, observers
 from repro.mc.explorer import MCResult
 from repro.obs.config import ObsConfig
 from repro.obs.events import EVENT_SCHEMA, EventStream
@@ -229,28 +229,29 @@ def test_profile_env_and_flags():
 
 # -- explorer integration ----------------------------------------------------------
 
-def _explore(profiler=None, progress=None, sink=None,
-             trace_malloc=False, threads=3, mode="por"):
+def _explore(*observer_list, threads=3, mode="por"):
     interp = Interp(TINY)
     specs = [ThreadSpec.of(("Inc",)) for _ in range(threads)]
-    return Explorer(interp, specs, mode=mode, profiler=profiler,
-                    progress=progress, progress_sink=sink,
-                    trace_malloc=trace_malloc).run()
+    return Explorer(interp, specs, mode=mode,
+                    observer=observers.compose(*observer_list)).run()
 
 
 def test_explorer_profile_document():
     prof = Profiler()
-    result = _explore(profiler=prof)
+    result = _explore(observers.Profile(prof))
     assert validate(result.profile, PROFILE_SCHEMA) == []
     names = {h["name"] for h in result.profile["hotspots"]}
     assert {"mc.successors", "mc.canonicalize", "mc.dedup",
             "mc.por_ample"} <= names
 
 
-def test_explorer_coverage_telemetry_always_on():
-    result = _explore()  # no profiler: telemetry is unconditional
+def test_explorer_coverage_observer():
+    core = _explore().metrics   # library run: core counters only
+    assert "mc.max_depth" in core and "mc.depth" not in core
+    result = _explore(observers.Coverage())
     m = result.metrics
     assert result.profile == {}
+    assert set(core) < set(m)
     assert m["mc.dedup_hit_rate"] == m["mc.cache_hit_ratio"]
     assert m["mc.mem_peak_mb"] > 0
     depth = m["mc.depth"]
@@ -265,9 +266,10 @@ def test_explorer_heartbeat_and_progress_events():
     interp = Interp(TINY)
     specs = [ThreadSpec.of(("Inc",)) for _ in range(3)]
     events = EventStream()
-    result = Explorer(interp, specs, mode="por", events=events,
-                      progress=0.0001,
-                      progress_sink=beats.append).run()
+    result = Explorer(interp, specs, mode="por",
+                      observer=observers.Heartbeat(
+                          0.0001, sink=beats.append,
+                          events=events)).run()
     assert beats and "done" in beats[-1]
     assert f"states={result.states}" in beats[-1]
     progress_events = events.snapshot("explorer.progress")
@@ -277,7 +279,7 @@ def test_explorer_heartbeat_and_progress_events():
 
 
 def test_explorer_trace_malloc_metric():
-    result = _explore(trace_malloc=True, threads=2)
+    result = _explore(observers.TraceMalloc(), threads=2)
     assert isinstance(result.metrics["mc.malloc_top"], list)
 
 
