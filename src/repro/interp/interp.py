@@ -413,8 +413,6 @@ class Interp:
             return world.heap.alloc(e.class_name)
         if isinstance(e, A.NewArray):
             size = self._eval(world, thread, e.size)
-            if not isinstance(size, int):
-                raise InterpError(f"array size {size!r}")
             return world.heap.alloc_array(e.class_name, size)
         if isinstance(e, A.Unary):
             v = self._eval(world, thread, e.operand)

@@ -1,9 +1,11 @@
 """Program state for the SYNL interpreter: threads, frames, worlds.
 
 A :class:`World` is a complete program state — global store, heap, lock
-table, and per-thread local state — that can be deep-copied (for the
-model checker's branching exploration) and canonicalized
-(:mod:`repro.mc.canonical`).
+table, and per-thread local state — that can be copied (for the model
+checker's branching exploration) and canonicalized
+(:mod:`repro.mc.canonical`).  A copy is independent of its original:
+stores, lock table and threads are copied eagerly, the heap copy on
+write (:class:`repro.interp.values.Heap`).
 
 Each thread executes a :class:`ThreadSpec`: a list of procedure
 invocations (optionally repeated forever), which models the paper's

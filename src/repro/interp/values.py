@@ -8,6 +8,7 @@ Values are Python ints/bools, ``None`` (SYNL ``null``), and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import InterpError
 
@@ -22,10 +23,18 @@ class Ref:
         return f"@{self.oid}"
 
 
+def _cache():
+    """The slot where :mod:`repro.mc.canonical` caches an object's
+    rename-independent key fragment; :class:`Heap` clears it on every
+    write.  Not an argument, not compared, not shown."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass
 class HeapObject:
     class_name: str
     fields: dict[str, Value] = field(default_factory=dict)
+    canon: Optional[tuple] = _cache()
 
     def copy(self) -> "HeapObject":
         return HeapObject(self.class_name, dict(self.fields))
@@ -35,31 +44,56 @@ class HeapObject:
 class HeapArray:
     class_name: str
     cells: list[Value] = field(default_factory=list)
+    canon: Optional[tuple] = _cache()
 
     def copy(self) -> "HeapArray":
         return HeapArray(self.class_name, list(self.cells))
 
 
 class Heap:
-    """An object heap with integer object ids."""
+    """An object heap with integer object ids, copied on write.
+
+    Copies share their objects.  A heap *owns* the objects it allocated
+    and those it has already copied; :meth:`write_field` and
+    :meth:`write_elem`, the only mutators, copy a shared object before
+    its first write and clear an owned object's canonical cache.  Code
+    outside this class must not mutate ``objects`` or an object in it.
+    """
 
     def __init__(self) -> None:
         self.objects: dict[int, HeapObject | HeapArray] = {}
         self._next = 1
+        #: oids whose objects no other heap can see
+        self._owned: set[int] = set()
 
     def alloc(self, class_name: str) -> Ref:
         oid = self._next
         self._next += 1
         self.objects[oid] = HeapObject(class_name)
+        self._owned.add(oid)
         return Ref(oid)
 
-    def alloc_array(self, class_name: str, size: int) -> Ref:
+    def alloc_array(self, class_name: str, size: Value) -> Ref:
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise InterpError(f"non-integer array size {size!r}")
         if size < 0:
             raise InterpError(f"negative array size {size}")
         oid = self._next
         self._next += 1
         self.objects[oid] = HeapArray(class_name, [0] * size)
+        self._owned.add(oid)
         return Ref(oid)
+
+    def _own(self, oid: int,
+             obj: HeapObject | HeapArray) -> HeapObject | HeapArray:
+        """``obj`` (at ``oid``) made safe to write: a shared object is
+        replaced by a private copy, an owned one drops its cache."""
+        if oid in self._owned:
+            obj.canon = None
+            return obj
+        obj = self.objects[oid] = obj.copy()
+        self._owned.add(oid)
+        return obj
 
     def get(self, ref: Value) -> HeapObject | HeapArray:
         if not isinstance(ref, Ref):
@@ -79,7 +113,7 @@ class Heap:
         obj = self.get(ref)
         if not isinstance(obj, HeapObject):
             raise InterpError(f"field write {name} on array {ref!r}")
-        obj.fields[name] = value
+        self._own(ref.oid, obj).fields[name] = value
 
     def read_elem(self, ref: Value, index: Value) -> Value:
         obj = self.get(ref)
@@ -101,12 +135,16 @@ class Heap:
         if not 0 <= index < len(obj.cells):
             raise InterpError(
                 f"array index {index} out of bounds [0, {len(obj.cells)})")
-        obj.cells[index] = value
+        self._own(ref.oid, obj).cells[index] = value
 
     def copy(self) -> "Heap":
+        """An independent heap that shares every object with this one
+        until either side writes it: a shallow copy of ``objects``,
+        after which neither heap owns any object."""
         out = Heap()
         out._next = self._next
-        out.objects = {oid: obj.copy() for oid, obj in self.objects.items()}
+        out.objects = dict(self.objects)
+        self._owned.clear()
         return out
 
 

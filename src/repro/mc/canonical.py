@@ -13,6 +13,13 @@ are abstracted relationally, keeping the state space finite:
   versioned CAS can test).
 
 Repeating thread scripts wrap their op index modulo the script length.
+
+Each heap object caches the rename-independent part of its key in its
+``canon`` slot (:func:`_fragment`).  Objects are shared between copied
+worlds until written (:class:`repro.interp.values.Heap`), and a write
+drops the cache, so one fragment serves every world holding the object.
+A ref-free fragment is the object's key body as is; only objects
+holding refs are mapped through the per-key renaming.
 """
 
 from __future__ import annotations
@@ -44,25 +51,37 @@ class _Canonicalizer:
         if kind in ("f", "e"):
             oid = addr[1]
             if oid not in self.ids:
-                return None  # unreachable object: reservation is moot
+                # not numbered yet: unreachable, or reachable only
+                # through the heap, which is walked after every
+                # thread's addresses are resolved.  Either way the
+                # address is dropped; this order is kept on purpose,
+                # since resolving addresses after the walk would change
+                # which states collapse, hence every state count.
+                return None
             return (kind, self.ids[oid], addr[2])
         return None  # thread-private: never invalidated, never contested
 
     def heap_contents(self) -> tuple:
+        objects = self.world.heap.objects
+        ids, pending, ref = self.ids, self.pending, self.ref
         out = []
         i = 0
-        while i < len(self.pending):
-            oid = self.pending[i]
+        while i < len(pending):
+            oid = pending[i]
             i += 1
-            obj = self.world.heap.objects[oid]
-            if isinstance(obj, HeapObject):
-                fields = tuple(sorted(
-                    (name, self.ref(v)) for name, v in obj.fields.items()))
-                out.append(("obj", self.ids[oid], obj.class_name, fields))
-            else:
-                assert isinstance(obj, HeapArray)
-                cells = tuple(self.ref(v) for v in obj.cells)
-                out.append(("arr", self.ids[oid], obj.class_name, cells))
+            obj = objects[oid]
+            frag = obj.canon
+            if frag is None:
+                frag = obj.canon = _fragment(obj)
+            body, visit = frag
+            record = isinstance(obj, HeapObject)
+            if visit is not None:
+                for value in visit:
+                    ref(value)
+                body = tuple([(name, ref(v)) for name, v in body]
+                             if record else [ref(v) for v in body])
+            out.append(("obj" if record else "arr", ids[oid],
+                        obj.class_name, body))
         return tuple(out)
 
     def thread_key(self, thread: Thread) -> tuple:
@@ -98,6 +117,25 @@ class _Canonicalizer:
                 current.append(canon)
         return (op_index, tls, frame_key,
                 tuple(sorted(valid)), tuple(sorted(current)))
+
+
+def _fragment(obj: HeapObject | HeapArray) -> tuple:
+    """``(body, visit)``: the object's key body before renaming (its
+    fields sorted by name, or its cells) and, when it holds refs, the
+    refs to number before mapping the body, else None.
+
+    Refs are numbered in field insertion order.  ``visit`` is empty
+    when mapping the sorted body meets them in that order anyway, and
+    lists them in insertion order when it would not."""
+    if isinstance(obj, HeapArray):
+        body = tuple(obj.cells)
+        return body, () if any(isinstance(v, Ref) for v in body) else None
+    body = tuple(sorted(obj.fields.items()))
+    inserted = [v for v in obj.fields.values() if isinstance(v, Ref)]
+    if not inserted:
+        return body, None
+    by_name = [v for _name, v in body if isinstance(v, Ref)]
+    return body, () if inserted == by_name else tuple(inserted)
 
 
 def state_key(world: World) -> tuple:

@@ -27,6 +27,7 @@ costs one ``is None`` test per hook site.  Library runs get coverage
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -128,6 +129,9 @@ class _Succ:
     kind: str = "stmt"               # 'invoke'|'stmt'|'return'|'atomic'
     via: Optional[str] = None        # exceptional-variant name, if any
     proc: Optional[str] = None       # procedure being executed/invoked
+    #: ``state_key(world)``, computed at most once: by the cycle
+    #: proviso or by the dedup in ``_run``
+    key: Optional[tuple] = None
 
     def step_info(self) -> dict:
         return {"tid": self.tid, "uid": self.uid, "desc": self.desc,
@@ -238,7 +242,7 @@ class Explorer:
                 real = [s for s in succs if s.world is not None]
                 if not real:
                     continue  # disabled here; try another thread
-                if any(state_key(s.world) in on_stack for s in real):
+                if self._closes_cycle(real, on_stack):
                     continue  # cycle proviso: fall back to full expansion
                 self.ample_reduced += 1
                 if self.observer is not None:
@@ -248,9 +252,22 @@ class Explorer:
             self.ample_full += 1
         return [s for tid in tids for s in self.expand_thread(world, tid)]
 
-    def _key(self, world: World, ghosts: tuple) -> tuple:
+    @staticmethod
+    def _closes_cycle(succs: list[_Succ], on_stack: set) -> bool:
+        """Does a successor return to the DFS stack?  Keys the
+        successors up to the first that does, and keeps those keys for
+        the dedup in :meth:`_run`."""
+        for succ in succs:
+            succ.key = state_key(succ.world)
+            if succ.key in on_stack:
+                return True
+        return False
+
+    def _key(self, succ: _Succ, ghosts: tuple) -> tuple:
         """The dedup key of a successor state."""
-        return (state_key(world), ghosts)
+        if succ.key is None:
+            succ.key = state_key(succ.world)
+        return (succ.key, ghosts)
 
     # -- property plumbing -------------------------------------------------------
     def _apply_events(self, ghosts: tuple, events: list[Event]) -> tuple:
@@ -292,8 +309,16 @@ class Explorer:
             result.final_shared = set()
         if self.observer is not None:
             self.observer.start(self, result)
+        # the search allocates no reference cycles, so the cyclic GC
+        # would only rescan the ever-growing seen set: keep it off
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         start = time.perf_counter()
-        max_depth = self._run(result)
+        try:
+            max_depth = self._run(result)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         result.elapsed = time.perf_counter() - start
         result.metrics = self._metrics(result, max_depth)
         if self.observer is not None:
@@ -355,7 +380,7 @@ class Explorer:
                 continue  # disabled transition
             result.transitions += 1
             new_ghosts = self._apply_events(ghosts, succ.events)
-            new_key = self._key(succ.world, new_ghosts)
+            new_key = self._key(succ, new_ghosts)
             dup = new_key in seen
             if obs is not None:
                 obs.transition(succ, new_key, dup)

@@ -122,3 +122,29 @@ def test_same_schedule_same_key_property(seed_a, seed_b):
     run_random(interp, w1, seed=seed_a)
     run_random(interp, w2, seed=seed_b)
     assert state_key(w1) == state_key(w2)
+
+
+def _record_with_two_refs(first: str, second: str):
+    from repro.interp.state import World
+
+    world = World()
+    rec = world.heap.alloc("R")
+    world.globals["G"] = rec
+    world.heap.write_field(rec, first, world.heap.alloc("X"))
+    world.heap.write_field(rec, second, world.heap.alloc("Y"))
+    return world
+
+
+def test_refs_numbered_in_field_insertion_order():
+    """A record's fields are keyed in name order, but the objects they
+    point to are numbered in the order the fields were written, with
+    the key cached or not."""
+    in_order = _record_with_two_refs("a", "b")
+    reversed_ = _record_with_two_refs("b", "a")
+    for _ in range(2):  # the second key comes from the cached fragment
+        assert state_key(in_order)[2] == (
+            ("obj", 1, "R", (("a", ("ref", 2)), ("b", ("ref", 3)))),
+            ("obj", 2, "X", ()), ("obj", 3, "Y", ()))
+        assert state_key(reversed_)[2] == (
+            ("obj", 1, "R", (("a", ("ref", 3)), ("b", ("ref", 2)))),
+            ("obj", 2, "X", ()), ("obj", 3, "Y", ()))

@@ -70,6 +70,14 @@ def test_null_arithmetic_rejected():
         run_round_robin(interp, world)
 
 
+def test_boolean_array_size_rejected():
+    # like a boolean index: `new int[true]` must not allocate one cell
+    interp = Interp("proc P() { local a = new int[true] in { return a; } }")
+    world = interp.make_world([ThreadSpec.of(("P",))])
+    with pytest.raises(InterpError, match="non-integer array size True"):
+        run_round_robin(interp, world)
+
+
 def test_bool_and_int_compare_unequal():
     interp = Interp("proc P() { return 1 == true; }")
     world = interp.make_world([ThreadSpec.of(("P",))])

@@ -66,13 +66,22 @@ def test_dangling_reference_rejected():
         Heap().get(Ref(99))
 
 
-def test_heap_copy_is_deep():
+def test_non_integer_array_size_rejected():
+    with pytest.raises(InterpError, match="non-integer array size True"):
+        Heap().alloc_array("int", True)  # booleans are not sizes
+    with pytest.raises(InterpError, match="non-integer array size None"):
+        Heap().alloc_array("int", None)
+
+
+def test_heap_copies_are_independent():
     heap = Heap()
     r = heap.alloc("C")
     heap.write_field(r, "fd", 1)
     clone = heap.copy()
     clone.write_field(r, "fd", 2)
     assert heap.read_field(r, "fd") == 1
+    heap.write_field(r, "fd", 3)
+    assert clone.read_field(r, "fd") == 2
     # allocation counters continue without collision
     r2 = clone.alloc("C")
     assert r2.oid != r.oid
