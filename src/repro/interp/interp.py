@@ -96,7 +96,7 @@ class Interp:
             if self.program.threadinit is not None:
                 self._run_block(world, thread, "threadinit",
                                 self.program.threadinit)
-            world.threads.append(thread)
+            world.add_thread(thread)
         world.history.clear()
         world._seq = 0
         return world
@@ -132,7 +132,10 @@ class Interp:
         if node is None:
             return True
         if node.kind is NodeKind.ACQUIRE:
-            # side-effect-free peek (enabled() must not mutate the world)
+            if not isinstance(node.expr, (A.Var, A.Const)):
+                # evaluating a field or element lock's base records
+                # its reads: they go to this world's own copy
+                thread = world.own_thread(tid)
             lock = self._peek(world, thread, node.expr)
             if not isinstance(lock, Ref):
                 raise InterpError(f"synchronized on non-object {lock!r}")
@@ -159,7 +162,7 @@ class Interp:
         """Push a call frame directly (used by the model checker's
         atomic-variant mode to invoke a specific exceptional variant).
         ``display`` is the procedure name recorded in the history."""
-        thread = world.threads[tid]
+        thread = world.own_thread(tid)
         if thread.frame is not None:
             raise InterpError(f"thread {tid} is mid-procedure")
         cfg = self.cfgs.get(name)
@@ -180,11 +183,13 @@ class Interp:
     # -- the step function ----------------------------------------------------------
     def step(self, world: World, tid: Optional[int],
              thread: Optional[Thread] = None) -> Optional[Event]:
-        """Execute one transition of the given thread.  Returns the
-        history event produced, if any."""
+        """Execute one transition of thread ``tid`` of ``world``, or of
+        ``thread`` when given (a thread outside ``world.threads``, run
+        by ``init``/``threadinit``).  Returns the history event
+        produced, if any."""
         if thread is None:
             assert tid is not None
-            thread = world.threads[tid]
+            thread = world.own_thread(tid)
         if thread.done:
             raise InterpError(f"thread {thread.tid} is done")
         thread.steps += 1
@@ -363,8 +368,9 @@ class Interp:
         if kind in ("g", "f", "e"):
             world.versions[addr] = world.versions.get(addr, 0) + 1
             for other in world.threads:
-                if other.tid != thread.tid and addr in other.reservations:
-                    other.reservations[addr] = False
+                if other.tid != thread.tid \
+                        and other.reservations.get(addr):
+                    world.own_thread(other.tid).reservations[addr] = False
 
     def _record_read(self, world: World, thread: Thread,
                      addr: Addr) -> None:

@@ -4,8 +4,8 @@ A :class:`World` is a complete program state — global store, heap, lock
 table, and per-thread local state — that can be copied (for the model
 checker's branching exploration) and canonicalized
 (:mod:`repro.mc.canonical`).  A copy is independent of its original:
-stores, lock table and threads are copied eagerly, the heap copy on
-write (:class:`repro.interp.values.Heap`).
+stores and lock table are copied eagerly, threads and the heap on write
+(:meth:`World.own_thread`, :class:`repro.interp.values.Heap`).
 
 Each thread executes a :class:`ThreadSpec`: a list of procedure
 invocations (optionally repeated forever), which models the paper's
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cfg.graph import CFGNode, ProcCFG
-from repro.interp.values import Heap, Value
+from repro.interp.values import Heap, Value, canon_slot
 
 Addr = tuple  # ('g', name) | ('t', tid, name) | ('f', oid, fd) | ('e', oid, i)
 
@@ -80,6 +80,9 @@ class Thread:
     #: addr -> modification counter observed at the last read
     observed: dict[Addr, int] = field(default_factory=dict)
     steps: int = 0
+    #: :mod:`repro.mc.canonical`'s cached key fragment of this thread;
+    #: :meth:`World.own_thread` clears it before every write
+    canon: Optional[tuple] = canon_slot()
 
     @property
     def done(self) -> bool:
@@ -102,7 +105,12 @@ class Thread:
 
 
 class World:
-    """A complete, copyable program state."""
+    """A complete, copyable program state.
+
+    Copies share their threads, as heaps share their objects.  A world
+    *owns* the threads it added (:meth:`add_thread`) and those it has
+    already copied; code that writes a thread of a world takes it from
+    :meth:`own_thread`.  A thread's tid is its index in ``threads``."""
 
     def __init__(self) -> None:
         self.globals: dict[str, Value] = {}
@@ -112,6 +120,23 @@ class World:
         self.threads: list[Thread] = []
         self.history: list[Event] = []
         self._seq = 0
+        #: tids of the threads no other world can see
+        self._owned: set[int] = set()
+
+    def add_thread(self, thread: Thread) -> None:
+        self._owned.add(len(self.threads))
+        self.threads.append(thread)
+
+    def own_thread(self, tid: int) -> Thread:
+        """Thread ``tid`` made safe to write: a shared thread is
+        replaced by a private copy, an owned one drops its cache."""
+        thread = self.threads[tid]
+        if tid in self._owned:
+            thread.canon = None
+            return thread
+        thread = self.threads[tid] = thread.copy()
+        self._owned.add(tid)
+        return thread
 
     def emit(self, event: Event) -> Event:
         event.seq = self._seq
@@ -119,16 +144,17 @@ class World:
         self.history.append(event)
         return event
 
-    def copy(self, with_history: bool = False) -> "World":
+    def copy(self) -> "World":
+        """An independent world that shares every thread and heap
+        object with this one until either side writes it; afterwards
+        neither world owns any thread.  The history is not copied."""
         out = World()
         out.globals = dict(self.globals)
         out.heap = self.heap.copy()
         out.locks = dict(self.locks)
         out.versions = dict(self.versions)
-        out.threads = [t.copy() for t in self.threads]
-        if with_history:
-            out.history = list(self.history)
-            out._seq = self._seq
+        out.threads = list(self.threads)
+        self._owned.clear()
         return out
 
     def quiescent(self) -> bool:

@@ -23,10 +23,11 @@ class Ref:
         return f"@{self.oid}"
 
 
-def _cache():
-    """The slot where :mod:`repro.mc.canonical` caches an object's
-    rename-independent key fragment; :class:`Heap` clears it on every
-    write.  Not an argument, not compared, not shown."""
+def canon_slot():
+    """The slot where :mod:`repro.mc.canonical` caches a heap object's
+    or a thread's rename-independent key fragment; the owner clears it
+    on every write (:class:`Heap`, ``World.own_thread``).  Not an
+    argument, not compared, not shown."""
     return field(default=None, init=False, repr=False, compare=False)
 
 
@@ -34,7 +35,7 @@ def _cache():
 class HeapObject:
     class_name: str
     fields: dict[str, Value] = field(default_factory=dict)
-    canon: Optional[tuple] = _cache()
+    canon: Optional[tuple] = canon_slot()
 
     def copy(self) -> "HeapObject":
         return HeapObject(self.class_name, dict(self.fields))
@@ -44,7 +45,7 @@ class HeapObject:
 class HeapArray:
     class_name: str
     cells: list[Value] = field(default_factory=list)
-    canon: Optional[tuple] = _cache()
+    canon: Optional[tuple] = canon_slot()
 
     def copy(self) -> "HeapArray":
         return HeapArray(self.class_name, list(self.cells))

@@ -41,7 +41,9 @@ def run_to_commit(interp: Interp, world: World, tid: int,
                   step_budget: int = 10_000) -> AtomicOutcome:
     """Run thread ``tid``'s next whole invocation as one transition."""
     w = world.copy()
-    thread = w.threads[tid]
+    # owned by ``w``, which is never copied during the run, so this
+    # stays the thread every step writes
+    thread = w.own_thread(tid)
     name, args = thread.current_call()
     outcome = AtomicOutcome(desc=f"t{tid}:{name}{args}")
     seen = {state_key(w)}
@@ -73,7 +75,7 @@ def run_variant(original: Interp, variant_interp: Interp, world: World,
     """Run one exceptional variant of the thread's next invocation as a
     single transition (under the variant program's CFGs)."""
     w = world.copy()
-    thread = w.threads[tid]
+    thread = w.own_thread(tid)  # as in run_to_commit
     name, args = thread.current_call()
     outcome = AtomicOutcome(desc=f"t{tid}:{name}{args} via {variant_name}")
     variant_interp.begin_call(w, tid, variant_name, args, display=name)

@@ -14,12 +14,25 @@ are abstracted relationally, keeping the state space finite:
 
 Repeating thread scripts wrap their op index modulo the script length.
 
-Each heap object caches the rename-independent part of its key in its
-``canon`` slot (:func:`_fragment`).  Objects are shared between copied
-worlds until written (:class:`repro.interp.values.Heap`), and a write
-drops the cache, so one fragment serves every world holding the object.
-A ref-free fragment is the object's key body as is; only objects
-holding refs are mapped through the per-key renaming.
+Heap objects and threads cache the rename-independent part of their
+key in their ``canon`` slot (:func:`_object_fragment`,
+:func:`_thread_fragment`).  Both are shared between copied worlds until
+written (:class:`repro.interp.values.Heap`,
+:meth:`repro.interp.state.World.own_thread`), and a write drops the
+cache, so one fragment serves every world holding the object or thread.
+A fragment lists the refs it holds in the order they are numbered; a
+ref-free part is used as is, only the rest is mapped through the key's
+renaming.  Observed counters are compared with ``world.versions`` on
+every key: the versions belong to the world, not to the thread.
+
+A thread's reservation and observed addresses are resolved right after
+its own refs are numbered, before later threads' refs and the heap
+walk; an address whose object is not numbered by then is dropped.  This
+order is kept on purpose: resolving addresses after the walk would
+change which states collapse, hence every state count.
+
+:func:`state_key`, :func:`quiescent_key` and :func:`shared_key` are one
+walk (:func:`_walk`) from different roots.
 """
 
 from __future__ import annotations
@@ -27,131 +40,167 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.interp.state import Thread, World
-from repro.interp.values import HeapArray, HeapObject, Ref, Value
+from repro.interp.values import HeapArray, HeapObject, Ref
+
+#: the roots a walk starts from: globals and whole threads, globals and
+#: thread-locals, globals only
+_STATE, _QUIESCENT, _SHARED = range(3)
 
 
-class _Canonicalizer:
-    def __init__(self, world: World):
-        self.world = world
-        self.ids: dict[int, int] = {}
-        self.pending: list[int] = []
-
-    def ref(self, value: Value):
-        if isinstance(value, Ref):
-            if value.oid not in self.ids:
-                self.ids[value.oid] = len(self.ids) + 1
-                self.pending.append(value.oid)
-            return ("ref", self.ids[value.oid])
-        return value
-
-    def addr(self, addr: tuple) -> Optional[tuple]:
-        kind = addr[0]
-        if kind == "g":
-            return addr
-        if kind in ("f", "e"):
-            oid = addr[1]
-            if oid not in self.ids:
-                # not numbered yet: unreachable, or reachable only
-                # through the heap, which is walked after every
-                # thread's addresses are resolved.  Either way the
-                # address is dropped; this order is kept on purpose,
-                # since resolving addresses after the walk would change
-                # which states collapse, hence every state count.
-                return None
-            return (kind, self.ids[oid], addr[2])
-        return None  # thread-private: never invalidated, never contested
-
-    def heap_contents(self) -> tuple:
-        objects = self.world.heap.objects
-        ids, pending, ref = self.ids, self.pending, self.ref
-        out = []
-        i = 0
-        while i < len(pending):
-            oid = pending[i]
-            i += 1
-            obj = objects[oid]
-            frag = obj.canon
-            if frag is None:
-                frag = obj.canon = _fragment(obj)
-            body, visit = frag
-            record = isinstance(obj, HeapObject)
-            if visit is not None:
-                for value in visit:
-                    ref(value)
-                body = tuple([(name, ref(v)) for name, v in body]
-                             if record else [ref(v) for v in body])
-            out.append(("obj" if record else "arr", ids[oid],
-                        obj.class_name, body))
-        return tuple(out)
-
-    def thread_key(self, thread: Thread) -> tuple:
-        spec = thread.spec
-        if spec.repeat and spec.ops:
-            op_index = thread.op_index % len(spec.ops)
-        else:
-            op_index = thread.op_index
-        tls = tuple(sorted(
-            (name, self.ref(v)) for name, v in thread.threadlocals.items()))
-        if thread.frame is None:
-            frame_key: tuple | None = None
-        else:
-            env = tuple(sorted(
-                (b, self.ref(v)) for b, v in thread.frame.env.items()))
-            node_uid = thread.frame.node.uid \
-                if thread.frame.node is not None else -1
-            frame_key = (thread.frame.proc_name, node_uid, env,
-                         tuple(self.ref(a) for a in thread.frame.args))
-        valid = []
-        for addr, ok in thread.reservations.items():
-            if not ok:
-                continue
-            canon = self.addr(addr)
-            if canon is not None:
-                valid.append(canon)
-        current = []
-        for addr, counter in thread.observed.items():
-            if counter != self.world.versions.get(addr, 0):
-                continue
-            canon = self.addr(addr)
-            if canon is not None:
-                current.append(canon)
-        return (op_index, tls, frame_key,
-                tuple(sorted(valid)), tuple(sorted(current)))
+def _refs(values) -> Optional[tuple]:
+    """The refs among ``values``, in order, or None when there are none."""
+    return tuple([v for v in values if v.__class__ is Ref]) or None
 
 
-def _fragment(obj: HeapObject | HeapArray) -> tuple:
-    """``(body, visit)``: the object's key body before renaming (its
-    fields sorted by name, or its cells) and, when it holds refs, the
-    refs to number before mapping the body, else None.
-
-    Refs are numbered in field insertion order.  ``visit`` is empty
-    when mapping the sorted body meets them in that order anyway, and
-    lists them in insertion order when it would not."""
+def _object_fragment(obj: HeapObject | HeapArray) -> tuple:
+    """``(tag, class_name, body, refs)``: the object's key body before
+    renaming (its fields sorted by name, or its cells) and the refs it
+    holds in numbering order (field insertion order, or cell order), or
+    None when it holds none."""
     if isinstance(obj, HeapArray):
         body = tuple(obj.cells)
-        return body, () if any(isinstance(v, Ref) for v in body) else None
-    body = tuple(sorted(obj.fields.items()))
-    inserted = [v for v in obj.fields.values() if isinstance(v, Ref)]
-    if not inserted:
-        return body, None
-    by_name = [v for _name, v in body if isinstance(v, Ref)]
-    return body, () if inserted == by_name else tuple(inserted)
+        return "arr", obj.class_name, body, _refs(body)
+    return ("obj", obj.class_name, tuple(sorted(obj.fields.items())),
+            _refs(obj.fields.values()))
+
+
+def _thread_fragment(thread: Thread) -> tuple:
+    """``(op_index, tls, tls_refs, frame, frame_refs, valid,
+    valid_heap, observed, observed_heap)``: the wrapped op index, the
+    thread-locals sorted by name, the frame as ``(proc, node uid, env
+    sorted by binder, args)``, the valid reservations and the observed
+    ``(addr, counter)`` pairs.  ``*_refs`` list the refs to number (in
+    insertion order, then the args), or are None.  Global addresses
+    come sorted; heap addresses need the renaming and are sorted with
+    them per key.  Thread-private addresses are never invalidated nor
+    contested, and are left out."""
+    spec = thread.spec
+    op_index = thread.op_index
+    if spec.repeat and spec.ops:
+        op_index %= len(spec.ops)
+    tls = tuple(sorted(thread.threadlocals.items()))
+    tls_refs = _refs(thread.threadlocals.values())
+    frame = thread.frame
+    if frame is None:
+        frame_key = frame_refs = None
+    else:
+        node = frame.node
+        args = tuple(frame.args)
+        frame_key = (frame.proc_name, node.uid if node is not None else -1,
+                     tuple(sorted(frame.env.items())), args)
+        frame_refs = _refs([*frame.env.values(), *args])
+    valid = [addr for addr, ok in thread.reservations.items() if ok]
+    observed = thread.observed.items()
+    return (op_index, tls, tls_refs, frame_key, frame_refs,
+            tuple(sorted(a for a in valid if a[0] == "g")),
+            tuple([a for a in valid if a[0] in ("f", "e")]),
+            tuple(sorted(p for p in observed if p[0][0] == "g")),
+            tuple([p for p in observed if p[0][0] in ("f", "e")]))
+
+
+def _number(refs: tuple, ids: dict, pending: list) -> None:
+    """Give the refs not numbered yet the next numbers, in order."""
+    for ref in refs:
+        oid = ref.oid
+        if oid not in ids:
+            pending.append(oid)
+            ids[oid] = ("ref", len(pending))
+
+
+def _walk(world: World, roots: int) -> tuple:
+    """``(globals_key, threads_part, heap_key, locks_key)``: number the
+    refs reachable from ``roots`` and key what they reach.  The threads
+    part is the thread keys (``_STATE``), each thread's ``(progress,
+    thread-locals)`` (``_QUIESCENT``), or None (``_SHARED``)."""
+    ids: dict[int, tuple] = {}  # oid -> ("ref", n)
+    pending: list[int] = []     # oids in numbering order
+    values = world.globals
+    globals_key = []
+    for name in sorted(values):
+        v = values[name]
+        if v.__class__ is Ref:
+            oid = v.oid
+            if oid not in ids:
+                pending.append(oid)
+                ids[oid] = ("ref", len(pending))
+            v = ids[oid]
+        globals_key.append((name, v))
+
+    threads_part = None
+    if roots != _SHARED:
+        versions = world.versions
+        threads_part = []
+        for thread in world.threads:
+            frag = thread.canon
+            if frag is None:
+                frag = thread.canon = _thread_fragment(thread)
+            (op_index, tls, tls_refs, frame_key, frame_refs, valid,
+             valid_heap, observed, observed_heap) = frag
+            if tls_refs is not None:
+                _number(tls_refs, ids, pending)
+                tls = tuple([(name, ids[v.oid] if v.__class__ is Ref else v)
+                             for name, v in tls])
+            if roots == _QUIESCENT:
+                threads_part.append((op_index, tls))
+                continue
+            if frame_refs is not None:
+                _number(frame_refs, ids, pending)
+                proc, uid, env, args = frame_key
+                frame_key = (
+                    proc, uid,
+                    tuple([(b, ids[v.oid] if v.__class__ is Ref else v)
+                           for b, v in env]),
+                    tuple([ids[v.oid] if v.__class__ is Ref else v
+                           for v in args]))
+            if valid_heap:
+                valid = list(valid)
+                for kind, oid, sel in valid_heap:
+                    ref = ids.get(oid)
+                    if ref is not None:
+                        valid.append((kind, ref[1], sel))
+                valid.sort()
+                valid = tuple(valid)
+            current = [addr for addr, counter in observed
+                       if versions.get(addr, 0) == counter]
+            if observed_heap:
+                for addr, counter in observed_heap:
+                    if versions.get(addr, 0) == counter:
+                        ref = ids.get(addr[1])
+                        if ref is not None:
+                            current.append((addr[0], ref[1], addr[2]))
+                current.sort()
+            threads_part.append(
+                (op_index, tls, frame_key, valid, tuple(current)))
+
+    objects = world.heap.objects
+    heap_key = []
+    for oid in pending:  # grows as the walk numbers new refs
+        obj = objects[oid]
+        frag = obj.canon
+        if frag is None:
+            frag = obj.canon = _object_fragment(obj)
+        tag, class_name, body, refs = frag
+        if refs is not None:
+            _number(refs, ids, pending)
+            if tag == "obj":
+                body = tuple([(name, ids[v.oid] if v.__class__ is Ref else v)
+                              for name, v in body])
+            else:
+                body = tuple([ids[v.oid] if v.__class__ is Ref else v
+                              for v in body])
+        heap_key.append((tag, ids[oid][1], class_name, body))
+
+    locks = world.locks
+    locks_key = tuple(sorted(
+        (ids[oid][1], owner) for oid, owner in locks.items()
+        if oid in ids)) if locks else ()
+    return tuple(globals_key), threads_part, tuple(heap_key), locks_key
 
 
 def state_key(world: World) -> tuple:
     """Full canonical key of a world (threads included)."""
-    canon = _Canonicalizer(world)
-    globals_key = tuple(
-        (name, canon.ref(world.globals[name]))
-        for name in sorted(world.globals))
-    # visit thread roots before serializing heap contents so the id
-    # assignment covers everything reachable
-    thread_keys = tuple(canon.thread_key(t) for t in world.threads)
-    heap_key = canon.heap_contents()
-    locks_key = tuple(sorted(
-        (canon.ids.get(oid, 0), owner)
-        for oid, owner in world.locks.items() if oid in canon.ids))
-    return (globals_key, thread_keys, heap_key, locks_key)
+    globals_key, thread_keys, heap_key, locks_key = _walk(world, _STATE)
+    return (globals_key, tuple(thread_keys), heap_key, locks_key)
 
 
 def rebase_node_uids(world_key: tuple, uid_map: dict) -> tuple:
@@ -184,14 +233,7 @@ def shared_key(world: World) -> tuple:
     ample sets preserve reachability: two commuting operations leave the
     same shared state either way, but may leave different private
     scratch objects."""
-    canon = _Canonicalizer(world)
-    globals_key = tuple(
-        (name, canon.ref(world.globals[name]))
-        for name in sorted(world.globals))
-    heap_key = canon.heap_contents()
-    locks_key = tuple(sorted(
-        (canon.ids.get(oid, 0), owner)
-        for oid, owner in world.locks.items() if oid in canon.ids))
+    globals_key, _none, heap_key, locks_key = _walk(world, _SHARED)
     return (globals_key, heap_key, locks_key)
 
 
@@ -202,24 +244,6 @@ def quiescent_key(world: World) -> tuple:
     are dropped: every procedure in the corpus re-reads (LL / matching
     read) before any SC/CAS, so they cannot influence future behaviour
     from a quiescent state."""
-    canon = _Canonicalizer(world)
-    globals_key = tuple(
-        (name, canon.ref(world.globals[name]))
-        for name in sorted(world.globals))
-    progress = []
-    tl_keys = []
-    for thread in world.threads:
-        spec = thread.spec
-        if spec.repeat and spec.ops:
-            progress.append(thread.op_index % len(spec.ops))
-        else:
-            progress.append(thread.op_index)
-        tl_keys.append(tuple(sorted(
-            (name, canon.ref(v))
-            for name, v in thread.threadlocals.items())))
-    heap_key = canon.heap_contents()
-    locks_key = tuple(sorted(
-        (canon.ids.get(oid, 0), owner)
-        for oid, owner in world.locks.items() if oid in canon.ids))
-    return (globals_key, tuple(progress), tuple(tl_keys), heap_key,
-            locks_key)
+    globals_key, threads, heap_key, locks_key = _walk(world, _QUIESCENT)
+    return (globals_key, tuple(op_index for op_index, _tls in threads),
+            tuple(tls for _op_index, tls in threads), heap_key, locks_key)

@@ -16,6 +16,14 @@ quiescent-state set (used by the soundness tests, which verify that the
 reduced explorations reach exactly the quiescent states of the full
 one), a state cap, and violation traces.
 
+The seen set holds exact keys, hash-consed: each run interns every
+state key's globals key, thread keys and heap entries
+(:meth:`Explorer._state_key`), so a stored key is a small tuple of
+components shared with every other state that has them.  Key values,
+and so dedup and graph-capture node ids, are those of
+:func:`~repro.mc.canonical.state_key`; the table is dropped when
+:meth:`Explorer.run` returns.
+
 It collects only the core counters (:meth:`Explorer._metrics`).  All
 other telemetry — events, profiler regions, heartbeat and deadline,
 tracemalloc, graph capture, coverage — is an observer passed as
@@ -129,8 +137,8 @@ class _Succ:
     kind: str = "stmt"               # 'invoke'|'stmt'|'return'|'atomic'
     via: Optional[str] = None        # exceptional-variant name, if any
     proc: Optional[str] = None       # procedure being executed/invoked
-    #: ``state_key(world)``, computed at most once: by the cycle
-    #: proviso or by the dedup in ``_run``
+    #: ``Explorer._state_key(world)``, computed at most once: by the
+    #: cycle proviso or by the dedup in ``_run``
     key: Optional[tuple] = None
 
     def step_info(self) -> dict:
@@ -168,6 +176,8 @@ class Explorer:
         # ample-set bookkeeping (plain ints: DFS is single-threaded)
         self.ample_reduced = 0
         self.ample_full = 0
+        #: the intern table's ``setdefault`` while :meth:`run` runs
+        self._intern: Optional[Callable] = None
 
     # -- successor generation --------------------------------------------------
     def _step_thread(self, world: World, tid: int) -> _Succ:
@@ -252,13 +262,12 @@ class Explorer:
             self.ample_full += 1
         return [s for tid in tids for s in self.expand_thread(world, tid)]
 
-    @staticmethod
-    def _closes_cycle(succs: list[_Succ], on_stack: set) -> bool:
+    def _closes_cycle(self, succs: list[_Succ], on_stack: set) -> bool:
         """Does a successor return to the DFS stack?  Keys the
         successors up to the first that does, and keeps those keys for
         the dedup in :meth:`_run`."""
         for succ in succs:
-            succ.key = state_key(succ.world)
+            succ.key = self._state_key(succ.world)
             if succ.key in on_stack:
                 return True
         return False
@@ -266,8 +275,19 @@ class Explorer:
     def _key(self, succ: _Succ, ghosts: tuple) -> tuple:
         """The dedup key of a successor state."""
         if succ.key is None:
-            succ.key = state_key(succ.world)
+            succ.key = self._state_key(succ.world)
         return (succ.key, ghosts)
+
+    def _state_key(self, world: World) -> tuple:
+        """``state_key(world)``, hash-consed: its globals key, each
+        thread key and each heap entry is replaced by the equal one
+        already met in this run, so the seen set stores every distinct
+        component once.  The key's value is unchanged."""
+        globals_key, thread_keys, heap_key, locks_key = state_key(world)
+        intern = self._intern
+        return (intern(globals_key, globals_key),
+                tuple([intern(t, t) for t in thread_keys]),
+                tuple([intern(e, e) for e in heap_key]), locks_key)
 
     # -- property plumbing -------------------------------------------------------
     def _apply_events(self, ghosts: tuple, events: list[Event]) -> tuple:
@@ -313,10 +333,14 @@ class Explorer:
         # would only rescan the ever-growing seen set: keep it off
         gc_was_enabled = gc.isenabled()
         gc.disable()
+        # keys are hash-consed through a table that lives as long as
+        # the search
+        self._intern = {}.setdefault
         start = time.perf_counter()
         try:
             max_depth = self._run(result)
         finally:
+            self._intern = None
             if gc_was_enabled:
                 gc.enable()
         result.elapsed = time.perf_counter() - start
@@ -334,7 +358,7 @@ class Explorer:
         collect = self.collect_quiescent
         world0 = self.interp.make_world(self.specs)
         ghosts0 = tuple(p.initial_ghost() for p in self.properties)
-        key0 = (state_key(world0), ghosts0)
+        key0 = (self._state_key(world0), ghosts0)
         seen = {key0}
         result.states = 1
         if obs is not None:

@@ -61,7 +61,7 @@ def test_invalid_reservation_equals_no_reservation():
     interp = Interp(SOURCE)
     w1 = interp.make_world([ThreadSpec.of(("Add", 1))])
     w2 = w1.copy()
-    w2.threads[0].reservations[("g", "Head")] = False
+    w2.own_thread(0).reservations[("g", "Head")] = False
     assert state_key(w1) == state_key(w2)
 
 
@@ -69,7 +69,7 @@ def test_valid_reservation_changes_key():
     interp = Interp(SOURCE)
     w1 = interp.make_world([ThreadSpec.of(("Add", 1))])
     w2 = w1.copy()
-    w2.threads[0].reservations[("g", "Head")] = True
+    w2.own_thread(0).reservations[("g", "Head")] = True
     assert state_key(w1) != state_key(w2)
 
 
@@ -79,7 +79,7 @@ def test_stale_observation_equals_no_observation():
     w2 = w1.copy()
     w2.versions[("g", "Head")] = 7
     w1.versions[("g", "Head")] = 7
-    w2.threads[0].observed[("g", "Head")] = 3  # != current 7: stale
+    w2.own_thread(0).observed[("g", "Head")] = 3  # != current 7: stale
     assert state_key(w1) == state_key(w2)
 
 
@@ -89,8 +89,8 @@ def test_absolute_version_numbers_do_not_leak_into_key():
     w2 = w1.copy()
     w1.versions[("g", "Head")] = 3
     w2.versions[("g", "Head")] = 3000
-    w1.threads[0].observed[("g", "Head")] = 3     # current in w1
-    w2.threads[0].observed[("g", "Head")] = 3000  # current in w2
+    w1.own_thread(0).observed[("g", "Head")] = 3     # current in w1
+    w2.own_thread(0).observed[("g", "Head")] = 3000  # current in w2
     assert state_key(w1) == state_key(w2)
 
 
@@ -98,7 +98,7 @@ def test_repeat_script_op_index_wraps():
     interp = Interp(SOURCE)
     w1 = interp.make_world([ThreadSpec.of(("Noop",), repeat=True)])
     w2 = w1.copy()
-    w2.threads[0].op_index = 4  # 4 % 1 == 0
+    w2.own_thread(0).op_index = 4  # 4 % 1 == 0
     assert state_key(w1) == state_key(w2)
 
 
@@ -106,7 +106,7 @@ def test_quiescent_key_ignores_stale_reservations():
     interp = Interp(SOURCE)
     w1 = interp.make_world([ThreadSpec.of(("Add", 1))])
     w2 = w1.copy()
-    w2.threads[0].reservations[("g", "Head")] = True
+    w2.own_thread(0).reservations[("g", "Head")] = True
     assert quiescent_key(w1) == quiescent_key(w2)
     assert state_key(w1) != state_key(w2)
 

@@ -1,19 +1,21 @@
-"""Copy-on-write heaps: a world copy shares heap objects with its
-original until one side writes, and each object's cached canonical
-fragment must follow every write.  Copies are checked against a
-deep-copied reference world driven through the same schedule."""
+"""Copy on write: a world copy shares threads and heap objects with its
+original until one side writes, and each thread's and object's cached
+canonical fragment must follow every write.  Copies are checked against
+a deep-copied reference world driven through the same schedule."""
 
 import copy
+from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import corpus
+from repro.analysis import analyze_program
 from repro.errors import AssertionViolation
 from repro.interp import AssumeFailed, Interp, ThreadSpec
 from repro.interp.state import World
 from repro.interp.values import HeapArray, HeapObject
-from repro.mc import state_key
+from repro.mc import run_to_commit, run_variant, state_key
 
 PROGRAMS = {
     "gh": (Interp(corpus.GH_PROGRAM1),
@@ -26,17 +28,17 @@ PROGRAMS = {
 
 
 def _deep_copy(world: World) -> World:
-    """An eager copy sharing nothing mutable with ``world``: every heap
-    object is duplicated and its cache dropped.  CFGs are program text,
-    shared as in :meth:`World.copy`."""
+    """An eager copy sharing nothing mutable with ``world``: every
+    thread and heap object is duplicated and its cache dropped.  CFGs
+    are program text, shared as in :meth:`World.copy`."""
     keep = {}
     for thread in world.threads:
         if thread.frame is not None:
             keep[id(thread.frame.cfg)] = thread.frame.cfg
             keep[id(thread.frame.node)] = thread.frame.node
     out = copy.deepcopy(world, keep)
-    for obj in out.heap.objects.values():
-        obj.canon = None
+    for part in (*out.threads, *out.heap.objects.values()):
+        part.canon = None
     return out
 
 
@@ -136,3 +138,155 @@ def test_cache_is_not_part_of_equality_or_repr():
     assert cached == HeapObject("C")
     assert repr(cached) == repr(HeapObject("C"))
     assert world.heap.objects[arr.oid] == HeapArray("int", [0, 0])
+
+
+@lru_cache(maxsize=None)
+def _nfq_variants() -> tuple[Interp, dict]:
+    """NFQ''s exceptional-variant program and its variant names."""
+    variant_set = analyze_program(corpus.NFQ_PRIME).variant_set
+    return Interp(variant_set.program), {
+        src: [v.name for v in vs] for src, vs in variant_set.by_source.items()}
+
+
+def _atomic_outcomes(interp: Interp, world: World, tid: int,
+                     program: str) -> list:
+    """Every atomic transition of ``tid``: run-to-commit, and for an
+    idle NFQ' thread each exceptional variant of its next call."""
+    outcomes = [run_to_commit(interp, world, tid)]
+    if program == "nfq" and world.threads[tid].frame is None:
+        variant_interp, variants = _nfq_variants()
+        name = world.threads[tid].current_call()[0]
+        outcomes += [run_variant(interp, variant_interp, world, tid, v)
+                     for v in variants[name]]
+    return outcomes
+
+
+def _key_or_none(world):
+    return None if world is None else state_key(world)
+
+
+@settings(max_examples=20, deadline=None)
+@given(program=st.sampled_from(sorted(PROGRAMS)), prefix=schedules,
+       choices=st.lists(st.integers(0, 5), min_size=1, max_size=3))
+def test_atomic_runs_never_disturb_the_parent(program, prefix, choices):
+    interp, specs = PROGRAMS[program]
+    parent = interp.make_world(specs)
+    _drive(interp, parent, prefix, key_each_step=True)
+    parent_key = state_key(parent)
+    reference = _deep_copy(parent)
+    for choice in choices:
+        live = [t.tid for t in parent.threads if not t.done]
+        if not live:
+            return
+        tid = live[choice % len(live)]
+        outcomes = _atomic_outcomes(interp, parent, tid, program)
+        expected = _atomic_outcomes(interp, _deep_copy(reference), tid,
+                                    program)
+        assert [_key_or_none(o.world) for o in outcomes] \
+            == [_key_or_none(o.world) for o in expected]
+        assert state_key(parent) == parent_key
+
+
+def test_owned_thread_written_twice_between_keys():
+    # as in run_to_commit: own, key, write in place, key again
+    interp, specs = PROGRAMS["gh"]
+    world = interp.make_world(specs).copy()
+    reference = _deep_copy(world)
+    thread = world.own_thread(0)
+    for _ in range(4):
+        state_key(world)  # fills the thread's cache
+        interp.step(world, 0)
+        interp.step(reference, 0)
+        assert world.threads[0] is thread  # owned: written in place
+        assert state_key(world) == state_key(reference)
+    state_key(world)
+    world.own_thread(0).op_index += 1
+    reference.own_thread(0).op_index += 1
+    assert state_key(world) == state_key(reference)
+
+
+SIBLINGS = Interp("""
+global G;
+init { G = 0; }
+proc Take() { local t = LL(G) in { if (SC(G, t + 1)) { return; } } }
+proc Put() { G = 5; G = 6; }
+""")
+
+
+def test_invalidated_sibling_stays_intact_in_the_parent():
+    parent = SIBLINGS.make_world([ThreadSpec.of(("Take",)),
+                                  ThreadSpec.of(("Put",))])
+    for _ in range(2):  # invoke Take, then LL(G)
+        SIBLINGS.step(parent, 0)
+    taker = parent.threads[0]
+    assert taker.reservations == {("g", "G"): True}
+    before = state_key(parent)
+    child = parent.copy()
+    for _ in range(2):  # invoke Put, then G = 5
+        SIBLINGS.step(child, 1)
+    assert child.threads[0].reservations == {("g", "G"): False}
+    assert parent.threads[0] is taker
+    assert taker.reservations == {("g", "G"): True}
+    assert state_key(parent) == before
+    assert state_key(child) != before
+    # a store that flips no reservation leaves the sibling shared
+    grandchild = child.copy()
+    SIBLINGS.step(grandchild, 1)  # G = 6
+    assert grandchild.threads[0] is child.threads[0]
+
+
+def test_after_copy_neither_world_owns_a_thread():
+    interp, specs = PROGRAMS["gh"]
+    world = interp.make_world(specs)
+    originals = list(world.threads)
+    for tid, thread in enumerate(originals):  # make_world's own threads
+        assert world.own_thread(tid) is thread
+    child = world.copy()
+    assert child.threads == originals
+    assert all(a is b for a, b in zip(child.threads, originals))
+    for tid, thread in enumerate(originals):
+        mine, theirs = world.own_thread(tid), child.own_thread(tid)
+        assert mine is not thread and theirs is not thread
+        assert mine is not theirs
+        assert mine == thread == theirs
+        assert world.own_thread(tid) is mine  # owned from now on
+
+
+def test_thread_cache_is_not_part_of_equality_or_repr():
+    interp, specs = PROGRAMS["gh"]
+    world = interp.make_world(specs)
+    fresh = repr(world.threads[0])
+    state_key(world)
+    cached = world.threads[0]
+    assert cached.canon is not None
+    assert repr(cached) == fresh
+    assert cached == cached.copy() and cached.copy().canon is None
+
+
+def test_begin_call_writes_only_the_copy():
+    interp, specs = PROGRAMS["gh"]
+    parent = interp.make_world(specs)
+    before = state_key(parent)
+    child = parent.copy()
+    interp.begin_call(child, 0, "Apply", (1,))
+    assert parent.threads[0].frame is None
+    assert child.threads[0].frame is not None
+    assert state_key(parent) == before
+
+
+def test_lock_peek_writes_only_the_copy():
+    # enabled() evaluates a field lock's base, which records a read
+    interp = Interp("""
+    class Box { lock; }
+    global B;
+    init { local b = new Box in { b.lock = new Box; B = b; } }
+    proc Hold() { synchronized (B.lock) { skip; } }
+    """)
+    parent = interp.make_world([ThreadSpec.of(("Hold",))])
+    interp.step(parent, 0)  # invoke: the next node acquires B.lock
+    before, observed = state_key(parent), dict(parent.threads[0].observed)
+    child = parent.copy()
+    assert interp.enabled(child, 0)
+    assert ("g", "B") in child.threads[0].observed
+    assert parent.threads[0].observed == observed
+    assert state_key(parent) == before

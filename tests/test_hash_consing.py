@@ -1,0 +1,104 @@
+"""Hash-consed state keys: an exploration stores each distinct globals
+key, thread key and heap entry once, through an intern table that lives
+as long as ``Explorer.run``.  Key values are those of ``state_key``, so
+dedup stays exact."""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro import corpus
+from repro.interp import Interp, ThreadSpec
+from repro.mc import Explorer, QueueContents, QueueShape, observers, state_key
+
+GH = Interp(corpus.GH_PROGRAM1)
+GH_SPECS = [ThreadSpec.of(("Apply", i)) for i in (1, 2, 3)]
+NFQ = Interp(corpus.NFQ_PRIME)
+NFQ_SPECS = [ThreadSpec.of(("AddNode", 1)), ThreadSpec.of(("DeqP",)),
+             ThreadSpec.of(("UpdateTail",), repeat=True)]
+
+
+class _Keys(observers.Observer):
+    """Each new state's dedup key next to its world's plain key."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def state(self, key, world, depth):
+        self.pairs.append((key, state_key(world)))
+
+
+def test_memory_per_explored_state():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = Explorer(GH, GH_SPECS, mode="full", max_states=5000).run()
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.capped and result.states == 5000
+    assert peak / result.states <= 1500
+
+
+@pytest.mark.parametrize("mode", ["full", "por", "atomic"])
+def test_dedup_keys_equal_plain_keys(mode):
+    probe = _Keys()
+    Explorer(GH, GH_SPECS[:2], mode=mode, observer=probe).run()
+    assert len(probe.pairs) > 1
+    for key, plain in probe.pairs:
+        assert key == (plain, ())
+
+
+def test_dedup_keys_carry_the_ghosts():
+    probe = _Keys()
+    properties = [QueueShape(), QueueContents()]
+    Explorer(NFQ, NFQ_SPECS, mode="full", properties=properties,
+             max_states=500, observer=probe).run()
+    ghosts0 = tuple(p.initial_ghost() for p in properties)
+    assert probe.pairs[0][0] == (probe.pairs[0][1], ghosts0)
+    for key, plain in probe.pairs:
+        assert key[0] == plain and len(key[1]) == len(properties)
+
+
+def test_equal_components_are_one_object():
+    probe = _Keys()
+    Explorer(GH, GH_SPECS, mode="full", max_states=3000,
+             observer=probe).run()
+    first = {}
+    parts = 0
+    for (world_key, _ghosts), _plain in probe.pairs:
+        globals_key, thread_keys, heap_key, _locks = world_key
+        for part in (globals_key, *thread_keys, *heap_key):
+            assert first.setdefault(part, part) is part
+            parts += 1
+    assert len(first) < parts / 10  # the components really are shared
+
+
+def _dict_referrers(obj) -> int:
+    return sum(isinstance(r, dict) for r in gc.get_referrers(obj))
+
+
+def test_intern_table_does_not_outlive_the_run():
+    # with the collector off no container is untracked, so
+    # get_referrers sees the table while it exists
+    gc.collect()
+    gc.disable()
+    try:
+        during = []
+
+        class Probe(_Keys):
+            def state(self, key, world, depth):
+                super().state(key, world, depth)
+                if len(self.pairs) == 100:
+                    during.append(_dict_referrers(key[0][1][0]))
+
+        probe = Probe()
+        explorer = Explorer(GH, GH_SPECS[:2], mode="full", observer=probe)
+        explorer.run()
+        assert during == [1]  # the intern table
+        thread_key = probe.pairs[99][0][0][1][0]
+        assert _dict_referrers(thread_key) == 0
+        assert explorer._intern is None
+    finally:
+        gc.enable()
