@@ -85,6 +85,15 @@ class Heap:
         self._owned.add(oid)
         return Ref(oid)
 
+    @property
+    def owned(self) -> set[int]:
+        """The oids of the objects allocated or written since this heap
+        was made by :meth:`copy` (all of them for a fresh heap), until
+        it is copied again: every object that may differ from the heap
+        it was copied from.  Incremental state keys
+        (:mod:`repro.mc.canonical`) re-key exactly these.  Read-only."""
+        return self._owned
+
     def _own(self, oid: int,
              obj: HeapObject | HeapArray) -> HeapObject | HeapArray:
         """``obj`` (at ``oid``) made safe to write: a shared object is

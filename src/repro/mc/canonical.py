@@ -33,11 +33,41 @@ change which states collapse, hence every state count.
 
 :func:`state_key`, :func:`quiescent_key` and :func:`shared_key` are one
 walk (:func:`_walk`) from different roots.
+
+**Incremental keys.**  The explorer keys a successor from its parent's
+:class:`KeyContext` (``state_key(world, base)``) instead of walking it
+again.  The context holds the parent's key, its numbering (oid to
+``("ref", n)``, shared read-only by every context that keeps it), how
+many refs were numbered after the globals, after each thread and after
+each heap object, the thread fragments the thread keys were rendered
+from, and the parent's globals, locks and versions.  What the step
+wrote is read off the successor: a thread whose ``canon`` is not the
+fragment its key was rendered from, a heap object in ``Heap.owned``,
+and globals, locks or versions that compare unequal.  Threads are not
+read off ``World._owned``: the explorer's lock peek
+(``Interp.enabled``) may write a thread of the parent after it was
+keyed, and the successors share that thread unwritten.
+
+The numbering is kept when every written component *introduces* the
+same oids as before: the oids it numbers first, in the same order.
+Equal ref tuples are not required; a frame may gain or drop a ref to
+an object numbered earlier.  Then unwritten components keep their
+rendered keys, and only the written ones are rendered again, under the
+same numbering, and interned.  A written thread's heap reservations
+and observed addresses resolve only against refs numbered up to and
+including that thread, as in the walk.  Its new fragment takes the
+thread-locals, reservations and observed parts whose dicts are
+unchanged from the parent's fragment, and its key keeps the parent's
+rendering of those parts.  When the versions changed, every unwritten
+thread that observed a bumped address is rendered again too: its
+current counters may have gone stale.  Anything else, e.g. a global or
+a frame that moves a ref or a heap write that links a fresh object,
+falls back to the full walk.  Keys are the same either way.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.interp.state import Thread, World
 from repro.interp.values import HeapArray, HeapObject, Ref
@@ -64,7 +94,7 @@ def _object_fragment(obj: HeapObject | HeapArray) -> tuple:
             _refs(obj.fields.values()))
 
 
-def _thread_fragment(thread: Thread) -> tuple:
+def _thread_fragment(thread: Thread, like: Optional[tuple] = None) -> tuple:
     """``(op_index, tls, tls_refs, frame, frame_refs, valid,
     valid_heap, observed, observed_heap)``: the wrapped op index, the
     thread-locals sorted by name, the frame as ``(proc, node uid, env
@@ -73,13 +103,24 @@ def _thread_fragment(thread: Thread) -> tuple:
     insertion order, then the args), or are None.  Global addresses
     come sorted; heap addresses need the renaming and are sorted with
     them per key.  Thread-private addresses are never invalidated nor
-    contested, and are left out."""
+    contested, and are left out.
+
+    ``like`` is ``(other thread, its fragment)``, the fragment up to
+    date: the thread-locals, reservations and observed parts are taken
+    from it, the same objects, where the dicts compare equal."""
     spec = thread.spec
     op_index = thread.op_index
     if spec.repeat and spec.ops:
         op_index %= len(spec.ops)
-    tls = tuple(sorted(thread.threadlocals.items()))
-    tls_refs = _refs(thread.threadlocals.values())
+    other = None
+    if like is not None:
+        other, other_frag = like
+    values = thread.threadlocals
+    if other is not None and values == other.threadlocals:
+        tls, tls_refs = other_frag[1], other_frag[2]
+    else:
+        tls = tuple(sorted(values.items()))
+        tls_refs = _refs(values.values())
     frame = thread.frame
     if frame is None:
         frame_key = frame_refs = None
@@ -89,13 +130,22 @@ def _thread_fragment(thread: Thread) -> tuple:
         frame_key = (frame.proc_name, node.uid if node is not None else -1,
                      tuple(sorted(frame.env.items())), args)
         frame_refs = _refs([*frame.env.values(), *args])
-    valid = [addr for addr, ok in thread.reservations.items() if ok]
-    observed = thread.observed.items()
-    return (op_index, tls, tls_refs, frame_key, frame_refs,
-            tuple(sorted(a for a in valid if a[0] == "g")),
-            tuple([a for a in valid if a[0] in ("f", "e")]),
-            tuple(sorted(p for p in observed if p[0][0] == "g")),
-            tuple([p for p in observed if p[0][0] in ("f", "e")]))
+    reservations = thread.reservations
+    if other is not None and reservations == other.reservations:
+        valid, valid_heap = other_frag[5], other_frag[6]
+    else:
+        addrs = [addr for addr, ok in reservations.items() if ok]
+        valid = tuple(sorted(a for a in addrs if a[0] == "g"))
+        valid_heap = tuple([a for a in addrs if a[0] in ("f", "e")])
+    pairs = thread.observed
+    if other is not None and pairs == other.observed:
+        observed, observed_heap = other_frag[7], other_frag[8]
+    else:
+        observed = tuple(sorted(p for p in pairs.items() if p[0][0] == "g"))
+        observed_heap = tuple([p for p in pairs.items()
+                               if p[0][0] in ("f", "e")])
+    return (op_index, tls, tls_refs, frame_key, frame_refs, valid,
+            valid_heap, observed, observed_heap)
 
 
 def _number(refs: tuple, ids: dict, pending: list) -> None:
@@ -107,11 +157,120 @@ def _number(refs: tuple, ids: dict, pending: list) -> None:
             ids[oid] = ("ref", len(pending))
 
 
+def _introduces(refs, ids: dict, start: int, end: int) -> bool:
+    """Would numbering ``refs`` right after ref ``start`` give the next
+    numbers to exactly the oids ``ids`` numbers ``start + 1`` to
+    ``end``, in that order?  Then the component holding ``refs`` leaves
+    the numbering as ``ids`` has it."""
+    expected = start + 1
+    for ref in refs:
+        n = ids.get(ref.oid)
+        if n is None:
+            return False
+        n = n[1]
+        if n == expected:
+            expected += 1
+        elif n > expected:
+            return False
+    return expected == end + 1
+
+
+def _renamed(pairs, ids: dict) -> tuple:
+    """``(name, value)`` pairs with their refs renamed through ``ids``."""
+    return tuple([(name, ids[v.oid] if v.__class__ is Ref else v)
+                  for name, v in pairs])
+
+
+def _observes(frag: tuple, addrs: set) -> bool:
+    """Did the thread of fragment ``frag`` observe one of ``addrs``?"""
+    for addr, _counter in frag[7] + frag[8]:
+        if addr in addrs:
+            return True
+    return False
+
+
+def _thread_key(frag: tuple, base_frag: tuple, base_key: tuple, ids: dict,
+                limit: int, versions: dict, bumped: Optional[set]) -> tuple:
+    """A thread's key from its fragment, its refs numbered, given the
+    fragment and key of the same thread in the base world, keyed under
+    the same numbering: each part of ``frag`` that is the same object
+    as in ``base_frag`` keeps its rendering in ``base_key``, but
+    observed counters are resolved again when ``bumped``, the addresses
+    whose counters changed since (or None), holds one of them.  Heap
+    reservations and observed addresses resolve only against refs
+    numbered ``limit`` or lower (those numbered up to this thread)."""
+    (op_index, tls, tls_refs, frame_key, frame_refs, valid,
+     valid_heap, observed, observed_heap) = frag
+    if tls is base_frag[1]:
+        tls = base_key[1]
+    elif tls_refs is not None:
+        tls = _renamed(tls, ids)
+    if frame_key is base_frag[3]:
+        frame_key = base_key[2]
+    elif frame_refs is not None:
+        proc, uid, env, args = frame_key
+        frame_key = (proc, uid, _renamed(env, ids),
+                     tuple([ids[v.oid] if v.__class__ is Ref else v
+                            for v in args]))
+    if valid is base_frag[5] and valid_heap is base_frag[6]:
+        valid = base_key[3]
+    elif valid_heap:
+        valid = list(valid)
+        for kind, oid, sel in valid_heap:
+            ref = ids.get(oid)
+            if ref is not None and ref[1] <= limit:
+                valid.append((kind, ref[1], sel))
+        valid.sort()
+        valid = tuple(valid)
+    if observed is base_frag[7] and observed_heap is base_frag[8] \
+            and (bumped is None or not _observes(frag, bumped)):
+        return op_index, tls, frame_key, valid, base_key[4]
+    current = [addr for addr, counter in observed
+               if versions.get(addr, 0) == counter]
+    if observed_heap:
+        for addr, counter in observed_heap:
+            if versions.get(addr, 0) == counter:
+                ref = ids.get(addr[1])
+                if ref is not None and ref[1] <= limit:
+                    current.append((addr[0], ref[1], addr[2]))
+        current.sort()
+    return op_index, tls, frame_key, valid, tuple(current)
+
+
+def _heap_entry(frag: tuple, n: int, ids: dict) -> tuple:
+    """Heap object ``n``'s key entry from its fragment, its refs
+    numbered."""
+    tag, class_name, body, refs = frag
+    if refs is not None:
+        if tag == "obj":
+            body = _renamed(body, ids)
+        else:
+            body = tuple([ids[v.oid] if v.__class__ is Ref else v
+                          for v in body])
+    return tag, n, class_name, body
+
+
+def _locks_key(locks: dict, ids: dict) -> tuple:
+    """The held locks on numbered objects, as ``(n, (tid, depth))``."""
+    return tuple(sorted((ids[oid][1], owner)
+                        for oid, owner in locks.items()
+                        if oid in ids)) if locks else ()
+
+
 def _walk(world: World, roots: int) -> tuple:
-    """``(globals_key, threads_part, heap_key, locks_key)``: number the
-    refs reachable from ``roots`` and key what they reach.  The threads
-    part is the thread keys (``_STATE``), each thread's ``(progress,
-    thread-locals)`` (``_QUIESCENT``), or None (``_SHARED``)."""
+    """``(globals_key, threads_part, heap_key, locks_key, ids, ends)``:
+    number the refs reachable from ``roots`` and key what they reach.
+    The threads part is the thread keys (``_STATE``), each thread's
+    ``(progress, thread-locals)`` (``_QUIESCENT``), or None
+    (``_SHARED``).  ``ids`` maps each numbered oid to ``("ref", n)``;
+    ``ends`` holds how many refs were numbered after the globals, after
+    each thread (unless ``_SHARED``) and after each heap object.
+
+    The walk renders inline what :func:`_thread_key` and
+    :func:`_heap_entry` render for incremental keys: a call per thread
+    and object makes it ~15 % slower, and it is also the key atomic runs
+    take after every inner step.  A thread's heap addresses resolve
+    against ``ids`` as it is right after the thread's own refs."""
     ids: dict[int, tuple] = {}  # oid -> ("ref", n)
     pending: list[int] = []     # oids in numbering order
     values = world.globals
@@ -125,6 +284,7 @@ def _walk(world: World, roots: int) -> tuple:
                 ids[oid] = ("ref", len(pending))
             v = ids[oid]
         globals_key.append((name, v))
+    ends = [len(pending)]
 
     threads_part = None
     if roots != _SHARED:
@@ -142,6 +302,7 @@ def _walk(world: World, roots: int) -> tuple:
                              for name, v in tls])
             if roots == _QUIESCENT:
                 threads_part.append((op_index, tls))
+                ends.append(len(pending))
                 continue
             if frame_refs is not None:
                 _number(frame_refs, ids, pending)
@@ -171,10 +332,12 @@ def _walk(world: World, roots: int) -> tuple:
                 current.sort()
             threads_part.append(
                 (op_index, tls, frame_key, valid, tuple(current)))
+            ends.append(len(pending))
 
     objects = world.heap.objects
     heap_key = []
-    for oid in pending:  # grows as the walk numbers new refs
+    # pending grows as the walk numbers new refs
+    for n, oid in enumerate(pending, 1):
         obj = objects[oid]
         frag = obj.canon
         if frag is None:
@@ -188,19 +351,162 @@ def _walk(world: World, roots: int) -> tuple:
             else:
                 body = tuple([ids[v.oid] if v.__class__ is Ref else v
                               for v in body])
-        heap_key.append((tag, ids[oid][1], class_name, body))
+        heap_key.append((tag, n, class_name, body))
+        ends.append(len(pending))
+    return (tuple(globals_key), threads_part, tuple(heap_key),
+            _locks_key(world.locks, ids), ids, ends)
+
+
+class KeyContext:
+    """What keying a world leaves for keying the worlds stepped from it
+    (:func:`state_key` with ``base``): the world's key, its numbering
+    (``ids``, read-only and shared by every context that reuses it),
+    the numbering's component boundaries (``ends`` of :func:`_walk`),
+    the world's threads and the fragments their keys were rendered
+    from, and its globals, locks and versions, to compare with a
+    successor's.  ``KeyContext(intern)`` stands for no world yet."""
+
+    __slots__ = ("intern", "key", "ids", "ends", "threads", "frags",
+                 "globals", "locks", "versions")
+
+    def __init__(self, intern: Callable, key: Optional[tuple] = None,
+                 ids: Optional[dict] = None, ends: Optional[list] = None,
+                 frags: Optional[list] = None,
+                 world: Optional[World] = None) -> None:
+        #: the hash-consing function the key's components went through
+        self.intern = intern
+        self.key = key
+        self.ids = ids
+        self.ends = ends
+        self.frags = frags
+        self.threads = self.globals = self.locks = self.versions = None
+        if world is not None:
+            # the list itself changes when the world's owner copies a
+            # thread on write
+            self.threads = list(world.threads)
+            self.globals, self.locks = world.globals, world.locks
+            self.versions = world.versions
+
+
+def _full_context(world: World, intern: Callable) -> KeyContext:
+    """``world``'s context from a full walk."""
+    globals_key, thread_keys, heap_key, locks_key, ids, ends = \
+        _walk(world, _STATE)
+    key = (intern(globals_key, globals_key),
+           tuple([intern(t, t) for t in thread_keys]),
+           tuple([intern(e, e) for e in heap_key]), locks_key)
+    return KeyContext(intern, key, ids, ends,
+                      [t.canon for t in world.threads], world)
+
+
+def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
+    """``world``'s context from ``base``, the context of the world it
+    was copied from: only the components its step wrote are re-rendered,
+    under ``base``'s numbering, plus the unwritten threads that observed
+    a bumped counter.  None when a written component introduces other
+    refs than before, which would change the numbering."""
+    ids, ends, intern = base.ids, base.ends, base.intern
+    globals_key, thread_keys, heap_key, locks_key = base.key
+    values = world.globals
+    if values != base.globals:
+        items = sorted(values.items())
+        refs = _refs([v for _name, v in items]) or ()
+        if not _introduces(refs, ids, 0, ends[0]):
+            return None
+        globals_key = _renamed(items, ids)
+        globals_key = intern(globals_key, globals_key)
+
+    versions = world.versions
+    bumped = None
+    if versions != base.versions:
+        before = base.versions
+        bumped = {addr for addr, counter in versions.items()
+                  if before.get(addr) != counter}
+    frags = base_frags = base.frags
+    keys = None
+    for tid, thread in enumerate(world.threads):
+        base_frag = base_frags[tid]
+        frag = thread.canon
+        if frag is base_frag:
+            # unwritten: only the observed counters can have gone stale
+            if bumped is None or not _observes(frag, bumped):
+                continue
+        else:
+            if frag is None:
+                # the base's thread, if still unwritten, holds the dicts
+                # its fragment was taken from
+                other = base.threads[tid]
+                frag = thread.canon = _thread_fragment(
+                    thread,
+                    (other, base_frag) if other.canon is base_frag else None)
+            if not _introduces((*(frag[2] or ()), *(frag[4] or ())), ids,
+                               ends[tid], ends[tid + 1]):
+                return None
+            if frags is base_frags:
+                frags = list(frags)
+            frags[tid] = frag
+        if keys is None:
+            keys = list(thread_keys)
+        key = _thread_key(frag, base_frag, thread_keys[tid], ids,
+                          ends[tid + 1], versions, bumped)
+        keys[tid] = intern(key, key)
+    if keys is not None:
+        thread_keys = tuple(keys)
+
+    written = world.heap.owned
+    if written:
+        objects = world.heap.objects
+        # heap object n's boundaries are ends[first + n - 1], ends[first + n]
+        first = len(frags)
+        entries = None
+        for oid in written:
+            ref = ids.get(oid)
+            if ref is None:
+                continue  # unreachable, unless a written part links it
+            n = ref[1]
+            obj = objects[oid]
+            frag = obj.canon
+            if frag is None:
+                frag = obj.canon = _object_fragment(obj)
+            if not _introduces(frag[3] or (), ids, ends[first + n - 1],
+                               ends[first + n]):
+                return None
+            if entries is None:
+                entries = list(heap_key)
+            entry = _heap_entry(frag, n, ids)
+            entries[n - 1] = intern(entry, entry)
+        if entries is not None:
+            heap_key = tuple(entries)
 
     locks = world.locks
-    locks_key = tuple(sorted(
-        (ids[oid][1], owner) for oid, owner in locks.items()
-        if oid in ids)) if locks else ()
-    return tuple(globals_key), threads_part, tuple(heap_key), locks_key
+    if locks != base.locks:
+        locks_key = _locks_key(locks, ids)
+    return KeyContext(intern, (globals_key, thread_keys, heap_key, locks_key),
+                      ids, ends, frags, world)
 
 
-def state_key(world: World) -> tuple:
-    """Full canonical key of a world (threads included)."""
-    globals_key, thread_keys, heap_key, locks_key = _walk(world, _STATE)
-    return (globals_key, tuple(thread_keys), heap_key, locks_key)
+def state_key(world: World, base: Optional[KeyContext] = None):
+    """Full canonical key of a world (threads included), from a full
+    walk.
+
+    Given ``base`` — the :class:`KeyContext` of the world ``world`` was
+    copied from, or ``KeyContext(intern)`` for a world without one —
+    returns ``world``'s own context instead.  Its ``key`` is the same
+    key, each globals key, thread key and heap entry passed through
+    ``base.intern``; it is built from ``base`` when the writes since
+    the copy left the numbering as it was, else by a full walk.
+    ``world`` must not have been copied since it was, and the world
+    ``base`` was built from must not have had its globals, locks,
+    versions or heap written since (its threads may be)."""
+    if base is None:
+        globals_key, thread_keys, heap_key, locks_key, _ids, _ends = \
+            _walk(world, _STATE)
+        return globals_key, tuple(thread_keys), heap_key, locks_key
+    if base.ids is not None:
+        ctx = _rekey(world, base)
+        if ctx is not None:
+            return ctx
+    return _full_context(world, base.intern)
 
 
 def rebase_node_uids(world_key: tuple, uid_map: dict) -> tuple:
@@ -233,7 +539,8 @@ def shared_key(world: World) -> tuple:
     ample sets preserve reachability: two commuting operations leave the
     same shared state either way, but may leave different private
     scratch objects."""
-    globals_key, _none, heap_key, locks_key = _walk(world, _SHARED)
+    globals_key, _none, heap_key, locks_key, _ids, _ends = \
+        _walk(world, _SHARED)
     return (globals_key, heap_key, locks_key)
 
 
@@ -244,6 +551,7 @@ def quiescent_key(world: World) -> tuple:
     are dropped: every procedure in the corpus re-reads (LL / matching
     read) before any SC/CAS, so they cannot influence future behaviour
     from a quiescent state."""
-    globals_key, threads, heap_key, locks_key = _walk(world, _QUIESCENT)
+    globals_key, threads, heap_key, locks_key, _ids, _ends = \
+        _walk(world, _QUIESCENT)
     return (globals_key, tuple(op_index for op_index, _tls in threads),
             tuple(tls for _op_index, tls in threads), heap_key, locks_key)

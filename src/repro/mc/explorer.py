@@ -16,12 +16,15 @@ quiescent-state set (used by the soundness tests, which verify that the
 reduced explorations reach exactly the quiescent states of the full
 one), a state cap, and violation traces.
 
+Each state is keyed incrementally, from the key context of the state
+it was stepped from (``state_key(world, base)``, kept on the stack
+entry and on the successor): only what the step wrote is keyed again.
 The seen set holds exact keys, hash-consed: each run interns every
-state key's globals key, thread keys and heap entries
-(:meth:`Explorer._state_key`), so a stored key is a small tuple of
-components shared with every other state that has them.  Key values,
-and so dedup and graph-capture node ids, are those of
-:func:`~repro.mc.canonical.state_key`; the table is dropped when
+state key's globals key, thread keys and heap entries as they are
+keyed, so a stored key is a small tuple of components shared with
+every other state that has them.  Key values, and so dedup and
+graph-capture node ids, are those of a from-scratch
+:func:`~repro.mc.canonical.state_key` walk; the table is dropped when
 :meth:`Explorer.run` returns.
 
 It collects only the core counters (:meth:`Explorer._metrics`).  All
@@ -44,7 +47,8 @@ from repro.errors import AssertionViolation
 from repro.interp.interp import AssumeFailed, Interp
 from repro.interp.state import Event, ThreadSpec, World
 from repro.mc.atomic import run_to_commit, run_variant
-from repro.mc.canonical import quiescent_key, shared_key, state_key
+from repro.mc.canonical import (KeyContext, quiescent_key, shared_key,
+                                state_key)
 from repro.mc.por import SafetyCache
 from repro.mc.properties import Property
 from repro.obs import ledger
@@ -137,9 +141,9 @@ class _Succ:
     kind: str = "stmt"               # 'invoke'|'stmt'|'return'|'atomic'
     via: Optional[str] = None        # exceptional-variant name, if any
     proc: Optional[str] = None       # procedure being executed/invoked
-    #: ``Explorer._state_key(world)``, computed at most once: by the
-    #: cycle proviso or by the dedup in ``_run``
-    key: Optional[tuple] = None
+    #: ``world``'s :class:`~repro.mc.canonical.KeyContext`, computed at
+    #: most once: by the cycle proviso or by the dedup in ``_run``
+    ctx: Optional[KeyContext] = None
 
     def step_info(self) -> dict:
         return {"tid": self.tid, "uid": self.uid, "desc": self.desc,
@@ -159,6 +163,8 @@ class Explorer:
                  observer=None):
         if mode not in ("full", "por", "atomic", "both"):
             raise ValueError(f"unknown mode {mode!r}")
+        if max_states is not None and max_states < 1:
+            raise ValueError(f"max_states must be >= 1, got {max_states}")
         self.interp = interp
         self.specs = specs
         self.mode = mode
@@ -236,7 +242,8 @@ class Explorer:
         return all(self.commutes(mine, world.threads[o].current_call())
                    for o in tids if o != tid)
 
-    def _successors(self, world: World, on_stack: set) -> list[_Succ]:
+    def _successors(self, world: World, ctx: KeyContext,
+                    on_stack: set) -> list[_Succ]:
         if self.mode in ("full", "por"):
             tids = self.interp.enabled_threads(world)
         else:
@@ -252,7 +259,7 @@ class Explorer:
                 real = [s for s in succs if s.world is not None]
                 if not real:
                     continue  # disabled here; try another thread
-                if self._closes_cycle(real, on_stack):
+                if self._closes_cycle(real, ctx, on_stack):
                     continue  # cycle proviso: fall back to full expansion
                 self.ample_reduced += 1
                 if self.observer is not None:
@@ -262,32 +269,24 @@ class Explorer:
             self.ample_full += 1
         return [s for tid in tids for s in self.expand_thread(world, tid)]
 
-    def _closes_cycle(self, succs: list[_Succ], on_stack: set) -> bool:
+    def _closes_cycle(self, succs: list[_Succ], base: KeyContext,
+                      on_stack: set) -> bool:
         """Does a successor return to the DFS stack?  Keys the
-        successors up to the first that does, and keeps those keys for
-        the dedup in :meth:`_run`."""
+        successors (from ``base``, their parent's key context) up to
+        the first that does, and keeps those keys for the dedup in
+        :meth:`_run`."""
         for succ in succs:
-            succ.key = self._state_key(succ.world)
-            if succ.key in on_stack:
+            succ.ctx = state_key(succ.world, base)
+            if succ.ctx.key in on_stack:
                 return True
         return False
 
-    def _key(self, succ: _Succ, ghosts: tuple) -> tuple:
-        """The dedup key of a successor state."""
-        if succ.key is None:
-            succ.key = self._state_key(succ.world)
-        return (succ.key, ghosts)
-
-    def _state_key(self, world: World) -> tuple:
-        """``state_key(world)``, hash-consed: its globals key, each
-        thread key and each heap entry is replaced by the equal one
-        already met in this run, so the seen set stores every distinct
-        component once.  The key's value is unchanged."""
-        globals_key, thread_keys, heap_key, locks_key = state_key(world)
-        intern = self._intern
-        return (intern(globals_key, globals_key),
-                tuple([intern(t, t) for t in thread_keys]),
-                tuple([intern(e, e) for e in heap_key]), locks_key)
+    @staticmethod
+    def _key(succ: _Succ, ghosts: tuple, base: KeyContext) -> tuple:
+        """The dedup key of a successor state, keyed from ``base``."""
+        if succ.ctx is None:
+            succ.ctx = state_key(succ.world, base)
+        return (succ.ctx.key, ghosts)
 
     # -- property plumbing -------------------------------------------------------
     def _apply_events(self, ghosts: tuple, events: list[Event]) -> tuple:
@@ -358,7 +357,8 @@ class Explorer:
         collect = self.collect_quiescent
         world0 = self.interp.make_world(self.specs)
         ghosts0 = tuple(p.initial_ghost() for p in self.properties)
-        key0 = (self._state_key(world0), ghosts0)
+        ctx0 = state_key(world0, KeyContext(self._intern))
+        key0 = (ctx0.key, ghosts0)
         seen = {key0}
         result.states = 1
         if obs is not None:
@@ -369,10 +369,14 @@ class Explorer:
             return 1
         if collect:
             self._record_quiescent(result, world0)
+        if self.max_states is not None and result.states >= self.max_states:
+            result.capped = True
+            return 1
         on_stack = {key0[0]}
         # entries: [key, world, ghosts, successors (None until
-        # expanded), next successor index, step that reached it]
-        stack = [[key0, world0, ghosts0, None, 0, _INIT_STEP]]
+        # expanded), next successor index, step that reached it, key
+        # context]
+        stack = [[key0, world0, ghosts0, None, 0, _INIT_STEP, ctx0]]
         max_depth = 1
         loop_i = 0
         while stack:
@@ -384,9 +388,9 @@ class Explorer:
                 result.deadline_hit = True
                 break
             entry = stack[-1]
-            key, world, ghosts, succs, index, _step = entry
+            key, world, ghosts, succs, index, _step, ctx = entry
             if succs is None:
-                succs = entry[3] = self._successors(world, on_stack)
+                succs = entry[3] = self._successors(world, ctx, on_stack)
                 if obs is not None:
                     obs.expanded(ghosts, succs)
             if index >= len(succs):
@@ -404,7 +408,7 @@ class Explorer:
                 continue  # disabled transition
             result.transitions += 1
             new_ghosts = self._apply_events(ghosts, succ.events)
-            new_key = self._key(succ, new_ghosts)
+            new_key = self._key(succ, new_ghosts, ctx)
             dup = new_key in seen
             if obs is not None:
                 obs.transition(succ, new_key, dup)
@@ -427,7 +431,7 @@ class Explorer:
                 break
             on_stack.add(new_key[0])
             stack.append([new_key, succ.world, new_ghosts, None, 0,
-                          succ.step_info()])
+                          succ.step_info(), succ.ctx])
             if depth > max_depth:
                 max_depth = depth
             if obs is not None:

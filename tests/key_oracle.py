@@ -1,0 +1,119 @@
+"""The from-scratch oracle for incremental state keys.
+
+The explorer keys each successor from its parent's key context
+(:func:`repro.mc.canonical.state_key` with ``base``).  The oracle keys
+the same world without a context and without a cached fragment: a
+full walk of a copy whose threads and heap objects are fresh
+(:func:`fresh_key`).  :class:`FromScratch` compares the two on every
+transition of a search, duplicates included, and digests both
+sequences.
+
+Run as a module, it is the key-exactness canary: GH with threads
+``Apply(1..3)`` at 20,000 states and the two correct Table 2 rows in
+``full`` mode must give equal digests::
+
+    PYTHONPATH=src python -m tests.key_oracle
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from typing import Optional
+
+from repro.corpus import GH_PROGRAM1, NFQ_PRIME
+from repro.experiments import table2
+from repro.interp import Interp, ThreadSpec
+from repro.interp.state import World
+from repro.mc import (Explorer, QueueContents, QueueShape, observers,
+                      state_key)
+
+
+def fresh_world(world: World) -> World:
+    """A copy of ``world`` sharing no thread or heap object with it, so
+    no cached fragment either."""
+    out = World()
+    out.globals = dict(world.globals)
+    out.locks = dict(world.locks)
+    out.versions = dict(world.versions)
+    out.threads = [thread.copy() for thread in world.threads]
+    out.heap.objects = {oid: obj.copy()
+                        for oid, obj in world.heap.objects.items()}
+    return out
+
+
+def fresh_key(world: World) -> tuple:
+    """``world``'s key from a full walk of :func:`fresh_world`."""
+    return state_key(fresh_world(world))
+
+
+class FromScratch(observers.Observer):
+    """Checks each dedup key (the initial state's and every
+    transition's) against :func:`fresh_key` of its world, with the same
+    ghosts, and digests both sequences with SHA-1."""
+
+    def __init__(self) -> None:
+        self.dedup = hashlib.sha1()
+        self.scratch = hashlib.sha1()
+        self.checked = 0
+        #: the first few ``(dedup key, from-scratch key)`` that differ
+        self.mismatches: list[tuple] = []
+
+    def _check(self, key: tuple, world: World) -> None:
+        expected = (fresh_key(world), key[1])
+        self.dedup.update(repr(key).encode())
+        self.scratch.update(repr(expected).encode())
+        self.checked += 1
+        if key != expected and len(self.mismatches) < 5:
+            self.mismatches.append((key, expected))
+
+    def state(self, key, world, depth):
+        if depth == 1:
+            self._check(key, world)
+
+    def transition(self, succ, key, dup):
+        self._check(key, succ.world)
+
+
+def explore(interp, specs, mode: str, max_states: Optional[int] = None,
+            properties=None, **options) -> tuple:
+    """``(result, oracle)`` of one exploration under :class:`FromScratch`;
+    ``options`` go to :class:`~repro.mc.explorer.Explorer`."""
+    oracle = FromScratch()
+    result = Explorer(interp, specs, mode=mode, properties=properties,
+                      max_states=max_states, observer=oracle,
+                      **options).run()
+    return result, oracle
+
+
+def canary_runs(cap: Optional[int] = None) -> list[tuple[str, tuple]]:
+    """The canary's explorations, as ``(label, (result, oracle))``:
+    GH with threads ``Apply(1..3)`` (20,000 states) and the correct
+    Table 2 rows in ``full`` mode (to the end), or each capped at
+    ``cap`` states."""
+    gh_specs = [ThreadSpec.of(("Apply", i)) for i in (1, 2, 3)]
+    runs = [("gh-full", explore(Interp(GH_PROGRAM1), gh_specs, "full",
+                                cap or 20_000))]
+    nfq = Interp(NFQ_PRIME)
+    for label, specs in (("unbounded AddNode", table2._specs_add_heavy(2)),
+                         ("unbounded DeqP", table2._specs_deq_heavy(2))):
+        runs.append((f"{label}/full", explore(
+            nfq, specs, "full", cap or 400_000,
+            [QueueShape(), QueueContents()])))
+    return runs
+
+
+def main() -> int:
+    failed = False
+    for label, (result, oracle) in canary_runs():
+        same = oracle.dedup.digest() == oracle.scratch.digest()
+        failed |= not same or bool(oracle.mismatches)
+        print(f"{label}: {result.states} states, {oracle.checked} keys, "
+              f"sha1 {oracle.dedup.hexdigest()} "
+              f"{'==' if same else '!='} {oracle.scratch.hexdigest()}")
+    print("key exactness canary:", "FAILED" if failed else "ok")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,10 @@
 """Copy on write: a world copy shares threads and heap objects with its
 original until one side writes, and each thread's and object's cached
 canonical fragment must follow every write.  Copies are checked against
-a deep-copied reference world driven through the same schedule."""
+a deep-copied reference world driven through the same schedule, and
+keyed both from scratch and incrementally, from the key context of the
+world they were copied from.  The ownership contract the incremental
+keys rely on: whatever a copy writes, it owns."""
 
 import copy
 from functools import lru_cache
@@ -16,6 +19,8 @@ from repro.interp import AssumeFailed, Interp, ThreadSpec
 from repro.interp.state import World
 from repro.interp.values import HeapArray, HeapObject
 from repro.mc import run_to_commit, run_variant, state_key
+from repro.mc.canonical import (KeyContext, _object_fragment,
+                                _thread_fragment)
 
 PROGRAMS = {
     "gh": (Interp(corpus.GH_PROGRAM1),
@@ -24,7 +29,17 @@ PROGRAMS = {
     "nfq": (Interp(corpus.NFQ_PRIME),
             [ThreadSpec.of(("AddNode", 1)), ThreadSpec.of(("DeqP",)),
              ThreadSpec.of(("UpdateTail",), repeat=True)]),
+    # a field lock: enabled() evaluates its base, recording a read
+    "locks": (Interp("""
+        class Box { lock; n; }
+        global B;
+        init { local b = new Box in { b.lock = new Box; b.n = 0; B = b; } }
+        proc Hold() { synchronized (B.lock) { B.n = B.n + 1; } }
+        """), [ThreadSpec.of(("Hold",)), ThreadSpec.of(("Hold",))]),
 }
+#: the programs whose operations run to commit (a contended lock would
+#: stop an atomic run)
+ATOMIC = ("gh", "nfq")
 
 
 def _deep_copy(world: World) -> World:
@@ -69,6 +84,7 @@ def test_copies_never_disturb_the_parent(program, prefix, branches, tail):
     parent = interp.make_world(specs)
     _drive(interp, parent, prefix, key_each_step=True)
     parent_key = state_key(parent)
+    base = _context(parent)
     reference_parent = _deep_copy(parent)
     children = []
     for branch in branches:
@@ -77,6 +93,7 @@ def test_copies_never_disturb_the_parent(program, prefix, branches, tail):
         _drive(interp, child, branch, key_each_step=True)
         _drive(interp, reference, branch, key_each_step=False)
         assert state_key(child) == state_key(reference)
+        assert state_key(child, base).key == state_key(reference)
         assert state_key(parent) == parent_key
         children.append((child, state_key(child)))
     # stepping the parent after its copies leaves them alone too
@@ -130,6 +147,16 @@ def test_copy_writes_stay_in_the_copy():
     assert _body(child, "arr") == (0, 0)
 
 
+def test_a_copy_owns_what_it_allocates():
+    world, _obj, _arr = _one_object_world()
+    child = world.copy()
+    assert not child.heap.owned
+    refs = {child.heap.alloc("C").oid,
+            child.heap.alloc_array("int", 1).oid}
+    assert child.heap.owned == refs
+    assert not world.heap.owned
+
+
 def test_cache_is_not_part_of_equality_or_repr():
     world, obj, arr = _one_object_world()
     state_key(world)
@@ -161,18 +188,26 @@ def _atomic_outcomes(interp: Interp, world: World, tid: int,
     return outcomes
 
 
-def _key_or_none(world):
-    return None if world is None else state_key(world)
+def _key_or_none(world, base=None):
+    if world is None:
+        return None
+    return state_key(world) if base is None else state_key(world, base).key
+
+
+def _context(world: World) -> KeyContext:
+    """``world``'s key context, for keying its copies incrementally."""
+    return state_key(world, KeyContext({}.setdefault))
 
 
 @settings(max_examples=20, deadline=None)
-@given(program=st.sampled_from(sorted(PROGRAMS)), prefix=schedules,
+@given(program=st.sampled_from(ATOMIC), prefix=schedules,
        choices=st.lists(st.integers(0, 5), min_size=1, max_size=3))
 def test_atomic_runs_never_disturb_the_parent(program, prefix, choices):
     interp, specs = PROGRAMS[program]
     parent = interp.make_world(specs)
     _drive(interp, parent, prefix, key_each_step=True)
     parent_key = state_key(parent)
+    base = _context(parent)
     reference = _deep_copy(parent)
     for choice in choices:
         live = [t.tid for t in parent.threads if not t.done]
@@ -180,11 +215,67 @@ def test_atomic_runs_never_disturb_the_parent(program, prefix, choices):
             return
         tid = live[choice % len(live)]
         outcomes = _atomic_outcomes(interp, parent, tid, program)
-        expected = _atomic_outcomes(interp, _deep_copy(reference), tid,
-                                    program)
-        assert [_key_or_none(o.world) for o in outcomes] \
-            == [_key_or_none(o.world) for o in expected]
+        expected = [_key_or_none(o.world) for o in _atomic_outcomes(
+            interp, _deep_copy(reference), tid, program)]
+        assert [_key_or_none(o.world, base) for o in outcomes] == expected
+        assert [_key_or_none(o.world) for o in outcomes] == expected
         assert state_key(parent) == parent_key
+
+
+def _fragments(world: World) -> tuple:
+    """Every thread's and heap object's fragment, computed afresh."""
+    return ([_thread_fragment(t) for t in world.threads],
+            {oid: _object_fragment(obj)
+             for oid, obj in world.heap.objects.items()})
+
+
+def _assert_owns_what_changed(before: tuple, world: World) -> None:
+    threads, objects = before
+    for tid, thread in enumerate(world.threads):
+        if _thread_fragment(thread) != threads[tid]:
+            assert tid in world._owned
+    for oid, obj in world.heap.objects.items():
+        if objects.get(oid) != _object_fragment(obj):
+            assert oid in world.heap.owned
+
+
+def _apply(op: str, interp: Interp, world: World, tid: int) -> None:
+    """One write to ``world``: a step, an enabledness test (a lock
+    peek), or a call pushed by hand (as the variant mode does)."""
+    if op == "enabled":
+        interp.enabled(world, tid)
+    elif op == "begin_call":
+        thread = world.threads[tid]
+        if thread.frame is None and not thread.done:
+            interp.begin_call(world, tid, *thread.current_call())
+    elif interp.enabled(world, tid):
+        try:
+            interp.step(world, tid)
+        except (AssertionViolation, AssumeFailed):
+            pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=st.sampled_from(sorted(PROGRAMS)), prefix=schedules,
+       ops=st.lists(st.tuples(st.sampled_from(("step", "enabled",
+                                                "begin_call", "atomic")),
+                              st.integers(0, 5)), min_size=1, max_size=4))
+def test_a_copy_owns_whatever_it_wrote(program, prefix, ops):
+    interp, specs = PROGRAMS[program]
+    parent = interp.make_world(specs)
+    _drive(interp, parent, prefix, key_each_step=True)
+    before = _fragments(parent)
+    child = parent.copy()
+    for op, choice in ops:
+        tid = choice % len(child.threads)
+        if op != "atomic":
+            _apply(op, interp, child, tid)
+            _assert_owns_what_changed(before, child)
+        elif program in ATOMIC and not parent.threads[tid].done:
+            for outcome in _atomic_outcomes(interp, parent, tid, program):
+                if outcome.world is not None:
+                    _assert_owns_what_changed(before, outcome.world)
+    assert _fragments(parent) == before
 
 
 def test_owned_thread_written_twice_between_keys():
@@ -225,6 +316,7 @@ def test_invalidated_sibling_stays_intact_in_the_parent():
     for _ in range(2):  # invoke Put, then G = 5
         SIBLINGS.step(child, 1)
     assert child.threads[0].reservations == {("g", "G"): False}
+    assert 0 in child._owned
     assert parent.threads[0] is taker
     assert taker.reservations == {("g", "G"): True}
     assert state_key(parent) == before
@@ -269,6 +361,7 @@ def test_begin_call_writes_only_the_copy():
     before = state_key(parent)
     child = parent.copy()
     interp.begin_call(child, 0, "Apply", (1,))
+    assert 0 in child._owned
     assert parent.threads[0].frame is None
     assert child.threads[0].frame is not None
     assert state_key(parent) == before
@@ -288,5 +381,6 @@ def test_lock_peek_writes_only_the_copy():
     child = parent.copy()
     assert interp.enabled(child, 0)
     assert ("g", "B") in child.threads[0].observed
+    assert 0 in child._owned
     assert parent.threads[0].observed == observed
     assert state_key(parent) == before

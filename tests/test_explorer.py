@@ -133,6 +133,20 @@ def test_state_cap_reported():
     assert r.capped and r.states == 10
 
 
+def test_state_cap_counts_the_initial_state():
+    specs = [ThreadSpec.of(("Inc",)), ThreadSpec.of(("Inc",))]
+    one = _explore(TINY, specs, "full", max_states=1)
+    assert one.capped and (one.states, one.transitions) == (1, 0)
+    two = _explore(TINY, specs, "full", max_states=2)
+    assert two.capped and two.states == 2
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_state_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="max_states"):
+        Explorer(Interp(TINY), [ThreadSpec.of(("Inc",))], max_states=cap)
+
+
 def test_atomic_disabled_spinning_operation():
     """A helper that can never commit (UpdateTail on an up-to-date
     queue) contributes no transitions in atomic mode."""

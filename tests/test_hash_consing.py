@@ -1,7 +1,7 @@
 """Hash-consed state keys: an exploration stores each distinct globals
 key, thread key and heap entry once, through an intern table that lives
-as long as ``Explorer.run``.  Key values are those of ``state_key``, so
-dedup stays exact."""
+as long as ``Explorer.run``.  Key values are those of a from-scratch
+``state_key`` walk, so dedup stays exact."""
 
 import gc
 import tracemalloc
@@ -10,7 +10,8 @@ import pytest
 
 from repro import corpus
 from repro.interp import Interp, ThreadSpec
-from repro.mc import Explorer, QueueContents, QueueShape, observers, state_key
+from repro.mc import Explorer, QueueContents, QueueShape, observers
+from tests.key_oracle import fresh_key
 
 GH = Interp(corpus.GH_PROGRAM1)
 GH_SPECS = [ThreadSpec.of(("Apply", i)) for i in (1, 2, 3)]
@@ -20,13 +21,14 @@ NFQ_SPECS = [ThreadSpec.of(("AddNode", 1)), ThreadSpec.of(("DeqP",)),
 
 
 class _Keys(observers.Observer):
-    """Each new state's dedup key next to its world's plain key."""
+    """Each new state's dedup key next to its world's from-scratch key
+    (no key context, no cached fragment)."""
 
     def __init__(self):
         self.pairs = []
 
     def state(self, key, world, depth):
-        self.pairs.append((key, state_key(world)))
+        self.pairs.append((key, fresh_key(world)))
 
 
 def test_memory_per_explored_state():
