@@ -1,17 +1,12 @@
 """Benchmark harness helpers: each benchmark regenerates one table or
 figure of the paper and saves the rendered report under
-``benchmarks/out/`` (also echoed with ``-s``).  Benchmarks that feed
-the machine-readable perf trajectory push records into the
-session-wide :class:`~repro.experiments.common.BenchCollector`, which
-flushes ``BENCH_analysis.json`` / ``BENCH_mc.json`` at session end."""
+``benchmarks/out/`` (also echoed with ``-s``)."""
 
 from __future__ import annotations
 
 import pathlib
 
 import pytest
-
-from repro.experiments.common import BenchCollector
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -25,11 +20,3 @@ def report_sink():
         print(f"\n{text}\n")
 
     return save
-
-
-@pytest.fixture(scope="session")
-def bench_collector():
-    collector = BenchCollector()
-    yield collector
-    for path in collector.write(OUT_DIR):
-        print(f"\nwrote {path}")

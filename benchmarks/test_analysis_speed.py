@@ -1,18 +1,11 @@
 """Raw analysis throughput across the corpus (not a paper artifact —
-tracks the cost of the full steps 1–7 pipeline).  Each case also
-contributes a ``BENCH_analysis.json`` record (dedicated timed runs:
-``pytest-benchmark`` stats are unavailable under
-``--benchmark-disable``, which the CI smoke job uses); the extra
-rounds feed a wall-time histogram so the record carries p50/p95/p99
-tail-latency estimates for the regression watchdog."""
-
-import time
+tracks the cost of the full steps 1–7 pipeline; the paper-scale
+benchmark is ``bench/``)."""
 
 import pytest
 
 from repro import corpus
 from repro.analysis import analyze_program
-from repro.obs import Histogram
 
 CASES = {
     "nfq_prime": corpus.NFQ_PRIME,
@@ -22,17 +15,8 @@ CASES = {
     "treiber": corpus.TREIBER_STACK,
 }
 
-ROUNDS = 5
-
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_analysis_speed(benchmark, name, bench_collector):
+def test_analysis_speed(benchmark, name):
     result = benchmark(analyze_program, CASES[name])
     assert result.verdicts
-    hist = Histogram()
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        analyze_program(CASES[name])
-        hist.observe(time.perf_counter() - start)
-    bench_collector.add_analysis(f"analysis/{name}", hist.min,
-                                 histogram=hist)

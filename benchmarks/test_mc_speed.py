@@ -1,19 +1,15 @@
 """Raw model-checking throughput on a small NFQ' driver (not a paper
-artifact — tracks explorer states/sec across the reduction modes and
-feeds the ``BENCH_mc.json`` perf trajectory with p50/p95/p99 wall-time
-percentiles from repeated explorations; the full §6.3 workload lives
-in ``test_section63.py``)."""
+artifact — tracks explorer states/sec across the reduction modes; the
+full §6.3 workload lives in ``test_section63.py``, the paper-scale
+benchmark in ``bench/``)."""
 
 import pytest
 
 from repro import corpus
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer
-from repro.obs import Histogram
 
 MODES = ["full", "por", "atomic"]
-
-ROUNDS = 5
 
 
 def _specs():
@@ -22,7 +18,7 @@ def _specs():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_mc_speed(benchmark, mode, bench_collector):
+def test_mc_speed(benchmark, mode):
     interp = Interp(corpus.NFQ_PRIME)
 
     def explore():
@@ -33,12 +29,3 @@ def test_mc_speed(benchmark, mode, bench_collector):
     assert result.violation is None and not result.capped
     assert result.states > 0
     assert result.metrics["mc.states_per_s"] > 0
-    hist = Histogram()
-    best = result
-    for _ in range(ROUNDS):
-        fresh = explore()
-        hist.observe(fresh.elapsed)
-        if fresh.elapsed < best.elapsed:
-            best = fresh
-    bench_collector.add_mc(f"mc/nfq_prime/{mode}", best,
-                           histogram=hist)

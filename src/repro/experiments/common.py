@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, field
-
-from repro.obs.export import bench_record, write_bench
 
 
 @dataclass
@@ -45,53 +42,3 @@ def ratio(a: float, b: float) -> str:
     if b == 0:
         return "inf"
     return f"{a / b:.1f}x"
-
-
-class BenchCollector:
-    """Accumulates machine-readable benchmark records and writes them
-    as ``BENCH_analysis.json`` / ``BENCH_mc.json`` (schema:
-    ``{name, wall_s, states, transitions, states_per_s}`` — see
-    :mod:`repro.obs.export`).  The benchmark suite shares one instance
-    per session and flushes it at teardown, so the perf trajectory of
-    every run lands next to the text reports under ``benchmarks/out/``.
-    """
-
-    def __init__(self) -> None:
-        self.analysis: list[dict] = []
-        self.mc: list[dict] = []
-
-    @staticmethod
-    def _percentiles(histogram) -> dict | None:
-        if histogram is None or not histogram.count:
-            return None
-        snap = histogram.to_dict()
-        return {k: snap[k] for k in ("p50", "p95", "p99")}
-
-    def add_analysis(self, name: str, wall_s: float,
-                     histogram=None) -> None:
-        """``histogram`` is an optional per-round wall-time
-        :class:`~repro.obs.metrics.Histogram` contributing tail-latency
-        percentiles to the record."""
-        self.analysis.append(bench_record(
-            name, wall_s, percentiles=self._percentiles(histogram)))
-
-    def add_mc(self, name: str, result, histogram=None) -> None:
-        """Record an :class:`~repro.mc.explorer.MCResult` (plus the
-        peak-RSS and dedup-hit-rate telemetry the explorer already
-        snapshots into ``result.metrics``)."""
-        self.mc.append(bench_record(
-            name, result.elapsed, states=result.states,
-            transitions=result.transitions,
-            percentiles=self._percentiles(histogram),
-            mem_peak_mb=result.metrics.get("mc.mem_peak_mb"),
-            dedup_hit_rate=result.metrics.get("mc.dedup_hit_rate")))
-
-    def write(self, out_dir) -> list[pathlib.Path]:
-        out_dir = pathlib.Path(out_dir)
-        out_dir.mkdir(exist_ok=True)
-        written = []
-        for name, records in (("BENCH_analysis.json", self.analysis),
-                              ("BENCH_mc.json", self.mc)):
-            if records:
-                written.append(write_bench(out_dir / name, records))
-        return written

@@ -458,8 +458,8 @@ class Explorer:
             "mc.states_per_s": round(result.states_per_s, 3),
             "mc.cache_hits": cache_hits,
             "mc.cache_hit_ratio": hit_rate,
-            # alias of cache_hit_ratio under the name the bench
-            # records and the regression watchdog use
+            # alias of cache_hit_ratio under the name the report's
+            # coverage section reads
             "mc.dedup_hit_rate": hit_rate,
             "mc.max_depth": max_depth,
             "mc.ample_reduced": self.ample_reduced,

@@ -17,11 +17,12 @@ Three concerns, one package:
 * :mod:`repro.obs.profile` — deterministic work-counter profiler
   (scoped regions + ``sys.setprofile`` sampling fallback, ranked
   hotspot tables, ``--profile``);
-* :mod:`repro.obs.regress` — the bench regression watchdog
-  (``python -m repro.obs.regress``);
+* :mod:`repro.obs.perfdiff` — differential profiling over profiles,
+  ledgered runs and ``bench/run.py --traced`` records
+  (``repro perf diff``);
 * :mod:`repro.obs.report_html` — the ``repro report`` self-contained
-  HTML artifact (trace + metrics + hotspots + coverage + lint +
-  bench trajectory + run ledger);
+  HTML artifact (trace + metrics + hotspots + coverage + lint + run
+  ledger + perf forensics);
 * :mod:`repro.obs.ledger` — the persistent run ledger: one schema-
   versioned manifest (argv, seed, git rev, outcome, classification
   summary, content-addressed artifacts, crash bundle) per CLI
@@ -30,10 +31,10 @@ Three concerns, one package:
 * :mod:`repro.obs.rundiff` — cross-run drift diffing over ledger
   manifests (``repro runs diff``).
 
-:mod:`repro.obs.export` serializes analysis/model-checking results (and
-the ``BENCH_*.json`` benchmark records) against small self-validated
-JSON schemas; :mod:`repro.obs.config` reads the ``REPRO_TRACE`` /
-``REPRO_METRICS`` / ``REPRO_LEDGER`` environment switches.
+:mod:`repro.obs.export` serializes analysis/model-checking results
+against small self-validated JSON schemas; :mod:`repro.obs.config`
+reads the ``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_LEDGER``
+environment switches.
 
 ``export`` is imported lazily (it reaches back into
 :mod:`repro.analysis`); everything else here is import-cycle-free.

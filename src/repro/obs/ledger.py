@@ -177,8 +177,6 @@ def outcome_for(command: str, exit_code: int) -> str:
             return "capped"
         if exit_code == 4:
             return "deadline"
-    if command == "bench" and exit_code == 1:
-        return "drift"
     if command == "analyze" and exit_code == 1:
         return "not-atomic"
     if command == "lint" and exit_code in (1, 2):

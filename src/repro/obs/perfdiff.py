@@ -1,53 +1,54 @@
 """Differential profiling: attributed perf-regression forensics.
 
-The regress watchdog says *that* ``wall_s``/``states_per_s`` drifted;
-this module says *where the work went*.  It diffs two profile sides —
-deterministic work counters per region (``analysis.*``, ``mc.*``,
-``theorem.*``, ``lint.*``, ``summary.*``) plus the collapsed-stack
-wall attribution — and emits a ranked attribution table::
+The benchmark (``bench/``) says *that* a workload got slower; this
+module says *where the work went*.  It diffs two profile sides —
+deterministic work counters per region plus wall-time attribution —
+and emits a ranked attribution table::
 
-    mc.successors   explorer   12000 -> 17000  +41.7%  DRIFT
-    mc.canonicalize explorer    8000 ->  8000   +0.0%
-    mc.dedup        explorer    5200 ->  5044   -3.0%
+    region               group    units A units B   delta wall A ms wall B ms
+    gh-full/mc.canonical gh-full    12000   17000  +41.7%     400.0     610.0
+    gh-full/interp.step  gh-full     6400    6210   -3.0%     120.0     118.0
 
 A *side* resolves from any profile-bearing artifact
 (:func:`resolve_side`):
 
+* a ``bench/run.py --out`` JSONL file, or a directory of them (every
+  ``*.jsonl``, as ``bench/compare.py`` reads it): each traced
+  record's ``<layer>.calls`` becomes the counter
+  ``<workload>/<layer>`` and ``<layer>.self_s`` its wall time, both
+  the median over the side's traced records of that workload;
 * a ledgered run (id / unique prefix / ``last`` / ``-N``, exactly like
   ``repro runs diff``) — counters come from its recorded
-  ``analysis.json`` / ``mc.json`` profile blocks, ``BENCH_*`` bench
-  artifacts, or the crash bundle's ``profile_counters``;
-* a ``BENCH_*.json`` file or a directory of them (``repro bench run``
-  records carry a ``counters`` block from a dedicated profiled pass);
+  ``analysis.json`` / ``mc.json`` profile blocks or the crash
+  bundle's ``profile_counters``;
 * an analysis/MC ``--json`` document (embedded ``profile``), a bare
   profile document, or a ``--profile-out`` collapsed-stack file.
 
 Drift gating is deliberately counter-based: work counters are
 deterministic (two identical seeded runs produce identical counters,
 so ``repro perf diff`` between them is empty by construction — the CI
-forensics canary), which means any growth past the watchdog-style
-relative threshold is real algorithmic work, not scheduler jitter.
-Wall times and folded-path deltas ride along as informational columns.
+forensics canary), which means any growth past the relative threshold
+is real algorithmic work, not scheduler jitter.  Rows rank by
+|Δ units|, ties by |Δ wall|; wall times and folded-path deltas are
+informational columns.
 
 ``repro perf diff A B`` exits 0 (no attributed drift), 1 (drift), 2
-(usage error); ``--json`` emits the schema-versioned document
+(usage error, or an operand without profile data); ``--json`` emits
+the schema-versioned document
 (:data:`repro.obs.export.PERFDIFF_SCHEMA`, version
-``schemas.PERFDIFF``).  When the regress watchdog fails a gate it
-auto-writes the same document as ``PERFDIFF_attribution.json`` next to
-the fresh bench files — see :mod:`repro.obs.regress`.
+``schemas.PERFDIFF``).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 from typing import Optional, Union
 
 from repro.obs.schemas import PERFDIFF as SCHEMA_VERSION
 
-#: relative attributed-work growth a region must exceed to gate —
-#: mirrors the watchdog's wall_s threshold so "attributed drift"
-#: and "observed drift" mean the same magnitude
+#: relative attributed-work growth a region must exceed to gate
 DEFAULT_THRESHOLD = 0.25
 
 #: absolute work-unit delta a drifting region must also clear (a
@@ -68,7 +69,10 @@ _GROUPS = (
 
 
 def group_of(name: str) -> str:
-    """Attribution group of a profiler region name."""
+    """Attribution group of a region name: the workload of a
+    ``<workload>/<layer>`` bench row, else by profiler prefix."""
+    if "/" in name:
+        return name.split("/", 1)[0]
     for prefix, group in _GROUPS:
         if name.startswith(prefix):
             return group
@@ -108,18 +112,59 @@ def side_from_profile_doc(label: str, doc: dict,
     return _merge_side(side, counters, wall, doc.get("folded"))
 
 
-def side_from_records(label: str, records: list,
-                      side: Optional[dict] = None) -> dict:
-    """A side from bench records: sum the ``counters`` blocks the
-    harness collects in its dedicated profiled pass; record medians
-    join the wall column under the record name."""
-    side = side if side is not None else _empty_side(label)
+def side_from_records(label: str, records: list) -> dict:
+    """A side from ``bench/run.py`` records.  Untraced records carry
+    no layers and are skipped; per workload, each layer's ``.calls``
+    and ``.self_s`` are the medians over its traced records (repeats
+    of one workload must not add up)."""
+    side = _empty_side(label)
+    layers: dict[str, tuple[list, list]] = {}
     for record in records:
-        _merge_side(side, record.get("counters"))
-        if record.get("name"):
-            side["wall"][record["name"]] = \
-                side["wall"].get(record["name"], 0.0) \
-                + float(record.get("wall_s", 0.0))
+        if not record.get("trace"):
+            continue
+        for metric, entry in record["metrics"].items():
+            layer, _, stat = metric.rpartition(".")
+            value = entry.get("value") if isinstance(entry, dict) \
+                else None
+            if stat not in ("calls", "self_s") \
+                    or not isinstance(value, (int, float)):
+                continue
+            calls, self_s = layers.setdefault(
+                f"{record['workload']}/{layer}", ([], []))
+            (calls if stat == "calls" else self_s).append(value)
+    for name, (calls, self_s) in layers.items():
+        if not any(calls) and not any(self_s):
+            continue        # a layer this workload never enters
+        units = int(statistics.median(calls)) if calls else 0
+        _merge_side(side, {name: {"calls": units}},
+                    {name: statistics.median(self_s)} if self_s
+                    else None)
+    return side
+
+
+def _bench_records(text: str) -> Optional[list]:
+    """The records of a ``bench/run.py --out`` JSONL text, or None
+    when the text is anything else."""
+    records = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            return None
+        if not (isinstance(record, dict) and "workload" in record
+                and isinstance(record.get("metrics"), dict)):
+            return None
+        records.append(record)
+    return records or None
+
+
+def _side_from_bench(path: pathlib.Path, records: list) -> dict:
+    side = side_from_records(str(path), records)
+    if not side["counters"]:
+        raise ValueError(f"{path} has no profile data: no traced "
+                         f"records (run bench/run.py --traced)")
     return side
 
 
@@ -142,11 +187,6 @@ def side_from_folded(label: str, folded_usecs: dict,
 def _side_from_json_doc(label: str, doc, side: dict) -> bool:
     """Merge whatever profile data a JSON document carries; returns
     whether anything was found."""
-    from repro.obs.export import bench_records
-
-    if isinstance(doc, list):        # v1 bare bench record array
-        side_from_records(label, doc, side)
-        return bool(doc)
     if not isinstance(doc, dict):
         return False
     if "hotspots" in doc:            # bare profile document
@@ -159,9 +199,6 @@ def _side_from_json_doc(label: str, doc, side: dict) -> bool:
     if isinstance(doc.get("profile_counters"), dict):  # crash bundle
         _merge_side(side, doc["profile_counters"])
         found = True
-    if isinstance(doc.get("records"), list):   # v2 bench document
-        side_from_records(label, bench_records(doc), side)
-        found = True
     return found
 
 
@@ -170,6 +207,9 @@ def _side_from_file(path: pathlib.Path) -> dict:
 
     side = _empty_side(str(path))
     text = path.read_text()
+    records = _bench_records(text)
+    if records is not None:
+        return _side_from_bench(path, records)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -180,23 +220,16 @@ def _side_from_file(path: pathlib.Path) -> dict:
         return side_from_folded(str(path), folded, side)
     if not _side_from_json_doc(str(path), doc, side):
         raise ValueError(f"{path} carries no profile data (expected "
-                         f"a profile/analysis/mc/bench document)")
+                         f"bench/run.py records or a profile/analysis/"
+                         f"mc document)")
     return side
 
 
 def _side_from_dir(path: pathlib.Path) -> dict:
-    side = _empty_side(str(path))
-    found = False
-    for child in sorted(path.glob("BENCH_*.json")):
-        try:
-            doc = json.loads(child.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        found = _side_from_json_doc(str(child), doc, side) or found
-    if not found:
-        raise ValueError(f"no profile-bearing BENCH_*.json under "
-                         f"{path} (re-run repro bench run)")
-    return side
+    records = []
+    for child in sorted(path.glob("*.jsonl")):
+        records.extend(_bench_records(child.read_text()) or [])
+    return _side_from_bench(path, records)
 
 
 def _side_from_ledger(token: str,
@@ -217,14 +250,14 @@ def _side_from_ledger(token: str,
     if not found:
         raise ValueError(
             f"run {run_id} recorded no profile data — re-run with "
-            f"--profile (analysis/mc) or use repro bench run artifacts")
+            f"--profile (analysis/mc)")
     return side
 
 
 def resolve_side(spec: str,
                  root: Union[None, str, pathlib.Path] = None) -> dict:
     """Resolve one ``perf diff`` operand: an artifact file, a
-    directory of ``BENCH_*.json``, or a ledger run token
+    directory of ``bench/run.py`` JSONL files, or a ledger run token
     (id/prefix/``last``/``-N``).  Raises ``ValueError`` with a usage
     message when nothing profile-bearing resolves."""
     path = pathlib.Path(spec)
@@ -243,7 +276,8 @@ def attribute(a: dict, b: dict,
     ``b`` newer) into the schema-versioned attribution document.
     ``drift`` is True when any region's deterministic work grew past
     ``threshold`` (and :data:`WORK_FLOOR` absolute units) — shrinking
-    work is a speedup and never gates, mirroring the watchdog."""
+    work is a speedup and never gates.  Rows rank by |Δ units|, then
+    by |Δ wall|."""
     rows: list[dict] = []
     names = set(a["counters"]) | set(b["counters"])
     for name in names:
@@ -267,7 +301,10 @@ def attribute(a: dict, b: dict,
             row["wall_a_s"] = round(wall_a or 0.0, 6)
             row["wall_b_s"] = round(wall_b or 0.0, 6)
         rows.append(row)
-    rows.sort(key=lambda r: (-abs(r["delta"]), r["name"]))
+    rows.sort(key=lambda r: (-abs(r["delta"]),
+                             -abs(r.get("wall_b_s", 0.0)
+                                  - r.get("wall_a_s", 0.0)),
+                             r["name"]))
 
     groups: dict[str, dict] = {}
     for row in rows:
@@ -314,17 +351,28 @@ def render_attribution(report: dict, limit: int = 25) -> str:
         shown = rows[:limit]
         width = max(len(r["name"]) for r in shown)
         gwidth = max(len(r["group"]) for r in shown)
+        # bench rows carry each layer's self time, profile rows their
+        # region wall time
+        timed = any("wall_a_s" in r for r in shown)
         lines.append(f"{'region'.ljust(width)}  "
                      f"{'group'.ljust(gwidth)}  "
                      f"{'units A':>10} {'units B':>10} "
-                     f"{'delta':>8}")
+                     f"{'delta':>8}"
+                     + (f" {'wall A ms':>10} {'wall B ms':>10}"
+                        if timed else ""))
         for r in shown:
             flag = "  DRIFT" if r["drift"] else ""
+            walls = ""
+            if timed:
+                walls = "".join(
+                    f" {r[key] * 1000:>10.1f}" if key in r
+                    else f" {'-':>10}"
+                    for key in ("wall_a_s", "wall_b_s"))
             lines.append(
                 f"{r['name'].ljust(width)}  "
                 f"{r['group'].ljust(gwidth)}  "
                 f"{r['units_a']:>10} {r['units_b']:>10} "
-                f"{r['delta_pct']:>+7.1f}%{flag}")
+                f"{r['delta_pct']:>+7.1f}%{walls}{flag}")
         if len(rows) > limit:
             lines.append(f"... {len(rows) - limit} flat region(s) "
                          f"elided")

@@ -3,10 +3,10 @@
 Aggregates the JSON artifacts the other observability surfaces write —
 analysis documents (``repro analyze --json``), MC documents
 (``repro mc --json``), lint reports (``repro lint --json``), event
-streams (``--events-out`` JSONL), bench records
-(``benchmarks/out/BENCH_*.json`` + committed baselines) and the
-append-only ``REGRESS_history.jsonl`` perf trajectory — into ONE HTML
-file with no external assets: styles are one inline ``<style>`` block
+streams (``--events-out`` JSONL), state-graph captures, summary-cache
+stats, ``repro perf diff --json`` attributions, fleet merge summaries,
+experiment tables and the run ledger — into ONE HTML file with no
+external assets: styles are one inline ``<style>`` block
 and every chart is inline SVG, so the artifact can be attached to CI,
 mailed, or opened from ``file://`` with nothing else present.
 
@@ -25,23 +25,15 @@ Sections (each ``<section id="sec-NAME">``, see :data:`SECTIONS`):
   (``repro summaries canary --stats-out`` / store stats documents):
   per-program hit/miss rows and store totals;
 * ``crossval``  — preformatted experiment/cross-validation tables;
-* ``bench``     — baseline vs fresh comparison and the regression
-  history sparkline;
-* ``trend``     — the perf trajectory: per-record sparklines + line
-  charts over the append-only ``BENCH_history.jsonl`` written by
-  ``repro bench run`` (a placeholder, never dropped, when absent);
 * ``runs``      — the persistent run ledger: one row per recorded
   invocation (pass the ledger root, e.g. ``.repro/runs``);
+* ``fleet``     — per-worker lanes of ``--jobs`` merge summaries;
 * ``forensics`` — perf-regression forensics: differential-profiling
-  attribution documents (``repro perf diff --json`` or the
-  ``PERFDIFF_attribution.json`` the watchdog auto-writes on a gate
-  failure) with per-region delta bars, plus changepoint-annotated
-  trajectory charts over the bench history.
+  attribution documents (``repro perf diff --json`` / ``--out``)
+  with per-region delta bars.
 
 Profiler documents carrying a collapsed-stack ``folded`` view
-additionally render an inline SVG flame chart in ``hotspots``.  Bench
-inputs may be legacy bare record arrays or v2 ``{v, env, records}``
-run documents (``repro bench run``) — both are accepted.
+additionally render an inline SVG flame chart in ``hotspots``.
 
 Inputs are classified by *shape*, not by filename (see
 :func:`classify`), so ``repro report out/*.json benchmarks/out`` just
@@ -64,8 +56,8 @@ REPORT_VERSION = 1
 
 #: required section ids; check_html() fails on any that is missing
 SECTIONS = ("overview", "trace", "metrics", "hotspots", "coverage",
-            "statespace", "lint", "summary", "crossval", "bench",
-            "trend", "runs", "fleet", "forensics")
+            "statespace", "lint", "summary", "crossval", "runs",
+            "fleet", "forensics")
 
 
 # -- input collection ----------------------------------------------------------
@@ -80,10 +72,6 @@ class ReportInputs:
     mcs: list[tuple] = field(default_factory=list)
     lints: list[tuple] = field(default_factory=list)
     events: list[tuple] = field(default_factory=list)
-    bench_fresh: dict = field(default_factory=dict)
-    bench_baseline: dict = field(default_factory=dict)
-    history: list[dict] = field(default_factory=list)
-    bench_history: list[dict] = field(default_factory=list)
     tables: list[tuple] = field(default_factory=list)  # (label, text)
     runs: list[dict] = field(default_factory=list)     # ledger manifests
     graphs: list[tuple] = field(default_factory=list)  # graph captures
@@ -94,15 +82,13 @@ class ReportInputs:
 
 def classify(label: str, doc) -> Optional[str]:
     """Which input bucket a loaded JSON document belongs to, from its
-    shape: ``analysis`` | ``mc`` | ``lint`` | ``bench`` | ``events``;
-    None when unrecognized."""
+    shape: ``manifest`` | ``summary`` | ``perfdiff`` | ``fleet`` |
+    ``analysis`` | ``mc`` | ``lint`` | ``events``; None when
+    unrecognized."""
     if isinstance(doc, list):
-        if all(isinstance(e, dict) and "kind" in e and "seq" in e
-               for e in doc):
-            return "events" if doc else None
-        if all(isinstance(r, dict) and "wall_s" in r and "name" in r
-               for r in doc):
-            return "bench" if doc else None
+        if doc and all(isinstance(e, dict) and "kind" in e
+                       and "seq" in e for e in doc):
+            return "events"
         return None
     if not isinstance(doc, dict):
         return None
@@ -120,8 +106,6 @@ def classify(label: str, doc) -> Optional[str]:
         return "mc"
     if "targets" in doc or ("findings" in doc and "summary" in doc):
         return "lint"
-    if isinstance(doc.get("records"), list) and "env" in doc:
-        return "bench"          # v2 bench run document
     return None
 
 
@@ -134,18 +118,15 @@ def _read_jsonl(path: pathlib.Path) -> list[dict]:
     return out
 
 
-def collect_inputs(paths: list[Union[str, pathlib.Path]],
-                   baseline_dir: Optional[Union[str, pathlib.Path]]
-                   = None) -> ReportInputs:
+def collect_inputs(paths: list[Union[str, pathlib.Path]]
+                   ) -> ReportInputs:
     """Load and classify input files.  Directories are scanned one
     level deep for ``*.json`` / ``*.jsonl`` / ``*.txt``; inside a
-    scanned directory, ``BENCH_*.json`` become fresh bench records,
-    ``REGRESS_history.jsonl`` the perf trajectory, and any child
-    directory holding a ``manifest.json`` a run-ledger entry (so
-    passing ``.repro/runs`` populates the Runs section).
-    ``baseline_dir`` (e.g. ``benchmarks/baselines``) supplies the
-    comparison side.  Paths that do not exist are skipped, so a CI
-    job may always pass ``.repro/runs`` even before any run."""
+    scanned directory, any child directory holding a
+    ``manifest.json`` is a run-ledger entry (so passing
+    ``.repro/runs`` populates the Runs section).  Paths that do not
+    exist are skipped, so a CI job may always pass ``.repro/runs``
+    even before any run."""
     inputs = ReportInputs()
     files: list[pathlib.Path] = []
     for raw in paths:
@@ -181,15 +162,7 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]],
                 except ValueError:
                     pass        # unreadable capture: skip, don't crash
                 continue
-            if label == "BENCH_history.jsonl" or (records and all(
-                    isinstance(r, dict) and "metrics" in r
-                    and "at" in r for r in records)):
-                inputs.bench_history.extend(records)
-            elif label == "REGRESS_history.jsonl" or all(
-                    "status" in r and "at" in r for r in records):
-                inputs.history.extend(records)
-            else:
-                inputs.events.append((label, records))
+            inputs.events.append((label, records))
             continue
         try:
             doc = json.loads(path.read_text())
@@ -205,9 +178,6 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]],
         elif kind == "lint":
             for target in doc.get("targets", [doc]):
                 inputs.lints.append((label, target))
-        elif kind == "bench":
-            from repro.obs.export import bench_records
-            inputs.bench_fresh[label] = bench_records(doc)
         elif kind == "events":
             inputs.events.append((label, doc))
         elif kind == "summary":
@@ -216,16 +186,6 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]],
             inputs.perfdiffs.append((label, doc))
         elif kind == "fleet":
             inputs.fleets.append((label, doc))
-    if baseline_dir is not None:
-        from repro.obs.export import bench_records
-        base = pathlib.Path(baseline_dir)
-        if base.is_dir():
-            for path in sorted(base.glob("BENCH_*.json")):
-                try:
-                    inputs.bench_baseline[path.name] = bench_records(
-                        json.loads(path.read_text()))
-                except json.JSONDecodeError:
-                    continue
     return inputs
 
 
@@ -265,11 +225,8 @@ def _svg_bars(pairs: list[tuple], width: int = 460, height: int = 140,
 
 
 def _svg_line(points: list[tuple], width: int = 460, height: int = 120,
-              color: str = "#2e7d32", title: str = "",
-              marks: tuple = (), mark_color: str = "#c62828") -> str:
-    """Polyline chart over ``(x, y)`` points (x need not be uniform),
-    with a dashed vertical rule at each x value in ``marks`` (the
-    changepoint-annotated trajectory)."""
+              color: str = "#2e7d32", title: str = "") -> str:
+    """Polyline chart over ``(x, y)`` points (x need not be uniform)."""
     if not points:
         return "<p class='empty'>(no data)</p>"
     xs = [float(x) for x, _ in points]
@@ -294,12 +251,6 @@ def _svg_line(points: list[tuple], width: int = 460, height: int = 120,
                           for x, y in zip(xs, ys))
         body = (f"<polyline points='{coords}' fill='none' "
                 f"stroke='{color}' stroke-width='1.5'/>")
-    for mark in marks:
-        mx = px(float(mark))
-        body += (f"<line x1='{mx:.1f}' y1='{pad}' x2='{mx:.1f}' "
-                 f"y2='{height - pad}' stroke='{mark_color}' "
-                 f"stroke-width='1' stroke-dasharray='3,2'>"
-                 f"<title>step at entry {mark}</title></line>")
     return (f"<svg viewBox='0 0 {width} {height}' class='chart' "
             f"role='img' aria-label='{_esc(title)}'>{body}"
             f"<title>{_esc(title)} (max {y1:g})</title></svg>")
@@ -429,8 +380,6 @@ def _overview(inputs: ReportInputs) -> str:
         rows.append(["lint", f"{label}:{doc.get('target', '?')}",
                      f"{summary.get('errors', 0)} error(s), "
                      f"{summary.get('warnings', 0)} warning(s)"])
-    for name, records in sorted(inputs.bench_fresh.items()):
-        rows.append(["bench", name, f"{len(records)} record(s)"])
     for label, events in inputs.events:
         rows.append(["events", label, f"{len(events)} event(s)"])
     for label, doc in inputs.graphs:
@@ -453,12 +402,6 @@ def _overview(inputs: ReportInputs) -> str:
     if inputs.runs:
         rows.append(["runs", "ledger",
                      f"{len(inputs.runs)} recorded run(s)"])
-    if inputs.history:
-        rows.append(["history", "REGRESS_history.jsonl",
-                     f"{len(inputs.history)} check(s)"])
-    if inputs.bench_history:
-        rows.append(["trend", "BENCH_history.jsonl",
-                     f"{len(inputs.bench_history)} bench run(s)"])
     if not rows:
         return _placeholder(
             "input", "pass JSON artifacts or a directory such as "
@@ -772,107 +715,6 @@ def _crossval(inputs: ReportInputs) -> str:
     return "".join(parts)
 
 
-def _bench(inputs: ReportInputs) -> str:
-    parts = []
-    for name in sorted(set(inputs.bench_fresh)
-                       | set(inputs.bench_baseline)):
-        fresh = {r["name"]: r for r in inputs.bench_fresh.get(name, [])}
-        base = {r["name"]: r
-                for r in inputs.bench_baseline.get(name, [])}
-        if not fresh and not base:
-            continue
-        rows = []
-        for rec_name in sorted(set(fresh) | set(base)):
-            f, b = fresh.get(rec_name), base.get(rec_name)
-            delta = ""
-            if f and b and b["wall_s"]:
-                pct = (f["wall_s"] - b["wall_s"]) / b["wall_s"] * 100
-                delta = f"{pct:+.1f}%"
-            iqr_ms = ""
-            if f and isinstance(f.get("stats"), dict):
-                iqr_ms = f"{f['stats'].get('iqr', 0) * 1000:.2f}"
-            rows.append([
-                rec_name,
-                f"{b['wall_s'] * 1000:.2f}" if b else "—",
-                f"{f['wall_s'] * 1000:.2f}" if f else "—",
-                delta, iqr_ms,
-                f.get("mem_peak_mb", "") if f else "",
-                f.get("dedup_hit_rate", "") if f else ""])
-        parts.append(
-            f"<h3>{_esc(name)}</h3>"
-            + _table(["record", "baseline (ms)", "fresh (ms)",
-                      "Δ wall", "iqr (ms)", "mem_peak_mb",
-                      "dedup_hit_rate"],
-                     rows, "mono"))
-        chart = [(r["name"], r["wall_s"] * 1000)
-                 for r in inputs.bench_fresh.get(name, [])]
-        if chart:
-            parts.append(_svg_bars(chart,
-                                   title=f"fresh wall ms — {name}"))
-    if inputs.history:
-        parts.append(
-            "<h3>regression history</h3>"
-            + _svg_line(
-                [(i, e.get("regressions", 0))
-                 for i, e in enumerate(inputs.history)],
-                color="#c62828",
-                title="regressions per watchdog check")
-            + _table(["#", "status", "regressions", "notes",
-                      "compared"],
-                     [[i, e.get("status"), e.get("regressions"),
-                       e.get("notes"),
-                       ", ".join(e.get("compared", []))]
-                      for i, e in enumerate(inputs.history[-20:])],
-                     "mono"))
-    if not parts:
-        return _placeholder(
-            "bench", "pass benchmarks/out (fresh BENCH_*.json + "
-            "REGRESS_history.jsonl); baselines come from "
-            "--baselines (default benchmarks/baselines)")
-    return "".join(parts)
-
-
-def _trend(inputs: ReportInputs) -> str:
-    """Perf trajectory over the append-only ``BENCH_history.jsonl``
-    written by ``repro bench run``.  Always renders — a placeholder
-    explains how to start the trajectory when no history exists."""
-    if not inputs.bench_history:
-        return _placeholder(
-            "bench trajectory", "repro bench run appends one line "
-            "per run to benchmarks/out/BENCH_history.jsonl — pass "
-            "that file (or its directory) to grow per-record "
-            "sparkline trajectories here")
-    from repro.obs.bench import sparkline, trend_series
-    history = inputs.bench_history
-    series = trend_series(history, "wall_s")
-    env = (history[-1].get("env") or {})
-    parts = [f"<p>{len(history)} bench run(s); latest on "
-             f"{_esc(env.get('platform', '?'))}, python "
-             f"{_esc(env.get('python', '?'))}, git "
-             f"{_esc((env.get('git_rev') or '?')[:10])}</p>"]
-    if len(history) == 1:
-        parts.append("<p>1 sample — deltas appear from the second "
-                     "bench run onward</p>")
-    rows = []
-    for name in sorted(series):
-        values = [v for _, v in series[name]]
-        delta = ""
-        if len(values) > 1 and values[0] > 0:
-            delta = f"{(values[-1] - values[0]) / values[0] * 100:+.1f}%"
-        rows.append([name, sparkline(values),
-                     f"{values[0] * 1000:.2f}",
-                     f"{values[-1] * 1000:.2f}", delta])
-    parts.append(_table(
-        ["record", "trajectory", "first (ms)", "latest (ms)",
-         "Δ wall"], rows, "mono"))
-    for name in sorted(series)[:6]:
-        points = [(i, v * 1000) for i, v in series[name]]
-        parts.append(f"<h4>{_esc(name)} — wall ms per run</h4>"
-                     + _svg_line(points,
-                                 title=f"wall ms trend — {name}"))
-    return "".join(parts)
-
-
 def _runs(inputs: ReportInputs) -> str:
     if not inputs.runs:
         return _placeholder(
@@ -905,9 +747,7 @@ def _runs(inputs: ReportInputs) -> str:
 
 def _forensics(inputs: ReportInputs) -> str:
     """Perf forensics: ranked differential-profiling attribution
-    tables + per-region delta bars from perfdiff documents, and a
-    changepoint scan over the bench trajectory with annotated
-    charts."""
+    tables + per-region delta bars from perfdiff documents."""
     parts = []
     for label, doc in inputs.perfdiffs:
         drifted = doc.get("drifted") or []
@@ -948,45 +788,11 @@ def _forensics(inputs: ReportInputs) -> str:
                            f"{p['wall_b_s'] * 1000:.2f}",
                            f"{p['delta_s'] * 1000:+.2f}"]
                           for p in paths[:10]], "mono"))
-    if inputs.bench_history:
-        from repro.obs import changepoint
-        steps = changepoint.detect_history(inputs.bench_history,
-                                           metric="wall_s")
-        parts.append("<h3>changepoint scan (wall_s trajectory)</h3>")
-        if steps:
-            parts.append(_table(
-                ["case", "entry", "before", "after", "Δ %", "git"],
-                [[s["name"], s["entry"], f"{s['before_mean']:g}",
-                  f"{s['after_mean']:g}", f"{s['delta_pct']:+.1f}%",
-                  (s.get("git_rev") or "?")[:10]] for s in steps],
-                "mono"))
-            series: dict[str, list[tuple]] = {}
-            for i, entry in enumerate(inputs.bench_history):
-                for name, metrics in (entry.get("metrics")
-                                      or {}).items():
-                    if metrics.get("wall_s") is not None:
-                        series.setdefault(name, []).append(
-                            (i, metrics["wall_s"] * 1000))
-            for name in sorted({s["name"] for s in steps})[:6]:
-                marks = [s["entry"] for s in steps
-                         if s["name"] == name]
-                parts.append(
-                    f"<h4>{_esc(name)} — wall ms with step "
-                    f"marker(s)</h4>"
-                    + _svg_line(
-                        series.get(name, []), marks=marks,
-                        title=f"changepoint trajectory — {name}"))
-        else:
-            parts.append("<p>no changepoints detected — the "
-                         "trajectory is step-free at the current "
-                         "thresholds</p>")
     if not parts:
         return _placeholder(
-            "perf forensics", "run repro perf diff A B --json (or "
-            "let a failing repro bench regress gate auto-write "
-            "PERFDIFF_attribution.json into the check directory), "
-            "then pass the document; repro bench trend "
-            "--changepoints scans the trajectory from the CLI")
+            "perf forensics", "run repro perf diff A B --out FILE "
+            "(e.g. over two bench/run.py --traced records) and pass "
+            "the document")
     return "".join(parts)
 
 
@@ -1068,8 +874,6 @@ def render_report(inputs: ReportInputs,
         "lint": ("Lint findings", _lint(inputs)),
         "summary": ("Summary cache", _summary(inputs)),
         "crossval": ("Cross-validation tables", _crossval(inputs)),
-        "bench": ("Bench vs baseline", _bench(inputs)),
-        "trend": ("Perf trajectory", _trend(inputs)),
         "runs": ("Run ledger", _runs(inputs)),
         "fleet": ("Fleet", _fleet(inputs)),
         "forensics": ("Perf forensics", _forensics(inputs)),
@@ -1195,60 +999,31 @@ SELF_CHECK_FIXTURE = {
         {"v": 1, "seq": 1, "t": 0.002, "kind": "explorer.progress",
          "states": 64, "transitions": 96, "depth": 9, "frontier": 0,
          "elapsed_s": 0.009}],
-    "BENCH_mc.json": [
-        {"name": "mc/fixture/por", "wall_s": 0.01, "states": 64,
-         "transitions": 96, "states_per_s": 6400.0,
-         "mem_peak_mb": 21.5, "dedup_hit_rate": 0.33}],
-    "baseline_BENCH_mc.json": [
-        {"name": "mc/fixture/por", "wall_s": 0.009, "states": 64,
-         "transitions": 96, "states_per_s": 7100.0,
-         "mem_peak_mb": 20.9, "dedup_hit_rate": 0.33}],
-    "history": [
-        {"at": 1.0, "status": "ok", "regressions": 0, "notes": 0,
-         "compared": ["BENCH_mc.json"]},
-        {"at": 2.0, "status": "regression", "regressions": 1,
-         "notes": 1, "compared": ["BENCH_mc.json"]}],
-    # eight runs with a step injected at entry 4 (wall_s jumps
-    # ~+48%): the forensics changepoint scan must flag exactly it
-    "BENCH_history": [
-        {"at": float(i + 1), "repeats": 5,
-         "env": {"git_rev": rev, "python": "3.11.0",
-                 "platform": "fixture-os", "cpu_count": 4},
-         "metrics": {"mc/fixture/por": {"wall_s": wall,
-                                        "states_per_s":
-                                            round(64 / wall, 1),
-                                        "iqr": 0.0003}}}
-        for i, (rev, wall) in enumerate([
-            ("0123456789abcdef", 0.0100),
-            ("123456789abcdef0", 0.0103),
-            ("23456789abcdef01", 0.0099),
-            ("3456789abcdef012", 0.0102),
-            ("456789abcdef0123", 0.0150),
-            ("56789abcdef01234", 0.0153),
-            ("6789abcdef012345", 0.0149),
-            ("789abcdef0123456", 0.0152)])],
     "PERFDIFF_attribution.json": {
         "v": 1, "kind": "perfdiff",
-        "a": "baseline:benchmarks/baselines",
-        "b": "fresh:benchmarks/out",
+        "a": "bench/out/A.jsonl",
+        "b": "bench/out/B.jsonl",
         "threshold": 0.25, "drift": True,
-        "drifted": ["mc.successors"],
+        "drifted": ["gh-full/mc.canonical"],
         "rows": [
-            {"name": "mc.successors", "group": "explorer",
+            {"name": "gh-full/mc.canonical", "group": "gh-full",
              "units_a": 12000, "units_b": 17000, "delta": 5000,
              "delta_pct": 41.7, "drift": True,
-             "wall_a_s": 0.004, "wall_b_s": 0.0061},
-            {"name": "mc.dedup", "group": "explorer",
+             "wall_a_s": 0.4, "wall_b_s": 0.61},
+            {"name": "gh-full/interp.step", "group": "gh-full",
              "units_a": 6400, "units_b": 6210, "delta": -190,
-             "delta_pct": -3.0, "drift": False},
-            {"name": "analysis.classify", "group": "analysis-pass",
+             "delta_pct": -3.0, "drift": False,
+             "wall_a_s": 0.12, "wall_b_s": 0.118},
+            {"name": "corpus-analyze/cfg.build",
+             "group": "corpus-analyze",
              "units_a": 900, "units_b": 905, "delta": 5,
-             "delta_pct": 0.6, "drift": False}],
+             "delta_pct": 0.6, "drift": False,
+             "wall_a_s": 0.02, "wall_b_s": 0.02}],
         "groups": {
-            "explorer": {"units_a": 18400, "units_b": 23210,
-                         "delta": 4810, "delta_pct": 26.1},
-            "analysis-pass": {"units_a": 900, "units_b": 905,
-                              "delta": 5, "delta_pct": 0.6}},
+            "gh-full": {"units_a": 18400, "units_b": 23210,
+                        "delta": 4810, "delta_pct": 26.1},
+            "corpus-analyze": {"units_a": 900, "units_b": 905,
+                               "delta": 5, "delta_pct": 0.6}},
         "paths": [
             {"path": "mc.run;mc.successors", "wall_a_s": 0.004,
              "wall_b_s": 0.0061, "delta_s": 0.0021}]},
@@ -1309,10 +1084,6 @@ def fixture_inputs() -> ReportInputs:
         analyses=[("analysis.json", fx["analysis.json"])],
         mcs=[("mc.json", fx["mc.json"])],
         events=[("events.jsonl", fx["events.jsonl"])],
-        bench_fresh={"BENCH_mc.json": fx["BENCH_mc.json"]},
-        bench_baseline={"BENCH_mc.json": fx["baseline_BENCH_mc.json"]},
-        history=list(fx["history"]),
-        bench_history=[dict(e) for e in fx["BENCH_history"]],
         tables=[("crossval.txt", fx["crossval.txt"])],
         runs=[dict(m) for m in fx["runs"]],
         summaries=[("summary_stats.json",
@@ -1334,7 +1105,6 @@ def self_check() -> tuple[int, str]:
         problems.append(
             f"expected >=6 charts, got {html_text.count('<svg')}")
     for marker, what in (("flame chart", "flame chart"),
-                         ("Perf trajectory", "trend section"),
                          ("graph capture", "graph-capture analytics"),
                          ("statement heatmap", "statement heatmap"),
                          ("depth layers", "depth-layer chart"),
@@ -1342,10 +1112,7 @@ def self_check() -> tuple[int, str]:
                           "section"),
                          ("attributed work", "perfdiff attribution "
                           "table"),
-                         ("straggler", "fleet merge summary"),
-                         ("changepoint", "changepoint scan"),
-                         ("step marker", "changepoint-annotated "
-                          "trajectory chart")):
+                         ("straggler", "fleet merge summary")):
         if marker not in html_text:
             problems.append(f"{what} missing from fixture render")
     from repro.obs import schemas

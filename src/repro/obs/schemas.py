@@ -1,12 +1,12 @@
 """Central registry of per-subsystem schema versions.
 
 Every versioned artifact the observability stack emits — event
-streams, bench files, state-graph captures, profiles, counterexample
-documents, run-ledger manifests — stamps a ``"v"`` field so consumers
-can reject incompatible layouts.  Before this module the version
-literals were scattered across their emitting modules (and had already
-drifted once: the ledger reported ``bench: 1`` while the bench emitter
-wrote v2 files).  This registry is now the single source of truth:
+streams, state-graph captures, profiles, counterexample documents,
+run-ledger manifests — stamps a ``"v"`` field so consumers can reject
+incompatible layouts.  Before this module the version literals were
+scattered across their emitting modules (and had already drifted once
+between the ledger and an emitter).  This registry is now the single
+source of truth:
 
 * emitting modules import their constant from here
   (``events.SCHEMA_VERSION is schemas.EVENTS``);
@@ -24,10 +24,6 @@ from __future__ import annotations
 
 #: structured event stream records (:mod:`repro.obs.events`)
 EVENTS = 1
-
-#: v2 wrapped bench run documents (:mod:`repro.obs.export`); bare v1
-#: record arrays carry no stamp and remain accepted everywhere
-BENCH = 2
 
 #: JSONL state-graph capture artifacts (:mod:`repro.obs.graph`)
 GRAPH = 1
@@ -54,8 +50,8 @@ HEATMAP = 1
 SUMMARY = 2
 
 #: differential-profiling attribution documents
-#: (:mod:`repro.obs.perfdiff` — ``repro perf diff --json`` and the
-#: ``PERFDIFF_attribution.json`` artifact the watchdog auto-emits)
+#: (:mod:`repro.obs.perfdiff` — ``repro perf diff --json`` and its
+#: ``--out`` file)
 PERFDIFF = 1
 
 #: fleet merge-summary documents and worker spool layout
@@ -69,7 +65,6 @@ def registry() -> dict:
     the block stamped into run manifests and ``run_meta``."""
     return {
         "events": EVENTS,
-        "bench": BENCH,
         "graph": GRAPH,
         "profile": PROFILE,
         "manifest": MANIFEST,
@@ -91,11 +86,9 @@ def check_registry() -> list[str]:
     from repro.mc import cex
     from repro.obs import (events, fleet, graph, heatmap, ledger,
                            perfdiff, profile)
-    from repro.obs.export import BENCH_SCHEMA_VERSION
 
     live = {
         "events": events.SCHEMA_VERSION,
-        "bench": BENCH_SCHEMA_VERSION,
         "graph": graph.SCHEMA_VERSION,
         "profile": profile.PROFILE_VERSION,
         "manifest": ledger.SCHEMA_VERSION,

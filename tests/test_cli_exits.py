@@ -171,43 +171,6 @@ def test_experiments_unknown_name_exits_2(ledger_root, capsys):
     _assert_recorded(ledger_root, 2, "error")
 
 
-# -- bench: 0 ok / 1 drift / 2 usage -----------------------------------------------
-
-def test_bench_run_records_ledger_ok(ledger_root, tmp_path, capsys):
-    code = main(["bench", "run", "--quick",
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
-    manifest = _assert_recorded(ledger_root, 0, "ok")
-    names = {a["name"] for a in manifest["artifacts"]}
-    assert {"BENCH_analysis.json", "BENCH_mc.json"} <= names
-
-
-def test_bench_compare_drift_exits_1(ledger_root, tmp_path, capsys):
-    from repro.obs.export import bench_record, write_bench
-
-    def side(wall):
-        record = bench_record("mc/x", wall, states=10, transitions=20,
-                              stats={"repeats": 3, "min": wall,
-                                     "max": wall, "mean": wall,
-                                     "median": wall, "iqr": 0.0})
-        return [record]
-
-    a, b = tmp_path / "a", tmp_path / "b"
-    write_bench(a / "BENCH_mc.json", side(0.1))
-    write_bench(b / "BENCH_mc.json", side(0.2))
-    code = main(["bench", "compare", str(a), str(b)])
-    assert code == 1
-    _assert_recorded(ledger_root, 1, "drift")
-
-
-def test_bench_compare_usage_error_exits_2(ledger_root, tmp_path,
-                                           capsys):
-    code = main(["bench", "compare", str(tmp_path / "missing"),
-                 str(tmp_path / "missing2")])
-    assert code == 2
-    _assert_recorded(ledger_root, 2, "error")
-
-
 # -- machine-clean stdout: progress stays on stderr --------------------------------
 
 def test_mc_json_stdout_stays_parseable_with_progress(
@@ -224,29 +187,13 @@ def test_mc_json_stdout_stays_parseable_with_progress(
     assert "heatmap" in doc
 
 
-def test_bench_quick_json_stdout_stays_parseable(
-        ledger_root, tmp_path, capsys, monkeypatch):
-    import json
-
-    monkeypatch.setenv("REPRO_LEDGER", "0")
-    code = main(["bench", "run", "--quick", "--json",
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
-    captured = capsys.readouterr()
-    doc = json.loads(captured.out)       # heartbeats went to stderr
-    assert doc["files"] and doc["entry"]["metrics"]
-    assert "[bench]" not in captured.out
-
-
 # -- perf diff: 0 identical / 1 attributed drift / 2 bad operand -------------------
 
-def _bench_side(tmp_path, name, work):
-    from repro.obs.export import bench_record, write_bench
+def _bench_side(tmp_path, name, calls):
+    from tests.test_perfdiff import bench_record, write_bench_run
 
-    rec = bench_record("mc/x", 0.1, states=10, transitions=20)
-    rec["counters"] = {"mc.successors": {"calls": 0, "work": work}}
-    write_bench(tmp_path / name / "BENCH_mc.json", [rec])
-    return str(tmp_path / name)
+    return write_bench_run(tmp_path / f"{name}.jsonl", [bench_record(
+        layers={"mc.canonical": (calls, 0.01)})])
 
 
 def test_perf_diff_identical_exits_0(ledger_root, tmp_path, capsys):
@@ -280,7 +227,7 @@ def test_perf_diff_out_written_even_on_drift(ledger_root, tmp_path,
     assert main(["perf", "diff", a, b, "--json",
                  "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
-    assert doc["drifted"] == ["mc.successors"]
+    assert doc["drifted"] == ["gh-full/mc.canonical"]
     # stdout stays machine-parseable JSON too
     assert json.loads(capsys.readouterr().out)["drift"] is True
 
@@ -290,26 +237,6 @@ def test_perf_diff_is_not_ledgered(ledger_root, tmp_path, capsys):
     a = _bench_side(tmp_path, "a", 1000)
     assert main(["perf", "diff", a, a]) == 0
     assert ledger.list_runs(ledger_root) == []
-
-
-def test_bench_trend_changepoints_stays_informational(
-        ledger_root, tmp_path, capsys):
-    import json
-
-    walls = [0.0100, 0.0103, 0.0099, 0.0102,
-             0.0150, 0.0153, 0.0149, 0.0152]
-    history = tmp_path / "BENCH_history.jsonl"
-    history.write_text("\n".join(json.dumps(
-        {"at": float(i + 1),
-         "env": {"git_rev": "abc", "python": "3", "platform": "x",
-                 "cpu_count": 1},
-         "metrics": {"mc/x": {"wall_s": w, "iqr": 0.0003}}})
-        for i, w in enumerate(walls)) + "\n")
-    # a detected step is reported but never gates: exit stays 0
-    code = main(["bench", "trend", "--history", str(history),
-                 "--changepoints"])
-    assert code == 0
-    assert "[STEP] mc/x wall_s:" in capsys.readouterr().out
 
 
 # -- usage errors: thread specs and budget flags -----------------------------------
@@ -356,6 +283,37 @@ def test_experiments_bad_max_states_exits_2(ledger_root, capsys, value):
         main(["experiments", "section63", "--max-states", value])
     assert exc.value.code == 2
     assert "argument --max-states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["summaries", "gc", "--keep", "-1"],
+    ["summaries", "verify", "--sample", "-1"],
+    ["runs", "gc", "--keep", "-3"],
+    ["perf", "diff", "a", "b", "--threshold", "nan"],
+    ["perf", "diff", "a", "b", "--threshold", "-0.1"],
+    ["experiments", "section63", "--threads", "0"],
+    ["run", "x.synl", "P()", "--max-steps", "-5"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_numeric_flag_exits_2(ledger_root, capsys, argv):
+    flag = next(a for a in argv if a.startswith("--"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
+def test_summaries_gc_negative_keep_leaves_store_untouched(
+        ledger_root, tmp_path, capsys):
+    store = tmp_path / "store"
+    assert main(["analyze", "--incremental", "--summary-store",
+                 str(store), "--lenient",
+                 _write(tmp_path, "sem.synl", corpus.SEMAPHORE)]) == 0
+    before = sorted(p for p in store.rglob("*") if p.is_file())
+    assert before
+    with pytest.raises(SystemExit):
+        main(["summaries", "gc", "--keep", "-1", "--store", str(store)])
+    assert sorted(p for p in store.rglob("*") if p.is_file()) == before
 
 
 def test_mc_budget_flag_boundaries_accepted(ledger_root, tmp_path,

@@ -1,8 +1,8 @@
 """Differential profiling: side construction from every operand form
-(profile docs, bench records, folded files, ledger runs), the ranked
-attribution document, the increase-only drift gate, and the rendered
-table — plus schema validation, so ``perf diff --json`` output stays
-machine-checkable."""
+(``bench/run.py`` records, profile docs, folded files, ledger runs),
+the ranked attribution document, the increase-only drift gate, and the
+rendered table — plus schema validation, so ``perf diff --json``
+output stays machine-checkable."""
 
 from __future__ import annotations
 
@@ -10,14 +10,44 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs import ledger
-from repro.obs.export import (PERFDIFF_SCHEMA, bench_record, validate,
-                              write_bench)
+from repro.obs.export import PERFDIFF_SCHEMA, validate
 from repro.obs.perfdiff import (DEFAULT_THRESHOLD, WORK_FLOOR,
                                 attribute, diff_specs, group_of,
                                 render_attribution, resolve_side,
                                 side_from_folded, side_from_profile_doc,
                                 side_from_records)
+
+#: per-layer calls and self times of a small traced gh-full run
+LAYERS = {"interp.step": (553, 0.0070), "mc.canonical": (462, 0.0101),
+          "mc.explorer": (None, 0.0113), "mc.por": (0, 0.0)}
+
+
+def bench_record(workload="gh-full", layers=None, trace=1):
+    """One ``bench/run.py --out`` record; untraced records carry only
+    end-to-end metrics."""
+    metrics = {"work_per_s": {"value": 9000.0, "unit": "1/s"}}
+    if trace:
+        metrics = {"trace.overhead_ratio": {"value": 1.8,
+                                            "unit": "ratio"}}
+        for layer, (calls, self_s) in (layers or LAYERS).items():
+            if calls is not None:
+                metrics[f"{layer}.calls"] = {"value": calls,
+                                             "unit": "count"}
+            metrics[f"{layer}.self_s"] = {"value": self_s, "unit": "s"}
+    return {"workload": workload, "seed": 0, "trace": trace,
+            "quick": True, "correct": True, "attempted": 2,
+            "failed": 0, "metrics": metrics}
+
+
+def write_bench_run(path, records):
+    """Append records to a JSONL file as ``bench/run.py --out`` does."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+    return str(path)
 
 
 def _side(label, counters, wall=None):
@@ -30,6 +60,7 @@ def _side(label, counters, wall=None):
 # -- grouping ----------------------------------------------------------------------
 
 def test_group_of_prefixes():
+    assert group_of("gh-full/mc.canonical") == "gh-full"
     assert group_of("mc.successors") == "explorer"
     assert group_of("theorem.5.3") == "theorem"
     assert group_of("lint.checker.aba_discipline") == "lint-rule"
@@ -50,6 +81,14 @@ def test_rows_ranked_by_absolute_delta():
     report = attribute(a, b)
     assert [r["name"] for r in report["rows"]] == \
         ["mc.dedup", "mc.successors", "theorem.5.3"]
+
+
+def test_equal_call_deltas_rank_by_self_time_delta():
+    a = _side("a", {"w/x": (10, 0), "w/y": (10, 0)},
+              {"w/x": 0.1, "w/y": 0.1})
+    b = _side("b", {"w/x": (10, 0), "w/y": (10, 0)},
+              {"w/x": 0.15, "w/y": 0.4})
+    assert [r["name"] for r in attribute(a, b)["rows"]] == ["w/y", "w/x"]
 
 
 def test_growth_past_threshold_gates():
@@ -121,16 +160,27 @@ def test_side_from_profile_doc():
     assert side["folded"] == {"mc.run;mc.successors": 0.01}
 
 
-def test_side_from_records_sums_counters():
-    records = [
-        {"name": "mc/a", "wall_s": 0.1,
-         "counters": {"mc.successors": {"calls": 1, "work": 10}}},
-        {"name": "mc/b", "wall_s": 0.2,
-         "counters": {"mc.successors": {"calls": 2, "work": 20}}}]
+def test_side_from_records_takes_per_workload_medians():
+    records = [bench_record(layers={"mc.canonical": (calls, self_s)})
+               for calls, self_s in ((400, 0.3), (462, 0.1),
+                                     (500, 0.2))]
+    records.append(bench_record("table2-nfq",
+                                {"mc.canonical": (766, 0.02)}))
+    records.append(bench_record(trace=0))       # no layers: skipped
     side = side_from_records("x", records)
-    assert side["counters"]["mc.successors"] == \
-        {"calls": 3, "work": 30}
-    assert side["wall"] == {"mc/a": 0.1, "mc/b": 0.2}
+    assert side["counters"] == {
+        "gh-full/mc.canonical": {"calls": 462, "work": 0},
+        "table2-nfq/mc.canonical": {"calls": 766, "work": 0}}
+    assert side["wall"] == {"gh-full/mc.canonical": 0.2,
+                            "table2-nfq/mc.canonical": 0.02}
+
+
+def test_side_from_records_keeps_timed_layers_without_calls():
+    side = side_from_records("x", [bench_record()])
+    # mc.explorer has only a self time; mc.por was never entered
+    assert side["counters"]["gh-full/mc.explorer"]["calls"] == 0
+    assert side["wall"]["gh-full/mc.explorer"] == 0.0113
+    assert "gh-full/mc.por" not in side["counters"]
 
 
 def test_side_from_folded_usecs_to_seconds():
@@ -143,11 +193,14 @@ def test_side_from_folded_usecs_to_seconds():
 # -- operand resolution ------------------------------------------------------------
 
 def test_resolve_side_bench_dir(tmp_path):
-    rec = bench_record("mc/x", 0.1, states=10, transitions=20)
-    rec["counters"] = {"mc.successors": {"calls": 1, "work": 10}}
-    write_bench(tmp_path / "BENCH_mc.json", [rec])
+    # every *.jsonl in the directory joins the side, as in compare.py
+    write_bench_run(tmp_path / "a.jsonl", [bench_record()])
+    write_bench_run(tmp_path / "b.jsonl", [bench_record("table2-nfq")])
+    (tmp_path / "notes.txt").write_text("not a record\n")
     side = resolve_side(str(tmp_path))
-    assert side["counters"]["mc.successors"]["work"] == 10
+    assert side["counters"]["gh-full/mc.canonical"]["calls"] == 462
+    assert "table2-nfq/interp.step" in side["counters"]
+    assert side["label"] == str(tmp_path)
 
 
 def test_resolve_side_collapsed_stack_file(tmp_path):
@@ -165,11 +218,16 @@ def test_resolve_side_unknown_operand_raises(tmp_path):
 def test_resolve_side_ledger_run(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "runs"))
     rec = ledger.start(["analyze", "x.synl"], "analyze")
-    rec.add_artifact("profile.json", {
-        "v": 1, "hotspots": [
-            {"name": "analysis.classify", "calls": 1, "work": 7,
-             "wall_s": 0.001, "share": 1.0}]})
-    rec.finish(0, "ok")
+    try:
+        rec.add_artifact("profile.json", {
+            "v": 1, "hotspots": [
+                {"name": "analysis.classify", "calls": 1, "work": 7,
+                 "wall_s": 0.001, "share": 1.0}]})
+        rec.finish(0, "ok")
+    finally:
+        # release the module-global recorder, or every later ledgered
+        # command in this process records nothing
+        ledger.stop(rec)
     side = resolve_side("last", root=tmp_path / "runs")
     assert side["counters"]["analysis.classify"]["work"] == 7
     assert side["label"].startswith("ledger:")
@@ -192,11 +250,57 @@ def test_render_clean_diff_says_so():
 
 
 def test_diff_specs_end_to_end(tmp_path):
-    for name, work in (("a", 1000), ("b", 1600)):
-        rec = bench_record("mc/x", 0.1, states=10, transitions=20)
-        rec["counters"] = {"mc.successors": {"calls": 0, "work": work}}
-        write_bench(tmp_path / name / "BENCH_mc.json", [rec])
+    for name, calls in (("a", 1000), ("b", 1600)):
+        write_bench_run(tmp_path / name / "run.jsonl", [bench_record(
+            layers={"mc.canonical": (calls, 0.01)})])
     report = diff_specs(str(tmp_path / "a"), str(tmp_path / "b"),
                         threshold=DEFAULT_THRESHOLD)
     assert report["drift"] is True
+    assert report["drifted"] == ["gh-full/mc.canonical"]
     assert validate(report, PERFDIFF_SCHEMA) == []
+
+
+# -- repro perf diff over bench/run.py records -------------------------------------
+
+def test_perf_diff_identical_bench_runs_exit_0(tmp_path, capsys):
+    records = [bench_record(), bench_record("table2-nfq")]
+    a = write_bench_run(tmp_path / "a.jsonl", records)
+    b = write_bench_run(tmp_path / "b.jsonl", records)
+    assert main(["perf", "diff", a, b, "--threshold", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "no attributed drift" in out
+    # the table ranks <workload>/<layer> rows and shows self times
+    assert "gh-full/mc.canonical" in out and "wall A ms" in out
+
+
+def test_perf_diff_doubled_layer_calls_exit_1(tmp_path, capsys):
+    doubled = dict(LAYERS, **{"interp.step": (1106, 0.0140)})
+    a = write_bench_run(tmp_path / "a.jsonl", [bench_record()])
+    b = write_bench_run(tmp_path / "b.jsonl",
+                        [bench_record(layers=doubled)])
+    assert main(["perf", "diff", a, b, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["drifted"] == ["gh-full/interp.step"]
+    top = doc["rows"][0]
+    assert (top["name"], top["group"], top["units_a"],
+            top["units_b"]) == ("gh-full/interp.step", "gh-full",
+                                553, 1106)
+    assert (top["wall_a_s"], top["wall_b_s"]) == (0.007, 0.014)
+    assert validate(doc, PERFDIFF_SCHEMA) == []
+
+
+def test_perf_diff_untraced_only_exits_2(tmp_path, capsys):
+    a = write_bench_run(tmp_path / "a.jsonl", [bench_record(trace=0)])
+    b = write_bench_run(tmp_path / "b.jsonl", [bench_record()])
+    assert main(["perf", "diff", a, b]) == 2
+    assert "no profile data" in capsys.readouterr().err
+
+
+def test_perf_diff_directory_operand(tmp_path, capsys):
+    a = write_bench_run(tmp_path / "a" / "run.jsonl",
+                        [bench_record(), bench_record()])
+    b = write_bench_run(tmp_path / "b.jsonl", [bench_record()])
+    assert main(["perf", "diff", str(tmp_path / "a"), b,
+                 "--threshold", "0"]) == 0
+    assert f"perf diff: {tmp_path / 'a'} -> {b}" in \
+        capsys.readouterr().out

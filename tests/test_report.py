@@ -78,7 +78,7 @@ def test_check_html_flags_missing_sections_and_external_assets():
     full = render_report(fixture_inputs())
     truncated = full[: full.index("id='sec-coverage'") - 20]
     problems = check_html(truncated)
-    assert "coverage" in problems and "bench" in problems
+    assert "coverage" in problems and "forensics" in problems
     leaky = full.replace(
         "</body>", "<script src='https://cdn.example/x.js'></script>"
         "</body>")
@@ -98,7 +98,6 @@ def test_classify_by_shape():
     assert classify("a.json", fx["analysis.json"]) == "analysis"
     assert classify("m.json", fx["mc.json"]) == "mc"
     assert classify("e.jsonl", fx["events.jsonl"]) == "events"
-    assert classify("b.json", fx["BENCH_mc.json"]) == "bench"
     assert classify("l.json",
                     fx["analysis.json"]["lint"]) == "lint"
     assert classify("x.json", {"unrelated": 1}) is None
@@ -113,12 +112,6 @@ def test_collect_inputs_scans_and_buckets(tmp_path):
     (tmp_path / "mc.json").write_text(json.dumps(fx["mc.json"]))
     (tmp_path / "events.jsonl").write_text(
         "\n".join(json.dumps(e) for e in fx["events.jsonl"]))
-    (tmp_path / "BENCH_mc.json").write_text(
-        json.dumps(fx["BENCH_mc.json"]))
-    (tmp_path / "REGRESS_history.jsonl").write_text(
-        "\n".join(json.dumps(e) for e in fx["history"]))
-    (tmp_path / "BENCH_history.jsonl").write_text(
-        "\n".join(json.dumps(e) for e in fx["BENCH_history"]))
     (tmp_path / "crossval.txt").write_text(fx["crossval.txt"])
     (tmp_path / "summary_stats.json").write_text(
         json.dumps(fx["summary_stats.json"]))
@@ -128,19 +121,15 @@ def test_collect_inputs_scans_and_buckets(tmp_path):
         run_dir = tmp_path / manifest["run_id"]
         run_dir.mkdir()
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
-    baselines = tmp_path / "baselines"
-    baselines.mkdir()
-    (baselines / "BENCH_mc.json").write_text(
-        json.dumps(fx["baseline_BENCH_mc.json"]))
+    (tmp_path / "PERFDIFF_attribution.json").write_text(
+        json.dumps(fx["PERFDIFF_attribution.json"]))
 
-    inputs = collect_inputs([tmp_path], baseline_dir=baselines)
+    inputs = collect_inputs([tmp_path])
     assert [label for label, _ in inputs.analyses] == ["analysis.json"]
     assert [label for label, _ in inputs.mcs] == ["mc.json"]
     assert [label for label, _ in inputs.events] == ["events.jsonl"]
-    assert set(inputs.bench_fresh) == {"BENCH_mc.json"}
-    assert set(inputs.bench_baseline) == {"BENCH_mc.json"}
-    assert len(inputs.history) == 2
-    assert len(inputs.bench_history) == 8
+    assert [label for label, _ in inputs.perfdiffs] \
+        == ["PERFDIFF_attribution.json"]
     assert [label for label, _ in inputs.tables] == ["crossval.txt"]
     assert [label for label, _ in inputs.summaries] \
         == ["summary_stats.json"]
@@ -194,52 +183,13 @@ def test_cli_report_no_inputs_errors(tmp_path, capsys, monkeypatch):
     assert "no inputs" in capsys.readouterr().err
 
 
-# -- perf trajectory + flame chart -------------------------------------------------
-
-def test_trend_section_renders_from_history():
-    html_text = render_report(fixture_inputs())
-    assert "Perf trajectory" in html_text
-    assert "8 bench run(s)" in html_text
-    # sparkline glyphs from repro.obs.bench make it into the table
-    assert any(ch in html_text for ch in "▁▂▃▄▅▆▇█")
-
-
-def test_trend_placeholder_never_dropped():
-    html_text = render_report(ReportInputs())
-    assert "id='sec-trend'" in html_text
-    assert "repro bench run" in html_text      # the how-to hint
-    assert check_html(html_text) == []
-
+# -- flame chart -------------------------------------------------------------------
 
 def test_flame_chart_rendered_from_folded_profile():
     html_text = render_report(fixture_inputs())
     assert "flame chart (collapsed region stacks)" in html_text
     # nested frames from the fixture's collapsed stacks appear as rects
     assert "mc.successors" in html_text
-
-
-def test_classify_v2_bench_document():
-    doc = {"v": 2, "at": 1.0, "repeats": 3,
-           "env": {"python": "3.x", "platform": "t", "cpu_count": 1},
-           "records": list(SELF_CHECK_FIXTURE["BENCH_mc.json"])}
-    assert classify("BENCH_mc.json", doc) == "bench"
-
-
-def test_collect_inputs_unwraps_v2_and_routes_history(tmp_path):
-    fx = SELF_CHECK_FIXTURE
-    v2 = {"v": 2, "at": 1.0, "repeats": 3,
-          "env": {"python": "3.x", "platform": "t", "cpu_count": 1},
-          "records": list(fx["BENCH_mc.json"])}
-    (tmp_path / "BENCH_mc.json").write_text(json.dumps(v2))
-    (tmp_path / "BENCH_history.jsonl").write_text(
-        "\n".join(json.dumps(e) for e in fx["BENCH_history"]))
-    inputs = collect_inputs([tmp_path])
-    # v2 wrappers are unwrapped to bare record lists for the table
-    assert inputs.bench_fresh["BENCH_mc.json"] == fx["BENCH_mc.json"]
-    assert len(inputs.bench_history) == 8
-    html_text = render_report(inputs)
-    assert check_html(html_text) == []
-    assert "Perf trajectory" in html_text and "bench run(s)" in html_text
 
 
 # -- state-space section (graph captures + statement heatmap) ----------------------
@@ -300,16 +250,12 @@ def test_classify_perfdiff_document():
     assert classify("anything.json", doc) == "perfdiff"
 
 
-def test_forensics_section_renders_attribution_and_steps():
+def test_forensics_section_renders_attribution():
     html_text = render_report(fixture_inputs())
     assert "id='sec-forensics'" in html_text
-    assert "DRIFT: mc.successors" in html_text
+    assert "DRIFT: gh-full/mc.canonical" in html_text
     assert "attributed work" in html_text
-    # the fixture history carries an injected step: the changepoint
-    # scan must annotate it with the git rev of the new regime
-    assert "changepoint scan" in html_text
-    assert "456789abcd" in html_text
-    assert "step marker" in html_text
+    assert "per-region work delta" in html_text
 
 
 def test_forensics_placeholder_when_absent():
@@ -325,4 +271,4 @@ def test_collect_inputs_buckets_perfdiff(tmp_path):
     inputs = collect_inputs([tmp_path])
     (label_doc,) = inputs.perfdiffs
     assert label_doc[0] == "PERFDIFF_attribution.json"
-    assert label_doc[1]["drifted"] == ["mc.successors"]
+    assert label_doc[1]["drifted"] == ["gh-full/mc.canonical"]
