@@ -63,11 +63,25 @@ thread that observed a bumped address is rendered again too: its
 current counters may have gone stale.  Anything else, e.g. a global or
 a frame that moves a ref or a heap write that links a fresh object,
 falls back to the full walk.  Keys are the same either way.
+
+**Collapsed keys.**  A context keeps the key as ids: an
+:class:`Interner` gives each distinct component (globals key, thread
+key, heap entry, locks key) an id from 1 up and keeps the component
+under it, so equal components are one object and ``KeyContext.key``
+rebuilds the nested key from them.  ``slots`` lists the ids in key
+order: globals, each thread, each heap object, locks.  ``packed`` puts
+slot ``p`` in bits ``SLOT_BITS * (p + 1)`` and up of one int, leaving
+the lowest slot to the explorer's ghosts.  No slot is zero, so for one
+interner and one thread count, two packed ints are equal exactly when
+the keys are, heaps of different sizes included.  An incremental key
+adds ``(new - old) << SLOT_BITS * (p + 1)`` for each slot it rendered
+again; the full walk packs every slot.  An id too wide for its slot
+raises instead of aliasing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.interp.state import Thread, World
 from repro.interp.values import HeapArray, HeapObject, Ref
@@ -75,6 +89,11 @@ from repro.interp.values import HeapArray, HeapObject, Ref
 #: the roots a walk starts from: globals and whole threads, globals and
 #: thread-locals, globals only
 _STATE, _QUIESCENT, _SHARED = range(3)
+
+#: the width of one component id's slot in a packed state key
+#: (:class:`KeyContext`); an :class:`Interner` refuses ids that do not
+#: fit
+SLOT_BITS = 32
 
 
 def _refs(values) -> Optional[tuple]:
@@ -357,25 +376,66 @@ def _walk(world: World, roots: int) -> tuple:
             _locks_key(world.locks, ids), ids, ends)
 
 
+class Interner(dict):
+    """One exploration's hash-consing table: ``interner[part]`` is the
+    id of a key component (a globals key, thread key, heap entry, locks
+    key or ghosts tuple), from 1 up in first-seen order, and
+    ``objects[id]`` is the component itself, the one object every key
+    holding an equal component shares.  A miss assigns the next id; an
+    id that would not fit a :data:`SLOT_BITS`-bit slot raises
+    ``OverflowError`` rather than alias another component's."""
+
+    __slots__ = ("objects",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: id -> component; id 0 stands for none
+        self.objects: list = [None]
+
+    def __missing__(self, part) -> int:
+        objects = self.objects
+        n = len(objects)
+        if n >> SLOT_BITS:
+            raise OverflowError(
+                f"state key component #{n} does not fit a {SLOT_BITS}-bit "
+                f"slot of the packed state key")
+        objects.append(part)
+        self[part] = n
+        return n
+
+
+def _pack(slots: list) -> int:
+    """``slots`` as one int: slot ``p`` in bits ``SLOT_BITS * (p + 1)``
+    and up, bits below ``SLOT_BITS`` zero."""
+    packed = 0
+    for n in reversed(slots):
+        packed = (packed | n) << SLOT_BITS
+    return packed
+
+
 class KeyContext:
     """What keying a world leaves for keying the worlds stepped from it
-    (:func:`state_key` with ``base``): the world's key, its numbering
-    (``ids``, read-only and shared by every context that reuses it),
-    the numbering's component boundaries (``ends`` of :func:`_walk`),
-    the world's threads and the fragments their keys were rendered
-    from, and its globals, locks and versions, to compare with a
-    successor's.  ``KeyContext(intern)`` stands for no world yet."""
+    (:func:`state_key` with ``base``): the world's key as the ids of its
+    components (``slots``: globals, each thread, each heap object, then
+    the locks) and those ids packed into one int (``packed``, see
+    :func:`_pack`), its numbering (``ids``, read-only and shared by
+    every context that reuses it), the numbering's component boundaries
+    (``ends`` of :func:`_walk`), the world's threads and the fragments
+    their keys were rendered from, and its globals, locks and versions,
+    to compare with a successor's.  ``KeyContext(intern)`` stands for
+    no world yet."""
 
-    __slots__ = ("intern", "key", "ids", "ends", "threads", "frags",
-                 "globals", "locks", "versions")
+    __slots__ = ("intern", "slots", "packed", "ids", "ends", "threads",
+                 "frags", "globals", "locks", "versions")
 
-    def __init__(self, intern: Callable, key: Optional[tuple] = None,
-                 ids: Optional[dict] = None, ends: Optional[list] = None,
-                 frags: Optional[list] = None,
+    def __init__(self, intern: Interner, slots: Optional[list] = None,
+                 packed: int = 0, ids: Optional[dict] = None,
+                 ends: Optional[list] = None, frags: Optional[list] = None,
                  world: Optional[World] = None) -> None:
-        #: the hash-consing function the key's components went through
+        #: the interner the key's components went through
         self.intern = intern
-        self.key = key
+        self.slots = slots
+        self.packed = packed
         self.ids = ids
         self.ends = ends
         self.frags = frags
@@ -387,15 +447,28 @@ class KeyContext:
             self.globals, self.locks = world.globals, world.locks
             self.versions = world.versions
 
+    @property
+    def key(self) -> Optional[tuple]:
+        """The world's key, ``(globals_key, thread_keys, heap_key,
+        locks_key)``, made of the interned components."""
+        slots = self.slots
+        if slots is None:
+            return None
+        objects = self.intern.objects
+        heap = len(self.frags) + 1
+        return (objects[slots[0]],
+                tuple([objects[n] for n in slots[1:heap]]),
+                tuple([objects[n] for n in slots[heap:-1]]),
+                objects[slots[-1]])
 
-def _full_context(world: World, intern: Callable) -> KeyContext:
+
+def _full_context(world: World, intern: Interner) -> KeyContext:
     """``world``'s context from a full walk."""
     globals_key, thread_keys, heap_key, locks_key, ids, ends = \
         _walk(world, _STATE)
-    key = (intern(globals_key, globals_key),
-           tuple([intern(t, t) for t in thread_keys]),
-           tuple([intern(e, e) for e in heap_key]), locks_key)
-    return KeyContext(intern, key, ids, ends,
+    slots = [intern[globals_key], *map(intern.__getitem__, thread_keys),
+             *map(intern.__getitem__, heap_key), intern[locks_key]]
+    return KeyContext(intern, slots, _pack(slots), ids, ends,
                       [t.canon for t in world.threads], world)
 
 
@@ -403,18 +476,20 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
     """``world``'s context from ``base``, the context of the world it
     was copied from: only the components its step wrote are re-rendered,
     under ``base``'s numbering, plus the unwritten threads that observed
-    a bumped counter.  None when a written component introduces other
-    refs than before, which would change the numbering."""
+    a bumped counter, and only their slots of the packed key change.
+    None when a written component introduces other refs than before,
+    which would change the numbering."""
     ids, ends, intern = base.ids, base.ends, base.intern
-    globals_key, thread_keys, heap_key, locks_key = base.key
+    slots = base.slots
+    # (slot, id) of each component rendered again
+    rendered = []
     values = world.globals
     if values != base.globals:
         items = sorted(values.items())
         refs = _refs([v for _name, v in items]) or ()
         if not _introduces(refs, ids, 0, ends[0]):
             return None
-        globals_key = _renamed(items, ids)
-        globals_key = intern(globals_key, globals_key)
+        rendered.append((0, intern[_renamed(items, ids)]))
 
     versions = world.versions
     bumped = None
@@ -423,7 +498,7 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
         bumped = {addr for addr, counter in versions.items()
                   if before.get(addr) != counter}
     frags = base_frags = base.frags
-    keys = None
+    components = intern.objects
     for tid, thread in enumerate(world.threads):
         base_frag = base_frags[tid]
         frag = thread.canon
@@ -445,20 +520,16 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
             if frags is base_frags:
                 frags = list(frags)
             frags[tid] = frag
-        if keys is None:
-            keys = list(thread_keys)
-        key = _thread_key(frag, base_frag, thread_keys[tid], ids,
+        key = _thread_key(frag, base_frag, components[slots[tid + 1]], ids,
                           ends[tid + 1], versions, bumped)
-        keys[tid] = intern(key, key)
-    if keys is not None:
-        thread_keys = tuple(keys)
+        rendered.append((tid + 1, intern[key]))
 
     written = world.heap.owned
     if written:
         objects = world.heap.objects
         # heap object n's boundaries are ends[first + n - 1], ends[first + n]
+        # and its slot is first + n
         first = len(frags)
-        entries = None
         for oid in written:
             ref = ids.get(oid)
             if ref is None:
@@ -471,18 +542,19 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
             if not _introduces(frag[3] or (), ids, ends[first + n - 1],
                                ends[first + n]):
                 return None
-            if entries is None:
-                entries = list(heap_key)
-            entry = _heap_entry(frag, n, ids)
-            entries[n - 1] = intern(entry, entry)
-        if entries is not None:
-            heap_key = tuple(entries)
+            rendered.append((first + n, intern[_heap_entry(frag, n, ids)]))
 
     locks = world.locks
     if locks != base.locks:
-        locks_key = _locks_key(locks, ids)
-    return KeyContext(intern, (globals_key, thread_keys, heap_key, locks_key),
-                      ids, ends, frags, world)
+        rendered.append((len(slots) - 1, intern[_locks_key(locks, ids)]))
+
+    packed = base.packed
+    if rendered:
+        slots = list(slots)
+        for slot, new in rendered:
+            packed += (new - slots[slot]) << SLOT_BITS * (slot + 1)
+            slots[slot] = new
+    return KeyContext(intern, slots, packed, ids, ends, frags, world)
 
 
 def state_key(world: World, base: Optional[KeyContext] = None):
@@ -490,11 +562,12 @@ def state_key(world: World, base: Optional[KeyContext] = None):
     walk.
 
     Given ``base`` — the :class:`KeyContext` of the world ``world`` was
-    copied from, or ``KeyContext(intern)`` for a world without one —
+    copied from, or ``KeyContext(interner)`` for a world without one —
     returns ``world``'s own context instead.  Its ``key`` is the same
-    key, each globals key, thread key and heap entry passed through
-    ``base.intern``; it is built from ``base`` when the writes since
-    the copy left the numbering as it was, else by a full walk.
+    key, each component interned in ``base.intern``, and its ``packed``
+    int is equal for two worlds exactly when their keys are; both are
+    built from ``base`` when the writes since the copy left the
+    numbering as it was, else by a full walk.
     ``world`` must not have been copied since it was, and the world
     ``base`` was built from must not have had its globals, locks,
     versions or heap written since (its threads may be)."""

@@ -19,13 +19,18 @@ one), a state cap, and violation traces.
 Each state is keyed incrementally, from the key context of the state
 it was stepped from (``state_key(world, base)``, kept on the stack
 entry and on the successor): only what the step wrote is keyed again.
-The seen set holds exact keys, hash-consed: each run interns every
-state key's globals key, thread keys and heap entries as they are
-keyed, so a stored key is a small tuple of components shared with
-every other state that has them.  Key values, and so dedup and
-graph-capture node ids, are those of a from-scratch
-:func:`~repro.mc.canonical.state_key` walk; the table is dropped when
-:meth:`Explorer.run` returns.
+The seen set is collapsed, as in SPIN's COLLAPSE mode, and still
+exact: each run interns every distinct globals key, thread key, heap
+entry, locks key and ghosts tuple as a small id
+(:class:`~repro.mc.canonical.Interner`), and a state is one int, its
+world key's packed component ids (``KeyContext.packed``) with the
+ghosts' id in the low slot.  A transition without events keeps its
+parent's ghosts and their id.  The DFS stack set and the cycle proviso
+test the packed world key alone.  Observers still get the nested key,
+``(world key, ghosts)``, built from the interned components only when
+an observer is attached; its value, and so graph-capture node ids, is
+that of a from-scratch :func:`~repro.mc.canonical.state_key` walk.
+The interner is dropped when :meth:`Explorer.run` returns.
 
 It collects only the core counters (:meth:`Explorer._metrics`).  All
 other telemetry — events, profiler regions, heartbeat and deadline,
@@ -47,8 +52,8 @@ from repro.errors import AssertionViolation
 from repro.interp.interp import AssumeFailed, Interp
 from repro.interp.state import Event, ThreadSpec, World
 from repro.mc.atomic import run_to_commit, run_variant
-from repro.mc.canonical import (KeyContext, quiescent_key, shared_key,
-                                state_key)
+from repro.mc.canonical import (Interner, KeyContext, quiescent_key,
+                                shared_key, state_key)
 from repro.mc.por import SafetyCache
 from repro.mc.properties import Property
 from repro.obs import ledger
@@ -182,8 +187,8 @@ class Explorer:
         # ample-set bookkeeping (plain ints: DFS is single-threaded)
         self.ample_reduced = 0
         self.ample_full = 0
-        #: the intern table's ``setdefault`` while :meth:`run` runs
-        self._intern: Optional[Callable] = None
+        #: the key components' interner while :meth:`run` runs
+        self._intern: Optional[Interner] = None
 
     # -- successor generation --------------------------------------------------
     def _step_thread(self, world: World, tid: int) -> _Succ:
@@ -277,19 +282,24 @@ class Explorer:
         :meth:`_run`."""
         for succ in succs:
             succ.ctx = state_key(succ.world, base)
-            if succ.ctx.key in on_stack:
+            if succ.ctx.packed in on_stack:
                 return True
         return False
 
     @staticmethod
-    def _key(succ: _Succ, ghosts: tuple, base: KeyContext) -> tuple:
-        """The dedup key of a successor state, keyed from ``base``."""
+    def _key(succ: _Succ, ghosts_id: int, base: KeyContext) -> int:
+        """The dedup key of a successor state, keyed from ``base``: its
+        packed world key with ``ghosts_id`` in the low slot."""
         if succ.ctx is None:
             succ.ctx = state_key(succ.world, base)
-        return (succ.ctx.key, ghosts)
+        return succ.ctx.packed | ghosts_id
 
     # -- property plumbing -------------------------------------------------------
     def _apply_events(self, ghosts: tuple, events: list[Event]) -> tuple:
+        """The ghosts after ``events``; ``ghosts`` itself when there
+        are none."""
+        if not events or not ghosts:
+            return ghosts
         out = list(ghosts)
         for i, prop in enumerate(self.properties):
             g = out[i]
@@ -332,9 +342,9 @@ class Explorer:
         # would only rescan the ever-growing seen set: keep it off
         gc_was_enabled = gc.isenabled()
         gc.disable()
-        # keys are hash-consed through a table that lives as long as
+        # key components are interned in a table that lives as long as
         # the search
-        self._intern = {}.setdefault
+        self._intern = Interner()
         start = time.perf_counter()
         try:
             max_depth = self._run(result)
@@ -355,14 +365,17 @@ class Explorer:
         """The DFS; fills ``result`` and returns the maximum depth."""
         obs = self.observer
         collect = self.collect_quiescent
+        intern = self._intern
         world0 = self.interp.make_world(self.specs)
         ghosts0 = tuple(p.initial_ghost() for p in self.properties)
-        ctx0 = state_key(world0, KeyContext(self._intern))
-        key0 = (ctx0.key, ghosts0)
-        seen = {key0}
+        gid0 = intern[ghosts0]
+        ctx0 = state_key(world0, KeyContext(intern))
+        # a state is one int: its world key's packed component ids, the
+        # ghosts' id in the low slot
+        seen = {ctx0.packed | gid0}
         result.states = 1
         if obs is not None:
-            obs.state(key0, world0, 1)
+            obs.state((ctx0.key, ghosts0), world0, 1)
         message = self._check(world0, ghosts0)
         if message is not None:
             result.violation = message
@@ -372,11 +385,12 @@ class Explorer:
         if self.max_states is not None and result.states >= self.max_states:
             result.capped = True
             return 1
-        on_stack = {key0[0]}
-        # entries: [key, world, ghosts, successors (None until
+        # the packed world keys on the stack
+        on_stack = {ctx0.packed}
+        # entries: [world, ghosts, their id, successors (None until
         # expanded), next successor index, step that reached it, key
         # context]
-        stack = [[key0, world0, ghosts0, None, 0, _INIT_STEP, ctx0]]
+        stack = [[world0, ghosts0, gid0, None, 0, _INIT_STEP, ctx0]]
         max_depth = 1
         loop_i = 0
         while stack:
@@ -388,14 +402,14 @@ class Explorer:
                 result.deadline_hit = True
                 break
             entry = stack[-1]
-            key, world, ghosts, succs, index, _step, ctx = entry
+            world, ghosts, gid, succs, index, _step, ctx = entry
             if succs is None:
                 succs = entry[3] = self._successors(world, ctx, on_stack)
                 if obs is not None:
                     obs.expanded(ghosts, succs)
             if index >= len(succs):
                 stack.pop()
-                on_stack.discard(key[0])
+                on_stack.discard(ctx.packed)
                 if obs is not None:
                     obs.pop(len(stack))
                 continue
@@ -408,17 +422,19 @@ class Explorer:
                 continue  # disabled transition
             result.transitions += 1
             new_ghosts = self._apply_events(ghosts, succ.events)
-            new_key = self._key(succ, new_ghosts, ctx)
+            new_gid = gid if new_ghosts is ghosts else intern[new_ghosts]
+            new_key = self._key(succ, new_gid, ctx)
             dup = new_key in seen
             if obs is not None:
-                obs.transition(succ, new_key, dup)
+                nested = (succ.ctx.key, new_ghosts)
+                obs.transition(succ, nested, dup)
             if dup:
                 continue
             seen.add(new_key)
             result.states += 1
             depth = len(stack) + 1
             if obs is not None:
-                obs.state(new_key, succ.world, depth)
+                obs.state(nested, succ.world, depth)
             message = self._check(succ.world, new_ghosts)
             if message is not None:
                 self._violation(result, stack, succ, message)
@@ -429,8 +445,8 @@ class Explorer:
                     and result.states >= self.max_states:
                 result.capped = True
                 break
-            on_stack.add(new_key[0])
-            stack.append([new_key, succ.world, new_ghosts, None, 0,
+            on_stack.add(succ.ctx.packed)
+            stack.append([succ.world, new_ghosts, new_gid, None, 0,
                           succ.step_info(), succ.ctx])
             if depth > max_depth:
                 max_depth = depth

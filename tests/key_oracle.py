@@ -6,7 +6,10 @@ the same world without a context and without a cached fragment: a
 full walk of a copy whose threads and heap objects are fresh
 (:func:`fresh_key`).  :class:`FromScratch` compares the two on every
 transition of a search, duplicates included, and digests both
-sequences.
+sequences.  It also checks the dedup itself, which the explorer does
+on packed ints: a transition is a duplicate exactly when its nested
+key was seen before, and the search counts as many states as it saw
+distinct nested keys.
 
 Run as a module, it is the key-exactness canary: GH with threads
 ``Apply(1..3)`` at 20,000 states and the two correct Table 2 rows in
@@ -50,7 +53,9 @@ def fresh_key(world: World) -> tuple:
 class FromScratch(observers.Observer):
     """Checks each dedup key (the initial state's and every
     transition's) against :func:`fresh_key` of its world, with the same
-    ghosts, and digests both sequences with SHA-1."""
+    ghosts, and digests both sequences with SHA-1.  Checks each
+    transition's ``dup`` flag against the nested keys seen so far, and
+    their number against the states the search counted."""
 
     def __init__(self) -> None:
         self.dedup = hashlib.sha1()
@@ -58,21 +63,45 @@ class FromScratch(observers.Observer):
         self.checked = 0
         #: the first few ``(dedup key, from-scratch key)`` that differ
         self.mismatches: list[tuple] = []
+        #: the distinct from-scratch keys with their ghosts
+        self.keys: set = set()
+        #: transitions whose ``dup`` flag disagrees with ``keys``
+        self.dup_mismatches = 0
+        #: ``result.states`` once the search is over
+        self.states: Optional[int] = None
 
-    def _check(self, key: tuple, world: World) -> None:
+    def _check(self, key: tuple, world: World) -> tuple:
+        """The from-scratch key with ``key``'s ghosts: ``key`` itself,
+        whose components are shared, when the two are equal."""
         expected = (fresh_key(world), key[1])
         self.dedup.update(repr(key).encode())
         self.scratch.update(repr(expected).encode())
         self.checked += 1
-        if key != expected and len(self.mismatches) < 5:
+        if key == expected:
+            return key
+        if len(self.mismatches) < 5:
             self.mismatches.append((key, expected))
+        return expected
 
     def state(self, key, world, depth):
         if depth == 1:
-            self._check(key, world)
+            self.keys.add(self._check(key, world))
 
     def transition(self, succ, key, dup):
-        self._check(key, succ.world)
+        expected = self._check(key, succ.world)
+        if dup != (expected in self.keys):
+            self.dup_mismatches += 1
+        self.keys.add(expected)
+
+    def finish(self, result):
+        self.states = result.states
+
+    @property
+    def exact(self) -> bool:
+        """Every key, dedup flag and the state count agreed."""
+        return (not self.mismatches and not self.dup_mismatches
+                and self.dedup.digest() == self.scratch.digest()
+                and len(self.keys) == self.states)
 
 
 def explore(interp, specs, mode: str, max_states: Optional[int] = None,
@@ -107,10 +136,12 @@ def main() -> int:
     failed = False
     for label, (result, oracle) in canary_runs():
         same = oracle.dedup.digest() == oracle.scratch.digest()
-        failed |= not same or bool(oracle.mismatches)
+        failed |= not oracle.exact
         print(f"{label}: {result.states} states, {oracle.checked} keys, "
               f"sha1 {oracle.dedup.hexdigest()} "
-              f"{'==' if same else '!='} {oracle.scratch.hexdigest()}")
+              f"{'==' if same else '!='} {oracle.scratch.hexdigest()}, "
+              f"{len(oracle.keys)} distinct, "
+              f"{oracle.dup_mismatches} dedup mismatches")
     print("key exactness canary:", "FAILED" if failed else "ok")
     return 1 if failed else 0
 

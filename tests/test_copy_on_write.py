@@ -19,7 +19,7 @@ from repro.interp import AssumeFailed, Interp, ThreadSpec
 from repro.interp.state import World
 from repro.interp.values import HeapArray, HeapObject
 from repro.mc import run_to_commit, run_variant, state_key
-from repro.mc.canonical import (KeyContext, _object_fragment,
+from repro.mc.canonical import (Interner, KeyContext, _object_fragment,
                                 _thread_fragment)
 
 PROGRAMS = {
@@ -196,7 +196,7 @@ def _key_or_none(world, base=None):
 
 def _context(world: World) -> KeyContext:
     """``world``'s key context, for keying its copies incrementally."""
-    return state_key(world, KeyContext({}.setdefault))
+    return state_key(world, KeyContext(Interner()))
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,6 +1,7 @@
 """Hash-consed state keys: an exploration stores each distinct globals
-key, thread key and heap entry once, through an intern table that lives
-as long as ``Explorer.run``.  Key values are those of a from-scratch
+key, thread key, heap entry, locks key and ghosts tuple once, through
+an interner that lives as long as ``Explorer.run``, and each seen state
+as one int of their ids.  Key values are those of a from-scratch
 ``state_key`` walk, so dedup stays exact."""
 
 import gc
@@ -11,6 +12,7 @@ import pytest
 from repro import corpus
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, QueueContents, QueueShape, observers
+from repro.mc import canonical
 from tests.key_oracle import fresh_key
 
 GH = Interp(corpus.GH_PROGRAM1)
@@ -40,7 +42,63 @@ def test_memory_per_explored_state():
     finally:
         tracemalloc.stop()
     assert result.capped and result.states == 5000
-    assert peak / result.states <= 1500
+    # ~460 B measured with a packed int per seen state, ~555 B with
+    # nested key tuples (CPython 3.11)
+    assert peak / result.states <= 600
+
+
+class _TracedAtState(observers.Observer):
+    """The traced memory when the search counts its ``n``-th state."""
+
+    def __init__(self, n):
+        self.n = n
+        self.states = 0
+        self.traced = None
+
+    def state(self, key, world, depth):
+        self.states += 1
+        if self.states == self.n:
+            self.traced = tracemalloc.get_traced_memory()[0]
+
+
+def test_memory_per_explored_state_with_ghosts():
+    # what the search holds at its last state, per state: the seen set,
+    # the interner, the stack; ~315 B measured with a packed int per
+    # seen state, ~475 B with nested key tuples and a ghosts tuple per
+    # state (CPython 3.11)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        probe = _TracedAtState(1500)
+        result = Explorer(NFQ, NFQ_SPECS, mode="full",
+                          properties=[QueueShape(), QueueContents()],
+                          max_states=1500, observer=probe).run()
+    finally:
+        tracemalloc.stop()
+    assert result.capped and result.violation is None
+    assert probe.traced / result.states <= 400
+
+
+def test_interner_refuses_an_id_wider_than_its_slot(monkeypatch):
+    monkeypatch.setattr(canonical, "SLOT_BITS", 3)
+    interner = canonical.Interner()
+    assert [interner[(n,)] for n in range(7)] == [1, 2, 3, 4, 5, 6, 7]
+    assert interner[(3,)] == 4 and interner.objects[4] == (3,)
+    with pytest.raises(OverflowError, match="3-bit slot"):
+        interner[(7,)]
+
+
+def test_narrow_slots_keep_dedup_or_raise(monkeypatch):
+    expected = Explorer(GH, GH_SPECS[:2], mode="full", max_states=40).run()
+    monkeypatch.setattr(canonical, "SLOT_BITS", 8)
+    narrow = Explorer(GH, GH_SPECS[:2], mode="full", max_states=40).run()
+    assert (narrow.states, narrow.transitions) == \
+        (expected.states, expected.transitions)
+    monkeypatch.setattr(canonical, "SLOT_BITS", 4)
+    explorer = Explorer(GH, GH_SPECS[:2], mode="full", max_states=40)
+    with pytest.raises(OverflowError, match="4-bit slot"):
+        explorer.run()
+    assert explorer._intern is None
 
 
 @pytest.mark.parametrize("mode", ["full", "por", "atomic"])

@@ -13,9 +13,9 @@ from repro import corpus
 from repro.analysis import analyze_program
 from repro.interp import Interp, ThreadSpec
 from repro.experiments.section63 import commutes
-from repro.mc import QueueContents, QueueShape
-from repro.mc.canonical import KeyContext, state_key
-from tests.key_oracle import canary_runs, explore, fresh_key
+from repro.mc import Explorer, Property, QueueContents, QueueShape
+from repro.mc.canonical import Interner, KeyContext, state_key
+from tests.key_oracle import FromScratch, canary_runs, explore, fresh_key
 
 GH = Interp(corpus.GH_PROGRAM1)
 GH_SPECS = [ThreadSpec.of(("Apply", i)) for i in (1, 2, 3)]
@@ -30,6 +30,9 @@ def _assert_exact(oracle) -> None:
     assert oracle.checked > 1
     assert oracle.mismatches == []
     assert oracle.dedup.digest() == oracle.scratch.digest()
+    # the dedup on packed ints agrees with the nested keys
+    assert oracle.dup_mismatches == 0
+    assert len(oracle.keys) == oracle.states
 
 
 def test_key_exactness_canary_small():
@@ -60,6 +63,40 @@ def _nfq_variants() -> tuple[Interp, dict]:
         src: [v.name for v in vs] for src, vs in variant_set.by_source.items()}
 
 
+class _ReturnOrder(Property):
+    """Ghost: the tids in the order their operations returned.  Worlds
+    reached in another order can be equal, their ghosts are not."""
+
+    def initial_ghost(self):
+        return ()
+
+    def on_event(self, ghost, event):
+        return ghost + (event.tid,) if event.kind == "return" else ghost
+
+
+def test_ghosts_the_world_does_not_determine_are_exact():
+    result, oracle = explore(GH, GH_SPECS[:2], "full", None,
+                             [_ReturnOrder()])
+    _assert_exact(oracle)
+    # equal worlds with other ghosts are other states
+    assert result.states > Explorer(GH, GH_SPECS[:2], mode="full").run().states
+
+
+class _FlipsOneDup(FromScratch):
+    """Reports one transition with the wrong ``dup`` flag."""
+
+    def transition(self, succ, key, dup):
+        super().transition(succ, key, dup != (self.checked == 9))
+
+
+def test_oracle_catches_a_wrong_dup_flag():
+    oracle = _FlipsOneDup()
+    Explorer(GH, GH_SPECS[:2], mode="full", max_states=200,
+             observer=oracle).run()
+    assert oracle.mismatches == [] and oracle.dup_mismatches == 1
+    assert not oracle.exact
+
+
 def test_variant_successors_are_exact():
     variant_interp, variant_map = _nfq_variants()
     _assert_exact(explore(NFQ, NFQ_SPECS, "atomic",
@@ -72,7 +109,7 @@ def test_variant_successors_are_exact():
 
 def _root(interp: Interp, *calls: str):
     world = interp.make_world([ThreadSpec.of((c,)) for c in calls])
-    return world, state_key(world, KeyContext({}.setdefault))
+    return world, state_key(world, KeyContext(Interner()))
 
 
 def _step(interp: Interp, world, ctx, tid: int):
