@@ -74,6 +74,8 @@ class Interp:
         for proc in extra_procs or []:
             self.proc_params[proc.name] = [
                 proc.param_bindings[name] for name in proc.params]
+        #: node uid -> :meth:`_node_is_local`, filled on first use
+        self._local: dict[int, bool] = {}
 
     # -- world construction ----------------------------------------------------
     def make_world(self, specs: list[ThreadSpec]) -> World:
@@ -179,6 +181,42 @@ class Interp:
         thread.frame = frame
         return world.emit(Event("invoke", tid, display or name,
                                 tuple(args)))
+
+    # -- thread-local steps ---------------------------------------------------
+    def local_step(self, thread: Thread) -> bool:
+        """Does ``thread``'s next step read and write nothing but its
+        own frame, thread-locals and reservations?  Then it is a
+        both-mover whose outcome, successor thread and event alike,
+        is a function of the thread alone, whatever world holds it.
+        Invoking and returning qualify, and so do the nodes
+        :meth:`_node_is_local` accepts."""
+        frame = thread.frame
+        if frame is None:
+            return True
+        node = frame.node
+        if node is None:
+            return True
+        local = self._local.get(node.uid)
+        if local is None:
+            local = self._local[node.uid] = self._node_is_local(node)
+        return local
+
+    @staticmethod
+    def _node_is_local(node: CFGNode) -> bool:
+        """Is every action of ``node`` (§3.3, :func:`node_actions`) a
+        plain read or write of a local, parameter or thread-local, or
+        a ``VL`` test of the thread's own reservation?  Control nodes
+        have no actions.  Globals, fields, elements, allocation, LL,
+        SC, CAS and lock operations fail (SC and CAS also emit
+        ``interp.sc``/``interp.cas`` events)."""
+        # imported on first use: loading repro.analysis costs ~50 ms
+        # that a plain interpreter run does not need
+        from repro.analysis.actions import node_actions
+
+        return all(a.via == "VL" or (a.via == "plain"
+                                     and a.op in ("read", "write")
+                                     and a.target.kind == "var")
+                   for a in node_actions(node))
 
     # -- the step function ----------------------------------------------------------
     def step(self, world: World, tid: Optional[int],

@@ -7,6 +7,18 @@ checker's branching exploration) and canonicalized
 stores and lock table are copied eagerly, threads and the heap on write
 (:meth:`World.own_thread`, :class:`repro.interp.values.Heap`).
 
+Threads carry two caches for the model checker, both derived from the
+thread's own contents and both dropped by :meth:`World.own_thread`
+before every write: ``canon``, its key fragment
+(:mod:`repro.mc.canonical`), and ``memo``, its next step when that
+step is thread-local (:class:`repro.mc.explorer.StepMemo`).  A step
+qualifies when it reads and writes nothing but the thread's own frame,
+thread-locals and reservations (:meth:`repro.interp.interp.Interp.local_step`),
+so its successor is a function of the thread alone.  The memo holds
+that successor thread, which no world owns (:meth:`World.disown`):
+a world that steps it again copies it first, so a cached thread never
+changes.
+
 Each thread executes a :class:`ThreadSpec`: a list of procedure
 invocations (optionally repeated forever), which models the paper's
 environment that "invokes procedures with arbitrary arguments and an
@@ -19,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cfg.graph import CFGNode, ProcCFG
-from repro.interp.values import Heap, Value, canon_slot
+from repro.interp.values import Heap, Value, cache_slot
 
 Addr = tuple  # ('g', name) | ('t', tid, name) | ('f', oid, fd) | ('e', oid, i)
 
@@ -82,7 +94,11 @@ class Thread:
     steps: int = 0
     #: :mod:`repro.mc.canonical`'s cached key fragment of this thread;
     #: :meth:`World.own_thread` clears it before every write
-    canon: Optional[tuple] = canon_slot()
+    canon: Optional[tuple] = cache_slot()
+    #: :mod:`repro.mc.explorer`'s memo of this thread's next step, when
+    #: that step is thread-local; :meth:`World.own_thread` clears it
+    #: before every write
+    memo: Optional[object] = cache_slot()
 
     @property
     def done(self) -> bool:
@@ -129,14 +145,19 @@ class World:
 
     def own_thread(self, tid: int) -> Thread:
         """Thread ``tid`` made safe to write: a shared thread is
-        replaced by a private copy, an owned one drops its cache."""
+        replaced by a private copy, an owned one drops its caches."""
         thread = self.threads[tid]
         if tid in self._owned:
-            thread.canon = None
+            thread.canon = thread.memo = None
             return thread
         thread = self.threads[tid] = thread.copy()
         self._owned.add(tid)
         return thread
+
+    def disown(self, tid: int) -> None:
+        """Give up thread ``tid``: from now on it is shared, and a
+        write copies it first."""
+        self._owned.discard(tid)
 
     def emit(self, event: Event) -> Event:
         event.seq = self._seq

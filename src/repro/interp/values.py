@@ -23,11 +23,13 @@ class Ref:
         return f"@{self.oid}"
 
 
-def canon_slot():
-    """The slot where :mod:`repro.mc.canonical` caches a heap object's
-    or a thread's rename-independent key fragment; the owner clears it
-    on every write (:class:`Heap`, ``World.own_thread``).  Not an
-    argument, not compared, not shown."""
+def cache_slot():
+    """A slot where the model checker caches something derived from a
+    heap object's or a thread's contents: :mod:`repro.mc.canonical`'s
+    rename-independent key fragment, or :mod:`repro.mc.explorer`'s
+    memo of a thread-local step.  The owner clears it on every write
+    (:class:`Heap`, ``World.own_thread``).  Not an argument, not
+    compared, not shown, not copied."""
     return field(default=None, init=False, repr=False, compare=False)
 
 
@@ -35,7 +37,7 @@ def canon_slot():
 class HeapObject:
     class_name: str
     fields: dict[str, Value] = field(default_factory=dict)
-    canon: Optional[tuple] = canon_slot()
+    canon: Optional[tuple] = cache_slot()
 
     def copy(self) -> "HeapObject":
         return HeapObject(self.class_name, dict(self.fields))
@@ -45,7 +47,7 @@ class HeapObject:
 class HeapArray:
     class_name: str
     cells: list[Value] = field(default_factory=list)
-    canon: Optional[tuple] = canon_slot()
+    canon: Optional[tuple] = cache_slot()
 
     def copy(self) -> "HeapArray":
         return HeapArray(self.class_name, list(self.cells))

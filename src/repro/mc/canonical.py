@@ -77,6 +77,24 @@ the keys are, heaps of different sizes included.  An incremental key
 adds ``(new - old) << SLOT_BITS * (p + 1)`` for each slot it rendered
 again; the full walk packs every slot.  An id too wide for its slot
 raises instead of aliasing.
+
+**Thread-local steps.**  A step that reads and writes only its
+thread's own state (``Interp.local_step``) leaves every other
+component as it was, so the successor's packed key is the parent's
+with one thread slot changed.  The explorer memoizes such a step on
+the parent thread, and with it ``keys``: the map from ``(the parent
+thread's key id, refs numbered before the thread)`` to the successor
+thread's key id.  Those two determine the successor's key id, because
+the parent thread's key renders the number of every ref it holds, and
+the start says which of them the thread introduces.  The map is
+filled by :func:`note_step_key` from a rekey that kept the numbering
+and whose successor thread holds only refs the parent thread held.
+:func:`step_key` reads it, but only while every thread of the parent
+world is still the one the parent's context keyed (``canon`` is the
+context's fragment): the explorer's lock peek may write one after
+keying.  :func:`step_context` builds the successor's context, once the
+explorer has built its world, from the parent's context and that
+slot.
 """
 
 from __future__ import annotations
@@ -555,6 +573,57 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
             packed += (new - slots[slot]) << SLOT_BITS * (slot + 1)
             slots[slot] = new
     return KeyContext(intern, slots, packed, ids, ends, frags, world)
+
+
+def step_key(base: KeyContext, threads: list, tid: int,
+             keys: dict) -> Optional[int]:
+    """The packed key of the world of ``base``, now holding ``threads``,
+    after thread ``tid`` took the thread-local step whose key ids
+    ``keys`` maps (see the module docstring): ``base.packed`` with
+    thread ``tid``'s slot changed.  None when ``keys`` lacks the
+    thread's key id and start, or when a thread was written since
+    ``base`` keyed it."""
+    slots = base.slots
+    old = slots[tid + 1]
+    new = keys.get((old, base.ends[tid]))
+    if new is None:
+        return None
+    for thread, frag in zip(threads, base.frags):
+        if thread.canon is not frag:
+            return None
+    return base.packed + ((new - old) << SLOT_BITS * (tid + 2))
+
+
+def note_step_key(keys: dict, base: KeyContext, ctx: KeyContext,
+                  tid: int, before: Thread) -> None:
+    """Record in ``keys`` the key id ``ctx`` gave thread ``tid``, after
+    the thread-local step that took ``before``, keyed by ``base``, to
+    the world of ``ctx``: when the rekey kept the numbering, ``base``
+    keyed ``before`` itself, and the successor holds no ref
+    ``before`` did not."""
+    frag = base.frags[tid]
+    if ctx.ids is not base.ids or before.canon is not frag:
+        return
+    after = ctx.frags[tid]
+    held = {ref.oid for ref in (*(frag[2] or ()), *(frag[4] or ()))}
+    for ref in (*(after[2] or ()), *(after[4] or ())):
+        if ref.oid not in held:
+            return
+    keys[(base.slots[tid + 1], base.ends[tid])] = ctx.slots[tid + 1]
+
+
+def step_context(base: KeyContext, world: World, tid: int,
+                 packed: int) -> KeyContext:
+    """The context of ``world``, stepped from the world of ``base`` by
+    thread ``tid``'s thread-local step, whose packed key
+    :func:`step_key` gave as ``packed``."""
+    slot = tid + 1
+    slots = list(base.slots)
+    slots[slot] += (packed - base.packed) >> SLOT_BITS * (slot + 1)
+    frags = list(base.frags)
+    frags[tid] = world.threads[tid].canon
+    return KeyContext(base.intern, slots, packed, base.ids, base.ends,
+                      frags, world)
 
 
 def state_key(world: World, base: Optional[KeyContext] = None):

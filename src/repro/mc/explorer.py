@@ -32,6 +32,33 @@ an observer is attached; its value, and so graph-capture node ids, is
 that of a from-scratch :func:`~repro.mc.canonical.state_key` walk.
 The interner is dropped when :meth:`Explorer.run` returns.
 
+**Memoized thread-local steps.**  A step that reads and writes nothing
+but its thread's own frame, thread-locals and reservations
+(``Interp.local_step``: invoking, returning, control nodes, and
+statements and branches over locals, including ``VL``; never globals,
+fields, elements, allocation, LL/SC/CAS or locks) is a both-mover
+whose successor is a function of the thread alone.  The first time a
+thread takes such a step, :meth:`Explorer._step_thread` steps a copy
+as usual and caches a :class:`StepMemo` on the parent thread: the
+successor thread, which no world owns from then on, so it never
+changes, and the step's events.  A step that raises is not cached.
+The memo lives in the thread's ``memo`` slot, which
+``World.own_thread`` drops on every write, as it drops ``canon``.
+Later, any world holding the same thread object takes the step with
+no copy and no interpreter step, and its key is the parent's with one
+slot changed (:func:`~repro.mc.canonical.step_key`, with the memo's
+map of thread key ids) whenever the map knows the thread's key id and
+no thread was written since the parent was keyed; otherwise the
+successor world is built and keyed as any other.
+
+**Lazy successors.**  Such a successor carries its parent world and
+the memo instead of a world (``_Succ.parent``); :meth:`Explorer._run`
+builds the world, a copy of the parent holding the cached thread, and
+its key context only when the packed key is new.  With an observer
+attached every successor world is built at once, since observers
+read worlds (``GraphCapture`` reads ``world is None`` as disabled);
+the keys, and so what is explored, are the same either way.
+
 It collects only the core counters (:meth:`Explorer._metrics`).  All
 other telemetry — events, profiler regions, heartbeat and deadline,
 tracemalloc, graph capture, coverage — is an observer passed as
@@ -50,10 +77,11 @@ from typing import Callable, Optional
 
 from repro.errors import AssertionViolation
 from repro.interp.interp import AssumeFailed, Interp
-from repro.interp.state import Event, ThreadSpec, World
+from repro.interp.state import Event, Thread, ThreadSpec, World
 from repro.mc.atomic import run_to_commit, run_variant
-from repro.mc.canonical import (Interner, KeyContext, quiescent_key,
-                                shared_key, state_key)
+from repro.mc.canonical import (Interner, KeyContext, note_step_key,
+                                quiescent_key, shared_key, state_key,
+                                step_context, step_key)
 from repro.mc.por import SafetyCache
 from repro.mc.properties import Property
 from repro.obs import ledger
@@ -134,9 +162,23 @@ class MCResult:
                 f"time={self.elapsed:.2f}s {status}")
 
 
-@dataclass
+@dataclass(slots=True)
+class StepMemo:
+    """A thread-local step, cached on the thread it steps from (its
+    ``memo`` slot): the successor thread, owned by no world, the
+    step's events, and ``keys``, the successor's thread key ids
+    (:func:`~repro.mc.canonical.note_step_key`)."""
+
+    thread: Thread
+    events: list[Event]
+    keys: dict = field(default_factory=dict)
+
+
+@dataclass(slots=True)
 class _Succ:
     desc: str
+    #: the successor world; None for a disabled or violating step, and
+    #: for a memo hit not built yet (one whose ``parent`` is set)
     world: Optional[World]
     events: list[Event]
     violation: Optional[str] = None
@@ -149,6 +191,13 @@ class _Succ:
     #: ``world``'s :class:`~repro.mc.canonical.KeyContext`, computed at
     #: most once: by the cycle proviso or by the dedup in ``_run``
     ctx: Optional[KeyContext] = None
+    #: ``world``'s packed key, 0 until computed; a memo hit may have it
+    #: before ``world`` and ``ctx`` are built
+    packed: int = 0
+    #: the parent thread's memo, when the step is thread-local
+    memo: Optional[StepMemo] = None
+    #: the world stepped from, when the step is thread-local
+    parent: Optional[World] = None
 
     def step_info(self) -> dict:
         return {"tid": self.tid, "uid": self.uid, "desc": self.desc,
@@ -192,8 +241,11 @@ class Explorer:
 
     # -- successor generation --------------------------------------------------
     def _step_thread(self, world: World, tid: int) -> _Succ:
-        w = world.copy()
-        thread = w.threads[tid]
+        """Thread ``tid``'s one-statement successor.  A thread-local
+        step is taken from the thread's memo when it has one, without
+        its world unless an observer is attached, and cached in a new
+        memo when it has not."""
+        thread = world.threads[tid]
         frame = thread.frame
         node = frame.node if frame is not None else None
         uid = node.uid if node is not None else None
@@ -203,6 +255,14 @@ class Explorer:
             kind = "stmt" if node is not None else "return"
             proc = frame.proc_name
         desc = f"t{tid}@{node.uid if node else 'call'}"
+        memo = thread.memo
+        if memo is not None:
+            succ = _Succ(desc, None, memo.events, tid=tid, uid=uid,
+                         kind=kind, proc=proc, memo=memo, parent=world)
+            if self.observer is not None:
+                self._build(succ)
+            return succ
+        w = world.copy()
         try:
             event = self.interp.step(w, tid)
         except AssumeFailed:
@@ -211,8 +271,22 @@ class Explorer:
         except AssertionViolation as exc:
             return _Succ(desc, None, [], violation=str(exc),
                          tid=tid, uid=uid, kind=kind, proc=proc)
-        return _Succ(desc, w, [event] if event is not None else [],
-                     tid=tid, uid=uid, kind=kind, proc=proc)
+        events = [event] if event is not None else []
+        succ = _Succ(desc, w, events, tid=tid, uid=uid, kind=kind,
+                     proc=proc)
+        if self.interp.local_step(thread):
+            # freeze the stepped thread: a world that writes it copies it
+            w.disown(tid)
+            succ.memo = thread.memo = StepMemo(w.threads[tid], events)
+            succ.parent = world
+        return succ
+
+    @staticmethod
+    def _build(succ: _Succ) -> None:
+        """Build a memo hit's world: its parent holding the cached
+        successor thread."""
+        world = succ.world = succ.parent.copy()
+        world.threads[succ.tid] = succ.memo.thread
 
     def _atomic_one(self, world: World, tid: int) -> list[_Succ]:
         name, _args = world.threads[tid].current_call()
@@ -261,7 +335,9 @@ class Explorer:
                 succs = self.expand_thread(world, tid)
                 if any(s.violation is not None for s in succs):
                     return succs
-                real = [s for s in succs if s.world is not None]
+                # a memo hit has no world yet, but is a transition
+                real = [s for s in succs
+                        if s.world is not None or s.parent is not None]
                 if not real:
                     continue  # disabled here; try another thread
                 if self._closes_cycle(real, ctx, on_stack):
@@ -281,18 +357,43 @@ class Explorer:
         the first that does, and keeps those keys for the dedup in
         :meth:`_run`."""
         for succ in succs:
-            succ.ctx = state_key(succ.world, base)
-            if succ.ctx.packed in on_stack:
+            if self._packed(succ, base) in on_stack:
                 return True
         return False
 
-    @staticmethod
-    def _key(succ: _Succ, ghosts_id: int, base: KeyContext) -> int:
+    def _packed(self, succ: _Succ, base: KeyContext) -> int:
+        """The packed world key of a successor, keyed from ``base``, its
+        parent's key context, at most once.  A memo hit whose key the
+        memo's map gives keeps no context until ``_run`` builds its
+        world; any other successor keeps its context (a memo hit's
+        world is built first), and a thread-local step records its key
+        id in the memo."""
+        packed = succ.packed
+        if packed:
+            return packed
+        memo = succ.memo
+        if memo is not None:
+            packed = step_key(base, succ.parent.threads, succ.tid,
+                              memo.keys)
+            if packed is not None:
+                succ.packed = packed
+                if succ.world is not None:
+                    succ.ctx = step_context(base, succ.world, succ.tid,
+                                            packed)
+                return packed
+            if succ.world is None:
+                self._build(succ)
+        ctx = succ.ctx = state_key(succ.world, base)
+        if memo is not None:
+            note_step_key(memo.keys, base, ctx, succ.tid,
+                          succ.parent.threads[succ.tid])
+        succ.packed = ctx.packed
+        return ctx.packed
+
+    def _key(self, succ: _Succ, ghosts_id: int, base: KeyContext) -> int:
         """The dedup key of a successor state, keyed from ``base``: its
         packed world key with ``ghosts_id`` in the low slot."""
-        if succ.ctx is None:
-            succ.ctx = state_key(succ.world, base)
-        return succ.ctx.packed | ghosts_id
+        return self._packed(succ, base) | ghosts_id
 
     # -- property plumbing -------------------------------------------------------
     def _apply_events(self, ghosts: tuple, events: list[Event]) -> tuple:
@@ -309,11 +410,14 @@ class Explorer:
         return tuple(out)
 
     def _check(self, world: World, ghosts: tuple) -> Optional[str]:
+        quiescent = None  # asked once, when a property needs it
         for prop, ghost in zip(self.properties, ghosts):
             message = prop.check_state(world, self.interp, ghost)
             if message is not None:
                 return message
-            if world.quiescent():
+            if quiescent is None:
+                quiescent = world.quiescent()
+            if quiescent:
                 message = prop.check_quiescent(world, self.interp, ghost)
                 if message is not None:
                     return message
@@ -418,7 +522,7 @@ class Explorer:
             if succ.violation is not None:
                 self._violation(result, stack, succ, succ.violation)
                 break
-            if succ.world is None:
+            if succ.world is None and succ.parent is None:
                 continue  # disabled transition
             result.transitions += 1
             new_ghosts = self._apply_events(ghosts, succ.events)
@@ -431,6 +535,11 @@ class Explorer:
             if dup:
                 continue
             seen.add(new_key)
+            if succ.ctx is None:
+                # a memo hit keyed from its parent's context alone
+                self._build(succ)
+                succ.ctx = step_context(ctx, succ.world, succ.tid,
+                                        succ.packed)
             result.states += 1
             depth = len(stack) + 1
             if obs is not None:
