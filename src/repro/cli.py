@@ -11,8 +11,6 @@
     python -m repro report -o out.html   # unified HTML report artifact
     python -m repro graph stats G.jsonl  # state-graph capture analytics
     python -m repro graph diff A B       # structural drift between runs
-    python -m repro top EVENTS.jsonl     # live dashboard over an events file
-    python -m repro top SPOOL_DIR        # fleet dashboard over worker spools
     python -m repro analyze --corpus --jobs 4      # parallel corpus pass
     python -m repro experiments section63 --jobs 4 # parallel variant grid
     python -m repro perf diff A B        # attributed perf forensics
@@ -868,6 +866,29 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _diff_command(args, compute: Callable[[], dict],
+                  render: Callable[[dict], str],
+                  drifted: Callable[[dict], bool]) -> int:
+    """The one output and exit path of ``runs diff``, ``graph diff``
+    and ``perf diff``: exit 0 when ``compute()``'s document shows no
+    drift, 1 on drift, 2 when an operand is unreadable.  ``--out``
+    (``perf diff`` only) writes the document whatever the verdict, so
+    CI uploads it from failing and passing runs alike; ``--json``
+    prints it instead of the rendered text."""
+    try:
+        doc = compute()
+    except (ReproError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = getattr(args, "out", None)
+    if out:
+        path = pathlib.Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(doc, indent=2) if args.json else render(doc))
+    return 1 if drifted(doc) else 0
+
+
 def cmd_perf(args) -> int:
     """Perf regression forensics (docs/OBSERVABILITY.md).  ``diff``
     resolves two profile-bearing operands — ledger run tokens exactly
@@ -881,24 +902,11 @@ def cmd_perf(args) -> int:
 
     threshold = args.threshold if args.threshold is not None \
         else perfdiff.DEFAULT_THRESHOLD
-    try:
-        side_a = perfdiff.resolve_side(args.a, root=args.root)
-        side_b = perfdiff.resolve_side(args.b, root=args.root)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = perfdiff.attribute(side_a, side_b, threshold=threshold)
-    if args.out:
-        # written regardless of the exit code — CI uploads the
-        # attribution artifact from failing and passing runs alike
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(perfdiff.render_attribution(report))
-    return 1 if report["drift"] else 0
+    return _diff_command(
+        args, lambda: perfdiff.diff_specs(args.a, args.b,
+                                          threshold=threshold,
+                                          root=args.root),
+        perfdiff.render_attribution, lambda doc: doc["drift"])
 
 
 def cmd_graph(args) -> int:
@@ -910,6 +918,13 @@ def cmd_graph(args) -> int:
     2 usage error) — the structural twin of ``runs diff``."""
     from repro.obs import graph as graph_mod
 
+    if args.graph_cmd == "diff":
+        return _diff_command(
+            args, lambda: graph_mod.diff_graphs(
+                graph_mod.read_graph(args.a),
+                graph_mod.read_graph(args.b)),
+            lambda doc: graph_mod.render_diff(doc, args.a, args.b),
+            lambda doc: not doc["identical"])
     try:
         if args.graph_cmd == "stats":
             stats = graph_mod.graph_stats(
@@ -919,42 +934,19 @@ def cmd_graph(args) -> int:
             else:
                 print(graph_mod.render_stats(stats))
             return 0
-        if args.graph_cmd == "dot":
-            cap = args.max_nodes if args.max_nodes is not None \
-                else graph_mod.DEFAULT_DOT_CAP
-            dot = graph_mod.to_dot(graph_mod.read_graph(args.capture),
-                                   max_nodes=cap)
-            if args.output:
-                pathlib.Path(args.output).write_text(dot)
-                print(f"wrote {args.output}")
-            else:
-                print(dot)
-            return 0
-        # diff
-        drift = graph_mod.diff_graphs(graph_mod.read_graph(args.a),
-                                      graph_mod.read_graph(args.b))
-        if args.json:
-            print(json.dumps(drift, indent=2))
+        cap = args.max_nodes if args.max_nodes is not None \
+            else graph_mod.DEFAULT_DOT_CAP
+        dot = graph_mod.to_dot(graph_mod.read_graph(args.capture),
+                               max_nodes=cap)
+        if args.output:
+            pathlib.Path(args.output).write_text(dot)
+            print(f"wrote {args.output}")
         else:
-            print(graph_mod.render_diff(drift, args.a, args.b))
-        return 0 if drift["identical"] else 1
+            print(dot)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def cmd_top(args) -> int:
-    """Live dashboard over an ``--events-out`` JSONL (docs/
-    OBSERVABILITY.md).  Attaches by tailing the file — no shared
-    process state — and exits 0 once the run ends (or the duration
-    elapses), 2 when no events ever appeared."""
-    from repro.obs import top
-
-    interval = args.interval if args.interval is not None \
-        else top.DEFAULT_INTERVAL
-    return top.run_top(args.events_file, interval=interval,
-                       duration=args.duration, once=args.once,
-                       as_json=args.json)
 
 
 def cmd_experiments(args) -> int:
@@ -1048,14 +1040,14 @@ def cmd_runs(args) -> int:
         print(json.dumps(ledger.load_manifest(root, run_id), indent=2))
         return 0
     if args.runs_cmd == "diff":
-        a = ledger.load_manifest(root, ledger.resolve_run(root, args.a))
-        b = ledger.load_manifest(root, ledger.resolve_run(root, args.b))
-        diff = rundiff.diff_manifests(a, b)
-        if args.json:
-            print(json.dumps(diff, indent=2))
-        else:
-            print(rundiff.render_diff(diff))
-        return 0 if diff["empty"] else 1
+        def load(token):
+            return ledger.load_manifest(root,
+                                        ledger.resolve_run(root, token))
+
+        return _diff_command(
+            args, lambda: rundiff.diff_manifests(load(args.a),
+                                                 load(args.b)),
+            rundiff.render_diff, lambda doc: not doc["empty"])
     # gc
     removed = ledger.gc(root, keep=args.keep)
     print(f"removed {len(removed)} run(s), kept {args.keep} most "
@@ -1343,29 +1335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a machine-readable JSON document "
                         "instead of text")
     q.set_defaults(fn=cmd_graph)
-
-    p = sub.add_parser("top",
-                       help="live dashboard over a running "
-                            "exploration's --events-out JSONL, or a "
-                            "fleet spool directory "
-                            "(docs/OBSERVABILITY.md)")
-    p.add_argument("events_file", metavar="EVENTS_JSONL_OR_SPOOL",
-                   help="the file a running 'repro mc --events-out' "
-                        "is streaming to, or a --jobs run's spool "
-                        "directory (one row per worker plus "
-                        "aggregate throughput)")
-    p.add_argument("--interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="refresh period (default: 1.0)")
-    p.add_argument("--duration", type=float, default=None,
-                   metavar="SECONDS",
-                   help="detach after N seconds (default: 60)")
-    p.add_argument("--once", action="store_true",
-                   help="render one frame from the file's current "
-                        "contents and exit (no TTY needed)")
-    p.add_argument("--json", action="store_true",
-                   help="print the final dashboard state as JSON")
-    p.set_defaults(fn=cmd_top)
 
     p = sub.add_parser("experiments", parents=[obs],
                        help="regenerate a table/figure of the paper")

@@ -23,7 +23,7 @@ with ``if stream is not None`` — disabled instrumentation costs one
 attribute check.
 Every record is additionally stamped with the emitting process id
 (``pid``), and — when the stream was created by a fleet worker — the
-worker label (``worker``), so events from N merged worker spools stay
+worker label (``worker``), so the events in N worker spools stay
 attributable and land on per-process Chrome-trace lanes.
 """
 
@@ -59,9 +59,8 @@ KINDS = {
     "lint.run": ("target", "errors", "warnings", "infos"),  # lint summary
     # ranked profiler entry (Profiler.emit_hotspots, top-N at run end)
     "profile.hotspot": ("name", "wall_s", "work", "calls"),
-    # --progress heartbeat from the DFS (also printed to stderr);
-    # `repro top` tails these — the final beat carries final=True so
-    # an attached dashboard knows the run ended
+    # --progress heartbeat from the DFS (also printed to stderr); the
+    # final beat carries final=True; the report renders these
     "explorer.progress": ("states", "transitions", "depth", "frontier",
                           "elapsed_s", "dedup_hit_rate", "mem_mb",
                           "final"),
@@ -70,10 +69,6 @@ KINDS = {
                         "cached"),
     "summary.replay": ("label", "procs"),
     "summary.emit": ("label", "procs", "drift"),
-    # fleet worker heartbeat (obs.fleet.WorkerSpool): progress + rss +
-    # throughput per worker process; `repro top SPOOL_DIR` tails these
-    "fleet.heartbeat": ("done", "total", "rss_mb", "rate",
-                        "elapsed_s", "final"),
     # fleet merge summary (obs.fleet.merge_spools)
     "fleet.merge": ("workers", "events", "wall_s"),
 }
@@ -91,9 +86,6 @@ EVENT_SCHEMA = {
         "worker": {"type": "string"},
     },
 }
-
-EVENT_FILE_SCHEMA = {"type": "array", "items": EVENT_SCHEMA}
-
 
 class EventStream:
     """Bounded in-memory ring of structured events, with an optional
@@ -206,19 +198,25 @@ def active() -> Optional["EventStream"]:
 
 
 def read_jsonl(path: Union[str, pathlib.Path]) -> list[dict]:
-    """Load a JSONL event file and validate each record against
-    :data:`EVENT_SCHEMA` (raises ``ValueError`` on violations)."""
-    from repro.obs.export import validate
-
-    events = []
+    """Load a JSONL file as a list of objects.  Blank lines are
+    skipped, and a final line with no trailing newline that does not
+    parse is dropped: its writer was killed mid-write.  Any other line
+    that is not a JSON object raises ``ValueError`` naming the file
+    and line."""
     with open(path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            event = json.loads(line)
-            errors = validate(event, EVENT_SCHEMA, path=f"$[{i}]")
-            if errors:
-                raise ValueError(f"{path}: " + "; ".join(errors))
-            events.append(event)
-    return events
+        lines = fh.read().split("\n")
+    records = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            if number == len(lines):
+                break
+            raise ValueError(f"{path}:{number}: not valid JSON") \
+                from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{number}: not a JSON object")
+        records.append(record)
+    return records

@@ -1,18 +1,16 @@
 """Multi-process observability backplane: worker spools + aggregator.
 
-Every surface built so far — events, spans, metrics, profiler, ledger,
-``top``, the HTML report — assumes exactly one process.  This module
-is the bridge that lets parallel work stay visible: each worker
-process writes its *own* crash-safe telemetry spool, and a
-deterministic aggregator merges N spools back into the exact
+Events, spans, metrics, the profiler, the ledger and the HTML report
+all assume one process.  This module lets parallel work stay
+visible: each worker process writes its *own* crash-safe telemetry
+spool, and a deterministic aggregator merges N spools back into the
 single-stream shapes the rest of the substrate already consumes.
 
 Spool layout (one directory per run, one subdirectory per worker)::
 
     <spool>/
         worker-00/
-            events.jsonl    # pid/worker-stamped event stream (sink-
-                            # complete; fleet.heartbeat beats ride here)
+            events.jsonl    # pid/worker-stamped event stream
             metrics.json    # MetricsRegistry.state() — raw buckets
             profile.json    # Profiler.state() — full triples + folded
             result.json     # the worker function's JSON return value
@@ -20,19 +18,17 @@ Spool layout (one directory per run, one subdirectory per worker)::
         worker-01/
             ...
 
-Each file is written once, at worker exit, except ``events.jsonl``
-which streams — so ``repro top <spool>`` can tail a *live* fleet, and
-a crashed worker leaves everything it flushed.  Writers append whole
-lines; readers (:class:`~repro.obs.top._Tail` and
-:func:`read_spool_events`) tolerate a torn final line.
+Each file is written once, at worker exit, except ``events.jsonl``,
+which streams, so a crashed worker leaves everything it flushed.
+Writers append whole lines, and
+:func:`~repro.obs.events.read_jsonl` drops a torn final line.
 
 The three layers:
 
 * :class:`WorkerSpool` — worker-side handle bundling a pid/worker-
   stamped :class:`~repro.obs.events.EventStream`, a private
   :class:`~repro.obs.metrics.MetricsRegistry` and
-  :class:`~repro.obs.profile.Profiler`, heartbeat emission (progress,
-  RSS, throughput), and the spool write-out.
+  :class:`~repro.obs.profile.Profiler`, and the spool write-out.
 * :func:`run_fleet` — ``os.fork``-based fan-out: items are strided
   across N worker processes (``items[w::jobs]``), each child runs the
   worker function over its chunk with a :class:`WorkerSpool` and
@@ -42,17 +38,13 @@ The three layers:
   run is byte-identical to a sequential one.
 * :func:`merge_spools` — the deterministic aggregator: one merged
   ``MetricsRegistry`` (instrument-level merge semantics live in
-  :mod:`repro.obs.metrics`), one merged ``Profiler``, one pid-stamped
-  event list ordered by ``(worker, seq)`` for per-process Chrome-trace
-  lanes, and a schema-versioned ``{"kind": "fleet"}`` merge-summary
-  document (per-worker rows, straggler attribution) that the HTML
-  report renders as its Fleet section.
+  :mod:`repro.obs.metrics`), one merged ``Profiler``, and a
+  schema-versioned ``{"kind": "fleet"}`` merge-summary document
+  (per-worker rows, straggler attribution) that the HTML report
+  renders as its Fleet section.
 
-Environment propagation: :data:`ENV_WORKER`, :data:`ENV_SPOOL`, and
-:data:`ENV_RUN_ID` are exported into each child so nested tooling can
-discover its fleet context; :func:`resolve_jobs` implements the
-``--jobs`` flag > ``REPRO_JOBS`` > 1 resolution shared by every
-consumer.
+:func:`resolve_jobs` implements the ``--jobs`` flag > ``REPRO_JOBS`` >
+1 resolution shared by every consumer.
 """
 
 from __future__ import annotations
@@ -67,17 +59,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.obs import schemas
-from repro.obs.events import EventStream
+from repro.obs.events import EventStream, read_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, peak_rss_mb
 
 SCHEMA_VERSION = schemas.FLEET
 
-#: fleet context exported into forked workers
+#: the environment default for ``--jobs``
 ENV_JOBS = "REPRO_JOBS"
-ENV_WORKER = "REPRO_FLEET_WORKER"
-ENV_SPOOL = "REPRO_FLEET_SPOOL"
-ENV_RUN_ID = "REPRO_FLEET_RUN_ID"
 
 #: merge-summary document schema (export.validate subset)
 FLEET_SCHEMA = {
@@ -152,9 +141,9 @@ def worker_name(index: int) -> str:
 
 class WorkerSpool:
     """Worker-side telemetry handle: one spool directory, one
-    pid/worker-stamped event stream, private metrics + profiler, and
-    heartbeat emission.  Construct it *in the worker process* (the
-    event stream caches ``os.getpid()`` at construction)."""
+    pid/worker-stamped event stream, and private metrics + profiler.
+    Construct it *in the worker process* (the event stream caches
+    ``os.getpid()`` at construction)."""
 
     def __init__(self, root: Union[str, pathlib.Path], index: int,
                  capacity: int = 4096):
@@ -169,30 +158,11 @@ class WorkerSpool:
         self.metrics = MetricsRegistry()
         self.profiler = Profiler()
         self._started = time.perf_counter()
-        self._done = 0
-        self._total: Optional[int] = None
 
-    def heartbeat(self, done: Optional[int] = None,
-                  total: Optional[int] = None,
-                  final: bool = False) -> dict:
-        """Emit one ``fleet.heartbeat`` event: progress, peak RSS, and
-        throughput.  ``repro top <spool-dir>`` renders these live."""
-        if done is not None:
-            self._done = done
-        if total is not None:
-            self._total = total
-        elapsed = time.perf_counter() - self._started
-        rate = self._done / elapsed if elapsed > 0 else 0.0
-        return self.events.emit(
-            "fleet.heartbeat", done=self._done, total=self._total,
-            rss_mb=round(peak_rss_mb(), 1), rate=round(rate, 1),
-            elapsed_s=round(elapsed, 6), final=final)
-
-    def finish(self, result=None) -> None:
-        """Final heartbeat, then write the once-at-exit spool files.
-        ``result`` (any JSON-able value) lands in ``result.json`` for
-        the parent to read back."""
-        self.heartbeat(final=True)
+    def finish(self, result=None, items: int = 0) -> None:
+        """Write the once-at-exit spool files.  ``items`` is how many
+        items the worker finished; ``result`` (any JSON-able value)
+        lands in ``result.json`` for the parent to read back."""
         wall = time.perf_counter() - self._started
         self.events.close()
         (self.dir / "metrics.json").write_text(json.dumps(
@@ -206,33 +176,12 @@ class WorkerSpool:
         (self.dir / "worker.json").write_text(json.dumps(
             {"v": SCHEMA_VERSION, "kind": "fleet-worker",
              "worker": self.worker, "pid": self.pid,
-             "items": self._done, "wall_s": round(wall, 6),
+             "items": items, "wall_s": round(wall, 6),
              "rss_mb": round(peak_rss_mb(), 1),
              "events": self.events.emitted}, indent=1) + "\n")
         if result is not None:
             (self.dir / "result.json").write_text(
                 json.dumps(result) + "\n")
-
-
-def read_spool_events(path: Union[str, pathlib.Path]) -> list[dict]:
-    """Load one worker's ``events.jsonl`` tolerantly: blank lines are
-    skipped and a torn (partially-written) final line is dropped — a
-    crashed or still-running worker must not poison the merge."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    out = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue                  # torn line: writer was mid-write
-        if isinstance(record, dict):
-            out.append(record)
-    return out
 
 
 def _read_json(path: pathlib.Path) -> Optional[dict]:
@@ -242,29 +191,6 @@ def _read_json(path: pathlib.Path) -> Optional[dict]:
         return json.loads(path.read_text())
     except json.JSONDecodeError:
         return None
-
-
-class MergedEvents:
-    """Minimal read-only event-stream view over merged records —
-    exactly the surface :func:`repro.obs.chrometrace.to_trace_events`
-    and crash bundles consume (``snapshot()`` / ``drain()``)."""
-
-    def __init__(self, records: list[dict]):
-        self._records = records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def snapshot(self, kind: Optional[str] = None) -> list[dict]:
-        if kind is None:
-            return [dict(e) for e in self._records]
-        return [dict(e) for e in self._records if e.get("kind") == kind]
-
-    def drain(self, limit: Optional[int] = None) -> list[dict]:
-        records = [dict(e) for e in self._records]
-        if limit is not None and limit < len(records):
-            return records[-limit:]
-        return records
 
 
 @dataclass
@@ -278,8 +204,6 @@ class FleetMerge:
     metrics: MetricsRegistry
     #: merged profiler (triples + folded stacks summed)
     profiler: Profiler
-    #: all worker events ordered by (worker, seq), pid/worker stamped
-    events: MergedEvents
     #: worker result.json payloads, in worker order (None when absent)
     results: list = field(default_factory=list)
 
@@ -288,7 +212,8 @@ def merge_spools(root: Union[str, pathlib.Path],
                  label: str = "",
                  jobs: Optional[int] = None) -> FleetMerge:
     """Deterministically merge every ``worker-*/`` spool under
-    ``root`` back into single-stream shapes.  Workers are processed in
+    ``root`` into one registry, one profiler and the merge-summary
+    document.  Workers are processed in
     directory-name order and instruments merge associatively, so the
     result is independent of worker completion order."""
     root = pathlib.Path(root)
@@ -296,12 +221,9 @@ def merge_spools(root: Union[str, pathlib.Path],
                          if p.is_dir())
     metrics = MetricsRegistry()
     profiler = Profiler()
-    merged_events: list[dict] = []
     results: list = []
     rows: list[dict] = []
     for wdir in worker_dirs:
-        events = read_spool_events(wdir / "events.jsonl")
-        merged_events.extend(events)
         mdoc = _read_json(wdir / "metrics.json")
         if mdoc:
             metrics.merge(MetricsRegistry.from_state(
@@ -310,23 +232,23 @@ def merge_spools(root: Union[str, pathlib.Path],
         if pdoc:
             profiler.merge(Profiler.from_state(
                 pdoc.get("profile") or {}))
-        meta = _read_json(wdir / "worker.json") or {}
-        rdoc = _read_json(wdir / "result.json")
-        results.append(rdoc)
-        pid = meta.get("pid")
-        if pid is None:
-            pid = next((e.get("pid") for e in events
-                        if e.get("pid") is not None), 0)
+        results.append(_read_json(wdir / "result.json"))
+        meta = _read_json(wdir / "worker.json")
+        if meta is None:
+            # the worker died before finish(): count what it streamed
+            path = wdir / "events.jsonl"
+            events = read_jsonl(path) if path.exists() else []
+            meta = {"pid": next((e["pid"] for e in events
+                                 if "pid" in e), 0),
+                    "events": len(events)}
         rows.append({
             "worker": meta.get("worker", wdir.name),
-            "pid": pid,
+            "pid": meta.get("pid", 0),
             "items": meta.get("items", 0),
-            "events": meta.get("events", len(events)),
+            "events": meta.get("events", 0),
             "wall_s": meta.get("wall_s", 0.0),
             "rss_mb": meta.get("rss_mb", 0.0),
         })
-    merged_events.sort(key=lambda e: (e.get("worker", ""),
-                                      e.get("seq", 0)))
     straggler = max(rows, key=lambda r: r["wall_s"])["worker"] \
         if rows else None
     doc = {
@@ -335,46 +257,37 @@ def merge_spools(root: Union[str, pathlib.Path],
         "jobs": jobs if jobs is not None else len(rows),
         "label": label,
         "items": sum(r["items"] for r in rows),
-        "events": len(merged_events),
+        "events": sum(r["events"] for r in rows),
         "wall_s": max((r["wall_s"] for r in rows), default=0.0),
         "straggler": straggler,
         "workers": rows,
     }
     return FleetMerge(doc=doc, metrics=metrics, profiler=profiler,
-                      events=MergedEvents(merged_events),
                       results=results)
 
 
 def _run_worker(spool_root: pathlib.Path, index: int, items: list,
-                worker_fn: Callable, heartbeat_every: int) -> None:
+                worker_fn: Callable) -> None:
     """Child-process body: run the chunk, spool, ``os._exit``."""
     # the child inherited the parent's live ledger recorder; sever it
     # so nothing in the worker accidentally notes into (or finishes)
     # the parent's manifest — the parent owns the run
     from repro.obs import ledger
-    recorder = ledger.current()
-    if recorder is not None:
-        os.environ[ENV_RUN_ID] = recorder.run_id
     ledger._CURRENT = None
-    os.environ[ENV_WORKER] = worker_name(index)
-    os.environ[ENV_SPOOL] = str(spool_root)
     exit_code = 0
     spool = WorkerSpool(spool_root, index)
+    out: list = []
     try:
-        spool.heartbeat(done=0, total=len(items))
-        out = []
-        for i, item in enumerate(items):
+        for item in items:
             out.append(worker_fn(item, spool))
-            if (i + 1) % heartbeat_every == 0:
-                spool.heartbeat(done=i + 1)
-            else:
-                spool._done = i + 1
-        spool.finish(result={"ok": True, "values": out})
+        spool.finish(result={"ok": True, "values": out},
+                     items=len(out))
     except BaseException:
         exit_code = 1
         try:
             spool.finish(result={"ok": False,
-                                 "error": traceback.format_exc()})
+                                 "error": traceback.format_exc()},
+                         items=len(out))
         except BaseException:
             pass
     finally:
@@ -387,7 +300,7 @@ def _run_worker(spool_root: pathlib.Path, index: int, items: list,
 
 def run_fleet(items: list, worker_fn: Callable, *,
               jobs: int, spool: Union[str, pathlib.Path, None] = None,
-              label: str = "", heartbeat_every: int = 1) -> tuple:
+              label: str = "") -> tuple:
     """Fan ``items`` across ``jobs`` forked worker processes and
     reassemble.
 
@@ -416,7 +329,8 @@ def run_fleet(items: list, worker_fn: Callable, *,
         for index, chunk in enumerate(chunks):
             ws = WorkerSpool(spool_root, index)
             out = [worker_fn(item, ws) for item in chunk]
-            ws.finish(result={"ok": True, "values": out})
+            ws.finish(result={"ok": True, "values": out},
+                      items=len(out))
         return _reassemble(items, jobs, spool_root, label)
 
     # flush inherited buffers once, before any fork, so children never
@@ -427,8 +341,7 @@ def run_fleet(items: list, worker_fn: Callable, *,
     for index, chunk in enumerate(chunks):
         pid = os.fork()
         if pid == 0:
-            _run_worker(spool_root, index, chunk, worker_fn,
-                        heartbeat_every)
+            _run_worker(spool_root, index, chunk, worker_fn)
             os._exit(1)              # pragma: no cover — unreachable
         pids[pid] = index
     failures = []

@@ -53,6 +53,7 @@ import random
 from typing import IO, Callable, Optional, Union
 
 from repro.mc.observers import Observer
+from repro.obs.events import read_jsonl
 from repro.obs.schemas import GRAPH as SCHEMA_VERSION
 
 #: node-record emission cap when ``REPRO_GRAPH_NODE_CAP`` is unset
@@ -310,14 +311,7 @@ def from_records(records: list, source: str = "<records>") -> dict:
 
 def read_graph(path: Union[str, pathlib.Path]) -> dict:
     """Load a capture file via :func:`from_records`."""
-    path = pathlib.Path(path)
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return from_records(records, source=str(path))
+    return from_records(read_jsonl(path), source=str(path))
 
 
 def _distribution(counts: list[int]) -> dict:

@@ -604,38 +604,54 @@ def note_run(seed: int, violation: Optional[str],
 
 # -- reading the ledger --------------------------------------------------------
 
+def _read_manifest(path: pathlib.Path) -> tuple[Optional[dict], str]:
+    """``(manifest, "")`` when ``path`` holds a manifest that passes
+    :data:`MANIFEST_SCHEMA` and whose ``run_id`` names its directory,
+    else ``(None, why)`` — the one rule for a readable run."""
+    from repro.obs.export import validate
+
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        return None, str(exc)
+    errors = validate(manifest, MANIFEST_SCHEMA)
+    if errors:
+        return None, "; ".join(errors)
+    if manifest["run_id"] != path.parent.name:
+        return None, (f"run_id {manifest['run_id']!r} does not name "
+                      f"its directory")
+    return manifest, ""
+
+
 def load_manifest(root: Union[str, pathlib.Path],
                   run_id: str) -> dict:
     """Load + validate one run's manifest."""
     from repro.errors import ReproError
-    from repro.obs.export import validate
 
     path = pathlib.Path(root) / run_id / "manifest.json"
     if not path.is_file():
         raise ReproError(f"no run {run_id!r} under {root} "
                          f"(missing {path})")
-    manifest = json.loads(path.read_text())
-    errors = validate(manifest, MANIFEST_SCHEMA)
-    if errors:
-        raise ReproError(f"{path}: " + "; ".join(errors))
+    manifest, why = _read_manifest(path)
+    if manifest is None:
+        raise ReproError(f"{path}: {why}")
     return manifest
 
 
 def list_runs(root: Union[str, pathlib.Path]) -> list[dict]:
-    """All readable manifests under ``root``, oldest first (run ids
-    are timestamp-prefixed, so name order is time order)."""
+    """All readable manifests under ``root`` (valid JSON that passes
+    :data:`MANIFEST_SCHEMA`), oldest first (run ids are
+    timestamp-prefixed, so name order is time order)."""
     root = pathlib.Path(root)
     if not root.is_dir():
         return []
     out = []
     for sub in sorted(root.iterdir()):
         path = sub / "manifest.json"
-        if not path.is_file():
-            continue
-        try:
-            out.append(json.loads(path.read_text()))
-        except (OSError, json.JSONDecodeError):
-            continue
+        if path.is_file():
+            manifest, _ = _read_manifest(path)
+            if manifest is not None:
+                out.append(manifest)
     return out
 
 
@@ -702,21 +718,16 @@ def load_artifact_docs(root: Union[str, pathlib.Path],
 
 def gc(root: Union[str, pathlib.Path],
        keep: int = DEFAULT_KEEP) -> list[str]:
-    """Delete all but the ``keep`` most recent run directories.
-    Only directories holding a ``manifest.json`` are touched."""
-    root = pathlib.Path(root)
+    """Delete all but the ``keep`` most recent readable runs
+    (:func:`list_runs`); a directory whose manifest is unreadable is
+    left alone."""
     if keep < 0:
         raise ValueError("keep must be >= 0")
-    if not root.is_dir():
-        return []
-    run_dirs = sorted(sub for sub in root.iterdir()
-                      if (sub / "manifest.json").is_file())
-    doomed = run_dirs[:-keep] if keep else run_dirs
-    removed = []
-    for sub in doomed:
-        shutil.rmtree(sub, ignore_errors=True)
-        removed.append(sub.name)
-    return removed
+    run_ids = [m["run_id"] for m in list_runs(root)]
+    doomed = run_ids[:-keep] if keep else run_ids
+    for run_id in doomed:
+        shutil.rmtree(pathlib.Path(root) / run_id, ignore_errors=True)
+    return doomed
 
 
 def compare_replay(recorded: dict, fresh: dict) -> dict:

@@ -46,6 +46,7 @@ import pathlib
 import statistics
 from typing import Optional, Union
 
+from repro.obs.events import read_jsonl
 from repro.obs.schemas import PERFDIFF as SCHEMA_VERSION
 
 #: relative attributed-work growth a region must exceed to gate
@@ -142,22 +143,18 @@ def side_from_records(label: str, records: list) -> dict:
     return side
 
 
-def _bench_records(text: str) -> Optional[list]:
-    """The records of a ``bench/run.py --out`` JSONL text, or None
-    when the text is anything else."""
-    records = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not (isinstance(record, dict) and "workload" in record
-                and isinstance(record.get("metrics"), dict)):
-            return None
-        records.append(record)
-    return records or None
+def _bench_records(path: pathlib.Path) -> Optional[list]:
+    """The records of a ``bench/run.py --out`` JSONL file, or None
+    when the file is anything else."""
+    try:
+        records = read_jsonl(path)
+    except ValueError:
+        return None
+    if records and all("workload" in r and isinstance(r.get("metrics"),
+                                                      dict)
+                       for r in records):
+        return records
+    return None
 
 
 def _side_from_bench(path: pathlib.Path, records: list) -> dict:
@@ -206,10 +203,10 @@ def _side_from_file(path: pathlib.Path) -> dict:
     from repro.obs.profile import parse_folded_lines
 
     side = _empty_side(str(path))
-    text = path.read_text()
-    records = _bench_records(text)
+    records = _bench_records(path)
     if records is not None:
         return _side_from_bench(path, records)
+    text = path.read_text()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -228,7 +225,7 @@ def _side_from_file(path: pathlib.Path) -> dict:
 def _side_from_dir(path: pathlib.Path) -> dict:
     records = []
     for child in sorted(path.glob("*.jsonl")):
-        records.extend(_bench_records(child.read_text()) or [])
+        records.extend(_bench_records(child) or [])
     return _side_from_bench(path, records)
 
 

@@ -51,6 +51,8 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from repro.obs.events import read_jsonl
+
 #: version stamp embedded in the artifact's <meta> generator tag
 REPORT_VERSION = 1
 
@@ -109,15 +111,6 @@ def classify(label: str, doc) -> Optional[str]:
     return None
 
 
-def _read_jsonl(path: pathlib.Path) -> list[dict]:
-    out = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out
-
-
 def collect_inputs(paths: list[Union[str, pathlib.Path]]
                    ) -> ReportInputs:
     """Load and classify input files.  Directories are scanned one
@@ -152,7 +145,10 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]]
             inputs.tables.append((label, path.read_text()))
             continue
         if path.suffix == ".jsonl":
-            records = _read_jsonl(path)
+            try:
+                records = read_jsonl(path)
+            except ValueError:
+                continue        # corrupt mid-file: skip, don't crash
             if records and isinstance(records[0], dict) \
                     and records[0].get("kind") == "graph.header":
                 from repro.obs import graph as _graph
@@ -166,7 +162,7 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]]
             continue
         try:
             doc = json.loads(path.read_text())
-        except json.JSONDecodeError:
+        except ValueError:
             continue
         kind = classify(label, doc)
         if kind == "manifest":

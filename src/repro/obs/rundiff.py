@@ -4,9 +4,9 @@
 analysis needs answered across commits: did any block's atomicity
 class change, were theorem applications (5.3/5.4 windows, …) gained or
 lost, did lint findings appear or disappear, did the MC verdict or its
-counterexample fingerprint move?  Timing fields (wall/CPU seconds,
-bench walls) are reported as *informational* deltas and never count as
-drift — two byte-identical analyses a week apart must diff empty.
+counterexample fingerprint move?  The wall time is reported as an
+*informational* delta and never counts as drift — two byte-identical
+analyses a week apart must diff empty.
 
 The document shape (``--json``)::
 
@@ -18,7 +18,7 @@ The document shape (``--json``)::
      "execution":      [{"source", "field", "a", "b"}, ...],
      "experiments":    [{"mode", "field", "a", "b"}, ...],
      "outcome": {...} | null, "exit_code": {...} | null,
-     "info": {"wall_s": {"a", "b"}, "bench": [...]}}
+     "info": {"wall_s": {"a", "b"}}}
 
 ``empty`` is True exactly when every drift category (everything except
 ``info``) is empty/None.
@@ -117,28 +117,6 @@ def _experiments_drift(a: dict, b: dict) -> list[dict]:
     return out
 
 
-def _bench_info(a: dict, b: dict) -> list[dict]:
-    """Informational wall-time deltas between bench artifacts both
-    runs recorded (matched by record name)."""
-    def records(manifest: dict) -> dict:
-        out = {}
-        for note_key in ("bench", ):
-            for rec in manifest.get(note_key, {}).get("records", []):
-                out[rec.get("name")] = rec
-        return out
-
-    ra, rb = records(a), records(b)
-    out = []
-    for name in sorted(set(ra) & set(rb)):
-        wa = ra[name].get("wall_s")
-        wb = rb[name].get("wall_s")
-        if wa and wb:
-            out.append({"name": name, "metric": "wall_s",
-                        "a": wa, "b": wb,
-                        "pct": round((wb - wa) / wa * 100, 1)})
-    return out
-
-
 def diff_manifests(a: dict, b: dict) -> dict:
     """Drift document between two run manifests (see module doc)."""
     ca = a.get("analysis") or {}
@@ -188,7 +166,6 @@ def diff_manifests(a: dict, b: dict) -> dict:
         "exit_code": exit_code,
         "info": {
             "wall_s": {"a": a.get("wall_s"), "b": b.get("wall_s")},
-            "bench": _bench_info(a, b),
         },
         "empty": empty,
     }
@@ -246,8 +223,4 @@ def render_diff(diff: dict) -> str:
     if walls.get("a") is not None and walls.get("b") is not None:
         lines.append(f"(info) wall_s {walls['a']:.3f} -> "
                      f"{walls['b']:.3f}")
-    for entry in info.get("bench", []):
-        lines.append(f"(info) bench {entry['name']} wall_s "
-                     f"{entry['a']:.6g} -> {entry['b']:.6g} "
-                     f"({entry['pct']:+.1f}%)")
     return "\n".join(lines)

@@ -187,7 +187,7 @@ def test_mc_json_stdout_stays_parseable_with_progress(
     assert "heatmap" in doc
 
 
-# -- perf diff: 0 identical / 1 attributed drift / 2 bad operand -------------------
+# -- runs/graph/perf diff: 0 identical / 1 drift / 2 unreadable operand -----------
 
 def _bench_side(tmp_path, name, calls):
     from tests.test_perfdiff import bench_record, write_bench_run
@@ -196,25 +196,105 @@ def _bench_side(tmp_path, name, calls):
         layers={"mc.canonical": (calls, 0.01)})])
 
 
-def test_perf_diff_identical_exits_0(ledger_root, tmp_path, capsys):
-    a = _bench_side(tmp_path, "a", 1000)
-    b = _bench_side(tmp_path, "b", 1000)
-    assert main(["perf", "diff", a, b]) == 0
-    assert "no attributed drift" in capsys.readouterr().out
+def _write_manifest(root, run_id, **fields):
+    """A schema-valid ledger manifest written straight to disk."""
+    import json
+
+    manifest = {"v": 1, "run_id": run_id, "command": "analyze",
+                "argv": ["analyze", "p.synl"], "started_at": 0.0,
+                "wall_s": 0.1, "cpu_s": 0.1, "exit_code": 0,
+                "outcome": "atomic", "schema_versions": {},
+                "artifacts": [], **fields}
+    (root / run_id).mkdir(parents=True)
+    (root / run_id / "manifest.json").write_text(json.dumps(manifest))
+    return run_id
 
 
-def test_perf_diff_drift_exits_1(ledger_root, tmp_path, capsys):
-    a = _bench_side(tmp_path, "a", 1000)
-    b = _bench_side(tmp_path, "b", 1600)
-    assert main(["perf", "diff", a, b]) == 1
-    assert "DRIFT" in capsys.readouterr().out
+def _runs_operand(tmp_path, ledger_root, name, drifted):
+    if drifted:
+        return _write_manifest(ledger_root, f"run-{name}",
+                               exit_code=1, outcome="not-atomic")
+    return _write_manifest(ledger_root, f"run-{name}")
 
 
-def test_perf_diff_bad_operand_exits_2(ledger_root, tmp_path, capsys):
-    a = _bench_side(tmp_path, "a", 1000)
-    code = main(["perf", "diff", a, str(tmp_path / "missing")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+def _graph_operand(tmp_path, ledger_root, name, drifted):
+    import json
+
+    from repro.obs.report_html import SELF_CHECK_FIXTURE
+
+    text = "".join(json.dumps(r) + "\n"
+                   for r in SELF_CHECK_FIXTURE["graph.jsonl"])
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text(text.replace("dd33", "ee44") if drifted else text)
+    return str(path)
+
+
+def _perf_operand(tmp_path, ledger_root, name, drifted):
+    return _bench_side(tmp_path, name, 1600 if drifted else 1000)
+
+
+def _corrupt_runs_operand(tmp_path, ledger_root):
+    (ledger_root / "run-c").mkdir(parents=True)
+    (ledger_root / "run-c" / "manifest.json").write_text("{torn")
+    return "run-c"
+
+
+def _corrupt_file_operand(tmp_path, ledger_root):
+    path = tmp_path / "corrupt.jsonl"
+    path.write_text('{"kind": "graph.header"\n{"torn": \n')
+    return str(path)
+
+
+DIFFS = {
+    "runs": (_runs_operand, _corrupt_runs_operand),
+    "graph": (_graph_operand, _corrupt_file_operand),
+    "perf": (_perf_operand, _corrupt_file_operand),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIFFS))
+def test_diff_identical_exits_0(ledger_root, tmp_path, capsys, command):
+    make, _ = DIFFS[command]
+    a = make(tmp_path, ledger_root, "a", False)
+    b = make(tmp_path, ledger_root, "b", False)
+    assert main([command, "diff", a, b]) == 0
+    out = capsys.readouterr().out
+    assert "no drift" in out or "identical" in out \
+        or "no attributed drift" in out
+
+
+@pytest.mark.parametrize("command", sorted(DIFFS))
+def test_diff_drift_exits_1(ledger_root, tmp_path, capsys, command):
+    make, _ = DIFFS[command]
+    a = make(tmp_path, ledger_root, "a", False)
+    b = make(tmp_path, ledger_root, "b", True)
+    assert main([command, "diff", a, b]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("operand", ["missing", "corrupt"])
+@pytest.mark.parametrize("command", sorted(DIFFS))
+def test_diff_unreadable_operand_exits_2(ledger_root, tmp_path, capsys,
+                                         command, operand):
+    make, corrupt = DIFFS[command]
+    a = make(tmp_path, ledger_root, "a", False)
+    b = corrupt(tmp_path, ledger_root) if operand == "corrupt" \
+        else str(tmp_path / "missing")
+    assert main([command, "diff", a, b]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(DIFFS))
+def test_diff_json_stdout_parses(ledger_root, tmp_path, capsys,
+                                 command):
+    import json
+
+    make, _ = DIFFS[command]
+    a = make(tmp_path, ledger_root, "a", False)
+    b = make(tmp_path, ledger_root, "b", True)
+    assert main([command, "diff", a, b, "--json"]) == 1
+    assert isinstance(json.loads(capsys.readouterr().out), dict)
 
 
 def test_perf_diff_out_written_even_on_drift(ledger_root, tmp_path,
@@ -237,6 +317,75 @@ def test_perf_diff_is_not_ledgered(ledger_root, tmp_path, capsys):
     a = _bench_side(tmp_path, "a", 1000)
     assert main(["perf", "diff", a, a]) == 0
     assert ledger.list_runs(ledger_root) == []
+
+
+# -- ledger: a manifest that is JSON but fails MANIFEST_SCHEMA ---------------------
+
+INVALID_MANIFESTS = {"list": "[]", "no-outcome": '{"run_id": "run-x"}'}
+
+
+@pytest.mark.parametrize("text", INVALID_MANIFESTS.values(),
+                         ids=INVALID_MANIFESTS.keys())
+def test_runs_list_skips_schema_invalid_manifest(ledger_root, capsys,
+                                                 text):
+    _write_manifest(ledger_root, "run-a")
+    (ledger_root / "run-x").mkdir()
+    (ledger_root / "run-x" / "manifest.json").write_text(text)
+    assert main(["runs", "list"]) == 0
+    captured = capsys.readouterr()
+    assert "run-a" in captured.out and "run-x" not in captured.out
+    assert "Traceback" not in captured.err
+    assert main(["runs", "list", "--json"]) == 0
+    import json
+    assert [m["run_id"] for m in json.loads(capsys.readouterr().out)] \
+        == ["run-a"]
+
+
+@pytest.mark.parametrize("text", INVALID_MANIFESTS.values(),
+                         ids=INVALID_MANIFESTS.keys())
+def test_runs_diff_on_all_invalid_ledger_exits_2(ledger_root, capsys,
+                                                 text):
+    (ledger_root / "run-x").mkdir(parents=True)
+    (ledger_root / "run-x" / "manifest.json").write_text(text)
+    assert main(["runs", "diff", "last", "last"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ledger {ledger_root} is empty")
+    assert "Traceback" not in err
+
+
+def test_runs_gc_leaves_unreadable_runs_alone(ledger_root, capsys):
+    for run_id in ("run-a", "run-b", "run-c"):
+        _write_manifest(ledger_root, run_id)
+    (ledger_root / "run-x").mkdir()
+    (ledger_root / "run-x" / "manifest.json").write_text("[]")
+    assert main(["runs", "gc", "--keep", "1"]) == 0
+    assert sorted(p.name for p in ledger_root.iterdir()) \
+        == ["run-c", "run-x"]
+
+
+# -- report: a torn events file renders, a corrupt one is skipped ------------------
+
+def test_report_renders_events_with_a_torn_last_line(ledger_root,
+                                                     tmp_path, capsys):
+    import json
+
+    from repro.obs.report_html import SELF_CHECK_FIXTURE
+
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "events.jsonl").write_text("".join(
+        json.dumps(e) + "\n" for e in SELF_CHECK_FIXTURE["events.jsonl"])
+        + '{"v": 1, "seq": 99, "kind": "explorer.pro')
+    (inputs / "corrupt.jsonl").write_text('{"v": 1}\n{torn\n{"v": 1}\n')
+    (inputs / "binary.json").write_bytes(b"\xff\xfe{")   # not UTF-8
+    out = tmp_path / "report.html"
+    code = main(["report", str(inputs), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code in (0, 1) and "Traceback" not in captured.err
+    html_text = out.read_text()
+    assert "events.jsonl (progress heartbeats)" in html_text
+    assert "corrupt.jsonl" not in html_text
+    assert "binary.json" not in html_text
 
 
 # -- usage errors: thread specs and budget flags -----------------------------------

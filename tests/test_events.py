@@ -64,20 +64,53 @@ def test_sink_outlives_ring_eviction():
     assert len(stream) == 2  # ring kept only the tail
 
 
+def read_events(path) -> list[dict]:
+    """Load an events file and check every record against
+    :data:`EVENT_SCHEMA`."""
+    events = read_jsonl(path)
+    for i, event in enumerate(events):
+        assert validate(event, EVENT_SCHEMA, path=f"$[{i}]") == []
+    return events
+
+
 def test_jsonl_roundtrip_validates_schema(tmp_path):
     stream = EventStream()
     stream.emit("interp.sc", tid=0, addr="('g', 'Sem')", ok=True)
     stream.emit("mc.violation", desc="t0@9", message="assertion failed")
     path = stream.write_jsonl(tmp_path / "events.jsonl")
-    events = read_jsonl(path)
+    events = read_events(path)
     assert [e["kind"] for e in events] == ["interp.sc", "mc.violation"]
     assert events[0]["ok"] is True
 
 
-def test_read_jsonl_rejects_unknown_kind(tmp_path):
+def test_event_schema_rejects_unknown_kind(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"v": 1, "seq": 0, "t": 0.0, "kind": "nope"}\n')
-    with pytest.raises(ValueError):
+    (event,) = read_jsonl(path)
+    assert validate(event, EVENT_SCHEMA)
+
+
+def test_read_jsonl_drops_a_torn_final_line(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text('{"kind": "mc.pop", "depth": 1}\n'
+                    '\n'
+                    '{"kind": "mc.p')       # writer killed mid-write
+    assert read_jsonl(path) == [{"kind": "mc.pop", "depth": 1}]
+    # a final line that parses is kept, newline or not
+    path.write_text('{"depth": 1}\n{"depth": 2}')
+    assert [e["depth"] for e in read_jsonl(path)] == [1, 2]
+
+
+@pytest.mark.parametrize("text, line", [
+    ('{"depth": 1}\n{"dep\n{"depth": 3}\n', 2),   # corrupt mid-file
+    ('{"depth": 1}\n{"dep\n', 2),                  # torn, then newline
+    ('{"depth": 1}\n[1, 2]\n', 2),                 # not an object
+])
+def test_read_jsonl_names_file_and_line_of_a_bad_line(tmp_path, text,
+                                                      line):
+    path = tmp_path / "events.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"events.jsonl:{line}:"):
         read_jsonl(path)
 
 
@@ -85,7 +118,7 @@ def test_file_sink_and_context_manager(tmp_path):
     path = tmp_path / "sink.jsonl"
     with EventStream(sink=path) as stream:
         stream.emit("sched.seed", seed=3)
-    events = read_jsonl(path)
+    events = read_events(path)
     assert events[0]["seed"] == 3
 
 
@@ -185,14 +218,14 @@ def test_sink_creates_missing_parent_dirs(tmp_path):
     sink = tmp_path / "deep" / "nested" / "events.jsonl"
     with EventStream(sink=sink) as stream:
         stream.emit("sched.seed", seed=1)
-    assert len(read_jsonl(sink)) == 1
+    assert len(read_events(sink)) == 1
 
 
 def test_write_jsonl_creates_missing_parent_dirs(tmp_path):
     stream = EventStream()
     stream.emit("mc.pop", depth=0)
     path = stream.write_jsonl(tmp_path / "a" / "b" / "events.jsonl")
-    assert len(read_jsonl(path)) == 1
+    assert len(read_events(path)) == 1
 
 
 def test_write_trace_creates_missing_parent_dirs(tmp_path):
@@ -217,7 +250,7 @@ def test_cli_events_and_trace_out_create_parent_dirs(tmp_path):
                  "--events-out", str(events_out),
                  "--trace-out", str(trace_out)])
     assert code == 0
-    assert events_out.is_file() and read_jsonl(events_out)
+    assert events_out.is_file() and read_events(events_out)
     assert json.loads(trace_out.read_text())["traceEvents"]
 
 
@@ -250,11 +283,11 @@ def test_active_registry_tracks_latest_stream():
 
 def test_deadline_events_roundtrip_jsonl(tmp_path):
     # mc.deadline is a declared kind: a sink file from a deadline-hit
-    # run must load back through the validating reader
+    # run must load back and pass the event schema
     path = tmp_path / "ev.jsonl"
     with EventStream(sink=path) as stream:
         stream.emit("mc.deadline", states=12, deadline_s=0.5)
-    events = read_jsonl(path)
+    events = read_events(path)
     assert [e["kind"] for e in events] == ["mc.deadline"]
 
 

@@ -1,7 +1,8 @@
 """The multi-process observability backplane (:mod:`repro.obs.fleet`):
 merge algebra (associative / commutative / identity), spool write-out
-and torn-line-tolerant read-back, the fork-based ``run_fleet`` fan-out
-with submission-order reassembly, and ``--jobs`` resolution."""
+and merge (a dead worker's torn spool included), the fork-based
+``run_fleet`` fan-out with submission-order reassembly, and ``--jobs``
+resolution."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from repro.obs.events import read_jsonl
 from repro.obs.fleet import (
     WorkerSpool,
     merge_spools,
-    read_spool_events,
     resolve_jobs,
     run_fleet,
     worker_name,
@@ -200,24 +200,22 @@ def test_worker_name_is_zero_padded():
 
 def test_worker_spool_writes_layout_and_stamps(tmp_path):
     spool = WorkerSpool(tmp_path, 1)
-    spool.heartbeat(done=0, total=2)
+    spool.events.emit("mc.pop", depth=0)
     spool.metrics.inc("fleet.test", 5)
     with spool.profiler.region("fleet.region"):
         pass
-    spool.heartbeat(done=2)
-    spool.finish(result={"ok": True, "values": [1, 2]})
+    spool.events.emit("mc.pop", depth=1)
+    spool.finish(result={"ok": True, "values": [1, 2]}, items=2)
 
     wdir = tmp_path / "worker-01"
-    events = read_spool_events(wdir / "events.jsonl")
-    assert [e["kind"] for e in events] == ["fleet.heartbeat"] * 3
-    assert events[-1]["final"] is True
+    events = read_jsonl(wdir / "events.jsonl")
+    assert [e["depth"] for e in events] == [0, 1]
     assert all(e["worker"] == "worker-01" for e in events)
     assert all(e["pid"] == spool.pid for e in events)
-    # a spooled stream must satisfy the strict substrate reader too
-    assert len(read_jsonl(wdir / "events.jsonl")) == 3
 
     meta = json.loads((wdir / "worker.json").read_text())
     assert meta["worker"] == "worker-01" and meta["items"] == 2
+    assert meta["events"] == 2
     metrics = MetricsRegistry.from_state(
         json.loads((wdir / "metrics.json").read_text())["metrics"])
     assert metrics.snapshot()["fleet.test"] == 5
@@ -226,23 +224,29 @@ def test_worker_spool_writes_layout_and_stamps(tmp_path):
     assert json.loads((wdir / "result.json").read_text())["ok"] is True
 
 
-def test_read_spool_events_tolerates_torn_and_missing(tmp_path):
-    assert read_spool_events(tmp_path / "absent.jsonl") == []
-    path = tmp_path / "events.jsonl"
-    path.write_text('{"kind": "fleet.heartbeat", "done": 1}\n'
-                    '\n'
-                    '{"kind": "fleet.hear')       # torn mid-write
-    events = read_spool_events(path)
-    assert len(events) == 1 and events[0]["done"] == 1
+def test_merge_spools_counts_a_dead_workers_torn_spool(tmp_path):
+    # no worker.json: the worker died before finish(); its streamed
+    # events are counted, the torn last line is not
+    (tmp_path / "worker-00").mkdir()
+    (tmp_path / "worker-00" / "events.jsonl").write_text(
+        '{"kind": "mc.pop", "pid": 41}\n'
+        '\n'
+        '{"kind": "mc.p')                   # torn mid-write
+    (tmp_path / "worker-01").mkdir()        # died before any event
+    doc = merge_spools(tmp_path).doc
+    assert [(r["pid"], r["events"]) for r in doc["workers"]] \
+        == [(41, 1), (0, 0)]
+    assert doc["events"] == 1
 
 
 def test_merge_spools_rows_straggler_and_event_order(tmp_path):
     for index, (n, wall) in enumerate([(2, 0.1), (3, 0.9)]):
         spool = WorkerSpool(tmp_path, index)
         for done in range(1, n + 1):
-            spool.heartbeat(done=done, total=n)
+            spool.events.emit("mc.pop", depth=done)
         spool.metrics.inc("merged.count", n)
-        spool.finish(result={"ok": True, "values": list(range(n))})
+        spool.finish(result={"ok": True, "values": list(range(n))},
+                     items=n)
         # pin wall_s so the straggler pick is deterministic
         meta_path = tmp_path / worker_name(index) / "worker.json"
         meta = json.loads(meta_path.read_text())
@@ -256,12 +260,11 @@ def test_merge_spools_rows_straggler_and_event_order(tmp_path):
     assert doc["items"] == 5
     assert doc["straggler"] == "worker-01"
     assert doc["wall_s"] == 0.9
-    assert [r["worker"] for r in doc["workers"]] \
-        == ["worker-00", "worker-01"]
+    # rows in worker order, each with its own event count
+    assert [(r["worker"], r["events"]) for r in doc["workers"]] \
+        == [("worker-00", 2), ("worker-01", 3)]
+    assert doc["events"] == 5
     assert merge.metrics.snapshot()["merged.count"] == 5
-    # events ordered by (worker, seq): stable under completion order
-    keys = [(e["worker"], e["seq"]) for e in merge.events.snapshot()]
-    assert keys == sorted(keys)
     assert merge.results[0]["values"] == [0, 1]
 
 
@@ -271,7 +274,7 @@ def _square(item, spool):
     spool.metrics.inc("fleet.squares")
     with spool.profiler.region("fleet.square"):
         pass
-    spool.events.emit("fleet.heartbeat", done=item)
+    spool.events.emit("mc.pop", depth=item)
     return item * item
 
 
@@ -285,12 +288,11 @@ def test_run_fleet_reassembles_in_submission_order(tmp_path):
     assert len(merge.doc["workers"]) == 3
     assert merge.metrics.snapshot()["fleet.squares"] == 7
     assert merge.profiler.counters()["fleet.square"]["calls"] == 7
-    # pid/worker stamped on every merged event; >1 distinct pid when
-    # the platform actually forked
-    events = merge.events.snapshot()
-    assert all("pid" in e and "worker" in e for e in events)
+    assert merge.doc["events"] == 7
+    assert [r["items"] for r in merge.doc["workers"]] == [3, 2, 2]
+    # one pid per worker when the platform actually forked
     if fleet.can_fork():
-        assert len({e["pid"] for e in events}) == 3
+        assert len({r["pid"] for r in merge.doc["workers"]}) == 3
 
 
 def test_run_fleet_matches_sequential_map(tmp_path):
@@ -332,19 +334,6 @@ def test_run_fleet_worker_failure_spools_traceback(tmp_path):
     # the healthy worker's spool survived for post-mortem
     merge = merge_spools(tmp_path)
     assert any(r and r.get("ok") for r in merge.results)
-
-
-def test_run_fleet_exports_fleet_env_to_workers(tmp_path):
-    import os
-
-    def peek(item, spool):
-        return {"worker": os.environ.get(fleet.ENV_WORKER),
-                "spool": os.environ.get(fleet.ENV_SPOOL)}
-
-    values, _ = run_fleet([0, 1], peek, jobs=2, spool=tmp_path)
-    assert values[0]["worker"] == "worker-00"
-    assert values[1]["worker"] == "worker-01"
-    assert all(v["spool"] == str(tmp_path) for v in values)
 
 
 def test_default_spool_root_follows_ledger(tmp_path, monkeypatch):

@@ -216,7 +216,7 @@ def test_ewma_eta():
 def test_ewma_eta_is_monotone_under_steady_rate():
     # deadline-style consumer: with a steady rate and a shrinking
     # remainder the ETA must walk monotonically down to zero, never
-    # jitter upward (what `repro top` renders as "deadline in Ns")
+    # jitter upward (the Heartbeat observer prints it as eta_cap)
     rate = EwmaRate()
     rate.update(0, now=0.0)
     etas = []
