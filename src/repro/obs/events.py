@@ -203,20 +203,19 @@ def read_jsonl(path: Union[str, pathlib.Path]) -> list[dict]:
     parse is dropped: its writer was killed mid-write.  Any other line
     that is not a JSON object raises ``ValueError`` naming the file
     and line."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
     records = []
-    for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(lines):
-                break
-            raise ValueError(f"{path}:{number}: not valid JSON") \
-                from None
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{number}: not a JSON object")
-        records.append(record)
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                if not line.endswith("\n"):
+                    break       # only the last line can lack one
+                raise ValueError(f"{path}:{number}: not valid JSON") \
+                    from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
+            records.append(record)
     return records

@@ -310,8 +310,14 @@ def from_records(records: list, source: str = "<records>") -> dict:
 
 
 def read_graph(path: Union[str, pathlib.Path]) -> dict:
-    """Load a capture file via :func:`from_records`."""
-    return from_records(read_jsonl(path), source=str(path))
+    """Load a capture file via :func:`from_records`.  A capture with
+    no summary record raises ``ValueError``: its writer never closed
+    it, so its totals are not exact."""
+    doc = from_records(read_jsonl(path), source=str(path))
+    if doc["summary"] is None:
+        raise ValueError(f"{path}: incomplete graph capture "
+                         f"(no graph.summary record)")
+    return doc
 
 
 def _distribution(counts: list[int]) -> dict:

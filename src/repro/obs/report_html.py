@@ -149,8 +149,7 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]]
                 records = read_jsonl(path)
             except ValueError:
                 continue        # corrupt mid-file: skip, don't crash
-            if records and isinstance(records[0], dict) \
-                    and records[0].get("kind") == "graph.header":
+            if records and records[0].get("kind") == "graph.header":
                 from repro.obs import graph as _graph
                 try:
                     inputs.graphs.append(

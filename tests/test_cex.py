@@ -217,6 +217,6 @@ def test_cli_trace_out_writes_loadable_chrome_trace(broken_file,
         if event["ph"] == "X":
             assert event["dur"] >= 0
     # the instant events mirror the structured stream on disk
-    from repro.obs.events import read_jsonl
-    stream = read_jsonl(events_path)
+    from tests.test_events import read_events
+    stream = read_events(events_path)
     assert {e["kind"] for e in stream} >= {"mc.push", "mc.violation"}

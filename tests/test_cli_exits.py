@@ -245,38 +245,43 @@ def _corrupt_file_operand(tmp_path, ledger_root):
     return str(path)
 
 
+# command -> (make operand, corrupt operand, identical text, drift text)
 DIFFS = {
-    "runs": (_runs_operand, _corrupt_runs_operand),
-    "graph": (_graph_operand, _corrupt_file_operand),
-    "perf": (_perf_operand, _corrupt_file_operand),
+    "runs": (_runs_operand, _corrupt_runs_operand,
+             "no drift", "outcome  | atomic -> not-atomic"),
+    "graph": (_graph_operand, _corrupt_file_operand,
+              "graphs identical", "graph drift:"),
+    "perf": (_perf_operand, _corrupt_file_operand,
+             "no attributed drift", "DRIFT: 1 region(s)"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(DIFFS))
 def test_diff_identical_exits_0(ledger_root, tmp_path, capsys, command):
-    make, _ = DIFFS[command]
+    make, _, identical, drift = DIFFS[command]
     a = make(tmp_path, ledger_root, "a", False)
     b = make(tmp_path, ledger_root, "b", False)
     assert main([command, "diff", a, b]) == 0
     out = capsys.readouterr().out
-    assert "no drift" in out or "identical" in out \
-        or "no attributed drift" in out
+    assert identical in out and drift not in out
 
 
 @pytest.mark.parametrize("command", sorted(DIFFS))
 def test_diff_drift_exits_1(ledger_root, tmp_path, capsys, command):
-    make, _ = DIFFS[command]
+    make, _, identical, drift = DIFFS[command]
     a = make(tmp_path, ledger_root, "a", False)
     b = make(tmp_path, ledger_root, "b", True)
     assert main([command, "diff", a, b]) == 1
-    assert capsys.readouterr().err == ""
+    captured = capsys.readouterr()
+    assert drift in captured.out and identical not in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("operand", ["missing", "corrupt"])
 @pytest.mark.parametrize("command", sorted(DIFFS))
 def test_diff_unreadable_operand_exits_2(ledger_root, tmp_path, capsys,
                                          command, operand):
-    make, corrupt = DIFFS[command]
+    make, corrupt, _, _ = DIFFS[command]
     a = make(tmp_path, ledger_root, "a", False)
     b = corrupt(tmp_path, ledger_root) if operand == "corrupt" \
         else str(tmp_path / "missing")
@@ -290,7 +295,7 @@ def test_diff_json_stdout_parses(ledger_root, tmp_path, capsys,
                                  command):
     import json
 
-    make, _ = DIFFS[command]
+    make, _, _, _ = DIFFS[command]
     a = make(tmp_path, ledger_root, "a", False)
     b = make(tmp_path, ledger_root, "b", True)
     assert main([command, "diff", a, b, "--json"]) == 1

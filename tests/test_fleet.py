@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.obs import fleet
-from repro.obs.events import read_jsonl
 from repro.obs.fleet import (
     WorkerSpool,
     merge_spools,
@@ -27,6 +26,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profile import Profiler
+from tests.test_events import read_events
 
 
 # -- merge algebra -----------------------------------------------------------------
@@ -208,7 +208,8 @@ def test_worker_spool_writes_layout_and_stamps(tmp_path):
     spool.finish(result={"ok": True, "values": [1, 2]}, items=2)
 
     wdir = tmp_path / "worker-01"
-    events = read_jsonl(wdir / "events.jsonl")
+    # stamped events still satisfy EVENT_SCHEMA
+    events = read_events(wdir / "events.jsonl")
     assert [e["depth"] for e in events] == [0, 1]
     assert all(e["worker"] == "worker-01" for e in events)
     assert all(e["pid"] == spool.pid for e in events)

@@ -291,3 +291,20 @@ def test_cli_graph_errors(tmp_path, capsys):
     assert main(["graph", "stats", str(bogus)]) == 2
     assert main(["graph", "dot", str(bogus)]) == 2
     assert main(["graph", "diff", str(bogus), str(bogus)]) == 2
+
+
+@pytest.mark.parametrize("cut", ["torn", "unclosed"])
+def test_cli_graph_incomplete_capture_exits_2(tmp_path, capsys, cut):
+    # a killed `mc --graph-out` run leaves no summary record, and
+    # possibly a torn last line: stats and diff refuse it
+    whole = _mc_with_graph(tmp_path, "whole.jsonl")
+    lines = whole.read_text().splitlines(keepends=True)
+    assert json.loads(lines[-1])["kind"] == "graph.summary"
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text("".join(lines[:-1])
+                       + ('{"kind": "no' if cut == "torn" else ""))
+    capsys.readouterr()
+    assert main(["graph", "stats", str(partial)]) == 2
+    assert main(["graph", "diff", str(whole), str(partial)]) == 2
+    err = capsys.readouterr().err
+    assert "incomplete graph capture" in err and "Traceback" not in err
