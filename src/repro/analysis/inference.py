@@ -52,7 +52,6 @@ from repro.analysis.windows import Window, WindowIndex
 from repro.cfg.builder import build_cfg
 from repro.cfg.dominators import Dominators
 from repro.cfg.graph import CFGNode, NodeKind, ProcCFG
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import NULL_PROFILER, Profiler
 from repro.obs.provenance import justify
 from repro.obs.tracing import NULL_TRACER
@@ -204,9 +203,10 @@ class AnalysisResult:
     contexts: dict[str, VariantContext]
     uniqueness: UniquenessResult
     diagnostics: list[str] = field(default_factory=list)
-    #: flat metrics snapshot (variant/site counts, per-theorem
-    #: exclusion tallies, mover distribution, phase info)
-    metrics: dict = field(default_factory=dict)
+    #: flat ``{name: count}`` tallies, keys sorted (variant/site
+    #: counts, per-theorem exclusion tallies, mover distribution, plus
+    #: the ``lint.*`` counts of the embedded lint pass)
+    metrics: dict[str, int] = field(default_factory=dict)
     #: span tree (list of span dicts) when tracing was enabled
     trace: list = field(default_factory=list)
     #: discipline-lint findings for the source program
@@ -255,14 +255,12 @@ class AtomicityChecker:
 
     def __init__(self, program: A.Program | str,
                  options: InferenceOptions | None = None,
-                 tracer=None, metrics: MetricsRegistry | None = None,
-                 profiler: Profiler | None = None,
+                 tracer=None, profiler: Profiler | None = None,
                  source_text: str | None = None):
         self.tracer = tracer or NULL_TRACER
-        self.registry = metrics or MetricsRegistry()
         self.profiler = profiler or NULL_PROFILER
-        #: lock-free hot-path tallies, flushed into ``registry`` once
-        #: at the end of :meth:`run`
+        #: the ``analysis.*`` tallies plus the lint pass's ``lint.*``
+        #: counts, reported as ``result.metrics``
         self._counts: dict[str, int] = {}
         if isinstance(program, str):
             #: original text, so the embedded lint pass can read
@@ -363,13 +361,13 @@ class AtomicityChecker:
         self._lint_taint: dict[tuple, dict[str, set[str]]] = {}
         if not self.options.enable_lint:
             return
-        from repro.analysis.lint import Severity, lint_program
+        from repro.analysis.lint import Severity, lint_counts, lint_program
         with self.tracer.span("analysis:lint"), \
                 self.profiler.region("analysis.lint"):
             self.lint = lint_program(self.program,
                                      source_text=self.source_text,
-                                     metrics=self.registry,
                                      profiler=self.profiler)
+        self._counts.update(lint_counts([self.lint]))
         noted: dict[tuple, set[str]] = {}
         for diag in self.lint.findings:
             theorem = self._DOWNGRADE_RULES.get(diag.rule)
@@ -458,7 +456,6 @@ class AtomicityChecker:
                         for c in self.contexts.values()))
         self._tally("analysis.condition_blocks",
                     sum(len(c.blocks) for c in self.contexts.values()))
-        self.registry.merge_counts(self._counts)
         if prof.enabled:
             # per-theorem attribution, derived once from the tallies so
             # the hot paths pay nothing: direct applications (steps 1–2,
@@ -477,7 +474,7 @@ class AtomicityChecker:
             variant_set=variant_set, verdicts=verdicts,
             contexts=self.contexts, uniqueness=self.unique,
             diagnostics=self.diagnostics,
-            metrics=self.registry.snapshot(),
+            metrics=dict(sorted(self._counts.items())),
             trace=self.tracer.to_dict() if self.tracer.enabled else [],
             lint=self.lint, downgrades=self.downgrades,
             profile=prof.to_dict() if prof.enabled else {})
@@ -1059,11 +1056,10 @@ class AtomicityChecker:
 def analyze_program(source: A.Program | str,
                     options: InferenceOptions | None = None,
                     tracer=None,
-                    metrics: MetricsRegistry | None = None,
                     profiler: Profiler | None = None,
                     source_text: str | None = None
                     ) -> AnalysisResult:
     """Convenience entry point: run the full inference."""
     return AtomicityChecker(source, options, tracer=tracer,
-                            metrics=metrics, profiler=profiler,
+                            profiler=profiler,
                             source_text=source_text).run()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.analysis.actions import RawAction, Target, node_actions
 from repro.analysis.alias import AliasAnalysis
@@ -408,6 +408,28 @@ class LintResult:
         return "\n".join(lines)
 
 
+def lint_counts(results: Iterable[LintResult]) -> dict[str, int]:
+    """The ``lint.*`` counters over one or more lint runs, keys
+    sorted: ``lint.runs``, the kept findings per severity
+    (``lint.findings.error|warning|info``), the suppressed ones
+    (``lint.findings.suppressed``) and the kept ones per rule
+    (``lint.rule.<id>``).  The severity and suppression counts are
+    present even when zero."""
+    counts = {"lint.runs": 0, "lint.findings.error": 0,
+              "lint.findings.warning": 0, "lint.findings.info": 0,
+              "lint.findings.suppressed": 0}
+    for result in results:
+        counts["lint.runs"] += 1
+        counts["lint.findings.error"] += result.errors
+        counts["lint.findings.warning"] += result.warnings
+        counts["lint.findings.info"] += result.infos
+        counts["lint.findings.suppressed"] += len(result.suppressed)
+        for rule_id, n in result.counts_by_rule().items():
+            key = f"lint.rule.{rule_id}"
+            counts[key] = counts.get(key, 0) + n
+    return dict(sorted(counts.items()))
+
+
 def _sort_key(d: Diagnostic) -> tuple:
     return (-int(d.severity), d.proc or "", d.span.line, d.span.col,
             d.rule, d.message)
@@ -417,14 +439,13 @@ def lint_program(source: Union[str, A.Program], *,
                  label: Optional[str] = None,
                  source_text: Optional[str] = None,
                  rules: Optional[list[str]] = None,
-                 metrics=None, events=None,
-                 profiler=None) -> LintResult:
+                 events=None, profiler=None) -> LintResult:
     """Run every registered checker over a program (source text or a
     resolved AST).  ``rules`` optionally restricts output to the given
-    rule ids / family prefixes; ``metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) and ``events`` (an
-    :class:`~repro.obs.events.EventStream`) receive lint counters and
-    ``lint.*`` events when supplied; ``profiler`` (a
+    rule ids / family prefixes; ``events`` (an
+    :class:`~repro.obs.events.EventStream`) receives ``lint.*`` events
+    when supplied (the ``lint.*`` counters come from
+    :func:`lint_counts` over the results); ``profiler`` (a
     :class:`~repro.obs.profile.Profiler`) gets a timed
     ``lint.checker.<name>`` region per checker pass and per-rule
     firing counts as ``lint.rule.<id>`` work units."""
@@ -459,14 +480,6 @@ def lint_program(source: Union[str, A.Program], *,
     kept.sort(key=_sort_key)
     silenced.sort(key=_sort_key)
     result = LintResult(label or "<program>", kept, silenced)
-    if metrics is not None:
-        metrics.inc("lint.runs")
-        metrics.inc("lint.findings.error", result.errors)
-        metrics.inc("lint.findings.warning", result.warnings)
-        metrics.inc("lint.findings.info", result.infos)
-        metrics.inc("lint.findings.suppressed", len(silenced))
-        for rule_id, count in result.counts_by_rule().items():
-            metrics.inc(f"lint.rule.{rule_id}", count)
     for rule_id, count in result.counts_by_rule().items():
         profiler.add(f"lint.rule.{rule_id}", count)
     if events is not None:

@@ -34,6 +34,8 @@ from repro.analysis.summaries.engine import (  # noqa: F401
     analyze_with_summaries,
     corpus_targets,
     resolve_store,
+    summary_counts,
+    summary_row,
     verify_store,
     warm_canary,
 )

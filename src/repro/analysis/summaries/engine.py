@@ -22,8 +22,9 @@ summary resolution:
    --corpus` and `repro summaries verify` alarm on.
 
 Cache traffic is observable: ``summary.*`` profiler regions
-(hash/resolve/replay/emit), ``summary.*`` events, and hit / miss /
-invalidation counters merged into the caller's metrics registry.
+(hash/resolve/replay/emit), ``summary.*`` events, and the hit / miss /
+invalidation counts :func:`summary_counts` derives from the per-target
+rows (``--metrics``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.analysis.report import render_figure
 from repro.analysis.summaries import canon
 from repro.analysis.summaries.store import SummaryStore
 from repro.obs import ledger, rundiff
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import NULL_PROFILER
 from repro.synl.inline import inline_calls
 from repro.synl.parser import parse_program
@@ -238,7 +238,7 @@ def analyze_with_summaries(source: str,
                            *,
                            store: SummaryStore,
                            label: str = "<program>",
-                           tracer=None, metrics=None, profiler=None,
+                           tracer=None, profiler=None,
                            events=None, known_names=None):
     """Analyze ``source`` through the summary cache.
 
@@ -305,25 +305,15 @@ def analyze_with_summaries(source: str,
         if events is not None:
             events.emit("summary.replay", label=label,
                         procs=len(proc_keys))
-        _merge_cache_metrics(metrics, info)
         return result, info
 
     # Miss path: one whole-program run (mirrors the CLI's load path —
-    # procedure calls are inlined before analysis).  The checker gets
-    # a registry of its own so the metrics embedded in (and stored
-    # with) the doc describe *this program only* — a shared registry
-    # would leak whatever ran before into the doc, making record
-    # bytes depend on analysis order.  The caller's registry still
-    # sees everything via the merge below.
+    # procedure calls are inlined before analysis).
     program = inline_calls(parse_program(source))
     resolve(program)
-    local_metrics = MetricsRegistry()
     result = AtomicityChecker(program, options, tracer=tracer,
-                              metrics=local_metrics,
                               profiler=profiler,
                               source_text=source).run()
-    if metrics is not None:
-        metrics.merge(local_metrics)
 
     with prof.region("summary.emit"):
         doc = result.to_dict(include_provenance=True)
@@ -364,7 +354,6 @@ def analyze_with_summaries(source: str,
     if events is not None:
         events.emit("summary.emit", label=label,
                     procs=len(proc_keys), drift=len(info["drift"]))
-    _merge_cache_metrics(metrics, info)
     return result, info
 
 
@@ -376,17 +365,38 @@ def _roundtrip(obj):
     return json.loads(json.dumps(obj, sort_keys=True))
 
 
-def _merge_cache_metrics(metrics, info: dict) -> None:
-    if metrics is None:
-        return
-    metrics.merge_counts({
-        "summary.procs.hit": len(info["hits"]),
-        "summary.procs.miss": len(info["misses"]),
-        "summary.procs.invalidated": len(info["invalidated"]),
-        "summary.programs.hit": 1 if info["cached"] else 0,
-        "summary.programs.miss": 0 if info["cached"] else 1,
-        "summary.drift": len(info["drift"]),
-    })
+def summary_row(result, info: dict) -> dict:
+    """One target's cache traffic as a flat row: ``{label, atomic,
+    procs, hits, misses, invalidated, cached, drift}`` — the
+    ``analyze --corpus`` table row, built from
+    :func:`analyze_with_summaries`'s ``(result, info)``."""
+    return {
+        "label": info["label"],
+        "atomic": bool(result.all_atomic),
+        "procs": len(info["proc_keys"]),
+        "hits": len(info["hits"]),
+        "misses": len(info["misses"]),
+        "invalidated": len(info["invalidated"]),
+        "cached": info["cached"],
+        "drift": len(info["drift"]),
+    }
+
+
+def summary_counts(rows) -> dict[str, int]:
+    """The ``summary.*`` counters over :func:`summary_row` rows, keys
+    sorted: procedure hits / misses / invalidations, program hits /
+    misses, and drift entries."""
+    counts = {"summary.drift": 0, "summary.procs.hit": 0,
+              "summary.procs.invalidated": 0, "summary.procs.miss": 0,
+              "summary.programs.hit": 0, "summary.programs.miss": 0}
+    for row in rows:
+        counts["summary.procs.hit"] += row["hits"]
+        counts["summary.procs.miss"] += row["misses"]
+        counts["summary.procs.invalidated"] += row["invalidated"]
+        counts["summary.programs.hit" if row["cached"]
+               else "summary.programs.miss"] += 1
+        counts["summary.drift"] += row["drift"]
+    return counts
 
 
 # -- batch front-end -----------------------------------------------------------
@@ -414,7 +424,7 @@ def corpus_targets(examples_dir: str | Path | None = "examples/synl",
 def _analyze_one(store: SummaryStore,
                  options: InferenceOptions | None,
                  label: str, source: str, *,
-                 profiler=None, events=None, metrics=None,
+                 profiler=None, events=None,
                  known_names=None) -> dict:
     """One corpus target through the store; returns a self-contained
     ``{"label", "row", "doc", "drift"}`` (or ``{"label", "error"}``)
@@ -424,7 +434,7 @@ def _analyze_one(store: SummaryStore,
     try:
         result, info = analyze_with_summaries(
             source, options, store=store, label=label,
-            profiler=profiler, events=events, metrics=metrics,
+            profiler=profiler, events=events,
             known_names=known_names)
     except ReproError as exc:
         return {"label": label, "error": str(exc)}
@@ -433,16 +443,7 @@ def _analyze_one(store: SummaryStore,
         "label": label,
         "doc": stable_doc(doc),
         "drift": info["drift"],
-        "row": {
-            "label": label,
-            "atomic": bool(result.all_atomic),
-            "procs": len(info["proc_keys"]),
-            "hits": len(info["hits"]),
-            "misses": len(info["misses"]),
-            "invalidated": len(info["invalidated"]),
-            "cached": info["cached"],
-            "drift": len(info["drift"]),
-        },
+        "row": summary_row(result, info),
     }
 
 
@@ -470,7 +471,7 @@ def analyze_corpus(store: SummaryStore,
                    options: InferenceOptions | None = None,
                    *,
                    targets: list[tuple[str, str]] | None = None,
-                   profiler=None, events=None, metrics=None,
+                   profiler=None, events=None,
                    jobs: int = 1, spool=None) -> dict:
     """Analyze every target through one shared store.
 
@@ -499,7 +500,6 @@ def analyze_corpus(store: SummaryStore,
     if jobs <= 1 and spool is None:
         cells = [_analyze_one(store, options, label, source,
                               profiler=profiler, events=events,
-                              metrics=metrics,
                               known_names=known_names)
                  for label, source in resolved]
         return _assemble_corpus_report(cells, store.stats())
@@ -517,7 +517,6 @@ def analyze_corpus(store: SummaryStore,
         cell = _analyze_one(worker_store, worker_options, label,
                             source, profiler=spool_handle.profiler,
                             events=spool_handle.events,
-                            metrics=spool_handle.metrics,
                             known_names=known_names)
         return cell
 
@@ -527,8 +526,6 @@ def analyze_corpus(store: SummaryStore,
     report["fleet"] = merge.doc
     if profiler is not None:
         profiler.merge(merge.profiler)
-    if metrics is not None:
-        metrics.merge(merge.metrics)
     if events is not None:
         events.emit("fleet.merge", workers=len(merge.doc["workers"]),
                     events=merge.doc["events"],

@@ -25,7 +25,7 @@ repeat forever).
 
 ``analyze``/``blocks``/``variants``/``run``/``mc`` accept the
 observability flags ``--trace`` (per-phase span timings),
-``--metrics`` (counters/gauges), ``--profile`` (ranked hotspot table;
+``--metrics`` (flat counts), ``--profile`` (ranked hotspot table;
 ``--profile-sample`` adds per-function ``sys.setprofile``
 attribution), ``--json`` (machine-readable output), ``--trace-out
 FILE`` (Chrome/Perfetto trace-event export) and ``--events-out FILE``
@@ -226,11 +226,15 @@ def _note_fleet(doc: dict, spool=None) -> None:
                     ledger.ref_artifact(wdir / name)
 
 
-def _emit_obs(cfg: ObsConfig, tracer: Tracer, metrics: dict) -> None:
+def _emit_metrics(cfg: ObsConfig, metrics: dict) -> None:
     if cfg.metrics and metrics:
         print("\n-- metrics --")
         for name, value in sorted(metrics.items()):
             print(f"{name}: {value}")
+
+
+def _emit_obs(cfg: ObsConfig, tracer: Tracer, metrics: dict) -> None:
+    _emit_metrics(cfg, metrics)
     if cfg.trace:
         print("\n-- trace --")
         print(tracer.render())
@@ -328,14 +332,19 @@ def cmd_analyze(args) -> int:
             print("-- downgraded theorem applications --")
             for d in result.downgrades:
                 print(f"{d['detail']}")
+        metrics = dict(result.metrics)
         if info is not None:
+            from repro.analysis.summaries import engine as summaries
+
             print()
             print("-- summary cache --")
             print(f"procs: {len(info['hits'])} hit, "
                   f"{len(info['misses'])} miss "
                   f"({len(info['invalidated'])} invalidated); program "
                   f"{'hit (replayed)' if info['cached'] else 'miss'}")
-        _emit_obs(cfg, tracer, result.metrics)
+            metrics.update(summaries.summary_counts(
+                [summaries.summary_row(result, info)]))
+        _emit_obs(cfg, tracer, metrics)
         _emit_profile(cfg, profiler, sampler)
     if info is not None and info["drift"]:
         _print_summary_drift(info["drift"])
@@ -414,6 +423,7 @@ def _cmd_analyze_corpus(args) -> int:
             print(f"fleet: {fdoc['jobs']} worker(s), "
                   f"{fdoc['items']} target(s), straggler "
                   f"{fdoc['straggler']} ({fdoc['wall_s']:.2f}s)")
+        _emit_metrics(cfg, summaries.summary_counts(report["rows"]))
         _emit_profile(cfg, profiler, sampler)
     if report["drift"]:
         _print_summary_drift(report["drift"])
@@ -745,14 +755,12 @@ def cmd_lint(args) -> int:
     """Discipline linter (docs/LINT.md).  Exit codes: 0 clean (or
     manifest fully matched), 1 warnings only (or manifest deviation),
     2 errors."""
-    from repro.analysis.lint import lint_program
+    from repro.analysis.lint import lint_counts, lint_program
     from repro.obs.export import LINT_REPORT_SCHEMA, validate
-    from repro.obs.metrics import MetricsRegistry
 
     cfg, tracer = _obs_setup(args)
     events = _events_for(args)
     profiler, sampler = _profiler_for(cfg)
-    registry = MetricsRegistry()
     rules = [r.strip() for r in (args.rules or "").split(",")
              if r.strip()] or None
 
@@ -775,8 +783,7 @@ def cmd_lint(args) -> int:
             with tracer.span("lint:target", target=label):
                 results.append(lint_program(
                     source, label=label, rules=rules,
-                    metrics=registry, events=events,
-                    profiler=profiler))
+                    events=events, profiler=profiler))
     _write_obs_outputs(args, tracer, events, profiler)
     ledger.note_lint(results)
 
@@ -823,7 +830,7 @@ def cmd_lint(args) -> int:
     else:
         for res in results:
             print(res.render())
-        _emit_obs(cfg, tracer, registry.snapshot())
+        _emit_obs(cfg, tracer, lint_counts(results))
         _emit_profile(cfg, profiler, sampler)
     if any(r.errors for r in results):
         return 2

@@ -20,7 +20,6 @@ import sys
 import time
 from typing import Callable, Optional
 
-from repro.obs.metrics import EwmaRate
 from repro.obs.profile import malloc_top, peak_rss_mb
 
 #: frontier-size sampling starts at this transition stride and doubles
@@ -196,6 +195,58 @@ def _timed(fn: Callable, acc: list, work: Optional[Callable]) -> Callable:
         return out
 
     return timed
+
+
+class EwmaRate:
+    """Exponentially-weighted throughput estimator with an ETA.
+
+    Feeds the ``--progress`` :class:`Heartbeat`: each
+    :meth:`update` takes a *cumulative* monotonic count (states seen
+    so far) and a timestamp, computes the instantaneous rate since the
+    previous update, and folds it into an EWMA so one slow beat does
+    not whipsaw the ETA.  Edge cases are deliberate:
+
+    * the first update only baselines (rate stays 0 — no window yet);
+    * a non-increasing count re-baselines without poisoning the rate
+      (restarted searches, clock-adjacent beats);
+    * a zero/negative time delta is ignored entirely;
+    * :meth:`eta_s` is ``None`` until the rate is positive, and 0.0
+      once the remaining work is gone — callers can always render it.
+    """
+
+    __slots__ = ("alpha", "rate", "_last_count", "_last_t")
+
+    def __init__(self, alpha: float = 0.3):
+        self.alpha = alpha
+        self.rate = 0.0
+        self._last_count: Optional[float] = None
+        self._last_t = 0.0
+
+    def update(self, count: float, now: float) -> float:
+        """Fold one observation; returns the smoothed rate."""
+        if self._last_count is None:
+            self._last_count, self._last_t = count, now
+            return self.rate
+        dt = now - self._last_t
+        if dt <= 0:
+            return self.rate
+        if count < self._last_count:
+            self._last_count, self._last_t = count, now
+            return self.rate
+        inst = (count - self._last_count) / dt
+        self.rate = inst if self.rate == 0.0 \
+            else self.alpha * inst + (1 - self.alpha) * self.rate
+        self._last_count, self._last_t = count, now
+        return self.rate
+
+    def eta_s(self, remaining: float) -> Optional[float]:
+        """Seconds until ``remaining`` units drain at the current
+        rate; None when no positive rate has been established."""
+        if remaining <= 0:
+            return 0.0
+        if self.rate <= 0:
+            return None
+        return remaining / self.rate
 
 
 class Heartbeat(Observer):

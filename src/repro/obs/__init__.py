@@ -1,12 +1,11 @@
 """Structured observability for the analysis pipeline (zero-dep).
 
-Three concerns, one package:
+One package, several concerns.  Counts need no module of their own:
+they are plain ``{name: value}`` dicts on the results
+(``AnalysisResult.metrics``, ``MCResult.metrics``, ``lint_counts``).
 
 * :mod:`repro.obs.tracing` — hierarchical wall-clock spans around the
   §5.4 pipeline steps and the model checker's DFS phases;
-* :mod:`repro.obs.metrics` — thread-safe counters/gauges/histograms
-  (states/sec, canonical-hash cache hits, ample-set reduction ratio,
-  per-theorem exclusion counts, …);
 * :mod:`repro.obs.provenance` — per-action justification chains naming
   the theorem (5.1/5.3/5.4/5.5, …) behind every mover classification;
 * :mod:`repro.obs.events` — a schema-versioned, bounded structured
@@ -42,18 +41,13 @@ environment switches.
 
 from repro.obs.config import ObsConfig
 from repro.obs.events import EventStream
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
 from repro.obs.profile import NULL_PROFILER, Profiler, Sampler
 from repro.obs.provenance import Justification
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 
 __all__ = [
-    "Counter",
     "EventStream",
-    "Gauge",
-    "Histogram",
     "Justification",
-    "MetricsRegistry",
     "NULL_PROFILER",
     "NULL_TRACER",
     "ObsConfig",

@@ -8,7 +8,7 @@ complete events) and an :class:`~repro.obs.events.EventStream` (as
 reconciliation: the earliest timestamp across both becomes the trace
 epoch and everything is exported as microseconds since it.
 
-Spans are laid out one *track* (Chrome "thread") per root-span thread;
+Spans are laid out on one *track* (Chrome "thread"), ``spans``;
 instant events get their own track per event domain (``mc``, ``sched``,
 ``interp``, ``dyn``) so a violation marker is visually aligned with the
 DFS span it interrupted.
@@ -30,7 +30,7 @@ from typing import Optional, Union
 #: pid used for every emitted event (single-process tool)
 _PID = 1
 
-#: tid assigned to span tracks, per originating thread name
+#: tid of the span track
 _SPAN_TRACK_BASE = 1
 #: tid range for event-domain tracks (mc/sched/interp/dyn)
 _EVENT_TRACK_BASE = 100
@@ -79,9 +79,8 @@ def to_trace_events(tracer=None, events=None) -> list[dict]:
 
     if tracer is not None:
         for root in tracer.roots:
-            thread = root.thread or "main"
-            _span_events(root, track_of(f"span:{thread}",
-                                        _SPAN_TRACK_BASE), epoch, out)
+            _span_events(root, track_of("spans", _SPAN_TRACK_BASE),
+                         epoch, out)
     pids: dict[int, Optional[str]] = {}
     if events is not None:
         snap = events.snapshot()
@@ -111,7 +110,7 @@ def to_trace_events(tracer=None, events=None) -> list[dict]:
                 "ts": round((ev["t"] - epoch) * 1e6, 3),
                 "args": args,
             })
-    # name the tracks so Perfetto shows "span:MainThread" / "events:mc"
+    # name the tracks so Perfetto shows "spans" / "events:mc"
     for name, tid in sorted(tracks.items(), key=lambda kv: kv[1]):
         out.append({
             "name": "thread_name",

@@ -1,7 +1,7 @@
 """Multi-process observability backplane: worker spools + aggregator.
 
-Events, spans, metrics, the profiler, the ledger and the HTML report
-all assume one process.  This module lets parallel work stay
+Events, spans, the profiler, the ledger and the HTML report all
+assume one process.  This module lets parallel work stay
 visible: each worker process writes its *own* crash-safe telemetry
 spool, and a deterministic aggregator merges N spools back into the
 single-stream shapes the rest of the substrate already consumes.
@@ -11,7 +11,6 @@ Spool layout (one directory per run, one subdirectory per worker)::
     <spool>/
         worker-00/
             events.jsonl    # pid/worker-stamped event stream
-            metrics.json    # MetricsRegistry.state() — raw buckets
             profile.json    # Profiler.state() — full triples + folded
             result.json     # the worker function's JSON return value
             worker.json     # meta: pid, wall, peak RSS, item count
@@ -27,7 +26,6 @@ The three layers:
 
 * :class:`WorkerSpool` — worker-side handle bundling a pid/worker-
   stamped :class:`~repro.obs.events.EventStream`, a private
-  :class:`~repro.obs.metrics.MetricsRegistry` and
   :class:`~repro.obs.profile.Profiler`, and the spool write-out.
 * :func:`run_fleet` — ``os.fork``-based fan-out: items are strided
   across N worker processes (``items[w::jobs]``), each child runs the
@@ -37,8 +35,7 @@ The three layers:
   per-item results in the *original submission order*, so a parallel
   run is byte-identical to a sequential one.
 * :func:`merge_spools` — the deterministic aggregator: one merged
-  ``MetricsRegistry`` (instrument-level merge semantics live in
-  :mod:`repro.obs.metrics`), one merged ``Profiler``, and a
+  ``Profiler`` (triples and folded stacks sum), and a
   schema-versioned ``{"kind": "fleet"}`` merge-summary document
   (per-worker rows, straggler attribution) that the HTML report
   renders as its Fleet section.
@@ -60,7 +57,6 @@ from typing import Callable, Optional, Union
 
 from repro.obs import schemas
 from repro.obs.events import EventStream, read_jsonl
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, peak_rss_mb
 
 SCHEMA_VERSION = schemas.FLEET
@@ -141,7 +137,7 @@ def worker_name(index: int) -> str:
 
 class WorkerSpool:
     """Worker-side telemetry handle: one spool directory, one
-    pid/worker-stamped event stream, and private metrics + profiler.
+    pid/worker-stamped event stream, and a private profiler.
     Construct it *in the worker process* (the event stream caches
     ``os.getpid()`` at construction)."""
 
@@ -155,7 +151,6 @@ class WorkerSpool:
         self.events = EventStream(capacity=capacity,
                                   sink=self.dir / "events.jsonl",
                                   worker=self.worker)
-        self.metrics = MetricsRegistry()
         self.profiler = Profiler()
         self._started = time.perf_counter()
 
@@ -165,10 +160,6 @@ class WorkerSpool:
         lands in ``result.json`` for the parent to read back."""
         wall = time.perf_counter() - self._started
         self.events.close()
-        (self.dir / "metrics.json").write_text(json.dumps(
-            {"v": SCHEMA_VERSION, "kind": "fleet-metrics",
-             "worker": self.worker, "pid": self.pid,
-             "metrics": self.metrics.state()}, indent=1) + "\n")
         (self.dir / "profile.json").write_text(json.dumps(
             {"v": SCHEMA_VERSION, "kind": "fleet-profile",
              "worker": self.worker, "pid": self.pid,
@@ -200,8 +191,6 @@ class FleetMerge:
     #: schema-versioned merge-summary document (``kind: "fleet"``) —
     #: what the report's Fleet section and the ledger note consume
     doc: dict
-    #: merged registry (instrument-level merge, any order)
-    metrics: MetricsRegistry
     #: merged profiler (triples + folded stacks summed)
     profiler: Profiler
     #: worker result.json payloads, in worker order (None when absent)
@@ -212,22 +201,17 @@ def merge_spools(root: Union[str, pathlib.Path],
                  label: str = "",
                  jobs: Optional[int] = None) -> FleetMerge:
     """Deterministically merge every ``worker-*/`` spool under
-    ``root`` into one registry, one profiler and the merge-summary
-    document.  Workers are processed in
-    directory-name order and instruments merge associatively, so the
-    result is independent of worker completion order."""
+    ``root`` into one profiler and the merge-summary document.
+    Workers are processed in directory-name order and profiler
+    entries sum, so the result is independent of worker completion
+    order."""
     root = pathlib.Path(root)
     worker_dirs = sorted(p for p in root.glob("worker-*")
                          if p.is_dir())
-    metrics = MetricsRegistry()
     profiler = Profiler()
     results: list = []
     rows: list[dict] = []
     for wdir in worker_dirs:
-        mdoc = _read_json(wdir / "metrics.json")
-        if mdoc:
-            metrics.merge(MetricsRegistry.from_state(
-                mdoc.get("metrics") or {}))
         pdoc = _read_json(wdir / "profile.json")
         if pdoc:
             profiler.merge(Profiler.from_state(
@@ -262,8 +246,7 @@ def merge_spools(root: Union[str, pathlib.Path],
         "straggler": straggler,
         "workers": rows,
     }
-    return FleetMerge(doc=doc, metrics=metrics, profiler=profiler,
-                      results=results)
+    return FleetMerge(doc=doc, profiler=profiler, results=results)
 
 
 def _run_worker(spool_root: pathlib.Path, index: int, items: list,

@@ -184,9 +184,7 @@ class Profiler:
     """Named accumulator of ``(calls, work, wall_s)`` triples.
 
     Not thread-safe by design: the inference pipeline and the DFS are
-    single-threaded, and the hot-loop contract mirrors
-    :class:`~repro.obs.metrics.MetricsRegistry` — accumulate locally,
-    flush once.
+    single-threaded.  Hot loops accumulate locally and flush once.
     """
 
     __slots__ = ("enabled", "_entries", "_stack", "_folded")

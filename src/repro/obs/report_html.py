@@ -14,7 +14,7 @@ Sections (each ``<section id="sec-NAME">``, see :data:`SECTIONS`):
 
 * ``overview``  — what was aggregated, headline verdicts/violations;
 * ``trace``     — per-phase span trees from analysis/MC documents;
-* ``metrics``   — flat counter/gauge tables;
+* ``metrics``   — flat count tables;
 * ``hotspots``  — ranked profiler tables (+ share bar chart);
 * ``coverage``  — depth histogram + frontier-size chart per MC run;
 * ``statespace`` — graph-capture analytics (``--graph-out`` JSONL:
@@ -495,7 +495,7 @@ def _coverage(inputs: ReportInputs) -> str:
             continue
         parts.append(f"<h3>{_esc(label)}</h3>")
         facts = [[k, metrics[k]] for k in (
-            "mc.states", "mc.transitions", "mc.dedup_hit_rate",
+            "mc.states", "mc.transitions", "mc.cache_hit_ratio",
             "mc.mem_peak_mb", "mc.max_depth",
             "mc.ample_reduction_ratio") if k in metrics]
         for key in ("mean", "p50", "p95", "p99"):
@@ -934,7 +934,7 @@ SELF_CHECK_FIXTURE = {
         "elapsed_s": 0.01, "states_per_s": 6400.0,
         "violation": None, "capped": False, "trace": [],
         "metrics": {"mc.states": 64, "mc.transitions": 96,
-                    "mc.dedup_hit_rate": 0.33, "mc.mem_peak_mb": 21.5,
+                    "mc.cache_hit_ratio": 0.33, "mc.mem_peak_mb": 21.5,
                     "mc.max_depth": 9,
                     "mc.depth": {"count": 63, "min": 1, "max": 9,
                                  "mean": 4.2, "p50": 4, "p95": 8,

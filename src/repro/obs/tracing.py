@@ -8,9 +8,9 @@ A :class:`Tracer` hands out :class:`Span` context managers::
             ...
     print(tracer.render())
 
-Spans nest per *thread* (each thread keeps its own open-span stack in
-thread-local storage), so worker threads started inside a span attach
-their own roots rather than corrupting the parent's stack.  Timing uses
+Spans nest on one open-span stack: the pipeline and the model checker
+are single-threaded, and parallel work runs in forked processes
+(:mod:`repro.obs.fleet`), never in threads.  Timing uses
 ``time.perf_counter`` — monotonic, unaffected by wall-clock jumps.
 
 A disabled tracer (``Tracer(enabled=False)``, or the shared
@@ -21,7 +21,6 @@ off.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Iterator, Optional
 
@@ -29,16 +28,14 @@ from typing import Iterator, Optional
 class Span:
     """One timed region.  ``end`` is ``None`` while the span is open."""
 
-    __slots__ = ("name", "attrs", "start", "end", "children", "thread")
+    __slots__ = ("name", "attrs", "start", "end", "children")
 
-    def __init__(self, name: str, attrs: Optional[dict] = None,
-                 thread: Optional[str] = None):
+    def __init__(self, name: str, attrs: Optional[dict] = None):
         self.name = name
         self.attrs = attrs or {}
         self.start = time.perf_counter()
         self.end: Optional[float] = None
         self.children: list[Span] = []
-        self.thread = thread
 
     @property
     def duration(self) -> float:
@@ -62,8 +59,6 @@ class Span:
         }
         if self.attrs:
             out["attrs"] = dict(self.attrs)
-        if self.thread is not None:
-            out["thread"] = self.thread
         if self.children:
             out["children"] = [c.to_dict() for c in self.children]
         return out
@@ -107,39 +102,27 @@ class _SpanContext:
 
 
 class Tracer:
-    """Thread-safe collector of span trees."""
+    """Collector of span trees."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.roots: list[Span] = []
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        self._stack: list[Span] = []
 
     # -- span lifecycle ----------------------------------------------------
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def span(self, name: str, **attrs):
-        """Open a child span of the current thread's innermost span."""
+        """Open a child span of the innermost open span."""
         if not self.enabled:
             return _NULL_CM
-        stack = self._stack()
-        thread = threading.current_thread().name if not stack else None
-        span = Span(name, attrs or None, thread=thread)
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            with self._lock:
-                self.roots.append(span)
+        span = Span(name, attrs or None)
+        stack = self._stack
+        (stack[-1].children if stack else self.roots).append(span)
         stack.append(span)
         return _SpanContext(self, span)
 
     def _pop(self, span: Span) -> None:
         span.close()
-        stack = self._stack()
+        stack = self._stack
         # close any dangling descendants left open by early exits
         while stack and stack[-1] is not span:
             stack.pop().close()
@@ -148,22 +131,18 @@ class Tracer:
 
     @property
     def current(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
+        return self._stack[-1] if self._stack else None
 
     # -- output ------------------------------------------------------------
     def reset(self) -> None:
-        with self._lock:
-            self.roots = []
-        self._local = threading.local()
+        self.roots = []
+        self._stack = []
 
     def to_dict(self) -> list[dict]:
-        with self._lock:
-            return [s.to_dict() for s in self.roots]
+        return [s.to_dict() for s in self.roots]
 
     def render(self) -> str:
-        with self._lock:
-            return "\n".join(s.render() for s in self.roots)
+        return "\n".join(s.render() for s in self.roots)
 
 
 #: shared disabled tracer — the default for all instrumented call sites.

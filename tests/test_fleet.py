@@ -1,13 +1,12 @@
 """The multi-process observability backplane (:mod:`repro.obs.fleet`):
-merge algebra (associative / commutative / identity), spool write-out
-and merge (a dead worker's torn spool included), the fork-based
-``run_fleet`` fan-out with submission-order reassembly, and ``--jobs``
-resolution."""
+profiler merge algebra (associative / commutative / identity), spool
+write-out and merge (a dead worker's torn spool included), the
+fork-based ``run_fleet`` fan-out with submission-order reassembly, and
+``--jobs`` resolution."""
 
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 
@@ -19,134 +18,16 @@ from repro.obs.fleet import (
     run_fleet,
     worker_name,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.profile import Profiler
 from tests.test_events import read_events
 
 
 # -- merge algebra -----------------------------------------------------------------
 #
-# Property-style over seeded random instrument populations: a fleet
-# merge must not depend on worker completion order (commutativity),
-# on the merge tree shape (associativity), or on empty workers being
-# present (identity).  All three are checked through the raw `state()`
-# transport shape — the exact bytes that cross the process boundary.
-
-def _random_registry(rng: random.Random) -> MetricsRegistry:
-    reg = MetricsRegistry()
-    for name in rng.sample(["a", "b", "c", "d", "e"],
-                           rng.randint(0, 5)):
-        reg.inc(f"count.{name}", rng.randint(1, 100))
-    for name in rng.sample(["x", "y", "z"], rng.randint(0, 3)):
-        reg.set(f"peak.{name}", rng.randint(0, 50))
-    for name in rng.sample(["h", "i"], rng.randint(0, 2)):
-        for _ in range(rng.randint(1, 20)):
-            reg.observe(f"hist.{name}", rng.uniform(0.001, 40.0))
-    return reg
-
-
-def _merged(*regs: MetricsRegistry) -> dict:
-    out = MetricsRegistry()
-    for reg in regs:
-        out.merge(reg)
-    return out.state()
-
-
-def _copy(reg: MetricsRegistry) -> MetricsRegistry:
-    return MetricsRegistry.from_state(reg.state())
-
-
-def test_counter_merge_adds_and_identity():
-    a, b, zero = Counter(), Counter(), Counter()
-    a.inc(3)
-    b.inc(4)
-    a.merge(b)
-    assert a.value == 7
-    a.merge(zero)
-    assert a.value == 7
-
-
-def test_gauge_merge_is_max_of_set_and_unset_is_identity():
-    lo, hi, unset = Gauge(), Gauge(), Gauge()
-    lo.set(2)
-    hi.set(9)
-    lo.merge(hi)
-    assert lo.value == 9
-    # unset gauge is the identity in either direction — including an
-    # unset gauge whose default 0 would otherwise beat a set negative
-    neg = Gauge()
-    neg.set(-3)
-    neg.merge(unset)
-    assert neg.value == -3 and neg._set
-    absorbed = Gauge()
-    absorbed.merge(neg)
-    assert absorbed.value == -3 and absorbed._set
-
-
-def test_histogram_merge_equals_single_stream():
-    rng = random.Random(7)
-    xs = [rng.uniform(0.01, 30.0) for _ in range(40)]
-    one = Histogram()
-    for x in xs:
-        one.observe(x)
-    left, right = Histogram(), Histogram()
-    for x in xs[:17]:
-        left.observe(x)
-    for x in xs[17:]:
-        right.observe(x)
-    left.merge(right)
-    merged, single = left.state(), one.state()
-    # total is a float sum: merge order may differ in the last ulp
-    assert merged.pop("total") == pytest.approx(single.pop("total"))
-    assert merged == single
-    assert left.percentile(0.5) == one.percentile(0.5)
-    assert left.percentile(0.95) == one.percentile(0.95)
-    assert (left.count, left.min, left.max) \
-        == (one.count, one.min, one.max)
-
-
-def test_registry_merge_commutative():
-    for seed in range(6):
-        rng = random.Random(seed)
-        a, b = _random_registry(rng), _random_registry(rng)
-        assert _merged(_copy(a), _copy(b)) \
-            == _merged(_copy(b), _copy(a)), f"seed {seed}"
-
-
-def test_registry_merge_associative():
-    for seed in range(6):
-        rng = random.Random(100 + seed)
-        a, b, c = (_random_registry(rng) for _ in range(3))
-        ab = _copy(a)
-        ab.merge(_copy(b))
-        ab.merge(_copy(c))                 # (a + b) + c
-        bc = _copy(b)
-        bc.merge(_copy(c))
-        a2 = _copy(a)
-        a2.merge(bc)                       # a + (b + c)
-        assert ab.state() == a2.state(), f"seed {seed}"
-
-
-def test_registry_merge_identity():
-    rng = random.Random(42)
-    a = _random_registry(rng)
-    assert _merged(_copy(a), MetricsRegistry()) == a.state()
-    assert _merged(MetricsRegistry(), _copy(a)) == a.state()
-
-
-def test_registry_state_roundtrip_merges_losslessly():
-    rng = random.Random(9)
-    a = _random_registry(rng)
-    via_json = MetricsRegistry.from_state(
-        json.loads(json.dumps(a.state())))
-    assert via_json.state() == a.state()
-    assert via_json.snapshot() == a.snapshot()
-
+# A fleet merge must not depend on worker completion order
+# (commutativity), on the merge tree shape (associativity), or on
+# empty workers being present (identity); the profiler's raw `state()`
+# is the transport shape that crosses the process boundary.
 
 def test_profiler_merge_associative_commutative_identity():
     def prof(spec):
@@ -201,7 +82,6 @@ def test_worker_name_is_zero_padded():
 def test_worker_spool_writes_layout_and_stamps(tmp_path):
     spool = WorkerSpool(tmp_path, 1)
     spool.events.emit("mc.pop", depth=0)
-    spool.metrics.inc("fleet.test", 5)
     with spool.profiler.region("fleet.region"):
         pass
     spool.events.emit("mc.pop", depth=1)
@@ -217,9 +97,8 @@ def test_worker_spool_writes_layout_and_stamps(tmp_path):
     meta = json.loads((wdir / "worker.json").read_text())
     assert meta["worker"] == "worker-01" and meta["items"] == 2
     assert meta["events"] == 2
-    metrics = MetricsRegistry.from_state(
-        json.loads((wdir / "metrics.json").read_text())["metrics"])
-    assert metrics.snapshot()["fleet.test"] == 5
+    assert sorted(p.name for p in wdir.iterdir()) == [
+        "events.jsonl", "profile.json", "result.json", "worker.json"]
     profile = json.loads((wdir / "profile.json").read_text())["profile"]
     assert "fleet.region" in profile["entries"]
     assert json.loads((wdir / "result.json").read_text())["ok"] is True
@@ -245,7 +124,6 @@ def test_merge_spools_rows_straggler_and_event_order(tmp_path):
         spool = WorkerSpool(tmp_path, index)
         for done in range(1, n + 1):
             spool.events.emit("mc.pop", depth=done)
-        spool.metrics.inc("merged.count", n)
         spool.finish(result={"ok": True, "values": list(range(n))},
                      items=n)
         # pin wall_s so the straggler pick is deterministic
@@ -265,14 +143,12 @@ def test_merge_spools_rows_straggler_and_event_order(tmp_path):
     assert [(r["worker"], r["events"]) for r in doc["workers"]] \
         == [("worker-00", 2), ("worker-01", 3)]
     assert doc["events"] == 5
-    assert merge.metrics.snapshot()["merged.count"] == 5
     assert merge.results[0]["values"] == [0, 1]
 
 
 # -- run_fleet ---------------------------------------------------------------------
 
 def _square(item, spool):
-    spool.metrics.inc("fleet.squares")
     with spool.profiler.region("fleet.square"):
         pass
     spool.events.emit("mc.pop", depth=item)
@@ -287,7 +163,6 @@ def test_run_fleet_reassembles_in_submission_order(tmp_path):
     assert merge.doc["items"] == 7
     assert merge.doc["jobs"] == 3
     assert len(merge.doc["workers"]) == 3
-    assert merge.metrics.snapshot()["fleet.squares"] == 7
     assert merge.profiler.counters()["fleet.square"]["calls"] == 7
     assert merge.doc["events"] == 7
     assert [r["items"] for r in merge.doc["workers"]] == [3, 2, 2]

@@ -1,13 +1,15 @@
 """The discipline linter: rule units, spans, suppression, severity
 ordering, JSON schemas, and observability hooks (docs/LINT.md)."""
 
+import pytest
+
 from repro import corpus
+from repro.analysis import analyze_program
 from repro.analysis.lint import (LINT_VERSION, RULES, Severity,
-                                 lint_program)
+                                 lint_counts, lint_program)
 from repro.obs.events import EVENT_SCHEMA, EventStream
 from repro.obs.export import (LINT_REPORT_SCHEMA, LINT_SCHEMA,
                               validate)
-from repro.obs.metrics import MetricsRegistry
 
 
 def rules_of(result):
@@ -366,13 +368,25 @@ def test_cli_lint_manifest_reports_deviation(tmp_path, capsys):
 # -- observability hooks -------------------------------------------------------
 
 def test_metrics_counters():
-    registry = MetricsRegistry()
-    lint_program(corpus.ABA_STACK, metrics=registry)
-    snap = registry.snapshot()
-    assert snap["lint.runs"] == 1
-    assert snap["lint.findings.error"] == 5
-    assert snap["lint.findings.info"] == 1
-    assert snap["lint.rule.aba.unversioned-cas"] == 3
+    counts = lint_counts([lint_program(corpus.ABA_STACK)])
+    assert counts["lint.runs"] == 1
+    assert counts["lint.findings.error"] == 5
+    assert counts["lint.findings.info"] == 1
+    assert counts["lint.findings.suppressed"] == 0
+    assert counts["lint.rule.aba.unversioned-cas"] == 3
+    assert list(counts) == sorted(counts)
+    # counts over several runs add up per key
+    twice = lint_counts([lint_program(corpus.ABA_STACK)] * 2)
+    assert twice == {k: 2 * v for k, v in counts.items()}
+
+
+@pytest.mark.parametrize("name", corpus.__all__)
+def test_analysis_lint_counts_match_lint_program(name):
+    source = getattr(corpus, name)
+    metrics = analyze_program(source).metrics
+    lint_keys = {k: v for k, v in metrics.items()
+                 if k.startswith("lint.")}
+    assert lint_keys == lint_counts([lint_program(source)])
 
 
 def test_event_stream_receives_findings():

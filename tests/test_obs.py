@@ -1,11 +1,10 @@
-"""The observability layer: span tracing, metric aggregation, JSON
-schema round-trips, classification provenance, and the CLI surfacing
+"""The observability layer: span tracing, the progress-rate estimator,
+JSON schema round-trips, classification provenance, and the CLI surfacing
 (--trace/--metrics/--json/--explain, REPRO_TRACE, exit codes)."""
 
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -15,11 +14,10 @@ from repro.analysis.report import (line_provenance, render_figure,
                                    variant_lines)
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, observers
-from repro.obs import (Counter, Histogram, MetricsRegistry, ObsConfig,
-                       Tracer)
+from repro.mc.observers import EwmaRate
+from repro.obs import ObsConfig, Tracer
 from repro.obs.export import (ANALYSIS_SCHEMA, MC_SCHEMA, analysis_to_dict,
                               mc_to_dict, validate)
-from repro.obs.metrics import EwmaRate
 
 
 # -- tracing ----------------------------------------------------------------------
@@ -69,114 +67,7 @@ def test_disabled_tracer_collects_nothing():
     assert tracer.render() == ""
 
 
-def test_spans_from_worker_threads_become_roots():
-    tracer = Tracer()
-
-    def work(i):
-        with tracer.span(f"worker-{i}"):
-            pass
-
-    with tracer.span("main"):
-        threads = [threading.Thread(target=work, args=(i,))
-                   for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    names = {s.name for s in tracer.roots}
-    assert "main" in names
-    assert {f"worker-{i}" for i in range(4)} <= names
-    # the main root must not have adopted other threads' spans
-    (main,) = [s for s in tracer.roots if s.name == "main"]
-    assert main.children == []
-
-
-# -- metrics ----------------------------------------------------------------------
-
-def test_counter_aggregation_under_threads():
-    counter = Counter()
-
-    def work():
-        for _ in range(10_000):
-            counter.inc()
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert counter.value == 80_000
-
-
-def test_registry_snapshot_and_histogram():
-    registry = MetricsRegistry()
-    registry.inc("c", 3)
-    registry.set("g", 7)
-    for v in (1.0, 2.0, 3.0):
-        registry.observe("h", v)
-    registry.merge_counts({"c": 2, "d": 1})
-    snap = registry.snapshot()
-    assert snap["c"] == 5 and snap["d"] == 1 and snap["g"] == 7
-    assert snap["h"]["count"] == 3
-    assert snap["h"]["min"] == 1.0 and snap["h"]["max"] == 3.0
-    assert snap["h"]["mean"] == pytest.approx(2.0)
-    assert "c: 5" in registry.render()
-
-
-def test_histogram_empty_mean():
-    assert Histogram().mean == 0.0
-    assert Histogram().percentile(0.5) is None
-    empty = Histogram().to_dict()
-    assert empty["min"] is None and empty["max"] is None
-    assert (empty["p50"], empty["p95"], empty["p99"]) \
-        == (None, None, None)
-
-
-def test_histogram_percentiles_single_value_exact():
-    h = Histogram()
-    h.observe(0.25)
-    # one observation: min == max, every estimate clamps to it exactly
-    assert h.percentile(0.5) == 0.25
-    assert h.percentile(0.99) == 0.25
-    snap = h.to_dict()
-    assert snap["p50"] == snap["p95"] == snap["p99"] == 0.25
-
-
-def test_histogram_top_bucket_straddle_clamps_to_max():
-    h = Histogram()
-    for v in (1.0, 1.05, 1.1):  # all share bucket [1.0, 2**0.25)
-        h.observe(v)
-    # the bucket's raw upper bound (~1.189) overstates every sample;
-    # the clamp caps the estimate at the observed max instead
-    for q in (0.5, 0.95, 0.99):
-        assert h.percentile(q) == pytest.approx(1.1)
-
-
-def test_histogram_percentiles_bucketed_estimates():
-    h = Histogram()
-    for v in range(1, 101):  # 1..100
-        h.observe(float(v))
-    # log-bucket estimates are upper bounds within ~19% of the truth
-    p50, p95, p99 = (h.percentile(q) for q in (0.50, 0.95, 0.99))
-    assert 50 <= p50 <= 50 * 1.19
-    assert 95 <= p95 <= 95 * 1.19
-    assert 99 <= p99 <= 99 * 1.19
-    assert p50 <= p95 <= p99 <= h.max
-    snap = h.to_dict()
-    assert snap["p50"] == pytest.approx(p50)
-
-
-def test_histogram_percentiles_clamped_and_nonpositive():
-    h = Histogram()
-    h.observe(0.0)     # lands in the underflow bucket
-    h.observe(-1.0)
-    h.observe(2.0)
-    # underflow bucket: a tiny upper bound, clamped to observed range
-    assert h.min <= h.percentile(0.01) <= 1e-8
-    assert h.percentile(1.0) <= h.max
-
-
-# -- the EWMA rate / ETA estimator -------------------------------------------------
+# -- progress rate ----------------------------------------------------------------
 
 def test_ewma_first_update_baselines():
     rate = EwmaRate()

@@ -124,8 +124,7 @@ def test_library_run_has_core_counters_only():
     r = Explorer(Interp(corpus.GH_PROGRAM1), GH_SPECS, mode="por").run()
     assert set(r.metrics) == {
         "mc.states", "mc.transitions", "mc.states_per_s",
-        "mc.cache_hits", "mc.cache_hit_ratio", "mc.dedup_hit_rate",
-        "mc.max_depth", "mc.ample_reduced", "mc.ample_full",
+        "mc.cache_hits", "mc.cache_hit_ratio", "mc.max_depth", "mc.ample_reduced", "mc.ample_full",
         "mc.ample_reduction_ratio", "mc.safety_cache_hits",
         "mc.safety_cache_misses", "mc.deadline_hit", "mc.mem_peak_mb"}
     assert r.profile == {}

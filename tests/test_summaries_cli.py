@@ -65,6 +65,33 @@ def test_env_var_enables_incremental(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "env-summaries" / "procs").is_dir()
 
 
+def _metrics_section(out: str) -> dict:
+    """The ``name: value`` lines after ``-- metrics --``."""
+    lines = out.split("-- metrics --", 1)[1].strip().splitlines()
+    return dict(line.split(": ", 1) for line in lines
+                if ": " in line and not line.startswith("-"))
+
+
+def test_incremental_metrics_show_summary_counts(tmp_path, capsys):
+    target = _write(tmp_path, "aba.synl", corpus.ABA_STACK)
+    argv = ["analyze", target, "--metrics", "--lenient",
+            *_store_args(tmp_path)]
+    assert main(argv) == 0
+    cold = _metrics_section(capsys.readouterr().out)
+    assert cold["lint.runs"] == "1"
+    assert (cold["summary.procs.miss"], cold["summary.procs.hit"]) \
+        == ("2", "0")
+    assert (cold["summary.programs.miss"],
+            cold["summary.programs.hit"]) == ("1", "0")
+    assert main(argv) == 0
+    warm = _metrics_section(capsys.readouterr().out)
+    assert (warm["summary.procs.miss"], warm["summary.procs.hit"]) \
+        == ("0", "2")
+    assert (warm["summary.programs.miss"],
+            warm["summary.programs.hit"]) == ("0", "1")
+    assert warm["summary.drift"] == "0"
+
+
 def test_analyze_without_file_or_corpus_exits_2(tmp_path, capsys):
     assert main(["analyze"]) == 2
     assert "needs a FILE" in capsys.readouterr().err
@@ -78,6 +105,26 @@ def test_corpus_analyze_clean_exits_0(tmp_path, capsys):
     assert "program" in out and "cached" in out
     # non-atomic corpus programs must not fail the batch
     assert "corpus/aba_stack" in out
+
+
+def test_corpus_metrics_show_summary_counts(tmp_path, capsys):
+    from repro.analysis.summaries import corpus_targets
+
+    n = len(corpus_targets())
+    argv = ["analyze", "--corpus", "--metrics", *_store_args(tmp_path)]
+    assert main(argv) == 0
+    cold = _metrics_section(capsys.readouterr().out)
+    assert (cold["summary.programs.miss"],
+            cold["summary.programs.hit"]) == (str(n), "0")
+    assert int(cold["summary.procs.miss"]) > 0
+    assert main(argv) == 0
+    warm = _metrics_section(capsys.readouterr().out)
+    assert (warm["summary.programs.miss"],
+            warm["summary.programs.hit"]) == ("0", str(n))
+    assert warm["summary.procs.miss"] == "0"
+    assert int(warm["summary.procs.hit"]) \
+        == int(cold["summary.procs.hit"]) + int(cold["summary.procs.miss"])
+    assert warm["summary.drift"] == "0"
 
 
 def test_corpus_analyze_json_doc(tmp_path, capsys):

@@ -11,10 +11,11 @@ from repro.analysis.inference import InferenceOptions
 from repro.analysis.summaries import (
     SummaryStore,
     analyze_with_summaries,
+    summary_counts,
+    summary_row,
     verify_store,
     warm_canary,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
 
 
@@ -85,22 +86,29 @@ def test_cached_result_mirrors_analysis_result(tmp_path):
 
 def test_metrics_and_profiler_attribution(tmp_path):
     store = _store(tmp_path)
-    registry = MetricsRegistry()
     profiler = Profiler()
-    analyze_with_summaries(corpus.CAS_COUNTER, store=store,
-                           metrics=registry, profiler=profiler)
-    snap = registry.snapshot()
-    assert snap["summary.procs.miss"] == 2
-    assert snap["summary.programs.miss"] == 1
+    cold = summary_row(*analyze_with_summaries(
+        corpus.CAS_COUNTER, store=store, profiler=profiler))
+    assert summary_counts([cold]) == {
+        "summary.drift": 0, "summary.procs.hit": 0,
+        "summary.procs.invalidated": 0, "summary.procs.miss": 2,
+        "summary.programs.hit": 0, "summary.programs.miss": 1}
     counters = profiler.counters()
     assert counters["summary.hash"]["work"] == 2
     assert "summary.emit" in counters
-    analyze_with_summaries(corpus.CAS_COUNTER, store=store,
-                           metrics=registry, profiler=profiler)
-    snap = registry.snapshot()
-    assert snap["summary.procs.hit"] == 2
-    assert snap["summary.programs.hit"] == 1
+    warm = summary_row(*analyze_with_summaries(
+        corpus.CAS_COUNTER, store=store, profiler=profiler))
+    assert summary_counts([warm]) == {
+        "summary.drift": 0, "summary.procs.hit": 2,
+        "summary.procs.invalidated": 0, "summary.procs.miss": 0,
+        "summary.programs.hit": 1, "summary.programs.miss": 0}
     assert "summary.replay" in profiler.counters()
+    # rows of several targets add up per key
+    both = summary_counts([cold, warm])
+    assert both["summary.procs.hit"] == 2
+    assert both["summary.procs.miss"] == 2
+    assert both["summary.programs.hit"] == both["summary.programs.miss"] \
+        == 1
 
 
 def test_summary_events_emitted(tmp_path):
