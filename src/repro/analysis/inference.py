@@ -54,7 +54,6 @@ from repro.cfg.dominators import Dominators
 from repro.cfg.graph import CFGNode, NodeKind, ProcCFG
 from repro.obs.profile import NULL_PROFILER, Profiler
 from repro.obs.provenance import justify
-from repro.obs.tracing import NULL_TRACER
 from repro.synl import ast as A
 from repro.synl.resolve import load_program
 
@@ -207,7 +206,8 @@ class AnalysisResult:
     #: counts, per-theorem exclusion tallies, mover distribution, plus
     #: the ``lint.*`` counts of the embedded lint pass)
     metrics: dict[str, int] = field(default_factory=dict)
-    #: span tree (list of span dicts) when tracing was enabled
+    #: span tree (``Profiler.spans``) when the analysis ran with a
+    #: profiler, else empty
     trace: list = field(default_factory=list)
     #: discipline-lint findings for the source program
     #: (:class:`repro.analysis.lint.LintResult`), None when disabled
@@ -255,9 +255,8 @@ class AtomicityChecker:
 
     def __init__(self, program: A.Program | str,
                  options: InferenceOptions | None = None,
-                 tracer=None, profiler: Profiler | None = None,
+                 profiler: Profiler | None = None,
                  source_text: str | None = None):
-        self.tracer = tracer or NULL_TRACER
         self.profiler = profiler or NULL_PROFILER
         #: the ``analysis.*`` tallies plus the lint pass's ``lint.*``
         #: counts, reported as ``result.metrics``
@@ -266,8 +265,7 @@ class AtomicityChecker:
             #: original text, so the embedded lint pass can read
             #: ``// lint: ignore[...]`` suppression comments
             source_text = program if source_text is None else source_text
-            with self.tracer.span("analysis:parse-resolve"), \
-                    self.profiler.region("analysis.parse_resolve"):
+            with self.profiler.region("analysis.parse_resolve"):
                 program = load_program(program)
         self.source_text = source_text
         self.program = program
@@ -281,24 +279,20 @@ class AtomicityChecker:
     def _purity_of(self, program: A.Program,
                    cfgs: dict[str, ProcCFG]
                    ) -> dict[str, dict[A.Loop, PurityInfo]]:
-        with self.tracer.span("analysis:escape-uniqueness-purity"):
-            return self._purity_of_inner(program, cfgs)
-
-    def _purity_of_inner(self, program: A.Program,
-                         cfgs: dict[str, ProcCFG]
-                         ) -> dict[str, dict[A.Loop, PurityInfo]]:
-        escapes = {name: escape_analysis(cfg) for name, cfg in cfgs.items()}
-        unique = uniqueness_analysis(program, cfgs) \
-            if self.options.enable_uniqueness else UniquenessResult()
-        purity: dict[str, dict[A.Loop, PurityInfo]] = {}
-        for proc in program.procs:
-            if self.options.enable_purity:
-                purity[proc.name] = pure_loops(
-                    cfgs[proc.name], program, escapes[proc.name],
-                    unique.unique_bindings())
-            else:
-                purity[proc.name] = {}
-        return purity
+        with self.profiler.region("analysis.purity"):
+            escapes = {name: escape_analysis(cfg)
+                       for name, cfg in cfgs.items()}
+            unique = uniqueness_analysis(program, cfgs) \
+                if self.options.enable_uniqueness else UniquenessResult()
+            purity: dict[str, dict[A.Loop, PurityInfo]] = {}
+            for proc in program.procs:
+                if self.options.enable_purity:
+                    purity[proc.name] = pure_loops(
+                        cfgs[proc.name], program, escapes[proc.name],
+                        unique.unique_bindings())
+                else:
+                    purity[proc.name] = {}
+            return purity
 
     def _expand_variants(self) -> tuple[
             VariantSet, dict[str, dict[A.Loop, PurityInfo]]]:
@@ -362,8 +356,7 @@ class AtomicityChecker:
         if not self.options.enable_lint:
             return
         from repro.analysis.lint import Severity, lint_counts, lint_program
-        with self.tracer.span("analysis:lint"), \
-                self.profiler.region("analysis.lint"):
+        with self.profiler.region("analysis.lint"):
             self.lint = lint_program(self.program,
                                      source_text=self.source_text,
                                      profiler=self.profiler)
@@ -402,26 +395,22 @@ class AtomicityChecker:
     def run(self) -> AnalysisResult:
         opts = self.options
         prof = self.profiler
-        with self.tracer.span("analysis:run"):
+        with prof.region("analysis.run"):
             self._run_lint()
-            with self.tracer.span("analysis:variants"), \
-                    prof.region("analysis.variants"):
+            with prof.region("analysis.variants"):
                 variant_set, purity = self._expand_variants()
             vprog = variant_set.program
-            with self.tracer.span("analysis:classes-alias"), \
-                    prof.region("analysis.classes_alias"):
+            with prof.region("analysis.classes_alias"):
                 self.env: ClassEnv = infer_classes(vprog)
                 self.alias = AliasAnalysis(vprog, self.env)
-            with self.tracer.span("analysis:escape-uniqueness"), \
-                    prof.region("analysis.escape_uniqueness"):
+            with prof.region("analysis.escape_uniqueness"):
                 v_cfgs = {p.name: build_cfg(p) for p in vprog.procs}
                 self.unique = uniqueness_analysis(vprog, v_cfgs) \
                     if opts.enable_uniqueness else UniquenessResult()
                 blocks = blocks_of_program(vprog) \
                     if opts.enable_conditions else {}
 
-            with self.tracer.span("analysis:lockset-windows"), \
-                    prof.region("analysis.lockset_windows"):
+            with prof.region("analysis.lockset_windows"):
                 self.contexts: dict[str, VariantContext] = {}
                 for variant in variant_set.variants:
                     cfg = v_cfgs[variant.name]
@@ -438,14 +427,11 @@ class AtomicityChecker:
                             f"{variant.name}: {diag.message}")
                     self.contexts[variant.name] = ctx
 
-            with self.tracer.span("analysis:collect-sites"), \
-                    prof.region("analysis.collect_sites"):
+            with prof.region("analysis.collect_sites"):
                 self._collect_sites()
-            with self.tracer.span("analysis:classify"), \
-                    prof.region("analysis.classify"):
+            with prof.region("analysis.classify"):
                 self._classify_sites()
-            with self.tracer.span("analysis:propagate-verdicts"), \
-                    prof.region("analysis.propagate_verdicts"):
+            with prof.region("analysis.propagate_verdicts"):
                 verdicts = self._verdicts(variant_set)
 
         self._tally("analysis.variants", len(variant_set.variants))
@@ -475,7 +461,7 @@ class AtomicityChecker:
             contexts=self.contexts, uniqueness=self.unique,
             diagnostics=self.diagnostics,
             metrics=dict(sorted(self._counts.items())),
-            trace=self.tracer.to_dict() if self.tracer.enabled else [],
+            trace=prof.spans() if prof.enabled else [],
             lint=self.lint, downgrades=self.downgrades,
             profile=prof.to_dict() if prof.enabled else {})
 
@@ -1055,11 +1041,9 @@ class AtomicityChecker:
 
 def analyze_program(source: A.Program | str,
                     options: InferenceOptions | None = None,
-                    tracer=None,
                     profiler: Profiler | None = None,
                     source_text: str | None = None
                     ) -> AnalysisResult:
     """Convenience entry point: run the full inference."""
-    return AtomicityChecker(source, options, tracer=tracer,
-                            profiler=profiler,
+    return AtomicityChecker(source, options, profiler=profiler,
                             source_text=source_text).run()

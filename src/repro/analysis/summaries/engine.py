@@ -238,7 +238,7 @@ def analyze_with_summaries(source: str,
                            *,
                            store: SummaryStore,
                            label: str = "<program>",
-                           tracer=None, profiler=None,
+                           profiler=None,
                            events=None, known_names=None):
     """Analyze ``source`` through the summary cache.
 
@@ -311,8 +311,7 @@ def analyze_with_summaries(source: str,
     # procedure calls are inlined before analysis).
     program = inline_calls(parse_program(source))
     resolve(program)
-    result = AtomicityChecker(program, options, tracer=tracer,
-                              profiler=profiler,
+    result = AtomicityChecker(program, options, profiler=profiler,
                               source_text=source).run()
 
     with prof.region("summary.emit"):

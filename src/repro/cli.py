@@ -23,12 +23,11 @@ Thread specs for ``run``/``mc`` are comma-separated call lists, e.g.
 ``"AddNode(1),AddNode(2)"`` or ``"UpdateTail()*"`` (trailing ``*`` =
 repeat forever).
 
-``analyze``/``blocks``/``variants``/``run``/``mc`` accept the
-observability flags ``--trace`` (per-phase span timings),
-``--metrics`` (flat counts), ``--profile`` (ranked hotspot table;
-``--profile-sample`` adds per-function ``sys.setprofile``
-attribution), ``--json`` (machine-readable output), ``--trace-out
-FILE`` (Chrome/Perfetto trace-event export) and ``--events-out FILE``
+``analyze``/``blocks``/``variants``/``run``/``mc``/``lint`` accept
+the observability flags ``--trace`` (the span tree of the profiler's
+regions), ``--metrics`` (flat counts), ``--profile`` (ranked hotspot
+table), ``--json`` (machine-readable output), ``--trace-out FILE``
+(Chrome/Perfetto trace-event export) and ``--events-out FILE``
 (structured event stream as JSONL); ``analyze`` also accepts
 ``--explain`` (per-line classification provenance), ``run``/``mc``
 accept ``--explain-cex`` (annotated counterexample timeline on
@@ -67,7 +66,7 @@ from repro.analysis.blocks import partition_procedure
 from repro.errors import AssertionViolation, ReproError
 from repro.interp import Interp, ThreadSpec, run_random
 from repro.mc import Explorer, observers
-from repro.obs import ObsConfig, Tracer, ledger
+from repro.obs import NULL_PROFILER, ObsConfig, Profiler, ledger
 from repro.synl.inline import inline_calls
 from repro.synl.parser import parse_program
 from repro.synl.printer import pretty
@@ -143,51 +142,31 @@ _period = _number(float, lambda x: x > 0, "a finite number > 0")
 _budget = _number(float, lambda x: x >= 0, "a finite number >= 0")
 
 
-def _obs_setup(args) -> tuple[ObsConfig, Tracer]:
+def _obs_setup(args) -> tuple[ObsConfig, Profiler]:
     """Resolve REPRO_TRACE/REPRO_METRICS/REPRO_PROFILE plus the CLI
-    flags."""
+    flags into the config and the run's profiler.  Any of ``--trace``,
+    ``--trace-out``, ``--profile`` and ``--profile-out`` records
+    regions; only the profile flags put its counters in the ledger."""
     cfg = ObsConfig.from_env().with_flags(
         trace=getattr(args, "trace", False),
         metrics=getattr(args, "metrics", False),
         # --profile-out needs the region profiler recording even when
         # the ranked-table output was not asked for
         profile=getattr(args, "profile", False)
-        or bool(getattr(args, "profile_out", None)),
-        profile_sample=getattr(args, "profile_sample", False))
-    # --trace-out needs recorded spans even without --trace output
-    enabled = cfg.trace or bool(getattr(args, "trace_out", None))
-    return cfg, Tracer(enabled=enabled)
-
-
-def _profiler_for(cfg: ObsConfig):
-    """(profiler, sampler-or-None) per the resolved config.  The
-    sampler doubles as the context manager installing its
-    ``sys.setprofile`` hook; when sampling is off the caller gets a
-    no-op context instead."""
-    from repro.obs.profile import NULL_PROFILER, Profiler, Sampler
-
-    if not cfg.profile:
-        return NULL_PROFILER, None
+        or bool(getattr(args, "profile_out", None)))
+    if not (cfg.trace or cfg.profile or getattr(args, "trace_out", None)):
+        return cfg, NULL_PROFILER
     profiler = Profiler()
-    ledger.attach_profiler(profiler)
-    return profiler, (Sampler() if cfg.profile_sample else None)
+    if cfg.profile:
+        ledger.attach_profiler(profiler)
+    return cfg, profiler
 
 
-def _sampling(sampler):
-    return sampler if sampler is not None else contextlib.nullcontext()
-
-
-def _emit_profile(cfg: ObsConfig, profiler, sampler=None) -> None:
+def _emit_profile(cfg: ObsConfig, profiler: Profiler) -> None:
     """Ranked hotspot table (text mode, ``--profile``)."""
-    if not cfg.profile:
-        return
-    print("\n-- profile (ranked hotspots) --")
-    print(profiler.render())
-    if sampler is not None and sampler.stats:
-        print("\n-- sampled functions --")
-        for entry in sampler.top(15):
-            print(f"{entry['name']}: {entry['calls']} call(s), "
-                  f"{entry['cum_s'] * 1000:.2f} ms")
+    if cfg.profile:
+        print("\n-- profile (ranked hotspots) --")
+        print(profiler.render())
 
 
 def _events_for(args):
@@ -199,16 +178,16 @@ def _events_for(args):
     return None
 
 
-def _write_obs_outputs(args, tracer, events, profiler=None) -> None:
+def _write_obs_outputs(args, profiler: Profiler, events) -> None:
     if getattr(args, "events_out", None) and events is not None:
         events.write_jsonl(args.events_out)
         ledger.ref_artifact(args.events_out)
     if getattr(args, "trace_out", None):
         from repro.obs import chrometrace
-        chrometrace.write_trace(args.trace_out, tracer=tracer,
+        chrometrace.write_trace(args.trace_out, profiler=profiler,
                                 events=events)
         ledger.ref_artifact(args.trace_out)
-    if getattr(args, "profile_out", None) and profiler is not None:
+    if getattr(args, "profile_out", None):
         profiler.write_folded(args.profile_out)
         ledger.ref_artifact(args.profile_out)
 
@@ -233,25 +212,32 @@ def _emit_metrics(cfg: ObsConfig, metrics: dict) -> None:
             print(f"{name}: {value}")
 
 
-def _emit_obs(cfg: ObsConfig, tracer: Tracer, metrics: dict) -> None:
+def _emit_obs(cfg: ObsConfig, profiler: Profiler, metrics: dict) -> None:
     _emit_metrics(cfg, metrics)
     if cfg.trace:
         print("\n-- trace --")
-        print(tracer.render())
+        print(profiler.render_spans())
+
+
+def _asked_views(args, cfg: ObsConfig, result) -> None:
+    """An analysis run with a profiler carries both of its views; keep
+    only those the flags asked for: the span tree under ``--trace`` /
+    ``--trace-out``, the hotspot document under ``--profile`` /
+    ``--profile-out``."""
+    if not (cfg.trace or getattr(args, "trace_out", None)):
+        result.trace = []
+    if not cfg.profile:
+        result.profile = {}
 
 
 def _analyze_with_obs(args):
-    cfg, tracer = _obs_setup(args)
-    profiler, sampler = _profiler_for(cfg)
-    with tracer.span("analysis:parse-resolve"):
+    cfg, profiler = _obs_setup(args)
+    with profiler.region("analysis.parse_resolve"):
         program, text = _load(args.file, with_text=True)
-    with _sampling(sampler):
-        result = analyze_program(program, tracer=tracer,
-                                 profiler=profiler,
-                                 source_text=text)
-    if sampler is not None and result.profile:
-        result.profile = profiler.to_dict(sampler)
-    return cfg, tracer, result, profiler, sampler
+    result = analyze_program(program, profiler=profiler,
+                             source_text=text)
+    _asked_views(args, cfg, result)
+    return cfg, profiler, result
 
 
 def _summary_store_for(args):
@@ -270,19 +256,16 @@ def _analyze_incremental(args, store):
     pass."""
     from repro.analysis.summaries import engine as summaries
 
-    cfg, tracer = _obs_setup(args)
-    profiler, sampler = _profiler_for(cfg)
+    cfg, profiler = _obs_setup(args)
     events = _events_for(args)
     with open(args.file) as handle:
         text = handle.read()
     ledger.note_source(args.file, text)
-    with _sampling(sampler):
-        result, info = summaries.analyze_with_summaries(
-            text, store=store, label=args.file, tracer=tracer,
-            profiler=profiler, events=events)
-    if sampler is not None and getattr(result, "profile", None):
-        result.profile = profiler.to_dict(sampler)
-    return cfg, tracer, result, profiler, sampler, events, info
+    result, info = summaries.analyze_with_summaries(
+        text, store=store, label=args.file, profiler=profiler,
+        events=events)
+    _asked_views(args, cfg, result)
+    return cfg, profiler, result, events, info
 
 
 def _figure_text(result, explain: bool) -> str:
@@ -301,17 +284,17 @@ def cmd_analyze(args) -> int:
     store = _summary_store_for(args)
     info = None
     if store is not None:
-        (cfg, tracer, result, profiler, sampler, events,
-         info) = _analyze_incremental(args, store)
-        _write_obs_outputs(args, tracer, events, profiler)
+        cfg, profiler, result, events, info = _analyze_incremental(
+            args, store)
     else:
-        cfg, tracer, result, profiler, sampler = _analyze_with_obs(args)
-        _write_obs_outputs(args, tracer, None, profiler)
+        cfg, profiler, result = _analyze_with_obs(args)
+        events = None
+    _write_obs_outputs(args, profiler, events)
     ledger.note_analysis(result)
     if args.json:
         doc = result.to_dict()
         if cfg.trace and not doc.get("trace"):
-            doc["trace"] = tracer.to_dict()
+            doc["trace"] = profiler.spans()
         ledger.add_artifact("analysis.json", doc)
         print(json.dumps(doc, indent=2))
     else:
@@ -344,8 +327,8 @@ def cmd_analyze(args) -> int:
                   f"{'hit (replayed)' if info['cached'] else 'miss'}")
             metrics.update(summaries.summary_counts(
                 [summaries.summary_row(result, info)]))
-        _emit_obs(cfg, tracer, metrics)
-        _emit_profile(cfg, profiler, sampler)
+        _emit_obs(cfg, profiler, metrics)
+        _emit_profile(cfg, profiler)
     if info is not None and info["drift"]:
         _print_summary_drift(info["drift"])
         return 1
@@ -377,20 +360,18 @@ def _cmd_analyze_corpus(args) -> int:
     from repro.obs import fleet
     from repro.obs.export import run_meta
 
-    cfg, tracer = _obs_setup(args)
-    profiler, sampler = _profiler_for(cfg)
+    cfg, profiler = _obs_setup(args)
     events = _events_for(args)
     store = _summary_store_for(args) or summaries.resolve_store(
         None, True)
     jobs = fleet.resolve_jobs(getattr(args, "jobs", None))
     spool = fleet.default_spool_root() if jobs > 1 else None
-    with _sampling(sampler):
-        report = summaries.analyze_corpus(store, profiler=profiler,
-                                          events=events, jobs=jobs,
-                                          spool=spool)
+    report = summaries.analyze_corpus(store, profiler=profiler,
+                                      events=events, jobs=jobs,
+                                      spool=spool)
     if "fleet" in report:
         _note_fleet(report["fleet"], spool)
-    _write_obs_outputs(args, tracer, events, profiler)
+    _write_obs_outputs(args, profiler, events)
     if args.json:
         doc = {"programs": report["rows"],
                "errors": report["errors"],
@@ -424,7 +405,7 @@ def _cmd_analyze_corpus(args) -> int:
                   f"{fdoc['items']} target(s), straggler "
                   f"{fdoc['straggler']} ({fdoc['wall_s']:.2f}s)")
         _emit_metrics(cfg, summaries.summary_counts(report["rows"]))
-        _emit_profile(cfg, profiler, sampler)
+        _emit_profile(cfg, profiler)
     if report["drift"]:
         _print_summary_drift(report["drift"])
         return 1
@@ -526,10 +507,10 @@ def _cmd_summaries_canary(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    cfg, tracer, result, profiler, sampler = _analyze_with_obs(args)
+    cfg, profiler, result = _analyze_with_obs(args)
     partitions = {name: partition_procedure(result, name)
                   for name in result.verdicts}
-    _write_obs_outputs(args, tracer, None, profiler)
+    _write_obs_outputs(args, profiler, None)
     ledger.note_analysis(result)
     ledger.note_partitions({
         f"{name}/{p.variant_name}": [str(b.atomicity) for b in p.blocks]
@@ -552,7 +533,7 @@ def cmd_blocks(args) -> int:
         if result.metrics:
             doc["metrics"] = dict(result.metrics)
         if cfg.trace:
-            doc["trace"] = tracer.to_dict()
+            doc["trace"] = profiler.spans()
         if result.profile:
             doc["profile"] = dict(result.profile)
         print(json.dumps(doc, indent=2))
@@ -561,17 +542,17 @@ def cmd_blocks(args) -> int:
         for partition in parts:
             print(partition.render())
             print()
-    _emit_obs(cfg, tracer, result.metrics)
-    _emit_profile(cfg, profiler, sampler)
+    _emit_obs(cfg, profiler, result.metrics)
+    _emit_profile(cfg, profiler)
     return 0
 
 
 def cmd_variants(args) -> int:
-    cfg, tracer = _obs_setup(args)
-    with tracer.span("variants:parse-resolve"):
+    cfg, profiler = _obs_setup(args)
+    with profiler.region("analysis.parse_resolve"):
         program = _load(args.file)
-    result = analyze_program(program, tracer=tracer)
-    _write_obs_outputs(args, tracer, None)
+    result = analyze_program(program, profiler=profiler)
+    _write_obs_outputs(args, profiler, None)
     ledger.note_analysis(result)
     if args.json:
         doc = {"variants": [{"name": v.name,
@@ -581,13 +562,14 @@ def cmd_variants(args) -> int:
         if result.metrics:
             doc["metrics"] = dict(result.metrics)
         if cfg.trace:
-            doc["trace"] = tracer.to_dict()
+            doc["trace"] = profiler.spans()
         print(json.dumps(doc, indent=2))
         return 0
     for variant in result.variant_set.variants:
         print(pretty(variant.proc))
         print()
-    _emit_obs(cfg, tracer, result.metrics)
+    _emit_obs(cfg, profiler, result.metrics)
+    _emit_profile(cfg, profiler)
     return 0
 
 
@@ -605,16 +587,16 @@ def _explain_cex(args, result, interp):
 
 
 def cmd_run(args) -> int:
-    cfg, tracer = _obs_setup(args)
+    cfg, profiler = _obs_setup(args)
     events = _events_for(args)
-    with tracer.span("run:parse-resolve"):
+    with profiler.region("run.parse_resolve"):
         program = _load(args.file)
     interp = Interp(program, events=events)
     specs = [_parse_spec(s) for s in args.threads]
     world = interp.make_world(specs)
     path_log = [] if (args.explain_cex or args.json) else None
     violation = None
-    with tracer.span("run:execute", seed=args.seed):
+    with profiler.region("run.execute", seed=args.seed):
         try:
             run_random(interp, world, seed=args.seed,
                        max_steps=args.max_steps, path_log=path_log,
@@ -626,7 +608,7 @@ def cmd_run(args) -> int:
         from repro.mc.cex import RunResultView
         cex = _explain_cex(
             args, RunResultView(violation, path_log), interp)
-    _write_obs_outputs(args, tracer, events)
+    _write_obs_outputs(args, profiler, events)
     ledger.note_run(args.seed, violation, world.history)
     done = all(t.done for t in world.threads)
     if args.json:
@@ -641,7 +623,7 @@ def cmd_run(args) -> int:
         if cex is not None:
             doc["counterexample"] = cex.to_dict()
         if cfg.trace:
-            doc["spans"] = tracer.to_dict()
+            doc["spans"] = profiler.spans()
         print(json.dumps(doc, indent=2))
         return 1 if violation is not None else 0
     for event in world.history:
@@ -651,17 +633,17 @@ def cmd_run(args) -> int:
         if cex is not None:
             print()
             print(cex.render())
-        return 1
-    status = "all threads done" if done else "step budget exhausted"
-    print(f"-- {status} (seed={args.seed})")
-    _emit_obs(cfg, tracer, {})
-    return 0
+    else:
+        status = "all threads done" if done else "step budget exhausted"
+        print(f"-- {status} (seed={args.seed})")
+    _emit_obs(cfg, profiler, {})
+    _emit_profile(cfg, profiler)
+    return 1 if violation is not None else 0
 
 
 def cmd_mc(args) -> int:
-    cfg, tracer = _obs_setup(args)
+    cfg, profiler = _obs_setup(args)
     events = _events_for(args)
-    profiler, sampler = _profiler_for(cfg)
     program = _load(args.file)
     interp = Interp(program, events=events)
     specs = [_parse_spec(s) for s in args.threads]
@@ -693,24 +675,22 @@ def cmd_mc(args) -> int:
         else None,
         observers.TraceMalloc() if args.trace_malloc else None,
         observers.Coverage(),
-        graph,
-        observers.Spans(tracer) if tracer.enabled else None)
+        graph)
     try:
-        with _sampling(sampler):
-            result = Explorer(interp, specs, mode=args.mode,
-                              max_states=args.max_states,
-                              observer=observer).run()
+        result = Explorer(interp, specs, mode=args.mode,
+                          max_states=args.max_states,
+                          observer=observer).run()
     finally:
         if graph is not None:
             graph.close()
     if graph is not None:
         ledger.ref_artifact(args.graph_out)
-    if sampler is not None and result.profile:
-        result.profile = profiler.to_dict(sampler)
+    if not cfg.profile:
+        result.profile = {}
     cex = None
     if result.violation and args.explain_cex:
         cex = _explain_cex(args, result, interp)
-    _write_obs_outputs(args, tracer, events, profiler)
+    _write_obs_outputs(args, profiler, events)
     if args.json:
         doc = result.to_dict()
         if annotations is not None:
@@ -720,7 +700,7 @@ def cmd_mc(args) -> int:
         if cex is not None:
             doc["counterexample"] = cex.to_dict()
         if cfg.trace:
-            doc["spans"] = tracer.to_dict()
+            doc["spans"] = profiler.spans()
         ledger.add_artifact("mc.json", doc)
         print(json.dumps(doc, indent=2))
     else:
@@ -731,8 +711,8 @@ def cmd_mc(args) -> int:
         elif result.violation:
             for step in result.trace:
                 print(f"  {step}")
-        _emit_obs(cfg, tracer, result.metrics)
-        _emit_profile(cfg, profiler, sampler)
+        _emit_obs(cfg, profiler, result.metrics)
+        _emit_profile(cfg, profiler)
     if result.violation:
         return 1
     if result.deadline_hit:
@@ -758,9 +738,8 @@ def cmd_lint(args) -> int:
     from repro.analysis.lint import lint_counts, lint_program
     from repro.obs.export import LINT_REPORT_SCHEMA, validate
 
-    cfg, tracer = _obs_setup(args)
+    cfg, profiler = _obs_setup(args)
     events = _events_for(args)
-    profiler, sampler = _profiler_for(cfg)
     rules = [r.strip() for r in (args.rules or "").split(",")
              if r.strip()] or None
 
@@ -778,13 +757,12 @@ def cmd_lint(args) -> int:
         return 2
 
     results = []
-    with _sampling(sampler):
-        for label, source in targets:
-            with tracer.span("lint:target", target=label):
-                results.append(lint_program(
-                    source, label=label, rules=rules,
-                    events=events, profiler=profiler))
-    _write_obs_outputs(args, tracer, events, profiler)
+    for label, source in targets:
+        with profiler.region("lint.target", target=label):
+            results.append(lint_program(
+                source, label=label, rules=rules,
+                events=events, profiler=profiler))
+    _write_obs_outputs(args, profiler, events)
     ledger.note_lint(results)
 
     if args.manifest:
@@ -830,8 +808,8 @@ def cmd_lint(args) -> int:
     else:
         for res in results:
             print(res.render())
-        _emit_obs(cfg, tracer, lint_counts(results))
-        _emit_profile(cfg, profiler, sampler)
+        _emit_obs(cfg, profiler, lint_counts(results))
+        _emit_profile(cfg, profiler)
     if any(r.errors for r in results):
         return 2
     if any(r.warnings for r in results):
@@ -972,9 +950,6 @@ def cmd_experiments(args) -> int:
         print(f"unknown experiment {args.name!r}; one of: {names}",
               file=sys.stderr)
         return 2
-    cfg, tracer = _obs_setup(args)
-    profiler, sampler = _profiler_for(cfg)
-    events = _events_for(args)
     note: dict = {"name": args.name}
     doc: dict = {"name": args.name}
     jobs = fleet.resolve_jobs(args.jobs)
@@ -987,8 +962,7 @@ def cmd_experiments(args) -> int:
             kwargs["max_states"] = args.max_states
         if jobs > 1:
             kwargs["spool"] = fleet.default_spool_root()
-        with _sampling(sampler):
-            result = section63.run(**kwargs)
+        result = section63.run(**kwargs)
         text = section63.render(result, n_threads)
         note["verdicts"] = result.verdicts()
         note["matches_paper"] = result.matches_paper
@@ -1001,18 +975,15 @@ def cmd_experiments(args) -> int:
             print(f"note: --jobs applies to the section63 variant "
                   f"grid; running {args.name!r} in-process",
                   file=sys.stderr)
-        with _sampling(sampler):
-            text = module.main()
+        text = module.main()
     ledger.note("experiments", note)
     ledger.add_artifact("experiment.json",
                         {"name": args.name, "text": text, **note})
-    _write_obs_outputs(args, tracer, events, profiler)
     if args.json:
         doc["text"] = text
         print(json.dumps(doc, indent=2))
     else:
         print(text)
-        _emit_profile(cfg, profiler, sampler)
     return 0
 
 
@@ -1126,7 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = argparse.ArgumentParser(add_help=False)
     obs.add_argument("--trace", action="store_true",
-                     help="print per-phase span timings "
+                     help="print the span tree of the timed regions "
                           "(also: REPRO_TRACE=1)")
     obs.add_argument("--metrics", action="store_true",
                      help="print the metrics report "
@@ -1143,10 +1114,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deterministic work-counter profiler: ranked "
                           "hotspot table in text output, 'profile' "
                           "document in --json (also: REPRO_PROFILE=1)")
-    obs.add_argument("--profile-sample", action="store_true",
-                     help="additionally attribute time per Python "
-                          "function via sys.setprofile (slow; implies "
-                          "--profile; also: REPRO_PROFILE=sample)")
     obs.add_argument("--profile-out", metavar="FILE",
                      help="write the region profile in collapsed-"
                           "stack (folded) format — one 'outer;inner "
@@ -1343,11 +1310,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of text")
     q.set_defaults(fn=cmd_graph)
 
-    p = sub.add_parser("experiments", parents=[obs],
+    p = sub.add_parser("experiments",
                        help="regenerate a table/figure of the paper")
     p.add_argument("name", help="figure3, figure4, figure567, table2, "
                                 "section63, section64, ablations, or "
                                 "crossval")
+    p.add_argument("--json", action="store_true",
+                   help="emit a machine-readable JSON document "
+                        "instead of text")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="section63: fan the none/por/atomic/both "
                         "variant grid across N forked worker "

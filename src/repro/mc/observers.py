@@ -6,11 +6,12 @@ its hooks at fixed points of the DFS; ``None`` (the default) costs one
 :func:`compose` combines several observers into one.
 
 ``repro mc`` composes what its flags ask for (``--events-out`` /
-``--trace-out`` → :class:`Events`, ``--profile`` → :class:`Profile`,
-``--progress`` / ``--deadline`` → :class:`Heartbeat`,
-``--trace-malloc`` → :class:`TraceMalloc`, ``--trace`` →
-:class:`Spans`, ``--graph-out`` → :class:`repro.obs.graph.GraphWriter`)
-and always attaches :class:`Coverage`.  Library runs collect only the
+``--trace-out`` → :class:`Events`, ``--profile`` / ``--profile-out`` /
+``--trace`` / ``--trace-out`` → :class:`Profile`, ``--progress`` /
+``--deadline`` → :class:`Heartbeat`, ``--trace-malloc`` →
+:class:`TraceMalloc`, ``--graph-out`` →
+:class:`repro.obs.graph.GraphWriter`) and always attaches
+:class:`Coverage`.  Library runs collect only the
 explorer's core counters unless given observers.
 """
 
@@ -99,28 +100,6 @@ def compose(*observers: Optional[Observer]) -> Optional[Observer]:
     return live[0] if live else None
 
 
-class Spans(Observer):
-    """``mc:run`` > ``mc:init``, ``mc:dfs`` spans on a
-    :class:`~repro.obs.tracing.Tracer`."""
-
-    def __init__(self, tracer):
-        self.tracer = tracer
-
-    def start(self, explorer, result):
-        self._run = self.tracer.span("mc:run", mode=explorer.mode)
-        self._init = self.tracer.span("mc:init")
-
-    def expanded(self, ghosts, succs):
-        if self._init is not None:
-            self._init.__exit__(None, None, None)
-            self._init = None
-            self.tracer.span("mc:dfs")
-
-    def finish(self, result):
-        # closing the root also closes whichever phase is still open
-        self._run.__exit__(None, None, None)
-
-
 class Events(Observer):
     """``mc.push`` / ``mc.pop`` / ``mc.ample`` / ``mc.violation`` /
     ``mc.cap`` events on an :class:`~repro.obs.events.EventStream`."""
@@ -150,12 +129,13 @@ class Events(Observer):
 
 
 class Profile(Observer):
-    """Profiler regions for the explorer's sub-steps: ``mc.successors``,
-    ``mc.canonicalize`` and ``mc.por_ample`` time the explorer's
-    ``_successors``, ``_key`` and ``_alone``; ``mc.dedup`` counts
-    canonical-key lookups (calls) and hits (work).  The ranked document
-    lands in ``result.profile``; the top hotspots are mirrored into
-    ``events`` when given."""
+    """Profiler regions for the explorer: ``mc.run`` spans the search,
+    with ``mc.init`` up to the first expansion and ``mc.dfs`` after
+    it; inside ``mc.dfs``, ``mc.successors``, ``mc.canonicalize`` and
+    ``mc.por_ample`` time the explorer's ``_successors``, ``_key`` and
+    ``_alone``, and ``mc.dedup`` counts canonical-key lookups (calls)
+    and hits (work).  The ranked document lands in ``result.profile``;
+    the top hotspots are mirrored into ``events`` when given."""
 
     _REGIONS = (("mc.successors", "_successors", len),
                 ("mc.canonicalize", "_key", None),
@@ -166,6 +146,8 @@ class Profile(Observer):
         self.events = events
 
     def start(self, explorer, result):
+        self._run = self.profiler.region("mc.run", mode=explorer.mode)
+        self._init = self.profiler.region("mc.init")
         # region -> [calls, work, wall_s], flushed once at finish
         self._acc = {}
         for region, method, work in self._REGIONS:
@@ -173,12 +155,20 @@ class Profile(Observer):
             setattr(explorer, method,
                     _timed(getattr(explorer, method), acc, work))
 
+    def expanded(self, ghosts, succs):
+        if self._init is not None:
+            self._init.__exit__(None, None, None)
+            self._init = None
+            self.profiler.region("mc.dfs")
+
     def finish(self, result):
         prof = self.profiler
         for region, (calls, work, wall) in self._acc.items():
             prof.acc(region, wall, work=work, calls=calls)
         hits = result.metrics["mc.cache_hits"]
         prof.acc("mc.dedup", 0.0, work=hits, calls=hits + result.states)
+        # closing the root also closes whichever phase is still open
+        self._run.__exit__(None, None, None)
         result.profile = prof.to_dict()
         prof.emit_hotspots(self.events)
 

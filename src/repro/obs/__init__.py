@@ -4,8 +4,6 @@ One package, several concerns.  Counts need no module of their own:
 they are plain ``{name: value}`` dicts on the results
 (``AnalysisResult.metrics``, ``MCResult.metrics``, ``lint_counts``).
 
-* :mod:`repro.obs.tracing` — hierarchical wall-clock spans around the
-  §5.4 pipeline steps and the model checker's DFS phases;
 * :mod:`repro.obs.provenance` — per-action justification chains naming
   the theorem (5.1/5.3/5.4/5.5, …) behind every mover classification;
 * :mod:`repro.obs.events` — a schema-versioned, bounded structured
@@ -13,9 +11,11 @@ they are plain ``{name: value}`` dicts on the results
   checker, the scheduler, and the dynamic checker;
 * :mod:`repro.obs.chrometrace` — span-tree + event-stream export in
   Chrome trace-event format (``--trace-out``, loadable in Perfetto);
-* :mod:`repro.obs.profile` — deterministic work-counter profiler
-  (scoped regions + ``sys.setprofile`` sampling fallback, ranked
-  hotspot tables, ``--profile``);
+* :mod:`repro.obs.profile` — the one scoped timer: profiler regions
+  around the §5.4 pipeline steps, the lint checkers and the model
+  checker's DFS phases, read as a span tree (``--trace``), ranked
+  deterministic work counters (``--profile``) and collapsed stacks
+  (``--profile-out``);
 * :mod:`repro.obs.perfdiff` — differential profiling over profiles,
   ledgered runs and ``bench/run.py --traced`` records
   (``repro perf diff``);
@@ -41,18 +41,14 @@ environment switches.
 
 from repro.obs.config import ObsConfig
 from repro.obs.events import EventStream
-from repro.obs.profile import NULL_PROFILER, Profiler, Sampler
+from repro.obs.profile import NULL_PROFILER, Profiler, Span
 from repro.obs.provenance import Justification
-from repro.obs.tracing import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "EventStream",
     "Justification",
     "NULL_PROFILER",
-    "NULL_TRACER",
     "ObsConfig",
     "Profiler",
-    "Sampler",
     "Span",
-    "Tracer",
 ]

@@ -1,8 +1,8 @@
 """Chrome trace-event export for span trees and event streams.
 
-Serializes a :class:`~repro.obs.tracing.Tracer`'s span tree (as ``"X"``
-complete events) and an :class:`~repro.obs.events.EventStream` (as
-``"i"`` instant events) into the Trace Event Format understood by
+Serializes a :class:`~repro.obs.profile.Profiler`'s span tree (as
+``"X"`` complete events) and an :class:`~repro.obs.events.EventStream`
+(as ``"i"`` instant events) into the Trace Event Format understood by
 ``chrome://tracing`` and https://ui.perfetto.dev.  Both sources stamp
 ``time.perf_counter()`` so their timelines line up without any clock
 reconciliation: the earliest timestamp across both becomes the trace
@@ -52,10 +52,10 @@ def _span_events(span, track: int, epoch: float, out: list) -> None:
         _span_events(child, track, epoch, out)
 
 
-def _min_timestamp(tracer, events) -> Optional[float]:
+def _min_timestamp(profiler, events) -> Optional[float]:
     stamps = []
-    if tracer is not None:
-        stamps.extend(s.start for s in tracer.roots)
+    if profiler is not None:
+        stamps.extend(s.start for s in profiler.roots)
     if events is not None:
         snap = events.snapshot()
         if snap:
@@ -63,9 +63,9 @@ def _min_timestamp(tracer, events) -> Optional[float]:
     return min(stamps) if stamps else None
 
 
-def to_trace_events(tracer=None, events=None) -> list[dict]:
+def to_trace_events(profiler=None, events=None) -> list[dict]:
     """Flatten spans + stream events into a trace-event list."""
-    epoch = _min_timestamp(tracer, events)
+    epoch = _min_timestamp(profiler, events)
     if epoch is None:
         return []
     out: list[dict] = []
@@ -77,8 +77,8 @@ def to_trace_events(tracer=None, events=None) -> list[dict]:
                 [t for t in tracks.values() if t >= base and t < base + 90])
         return tracks[name]
 
-    if tracer is not None:
-        for root in tracer.roots:
+    if profiler is not None:
+        for root in profiler.roots:
             _span_events(root, track_of("spans", _SPAN_TRACK_BASE),
                          epoch, out)
     pids: dict[int, Optional[str]] = {}
@@ -133,11 +133,11 @@ def to_trace_events(tracer=None, events=None) -> list[dict]:
     return out
 
 
-def write_trace(path: Union[str, pathlib.Path], tracer=None,
+def write_trace(path: Union[str, pathlib.Path], profiler=None,
                 events=None) -> pathlib.Path:
     """Write a ``chrome://tracing``-loadable JSON object file."""
     doc = {
-        "traceEvents": to_trace_events(tracer=tracer, events=events),
+        "traceEvents": to_trace_events(profiler=profiler, events=events),
         "displayTimeUnit": "ms",
     }
     path = pathlib.Path(path)

@@ -2,11 +2,10 @@
 
 Switches mirroring the CLI flags:
 
-* ``REPRO_TRACE``   — enable span tracing (as if ``--trace``);
+* ``REPRO_TRACE``   — print the span tree (as if ``--trace``);
 * ``REPRO_METRICS`` — enable the metrics report (as if ``--metrics``);
-* ``REPRO_PROFILE`` — enable the work-counter profiler (as if
-  ``--profile``); the value ``sample`` additionally turns on the
-  ``sys.setprofile`` sampling fallback (as if ``--profile-sample``).
+* ``REPRO_PROFILE`` — print the ranked hotspot table (as if
+  ``--profile``).
 
 Values ``""``, ``"0"``, ``"false"``, ``"no"``, ``"off"`` (any case)
 mean *off*; anything else means *on*.  CLI flags OR into the
@@ -38,7 +37,6 @@ class ObsConfig:
     trace: bool = False
     metrics: bool = False
     profile: bool = False
-    profile_sample: bool = False
     #: persistent run ledger (default ON; REPRO_LEDGER=0 disables)
     ledger: bool = True
     #: ledger root directory (REPRO_LEDGER_DIR overrides)
@@ -48,27 +46,21 @@ class ObsConfig:
     def from_env(cls, env: Optional[Mapping[str, str]] = None
                  ) -> "ObsConfig":
         env = os.environ if env is None else env
-        prof = env.get("REPRO_PROFILE")
-        sample = _truthy(prof) and prof.strip().lower() == "sample"
         raw_ledger = env.get("REPRO_LEDGER")
         return cls(trace=_truthy(env.get("REPRO_TRACE")),
                    metrics=_truthy(env.get("REPRO_METRICS")),
-                   profile=_truthy(prof),
-                   profile_sample=sample,
+                   profile=_truthy(env.get("REPRO_PROFILE")),
                    ledger=True if raw_ledger is None
                    else _truthy(raw_ledger),
                    ledger_dir=env.get("REPRO_LEDGER_DIR")
                    or ".repro/runs")
 
     def with_flags(self, trace: bool = False, metrics: bool = False,
-                   profile: bool = False,
-                   profile_sample: bool = False) -> "ObsConfig":
-        """OR command-line flags into the env-derived settings
-        (``--profile-sample`` implies ``--profile``)."""
+                   profile: bool = False) -> "ObsConfig":
+        """OR command-line flags into the env-derived settings."""
         return ObsConfig(
             trace=self.trace or trace,
             metrics=self.metrics or metrics,
-            profile=self.profile or profile or profile_sample,
-            profile_sample=self.profile_sample or profile_sample,
+            profile=self.profile or profile,
             ledger=self.ledger,
             ledger_dir=self.ledger_dir)

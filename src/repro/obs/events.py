@@ -10,8 +10,9 @@ is a flat dict::
 
 * ``v``    — schema version (:data:`SCHEMA_VERSION`);
 * ``seq``  — per-stream monotone sequence number;
-* ``t``    — ``time.perf_counter()`` timestamp (same clock as the span
-  tracer, so events and spans merge onto one Chrome-trace timeline);
+* ``t``    — ``time.perf_counter()`` timestamp (same clock as the
+  profiler's spans, so events and spans merge onto one Chrome-trace
+  timeline);
 * ``kind`` — dotted event name (see :data:`KINDS`);
 * remaining keys are kind-specific and JSON-scalar only.
 

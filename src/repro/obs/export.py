@@ -194,16 +194,6 @@ HOTSPOT_SCHEMA = {
     },
 }
 
-SAMPLE_SCHEMA = {
-    "type": "object",
-    "required": ["name", "calls", "cum_s"],
-    "properties": {
-        "name": {"type": "string"},
-        "calls": {"type": "integer"},
-        "cum_s": {"type": "number"},
-    },
-}
-
 #: shape of ``Profiler.to_dict()`` — the ranked hotspot table embedded
 #: in analysis/MC JSON under ``"profile"`` when ``--profile`` is on
 PROFILE_SCHEMA = {
@@ -216,7 +206,6 @@ PROFILE_SCHEMA = {
         # nesting path — feeds the report's inline SVG flame chart
         # and the --profile-out folded export
         "folded": {"type": "object"},
-        "sampled": {"type": "array", "items": SAMPLE_SCHEMA},
     },
 }
 

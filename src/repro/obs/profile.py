@@ -1,41 +1,40 @@
-"""Deterministic work-counter profiling (zero-dep).
+"""The one scoped timer: work-counter profiling and span tracing
+(zero-dep).
 
-The span tracer answers *which phase* was slow; this module answers
-*which work inside a phase* cost the time.  Two collectors, one
-report:
+A scoped ``profiler.region("name", **attrs)`` (plus the lock-free
+:meth:`Profiler.acc` hot-loop form) feeds three views of one run:
 
-* the **region profiler** — scoped ``profiler.region("name")``
-  contexts (plus the lock-free :meth:`Profiler.acc` hot-loop form)
-  accumulate three numbers per dotted name: ``calls``, ``work`` (an
-  explicit, deterministic unit count — sites classified, states
-  expanded, rule firings, …) and ``wall_s``.  Work and call counts
-  are *deterministic*: two identical runs produce identical counters,
-  so they diff cleanly across commits even though wall times jitter;
-* the **sampling fallback** — a ``sys.setprofile``-based collector
-  (:class:`Sampler`) that attributes call counts and cumulative time
-  per Python function, for code that carries no region
-  instrumentation yet.  It is far more intrusive (every function
-  call/return pays the hook), so it is opt-in behind
-  ``--profile-sample`` / ``REPRO_PROFILE=sample``.
+* the **span tree** — every region is a :class:`Span` under the
+  innermost open region, with its attributes and monotonic
+  (``time.perf_counter``) start and end.  ``--trace`` prints it
+  (:meth:`Profiler.render_spans`), the ``trace``/``spans`` JSON keys
+  carry it (:meth:`Profiler.spans`) and ``--trace-out`` exports it in
+  Chrome trace-event format (:mod:`repro.obs.chrometrace`);
+* the **entries** — three numbers per dotted name: ``calls``,
+  ``work`` (an explicit, deterministic unit count — sites classified,
+  states expanded, rule firings, …) and ``wall_s``.  Work and call
+  counts are *deterministic*: two identical runs produce identical
+  counters, so they diff cleanly across commits even though wall
+  times jitter.  :meth:`Profiler.hotspots` ranks them by wall time
+  (deterministic ``work`` then name break ties) with each entry's
+  share of the total *attributed* time; regions nest, so shares are an
+  attribution summary, not a partition of the run;
+* the **collapsed stacks** — every ``acc``/region exit also credits
+  its wall time to the full ``outer;inner`` path of open regions, so
+  :meth:`Profiler.folded_lines` emits standard folded format (integer
+  microsecond counts, flamegraph.pl/speedscope-ready,
+  ``--profile-out``) and ``repro report`` renders an inline SVG flame
+  chart from the same data.
 
-Region scopes additionally maintain a live nesting stack feeding a
-**collapsed-stack accumulator**: every ``acc``/region exit credits its
-wall time to the full ``outer;inner`` path, so
-:meth:`Profiler.folded_lines` emits standard folded format (integer
-microsecond counts, flamegraph.pl/speedscope-ready, ``--profile-out``)
-and ``repro report`` renders an inline SVG flame chart from the same
-data.
-
-The report surface is :meth:`Profiler.hotspots` — entries ranked by
-wall time (deterministic ``work`` then name break ties) with each
-entry's share of the total *attributed* time.  Regions may nest and
-overlap, so shares are an attribution summary, not a partition of the
-run.  :meth:`Profiler.to_dict` emits the schema-validated document
+:meth:`Profiler.to_dict` emits the schema-validated hotspot document
 embedded in analysis/MC JSON output
-(:data:`repro.obs.export.PROFILE_SCHEMA`).
+(:data:`repro.obs.export.PROFILE_SCHEMA`).  Entries and folded stacks
+cross process boundaries (:meth:`Profiler.state`, :meth:`merge`);
+spans stay in the process that opened them.  For a per-function view
+of code that carries no regions, run ``python -m cProfile -m repro``.
 
-Disabled profilers follow the ``NULL_TRACER`` pattern: the shared
-:data:`NULL_PROFILER` hands back one reusable no-op context manager
+A disabled profiler (``Profiler(enabled=False)``, or the shared
+:data:`NULL_PROFILER`) hands back one reusable no-op context manager
 and every mutator returns after a single attribute check, so
 instrumented hot paths cost nothing measurable when profiling is off.
 """
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.obs.schemas import PROFILE as PROFILE_VERSION
 
@@ -158,53 +157,111 @@ def parse_folded_lines(lines) -> dict[str, int]:
     return out
 
 
-class _Region:
-    __slots__ = ("profiler", "name", "start")
+class Span:
+    """One timed region.  ``end`` is ``None`` while the span is open."""
 
-    def __init__(self, profiler: "Profiler", name: str):
-        self.profiler = profiler
+    __slots__ = ("name", "attrs", "start", "end", "children")
+
+    def __init__(self, name: str, attrs: Optional[dict] = None):
         self.name = name
-        self.start = 0.0
-
-    def __enter__(self) -> "_Region":
-        self.profiler._stack.append(self.name)
+        self.attrs = attrs or {}
         self.start = time.perf_counter()
-        return self
+        self.end: Optional[float] = None
+        self.children: list[Span] = []
+
+    @property
+    def duration(self) -> float:
+        """Elapsed seconds (up to now for a still-open span)."""
+        end = self.end if self.end is not None else time.perf_counter()
+        return end - self.start
+
+    def walk(self) -> Iterator["Span"]:
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+    def to_dict(self) -> dict:
+        out: dict = {
+            "name": self.name,
+            "duration_s": round(self.duration, 6),
+        }
+        if self.attrs:
+            out["attrs"] = dict(self.attrs)
+        if self.children:
+            out["children"] = [c.to_dict() for c in self.children]
+        return out
+
+    def render(self, depth: int = 0) -> str:
+        attrs = "".join(f" {k}={v}" for k, v in self.attrs.items())
+        lines = [f"{'  ' * depth}{self.name}  "
+                 f"{self.duration * 1000:.2f}ms{attrs}"]
+        lines.extend(c.render(depth + 1) for c in self.children)
+        return "\n".join(lines)
+
+
+class _Region:
+    __slots__ = ("profiler", "span")
+
+    def __init__(self, profiler: "Profiler", span: Span):
+        self.profiler = profiler
+        self.span = span
+
+    def __enter__(self) -> Span:
+        return self.span
 
     def __exit__(self, *exc) -> bool:
-        elapsed = time.perf_counter() - self.start
-        stack = self.profiler._stack
-        if stack and stack[-1] == self.name:
-            stack.pop()
-        self.profiler.acc(self.name, elapsed)
+        self.profiler._close(self.span)
         return False
 
 
 class Profiler:
-    """Named accumulator of ``(calls, work, wall_s)`` triples.
+    """Named accumulator of ``(calls, work, wall_s)`` triples, plus the
+    span tree of the regions that fed it.
 
     Not thread-safe by design: the inference pipeline and the DFS are
     single-threaded.  Hot loops accumulate locally and flush once.
     """
 
-    __slots__ = ("enabled", "_entries", "_stack", "_folded")
+    __slots__ = ("enabled", "roots", "_entries", "_stack", "_folded")
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
+        #: top-level spans, in opening order
+        self.roots: list[Span] = []
         # name -> [calls, work, wall_s]
         self._entries: dict[str, list] = {}
-        # live region-nesting stack (region() scopes push/pop) and
-        # the collapsed-stack accumulator it feeds:
+        # the open regions, innermost last, and the collapsed-stack
+        # accumulator they feed:
         # "outer;inner" -> cumulative wall_s, flame-chart/folded food
-        self._stack: list[str] = []
+        self._stack: list[Span] = []
         self._folded: dict[str, float] = {}
 
     # -- accumulation ------------------------------------------------------
-    def region(self, name: str):
-        """Timed scope: one call + elapsed wall time on ``name``."""
+    def region(self, name: str, **attrs):
+        """Timed scope: a span under the innermost open region, and on
+        exit one call + its wall time on ``name``.  The span opens
+        here, so a scope may also be closed by hand with
+        ``__exit__``."""
         if not self.enabled:
             return _NULL_REGION
-        return _Region(self, name)
+        span = Span(name, attrs or None)
+        stack = self._stack
+        (stack[-1].children if stack else self.roots).append(span)
+        stack.append(span)
+        return _Region(self, span)
+
+    def _close(self, span: Span) -> None:
+        """Close ``span`` and any region still open inside it (left
+        open by a hand-closed scope), crediting each to its name."""
+        if span.end is not None:
+            return
+        stack = self._stack
+        while stack:
+            top = stack.pop()
+            top.end = time.perf_counter()
+            self.acc(top.name, top.end - top.start)
+            if top is span:
+                break
 
     def add(self, name: str, work: float = 1) -> None:
         """Count deterministic work units (no timing)."""
@@ -229,7 +286,7 @@ class Profiler:
         if wall_s > 0:
             if self._stack:
                 path = ";".join(
-                    escape_frame(f) for f in self._stack) \
+                    escape_frame(s.name) for s in self._stack) \
                     + ";" + escape_frame(name)
             else:
                 path = escape_frame(name)
@@ -280,17 +337,22 @@ class Profiler:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text("\n".join(self.folded_lines()) + "\n")
 
-    def to_dict(self, sampler: Optional["Sampler"] = None,
-                limit: Optional[int] = None) -> dict:
+    def to_dict(self, limit: Optional[int] = None) -> dict:
         out: dict = {"v": PROFILE_VERSION,
                      "hotspots": self.hotspots(limit)}
         if self._folded:
             out["folded"] = {path: round(wall, 6)
                              for path, wall in
                              sorted(self._folded.items())}
-        if sampler is not None and sampler.stats:
-            out["sampled"] = sampler.top(25)
         return out
+
+    def spans(self) -> list[dict]:
+        """The span tree as JSON (the ``trace``/``spans`` documents)."""
+        return [s.to_dict() for s in self.roots]
+
+    def render_spans(self) -> str:
+        """The span tree as indented text (``--trace``)."""
+        return "\n".join(s.render() for s in self.roots)
 
     def render(self, limit: int = 20) -> str:
         """Ranked hotspot table (fixed-width text)."""
@@ -389,56 +451,3 @@ def malloc_top(limit: int = 10) -> list[dict]:
              "kb": round(s.size / 1024, 1),
              "count": s.count}
             for s in stats]
-
-
-class Sampler:
-    """``sys.setprofile``-based per-function cost attribution.
-
-    Tracks every Python call/return while active and accumulates
-    ``{(module, qualname): [calls, cum_s]}``; C calls are ignored.
-    Use as a context manager around the region of interest.  The hook
-    slows execution substantially (every frame pays it) — this is the
-    fallback for code without ``region`` instrumentation, not the
-    default path.
-    """
-
-    def __init__(self, prefix: str = "repro"):
-        self.prefix = prefix
-        self.stats: dict[tuple, list] = {}
-        self._stack: list[tuple] = []
-        self._prev = None
-
-    def _hook(self, frame, event, arg):
-        if event == "call":
-            self._stack.append((frame.f_code, time.perf_counter()))
-        elif event == "return" and self._stack:
-            code, start = self._stack.pop()
-            if code is not frame.f_code:
-                return  # unwound through an exception; drop the frame
-            module = frame.f_globals.get("__name__", "?")
-            if not module.startswith(self.prefix):
-                return
-            key = (module, code.co_qualname)
-            entry = self.stats.get(key)
-            if entry is None:
-                entry = self.stats[key] = [0, 0.0]
-            entry[0] += 1
-            entry[1] += time.perf_counter() - start
-
-    def __enter__(self) -> "Sampler":
-        self._prev = sys.getprofile()
-        sys.setprofile(self._hook)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        sys.setprofile(self._prev)
-        self._stack.clear()
-
-    def top(self, limit: int = 25) -> list[dict]:
-        """Functions ranked by cumulative time."""
-        ranked = sorted(self.stats.items(),
-                        key=lambda kv: (-kv[1][1], kv[0]))
-        return [{"name": f"{module}.{qual}",
-                 "calls": entry[0],
-                 "cum_s": round(entry[1], 6)}
-                for (module, qual), entry in ranked[:limit]]

@@ -413,8 +413,11 @@ def _span_rows(span: dict, depth: int, rows: list) -> None:
 
 def _trace(inputs: ReportInputs) -> str:
     parts = []
-    for label, doc in inputs.analyses + inputs.mcs:
-        spans = doc.get("trace") or doc.get("spans") or []
+    # an MC document's "trace" is its counterexample steps; its span
+    # tree is under "spans"
+    docs = [(label, doc.get("trace")) for label, doc in inputs.analyses] \
+        + [(label, doc.get("spans")) for label, doc in inputs.mcs]
+    for label, spans in docs:
         if not spans:
             continue
         rows: list[list] = []
@@ -469,14 +472,6 @@ def _hotspots(inputs: ReportInputs) -> str:
             parts.append(
                 "<h4>flame chart (collapsed region stacks)</h4>"
                 + _svg_flame(folded, title=f"flame chart — {label}"))
-        sampled = profile.get("sampled") or []
-        if sampled:
-            parts.append(
-                "<h4>sampled functions</h4>"
-                + _table(["function", "calls", "cum (ms)"],
-                         [[s["name"], s["calls"],
-                           f"{s['cum_s'] * 1000:.2f}"]
-                          for s in sampled[:15]], "mono"))
     if not parts:
         return _placeholder(
             "profile", "re-run with --profile (or REPRO_PROFILE=1) "
@@ -914,8 +909,8 @@ SELF_CHECK_FIXTURE = {
         "diagnostics": [],
         "metrics": {"analysis.sites": 12,
                     "analysis.exclusions.thm5.3": 4},
-        "trace": [{"name": "analysis:run", "duration_s": 0.004,
-                   "children": [{"name": "analysis:classify",
+        "trace": [{"name": "analysis.run", "duration_s": 0.004,
+                   "children": [{"name": "analysis.classify",
                                  "duration_s": 0.002}]}],
         "profile": {"v": 1, "hotspots": [
             {"name": "analysis.classify", "calls": 1, "work": 12,
@@ -950,9 +945,10 @@ SELF_CHECK_FIXTURE = {
             {"name": "mc.canonicalize", "calls": 96, "work": 96,
              "wall_s": 0.002, "share": 0.3}],
             "folded": {"mc.run": 0.008,
-                       "mc.run;mc.successors": 0.004,
-                       "mc.run;mc.successors;mc.canonicalize": 0.002,
-                       "mc.run;mc.dedup": 0.001}},
+                       "mc.run;mc.init": 0.001,
+                       "mc.run;mc.dfs": 0.007,
+                       "mc.run;mc.dfs;mc.successors": 0.004,
+                       "mc.run;mc.dfs;mc.canonicalize": 0.002}},
         "heatmap": {"v": 1, "annotated": True, "total_visits": 160,
                     "rows": [
                         {"uid": 0, "proc": "Inc",

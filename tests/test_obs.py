@@ -1,6 +1,7 @@
-"""The observability layer: span tracing, the progress-rate estimator,
-JSON schema round-trips, classification provenance, and the CLI surfacing
-(--trace/--metrics/--json/--explain, REPRO_TRACE, exit codes)."""
+"""The observability layer: the profiler's span tree, the progress-rate
+estimator, JSON schema round-trips, classification provenance, and the
+CLI surfacing (--trace/--metrics/--profile/--json/--explain,
+REPRO_TRACE, exit codes)."""
 
 from __future__ import annotations
 
@@ -15,23 +16,23 @@ from repro.analysis.report import (line_provenance, render_figure,
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, observers
 from repro.mc.observers import EwmaRate
-from repro.obs import ObsConfig, Tracer
+from repro.obs import ObsConfig, Profiler
 from repro.obs.export import (ANALYSIS_SCHEMA, MC_SCHEMA, analysis_to_dict,
                               mc_to_dict, validate)
 
 
-# -- tracing ----------------------------------------------------------------------
+# -- span tree ------------------------------------------------------------------
 
 def test_span_nesting_and_timing_monotonicity():
-    tracer = Tracer()
-    with tracer.span("outer", key="v"):
-        with tracer.span("inner-1"):
+    prof = Profiler()
+    with prof.region("outer", key="v"):
+        with prof.region("inner-1"):
             pass
-        with tracer.span("inner-2"):
-            with tracer.span("leaf"):
+        with prof.region("inner-2"):
+            with prof.region("leaf"):
                 pass
-    assert len(tracer.roots) == 1
-    outer = tracer.roots[0]
+    assert len(prof.roots) == 1
+    outer = prof.roots[0]
     assert [c.name for c in outer.children] == ["inner-1", "inner-2"]
     assert outer.children[1].children[0].name == "leaf"
     # every span is closed, timed monotonically, and contained in its
@@ -47,24 +48,38 @@ def test_span_nesting_and_timing_monotonicity():
 
 
 def test_span_render_and_dict():
-    tracer = Tracer()
-    with tracer.span("a"):
-        with tracer.span("b"):
+    prof = Profiler()
+    with prof.region("a"):
+        with prof.region("b"):
             pass
-    text = tracer.render()
+    text = prof.render_spans()
     assert "a" in text and "  b" in text and "ms" in text
-    (root,) = tracer.to_dict()
+    (root,) = prof.spans()
     assert root["name"] == "a"
     assert root["children"][0]["name"] == "b"
     assert root["duration_s"] >= root["children"][0]["duration_s"]
 
 
-def test_disabled_tracer_collects_nothing():
-    tracer = Tracer(enabled=False)
-    with tracer.span("ghost"):
+def test_disabled_profiler_collects_no_spans():
+    prof = Profiler(enabled=False)
+    with prof.region("ghost"):
         pass
-    assert tracer.roots == []
-    assert tracer.render() == ""
+    assert prof.roots == []
+    assert prof.render_spans() == ""
+
+
+def test_hand_closed_region_closes_open_children():
+    prof = Profiler()
+    outer = prof.region("outer")
+    prof.region("inner")          # never closed by hand
+    outer.__exit__(None, None, None)
+    with prof.region("next"):
+        pass
+    assert [s.name for s in prof.roots] == ["outer", "next"]
+    assert all(s.end is not None for root in prof.roots
+               for s in root.walk())
+    assert prof.counters()["inner"]["calls"] == 1
+    assert set(prof.folded()) == {"outer", "outer;inner", "next"}
 
 
 # -- progress rate ----------------------------------------------------------------
@@ -180,28 +195,42 @@ def test_explorer_metrics_and_ample_ratio():
 
 
 def test_explorer_tracing():
-    tracer = Tracer()
+    prof = Profiler()
     interp = Interp(corpus.NFQ_PRIME)
     result = Explorer(interp, [ThreadSpec.of(("UpdateTail",))],
                       mode="full",
-                      observer=observers.Spans(tracer)).run()
+                      observer=observers.Profile(prof)).run()
     assert result.states > 0
-    (root,) = tracer.roots
-    assert root.name == "mc:run"
-    assert [c.name for c in root.children] == ["mc:init", "mc:dfs"]
+    (root,) = prof.roots
+    assert root.name == "mc.run"
+    assert [c.name for c in root.children] == ["mc.init", "mc.dfs"]
 
 
 def test_analysis_tracing_covers_pipeline_phases():
-    tracer = Tracer()
-    result = analyze_program(corpus.NFQ_PRIME, tracer=tracer)
+    prof = Profiler()
+    result = analyze_program(corpus.NFQ_PRIME, profiler=prof)
     assert result.verdicts
-    names = {s.name for root in tracer.roots for s in root.walk()}
-    for phase in ("analysis:run", "analysis:variants",
-                  "analysis:escape-uniqueness-purity",
-                  "analysis:lockset-windows", "analysis:collect-sites",
-                  "analysis:classify", "analysis:propagate-verdicts"):
+    names = {s.name for root in prof.roots for s in root.walk()}
+    for phase in ("analysis.run", "analysis.variants",
+                  "analysis.purity",
+                  "analysis.lockset_windows", "analysis.collect_sites",
+                  "analysis.classify", "analysis.propagate_verdicts"):
         assert phase in names, phase
     assert result.trace  # span tree stored on the result
+
+
+def test_every_span_is_one_hotspot_call():
+    # one timer: each region exit is both a span and one call on its
+    # name, so the span tree and the hotspot table never disagree
+    prof = Profiler()
+    analyze_program(corpus.NFQ_PRIME, profiler=prof)
+    spans: dict[str, int] = {}
+    for root in prof.roots:
+        for span in root.walk():
+            spans[span.name] = spans.get(span.name, 0) + 1
+    calls = {h["name"]: h["calls"] for h in prof.hotspots()}
+    assert spans
+    assert {name: calls[name] for name in spans} == spans
 
 
 # -- provenance golden test (§6.1 queue, Thm 5.3) ----------------------------------
@@ -302,13 +331,13 @@ def test_cli_analyze_explain_and_metrics(queue_file, capsys):
 def test_cli_analyze_trace_flag_and_env(queue_file, capsys,
                                         monkeypatch):
     assert cli.main(["analyze", "--trace", queue_file]) == 0
-    assert "analysis:classify" in capsys.readouterr().out
+    assert "analysis.classify" in capsys.readouterr().out
     monkeypatch.setenv("REPRO_TRACE", "1")
     assert cli.main(["analyze", queue_file]) == 0
-    assert "analysis:classify" in capsys.readouterr().out
+    assert "analysis.classify" in capsys.readouterr().out
     monkeypatch.setenv("REPRO_TRACE", "0")
     assert cli.main(["analyze", queue_file]) == 0
-    assert "analysis:classify" not in capsys.readouterr().out
+    assert "analysis.classify" not in capsys.readouterr().out
 
 
 def test_cli_blocks_json(queue_file, capsys):
@@ -360,6 +389,45 @@ proc P() {
     out = capsys.readouterr().out
     assert "assertion violation" in out
     assert "(seed=5)" in out
+
+
+def test_cli_variants_profile_out_writes_folded(tmp_path, capsys):
+    src = tmp_path / "aba.synl"
+    src.write_text(corpus.ABA_STACK)
+    out = tmp_path / "v.folded"
+    assert cli.main(["variants", "--profile-out", str(out),
+                     str(src)]) == 0
+    paths = [line.rsplit(" ", 1)[0]
+             for line in out.read_text().splitlines()]
+    assert "analysis.run;analysis.variants" in paths
+
+
+def test_cli_run_profile_prints_hotspots(tmp_path, capsys):
+    src = tmp_path / "aba.synl"
+    src.write_text(corpus.ABA_STACK)
+    assert cli.main(["run", "--profile", str(src), "PopCheck()",
+                     "Recycle()"]) == 0
+    out = capsys.readouterr().out
+    assert "-- profile (ranked hotspots) --" in out
+    assert "run.execute" in out and "run.parse_resolve" in out
+
+
+def test_cli_run_trace_survives_violation(tmp_path, capsys):
+    src = tmp_path / "sem.synl"
+    src.write_text(corpus.BROKEN_SEMAPHORE)
+    assert cli.main(["run", "--trace", "--metrics", "--seed", "3",
+                     str(src), "DownBad()", "DownBad()"]) == 1
+    out = capsys.readouterr().out
+    assert "assertion violation" in out
+    trace = out.split("-- trace --", 1)[1]
+    assert "run.execute" in trace and "seed=3" in trace
+
+
+def test_cli_experiments_rejects_obs_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiments", "figure3", "--profile"])
+    assert exc.value.code == 2
+    assert "--profile" in capsys.readouterr().err
 
 
 # -- config -------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.mc import Explorer, QueueContents, QueueShape, observers
 from repro.obs.events import EventStream
 from repro.obs.graph import GraphWriter, read_graph
 from repro.obs.profile import Profiler
-from repro.obs.tracing import Tracer
 
 GH_SPECS = [ThreadSpec.of(("Apply", 1)), ThreadSpec.of(("Apply", 2))]
 
@@ -32,8 +31,7 @@ def _everything(path):
         observers.Profile(Profiler(), events),
         observers.Heartbeat(1e9, sink=lambda line: None, events=events),
         observers.Coverage(),
-        graph,
-        observers.Spans(Tracer()))
+        graph)
     return observer, graph, events
 
 

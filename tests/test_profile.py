@@ -1,6 +1,6 @@
 """The work-counter profiler: deterministic counters, ranked
-hotspots, the disabled zero-overhead path, the sampling fallback, and
-the explorer/inference integration (coverage telemetry, heartbeat,
+hotspots, the disabled zero-overhead path, and the explorer/inference
+integration (coverage telemetry, heartbeat,
 embedded profile documents)."""
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from repro.mc.explorer import MCResult
 from repro.obs.config import ObsConfig
 from repro.obs.events import EVENT_SCHEMA, EventStream
 from repro.obs.export import MIN_RATE_WINDOW_S, PROFILE_SCHEMA, validate
-from repro.obs.profile import (NULL_PROFILER, Profiler, Sampler,
-                               malloc_top, peak_rss_mb)
+from repro.obs.profile import NULL_PROFILER, Profiler, malloc_top, peak_rss_mb
 
 TINY = """
 global G;
@@ -177,24 +176,6 @@ def test_render_table():
     assert Profiler().render() == "(no profile data)"
 
 
-# -- sampling fallback -------------------------------------------------------------
-
-def test_sampler_attributes_repro_functions():
-    sampler = Sampler()
-    with sampler:
-        analyze_program(TINY)
-    top = sampler.top(10)
-    assert top
-    assert all(entry["name"].startswith("repro") for entry in top)
-    assert all(entry["calls"] > 0 for entry in top)
-    # included in the document only when sampling actually ran
-    prof = Profiler()
-    prof.acc("x", 0.1)
-    doc = prof.to_dict(sampler=sampler)
-    assert doc["sampled"]
-    assert validate(doc, PROFILE_SCHEMA) == []
-
-
 # -- resource accounting -----------------------------------------------------------
 
 def test_peak_rss_positive_on_posix():
@@ -217,13 +198,8 @@ def test_malloc_top_requires_tracing():
 
 def test_profile_env_and_flags():
     cfg = ObsConfig.from_env({"REPRO_PROFILE": "1"})
-    assert cfg.profile and not cfg.profile_sample
-    cfg = ObsConfig.from_env({"REPRO_PROFILE": "sample"})
-    assert cfg.profile and cfg.profile_sample
+    assert cfg.profile
     assert not ObsConfig.from_env({"REPRO_PROFILE": "off"}).profile
-    # --profile-sample implies --profile
-    cfg = ObsConfig().with_flags(profile_sample=True)
-    assert cfg.profile and cfg.profile_sample
 
 
 # -- explorer integration ----------------------------------------------------------

@@ -192,6 +192,19 @@ def test_flame_chart_rendered_from_folded_profile():
     assert "mc.successors" in html_text
 
 
+# -- trace section -----------------------------------------------------------------
+
+def test_trace_section_reads_mc_spans_not_the_step_trace():
+    mc = dict(SELF_CHECK_FIXTURE["mc.json"],
+              violation="assertion failed", trace=["init", "t0@call"],
+              spans=[{"name": "mc.run", "duration_s": 0.003,
+                      "children": [{"name": "mc.dfs",
+                                    "duration_s": 0.002}]}])
+    html_text = render_report(ReportInputs(mcs=[("mc.json", mc)]))
+    trace = html_text.split("id='sec-trace'", 1)[1].split("</section>")[0]
+    assert "mc.dfs" in trace and "t0@call" not in trace
+
+
 # -- state-space section (graph captures + statement heatmap) ----------------------
 
 def test_statespace_renders_graph_and_heatmap():
