@@ -10,7 +10,7 @@ cache over the existing passes:
   procedure hashes, the pre-inline call graph, shared-region
   footprints and the dependency digests that decide invalidation;
 * :mod:`repro.analysis.summaries.store` — the schema-versioned
-  content-addressed record store (ledger artifact layout);
+  content-addressed record store;
 * :mod:`repro.analysis.summaries.engine` — the resolution phase:
   cache hit → replay the stored verdicts (``cached: true``), miss →
   run the passes and emit fresh summaries.

@@ -42,8 +42,8 @@ def _sha(obj) -> str:
 
 
 def digest(obj) -> str:
-    """Short content digest (sha256 of the canonical repr, 16 hex chars
-    — the same width as :func:`repro.obs.ledger.fingerprint`)."""
+    """Short content digest (sha256 of the canonical repr, 16 hex
+    chars)."""
     return _sha(obj)[:16]
 
 

@@ -24,7 +24,9 @@ summary resolution:
 Cache traffic is observable: ``summary.*`` profiler regions
 (hash/resolve/replay/emit), ``summary.*`` events, and the hit / miss /
 invalidation counts :func:`summary_counts` derives from the per-target
-rows (``--metrics``).
+rows (``--metrics``).  A drift is reported as a document of
+:func:`drift_doc` (classification, verdict and theorem changes between
+two analysis documents), rendered by :func:`render_drift`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.analysis.inference import (
 from repro.analysis.report import render_figure
 from repro.analysis.summaries import canon
 from repro.analysis.summaries.store import SummaryStore
-from repro.obs import ledger, rundiff
 from repro.obs.profile import NULL_PROFILER
 from repro.synl.inline import inline_calls
 from repro.synl.parser import parse_program
@@ -133,7 +134,7 @@ def proc_slices(doc: dict) -> dict[str, dict]:
 class CachedAnalysisResult:
     """An :class:`~repro.analysis.inference.AnalysisResult` look-alike
     replayed from a stored program record.  Exposes the attributes the
-    CLI, ledger and exporters touch; ``to_dict()`` returns the stored
+    CLI and exporters touch; ``to_dict()`` returns the stored
     document (provenance chains intact) plus a fresh ``run_meta`` and
     ``cached: true``."""
 
@@ -221,16 +222,14 @@ class CachedAnalysisResult:
 
 def _drift_entry(label: str, name: str, stored: dict,
                  fresh: dict) -> dict:
-    """A drift record for one procedure, with the ``runs diff``
-    document comparing the stored slice against the fresh one."""
-    a = {"analysis": ledger.classification_summary(
-            {"procedures": [{"name": name, **stored}]}),
-         "run_id": f"{label}:{name}@cached"}
-    b = {"analysis": ledger.classification_summary(
-            {"procedures": [{"name": name, **fresh}]}),
-         "run_id": f"{label}:{name}@fresh"}
+    """A drift record for one procedure, with the drift document
+    comparing the stored slice against the fresh one."""
     return {"program": label, "proc": name,
-            "diff": rundiff.diff_manifests(a, b)}
+            "diff": drift_doc(
+                f"{label}:{name}@cached",
+                {"procedures": [{"name": name, **stored}]},
+                f"{label}:{name}@fresh",
+                {"procedures": [{"name": name, **fresh}]})}
 
 
 def analyze_with_summaries(source: str,
@@ -471,7 +470,7 @@ def analyze_corpus(store: SummaryStore,
                    *,
                    targets: list[tuple[str, str]] | None = None,
                    profiler=None, events=None,
-                   jobs: int = 1, spool=None) -> dict:
+                   jobs: int = 1) -> dict:
     """Analyze every target through one shared store.
 
     Returns ``{"rows", "drift", "errors", "docs", "stats"}`` where each
@@ -479,12 +478,11 @@ def analyze_corpus(store: SummaryStore,
     drift}`` and ``docs`` maps label to the stable (volatile-free)
     analysis doc — the corpus canary compares these across passes.
 
-    With ``jobs > 1`` (or an explicit ``spool`` directory) the targets
-    are fanned across forked worker processes via
-    :func:`repro.obs.fleet.run_fleet`: each worker opens the same
-    on-disk store (record writes are tmp-file + ``os.replace`` atomic,
-    so concurrent workers cannot tear each other's records) and spools
-    its own telemetry.  Per-target cells are reassembled in the
+    With ``jobs > 1`` the targets are fanned across forked worker
+    processes via :func:`repro.obs.fleet.run_fleet`: each worker opens
+    the same on-disk store (record writes are tmp-file +
+    ``os.replace`` atomic, so concurrent workers cannot tear each
+    other's records) and spools its own telemetry.  Per-target cells are reassembled in the
     original target order, so the report — rows, docs, drift, errors —
     is **byte-identical** to a sequential run; the merged fleet
     telemetry rides along under ``"fleet"`` and the worker profilers
@@ -496,7 +494,7 @@ def analyze_corpus(store: SummaryStore,
     # this pass, so the counts don't depend on target order (or on
     # which worker raced a colliding name in first).
     known_names = frozenset(store.known_proc_names())
-    if jobs <= 1 and spool is None:
+    if jobs <= 1:
         cells = [_analyze_one(store, options, label, source,
                               profiler=profiler, events=events,
                               known_names=known_names)
@@ -520,7 +518,7 @@ def analyze_corpus(store: SummaryStore,
         return cell
 
     cells, merge = fleet.run_fleet(resolved, worker, jobs=jobs,
-                                   spool=spool, label="analyze-corpus")
+                                   label="analyze-corpus")
     report = _assemble_corpus_report(cells, store.stats())
     report["fleet"] = merge.doc
     if profiler is not None:
@@ -536,6 +534,129 @@ def analyze_corpus(store: SummaryStore,
 
 def _verdict_word(doc: dict) -> str:
     return "all-atomic" if doc.get("all_atomic") else "non-atomic"
+
+
+# -- drift documents -----------------------------------------------------------
+
+#: ``v`` of the :func:`drift_doc` document
+DRIFT_VERSION = 1
+
+
+def _classification_summary(doc: dict) -> dict:
+    """Distill an ``analysis_to_dict`` document into the comparable
+    per-block summary: atomicity class and theorem citations per line,
+    body atomicity per variant, atomic verdict per procedure, plus
+    downgraded theorem applications."""
+    procedures: dict = {}
+    variants: dict = {}
+    blocks: dict = {}
+    theorems: dict = {}
+    for proc in doc.get("procedures", []):
+        procedures[proc["name"]] = bool(proc.get("atomic"))
+        for var in proc.get("variants", []):
+            vkey = f"{proc['name']}/{var['name']}"
+            variants[vkey] = str(var.get("body_atomicity"))
+            for line in var.get("lines", []):
+                key = f"{vkey}/{line['label']}"
+                blocks[key] = str(line.get("atomicity"))
+                cited = sorted({j["theorem"]
+                                for j in line.get("provenance", [])
+                                if j.get("theorem")})
+                if cited:
+                    theorems[key] = cited
+    out: dict = {"procedures": procedures, "variants": variants,
+                 "blocks": blocks, "theorems": theorems}
+    downgrades = doc.get("downgrades")
+    if downgrades:
+        out["downgrades"] = [
+            {"theorem": d.get("theorem"), "region": d.get("region"),
+             "rules": list(d.get("rules", []))} for d in downgrades]
+    return out
+
+
+def _map_drift(a: dict, b: dict, key_name: str) -> list[dict]:
+    """``{key: value}`` map comparison, sorted by key."""
+    return [{key_name: key, "a": a.get(key), "b": b.get(key)}
+            for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+
+
+def _theorem_drift(a: dict, b: dict) -> list[dict]:
+    out = []
+    for block in sorted(set(a) | set(b)):
+        ta, tb = set(a.get(block, [])), set(b.get(block, []))
+        if ta != tb:
+            out.append({"block": block,
+                        "gained": sorted(tb - ta),
+                        "lost": sorted(ta - tb)})
+    return out
+
+
+def drift_doc(label_a: str, doc_a: dict, label_b: str,
+              doc_b: dict) -> dict:
+    """What changed between two analysis documents: per-block and
+    per-variant classes, procedure verdicts, theorem citations (with
+    downgrades) and the whole-program verdict.  ``empty`` is True
+    exactly when nothing did::
+
+        {"v", "a", "b", "empty", "classification": [{"block", "a", "b"}],
+         "procedures": [{"name", "a", "b"}],
+         "theorems": [{"block", "gained", "lost"}],
+         "outcome": {"a", "b"} | null}
+    """
+    ca = _classification_summary(doc_a)
+    cb = _classification_summary(doc_b)
+    classification = (_map_drift(ca["blocks"], cb["blocks"], "block")
+                      + _map_drift(ca["variants"], cb["variants"],
+                                   "block"))
+    procedures = _map_drift(ca["procedures"], cb["procedures"], "name")
+    theorems = _theorem_drift(ca["theorems"], cb["theorems"])
+    downs_a = ca.get("downgrades") or []
+    downs_b = cb.get("downgrades") or []
+    if downs_a != downs_b:
+        theorems.append({"block": "(downgrades)",
+                         "gained": [str(d) for d in downs_b
+                                    if d not in downs_a],
+                         "lost": [str(d) for d in downs_a
+                                  if d not in downs_b]})
+    # the verdict rides along so a drift is never empty when only the
+    # top-level flag changed
+    outcome = None
+    if _verdict_word(doc_a) != _verdict_word(doc_b):
+        outcome = {"a": _verdict_word(doc_a), "b": _verdict_word(doc_b)}
+    return {"v": DRIFT_VERSION, "a": label_a, "b": label_b,
+            "classification": classification, "procedures": procedures,
+            "theorems": theorems, "outcome": outcome,
+            "empty": not (classification or procedures or theorems
+                          or outcome)}
+
+
+def render_drift(diff: dict) -> str:
+    """Fixed-width drift table, one row per drifted item."""
+    rows: list[tuple[str, str]] = []
+    for entry in diff["classification"]:
+        rows.append(("class", f"{entry['block']}: "
+                     f"{entry['a']} -> {entry['b']}"))
+    for entry in diff["procedures"]:
+        rows.append(("verdict", f"{entry['name']}: atomic "
+                     f"{entry['a']} -> {entry['b']}"))
+    for entry in diff["theorems"]:
+        gained = ", ".join(entry["gained"]) or "-"
+        lost = ", ".join(entry["lost"]) or "-"
+        rows.append(("theorem", f"{entry['block']}: "
+                     f"gained [{gained}] lost [{lost}]"))
+    if diff["outcome"]:
+        rows.append(("outcome", f"{diff['outcome']['a']} -> "
+                     f"{diff['outcome']['b']}"))
+    lines = [f"drift {diff['a']} -> {diff['b']}"]
+    if not rows:
+        lines.append("no drift (classification, verdicts and theorems "
+                     "all match)")
+        return "\n".join(lines)
+    width = max(len("category"), *(len(kind) for kind, _ in rows))
+    lines.append(f"{'category'.ljust(width)} | change")
+    lines.append(f"{'-' * width}-+-{'-' * 40}")
+    lines.extend(f"{kind.ljust(width)} | {text}" for kind, text in rows)
+    return "\n".join(lines)
 
 
 def verify_store(store: SummaryStore, sample: int = 5) -> dict:
@@ -566,20 +687,13 @@ def verify_store(store: SummaryStore, sample: int = 5) -> dict:
         checked += 1
         if _roundtrip(stored) != _roundtrip(fresh):
             label = record.get("label", record["key"])
-            stored_doc = record.get("doc") or {}
-            fresh_doc = stable_doc(result.to_dict())
-            # the verdict rides as the manifest outcome so a diff is
-            # never empty when only the top-level flag was tampered
-            a = {"analysis": ledger.classification_summary(stored_doc),
-                 "outcome": _verdict_word(stored_doc),
-                 "run_id": f"{label}@stored"}
-            b = {"analysis": ledger.classification_summary(fresh_doc),
-                 "outcome": _verdict_word(fresh_doc),
-                 "run_id": f"{label}@fresh"}
             mismatches.append({
                 "key": record["key"],
                 "label": label,
-                "diff": rundiff.diff_manifests(a, b),
+                "diff": drift_doc(f"{label}@stored",
+                                  record.get("doc") or {},
+                                  f"{label}@fresh",
+                                  stable_doc(result.to_dict())),
             })
     return {"checked": checked, "mismatches": mismatches}
 
@@ -591,7 +705,7 @@ def warm_canary(store_dir: str | Path,
     """The CI warm-cache canary: analyze the corpus twice through one
     (fresh) store.  The second pass must be 100% cache hits with docs
     byte-identical to the first pass modulo ``run_meta`` / ``cached``,
-    and the per-program ``runs diff`` must be empty.  Returns a report
+    and no program may drift.  Returns a report
     with ``ok`` plus the failure details."""
     import json
 
@@ -606,14 +720,10 @@ def warm_canary(store_dir: str | Path,
         cold_bytes = json.dumps(_roundtrip(cold_doc), sort_keys=True)
         warm_bytes = json.dumps(_roundtrip(warm_doc), sort_keys=True)
         if cold_bytes != warm_bytes:
-            a = {"analysis": ledger.classification_summary(cold_doc),
-                 "run_id": f"{label}@cold"}
-            b = {"analysis": ledger.classification_summary(
-                    warm_doc or {}),
-                 "run_id": f"{label}@warm"}
             mismatched.append({
                 "label": label,
-                "diff": rundiff.diff_manifests(a, b),
+                "diff": drift_doc(f"{label}@cold", cold_doc,
+                                  f"{label}@warm", warm_doc or {}),
             })
     ok = (not not_cached and not mismatched
           and not cold["drift"] and not warm["drift"]

@@ -1,8 +1,7 @@
 """Content-addressed, schema-versioned summary store.
 
-Layout (reusing the ledger's sha256 artifact naming — files are
-``{key}-{name}.json``, the *full* key so distinct keys can never
-share a filename):
+Layout (files are ``{key}-{name}.json``, the *full* key so distinct
+keys can never share a filename):
 
     <root>/
       procs/     <key>-<proc-name>.json      per-procedure summaries

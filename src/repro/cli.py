@@ -15,9 +15,6 @@
     python -m repro experiments section63 --jobs 4 # parallel variant grid
     python -m repro perf diff A B        # attributed perf forensics
     python -m repro experiments NAME     # regenerate a table/figure
-    python -m repro runs list            # persistent run ledger
-    python -m repro runs diff -2 -1      # cross-run classification drift
-    python -m repro replay last          # re-execute a recorded run
 
 Thread specs for ``run``/``mc`` are comma-separated call lists, e.g.
 ``"AddNode(1),AddNode(2)"`` or ``"UpdateTail()*"`` (trailing ``*`` =
@@ -41,19 +38,13 @@ region profile in collapsed-stack format.  ``REPRO_TRACE=1`` / ``REPRO_METRICS=1
 ``REPRO_PROFILE=1`` enable the same from the environment — see
 docs/OBSERVABILITY.md.
 
-Every command in :data:`LEDGERED_COMMANDS` additionally records a run
-manifest (argv, seed, git rev, outcome, classification summary,
-content-addressed artifacts) under ``.repro/runs/<run_id>/`` — the
-persistent run ledger.  ``repro runs list|show|diff|gc`` inspects it,
-``repro replay RUN`` re-executes a recorded invocation and checks the
-outcome (exit code + counterexample fingerprint) reproduces.  Set
-``REPRO_LEDGER=0`` to disable, ``REPRO_LEDGER_DIR`` to relocate.
+A command's ``--json`` document is the one record of what it
+concluded; no command keeps a log of its runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import pathlib
@@ -66,7 +57,7 @@ from repro.analysis.blocks import partition_procedure
 from repro.errors import AssertionViolation, ReproError
 from repro.interp import Interp, ThreadSpec, run_random
 from repro.mc import Explorer, observers
-from repro.obs import NULL_PROFILER, ObsConfig, Profiler, ledger
+from repro.obs import NULL_PROFILER, ObsConfig, Profiler
 from repro.synl.inline import inline_calls
 from repro.synl.parser import parse_program
 from repro.synl.printer import pretty
@@ -81,19 +72,10 @@ EXIT_CAPPED = 3
 #: counts are intact), so it must not look like a cap or a crash
 EXIT_DEADLINE = 4
 
-#: commands whose invocations are recorded in the persistent run
-#: ledger (the meta commands ``runs`` and ``replay`` are not — a
-#: ledger query must never grow the ledger)
-LEDGERED_COMMANDS = frozenset({
-    "analyze", "blocks", "variants", "run", "mc", "lint", "report",
-    "experiments",
-})
-
 
 def _load(path: str, inline: bool = True, with_text: bool = False):
     with open(path) as handle:
         text = handle.read()
-    ledger.note_source(path, text)
     program = parse_program(text)
     if inline:
         program = inline_calls(program)
@@ -146,7 +128,7 @@ def _obs_setup(args) -> tuple[ObsConfig, Profiler]:
     """Resolve REPRO_TRACE/REPRO_METRICS/REPRO_PROFILE plus the CLI
     flags into the config and the run's profiler.  Any of ``--trace``,
     ``--trace-out``, ``--profile`` and ``--profile-out`` records
-    regions; only the profile flags put its counters in the ledger."""
+    regions."""
     cfg = ObsConfig.from_env().with_flags(
         trace=getattr(args, "trace", False),
         metrics=getattr(args, "metrics", False),
@@ -156,10 +138,7 @@ def _obs_setup(args) -> tuple[ObsConfig, Profiler]:
         or bool(getattr(args, "profile_out", None)))
     if not (cfg.trace or cfg.profile or getattr(args, "trace_out", None)):
         return cfg, NULL_PROFILER
-    profiler = Profiler()
-    if cfg.profile:
-        ledger.attach_profiler(profiler)
-    return cfg, profiler
+    return cfg, Profiler()
 
 
 def _emit_profile(cfg: ObsConfig, profiler: Profiler) -> None:
@@ -181,39 +160,19 @@ def _events_for(args):
 def _write_obs_outputs(args, profiler: Profiler, events) -> None:
     if getattr(args, "events_out", None) and events is not None:
         events.write_jsonl(args.events_out)
-        ledger.ref_artifact(args.events_out)
     if getattr(args, "trace_out", None):
         from repro.obs import chrometrace
         chrometrace.write_trace(args.trace_out, profiler=profiler,
                                 events=events)
-        ledger.ref_artifact(args.trace_out)
     if getattr(args, "profile_out", None):
         profiler.write_folded(args.profile_out)
-        ledger.ref_artifact(args.profile_out)
 
 
-def _note_fleet(doc: dict, spool=None) -> None:
-    """Record a fleet merge in the run ledger: the merge-summary
-    document as a note + artifact, and each worker's spool files as
-    content-addressed sub-artifacts."""
-    ledger.note("fleet", doc)
-    ledger.add_artifact("fleet.json", doc)
-    if spool is not None:
-        for wdir in sorted(pathlib.Path(spool).glob("worker-*")):
-            for name in ("worker.json", "events.jsonl"):
-                if (wdir / name).exists():
-                    ledger.ref_artifact(wdir / name)
-
-
-def _emit_metrics(cfg: ObsConfig, metrics: dict) -> None:
+def _emit_obs(cfg: ObsConfig, profiler: Profiler, metrics: dict) -> None:
     if cfg.metrics and metrics:
         print("\n-- metrics --")
         for name, value in sorted(metrics.items()):
             print(f"{name}: {value}")
-
-
-def _emit_obs(cfg: ObsConfig, profiler: Profiler, metrics: dict) -> None:
-    _emit_metrics(cfg, metrics)
     if cfg.trace:
         print("\n-- trace --")
         print(profiler.render_spans())
@@ -260,7 +219,6 @@ def _analyze_incremental(args, store):
     events = _events_for(args)
     with open(args.file) as handle:
         text = handle.read()
-    ledger.note_source(args.file, text)
     result, info = summaries.analyze_with_summaries(
         text, store=store, label=args.file, profiler=profiler,
         events=events)
@@ -290,12 +248,15 @@ def cmd_analyze(args) -> int:
         cfg, profiler, result = _analyze_with_obs(args)
         events = None
     _write_obs_outputs(args, profiler, events)
-    ledger.note_analysis(result)
     if args.json:
         doc = result.to_dict()
-        if cfg.trace and not doc.get("trace"):
+        # the key set must not depend on the cache: a miss says so,
+        # and a hit, which has no spans of its own, takes the
+        # profiler's
+        if info is not None:
+            doc["cached"] = info["cached"]
+        if (cfg.trace or args.trace_out) and not doc.get("trace"):
             doc["trace"] = profiler.spans()
-        ledger.add_artifact("analysis.json", doc)
         print(json.dumps(doc, indent=2))
     else:
         print(_figure_text(result, args.explain))
@@ -336,10 +297,9 @@ def cmd_analyze(args) -> int:
 
 
 def _print_summary_drift(drift: list[dict]) -> None:
-    """Render cached-vs-fresh disagreements with the ``runs diff``
-    drift-table renderer (exit 1 follows — a drifting cache is the
-    soundness alarm)."""
-    from repro.obs import rundiff
+    """Render cached-vs-fresh disagreements as drift tables (exit 1
+    follows — a drifting cache is the soundness alarm)."""
+    from repro.analysis.summaries import engine as summaries
 
     print(file=sys.stderr)
     print("summary cache drift: cached verdicts disagree with a "
@@ -347,7 +307,7 @@ def _print_summary_drift(drift: list[dict]) -> None:
     for entry in drift:
         print(f"\n{entry['program']} / {entry['proc']}:",
               file=sys.stderr)
-        print(rundiff.render_diff(entry["diff"]), file=sys.stderr)
+        print(summaries.render_drift(entry["diff"]), file=sys.stderr)
 
 
 def _cmd_analyze_corpus(args) -> int:
@@ -365,12 +325,8 @@ def _cmd_analyze_corpus(args) -> int:
     store = _summary_store_for(args) or summaries.resolve_store(
         None, True)
     jobs = fleet.resolve_jobs(getattr(args, "jobs", None))
-    spool = fleet.default_spool_root() if jobs > 1 else None
     report = summaries.analyze_corpus(store, profiler=profiler,
-                                      events=events, jobs=jobs,
-                                      spool=spool)
-    if "fleet" in report:
-        _note_fleet(report["fleet"], spool)
+                                      events=events, jobs=jobs)
     _write_obs_outputs(args, profiler, events)
     if args.json:
         doc = {"programs": report["rows"],
@@ -380,7 +336,8 @@ def _cmd_analyze_corpus(args) -> int:
                "run_meta": run_meta()}
         if "fleet" in report:
             doc["fleet"] = report["fleet"]
-        ledger.add_artifact("corpus-analysis.json", doc)
+        if cfg.trace or args.trace_out:
+            doc["trace"] = profiler.spans()
         print(json.dumps(doc, indent=2))
     else:
         width = max((len(r["label"]) for r in report["rows"]),
@@ -404,7 +361,7 @@ def _cmd_analyze_corpus(args) -> int:
             print(f"fleet: {fdoc['jobs']} worker(s), "
                   f"{fdoc['items']} target(s), straggler "
                   f"{fdoc['straggler']} ({fdoc['wall_s']:.2f}s)")
-        _emit_metrics(cfg, summaries.summary_counts(report["rows"]))
+        _emit_obs(cfg, profiler, summaries.summary_counts(report["rows"]))
         _emit_profile(cfg, profiler)
     if report["drift"]:
         _print_summary_drift(report["drift"])
@@ -416,7 +373,6 @@ def cmd_summaries(args) -> int:
     """Summary-store maintenance and soundness canaries
     (docs/ANALYSIS.md)."""
     from repro.analysis.summaries import engine as summaries
-    from repro.obs import rundiff
     from repro.obs.export import run_meta
 
     if args.summaries_cmd == "canary":
@@ -460,19 +416,17 @@ def cmd_summaries(args) -> int:
               f"record(s): {len(report['mismatches'])} mismatch(es)")
         for entry in report["mismatches"]:
             print(f"\n{entry['label']} ({entry['key']}):")
-            print(rundiff.render_diff(entry["diff"]))
+            print(summaries.render_drift(entry["diff"]))
     return 1 if report["mismatches"] else 0
 
 
 def _cmd_summaries_canary(args) -> int:
     """Warm-cache canary (the CI job): analyze the corpus twice into
     a fresh store; the second pass must be 100% hits with verdicts
-    byte-identical modulo ``run_meta``/``cached`` and an empty
-    ``runs diff``."""
+    byte-identical modulo ``run_meta``/``cached`` and no drift."""
     import tempfile
 
     from repro.analysis.summaries import engine as summaries
-    from repro.obs import rundiff
     from repro.obs.export import run_meta
     from repro.obs.schemas import SUMMARY
 
@@ -498,7 +452,7 @@ def _cmd_summaries_canary(args) -> int:
               f"program record(s), {stats['bytes']} bytes")
         for entry in report["mismatched"]:
             print(f"\n{entry['label']}: cold/warm verdicts differ:")
-            print(rundiff.render_diff(entry["diff"]))
+            print(summaries.render_drift(entry["diff"]))
         for err in report["cold_errors"] + report["warm_errors"]:
             print(f"{err['label']}: error: {err['error']}")
     if report["drift"]:
@@ -511,10 +465,6 @@ def cmd_blocks(args) -> int:
     partitions = {name: partition_procedure(result, name)
                   for name in result.verdicts}
     _write_obs_outputs(args, profiler, None)
-    ledger.note_analysis(result)
-    ledger.note_partitions({
-        f"{name}/{p.variant_name}": [str(b.atomicity) for b in p.blocks]
-        for name, parts in partitions.items() for p in parts})
     if args.json:
         doc = {
             "procedures": [
@@ -553,7 +503,6 @@ def cmd_variants(args) -> int:
         program = _load(args.file)
     result = analyze_program(program, profiler=profiler)
     _write_obs_outputs(args, profiler, None)
-    ledger.note_analysis(result)
     if args.json:
         doc = {"variants": [{"name": v.name,
                              "procedure": v.proc.name,
@@ -609,7 +558,6 @@ def cmd_run(args) -> int:
         cex = _explain_cex(
             args, RunResultView(violation, path_log), interp)
     _write_obs_outputs(args, profiler, events)
-    ledger.note_run(args.seed, violation, world.history)
     done = all(t.done for t in world.threads)
     if args.json:
         doc = {
@@ -669,7 +617,10 @@ def cmd_mc(args) -> int:
                             events=events)
     observer = observers.compose(
         observers.Events(events) if events is not None else None,
-        observers.Profile(profiler, events) if profiler.enabled else None,
+        # the per-call timers feed only the hotspot table: --trace
+        # alone keeps the mc.run > mc.init, mc.dfs spans without them
+        observers.Profile(profiler, events, timed=cfg.profile)
+        if profiler.enabled else None,
         observers.Heartbeat(args.progress, args.deadline, events=events)
         if args.progress is not None or args.deadline is not None
         else None,
@@ -683,8 +634,6 @@ def cmd_mc(args) -> int:
     finally:
         if graph is not None:
             graph.close()
-    if graph is not None:
-        ledger.ref_artifact(args.graph_out)
     if not cfg.profile:
         result.profile = {}
     cex = None
@@ -701,7 +650,6 @@ def cmd_mc(args) -> int:
             doc["counterexample"] = cex.to_dict()
         if cfg.trace:
             doc["spans"] = profiler.spans()
-        ledger.add_artifact("mc.json", doc)
         print(json.dumps(doc, indent=2))
     else:
         print(result)
@@ -763,7 +711,6 @@ def cmd_lint(args) -> int:
                 source, label=label, rules=rules,
                 events=events, profiler=profiler))
     _write_obs_outputs(args, profiler, events)
-    ledger.note_lint(results)
 
     if args.manifest:
         with open(args.manifest) as handle:
@@ -803,7 +750,6 @@ def cmd_lint(args) -> int:
             print("error: lint JSON failed schema validation: "
                   + "; ".join(errors), file=sys.stderr)
             return 2
-        ledger.add_artifact("lint.json", doc)
         print(json.dumps(doc, indent=2))
     else:
         for res in results:
@@ -854,9 +800,9 @@ def cmd_report(args) -> int:
 def _diff_command(args, compute: Callable[[], dict],
                   render: Callable[[dict], str],
                   drifted: Callable[[dict], bool]) -> int:
-    """The one output and exit path of ``runs diff``, ``graph diff``
-    and ``perf diff``: exit 0 when ``compute()``'s document shows no
-    drift, 1 on drift, 2 when an operand is unreadable.  ``--out``
+    """The one output and exit path of ``graph diff`` and ``perf
+    diff``: exit 0 when ``compute()``'s document shows no drift, 1 on
+    drift, 2 when an operand is unreadable.  ``--out``
     (``perf diff`` only) writes the document whatever the verdict, so
     CI uploads it from failing and passing runs alike; ``--json``
     prints it instead of the rendered text."""
@@ -876,8 +822,7 @@ def _diff_command(args, compute: Callable[[], dict],
 
 def cmd_perf(args) -> int:
     """Perf regression forensics (docs/OBSERVABILITY.md).  ``diff``
-    resolves two profile-bearing operands — ledger run tokens exactly
-    like ``runs diff`` (id/prefix/'last'/-N), ``bench/run.py --out``
+    resolves two profile-bearing operands — ``bench/run.py --out``
     JSONL records or directories of them, profile/analysis/mc JSON
     files, or ``--profile-out`` folded files — and prints the ranked
     work-counter attribution table.  Exit 0 when no attributed drift
@@ -889,8 +834,7 @@ def cmd_perf(args) -> int:
         else perfdiff.DEFAULT_THRESHOLD
     return _diff_command(
         args, lambda: perfdiff.diff_specs(args.a, args.b,
-                                          threshold=threshold,
-                                          root=args.root),
+                                          threshold=threshold),
         perfdiff.render_attribution, lambda doc: doc["drift"])
 
 
@@ -900,7 +844,7 @@ def cmd_graph(args) -> int:
     ``stats`` prints structural analytics of one capture, ``dot``
     exports small captures as GraphViz DOT, ``diff`` compares two
     captures by canonical node/edge ids (exit 0 identical, 1 drifted,
-    2 usage error) — the structural twin of ``runs diff``."""
+    2 usage error)."""
     from repro.obs import graph as graph_mod
 
     if args.graph_cmd == "diff":
@@ -935,12 +879,11 @@ def cmd_graph(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    """Regenerate a table/figure of the paper, through the obs/ledger
-    substrate: the run lands in the ledger with a deterministic
-    ``experiments`` note (``repro runs diff`` compares the per-mode
-    verdicts, never timings), ``--json`` emits a machine-readable
-    document, and ``section63 --jobs N`` fans the none/por/atomic/both
-    variant grid across fleet worker processes."""
+    """Regenerate a table/figure of the paper.  ``--json`` emits a
+    machine-readable document (for ``section63``, the deterministic
+    per-mode ``verdicts`` and ``matches_paper`` beside the text), and
+    ``section63 --jobs N`` fans the none/por/atomic/both variant grid
+    across fleet worker processes."""
     from repro import experiments
     from repro.obs import fleet
 
@@ -950,7 +893,6 @@ def cmd_experiments(args) -> int:
         print(f"unknown experiment {args.name!r}; one of: {names}",
               file=sys.stderr)
         return 2
-    note: dict = {"name": args.name}
     doc: dict = {"name": args.name}
     jobs = fleet.resolve_jobs(args.jobs)
     if args.name == "section63":
@@ -960,132 +902,24 @@ def cmd_experiments(args) -> int:
         kwargs = {"n_threads": n_threads, "jobs": jobs}
         if args.max_states is not None:
             kwargs["max_states"] = args.max_states
-        if jobs > 1:
-            kwargs["spool"] = fleet.default_spool_root()
         result = section63.run(**kwargs)
         text = section63.render(result, n_threads)
-        note["verdicts"] = result.verdicts()
-        note["matches_paper"] = result.matches_paper
-        doc.update(note)
+        doc["verdicts"] = result.verdicts()
+        doc["matches_paper"] = result.matches_paper
         if result.fleet is not None:
             doc["fleet"] = result.fleet
-            _note_fleet(result.fleet, kwargs.get("spool"))
     else:
         if jobs > 1:
             print(f"note: --jobs applies to the section63 variant "
                   f"grid; running {args.name!r} in-process",
                   file=sys.stderr)
         text = module.main()
-    ledger.note("experiments", note)
-    ledger.add_artifact("experiment.json",
-                        {"name": args.name, "text": text, **note})
     if args.json:
         doc["text"] = text
         print(json.dumps(doc, indent=2))
     else:
         print(text)
     return 0
-
-
-def cmd_runs(args) -> int:
-    """Persistent run ledger queries (docs/OBSERVABILITY.md).  ``diff``
-    exits 0 on zero drift, 1 when the runs drifted, 2 on a usage
-    error; the other subcommands exit 0/2."""
-    from repro.obs import rundiff
-
-    root = ledger.ledger_root(args.root)
-    if args.runs_cmd == "list":
-        manifests = ledger.list_runs(root)
-        if args.json:
-            print(json.dumps([
-                {"run_id": m["run_id"], "command": m["command"],
-                 "outcome": m["outcome"], "exit_code": m["exit_code"],
-                 "wall_s": m["wall_s"], "seed": m.get("seed"),
-                 "crash": bool(m.get("crash"))}
-                for m in manifests], indent=2))
-            return 0
-        if not manifests:
-            print(f"no recorded runs under {root}")
-            return 0
-        for m in manifests:
-            crash = " crash" if m.get("crash") else ""
-            print(f"{m['run_id']}  {m['outcome']} "
-                  f"(exit {m['exit_code']}, {m['wall_s']:.3f}s)"
-                  f"{crash}")
-        return 0
-    if args.runs_cmd == "show":
-        run_id = ledger.resolve_run(root, args.run)
-        print(json.dumps(ledger.load_manifest(root, run_id), indent=2))
-        return 0
-    if args.runs_cmd == "diff":
-        def load(token):
-            return ledger.load_manifest(root,
-                                        ledger.resolve_run(root, token))
-
-        return _diff_command(
-            args, lambda: rundiff.diff_manifests(load(args.a),
-                                                 load(args.b)),
-            rundiff.render_diff, lambda doc: not doc["empty"])
-    # gc
-    removed = ledger.gc(root, keep=args.keep)
-    print(f"removed {len(removed)} run(s), kept {args.keep} most "
-          f"recent under {root}")
-    return 0
-
-
-def cmd_replay(args) -> int:
-    """Re-execute a recorded run's argv and check the outcome
-    reproduces: same exit code, same counterexample fingerprint, zero
-    cross-run drift.  Exit 0 when reproduced, 1 when diverged."""
-    import io
-
-    root = ledger.ledger_root(args.root)
-    run_id = ledger.resolve_run(root, args.run)
-    manifest = ledger.load_manifest(root, run_id)
-    if manifest["command"] not in LEDGERED_COMMANDS:
-        print(f"error: run {run_id} recorded non-replayable command "
-              f"{manifest['command']!r}", file=sys.stderr)
-        return 2
-    # the replay recorder collects the fresh outcome without touching
-    # the ledger on disk; the nested main() sees it as current, so the
-    # inner command's notes land here instead of opening a new run
-    rec = ledger.start(manifest["argv"], manifest["command"],
-                       root=root, persist=False, force=True)
-    if rec is None:  # pragma: no cover — replay inside replay
-        print("error: a run is already being recorded", file=sys.stderr)
-        return 2
-    buffer = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(buffer):
-            code = main(list(manifest["argv"]))
-    except Exception as exc:
-        ledger.stop(rec)
-        fresh = rec.crash(exc)
-    else:
-        ledger.stop(rec)
-        fresh = rec.finish(code)
-    verdict = ledger.compare_replay(manifest, fresh)
-    if args.json:
-        print(json.dumps({"v": 1, "run_id": run_id,
-                          "argv": manifest["argv"], **verdict},
-                         indent=2))
-    else:
-        status = "reproduced" if verdict["reproduced"] else "DIVERGED"
-        print(f"replay {run_id}: {status}")
-        print(f"  argv: {' '.join(manifest['argv'])}")
-        print(f"  exit: recorded {manifest['exit_code']}, replay "
-              f"{fresh['exit_code']}")
-        for key in ("mc", "run"):
-            a = (manifest.get(key) or {}).get("fingerprint")
-            b = (fresh.get(key) or {}).get("fingerprint")
-            if a is not None or b is not None:
-                match = "match" if a == b else "MISMATCH"
-                print(f"  {key} fingerprint: {match} "
-                      f"(recorded {a}, replay {b})")
-        if not verdict["drift"]["empty"]:
-            from repro.obs import rundiff
-            print(rundiff.render_diff(verdict["drift"]))
-    return 0 if verdict["reproduced"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1253,8 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff", help="ranked work-counter attribution between two "
                      "profile-bearing runs (exit 1 on attributed "
                      "drift, 0 when identical seeded runs diff empty)")
-    q.add_argument("a", help="older side: ledger run (id/prefix/"
-                             "'last'/-N), a bench/run.py --out JSONL "
+    q.add_argument("a", help="older side: a bench/run.py --out JSONL "
                              "file or a directory of them, a profile/"
                              "analysis/mc JSON file, or a "
                              "--profile-out folded file")
@@ -1267,9 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the attribution document as JSON "
                         "(written on drift and no-drift alike — the "
                         "CI artifact)")
-    q.add_argument("--root", default=None, metavar="DIR",
-                   help="ledger directory for run operands (default: "
-                        "$REPRO_LEDGER_DIR or .repro/runs)")
     q.add_argument("--json", action="store_true",
                    help="emit the attribution document instead of "
                         "the table")
@@ -1301,8 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_graph)
     q = graph_sub.add_parser(
         "diff", help="compare two captures by canonical node/edge "
-                     "ids (exit 1 on drift) — the structural twin "
-                     "of 'runs diff'")
+                     "ids (exit 1 on drift)")
     q.add_argument("a", help="older capture")
     q.add_argument("b", help="newer capture")
     q.add_argument("--json", action="store_true",
@@ -1330,42 +1159,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="section63: per-mode state cap (default: "
                         "2000000)")
     p.set_defaults(fn=cmd_experiments)
-
-    ledger_common = argparse.ArgumentParser(add_help=False)
-    ledger_common.add_argument(
-        "--root", default=None, metavar="DIR",
-        help="ledger directory (default: $REPRO_LEDGER_DIR or "
-             ".repro/runs)")
-    ledger_common.add_argument(
-        "--json", action="store_true",
-        help="emit a machine-readable JSON document instead of text")
-
-    p = sub.add_parser("runs",
-                       help="inspect the persistent run ledger "
-                            "(docs/OBSERVABILITY.md)")
-    runs_sub = p.add_subparsers(dest="runs_cmd", required=True)
-    q = runs_sub.add_parser("list", parents=[ledger_common],
-                            help="recorded runs, oldest first")
-    q.set_defaults(fn=cmd_runs)
-    q = runs_sub.add_parser("show", parents=[ledger_common],
-                            help="print one run's manifest as JSON")
-    q.add_argument("run", help="run id, unique prefix, 'last', or a "
-                               "negative index (-1 = most recent)")
-    q.set_defaults(fn=cmd_runs)
-    q = runs_sub.add_parser("diff", parents=[ledger_common],
-                            help="cross-run drift: classification, "
-                                 "theorems, lint, execution (exit 1 "
-                                 "on any drift)")
-    q.add_argument("a", help="older run (id/prefix/'last'/-N)")
-    q.add_argument("b", help="newer run (id/prefix/'last'/-N)")
-    q.set_defaults(fn=cmd_runs)
-    q = runs_sub.add_parser("gc", parents=[ledger_common],
-                            help="delete all but the most recent runs")
-    q.add_argument("--keep", type=_keep, metavar="N",
-                   default=ledger.DEFAULT_KEEP,
-                   help=f"runs to keep (default: "
-                        f"{ledger.DEFAULT_KEEP})")
-    q.set_defaults(fn=cmd_runs)
 
     p = sub.add_parser("summaries",
                        help="inspect the incremental-analysis "
@@ -1410,42 +1203,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "'Summary cache' block)")
     q.set_defaults(fn=cmd_summaries)
 
-    p = sub.add_parser("replay", parents=[ledger_common],
-                       help="re-execute a recorded run and check the "
-                            "outcome reproduces (exit 1 on "
-                            "divergence)")
-    p.add_argument("run", help="run id, unique prefix, 'last', or a "
-                               "negative index (-1 = most recent)")
-    p.set_defaults(fn=cmd_replay)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    real_argv = list(argv) if argv is not None else sys.argv[1:]
-    recorder = None
-    if args.command in LEDGERED_COMMANDS:
-        # returns None when REPRO_LEDGER=0 or a recorder is already
-        # active (nested invocation via `repro replay`)
-        recorder = ledger.start(real_argv, args.command)
     try:
-        code = args.fn(args)
-    except ReproError as exc:
+        return args.fn(args)
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except BaseException as exc:
-        if recorder is not None:
-            ledger.stop(recorder)
-            recorder.crash(exc)
-        raise
-    if recorder is not None:
-        ledger.stop(recorder)
-        recorder.finish(code)
-    return code
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

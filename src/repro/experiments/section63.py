@@ -46,10 +46,9 @@ class Section63Result:
     fleet: dict | None = None
 
     def verdicts(self) -> dict[str, dict]:
-        """Deterministic per-mode verdict map — what the ledger notes
-        and what ``repro runs diff`` compares across runs.  No wall
-        times: a parallel grid must diff empty against a sequential
-        one."""
+        """Deterministic per-mode verdict map (``experiments
+        section63 --json``).  No wall times: a parallel grid must
+        match a sequential one."""
         return {mode: {"states": r.states,
                        "transitions": r.transitions,
                        "violation": r.violation,
@@ -86,25 +85,17 @@ _CELL_FIELDS = ("states", "transitions", "elapsed", "violation",
 
 def run(n_threads: int = 3, max_states: int = 2_000_000,
         modes: tuple = ("none", "por", "atomic", "both"),
-        jobs: int = 1, spool=None) -> Section63Result:
+        jobs: int = 1) -> Section63Result:
     """Run the §6.3 variant grid, one MC exploration per mode.
 
     With ``jobs > 1`` the modes are fanned across forked fleet workers
     (:mod:`repro.obs.fleet`); each cell is an independent state-space
     exploration, so the per-mode verdicts are identical to a
     sequential run — only the wall clock changes."""
-    from repro.obs import ledger
-
     out = Section63Result()
-    if jobs <= 1 and spool is None:
-        # mute the recorder so each cell's Explorer doesn't note_mc
-        # into the run — the grid's record is the aggregated
-        # 'experiments' note, and a --jobs grid (workers never see the
-        # recorder) must produce the same manifest
-        with ledger.muted():
-            for mode in modes:
-                out.results[mode] = _run_one(mode, n_threads,
-                                             max_states)
+    if jobs <= 1:
+        for mode in modes:
+            out.results[mode] = _run_one(mode, n_threads, max_states)
         return out
 
     from repro.obs import fleet
@@ -118,7 +109,7 @@ def run(n_threads: int = 3, max_states: int = 2_000_000,
                 **{f: getattr(result, f) for f in _CELL_FIELDS}}
 
     cells, merge = fleet.run_fleet(list(modes), worker, jobs=jobs,
-                                   spool=spool, label="section63")
+                                   label="section63")
     for cell in cells:
         mode = cell.pop("mode")
         out.results[mode] = MCResult(
@@ -128,8 +119,8 @@ def run(n_threads: int = 3, max_states: int = 2_000_000,
 
 
 def main(n_threads: int = 3, max_states: int = 2_000_000,
-         jobs: int = 1, spool=None) -> str:
-    result = run(n_threads, max_states, jobs=jobs, spool=spool)
+         jobs: int = 1) -> str:
+    result = run(n_threads, max_states, jobs=jobs)
     return render(result, n_threads)
 
 

@@ -7,7 +7,6 @@ from typing import Optional
 
 from repro.interp.interp import Interp, run
 from repro.interp.state import World
-from repro.obs import ledger
 
 
 class RoundRobin:
@@ -34,9 +33,6 @@ class RandomScheduler:
         self.rng = random.Random(seed)
         if events is not None:
             events.emit("sched.seed", seed=seed)
-        # seed capture for the persistent run ledger (replay needs
-        # the exact RNG decision; no-op outside a recorded run)
-        ledger.note_seed(seed)
 
     def __call__(self, world: World, enabled: list[int]) -> int:
         return self.rng.choice(enabled)

@@ -84,7 +84,6 @@ from repro.mc.canonical import (Interner, KeyContext, note_step_key,
                                 step_context, step_key)
 from repro.mc.por import SafetyCache
 from repro.mc.properties import Property
-from repro.obs import ledger
 from repro.obs.export import MIN_RATE_WINDOW_S
 from repro.obs.profile import peak_rss_mb
 
@@ -460,9 +459,6 @@ class Explorer:
         result.metrics = self._metrics(result, max_depth)
         if self.observer is not None:
             self.observer.finish(result)
-        # outcome capture for the persistent run ledger: verdict +
-        # counterexample fingerprint (no-op outside a recorded run)
-        ledger.note_mc(result)
         return result
 
     def _run(self, result: MCResult) -> int:

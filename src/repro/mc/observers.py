@@ -135,21 +135,28 @@ class Profile(Observer):
     ``mc.por_ample`` time the explorer's ``_successors``, ``_key`` and
     ``_alone``, and ``mc.dedup`` counts canonical-key lookups (calls)
     and hits (work).  The ranked document lands in ``result.profile``;
-    the top hotspots are mirrored into ``events`` when given."""
+    the top hotspots are mirrored into ``events`` when given.
+
+    ``timed=False`` leaves the explorer's methods unwrapped: their
+    per-call timers feed only the hotspot table, and they slow a large
+    search measurably."""
 
     _REGIONS = (("mc.successors", "_successors", len),
                 ("mc.canonicalize", "_key", None),
                 ("mc.por_ample", "_alone", None))
 
-    def __init__(self, profiler, events=None):
+    def __init__(self, profiler, events=None, timed: bool = True):
         self.profiler = profiler
         self.events = events
+        self.timed = timed
 
     def start(self, explorer, result):
         self._run = self.profiler.region("mc.run", mode=explorer.mode)
         self._init = self.profiler.region("mc.init")
         # region -> [calls, work, wall_s], flushed once at finish
         self._acc = {}
+        if not self.timed:
+            return
         for region, method, work in self._REGIONS:
             acc = self._acc[region] = [0, 0, 0.0]
             setattr(explorer, method,

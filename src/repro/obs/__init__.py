@@ -16,24 +16,17 @@ they are plain ``{name: value}`` dicts on the results
   checker's DFS phases, read as a span tree (``--trace``), ranked
   deterministic work counters (``--profile``) and collapsed stacks
   (``--profile-out``);
-* :mod:`repro.obs.perfdiff` — differential profiling over profiles,
-  ledgered runs and ``bench/run.py --traced`` records
-  (``repro perf diff``);
+* :mod:`repro.obs.perfdiff` — differential profiling over profiles
+  and ``bench/run.py --traced`` records (``repro perf diff``);
 * :mod:`repro.obs.report_html` — the ``repro report`` self-contained
-  HTML artifact (trace + metrics + hotspots + coverage + lint + run
-  ledger + perf forensics);
-* :mod:`repro.obs.ledger` — the persistent run ledger: one schema-
-  versioned manifest (argv, seed, git rev, outcome, classification
-  summary, content-addressed artifacts, crash bundle) per CLI
-  invocation under ``.repro/runs/``, plus the hooks the explorer and
-  scheduler feed (``repro runs``, ``repro replay``);
-* :mod:`repro.obs.rundiff` — cross-run drift diffing over ledger
-  manifests (``repro runs diff``).
+  HTML artifact (trace + metrics + hotspots + coverage + lint + fleet
+  + perf forensics).
 
-:mod:`repro.obs.export` serializes analysis/model-checking results
-against small self-validated JSON schemas; :mod:`repro.obs.config`
-reads the ``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_LEDGER``
-environment switches.
+A command's ``--json`` document is the one record of what it
+concluded.  :mod:`repro.obs.export` serializes analysis/model-checking
+results against small self-validated JSON schemas;
+:mod:`repro.obs.config` reads the ``REPRO_TRACE`` / ``REPRO_METRICS``
+/ ``REPRO_PROFILE`` environment switches.
 
 ``export`` is imported lazily (it reaches back into
 :mod:`repro.analysis`); everything else here is import-cycle-free.

@@ -10,11 +10,6 @@ Switches mirroring the CLI flags:
 Values ``""``, ``"0"``, ``"false"``, ``"no"``, ``"off"`` (any case)
 mean *off*; anything else means *on*.  CLI flags OR into the
 environment settings — either source can enable a feature.
-
-The persistent run ledger (:mod:`repro.obs.ledger`) is the one
-default-*on* surface: ``REPRO_LEDGER=0`` disables recording, and
-``REPRO_LEDGER_DIR`` moves the ledger root away from the default
-``.repro/runs``.
 """
 
 from __future__ import annotations
@@ -37,23 +32,14 @@ class ObsConfig:
     trace: bool = False
     metrics: bool = False
     profile: bool = False
-    #: persistent run ledger (default ON; REPRO_LEDGER=0 disables)
-    ledger: bool = True
-    #: ledger root directory (REPRO_LEDGER_DIR overrides)
-    ledger_dir: str = ".repro/runs"
 
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None
                  ) -> "ObsConfig":
         env = os.environ if env is None else env
-        raw_ledger = env.get("REPRO_LEDGER")
         return cls(trace=_truthy(env.get("REPRO_TRACE")),
                    metrics=_truthy(env.get("REPRO_METRICS")),
-                   profile=_truthy(env.get("REPRO_PROFILE")),
-                   ledger=True if raw_ledger is None
-                   else _truthy(raw_ledger),
-                   ledger_dir=env.get("REPRO_LEDGER_DIR")
-                   or ".repro/runs")
+                   profile=_truthy(env.get("REPRO_PROFILE")))
 
     def with_flags(self, trace: bool = False, metrics: bool = False,
                    profile: bool = False) -> "ObsConfig":
@@ -61,6 +47,4 @@ class ObsConfig:
         return ObsConfig(
             trace=self.trace or trace,
             metrics=self.metrics or metrics,
-            profile=self.profile or profile,
-            ledger=self.ledger,
-            ledger_dir=self.ledger_dir)
+            profile=self.profile or profile)

@@ -34,7 +34,6 @@ import json
 import os
 import pathlib
 import time
-import weakref
 from collections import deque
 from typing import IO, Optional, Union
 
@@ -113,7 +112,6 @@ class EventStream:
                 sink.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(sink, "w")
                 self._owns_fh = True
-        _register(self)
 
     # -- emission ----------------------------------------------------------
     def emit(self, kind: str, **fields) -> dict:
@@ -151,8 +149,8 @@ class EventStream:
         return [dict(e) for e in self._ring if e["kind"] == kind]
 
     def drain(self, limit: Optional[int] = None) -> list[dict]:
-        """The most recent ``limit`` retained events (all when None) —
-        the bounded drain a crash bundle captures."""
+        """The most recent ``limit`` retained events (all when
+        None)."""
         events = [dict(e) for e in self._ring]
         if limit is not None and limit < len(events):
             return events[-limit:]
@@ -180,22 +178,6 @@ class EventStream:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# the most recently constructed stream, for crash bundles: the ledger
-# drains it when a run dies so the last events survive (weakref — the
-# registry must not keep a closed stream alive)
-_ACTIVE: Optional["weakref.ref[EventStream]"] = None
-
-
-def _register(stream: "EventStream") -> None:
-    global _ACTIVE
-    _ACTIVE = weakref.ref(stream)
-
-
-def active() -> Optional["EventStream"]:
-    """The live stream a crash bundle should drain, if any."""
-    return _ACTIVE() if _ACTIVE is not None else None
 
 
 def read_jsonl(path: Union[str, pathlib.Path]) -> list[dict]:

@@ -212,7 +212,7 @@ PROFILE_SCHEMA = {
 ANALYSIS_SCHEMA["properties"]["profile"] = PROFILE_SCHEMA
 
 #: shared invocation-metadata block embedded in analysis/MC documents
-#: so artifacts are self-describing even outside the run ledger
+#: so every artifact says what produced it
 RUN_META_SCHEMA = {
     "type": "object",
     "required": ["argv", "schema_versions"],
@@ -220,7 +220,6 @@ RUN_META_SCHEMA = {
         "argv": {"type": "array", "items": {"type": "string"}},
         "seed": {"type": ["integer", "null"]},
         "schema_versions": {"type": "object"},
-        "run_id": {"type": ["string", "null"]},
     },
 }
 
@@ -380,24 +379,15 @@ PERFDIFF_SCHEMA = {
 # -- serializers ---------------------------------------------------------------
 
 def run_meta(seed: Optional[int] = None) -> dict:
-    """The shared ``run_meta`` block: argv, seed, schema versions, and
-    the ledger run id when a recorder is active.  Library callers
-    (tests, notebooks) get ``sys.argv``-derived metadata, so every
-    exported artifact says what produced it."""
+    """The shared ``run_meta`` block: the process's argv, the seed and
+    the schema versions, so every exported artifact says what produced
+    it."""
     import sys
 
-    from repro.obs import ledger
+    from repro.obs import schemas
 
-    recorder = ledger.current()
-    meta: dict = {
-        "argv": [str(a) for a in (recorder.argv if recorder is not None
-                                  else sys.argv[1:])],
-        "seed": seed if seed is not None
-        else (recorder.seed if recorder is not None else None),
-        "schema_versions": ledger.schema_versions(),
-        "run_id": recorder.run_id if recorder is not None else None,
-    }
-    return meta
+    return {"argv": [str(a) for a in sys.argv[1:]], "seed": seed,
+            "schema_versions": schemas.registry()}
 
 
 def mc_to_dict(result) -> dict:

@@ -1,10 +1,10 @@
 """Multi-process observability backplane: worker spools + aggregator.
 
-Events, spans, the profiler, the ledger and the HTML report all
-assume one process.  This module lets parallel work stay
-visible: each worker process writes its *own* crash-safe telemetry
-spool, and a deterministic aggregator merges N spools back into the
-single-stream shapes the rest of the substrate already consumes.
+Events, spans, the profiler and the HTML report all assume one
+process.  This module lets parallel work stay visible: each worker
+process writes its *own* crash-safe telemetry spool, and a
+deterministic aggregator merges N spools back into the single-stream
+shapes the rest of the substrate already consumes.
 
 Spool layout (one directory per run, one subdirectory per worker)::
 
@@ -30,15 +30,17 @@ The three layers:
 * :func:`run_fleet` — ``os.fork``-based fan-out: items are strided
   across N worker processes (``items[w::jobs]``), each child runs the
   worker function over its chunk with a :class:`WorkerSpool` and
-  ``os._exit``\\ s (no pickling, no inherited-ledger double-finish, no
-  atexit replay); the parent waits for all children and reassembles
-  per-item results in the *original submission order*, so a parallel
-  run is byte-identical to a sequential one.
+  ``os._exit``\\ s (no pickling, no atexit replay); the parent waits
+  for all children and reassembles per-item results in the *original
+  submission order*, so a parallel run is byte-identical to a
+  sequential one.  Without an explicit spool directory the spools
+  live in a temporary directory that is gone once merged.
 * :func:`merge_spools` — the deterministic aggregator: one merged
   ``Profiler`` (triples and folded stacks sum), and a
   schema-versioned ``{"kind": "fleet"}`` merge-summary document
-  (per-worker rows, straggler attribution) that the HTML report
-  renders as its Fleet section.
+  (per-worker rows, straggler attribution) that the ``--jobs``
+  commands embed in their ``--json`` documents as ``fleet`` and the
+  HTML report renders as its Fleet section.
 
 :func:`resolve_jobs` implements the ``--jobs`` flag > ``REPRO_JOBS`` >
 1 resolution shared by every consumer.
@@ -50,6 +52,7 @@ import json
 import os
 import pathlib
 import sys
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -116,21 +119,6 @@ def can_fork() -> bool:
     return hasattr(os, "fork")
 
 
-def default_spool_root() -> pathlib.Path:
-    """Where a consumer should spool when the caller did not say:
-    under the active ledger run directory (so the spool becomes part
-    of the run's artifact story), else a pid-scoped directory under
-    the ledger root's sibling ``.repro/spool``."""
-    from repro.obs import ledger
-
-    recorder = ledger.current()
-    if recorder is not None:
-        return recorder.run_dir / "spool"
-    root = pathlib.Path(os.environ.get("REPRO_LEDGER_DIR",
-                                       ledger.DEFAULT_ROOT))
-    return root.parent / "spool" / f"pid-{os.getpid()}"
-
-
 def worker_name(index: int) -> str:
     return f"worker-{index:02d}"
 
@@ -189,7 +177,8 @@ class FleetMerge:
     """Everything :func:`merge_spools` reassembles from N spools."""
 
     #: schema-versioned merge-summary document (``kind: "fleet"``) —
-    #: what the report's Fleet section and the ledger note consume
+    #: embedded as ``fleet`` in the ``--jobs`` commands' ``--json``
+    #: documents, which the report's Fleet section reads
     doc: dict
     #: merged profiler (triples + folded stacks summed)
     profiler: Profiler
@@ -252,11 +241,6 @@ def merge_spools(root: Union[str, pathlib.Path],
 def _run_worker(spool_root: pathlib.Path, index: int, items: list,
                 worker_fn: Callable) -> None:
     """Child-process body: run the chunk, spool, ``os._exit``."""
-    # the child inherited the parent's live ledger recorder; sever it
-    # so nothing in the worker accidentally notes into (or finishes)
-    # the parent's manifest — the parent owns the run
-    from repro.obs import ledger
-    ledger._CURRENT = None
     exit_code = 0
     spool = WorkerSpool(spool_root, index)
     out: list = []
@@ -274,8 +258,8 @@ def _run_worker(spool_root: pathlib.Path, index: int, items: list,
         except BaseException:
             pass
     finally:
-        # never unwind into the parent's stack: skip atexit hooks,
-        # inherited ledger finalizers, and buffered-IO double-flush
+        # never unwind into the parent's stack: skip atexit hooks and
+        # buffered-IO double-flush
         sys.stdout.flush()
         sys.stderr.flush()
         os._exit(exit_code)
@@ -297,14 +281,24 @@ def run_fleet(items: list, worker_fn: Callable, *,
     Returns ``(values, merge)`` — per-item results in submission
     order and the :class:`FleetMerge` over all worker spools.  Raises
     ``RuntimeError`` carrying the worker traceback when any worker
-    failed.  Platforms without ``os.fork`` run the chunks in-process
-    (same spool layout, no parallelism).
+    failed.  Without ``spool`` the workers spool into a temporary
+    directory that is removed once merged (or once a failed worker's
+    traceback is read).  Platforms without ``os.fork`` run the chunks
+    in-process (same spool layout, no parallelism).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    spool_root = pathlib.Path(spool) if spool is not None \
-        else default_spool_root()
+    if spool is None:
+        with tempfile.TemporaryDirectory(prefix="repro-spool-") as tmp:
+            return _fan_out(items, worker_fn, jobs, pathlib.Path(tmp),
+                            label)
+    spool_root = pathlib.Path(spool)
     spool_root.mkdir(parents=True, exist_ok=True)
+    return _fan_out(items, worker_fn, jobs, spool_root, label)
+
+
+def _fan_out(items: list, worker_fn: Callable, jobs: int,
+             spool_root: pathlib.Path, label: str) -> tuple:
     jobs = min(jobs, max(1, len(items)))
     chunks = [items[w::jobs] for w in range(jobs)]
 

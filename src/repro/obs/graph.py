@@ -20,8 +20,8 @@ the explorer's canonical state key — :func:`repro.mc.canonical
 ints (and property ghosts are frozen dataclasses of scalars), so the
 id is stable across processes.  Two seeded runs that explore the same
 graph therefore produce artifacts that :func:`diff_graphs` reports as
-identical — the structural twin of ``repro runs diff`` and the free
-correctness check for state-representation refactors.
+identical — the free correctness check for state-representation
+refactors.
 
 *Edges* are tagged with the scheduled thread, the CFG statement uid,
 the transition kind (``invoke``/``stmt``/``return``/``atomic``), and —

@@ -17,10 +17,6 @@ A *side* resolves from any profile-bearing artifact
   record's ``<layer>.calls`` becomes the counter
   ``<workload>/<layer>`` and ``<layer>.self_s`` its wall time, both
   the median over the side's traced records of that workload;
-* a ledgered run (id / unique prefix / ``last`` / ``-N``, exactly like
-  ``repro runs diff``) — counters come from its recorded
-  ``analysis.json`` / ``mc.json`` profile blocks or the crash
-  bundle's ``profile_counters``;
 * an analysis/MC ``--json`` document (embedded ``profile``), a bare
   profile document, or a ``--profile-out`` collapsed-stack file.
 
@@ -44,7 +40,7 @@ from __future__ import annotations
 import json
 import pathlib
 import statistics
-from typing import Optional, Union
+from typing import Optional
 
 from repro.obs.events import read_jsonl
 from repro.obs.schemas import PERFDIFF as SCHEMA_VERSION
@@ -189,14 +185,10 @@ def _side_from_json_doc(label: str, doc, side: dict) -> bool:
     if "hotspots" in doc:            # bare profile document
         side_from_profile_doc(label, doc, side)
         return True
-    found = False
     if isinstance(doc.get("profile"), dict):   # analysis/mc --json
         side_from_profile_doc(label, doc["profile"], side)
-        found = True
-    if isinstance(doc.get("profile_counters"), dict):  # crash bundle
-        _merge_side(side, doc["profile_counters"])
-        found = True
-    return found
+        return True
+    return False
 
 
 def _side_from_file(path: pathlib.Path) -> dict:
@@ -229,40 +221,16 @@ def _side_from_dir(path: pathlib.Path) -> dict:
     return _side_from_bench(path, records)
 
 
-def _side_from_ledger(token: str,
-                      root: Union[None, str, pathlib.Path]) -> dict:
-    from repro.errors import ReproError
-    from repro.obs import ledger
-
-    ledger_root = ledger.ledger_root(root)
-    try:
-        run_id = ledger.resolve_run(ledger_root, token)
-    except ReproError as exc:
-        raise ValueError(str(exc))
-    side = _empty_side(f"ledger:{run_id}")
-    docs = ledger.load_artifact_docs(ledger_root, run_id)
-    found = False
-    for name in sorted(docs):
-        found = _side_from_json_doc(name, docs[name], side) or found
-    if not found:
-        raise ValueError(
-            f"run {run_id} recorded no profile data — re-run with "
-            f"--profile (analysis/mc)")
-    return side
-
-
-def resolve_side(spec: str,
-                 root: Union[None, str, pathlib.Path] = None) -> dict:
-    """Resolve one ``perf diff`` operand: an artifact file, a
-    directory of ``bench/run.py`` JSONL files, or a ledger run token
-    (id/prefix/``last``/``-N``).  Raises ``ValueError`` with a usage
-    message when nothing profile-bearing resolves."""
+def resolve_side(spec: str) -> dict:
+    """Resolve one ``perf diff`` operand: an artifact file or a
+    directory of ``bench/run.py`` JSONL files.  Raises ``ValueError``
+    with a usage message when nothing profile-bearing resolves."""
     path = pathlib.Path(spec)
     if path.is_file():
         return _side_from_file(path)
     if path.is_dir():
         return _side_from_dir(path)
-    return _side_from_ledger(spec, root)
+    raise ValueError(f"{spec}: no such file or directory")
 
 
 # -- attribution ---------------------------------------------------------------
@@ -388,10 +356,8 @@ def render_attribution(report: dict, limit: int = 25) -> str:
 
 
 def diff_specs(spec_a: str, spec_b: str,
-               threshold: float = DEFAULT_THRESHOLD,
-               root: Union[None, str, pathlib.Path] = None) -> dict:
+               threshold: float = DEFAULT_THRESHOLD) -> dict:
     """Resolve both operands and attribute — the ``repro perf diff``
     engine.  Raises ``ValueError`` on unresolvable operands."""
-    return attribute(resolve_side(spec_a, root=root),
-                     resolve_side(spec_b, root=root),
+    return attribute(resolve_side(spec_a), resolve_side(spec_b),
                      threshold=threshold)

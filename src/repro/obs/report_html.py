@@ -4,11 +4,12 @@ Aggregates the JSON artifacts the other observability surfaces write —
 analysis documents (``repro analyze --json``), MC documents
 (``repro mc --json``), lint reports (``repro lint --json``), event
 streams (``--events-out`` JSONL), state-graph captures, summary-cache
-stats, ``repro perf diff --json`` attributions, fleet merge summaries,
-experiment tables and the run ledger — into ONE HTML file with no
-external assets: styles are one inline ``<style>`` block
-and every chart is inline SVG, so the artifact can be attached to CI,
-mailed, or opened from ``file://`` with nothing else present.
+stats, ``repro perf diff --json`` attributions, the fleet merge
+summaries embedded in ``--jobs`` documents and experiment tables —
+into ONE HTML file with no external assets: styles are one inline
+``<style>`` block and every chart is inline SVG, so the artifact can
+be attached to CI, mailed, or opened from ``file://`` with nothing
+else present.
 
 Sections (each ``<section id="sec-NAME">``, see :data:`SECTIONS`):
 
@@ -25,9 +26,9 @@ Sections (each ``<section id="sec-NAME">``, see :data:`SECTIONS`):
   (``repro summaries canary --stats-out`` / store stats documents):
   per-program hit/miss rows and store totals;
 * ``crossval``  — preformatted experiment/cross-validation tables;
-* ``runs``      — the persistent run ledger: one row per recorded
-  invocation (pass the ledger root, e.g. ``.repro/runs``);
-* ``fleet``     — per-worker lanes of ``--jobs`` merge summaries;
+* ``fleet``     — per-worker lanes of the ``fleet`` merge summary in
+  ``analyze --corpus --jobs N --json`` and ``experiments section63
+  --jobs N --json`` documents;
 * ``forensics`` — perf-regression forensics: differential-profiling
   attribution documents (``repro perf diff --json`` / ``--out``)
   with per-region delta bars.
@@ -58,8 +59,8 @@ REPORT_VERSION = 1
 
 #: required section ids; check_html() fails on any that is missing
 SECTIONS = ("overview", "trace", "metrics", "hotspots", "coverage",
-            "statespace", "lint", "summary", "crossval", "runs",
-            "fleet", "forensics")
+            "statespace", "lint", "summary", "crossval", "fleet",
+            "forensics")
 
 
 # -- input collection ----------------------------------------------------------
@@ -75,7 +76,6 @@ class ReportInputs:
     lints: list[tuple] = field(default_factory=list)
     events: list[tuple] = field(default_factory=list)
     tables: list[tuple] = field(default_factory=list)  # (label, text)
-    runs: list[dict] = field(default_factory=list)     # ledger manifests
     graphs: list[tuple] = field(default_factory=list)  # graph captures
     summaries: list[tuple] = field(default_factory=list)  # cache stats
     perfdiffs: list[tuple] = field(default_factory=list)  # attributions
@@ -84,9 +84,10 @@ class ReportInputs:
 
 def classify(label: str, doc) -> Optional[str]:
     """Which input bucket a loaded JSON document belongs to, from its
-    shape: ``manifest`` | ``summary`` | ``perfdiff`` | ``fleet`` |
-    ``analysis`` | ``mc`` | ``lint`` | ``events``; None when
-    unrecognized."""
+    shape: ``summary`` | ``perfdiff`` | ``fleet`` | ``analysis`` |
+    ``mc`` | ``lint`` | ``events``; None when unrecognized.  A
+    ``fleet`` document is one that embeds a merge summary under
+    ``fleet`` (a ``--jobs`` run's ``--json`` document)."""
     if isinstance(doc, list):
         if doc and all(isinstance(e, dict) and "kind" in e
                        and "seq" in e for e in doc):
@@ -94,13 +95,12 @@ def classify(label: str, doc) -> Optional[str]:
         return None
     if not isinstance(doc, dict):
         return None
-    if "run_id" in doc and "argv" in doc and "outcome" in doc:
-        return "manifest"
     if doc.get("kind") == "summary-stats":
         return "summary"
     if doc.get("kind") == "perfdiff":
         return "perfdiff"
-    if doc.get("kind") == "fleet":
+    if isinstance(doc.get("fleet"), dict) \
+            and doc["fleet"].get("kind") == "fleet":
         return "fleet"
     if "procedures" in doc and "all_atomic" in doc:
         return "analysis"
@@ -114,12 +114,8 @@ def classify(label: str, doc) -> Optional[str]:
 def collect_inputs(paths: list[Union[str, pathlib.Path]]
                    ) -> ReportInputs:
     """Load and classify input files.  Directories are scanned one
-    level deep for ``*.json`` / ``*.jsonl`` / ``*.txt``; inside a
-    scanned directory, any child directory holding a
-    ``manifest.json`` is a run-ledger entry (so passing
-    ``.repro/runs`` populates the Runs section).  Paths that do not
-    exist are skipped, so a CI job may always pass ``.repro/runs``
-    even before any run."""
+    level deep for ``*.json`` / ``*.jsonl`` / ``*.txt``.  Paths that
+    do not exist are skipped."""
     inputs = ReportInputs()
     files: list[pathlib.Path] = []
     for raw in paths:
@@ -128,15 +124,6 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]]
             files.extend(sorted(
                 p for p in path.iterdir()
                 if p.suffix in (".json", ".jsonl", ".txt")))
-            files.extend(sorted(
-                p / "manifest.json" for p in path.iterdir()
-                if (p / "manifest.json").is_file()))
-            # a --jobs run's merge summary is stored as a hashed
-            # artifact beside its manifest — surface it in the report
-            files.extend(sorted(
-                f for p in path.iterdir()
-                for f in sorted((p / "artifacts").glob("*-fleet.json"))
-                if f.is_file()))
         elif path.exists():
             files.append(path)
     for path in files:
@@ -164,9 +151,7 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]]
         except ValueError:
             continue
         kind = classify(label, doc)
-        if kind == "manifest":
-            inputs.runs.append(doc)
-        elif kind == "analysis":
+        if kind == "analysis":
             inputs.analyses.append((label, doc))
         elif kind == "mc":
             inputs.mcs.append((label, doc))
@@ -180,7 +165,7 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]]
         elif kind == "perfdiff":
             inputs.perfdiffs.append((label, doc))
         elif kind == "fleet":
-            inputs.fleets.append((label, doc))
+            inputs.fleets.append((label, doc["fleet"]))
     return inputs
 
 
@@ -394,9 +379,6 @@ def _overview(inputs: ReportInputs) -> str:
                         else "no attributed drift")])
     for label, _text in inputs.tables:
         rows.append(["table", label, "preformatted"])
-    if inputs.runs:
-        rows.append(["runs", "ledger",
-                     f"{len(inputs.runs)} recorded run(s)"])
     if not rows:
         return _placeholder(
             "input", "pass JSON artifacts or a directory such as "
@@ -705,36 +687,6 @@ def _crossval(inputs: ReportInputs) -> str:
     return "".join(parts)
 
 
-def _runs(inputs: ReportInputs) -> str:
-    if not inputs.runs:
-        return _placeholder(
-            "run ledger", "ledgered commands record manifests under "
-            ".repro/runs — pass that directory (repro runs list / "
-            "diff inspect it from the CLI)")
-    ordered = sorted(inputs.runs, key=lambda m: m.get("run_id", ""))
-    rows = []
-    for m in ordered:
-        rev = (m.get("git_rev") or "")[:10]
-        crash = (m.get("crash") or {}).get("reason", "")
-        rows.append([
-            m.get("run_id", "?"), m.get("command", "?"),
-            m.get("outcome", "?"), m.get("exit_code", ""),
-            f"{m.get('wall_s', 0):.3f}",
-            "" if m.get("seed") is None else m["seed"],
-            rev, crash])
-    parts = [_table(["run", "command", "outcome", "exit", "wall (s)",
-                     "seed", "git", "bundle"], rows, "mono")]
-    outcomes: dict[str, int] = {}
-    for m in ordered:
-        key = m.get("outcome", "?")
-        outcomes[key] = outcomes.get(key, 0) + 1
-    if len(ordered) > 1:
-        parts.append("<h4>outcomes</h4>"
-                     + _svg_bars(sorted(outcomes.items()),
-                                 title="runs per outcome"))
-    return "".join(parts)
-
-
 def _forensics(inputs: ReportInputs) -> str:
     """Perf forensics: ranked differential-profiling attribution
     tables + per-region delta bars from perfdiff documents."""
@@ -822,9 +774,9 @@ def _fleet(inputs: ReportInputs) -> str:
                 bars, title=f"per-worker wall — {label}"))
     if not parts:
         return _placeholder(
-            "fleet telemetry", "run repro analyze --corpus --jobs N "
-            "(or repro experiments section63 --jobs N) and pass the "
-            "run's fleet.json merge summary")
+            "fleet telemetry", "pass the --json document of repro "
+            "analyze --corpus --jobs N or repro experiments section63 "
+            "--jobs N")
     return "".join(parts)
 
 
@@ -864,7 +816,6 @@ def render_report(inputs: ReportInputs,
         "lint": ("Lint findings", _lint(inputs)),
         "summary": ("Summary cache", _summary(inputs)),
         "crossval": ("Cross-validation tables", _crossval(inputs)),
-        "runs": ("Run ledger", _runs(inputs)),
         "fleet": ("Fleet", _fleet(inputs)),
         "forensics": ("Perf forensics", _forensics(inputs)),
     }
@@ -1032,36 +983,21 @@ SELF_CHECK_FIXTURE = {
                   "root": ".repro/summaries", "procs": 4,
                   "programs": 2, "bytes": 20480,
                   "schema_refused": 0, "corrupt": 0}},
-    "fleet.json": {
-        "v": 1, "kind": "fleet", "jobs": 2, "label": "analyze-corpus",
-        "items": 22, "events": 70, "wall_s": 0.31,
-        "straggler": "worker-01",
-        "workers": [
-            {"worker": "worker-00", "pid": 4242, "items": 11,
-             "events": 34, "wall_s": 0.27, "rss_mb": 21.0},
-            {"worker": "worker-01", "pid": 4243, "items": 11,
-             "events": 36, "wall_s": 0.31, "rss_mb": 20.5}]},
+    "corpus_fleet.json": {
+        "programs": [], "errors": [], "drift": [],
+        "fleet": {
+            "v": 1, "kind": "fleet", "jobs": 2,
+            "label": "analyze-corpus", "items": 22, "events": 70,
+            "wall_s": 0.31, "straggler": "worker-01",
+            "workers": [
+                {"worker": "worker-00", "pid": 4242, "items": 11,
+                 "events": 34, "wall_s": 0.27, "rss_mb": 21.0},
+                {"worker": "worker-01", "pid": 4243, "items": 11,
+                 "events": 36, "wall_s": 0.31, "rss_mb": 20.5}]}},
     "crossval.txt": ("Lint/MC cross-validation (fixture)\n\n"
                      "program   | lint errors | violation\n"
                      "----------+-------------+----------\n"
                      "ABA_STACK | 2           | yes\n"),
-    "runs": [
-        {"v": 1, "run_id": "20260101T000000-000001-1-analyze",
-         "command": "analyze", "argv": ["analyze", "fixture.synl"],
-         "started_at": 1.0, "wall_s": 0.02, "cpu_s": 0.02,
-         "git_rev": "0123456789abcdef", "seed": None, "exit_code": 0,
-         "outcome": "ok", "schema_versions": {"manifest": 1},
-         "artifacts": [], "crash": None},
-        {"v": 1, "run_id": "20260101T000001-000001-1-mc",
-         "command": "mc", "argv": ["mc", "fixture.synl", "P()"],
-         "started_at": 2.0, "wall_s": 0.05, "cpu_s": 0.05,
-         "git_rev": "0123456789abcdef", "seed": 7, "exit_code": 1,
-         "outcome": "violation", "schema_versions": {"manifest": 1},
-         "artifacts": [], "crash": {"reason": "violation",
-                                    "path": "crash.json"},
-         "mc": {"mode": "full", "states": 27, "transitions": 36,
-                "violation": "assertion failed", "capped": False,
-                "fingerprint": "deadbeefdeadbeef"}}],
 }
 
 
@@ -1076,12 +1012,12 @@ def fixture_inputs() -> ReportInputs:
         mcs=[("mc.json", fx["mc.json"])],
         events=[("events.jsonl", fx["events.jsonl"])],
         tables=[("crossval.txt", fx["crossval.txt"])],
-        runs=[dict(m) for m in fx["runs"]],
         summaries=[("summary_stats.json",
                     dict(fx["summary_stats.json"]))],
         perfdiffs=[("PERFDIFF_attribution.json",
                     dict(fx["PERFDIFF_attribution.json"]))],
-        fleets=[("fleet.json", dict(fx["fleet.json"]))])
+        fleets=[("corpus_fleet.json",
+                 dict(fx["corpus_fleet.json"]["fleet"]))])
 
 
 def self_check() -> tuple[int, str]:

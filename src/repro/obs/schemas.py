@@ -1,17 +1,14 @@
 """Central registry of per-subsystem schema versions.
 
 Every versioned artifact the observability stack emits — event
-streams, state-graph captures, profiles, counterexample documents,
-run-ledger manifests — stamps a ``"v"`` field so consumers can reject
-incompatible layouts.  Before this module the version literals were
-scattered across their emitting modules (and had already drifted once
-between the ledger and an emitter).  This registry is now the single
-source of truth:
+streams, state-graph captures, profiles, counterexample documents —
+stamps a ``"v"`` field so consumers can reject incompatible layouts.
+This registry is the single source of truth:
 
 * emitting modules import their constant from here
   (``events.SCHEMA_VERSION is schemas.EVENTS``);
-* :func:`repro.obs.ledger.schema_versions` — the block recorded in
-  every run manifest and ``run_meta`` — is :func:`registry` verbatim;
+* the ``schema_versions`` block of every ``run_meta`` is
+  :func:`registry` verbatim;
 * ``repro report --self-check`` calls :func:`check_registry`, which
   re-imports the live constants from each emitting module and fails
   loudly if any module ever re-diverges.
@@ -30,9 +27,6 @@ GRAPH = 1
 
 #: ranked-hotspot profile documents (:mod:`repro.obs.profile`)
 PROFILE = 1
-
-#: run-ledger manifests and crash bundles (:mod:`repro.obs.ledger`)
-MANIFEST = 1
 
 #: lint run documents (``repro lint --json``)
 LINT = 1
@@ -62,12 +56,11 @@ FLEET = 1
 
 def registry() -> dict:
     """``{subsystem: version}`` for every versioned document schema —
-    the block stamped into run manifests and ``run_meta``."""
+    the block stamped into ``run_meta``."""
     return {
         "events": EVENTS,
         "graph": GRAPH,
         "profile": PROFILE,
-        "manifest": MANIFEST,
         "lint": LINT,
         "cex": CEX,
         "heatmap": HEATMAP,
@@ -84,14 +77,12 @@ def check_registry() -> list[str]:
     a local version literal again."""
     from repro.analysis.summaries import store as summary_store
     from repro.mc import cex
-    from repro.obs import (events, fleet, graph, heatmap, ledger,
-                           perfdiff, profile)
+    from repro.obs import events, fleet, graph, heatmap, perfdiff, profile
 
     live = {
         "events": events.SCHEMA_VERSION,
         "graph": graph.SCHEMA_VERSION,
         "profile": profile.PROFILE_VERSION,
-        "manifest": ledger.SCHEMA_VERSION,
         "cex": cex.SCHEMA_VERSION,
         "heatmap": heatmap.SCHEMA_VERSION,
         "summary": summary_store.SCHEMA_VERSION,

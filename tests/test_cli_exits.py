@@ -1,7 +1,5 @@
-"""CLI exit-code contract, cross-checked against the run ledger: the
-exit code the process reports and the one the manifest records must
-always agree (the determinism canary in CI diffs manifests, so a
-mismatch here would poison every downstream comparison)."""
+"""CLI exit-code contract: 0 ok, 1 not atomic / violation / drift,
+2 usage or parse error, 3 MC state cap, 4 MC deadline."""
 
 from __future__ import annotations
 
@@ -9,14 +7,6 @@ import pytest
 
 from repro import corpus
 from repro.cli import EXIT_CAPPED, EXIT_DEADLINE, main
-from repro.obs import ledger
-
-
-@pytest.fixture()
-def ledger_root(tmp_path, monkeypatch):
-    root = tmp_path / "runs"
-    monkeypatch.setenv("REPRO_LEDGER_DIR", str(root))
-    return root
 
 
 def _write(tmp_path, name, source):
@@ -25,156 +15,117 @@ def _write(tmp_path, name, source):
     return str(path)
 
 
-def _last(ledger_root):
-    return ledger.list_runs(ledger_root)[-1]
-
-
-def _assert_recorded(ledger_root, code, outcome):
-    manifest = _last(ledger_root)
-    assert manifest["exit_code"] == code
-    assert manifest["outcome"] == outcome
-    return manifest
-
-
 # -- analyze: 0 atomic / 1 not shown atomic / 2 usage ------------------------------
 
-def test_analyze_atomic_exits_0(ledger_root, tmp_path, capsys):
+def test_analyze_atomic_exits_0(tmp_path, capsys):
     code = main(["analyze", _write(tmp_path, "q.synl",
                                    corpus.NFQ_PRIME)])
     assert code == 0
-    _assert_recorded(ledger_root, 0, "ok")
 
 
-def test_analyze_not_atomic_exits_1(ledger_root, tmp_path, capsys):
+def test_analyze_not_atomic_exits_1(tmp_path, capsys):
     code = main(["analyze", _write(tmp_path, "aba.synl",
                                    corpus.ABA_STACK)])
     assert code == 1
-    _assert_recorded(ledger_root, 1, "not-atomic")
 
 
-def test_analyze_missing_file_exits_2(ledger_root, capsys):
+def test_analyze_missing_file_exits_2(capsys):
     code = main(["analyze", "/no/such/file.synl"])
     assert code == 2
-    _assert_recorded(ledger_root, 2, "error")
 
 
 # -- mc: 0 clean / 1 violation / 3 capped ------------------------------------------
 
-def test_mc_clean_exits_0(ledger_root, tmp_path, capsys):
+def test_mc_clean_exits_0(tmp_path, capsys):
     code = main(["mc", _write(tmp_path, "sem.synl", corpus.SEMAPHORE),
                  "Down()", "Up()", "--mode", "full"])
     assert code == 0
-    manifest = _assert_recorded(ledger_root, 0, "ok")
-    assert manifest["mc"]["violation"] is None
 
 
-def test_mc_violation_exits_1(ledger_root, tmp_path, capsys):
+def test_mc_violation_exits_1(tmp_path, capsys):
     code = main(["mc", _write(tmp_path, "sem.synl",
                               corpus.BROKEN_SEMAPHORE),
                  "DownBad()", "DownBad()", "--mode", "full"])
     assert code == 1
-    manifest = _assert_recorded(ledger_root, 1, "violation")
-    assert manifest["mc"]["fingerprint"]
 
 
-def test_mc_capped_exits_3(ledger_root, tmp_path, capsys):
+def test_mc_capped_exits_3(tmp_path, capsys):
     code = main(["mc", _write(tmp_path, "sem.synl",
                               corpus.BROKEN_SEMAPHORE),
                  "DownBad()", "DownBad()", "--mode", "full",
                  "--max-states", "2"])
     assert code == EXIT_CAPPED
-    manifest = _assert_recorded(ledger_root, EXIT_CAPPED, "capped")
-    assert manifest["mc"]["capped"] is True
 
 
-def test_mc_deadline_exits_4(ledger_root, tmp_path, capsys):
+def test_mc_deadline_exits_4(tmp_path, capsys):
     # a §6.3-style Gao-Hesselink search is far too big to finish in
-    # ~0 seconds, so the soft deadline fires; the stop is graceful —
-    # the manifest still carries the partial MC summary
+    # ~0 seconds, so the soft deadline fires; the stop is graceful
     code = main(["mc", _write(tmp_path, "gh.synl", corpus.GH_PROGRAM1),
                  "Apply(1)", "Apply(2)", "Apply(3)", "--mode", "full",
                  "--deadline", "0"])
     assert code == EXIT_DEADLINE
     assert "UNKNOWN" in capsys.readouterr().out
-    manifest = _assert_recorded(ledger_root, EXIT_DEADLINE, "deadline")
-    assert manifest["mc"]["deadline_hit"] is True
-    assert manifest["mc"]["violation"] is None
-    assert manifest["mc"]["states"] >= 1
 
 
-def test_mc_deadline_violation_still_wins(ledger_root, tmp_path,
-                                          capsys):
+def test_mc_deadline_violation_still_wins(tmp_path, capsys):
     # a found violation outranks the deadline verdict
     code = main(["mc", _write(tmp_path, "sem.synl",
                               corpus.BROKEN_SEMAPHORE),
                  "DownBad()", "DownBad()", "--mode", "full",
                  "--deadline", "3600"])
     assert code == 1
-    _assert_recorded(ledger_root, 1, "violation")
 
 
 # -- run: 0 clean / 1 violation ----------------------------------------------------
 
-def test_run_clean_exits_0(ledger_root, tmp_path, capsys):
+def test_run_clean_exits_0(tmp_path, capsys):
     code = main(["run", _write(tmp_path, "sem.synl", corpus.SEMAPHORE),
                  "Down()", "Up()"])
     assert code == 0
-    manifest = _assert_recorded(ledger_root, 0, "ok")
-    assert manifest["seed"] == 0
 
 
-def test_run_violation_exits_1(ledger_root, tmp_path, capsys):
+def test_run_violation_exits_1(tmp_path, capsys):
     code = main(["run", _write(tmp_path, "sem.synl",
                                corpus.BROKEN_SEMAPHORE),
                  "DownBad()", "DownBad()", "--seed", "3"])
     assert code == 1
-    manifest = _assert_recorded(ledger_root, 1, "violation")
-    assert manifest["seed"] == 3
 
 
 # -- lint: 0 clean / 2 errors ------------------------------------------------------
 
-def test_lint_clean_exits_0(ledger_root, tmp_path, capsys):
+def test_lint_clean_exits_0(tmp_path, capsys):
     code = main(["lint", _write(tmp_path, "q.synl",
                                 corpus.NFQ_PRIME)])
     assert code == 0
-    _assert_recorded(ledger_root, 0, "ok")
 
 
-def test_lint_errors_exit_2(ledger_root, tmp_path, capsys):
+def test_lint_errors_exit_2(tmp_path, capsys):
     code = main(["lint", _write(tmp_path, "aba.synl",
                                 corpus.ABA_STACK)])
     assert code == 2
-    manifest = _assert_recorded(ledger_root, 2, "findings")
-    assert manifest["lint"]["errors"] > 0
 
 
 # -- report / experiments usage errors ---------------------------------------------
 
-def test_report_without_inputs_exits_2(ledger_root, tmp_path,
-                                       monkeypatch, capsys):
+def test_report_without_inputs_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)   # no benchmarks/out fallback here
     code = main(["report"])
     assert code == 2
-    _assert_recorded(ledger_root, 2, "error")
 
 
-def test_report_self_check_exits_0(ledger_root, capsys):
+def test_report_self_check_exits_0(capsys):
     code = main(["report", "--self-check"])
     assert code == 0
-    _assert_recorded(ledger_root, 0, "ok")
 
 
-def test_experiments_unknown_name_exits_2(ledger_root, capsys):
+def test_experiments_unknown_name_exits_2(capsys):
     code = main(["experiments", "no-such-experiment"])
     assert code == 2
-    _assert_recorded(ledger_root, 2, "error")
 
 
 # -- machine-clean stdout: progress stays on stderr --------------------------------
 
-def test_mc_json_stdout_stays_parseable_with_progress(
-        ledger_root, tmp_path, capsys):
+def test_mc_json_stdout_stays_parseable_with_progress(tmp_path, capsys):
     import json
 
     code = main(["mc", _write(tmp_path, "sem.synl", corpus.SEMAPHORE),
@@ -187,7 +138,7 @@ def test_mc_json_stdout_stays_parseable_with_progress(
     assert "heatmap" in doc
 
 
-# -- runs/graph/perf diff: 0 identical / 1 drift / 2 unreadable operand -----------
+# -- graph/perf diff: 0 identical / 1 drift / 2 unreadable operand -----------------
 
 def _bench_side(tmp_path, name, calls):
     from tests.test_perfdiff import bench_record, write_bench_run
@@ -196,28 +147,7 @@ def _bench_side(tmp_path, name, calls):
         layers={"mc.canonical": (calls, 0.01)})])
 
 
-def _write_manifest(root, run_id, **fields):
-    """A schema-valid ledger manifest written straight to disk."""
-    import json
-
-    manifest = {"v": 1, "run_id": run_id, "command": "analyze",
-                "argv": ["analyze", "p.synl"], "started_at": 0.0,
-                "wall_s": 0.1, "cpu_s": 0.1, "exit_code": 0,
-                "outcome": "atomic", "schema_versions": {},
-                "artifacts": [], **fields}
-    (root / run_id).mkdir(parents=True)
-    (root / run_id / "manifest.json").write_text(json.dumps(manifest))
-    return run_id
-
-
-def _runs_operand(tmp_path, ledger_root, name, drifted):
-    if drifted:
-        return _write_manifest(ledger_root, f"run-{name}",
-                               exit_code=1, outcome="not-atomic")
-    return _write_manifest(ledger_root, f"run-{name}")
-
-
-def _graph_operand(tmp_path, ledger_root, name, drifted):
+def _graph_operand(tmp_path, name, drifted):
     import json
 
     from repro.obs.report_html import SELF_CHECK_FIXTURE
@@ -229,17 +159,11 @@ def _graph_operand(tmp_path, ledger_root, name, drifted):
     return str(path)
 
 
-def _perf_operand(tmp_path, ledger_root, name, drifted):
+def _perf_operand(tmp_path, name, drifted):
     return _bench_side(tmp_path, name, 1600 if drifted else 1000)
 
 
-def _corrupt_runs_operand(tmp_path, ledger_root):
-    (ledger_root / "run-c").mkdir(parents=True)
-    (ledger_root / "run-c" / "manifest.json").write_text("{torn")
-    return "run-c"
-
-
-def _corrupt_file_operand(tmp_path, ledger_root):
+def _corrupt_file_operand(tmp_path):
     path = tmp_path / "corrupt.jsonl"
     path.write_text('{"kind": "graph.header"\n{"torn": \n')
     return str(path)
@@ -247,8 +171,6 @@ def _corrupt_file_operand(tmp_path, ledger_root):
 
 # command -> (make operand, corrupt operand, identical text, drift text)
 DIFFS = {
-    "runs": (_runs_operand, _corrupt_runs_operand,
-             "no drift", "outcome  | atomic -> not-atomic"),
     "graph": (_graph_operand, _corrupt_file_operand,
               "graphs identical", "graph drift:"),
     "perf": (_perf_operand, _corrupt_file_operand,
@@ -257,20 +179,20 @@ DIFFS = {
 
 
 @pytest.mark.parametrize("command", sorted(DIFFS))
-def test_diff_identical_exits_0(ledger_root, tmp_path, capsys, command):
+def test_diff_identical_exits_0(tmp_path, capsys, command):
     make, _, identical, drift = DIFFS[command]
-    a = make(tmp_path, ledger_root, "a", False)
-    b = make(tmp_path, ledger_root, "b", False)
+    a = make(tmp_path, "a", False)
+    b = make(tmp_path, "b", False)
     assert main([command, "diff", a, b]) == 0
     out = capsys.readouterr().out
     assert identical in out and drift not in out
 
 
 @pytest.mark.parametrize("command", sorted(DIFFS))
-def test_diff_drift_exits_1(ledger_root, tmp_path, capsys, command):
+def test_diff_drift_exits_1(tmp_path, capsys, command):
     make, _, identical, drift = DIFFS[command]
-    a = make(tmp_path, ledger_root, "a", False)
-    b = make(tmp_path, ledger_root, "b", True)
+    a = make(tmp_path, "a", False)
+    b = make(tmp_path, "b", True)
     assert main([command, "diff", a, b]) == 1
     captured = capsys.readouterr()
     assert drift in captured.out and identical not in captured.out
@@ -279,11 +201,10 @@ def test_diff_drift_exits_1(ledger_root, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("operand", ["missing", "corrupt"])
 @pytest.mark.parametrize("command", sorted(DIFFS))
-def test_diff_unreadable_operand_exits_2(ledger_root, tmp_path, capsys,
-                                         command, operand):
+def test_diff_unreadable_operand_exits_2(tmp_path, capsys, command, operand):
     make, corrupt, _, _ = DIFFS[command]
-    a = make(tmp_path, ledger_root, "a", False)
-    b = corrupt(tmp_path, ledger_root) if operand == "corrupt" \
+    a = make(tmp_path, "a", False)
+    b = corrupt(tmp_path) if operand == "corrupt" \
         else str(tmp_path / "missing")
     assert main([command, "diff", a, b]) == 2
     err = capsys.readouterr().err
@@ -291,19 +212,17 @@ def test_diff_unreadable_operand_exits_2(ledger_root, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", sorted(DIFFS))
-def test_diff_json_stdout_parses(ledger_root, tmp_path, capsys,
-                                 command):
+def test_diff_json_stdout_parses(tmp_path, capsys, command):
     import json
 
     make, _, _, _ = DIFFS[command]
-    a = make(tmp_path, ledger_root, "a", False)
-    b = make(tmp_path, ledger_root, "b", True)
+    a = make(tmp_path, "a", False)
+    b = make(tmp_path, "b", True)
     assert main([command, "diff", a, b, "--json"]) == 1
     assert isinstance(json.loads(capsys.readouterr().out), dict)
 
 
-def test_perf_diff_out_written_even_on_drift(ledger_root, tmp_path,
-                                             capsys):
+def test_perf_diff_out_written_even_on_drift(tmp_path, capsys):
     import json
 
     a = _bench_side(tmp_path, "a", 1000)
@@ -317,61 +236,36 @@ def test_perf_diff_out_written_even_on_drift(ledger_root, tmp_path,
     assert json.loads(capsys.readouterr().out)["drift"] is True
 
 
-def test_perf_diff_is_not_ledgered(ledger_root, tmp_path, capsys):
-    # query commands (runs/graph/perf) must not pollute the ledger
-    a = _bench_side(tmp_path, "a", 1000)
-    assert main(["perf", "diff", a, a]) == 0
-    assert ledger.list_runs(ledger_root) == []
+def test_removed_ledger_commands_are_invalid_choices(capsys):
+    # the run ledger and its subcommands are gone: the --json
+    # documents are the one record of a run
+    for argv in (["runs", "list"], ["replay", "last"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{argv[0]}'" in err
 
 
-# -- ledger: a manifest that is JSON but fails MANIFEST_SCHEMA ---------------------
-
-INVALID_MANIFESTS = {"list": "[]", "no-outcome": '{"run_id": "run-x"}'}
-
-
-@pytest.mark.parametrize("text", INVALID_MANIFESTS.values(),
-                         ids=INVALID_MANIFESTS.keys())
-def test_runs_list_skips_schema_invalid_manifest(ledger_root, capsys,
-                                                 text):
-    _write_manifest(ledger_root, "run-a")
-    (ledger_root / "run-x").mkdir()
-    (ledger_root / "run-x" / "manifest.json").write_text(text)
-    assert main(["runs", "list"]) == 0
-    captured = capsys.readouterr()
-    assert "run-a" in captured.out and "run-x" not in captured.out
-    assert "Traceback" not in captured.err
-    assert main(["runs", "list", "--json"]) == 0
-    import json
-    assert [m["run_id"] for m in json.loads(capsys.readouterr().out)] \
-        == ["run-a"]
-
-
-@pytest.mark.parametrize("text", INVALID_MANIFESTS.values(),
-                         ids=INVALID_MANIFESTS.keys())
-def test_runs_diff_on_all_invalid_ledger_exits_2(ledger_root, capsys,
-                                                 text):
-    (ledger_root / "run-x").mkdir(parents=True)
-    (ledger_root / "run-x" / "manifest.json").write_text(text)
-    assert main(["runs", "diff", "last", "last"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: ledger {ledger_root} is empty")
-    assert "Traceback" not in err
-
-
-def test_runs_gc_leaves_unreadable_runs_alone(ledger_root, capsys):
-    for run_id in ("run-a", "run-b", "run-c"):
-        _write_manifest(ledger_root, run_id)
-    (ledger_root / "run-x").mkdir()
-    (ledger_root / "run-x" / "manifest.json").write_text("[]")
-    assert main(["runs", "gc", "--keep", "1"]) == 0
-    assert sorted(p.name for p in ledger_root.iterdir()) \
-        == ["run-c", "run-x"]
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--lenient", "{aba}"],
+    ["mc", "{aba}", "PopCheck()", "Recycle()", "--mode", "por"],
+    ["lint", "{aba}"],
+    ["experiments", "figure3"],
+], ids=lambda argv: argv[0])
+def test_commands_write_nothing_into_the_working_directory(
+        tmp_path, monkeypatch, capsys, argv):
+    aba = _write(tmp_path, "aba.synl", corpus.ABA_STACK)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([a.format(aba=aba) for a in argv]) in (0, 2)
+    assert list(cwd.iterdir()) == []
 
 
 # -- report: a torn events file renders, a corrupt one is skipped ------------------
 
-def test_report_renders_events_with_a_torn_last_line(ledger_root,
-                                                     tmp_path, capsys):
+def test_report_renders_events_with_a_torn_last_line(tmp_path, capsys):
     import json
 
     from repro.obs.report_html import SELF_CHECK_FIXTURE
@@ -398,18 +292,16 @@ def test_report_renders_events_with_a_torn_last_line(ledger_root,
 @pytest.mark.parametrize("command", ["mc", "run"])
 @pytest.mark.parametrize("spec", ["PopCheck(x)", "PopCheck(", "PopCheck",
                                   "PopCheck(1,)", "PopCheck()x", "()"])
-def test_bad_thread_spec_exits_2(ledger_root, tmp_path, capsys, command,
-                                 spec):
+def test_bad_thread_spec_exits_2(tmp_path, capsys, command, spec):
     path = _write(tmp_path, "aba.synl", corpus.ABA_STACK)
     code = main([command, path, spec, "Recycle()"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad thread spec")
     assert "Traceback" not in err
-    _assert_recorded(ledger_root, 2, "error")
 
 
-def test_thread_spec_forms_still_parse(ledger_root, tmp_path, capsys):
+def test_thread_spec_forms_still_parse(tmp_path, capsys):
     code = main(["mc", _write(tmp_path, "sem.synl", corpus.SEMAPHORE),
                  " Down( ) ", "Up(),Down()*", "--mode", "atomic",
                  "--max-states", "50"])
@@ -422,7 +314,7 @@ def test_thread_spec_forms_still_parse(ledger_root, tmp_path, capsys):
     ["--deadline", "inf"], ["--deadline", "soon"], ["--max-states", "0"],
     ["--max-states", "-3"], ["--max-states", "1.5"],
 ])
-def test_mc_bad_budget_flag_exits_2(ledger_root, tmp_path, capsys, argv):
+def test_mc_bad_budget_flag_exits_2(tmp_path, capsys, argv):
     path = _write(tmp_path, "sem.synl", corpus.SEMAPHORE)
     with pytest.raises(SystemExit) as exc:
         main(["mc", path, "Down()", "Up()"] + argv)
@@ -432,7 +324,7 @@ def test_mc_bad_budget_flag_exits_2(ledger_root, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
-def test_experiments_bad_max_states_exits_2(ledger_root, capsys, value):
+def test_experiments_bad_max_states_exits_2(capsys, value):
     with pytest.raises(SystemExit) as exc:
         main(["experiments", "section63", "--max-states", value])
     assert exc.value.code == 2
@@ -442,13 +334,12 @@ def test_experiments_bad_max_states_exits_2(ledger_root, capsys, value):
 @pytest.mark.parametrize("argv", [
     ["summaries", "gc", "--keep", "-1"],
     ["summaries", "verify", "--sample", "-1"],
-    ["runs", "gc", "--keep", "-3"],
     ["perf", "diff", "a", "b", "--threshold", "nan"],
     ["perf", "diff", "a", "b", "--threshold", "-0.1"],
     ["experiments", "section63", "--threads", "0"],
     ["run", "x.synl", "P()", "--max-steps", "-5"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_numeric_flag_exits_2(ledger_root, capsys, argv):
+def test_bad_numeric_flag_exits_2(capsys, argv):
     flag = next(a for a in argv if a.startswith("--"))
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -458,7 +349,7 @@ def test_bad_numeric_flag_exits_2(ledger_root, capsys, argv):
 
 
 def test_summaries_gc_negative_keep_leaves_store_untouched(
-        ledger_root, tmp_path, capsys):
+        tmp_path, capsys):
     store = tmp_path / "store"
     assert main(["analyze", "--incremental", "--summary-store",
                  str(store), "--lenient",
@@ -470,8 +361,7 @@ def test_summaries_gc_negative_keep_leaves_store_untouched(
     assert sorted(p for p in store.rglob("*") if p.is_file()) == before
 
 
-def test_mc_budget_flag_boundaries_accepted(ledger_root, tmp_path,
-                                            capsys):
+def test_mc_budget_flag_boundaries_accepted(tmp_path, capsys):
     code = main(["mc", _write(tmp_path, "sem.synl", corpus.SEMAPHORE),
                  "Down()", "Up()", "--max-states", "1",
                  "--progress", "0.5", "--deadline", "0"])

@@ -264,21 +264,6 @@ def test_drain_returns_bounded_most_recent():
     assert len(stream.drain(100)) == 10
 
 
-def test_active_registry_tracks_latest_stream():
-    import gc
-
-    from repro.obs import events as events_mod
-
-    first = EventStream()
-    assert events_mod.active() is first
-    second = EventStream()
-    assert events_mod.active() is second
-    del second
-    gc.collect()
-    # weakref registry: a collected stream must not be kept alive
-    assert events_mod.active() is None
-
-
 # -- graph / deadline kinds (state-space introspection) ----------------------------
 
 def test_deadline_events_roundtrip_jsonl(tmp_path):

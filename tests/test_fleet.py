@@ -212,17 +212,25 @@ def test_run_fleet_worker_failure_spools_traceback(tmp_path):
     assert any(r and r.get("ok") for r in merge.results)
 
 
-def test_default_spool_root_follows_ledger(tmp_path, monkeypatch):
-    from repro.obs import ledger
+def test_default_spool_is_removed_after_merge(tmp_path, monkeypatch):
+    import tempfile
 
-    monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / ".repro/runs"))
-    # without a live recorder: pid-scoped sibling directory
-    root = fleet.default_spool_root()
-    assert root.parent.name == "spool"
-    recorder = ledger.start([], "unit-test",
-                            root=tmp_path / ".repro/runs",
-                            persist=False, force=True)
-    try:
-        assert fleet.default_spool_root() == recorder.run_dir / "spool"
-    finally:
-        ledger.stop(recorder)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+    def where(item, spool):
+        return str(spool.dir)
+
+    values, merge = run_fleet([0, 1, 2], where, jobs=2)
+    assert merge.doc["items"] == 3
+    assert all(v.startswith(str(scratch)) for v in values)
+    assert list(scratch.iterdir()) == []
+
+    def boom(item, spool):
+        raise RuntimeError("injected fleet failure")
+
+    # a failed worker's traceback is read before the spool goes
+    with pytest.raises(RuntimeError, match="injected fleet failure"):
+        run_fleet([0, 1], boom, jobs=2)
+    assert list(scratch.iterdir()) == []

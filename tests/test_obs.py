@@ -423,6 +423,36 @@ def test_cli_run_trace_survives_violation(tmp_path, capsys):
     assert "run.execute" in trace and "seed=3" in trace
 
 
+def test_cli_mc_trace_alone_leaves_explorer_unwrapped(tmp_path, capsys,
+                                                     monkeypatch):
+    src = tmp_path / "aba.synl"
+    src.write_text(corpus.ABA_STACK)
+    wrapped = []
+    real = observers._timed
+
+    def spy(fn, acc, work):
+        wrapped.append(fn.__name__)
+        return real(fn, acc, work)
+
+    monkeypatch.setattr(observers, "_timed", spy)
+    argv = ["mc", str(src), "PopCheck()", "Recycle()", "--mode", "por"]
+    assert cli.main(argv + ["--trace"]) == 0
+    trace = capsys.readouterr().out.split("-- trace --", 1)[1]
+    assert "mc.run" in trace and "mc.init" in trace \
+        and "mc.dfs" in trace
+    assert wrapped == []
+    # every profile view still times the explorer's methods
+    for flags in (["--profile"], ["--profile-out",
+                                  str(tmp_path / "mc.folded")]):
+        assert cli.main(argv + flags) == 0
+        assert wrapped == ["_successors", "_key", "_alone"]
+        wrapped.clear()
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    assert cli.main(argv + ["--trace"]) == 0
+    assert wrapped == ["_successors", "_key", "_alone"]
+    capsys.readouterr()
+
+
 def test_cli_experiments_rejects_obs_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["experiments", "figure3", "--profile"])
@@ -448,9 +478,9 @@ def test_schema_registry_matches_live_constants():
     from repro.obs import schemas
 
     registry = schemas.registry()
-    assert set(registry) == {"events", "graph", "profile", "manifest",
-                             "lint", "cex", "heatmap", "summary",
-                             "perfdiff", "fleet"}
+    assert set(registry) == {"events", "graph", "profile", "lint",
+                             "cex", "heatmap", "summary", "perfdiff",
+                             "fleet"}
     assert all(isinstance(v, int) and v >= 1
                for v in registry.values())
     # every emitter imports its constant from the registry, so the
@@ -458,7 +488,20 @@ def test_schema_registry_matches_live_constants():
     assert schemas.check_registry() == []
 
 
-def test_schema_registry_backs_ledger_manifest():
-    from repro.obs import ledger, schemas
+def test_schema_registry_backs_run_meta():
+    from repro.obs import schemas
+    from repro.obs.export import run_meta
 
-    assert ledger.schema_versions() == schemas.registry()
+    assert run_meta()["schema_versions"] == schemas.registry()
+
+
+def test_run_meta_carries_argv_and_seed(monkeypatch):
+    from repro.obs.export import RUN_META_SCHEMA, run_meta, validate
+
+    monkeypatch.setattr("sys.argv", ["repro", "analyze", "x.synl"])
+    meta = run_meta(seed=9)
+    assert meta["argv"] == ["analyze", "x.synl"]
+    assert meta["seed"] == 9
+    assert "run_id" not in meta
+    assert validate(meta, RUN_META_SCHEMA) == []
+    assert run_meta()["seed"] is None

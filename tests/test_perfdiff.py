@@ -1,5 +1,5 @@
 """Differential profiling: side construction from every operand form
-(``bench/run.py`` records, profile docs, folded files, ledger runs),
+(``bench/run.py`` records, profile docs, folded files),
 the ranked attribution document, the increase-only drift gate, and the
 rendered table — plus schema validation, so ``perf diff --json``
 output stays machine-checkable."""
@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import ledger
 from repro.obs.export import PERFDIFF_SCHEMA, validate
 from repro.obs.perfdiff import (DEFAULT_THRESHOLD, WORK_FLOOR,
                                 attribute, diff_specs, group_of,
@@ -212,25 +211,7 @@ def test_resolve_side_collapsed_stack_file(tmp_path):
 
 def test_resolve_side_unknown_operand_raises(tmp_path):
     with pytest.raises(ValueError):
-        resolve_side(str(tmp_path / "nope"), root=tmp_path / "runs")
-
-
-def test_resolve_side_ledger_run(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "runs"))
-    rec = ledger.start(["analyze", "x.synl"], "analyze")
-    try:
-        rec.add_artifact("profile.json", {
-            "v": 1, "hotspots": [
-                {"name": "analysis.classify", "calls": 1, "work": 7,
-                 "wall_s": 0.001, "share": 1.0}]})
-        rec.finish(0, "ok")
-    finally:
-        # release the module-global recorder, or every later ledgered
-        # command in this process records nothing
-        ledger.stop(rec)
-    side = resolve_side("last", root=tmp_path / "runs")
-    assert side["counters"]["analysis.classify"]["work"] == 7
-    assert side["label"].startswith("ledger:")
+        resolve_side(str(tmp_path / "nope"))
 
 
 # -- rendering ---------------------------------------------------------------------

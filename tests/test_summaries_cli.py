@@ -220,3 +220,32 @@ def test_summaries_canary_writes_stats_doc(tmp_path, capsys):
     assert doc["kind"] == "summary-stats"
     assert doc["canary"] and doc["ok"]
     assert doc["programs"] >= 19
+
+
+# -- --trace through the summary store ----------------------------------------
+
+def test_corpus_trace_prints_and_embeds_the_span_tree(tmp_path, capsys):
+    argv = ["analyze", "--corpus", *_store_args(tmp_path), "--trace"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    trace = out.split("-- trace --", 1)[1]
+    assert "summary.resolve" in trace
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trace"] and all("name" in span for span in doc["trace"])
+    assert main(["analyze", "--corpus", *_store_args(tmp_path),
+                 "--json"]) == 0
+    assert "trace" not in json.loads(capsys.readouterr().out)
+
+
+def test_trace_key_does_not_depend_on_the_cache(tmp_path, capsys):
+    target = _write(tmp_path, "q.synl", corpus.NFQ_PRIME)
+    argv = ["analyze", target, "--json", *_store_args(tmp_path),
+            "--trace-out", str(tmp_path / "t.json")]
+    assert main(argv) == 0
+    miss = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    hit = json.loads(capsys.readouterr().out)
+    assert miss["cached"] is False and hit["cached"] is True
+    assert "trace" in miss
+    assert set(hit) == set(miss)

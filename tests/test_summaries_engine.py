@@ -8,6 +8,7 @@ import json
 
 from repro import corpus
 from repro.analysis.inference import InferenceOptions
+from repro.analysis import analyze_program
 from repro.analysis.summaries import (
     SummaryStore,
     analyze_with_summaries,
@@ -16,6 +17,7 @@ from repro.analysis.summaries import (
     verify_store,
     warm_canary,
 )
+from repro.analysis.summaries.engine import drift_doc, render_drift
 from repro.obs.profile import Profiler
 
 
@@ -250,6 +252,38 @@ def test_verify_store_catches_tampered_program_doc(tmp_path):
     assert report["checked"] == 1
     assert len(report["mismatches"]) == 1
     assert not report["mismatches"][0]["diff"]["empty"]
+
+
+def test_identical_analyses_diff_empty():
+    a = analyze_program(corpus.ABA_STACK).to_dict()
+    b = analyze_program(corpus.ABA_STACK).to_dict()
+    diff = drift_doc("a", a, "b", b)
+    assert diff["empty"] is True
+    assert "no drift" in render_drift(diff)
+
+
+def test_aba_fix_shows_classification_drift():
+    a = analyze_program(corpus.ABA_STACK).to_dict()
+    b = analyze_program(corpus.ABA_STACK_FIXED).to_dict()
+    diff = drift_doc("aba", a, "aba-fixed", b)
+    assert diff["empty"] is False
+    # the versioned-CAS fix reclassifies blocks and gains Thm 5.4
+    assert diff["classification"]
+    gained = {t for e in diff["theorems"] for t in e["gained"]}
+    assert "5.4" in gained
+    table = render_drift(diff)
+    assert table.splitlines()[0] == "drift aba -> aba-fixed"
+    assert any(line.startswith("class    | ")
+               for line in table.splitlines())
+
+
+def test_verdict_flip_alone_is_drift():
+    doc = analyze_program(corpus.CAS_COUNTER).to_dict()
+    flipped = dict(doc, all_atomic=not doc["all_atomic"])
+    diff = drift_doc("stored", flipped, "fresh", doc)
+    assert not diff["classification"] and not diff["procedures"]
+    assert diff["outcome"] is not None and diff["empty"] is False
+    assert "outcome  | " in render_drift(diff)
 
 
 # -- options and corpus --------------------------------------------------------
