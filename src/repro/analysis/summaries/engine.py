@@ -426,7 +426,7 @@ def _analyze_one(store: SummaryStore,
                  known_names=None) -> dict:
     """One corpus target through the store; returns a self-contained
     ``{"label", "row", "doc", "drift"}`` (or ``{"label", "error"}``)
-    cell — JSON-able, so a fleet worker can ship it back verbatim."""
+    cell — JSON-able, so a ``--jobs`` worker can return it."""
     from repro.errors import ReproError
 
     try:
@@ -447,7 +447,7 @@ def _analyze_one(store: SummaryStore,
 
 def _assemble_corpus_report(cells: list[dict], stats: dict) -> dict:
     """Fold per-target cells (already in target order) into the
-    corpus report shape — shared by the sequential and fleet paths so
+    corpus report shape — shared by the sequential and parallel paths so
     their output is byte-identical."""
     rows: list[dict] = []
     drift: list[dict] = []
@@ -478,56 +478,36 @@ def analyze_corpus(store: SummaryStore,
     drift}`` and ``docs`` maps label to the stable (volatile-free)
     analysis doc — the corpus canary compares these across passes.
 
-    With ``jobs > 1`` the targets are fanned across forked worker
-    processes via :func:`repro.obs.fleet.run_fleet`: each worker opens
-    the same on-disk store (record writes are tmp-file +
-    ``os.replace`` atomic, so concurrent workers cannot tear each
-    other's records) and spools its own telemetry.  Per-target cells are reassembled in the
-    original target order, so the report — rows, docs, drift, errors —
-    is **byte-identical** to a sequential run; the merged fleet
-    telemetry rides along under ``"fleet"`` and the worker profilers
-    are folded into ``profiler`` when one was passed."""
+    With ``jobs > 1`` the targets are fanned across forked workers
+    via :func:`repro.parallel.fork_map`: each worker writes to the
+    same on-disk store (record writes are tmp-file + ``os.replace``
+    atomic, so concurrent workers cannot tear each other's records)
+    and returns its per-target cells, which come back in the original
+    target order, so the report — rows, docs, drift, errors — is
+    **byte-identical** to a sequential run.  Workers return values,
+    not telemetry: ``profiler`` and ``events`` need ``jobs == 1``."""
+    from repro.parallel import fork_map
+
+    if jobs > 1 and (events is not None or (
+            profiler is not None and profiler.enabled)):
+        raise ValueError("analyze_corpus records a profile or events "
+                         "only in-process (jobs=1)")
     resolved = list(targets if targets is not None
                     else corpus_targets())
-    # Snapshot the invalidation baseline once: every target — on both
-    # paths — classifies misses against the store as it stood *before*
-    # this pass, so the counts don't depend on target order (or on
-    # which worker raced a colliding name in first).
+    # Snapshot the invalidation baseline once: every target classifies
+    # misses against the store as it stood *before* this pass, so the
+    # counts don't depend on target order (or on which worker raced a
+    # colliding name in first).
     known_names = frozenset(store.known_proc_names())
-    if jobs <= 1:
-        cells = [_analyze_one(store, options, label, source,
-                              profiler=profiler, events=events,
-                              known_names=known_names)
-                 for label, source in resolved]
-        return _assemble_corpus_report(cells, store.stats())
 
-    from repro.obs import fleet
-
-    store_root = store.root
-    opt_fields = dict(options.__dict__) if options is not None else None
-
-    def worker(item, spool_handle):
-        label, source = item
-        worker_store = SummaryStore(store_root)
-        worker_options = InferenceOptions(**opt_fields) \
-            if opt_fields is not None else None
-        cell = _analyze_one(worker_store, worker_options, label,
-                            source, profiler=spool_handle.profiler,
-                            events=spool_handle.events,
+    def one(target: tuple[str, str]) -> dict:
+        label, source = target
+        return _analyze_one(store, options, label, source,
+                            profiler=profiler, events=events,
                             known_names=known_names)
-        return cell
 
-    cells, merge = fleet.run_fleet(resolved, worker, jobs=jobs,
-                                   label="analyze-corpus")
-    report = _assemble_corpus_report(cells, store.stats())
-    report["fleet"] = merge.doc
-    if profiler is not None:
-        profiler.merge(merge.profiler)
-    if events is not None:
-        events.emit("fleet.merge", workers=len(merge.doc["workers"]),
-                    events=merge.doc["events"],
-                    wall_s=merge.doc["wall_s"])
-    return report
+    cells = fork_map(one, resolved, max(1, jobs))
+    return _assemble_corpus_report(cells, store.stats())
 
 
 # -- soundness canaries --------------------------------------------------------

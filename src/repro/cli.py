@@ -317,14 +317,18 @@ def _cmd_analyze_corpus(args) -> int:
     analyze; atomicity verdicts do not affect the exit code (most
     corpus programs are intentionally non-atomic)."""
     from repro.analysis.summaries import engine as summaries
-    from repro.obs import fleet
     from repro.obs.export import run_meta
 
     cfg, profiler = _obs_setup(args)
     events = _events_for(args)
     store = _summary_store_for(args) or summaries.resolve_store(
         None, True)
-    jobs = fleet.resolve_jobs(getattr(args, "jobs", None))
+    jobs = args.jobs
+    if jobs > 1 and (profiler.enabled or events is not None):
+        # workers return values, not telemetry
+        print("note: --jobs runs the corpus in-process when a trace, "
+              "profile or event stream is recorded", file=sys.stderr)
+        jobs = 1
     report = summaries.analyze_corpus(store, profiler=profiler,
                                       events=events, jobs=jobs)
     _write_obs_outputs(args, profiler, events)
@@ -334,8 +338,6 @@ def _cmd_analyze_corpus(args) -> int:
                "drift": report["drift"],
                "stats": report["stats"],
                "run_meta": run_meta()}
-        if "fleet" in report:
-            doc["fleet"] = report["fleet"]
         if cfg.trace or args.trace_out:
             doc["trace"] = profiler.spans()
         print(json.dumps(doc, indent=2))
@@ -356,11 +358,6 @@ def _cmd_analyze_corpus(args) -> int:
         print(f"store {stats['root']}: {stats['procs']} proc / "
               f"{stats['programs']} program record(s), "
               f"{stats['bytes']} bytes")
-        if "fleet" in report:
-            fdoc = report["fleet"]
-            print(f"fleet: {fdoc['jobs']} worker(s), "
-                  f"{fdoc['items']} target(s), straggler "
-                  f"{fdoc['straggler']} ({fdoc['wall_s']:.2f}s)")
         _emit_obs(cfg, profiler, summaries.summary_counts(report["rows"]))
         _emit_profile(cfg, profiler)
     if report["drift"]:
@@ -883,9 +880,8 @@ def cmd_experiments(args) -> int:
     machine-readable document (for ``section63``, the deterministic
     per-mode ``verdicts`` and ``matches_paper`` beside the text), and
     ``section63 --jobs N`` fans the none/por/atomic/both variant grid
-    across fleet worker processes."""
+    across forked worker processes."""
     from repro import experiments
-    from repro.obs import fleet
 
     module = getattr(experiments, args.name, None)
     if module is None or not hasattr(module, "main"):
@@ -894,22 +890,19 @@ def cmd_experiments(args) -> int:
               file=sys.stderr)
         return 2
     doc: dict = {"name": args.name}
-    jobs = fleet.resolve_jobs(args.jobs)
     if args.name == "section63":
         from repro.experiments import section63
 
         n_threads = args.threads if args.threads is not None else 3
-        kwargs = {"n_threads": n_threads, "jobs": jobs}
+        kwargs = {"n_threads": n_threads, "jobs": args.jobs}
         if args.max_states is not None:
             kwargs["max_states"] = args.max_states
         result = section63.run(**kwargs)
         text = section63.render(result, n_threads)
         doc["verdicts"] = result.verdicts()
         doc["matches_paper"] = result.matches_paper
-        if result.fleet is not None:
-            doc["fleet"] = result.fleet
     else:
-        if jobs > 1:
+        if args.jobs > 1:
             print(f"note: --jobs applies to the section63 variant "
                   f"grid; running {args.name!r} in-process",
                   file=sys.stderr)
@@ -975,12 +968,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "through one shared store; exit 1 when any "
                         "cached verdict disagrees with a fresh "
                         "recompute")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="with --corpus: fan targets across N forked "
-                        "worker processes, each spooling per-worker "
-                        "telemetry merged back into one run (also: "
-                        "REPRO_JOBS); output is byte-identical to a "
-                        "sequential pass")
+                        "worker processes; output is byte-identical "
+                        "to a sequential pass, which a trace, profile "
+                        "or event stream forces")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("blocks", parents=[obs],
@@ -1147,11 +1139,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON document "
                         "instead of text")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="section63: fan the none/por/atomic/both "
                         "variant grid across N forked worker "
-                        "processes (also: REPRO_JOBS); per-mode "
-                        "verdicts are identical to a sequential run")
+                        "processes; per-mode verdicts are identical "
+                        "to a sequential run")
     p.add_argument("--threads", type=_count, default=None, metavar="N",
                    help="section63: driver threads (default: 3)")
     p.add_argument("--max-states", type=_count, default=None,

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from repro.corpus.gao_hesselink import GH_PROGRAM1
 from repro.experiments.common import Table
 from repro.interp import Interp, ThreadSpec
-from repro.mc import Explorer, MCResult, observers
+from repro.mc import Explorer, MCResult
+from repro.parallel import fork_map
 
 PAPER = {
     "none": 4_069_080,
@@ -42,8 +43,6 @@ def commutes(a: tuple, b: tuple) -> bool:
 @dataclass
 class Section63Result:
     results: dict[str, MCResult] = field(default_factory=dict)
-    #: merged fleet telemetry doc when the grid ran with ``jobs > 1``
-    fleet: dict | None = None
 
     def verdicts(self) -> dict[str, dict]:
         """Deterministic per-mode verdict map (``experiments
@@ -66,16 +65,15 @@ class Section63Result:
                 and none / por < none / atomic)
 
 
-def _run_one(mode: str, n_threads: int, max_states: int,
-             observer=None) -> MCResult:
+def _run_one(mode: str, n_threads: int, max_states: int) -> MCResult:
     interp = Interp(GH_PROGRAM1)
     specs = [ThreadSpec.of(("Apply", g + 1)) for g in range(n_threads)]
     return Explorer(interp, specs, mode={"none": "full"}.get(mode, mode),
                     commutes=commutes if mode == "both" else None,
-                    max_states=max_states, observer=observer).run()
+                    max_states=max_states).run()
 
 
-#: MCResult fields a fleet worker ships back to the parent — the
+#: MCResult fields a ``--jobs`` worker returns to the parent — the
 #: deterministic verdict of one grid cell plus its wall time.  The
 #: state *sets* (quiescent/final) stay in the worker; the grid only
 #: compares counts.
@@ -88,33 +86,24 @@ def run(n_threads: int = 3, max_states: int = 2_000_000,
         jobs: int = 1) -> Section63Result:
     """Run the §6.3 variant grid, one MC exploration per mode.
 
-    With ``jobs > 1`` the modes are fanned across forked fleet workers
-    (:mod:`repro.obs.fleet`); each cell is an independent state-space
-    exploration, so the per-mode verdicts are identical to a
-    sequential run — only the wall clock changes."""
+    With ``jobs > 1`` the modes are fanned across forked workers
+    (:func:`repro.parallel.fork_map`); each cell is an independent
+    state-space exploration with no observer attached, so the per-mode
+    verdicts are identical to a sequential run — only the wall clock
+    changes."""
     out = Section63Result()
     if jobs <= 1:
         for mode in modes:
             out.results[mode] = _run_one(mode, n_threads, max_states)
         return out
 
-    from repro.obs import fleet
+    def cell(mode: str) -> dict:
+        result = _run_one(mode, n_threads, max_states)
+        return {f: getattr(result, f) for f in _CELL_FIELDS}
 
-    def worker(mode, spool_handle):
-        events = spool_handle.events
-        result = _run_one(mode, n_threads, max_states, observers.compose(
-            observers.Events(events),
-            observers.Profile(spool_handle.profiler, events)))
-        return {"mode": mode,
-                **{f: getattr(result, f) for f in _CELL_FIELDS}}
-
-    cells, merge = fleet.run_fleet(list(modes), worker, jobs=jobs,
-                                   label="section63")
-    for cell in cells:
-        mode = cell.pop("mode")
+    for mode, fields in zip(modes, fork_map(cell, modes, jobs)):
         out.results[mode] = MCResult(
-            mode={"none": "full"}.get(mode, mode), **cell)
-    out.fleet = merge.doc
+            mode={"none": "full"}.get(mode, mode), **fields)
     return out
 
 

@@ -19,8 +19,8 @@ they are plain ``{name: value}`` dicts on the results
 * :mod:`repro.obs.perfdiff` — differential profiling over profiles
   and ``bench/run.py --traced`` records (``repro perf diff``);
 * :mod:`repro.obs.report_html` — the ``repro report`` self-contained
-  HTML artifact (trace + metrics + hotspots + coverage + lint + fleet
-  + perf forensics).
+  HTML artifact (trace + metrics + hotspots + coverage + lint + perf
+  forensics).
 
 A command's ``--json`` document is the one record of what it
 concluded.  :mod:`repro.obs.export` serializes analysis/model-checking

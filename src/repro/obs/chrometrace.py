@@ -12,13 +12,6 @@ Spans are laid out on one *track* (Chrome "thread"), ``spans``;
 instant events get their own track per event domain (``mc``, ``sched``,
 ``interp``, ``dyn``) so a violation marker is visually aligned with the
 DFS span it interrupted.
-
-Events carrying a ``pid`` stamp (every record since the fleet layer —
-see :mod:`repro.obs.events`) land on that pid's *process* lane, so a
-merged multi-worker stream renders one labelled lane per worker
-process instead of interleaving into a single unreadable track; when
-more than one pid appears, ``process_name`` metadata rows name each
-lane (``worker-00 (pid 4242)``).
 """
 
 from __future__ import annotations
@@ -81,31 +74,17 @@ def to_trace_events(profiler=None, events=None) -> list[dict]:
         for root in profiler.roots:
             _span_events(root, track_of("spans", _SPAN_TRACK_BASE),
                          epoch, out)
-    pids: dict[int, Optional[str]] = {}
     if events is not None:
-        snap = events.snapshot()
-        for ev in snap:
-            pid = ev.get("pid")
-            if pid is None:
-                continue
-            if pid not in pids or ev.get("worker"):
-                pids[pid] = ev.get("worker", pids.get(pid))
-        # per-process lanes only for genuinely multi-process streams
-        # (fleet merges): a single-process run keeps everything on the
-        # legacy pid-1 lane, aligned with its span tracks
-        fleet = len(pids) > 1
-        for ev in snap:
+        for ev in events.snapshot():
             domain = ev["kind"].split(".", 1)[0]
             args = {k: v for k, v in ev.items()
-                    if k not in ("v", "seq", "t", "kind", "pid",
-                                 "worker")}
+                    if k not in ("v", "seq", "t", "kind", "pid")}
             args["seq"] = ev["seq"]
-            pid = ev.get("pid", _PID) if fleet else _PID
             out.append({
                 "name": ev["kind"],
                 "ph": "i",
                 "s": "t",   # thread-scoped instant
-                "pid": pid,
+                "pid": _PID,
                 "tid": track_of(f"events:{domain}", _EVENT_TRACK_BASE),
                 "ts": round((ev["t"] - epoch) * 1e6, 3),
                 "args": args,
@@ -119,17 +98,6 @@ def to_trace_events(profiler=None, events=None) -> list[dict]:
             "tid": tid,
             "args": {"name": name},
         })
-    # name the per-worker process lanes when more than one pid appears
-    if len(pids) > 1:
-        for pid, worker in sorted(pids.items()):
-            label = f"{worker} (pid {pid})" if worker else f"pid {pid}"
-            out.append({
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": label},
-            })
     return out
 
 

@@ -23,9 +23,7 @@ can be evicted.  Call sites hold an ``Optional[EventStream]`` and guard
 with ``if stream is not None`` — disabled instrumentation costs one
 attribute check.
 Every record is additionally stamped with the emitting process id
-(``pid``), and — when the stream was created by a fleet worker — the
-worker label (``worker``), so the events in N worker spools stay
-attributable and land on per-process Chrome-trace lanes.
+(``pid``).
 """
 
 from __future__ import annotations
@@ -69,8 +67,6 @@ KINDS = {
                         "cached"),
     "summary.replay": ("label", "procs"),
     "summary.emit": ("label", "procs", "drift"),
-    # fleet merge summary (obs.fleet.merge_spools)
-    "fleet.merge": ("workers", "events", "wall_s"),
 }
 
 #: JSON-schema (export.validate subset) for one event
@@ -83,7 +79,6 @@ EVENT_SCHEMA = {
         "t": {"type": "number"},
         "kind": {"type": "string", "enum": sorted(KINDS)},
         "pid": {"type": "integer"},
-        "worker": {"type": "string"},
     },
 }
 
@@ -92,16 +87,12 @@ class EventStream:
     always-complete JSONL sink."""
 
     def __init__(self, capacity: int = 4096,
-                 sink: Union[None, str, pathlib.Path, IO] = None,
-                 worker: Optional[str] = None):
+                 sink: Union[None, str, pathlib.Path, IO] = None):
         self._ring: deque = deque(maxlen=capacity)
         self._seq = 0
         self._emitted = 0
-        # cached once: streams are constructed post-fork, so the pid
-        # stamped on every record is the emitting process, and the
-        # stamp costs no syscall per event
+        # cached once: the stamp costs no syscall per event
         self._pid = os.getpid()
-        self._worker = worker
         self._fh: Optional[IO] = None
         self._owns_fh = False
         if sink is not None:
@@ -118,8 +109,6 @@ class EventStream:
         event = {"v": SCHEMA_VERSION, "seq": self._seq,
                  "t": time.perf_counter(), "kind": kind,
                  "pid": self._pid}
-        if self._worker is not None:
-            event["worker"] = self._worker
         event.update(fields)
         self._seq += 1
         self._emitted += 1
@@ -137,24 +126,11 @@ class EventStream:
         """Total events emitted (>= len() once the ring wraps)."""
         return self._emitted
 
-    @property
-    def dropped(self) -> int:
-        """Events evicted from the ring (still in the sink, if any)."""
-        return self._emitted - len(self._ring)
-
     def snapshot(self, kind: Optional[str] = None) -> list[dict]:
         """The retained events, oldest first (optionally one kind)."""
         if kind is None:
             return [dict(e) for e in self._ring]
         return [dict(e) for e in self._ring if e["kind"] == kind]
-
-    def drain(self, limit: Optional[int] = None) -> list[dict]:
-        """The most recent ``limit`` retained events (all when
-        None)."""
-        events = [dict(e) for e in self._ring]
-        if limit is not None and limit < len(events):
-            return events[-limit:]
-        return events
 
     # -- output ------------------------------------------------------------
     def write_jsonl(self, path: Union[str, pathlib.Path]) -> pathlib.Path:

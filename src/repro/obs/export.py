@@ -12,8 +12,6 @@ and is imported lazily to keep ``repro.obs`` free of import cycles.
 
 from __future__ import annotations
 
-from typing import Optional
-
 #: throughput rates computed over windows at or below this are
 #: noise-dominated (timer resolution + interpreter jitter swamp the
 #: signal on sub-millisecond runs) and are reported as 0.0
@@ -218,7 +216,6 @@ RUN_META_SCHEMA = {
     "required": ["argv", "schema_versions"],
     "properties": {
         "argv": {"type": "array", "items": {"type": "string"}},
-        "seed": {"type": ["integer", "null"]},
         "schema_versions": {"type": "object"},
     },
 }
@@ -378,15 +375,15 @@ PERFDIFF_SCHEMA = {
 
 # -- serializers ---------------------------------------------------------------
 
-def run_meta(seed: Optional[int] = None) -> dict:
-    """The shared ``run_meta`` block: the process's argv, the seed and
-    the schema versions, so every exported artifact says what produced
+def run_meta() -> dict:
+    """The shared ``run_meta`` block: the process's argv and the
+    schema versions, so every exported artifact says what produced
     it."""
     import sys
 
     from repro.obs import schemas
 
-    return {"argv": [str(a) for a in sys.argv[1:]], "seed": seed,
+    return {"argv": [str(a) for a in sys.argv[1:]],
             "schema_versions": schemas.registry()}
 
 

@@ -28,9 +28,7 @@ A scoped ``profiler.region("name", **attrs)`` (plus the lock-free
 
 :meth:`Profiler.to_dict` emits the schema-validated hotspot document
 embedded in analysis/MC JSON output
-(:data:`repro.obs.export.PROFILE_SCHEMA`).  Entries and folded stacks
-cross process boundaries (:meth:`Profiler.state`, :meth:`merge`);
-spans stay in the process that opened them.  For a per-function view
+(:data:`repro.obs.export.PROFILE_SCHEMA`).  For a per-function view
 of code that carries no regions, run ``python -m cProfile -m repro``.
 
 A disabled profiler (``Profiler(enabled=False)``, or the shared
@@ -381,40 +379,6 @@ class Profiler:
             events.emit("profile.hotspot", name=entry["name"],
                         wall_s=entry["wall_s"], work=entry["work"],
                         calls=entry["calls"])
-
-    def merge(self, other: "Profiler") -> None:
-        """Fold another profiler's entries into this one."""
-        if not self.enabled:
-            return
-        for name, entry in other._entries.items():
-            entry_self = self._entries.get(name)
-            if entry_self is None:
-                entry_self = self._entries[name] = [0, 0, 0.0]
-            entry_self[0] += entry[0]
-            entry_self[1] += entry[1]
-            entry_self[2] += entry[2]
-        for path, wall in other._folded.items():
-            self._folded[path] = self._folded.get(path, 0.0) + wall
-
-    def state(self) -> dict:
-        """Raw JSON-ready state for cross-process transport: the full
-        ``(calls, work, wall_s)`` triples plus the collapsed-stack
-        accumulator — unlike :meth:`counters` (which drops wall) and
-        :meth:`to_dict` (which ranks and rounds), a profiler
-        round-tripped through :meth:`from_state` merges losslessly."""
-        return {"entries": {name: [e[0], e[1], e[2]]
-                            for name, e in sorted(self._entries.items())},
-                "folded": {path: wall
-                           for path, wall in sorted(self._folded.items())}}
-
-    @classmethod
-    def from_state(cls, doc: dict) -> "Profiler":
-        inst = cls()
-        inst._entries = {name: [e[0], e[1], float(e[2])]
-                         for name, e in (doc.get("entries") or {}).items()}
-        inst._folded = {path: float(wall)
-                        for path, wall in (doc.get("folded") or {}).items()}
-        return inst
 
 
 #: shared disabled profiler — the default for instrumented call sites.

@@ -4,8 +4,7 @@ Aggregates the JSON artifacts the other observability surfaces write —
 analysis documents (``repro analyze --json``), MC documents
 (``repro mc --json``), lint reports (``repro lint --json``), event
 streams (``--events-out`` JSONL), state-graph captures, summary-cache
-stats, ``repro perf diff --json`` attributions, the fleet merge
-summaries embedded in ``--jobs`` documents and experiment tables —
+stats, ``repro perf diff --json`` attributions and experiment tables —
 into ONE HTML file with no external assets: styles are one inline
 ``<style>`` block and every chart is inline SVG, so the artifact can
 be attached to CI, mailed, or opened from ``file://`` with nothing
@@ -26,9 +25,6 @@ Sections (each ``<section id="sec-NAME">``, see :data:`SECTIONS`):
   (``repro summaries canary --stats-out`` / store stats documents):
   per-program hit/miss rows and store totals;
 * ``crossval``  — preformatted experiment/cross-validation tables;
-* ``fleet``     — per-worker lanes of the ``fleet`` merge summary in
-  ``analyze --corpus --jobs N --json`` and ``experiments section63
-  --jobs N --json`` documents;
 * ``forensics`` — perf-regression forensics: differential-profiling
   attribution documents (``repro perf diff --json`` / ``--out``)
   with per-region delta bars.
@@ -59,8 +55,7 @@ REPORT_VERSION = 1
 
 #: required section ids; check_html() fails on any that is missing
 SECTIONS = ("overview", "trace", "metrics", "hotspots", "coverage",
-            "statespace", "lint", "summary", "crossval", "fleet",
-            "forensics")
+            "statespace", "lint", "summary", "crossval", "forensics")
 
 
 # -- input collection ----------------------------------------------------------
@@ -79,15 +74,12 @@ class ReportInputs:
     graphs: list[tuple] = field(default_factory=list)  # graph captures
     summaries: list[tuple] = field(default_factory=list)  # cache stats
     perfdiffs: list[tuple] = field(default_factory=list)  # attributions
-    fleets: list[tuple] = field(default_factory=list)  # merge summaries
 
 
 def classify(label: str, doc) -> Optional[str]:
     """Which input bucket a loaded JSON document belongs to, from its
-    shape: ``summary`` | ``perfdiff`` | ``fleet`` | ``analysis`` |
-    ``mc`` | ``lint`` | ``events``; None when unrecognized.  A
-    ``fleet`` document is one that embeds a merge summary under
-    ``fleet`` (a ``--jobs`` run's ``--json`` document)."""
+    shape: ``summary`` | ``perfdiff`` | ``analysis`` | ``mc`` |
+    ``lint`` | ``events``; None when unrecognized."""
     if isinstance(doc, list):
         if doc and all(isinstance(e, dict) and "kind" in e
                        and "seq" in e for e in doc):
@@ -99,9 +91,6 @@ def classify(label: str, doc) -> Optional[str]:
         return "summary"
     if doc.get("kind") == "perfdiff":
         return "perfdiff"
-    if isinstance(doc.get("fleet"), dict) \
-            and doc["fleet"].get("kind") == "fleet":
-        return "fleet"
     if "procedures" in doc and "all_atomic" in doc:
         return "analysis"
     if "mode" in doc and "states" in doc and "transitions" in doc:
@@ -164,8 +153,6 @@ def collect_inputs(paths: list[Union[str, pathlib.Path]]
             inputs.summaries.append((label, doc))
         elif kind == "perfdiff":
             inputs.perfdiffs.append((label, doc))
-        elif kind == "fleet":
-            inputs.fleets.append((label, doc["fleet"]))
     return inputs
 
 
@@ -738,48 +725,6 @@ def _forensics(inputs: ReportInputs) -> str:
     return "".join(parts)
 
 
-def _fleet(inputs: ReportInputs) -> str:
-    """Fleet telemetry: per-worker lanes from merged ``--jobs``
-    spools — the worker table with straggler attribution, per-worker
-    wall bars, and the merge summary."""
-    parts = []
-    for label, doc in inputs.fleets:
-        straggler = doc.get("straggler")
-        title = (f"{label} &mdash; {doc.get('jobs', '?')} worker(s), "
-                 f"{doc.get('items', 0)} item(s)")
-        if doc.get("label"):
-            title += f", {_esc(doc['label'])}"
-        parts.append(f"<h3>{title}</h3>")
-        rows = []
-        for w in doc.get("workers", []):
-            name = w.get("worker", "?")
-            rows.append([
-                name + (" *" if name == straggler else ""),
-                w.get("pid", "?"), w.get("items", 0),
-                w.get("events", 0),
-                f"{w.get('wall_s', 0.0):.3f}",
-                f"{w.get('rss_mb', 0.0):.1f}"])
-        parts.append(_table(
-            ["worker", "pid", "items", "events", "wall s", "rss MB"],
-            rows, "mono"))
-        parts.append(
-            f"<p>merged {doc.get('events', 0)} event(s) across "
-            f"{len(doc.get('workers', []))} spool(s); straggler "
-            f"{_esc(str(straggler))} (*) bounds the fleet wall clock "
-            f"at {doc.get('wall_s', 0.0):.3f}s</p>")
-        bars = [(w.get("worker", "?"), w.get("wall_s", 0.0))
-                for w in doc.get("workers", [])]
-        if any(v for _, v in bars):
-            parts.append(_svg_hbars(
-                bars, title=f"per-worker wall — {label}"))
-    if not parts:
-        return _placeholder(
-            "fleet telemetry", "pass the --json document of repro "
-            "analyze --corpus --jobs N or repro experiments section63 "
-            "--jobs N")
-    return "".join(parts)
-
-
 # -- document assembly ---------------------------------------------------------
 
 _STYLE = """
@@ -816,7 +761,6 @@ def render_report(inputs: ReportInputs,
         "lint": ("Lint findings", _lint(inputs)),
         "summary": ("Summary cache", _summary(inputs)),
         "crossval": ("Cross-validation tables", _crossval(inputs)),
-        "fleet": ("Fleet", _fleet(inputs)),
         "forensics": ("Perf forensics", _forensics(inputs)),
     }
     nav = "".join(f"<a href='#sec-{name}'>{_esc(label)}</a>"
@@ -983,17 +927,6 @@ SELF_CHECK_FIXTURE = {
                   "root": ".repro/summaries", "procs": 4,
                   "programs": 2, "bytes": 20480,
                   "schema_refused": 0, "corrupt": 0}},
-    "corpus_fleet.json": {
-        "programs": [], "errors": [], "drift": [],
-        "fleet": {
-            "v": 1, "kind": "fleet", "jobs": 2,
-            "label": "analyze-corpus", "items": 22, "events": 70,
-            "wall_s": 0.31, "straggler": "worker-01",
-            "workers": [
-                {"worker": "worker-00", "pid": 4242, "items": 11,
-                 "events": 34, "wall_s": 0.27, "rss_mb": 21.0},
-                {"worker": "worker-01", "pid": 4243, "items": 11,
-                 "events": 36, "wall_s": 0.31, "rss_mb": 20.5}]}},
     "crossval.txt": ("Lint/MC cross-validation (fixture)\n\n"
                      "program   | lint errors | violation\n"
                      "----------+-------------+----------\n"
@@ -1015,9 +948,7 @@ def fixture_inputs() -> ReportInputs:
         summaries=[("summary_stats.json",
                     dict(fx["summary_stats.json"]))],
         perfdiffs=[("PERFDIFF_attribution.json",
-                    dict(fx["PERFDIFF_attribution.json"]))],
-        fleets=[("corpus_fleet.json",
-                 dict(fx["corpus_fleet.json"]["fleet"]))])
+                    dict(fx["PERFDIFF_attribution.json"]))])
 
 
 def self_check() -> tuple[int, str]:
@@ -1038,8 +969,7 @@ def self_check() -> tuple[int, str]:
                          ("replayed from cache", "summary-cache "
                           "section"),
                          ("attributed work", "perfdiff attribution "
-                          "table"),
-                         ("straggler", "fleet merge summary")):
+                          "table")):
         if marker not in html_text:
             problems.append(f"{what} missing from fixture render")
     from repro.obs import schemas

@@ -48,11 +48,6 @@ SUMMARY = 2
 #: ``--out`` file)
 PERFDIFF = 1
 
-#: fleet merge-summary documents and worker spool layout
-#: (:mod:`repro.obs.fleet` — per-worker telemetry spools and the
-#: cross-process aggregator behind ``--jobs``)
-FLEET = 1
-
 
 def registry() -> dict:
     """``{subsystem: version}`` for every versioned document schema —
@@ -66,7 +61,6 @@ def registry() -> dict:
         "heatmap": HEATMAP,
         "summary": SUMMARY,
         "perfdiff": PERFDIFF,
-        "fleet": FLEET,
     }
 
 
@@ -77,7 +71,7 @@ def check_registry() -> list[str]:
     a local version literal again."""
     from repro.analysis.summaries import store as summary_store
     from repro.mc import cex
-    from repro.obs import events, fleet, graph, heatmap, perfdiff, profile
+    from repro.obs import events, graph, heatmap, perfdiff, profile
 
     live = {
         "events": events.SCHEMA_VERSION,
@@ -87,7 +81,6 @@ def check_registry() -> list[str]:
         "heatmap": heatmap.SCHEMA_VERSION,
         "summary": summary_store.SCHEMA_VERSION,
         "perfdiff": perfdiff.SCHEMA_VERSION,
-        "fleet": fleet.SCHEMA_VERSION,
     }
     problems = []
     reg = registry()

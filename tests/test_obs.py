@@ -479,8 +479,7 @@ def test_schema_registry_matches_live_constants():
 
     registry = schemas.registry()
     assert set(registry) == {"events", "graph", "profile", "lint",
-                             "cex", "heatmap", "summary", "perfdiff",
-                             "fleet"}
+                             "cex", "heatmap", "summary", "perfdiff"}
     assert all(isinstance(v, int) and v >= 1
                for v in registry.values())
     # every emitter imports its constant from the registry, so the
@@ -495,13 +494,11 @@ def test_schema_registry_backs_run_meta():
     assert run_meta()["schema_versions"] == schemas.registry()
 
 
-def test_run_meta_carries_argv_and_seed(monkeypatch):
+def test_run_meta_carries_argv(monkeypatch):
     from repro.obs.export import RUN_META_SCHEMA, run_meta, validate
 
     monkeypatch.setattr("sys.argv", ["repro", "analyze", "x.synl"])
-    meta = run_meta(seed=9)
+    meta = run_meta()
     assert meta["argv"] == ["analyze", "x.synl"]
-    assert meta["seed"] == 9
     assert "run_id" not in meta
     assert validate(meta, RUN_META_SCHEMA) == []
-    assert run_meta()["seed"] is None

@@ -76,18 +76,6 @@ def test_hotspots_ranked_by_wall_then_work_then_name():
     assert len(top) == 1 and top[0]["share"] == pytest.approx(0.5)
 
 
-def test_merge_folds_entries():
-    a, b = Profiler(), Profiler()
-    a.acc("x", 0.1, work=1)
-    b.acc("x", 0.3, work=2)
-    b.add("y", 5)
-    a.merge(b)
-    by_name = {h["name"]: h for h in a.hotspots()}
-    assert by_name["x"]["work"] == 3
-    assert by_name["x"]["wall_s"] == pytest.approx(0.4)
-    assert by_name["y"]["work"] == 5
-
-
 # -- disabled path -----------------------------------------------------------------
 
 def test_disabled_profiler_is_inert():
@@ -307,18 +295,6 @@ def test_folded_lines_format_and_write(tmp_path):
     target = tmp_path / "nested" / "profile.folded"
     prof.write_folded(target)
     assert target.read_text().splitlines() == lines
-
-
-def test_merge_combines_folded_without_double_count():
-    a, b = Profiler(), Profiler()
-    with a.region("r"):
-        a.acc("x", 0.001)
-    with b.region("r"):
-        b.acc("x", 0.003)
-    a.merge(b)
-    assert a.folded()["r;x"] == pytest.approx(0.004)
-    # entries merged once, not re-folded through the live stack
-    assert a._entries["x"][0] == 2
 
 
 def test_to_dict_carries_folded_and_validates():

@@ -115,8 +115,6 @@ def test_collect_inputs_scans_and_buckets(tmp_path):
     (tmp_path / "crossval.txt").write_text(fx["crossval.txt"])
     (tmp_path / "summary_stats.json").write_text(
         json.dumps(fx["summary_stats.json"]))
-    (tmp_path / "corpus_fleet.json").write_text(
-        json.dumps(fx["corpus_fleet.json"]))
     (tmp_path / "junk.json").write_text("not json {")
     (tmp_path / "PERFDIFF_attribution.json").write_text(
         json.dumps(fx["PERFDIFF_attribution.json"]))
@@ -130,8 +128,6 @@ def test_collect_inputs_scans_and_buckets(tmp_path):
     assert [label for label, _ in inputs.tables] == ["crossval.txt"]
     assert [label for label, _ in inputs.summaries] \
         == ["summary_stats.json"]
-    assert [label for label, _ in inputs.fleets] == \
-        ["corpus_fleet.json"]
 
     html_text = render_report(inputs)
     assert check_html(html_text) == []
@@ -142,7 +138,6 @@ def test_collect_inputs_skips_missing_paths(tmp_path):
     inputs = collect_inputs([tmp_path / "no-such-dir",
                              tmp_path / "no-such-file.json"])
     assert inputs.analyses == []
-    assert inputs.fleets == []
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -280,28 +275,3 @@ def test_collect_inputs_buckets_perfdiff(tmp_path):
     (label_doc,) = inputs.perfdiffs
     assert label_doc[0] == "PERFDIFF_attribution.json"
     assert label_doc[1]["drifted"] == ["gh-full/mc.canonical"]
-
-
-def test_collect_inputs_reads_fleet_embedded_in_jobs_documents(
-        tmp_path, capsys):
-    # the Fleet section reads the ``fleet`` object of the --jobs
-    # commands' --json documents; a sequential run embeds none
-    assert cli.main(["experiments", "section63", "--threads", "2",
-                     "--max-states", "200", "--jobs", "2",
-                     "--json"]) == 0
-    grid = json.loads(capsys.readouterr().out)
-    assert cli.main(["experiments", "section63", "--threads", "2",
-                     "--max-states", "200", "--json"]) == 0
-    sequential = json.loads(capsys.readouterr().out)
-    assert "fleet" not in sequential
-    (tmp_path / "grid.json").write_text(json.dumps(grid))
-    (tmp_path / "sequential.json").write_text(json.dumps(sequential))
-    (tmp_path / "corpus_fleet.json").write_text(
-        json.dumps(SELF_CHECK_FIXTURE["corpus_fleet.json"]))
-    inputs = collect_inputs([tmp_path])
-    assert [(label, doc["label"]) for label, doc in inputs.fleets] == [
-        ("corpus_fleet.json", "analyze-corpus"),
-        ("grid.json", "section63")]
-    assert inputs.fleets[1][1] == grid["fleet"]
-    html_text = render_report(inputs)
-    assert "section63" in html_text and "straggler" in html_text
