@@ -8,7 +8,6 @@
     python -m repro run FILE T0 T1 ...   # execute under a random schedule
     python -m repro mc FILE T0 ... --mode atomic   # model-check
     python -m repro lint FILE            # discipline linter (docs/LINT.md)
-    python -m repro report -o out.html   # unified HTML report artifact
     python -m repro graph stats G.jsonl  # state-graph capture analytics
     python -m repro graph diff A B       # structural drift between runs
     python -m repro analyze --corpus --jobs 4      # parallel corpus pass
@@ -760,40 +759,6 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    """Aggregate observability artifacts into one self-contained HTML
-    file (docs/OBSERVABILITY.md).  Exit codes: 0 complete report,
-    1 rendered but with missing sections (self-check failure), 2 no
-    usable inputs."""
-    from repro.obs import report_html
-
-    if args.self_check:
-        code, message = report_html.self_check()
-        print(message)
-        return code
-    paths = list(args.inputs)
-    if not paths and pathlib.Path("benchmarks/out").is_dir():
-        paths = ["benchmarks/out"]
-    if not paths:
-        print("error: no inputs (pass artifact files/directories, or "
-              "run from a checkout with benchmarks/out)",
-              file=sys.stderr)
-        return 2
-    inputs = report_html.collect_inputs(paths)
-    html_text = report_html.render_report(inputs, title=args.title)
-    out = pathlib.Path(args.output)
-    out.write_text(html_text)
-    problems = report_html.check_html(html_text)
-    n_charts = html_text.count("<svg")
-    print(f"wrote {out} ({len(html_text)} bytes, "
-          f"{n_charts} chart(s))")
-    if problems:
-        print("warning: incomplete report: " + "; ".join(problems),
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _diff_command(args, compute: Callable[[], dict],
                   render: Callable[[dict], str],
                   drifted: Callable[[dict], bool]) -> int:
@@ -819,10 +784,9 @@ def _diff_command(args, compute: Callable[[], dict],
 
 def cmd_perf(args) -> int:
     """Perf regression forensics (docs/OBSERVABILITY.md).  ``diff``
-    resolves two profile-bearing operands — ``bench/run.py --out``
-    JSONL records or directories of them, profile/analysis/mc JSON
-    files, or ``--profile-out`` folded files — and prints the ranked
-    work-counter attribution table.  Exit 0 when no attributed drift
+    resolves two operands — ``bench/run.py --out`` JSONL records or
+    directories of them — and prints the ranked work-counter
+    attribution table.  Exit 0 when no attributed drift
     (identical seeded runs diff empty by construction), 1 on drift, 2
     on a usage error."""
     from repro.obs import perfdiff
@@ -1054,22 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "to report (e.g. 'llsc,race.unlocked')")
     p.set_defaults(fn=cmd_lint)
 
-    p = sub.add_parser("report",
-                       help="aggregate observability artifacts into "
-                            "one self-contained HTML file")
-    p.add_argument("inputs", nargs="*",
-                   help="JSON/JSONL/TXT artifacts or directories "
-                        "(default: benchmarks/out when present)")
-    p.add_argument("-o", "--output", default="report.html",
-                   help="output file (default: report.html)")
-    p.add_argument("--title", default="repro report",
-                   help="report title")
-    p.add_argument("--self-check", action="store_true",
-                   help="render the embedded fixture instead and exit "
-                        "non-zero if any section is missing (CI "
-                        "canary; writes nothing)")
-    p.set_defaults(fn=cmd_report)
-
     p = sub.add_parser("perf",
                        help="perf regression forensics: differential "
                             "profiling with ranked attribution "
@@ -1077,12 +1025,10 @@ def build_parser() -> argparse.ArgumentParser:
     perf_sub = p.add_subparsers(dest="perf_cmd", required=True)
     q = perf_sub.add_parser(
         "diff", help="ranked work-counter attribution between two "
-                     "profile-bearing runs (exit 1 on attributed "
+                     "traced benchmark runs (exit 1 on attributed "
                      "drift, 0 when identical seeded runs diff empty)")
     q.add_argument("a", help="older side: a bench/run.py --out JSONL "
-                             "file or a directory of them, a profile/"
-                             "analysis/mc JSON file, or a "
-                             "--profile-out folded file")
+                             "file or a directory of them")
     q.add_argument("b", help="newer side (same forms)")
     q.add_argument("--threshold", type=_budget, default=None,
                    metavar="FRAC",

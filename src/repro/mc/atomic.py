@@ -37,57 +37,49 @@ class AtomicOutcome:
     desc: str = ""
 
 
-def run_to_commit(interp: Interp, world: World, tid: int,
-                  step_budget: int = 10_000) -> AtomicOutcome:
+#: steps one atomic transition may take.  A run that neither returns
+#: nor revisits a state within it is an error, not a disabled
+#: transition: its states grow without bound
+ATOMIC_STEP_BUDGET = 10_000
+
+
+def run_to_commit(interp: Interp, world: World, tid: int) -> AtomicOutcome:
     """Run thread ``tid``'s next whole invocation as one transition."""
     w = world.copy()
-    # owned by ``w``, which is never copied during the run, so this
-    # stays the thread every step writes
-    thread = w.own_thread(tid)
-    name, args = thread.current_call()
+    name, args = w.threads[tid].current_call()
     outcome = AtomicOutcome(desc=f"t{tid}:{name}{args}")
-    seen = {state_key(w)}
-    for _ in range(step_budget):
-        try:
-            event = interp.step(w, tid)
-        except AssumeFailed:
-            return outcome  # disabled
-        except AssertionViolation as exc:
-            outcome.violation = f"assertion failed in {name}: {exc}"
-            return outcome
-        if event is not None:
-            outcome.events.append(event)
-        if thread.frame is None and thread.steps > 0 \
-                and outcome.events and outcome.events[-1].kind == "return":
-            outcome.world = w
-            return outcome
-        key = state_key(w)
-        if key in seen:
-            return outcome  # pure spinning: disabled from this state
-        seen.add(key)
-    raise InterpError(
-        f"atomic run of {name} exceeded {step_budget} steps")
+    return _run_to_return(interp, w, tid, name, outcome)
 
 
 def run_variant(original: Interp, variant_interp: Interp, world: World,
-                tid: int, variant_name: str,
-                step_budget: int = 10_000) -> AtomicOutcome:
+                tid: int, variant_name: str) -> AtomicOutcome:
     """Run one exceptional variant of the thread's next invocation as a
     single transition (under the variant program's CFGs)."""
     w = world.copy()
-    thread = w.own_thread(tid)  # as in run_to_commit
-    name, args = thread.current_call()
+    name, args = w.threads[tid].current_call()
     outcome = AtomicOutcome(desc=f"t{tid}:{name}{args} via {variant_name}")
     variant_interp.begin_call(w, tid, variant_name, args, display=name)
     outcome.events.append(w.history[-1])
+    return _run_to_return(variant_interp, w, tid, variant_name, outcome)
+
+
+def _run_to_return(interp: Interp, w: World, tid: int, what: str,
+                   outcome: AtomicOutcome) -> AtomicOutcome:
+    """Step thread ``tid`` of ``w`` in place until its invocation of
+    ``what`` returns, then set ``outcome.world``.  A failed assumption
+    or a revisited state (pure spinning) leaves the transition
+    disabled; a failed assertion sets ``outcome.violation``."""
+    # owned by ``w``, which is never copied during the run, so this
+    # stays the thread every step writes
+    thread = w.own_thread(tid)
     seen = {state_key(w)}
-    for _ in range(step_budget):
+    for _ in range(ATOMIC_STEP_BUDGET):
         try:
-            event = variant_interp.step(w, tid)
+            event = interp.step(w, tid)
         except AssumeFailed:
-            return outcome  # this variant's assumptions do not hold
+            return outcome
         except AssertionViolation as exc:
-            outcome.violation = f"assertion failed in {variant_name}: {exc}"
+            outcome.violation = f"assertion failed in {what}: {exc}"
             return outcome
         if event is not None:
             outcome.events.append(event)
@@ -96,7 +88,7 @@ def run_variant(original: Interp, variant_interp: Interp, world: World,
             return outcome
         key = state_key(w)
         if key in seen:
-            return outcome  # residual loop spins: disabled
+            return outcome
         seen.add(key)
     raise InterpError(
-        f"atomic variant {variant_name} exceeded {step_budget} steps")
+        f"atomic run of {what} exceeded {ATOMIC_STEP_BUDGET} steps")

@@ -212,7 +212,6 @@ class Explorer:
                  variant_map: Optional[dict[str, list[str]]] = None,
                  commutes: Optional[Callable] = None,
                  collect_quiescent: bool = False,
-                 atomic_step_budget: int = 10_000,
                  observer=None):
         if mode not in ("full", "por", "atomic", "both"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -227,7 +226,6 @@ class Explorer:
         self.variant_map = variant_map
         self.commutes = commutes
         self.collect_quiescent = collect_quiescent
-        self.atomic_step_budget = atomic_step_budget
         self.safety = SafetyCache()
         #: telemetry hooks (:class:`repro.mc.observers.Observer`);
         #: None = core counters only
@@ -292,12 +290,10 @@ class Explorer:
         if self.variant_interp is not None and self.variant_map is not None:
             outcomes = [(vname, run_variant(self.interp,
                                             self.variant_interp, world,
-                                            tid, vname,
-                                            self.atomic_step_budget))
+                                            tid, vname))
                         for vname in self.variant_map.get(name, [name])]
         else:
-            outcomes = [(None, run_to_commit(self.interp, world, tid,
-                                             self.atomic_step_budget))]
+            outcomes = [(None, run_to_commit(self.interp, world, tid))]
         return [_Succ(o.desc, o.world, o.events, o.violation, tid=tid,
                       kind="atomic", via=via, proc=name)
                 for via, o in outcomes]

@@ -16,11 +16,8 @@ they are plain ``{name: value}`` dicts on the results
   checker's DFS phases, read as a span tree (``--trace``), ranked
   deterministic work counters (``--profile``) and collapsed stacks
   (``--profile-out``);
-* :mod:`repro.obs.perfdiff` — differential profiling over profiles
-  and ``bench/run.py --traced`` records (``repro perf diff``);
-* :mod:`repro.obs.report_html` — the ``repro report`` self-contained
-  HTML artifact (trace + metrics + hotspots + coverage + lint + perf
-  forensics).
+* :mod:`repro.obs.perfdiff` — differential profiling over
+  ``bench/run.py --traced`` records (``repro perf diff``).
 
 A command's ``--json`` document is the one record of what it
 concluded.  :mod:`repro.obs.export` serializes analysis/model-checking

@@ -78,7 +78,7 @@ def to_trace_events(profiler=None, events=None) -> list[dict]:
         for ev in events.snapshot():
             domain = ev["kind"].split(".", 1)[0]
             args = {k: v for k, v in ev.items()
-                    if k not in ("v", "seq", "t", "kind", "pid")}
+                    if k not in ("v", "seq", "t", "kind")}
             args["seq"] = ev["seq"]
             out.append({
                 "name": ev["kind"],

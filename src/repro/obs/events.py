@@ -22,14 +22,11 @@ memory, and optionally mirrors *every* event to a JSONL sink before it
 can be evicted.  Call sites hold an ``Optional[EventStream]`` and guard
 with ``if stream is not None`` — disabled instrumentation costs one
 attribute check.
-Every record is additionally stamped with the emitting process id
-(``pid``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 from collections import deque
@@ -58,7 +55,7 @@ KINDS = {
     # ranked profiler entry (Profiler.emit_hotspots, top-N at run end)
     "profile.hotspot": ("name", "wall_s", "work", "calls"),
     # --progress heartbeat from the DFS (also printed to stderr); the
-    # final beat carries final=True; the report renders these
+    # final beat carries final=True
     "explorer.progress": ("states", "transitions", "depth", "frontier",
                           "elapsed_s", "dedup_hit_rate", "mem_mb",
                           "final"),
@@ -78,7 +75,6 @@ EVENT_SCHEMA = {
         "seq": {"type": "integer"},
         "t": {"type": "number"},
         "kind": {"type": "string", "enum": sorted(KINDS)},
-        "pid": {"type": "integer"},
     },
 }
 
@@ -90,9 +86,6 @@ class EventStream:
                  sink: Union[None, str, pathlib.Path, IO] = None):
         self._ring: deque = deque(maxlen=capacity)
         self._seq = 0
-        self._emitted = 0
-        # cached once: the stamp costs no syscall per event
-        self._pid = os.getpid()
         self._fh: Optional[IO] = None
         self._owns_fh = False
         if sink is not None:
@@ -107,11 +100,9 @@ class EventStream:
     # -- emission ----------------------------------------------------------
     def emit(self, kind: str, **fields) -> dict:
         event = {"v": SCHEMA_VERSION, "seq": self._seq,
-                 "t": time.perf_counter(), "kind": kind,
-                 "pid": self._pid}
+                 "t": time.perf_counter(), "kind": kind}
         event.update(fields)
         self._seq += 1
-        self._emitted += 1
         self._ring.append(event)
         if self._fh is not None:
             self._fh.write(json.dumps(event) + "\n")
@@ -120,11 +111,6 @@ class EventStream:
     # -- inspection --------------------------------------------------------
     def __len__(self) -> int:
         return len(self._ring)
-
-    @property
-    def emitted(self) -> int:
-        """Total events emitted (>= len() once the ring wraps)."""
-        return self._emitted
 
     def snapshot(self, kind: Optional[str] = None) -> list[dict]:
         """The retained events, oldest first (optionally one kind)."""
@@ -161,20 +147,24 @@ def read_jsonl(path: Union[str, pathlib.Path]) -> list[dict]:
     skipped, and a final line with no trailing newline that does not
     parse is dropped: its writer was killed mid-write.  Any other line
     that is not a JSON object raises ``ValueError`` naming the file
-    and line."""
+    and line; a file that is not UTF-8 raises one naming the file."""
     records = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if not line.endswith("\n"):
-                    break       # only the last line can lack one
-                raise ValueError(f"{path}:{number}: not valid JSON") \
-                    from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{number}: not a JSON object")
-            records.append(record)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    if not line.endswith("\n"):
+                        break       # only the last line can lack one
+                    raise ValueError(f"{path}:{number}: not valid JSON") \
+                        from None
+                if not isinstance(record, dict):
+                    raise ValueError(
+                        f"{path}:{number}: not a JSON object")
+                records.append(record)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
     return records

@@ -368,7 +368,6 @@ PERFDIFF_SCHEMA = {
         "drifted": {"type": "array", "items": {"type": "string"}},
         "rows": {"type": "array", "items": PERFDIFF_ROW_SCHEMA},
         "groups": {"type": "object"},
-        "paths": {"type": "array"},
     },
 }
 

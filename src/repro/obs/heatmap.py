@@ -13,9 +13,9 @@ rows into a *source overlay*: each CFG uid is resolved back to its
 procedure, one-line source text (:func:`repro.mc.cex.describe_node`),
 and — when an analysis result is supplied — the mover classification
 the §5.4 inference assigned to that line (reusing the textual matcher
-counterexample explanations use).  The HTML report renders the overlay
-as the "State space" section: statement text × visit intensity ×
-mover class, the localization layer repair tools need.
+counterexample explanations use).  ``repro mc --json`` embeds the
+overlay under ``"heatmap"``: statement text × visit intensity × mover
+class, the localization layer repair tools need.
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ A scoped ``profiler.region("name", **attrs)`` (plus the lock-free
   its wall time to the full ``outer;inner`` path of open regions, so
   :meth:`Profiler.folded_lines` emits standard folded format (integer
   microsecond counts, flamegraph.pl/speedscope-ready,
-  ``--profile-out``) and ``repro report`` renders an inline SVG flame
-  chart from the same data.
+  ``--profile-out``).
 
 :meth:`Profiler.to_dict` emits the schema-validated hotspot document
 embedded in analysis/MC JSON output

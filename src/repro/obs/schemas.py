@@ -9,9 +9,9 @@ This registry is the single source of truth:
   (``events.SCHEMA_VERSION is schemas.EVENTS``);
 * the ``schema_versions`` block of every ``run_meta`` is
   :func:`registry` verbatim;
-* ``repro report --self-check`` calls :func:`check_registry`, which
-  re-imports the live constants from each emitting module and fails
-  loudly if any module ever re-diverges.
+* :func:`check_registry`, run by the tier-1 tests, re-imports the
+  live constants from each emitting module and fails loudly if any
+  module ever re-diverges.
 
 Bump a constant here when (and only when) the corresponding document
 layout changes incompatibly.
@@ -66,9 +66,9 @@ def registry() -> dict:
 
 def check_registry() -> list[str]:
     """Cross-check the registry against the live constants of every
-    emitting module (empty list = consistent).  ``repro report
-    --self-check`` runs this so CI notices the moment a module grows
-    a local version literal again."""
+    emitting module (empty list = consistent).  The tier-1 tests run
+    this so CI notices the moment a module grows a local version
+    literal again."""
     from repro.analysis.summaries import store as summary_store
     from repro.mc import cex
     from repro.obs import events, graph, heatmap, perfdiff, profile

@@ -57,6 +57,17 @@ def test_mc_capped_exits_3(tmp_path, capsys):
     assert code == EXIT_CAPPED
 
 
+def test_mc_atomic_step_budget_exits_2(tmp_path, capsys):
+    # no state of the run ever repeats, so only the step budget stops it
+    grow = "proc Grow() { local x = 0 in { loop { x = x + 1; } } }\n"
+    code = main(["mc", _write(tmp_path, "grow.synl", grow), "Grow()",
+                 "--mode", "atomic"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: atomic run of Grow exceeded 10000 steps" in err
+    assert "Traceback" not in err
+
+
 def test_mc_deadline_exits_4(tmp_path, capsys):
     # a §6.3-style Gao-Hesselink search is far too big to finish in
     # ~0 seconds, so the soft deadline fires; the stop is graceful
@@ -105,18 +116,7 @@ def test_lint_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-# -- report / experiments usage errors ---------------------------------------------
-
-def test_report_without_inputs_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)   # no benchmarks/out fallback here
-    code = main(["report"])
-    assert code == 2
-
-
-def test_report_self_check_exits_0(capsys):
-    code = main(["report", "--self-check"])
-    assert code == 0
-
+# -- experiments usage errors ------------------------------------------------------
 
 def test_experiments_unknown_name_exits_2(capsys):
     code = main(["experiments", "no-such-experiment"])
@@ -147,13 +147,35 @@ def _bench_side(tmp_path, name, calls):
         layers={"mc.canonical": (calls, 0.01)})])
 
 
+#: a four-node POR capture: a diamond whose second edge into dd33 is
+#: a duplicate, and one pruned transition
+GRAPH_RECORDS = [
+    {"kind": "graph.header", "v": 1, "mode": "por", "threads": 2,
+     "node_cap": 200000, "por_pruned": True},
+    {"kind": "node", "id": "aa00", "depth": 1, "init": True, "q": True},
+    {"kind": "node", "id": "bb11", "depth": 2},
+    {"kind": "node", "id": "cc22", "depth": 2},
+    {"kind": "node", "id": "dd33", "depth": 3, "q": True},
+    {"kind": "edge", "src": "aa00", "dst": "bb11", "tid": 0, "uid": 0,
+     "op": "stmt", "mover": "R", "dup": False},
+    {"kind": "edge", "src": "aa00", "dst": "cc22", "tid": 1, "uid": 0,
+     "op": "stmt", "mover": "R", "dup": False},
+    {"kind": "edge", "src": "bb11", "dst": "dd33", "tid": 0, "uid": 1,
+     "op": "stmt", "mover": "L", "dup": False},
+    {"kind": "edge", "src": "cc22", "dst": "dd33", "tid": 1, "uid": 1,
+     "op": "stmt", "mover": "L", "dup": True},
+    {"kind": "pruned", "src": "bb11", "dst": "cc22", "tid": 1, "uid": 0,
+     "op": "stmt"},
+    {"kind": "graph.summary", "nodes": 4, "edges": 4, "pruned": 1,
+     "nodes_written": 4, "edges_written": 4, "truncated": False,
+     "max_depth": 3},
+]
+
+
 def _graph_operand(tmp_path, name, drifted):
     import json
 
-    from repro.obs.report_html import SELF_CHECK_FIXTURE
-
-    text = "".join(json.dumps(r) + "\n"
-                   for r in SELF_CHECK_FIXTURE["graph.jsonl"])
+    text = "".join(json.dumps(r) + "\n" for r in GRAPH_RECORDS)
     path = tmp_path / f"{name}.jsonl"
     path.write_text(text.replace("dd33", "ee44") if drifted else text)
     return str(path)
@@ -169,18 +191,16 @@ def _corrupt_file_operand(tmp_path):
     return str(path)
 
 
-# command -> (make operand, corrupt operand, identical text, drift text)
+# command -> (make operand, identical text, drift text)
 DIFFS = {
-    "graph": (_graph_operand, _corrupt_file_operand,
-              "graphs identical", "graph drift:"),
-    "perf": (_perf_operand, _corrupt_file_operand,
-             "no attributed drift", "DRIFT: 1 region(s)"),
+    "graph": (_graph_operand, "graphs identical", "graph drift:"),
+    "perf": (_perf_operand, "no attributed drift", "DRIFT: 1 region(s)"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(DIFFS))
 def test_diff_identical_exits_0(tmp_path, capsys, command):
-    make, _, identical, drift = DIFFS[command]
+    make, identical, drift = DIFFS[command]
     a = make(tmp_path, "a", False)
     b = make(tmp_path, "b", False)
     assert main([command, "diff", a, b]) == 0
@@ -190,7 +210,7 @@ def test_diff_identical_exits_0(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", sorted(DIFFS))
 def test_diff_drift_exits_1(tmp_path, capsys, command):
-    make, _, identical, drift = DIFFS[command]
+    make, identical, drift = DIFFS[command]
     a = make(tmp_path, "a", False)
     b = make(tmp_path, "b", True)
     assert main([command, "diff", a, b]) == 1
@@ -199,23 +219,36 @@ def test_diff_drift_exits_1(tmp_path, capsys, command):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("operand", ["missing", "corrupt"])
+def _binary_file_operand(tmp_path):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b"\xff\xfe{")     # not UTF-8
+    return str(path)
+
+
+UNREADABLE = {
+    "missing": lambda tmp_path: str(tmp_path / "missing"),
+    "corrupt": _corrupt_file_operand,
+    "binary": _binary_file_operand,
+}
+
+
+@pytest.mark.parametrize("operand", sorted(UNREADABLE))
 @pytest.mark.parametrize("command", sorted(DIFFS))
 def test_diff_unreadable_operand_exits_2(tmp_path, capsys, command, operand):
-    make, corrupt, _, _ = DIFFS[command]
+    make = DIFFS[command][0]
     a = make(tmp_path, "a", False)
-    b = corrupt(tmp_path) if operand == "corrupt" \
-        else str(tmp_path / "missing")
+    b = UNREADABLE[operand](tmp_path)
     assert main([command, "diff", a, b]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert b in err
 
 
 @pytest.mark.parametrize("command", sorted(DIFFS))
 def test_diff_json_stdout_parses(tmp_path, capsys, command):
     import json
 
-    make, _, _, _ = DIFFS[command]
+    make = DIFFS[command][0]
     a = make(tmp_path, "a", False)
     b = make(tmp_path, "b", True)
     assert main([command, "diff", a, b, "--json"]) == 1
@@ -238,8 +271,9 @@ def test_perf_diff_out_written_even_on_drift(tmp_path, capsys):
 
 def test_removed_ledger_commands_are_invalid_choices(capsys):
     # the run ledger and its subcommands are gone: the --json
-    # documents are the one record of a run
-    for argv in (["runs", "list"], ["replay", "last"]):
+    # documents are the one record of a run; so is the HTML report,
+    # which only re-rendered those documents
+    for argv in (["runs", "list"], ["replay", "last"], ["report"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -261,30 +295,6 @@ def test_commands_write_nothing_into_the_working_directory(
     monkeypatch.chdir(cwd)
     assert main([a.format(aba=aba) for a in argv]) in (0, 2)
     assert list(cwd.iterdir()) == []
-
-
-# -- report: a torn events file renders, a corrupt one is skipped ------------------
-
-def test_report_renders_events_with_a_torn_last_line(tmp_path, capsys):
-    import json
-
-    from repro.obs.report_html import SELF_CHECK_FIXTURE
-
-    inputs = tmp_path / "in"
-    inputs.mkdir()
-    (inputs / "events.jsonl").write_text("".join(
-        json.dumps(e) + "\n" for e in SELF_CHECK_FIXTURE["events.jsonl"])
-        + '{"v": 1, "seq": 99, "kind": "explorer.pro')
-    (inputs / "corrupt.jsonl").write_text('{"v": 1}\n{torn\n{"v": 1}\n')
-    (inputs / "binary.json").write_bytes(b"\xff\xfe{")   # not UTF-8
-    out = tmp_path / "report.html"
-    code = main(["report", str(inputs), "-o", str(out)])
-    captured = capsys.readouterr()
-    assert code in (0, 1) and "Traceback" not in captured.err
-    html_text = out.read_text()
-    assert "events.jsonl (progress heartbeats)" in html_text
-    assert "corrupt.jsonl" not in html_text
-    assert "binary.json" not in html_text
 
 
 # -- usage errors: thread specs and budget flags -----------------------------------

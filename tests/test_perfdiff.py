@@ -1,6 +1,5 @@
-"""Differential profiling: side construction from every operand form
-(``bench/run.py`` records, profile docs, folded files),
-the ranked attribution document, the increase-only drift gate, and the
+"""Differential profiling: side construction from ``bench/run.py``
+records and directories of them, the ranked attribution document, the increase-only drift gate, and the
 rendered table — plus schema validation, so ``perf diff --json``
 output stays machine-checkable."""
 
@@ -15,7 +14,6 @@ from repro.obs.export import PERFDIFF_SCHEMA, validate
 from repro.obs.perfdiff import (DEFAULT_THRESHOLD, WORK_FLOOR,
                                 attribute, diff_specs, group_of,
                                 render_attribution, resolve_side,
-                                side_from_folded, side_from_profile_doc,
                                 side_from_records)
 
 #: per-layer calls and self times of a small traced gh-full run
@@ -53,7 +51,7 @@ def _side(label, counters, wall=None):
     return {"label": label,
             "counters": {name: {"calls": c, "work": w}
                          for name, (c, w) in counters.items()},
-            "wall": dict(wall or {}), "folded": {}}
+            "wall": dict(wall or {})}
 
 
 # -- grouping ----------------------------------------------------------------------
@@ -148,17 +146,6 @@ def test_attribution_document_validates():
 
 # -- side builders -----------------------------------------------------------------
 
-def test_side_from_profile_doc():
-    doc = {"v": 1, "hotspots": [
-        {"name": "mc.successors", "calls": 3, "work": 90,
-         "wall_s": 0.01, "share": 0.9}],
-        "folded": {"mc.run;mc.successors": 0.01}}
-    side = side_from_profile_doc("x", doc)
-    assert side["counters"]["mc.successors"] == {"calls": 3, "work": 90}
-    assert side["wall"]["mc.successors"] == 0.01
-    assert side["folded"] == {"mc.run;mc.successors": 0.01}
-
-
 def test_side_from_records_takes_per_workload_medians():
     records = [bench_record(layers={"mc.canonical": (calls, self_s)})
                for calls, self_s in ((400, 0.3), (462, 0.1),
@@ -182,13 +169,6 @@ def test_side_from_records_keeps_timed_layers_without_calls():
     assert "gh-full/mc.por" not in side["counters"]
 
 
-def test_side_from_folded_usecs_to_seconds():
-    side = side_from_folded("x", {"mc.run;mc.successors": 2_000_000})
-    assert side["folded"]["mc.run;mc.successors"] == 2.0
-    # leaf frame gets the wall attribution
-    assert side["wall"]["mc.successors"] == 2.0
-
-
 # -- operand resolution ------------------------------------------------------------
 
 def test_resolve_side_bench_dir(tmp_path):
@@ -202,11 +182,16 @@ def test_resolve_side_bench_dir(tmp_path):
     assert side["label"] == str(tmp_path)
 
 
-def test_resolve_side_collapsed_stack_file(tmp_path):
-    path = tmp_path / "profile.folded"
-    path.write_text("mc.run;mc.successors 1500000\n")
-    side = resolve_side(str(path))
-    assert side["folded"]["mc.run;mc.successors"] == 1.5
+@pytest.mark.parametrize("text", [
+    "mc.run;mc.successors 1500000\n",               # --profile-out
+    '{"v": 1, "hotspots": [{"name": "mc.run", "calls": 1}]}\n',
+], ids=["folded", "profile-doc"])
+def test_resolve_side_rejects_non_bench_files(tmp_path, text):
+    path = tmp_path / "profile.out"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        resolve_side(str(path))
+    assert str(exc.value).startswith(str(path))
 
 
 def test_resolve_side_unknown_operand_raises(tmp_path):
