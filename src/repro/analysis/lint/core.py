@@ -439,12 +439,10 @@ def lint_program(source: Union[str, A.Program], *,
                  label: Optional[str] = None,
                  source_text: Optional[str] = None,
                  rules: Optional[list[str]] = None,
-                 events=None, profiler=None) -> LintResult:
+                 profiler=None) -> LintResult:
     """Run every registered checker over a program (source text or a
     resolved AST).  ``rules`` optionally restricts output to the given
-    rule ids / family prefixes; ``events`` (an
-    :class:`~repro.obs.events.EventStream`) receives ``lint.*`` events
-    when supplied (the ``lint.*`` counters come from
+    rule ids / family prefixes (the ``lint.*`` counters come from
     :func:`lint_counts` over the results); ``profiler`` (a
     :class:`~repro.obs.profile.Profiler`) gets a timed
     ``lint.checker.<name>`` region per checker pass and per-rule
@@ -482,13 +480,4 @@ def lint_program(source: Union[str, A.Program], *,
     result = LintResult(label or "<program>", kept, silenced)
     for rule_id, count in result.counts_by_rule().items():
         profiler.add(f"lint.rule.{rule_id}", count)
-    if events is not None:
-        for diag in result.findings:
-            events.emit("lint.finding", rule=diag.rule,
-                        severity=str(diag.severity),
-                        proc=diag.proc or "",
-                        line=diag.span.line)
-        events.emit("lint.run", target=result.target,
-                    errors=result.errors, warnings=result.warnings,
-                    infos=result.infos)
     return result

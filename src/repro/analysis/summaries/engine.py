@@ -22,9 +22,9 @@ summary resolution:
    --corpus` and `repro summaries verify` alarm on.
 
 Cache traffic is observable: ``summary.*`` profiler regions
-(hash/resolve/replay/emit), ``summary.*`` events, and the hit / miss /
-invalidation counts :func:`summary_counts` derives from the per-target
-rows (``--metrics``).  A drift is reported as a document of
+(hash/resolve/replay/emit) and the hit / miss / invalidation counts
+:func:`summary_counts` derives from the per-target rows
+(``--metrics``).  A drift is reported as a document of
 :func:`drift_doc` (classification, verdict and theorem changes between
 two analysis documents), rendered by :func:`render_drift`.
 """
@@ -237,8 +237,7 @@ def analyze_with_summaries(source: str,
                            *,
                            store: SummaryStore,
                            label: str = "<program>",
-                           profiler=None,
-                           events=None, known_names=None):
+                           profiler=None, known_names=None):
     """Analyze ``source`` through the summary cache.
 
     Returns ``(result, info)`` where ``result`` is either a fresh
@@ -292,18 +291,10 @@ def analyze_with_summaries(source: str,
         "drift": [],
     }
 
-    if events is not None:
-        events.emit("summary.resolve", label=label,
-                    hits=len(hits), misses=len(misses),
-                    invalidated=len(invalidated), cached=full_hit)
-
     if full_hit:
         with prof.region("summary.replay"):
             result = CachedAnalysisResult(program_record, options)
             prof.add("summary.replay", len(proc_keys))
-        if events is not None:
-            events.emit("summary.replay", label=label,
-                        procs=len(proc_keys))
         return result, info
 
     # Miss path: one whole-program run (mirrors the CLI's load path —
@@ -348,10 +339,6 @@ def analyze_with_summaries(source: str,
                               if lint is not None else []),
         })
         prof.add("summary.emit", len(proc_keys))
-
-    if events is not None:
-        events.emit("summary.emit", label=label,
-                    procs=len(proc_keys), drift=len(info["drift"]))
     return result, info
 
 
@@ -422,8 +409,7 @@ def corpus_targets(examples_dir: str | Path | None = "examples/synl",
 def _analyze_one(store: SummaryStore,
                  options: InferenceOptions | None,
                  label: str, source: str, *,
-                 profiler=None, events=None,
-                 known_names=None) -> dict:
+                 profiler=None, known_names=None) -> dict:
     """One corpus target through the store; returns a self-contained
     ``{"label", "row", "doc", "drift"}`` (or ``{"label", "error"}``)
     cell — JSON-able, so a ``--jobs`` worker can return it."""
@@ -432,8 +418,7 @@ def _analyze_one(store: SummaryStore,
     try:
         result, info = analyze_with_summaries(
             source, options, store=store, label=label,
-            profiler=profiler, events=events,
-            known_names=known_names)
+            profiler=profiler, known_names=known_names)
     except ReproError as exc:
         return {"label": label, "error": str(exc)}
     doc = result.to_dict(include_provenance=True)
@@ -469,8 +454,7 @@ def analyze_corpus(store: SummaryStore,
                    options: InferenceOptions | None = None,
                    *,
                    targets: list[tuple[str, str]] | None = None,
-                   profiler=None, events=None,
-                   jobs: int = 1) -> dict:
+                   profiler=None, jobs: int = 1) -> dict:
     """Analyze every target through one shared store.
 
     Returns ``{"rows", "drift", "errors", "docs", "stats"}`` where each
@@ -485,13 +469,12 @@ def analyze_corpus(store: SummaryStore,
     and returns its per-target cells, which come back in the original
     target order, so the report — rows, docs, drift, errors — is
     **byte-identical** to a sequential run.  Workers return values,
-    not telemetry: ``profiler`` and ``events`` need ``jobs == 1``."""
+    not telemetry: ``profiler`` needs ``jobs == 1``."""
     from repro.parallel import fork_map
 
-    if jobs > 1 and (events is not None or (
-            profiler is not None and profiler.enabled)):
-        raise ValueError("analyze_corpus records a profile or events "
-                         "only in-process (jobs=1)")
+    if jobs > 1 and profiler is not None and profiler.enabled:
+        raise ValueError("analyze_corpus records a profile only "
+                         "in-process (jobs=1)")
     resolved = list(targets if targets is not None
                     else corpus_targets())
     # Snapshot the invalidation baseline once: every target classifies
@@ -503,8 +486,7 @@ def analyze_corpus(store: SummaryStore,
     def one(target: tuple[str, str]) -> dict:
         label, source = target
         return _analyze_one(store, options, label, source,
-                            profiler=profiler, events=events,
-                            known_names=known_names)
+                            profiler=profiler, known_names=known_names)
 
     cells = fork_map(one, resolved, max(1, jobs))
     return _assemble_corpus_report(cells, store.stats())

@@ -22,9 +22,7 @@ repeat forever).
 ``analyze``/``blocks``/``variants``/``run``/``mc``/``lint`` accept
 the observability flags ``--trace`` (the span tree of the profiler's
 regions), ``--metrics`` (flat counts), ``--profile`` (ranked hotspot
-table), ``--json`` (machine-readable output), ``--trace-out FILE``
-(Chrome/Perfetto trace-event export) and ``--events-out FILE``
-(structured event stream as JSONL); ``analyze`` also accepts
+table) and ``--json`` (machine-readable output); ``analyze`` also accepts
 ``--explain`` (per-line classification provenance), ``run``/``mc``
 accept ``--explain-cex`` (annotated counterexample timeline on
 violation), and ``mc`` accepts ``--progress N`` (live heartbeat with
@@ -32,13 +30,12 @@ EWMA throughput + ETA), ``--deadline SECS`` (graceful soft timeout,
 exit :data:`EXIT_DEADLINE`), ``--trace-malloc`` (allocation-site
 telemetry) and ``--graph-out FILE`` (stream the explored state graph
 as schema-versioned JSONL; ``--graph-por-pruned`` additionally records
-the transitions POR pruned away).  ``--profile-out FILE`` writes the
-region profile in collapsed-stack format.  ``REPRO_TRACE=1`` / ``REPRO_METRICS=1`` /
-``REPRO_PROFILE=1`` enable the same from the environment — see
-docs/OBSERVABILITY.md.
+the transitions POR pruned away).  See docs/OBSERVABILITY.md.
 
-A command's ``--json`` document is the one record of what it
-concluded; no command keeps a log of its runs.
+A command's ``--json`` document is the one record of a run: with
+``--trace`` it carries the span tree, with ``--profile`` the profile
+document (ranked hotspots and collapsed stacks), and no command keeps
+a log of its runs or writes a telemetry file beside it.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from repro.analysis.blocks import partition_procedure
 from repro.errors import AssertionViolation, ReproError
 from repro.interp import Interp, ThreadSpec, run_random
 from repro.mc import Explorer, observers
-from repro.obs import NULL_PROFILER, ObsConfig, Profiler
+from repro.obs import NULL_PROFILER, Profiler
 from repro.synl.inline import inline_calls
 from repro.synl.parser import parse_program
 from repro.synl.printer import pretty
@@ -123,79 +120,52 @@ _period = _number(float, lambda x: x > 0, "a finite number > 0")
 _budget = _number(float, lambda x: x >= 0, "a finite number >= 0")
 
 
-def _obs_setup(args) -> tuple[ObsConfig, Profiler]:
-    """Resolve REPRO_TRACE/REPRO_METRICS/REPRO_PROFILE plus the CLI
-    flags into the config and the run's profiler.  Any of ``--trace``,
-    ``--trace-out``, ``--profile`` and ``--profile-out`` records
-    regions."""
-    cfg = ObsConfig.from_env().with_flags(
-        trace=getattr(args, "trace", False),
-        metrics=getattr(args, "metrics", False),
-        # --profile-out needs the region profiler recording even when
-        # the ranked-table output was not asked for
-        profile=getattr(args, "profile", False)
-        or bool(getattr(args, "profile_out", None)))
-    if not (cfg.trace or cfg.profile or getattr(args, "trace_out", None)):
-        return cfg, NULL_PROFILER
-    return cfg, Profiler()
+def _obs_setup(args) -> Profiler:
+    """The run's profiler: recording under ``--trace`` or
+    ``--profile``, the shared disabled one otherwise."""
+    return Profiler() if args.trace or args.profile else NULL_PROFILER
 
 
-def _emit_profile(cfg: ObsConfig, profiler: Profiler) -> None:
-    """Ranked hotspot table (text mode, ``--profile``)."""
-    if cfg.profile:
+def _emit_obs(args, profiler: Profiler, metrics: dict) -> None:
+    """The text-mode views the obs flags ask for: the counts
+    (``--metrics``), the span tree (``--trace``) and the ranked
+    hotspot table (``--profile``)."""
+    if args.metrics and metrics:
+        print("\n-- metrics --")
+        for name, value in sorted(metrics.items()):
+            print(f"{name}: {value}")
+    if args.trace:
+        print("\n-- trace --")
+        print(profiler.render_spans())
+    if args.profile:
         print("\n-- profile (ranked hotspots) --")
         print(profiler.render())
 
 
-def _events_for(args):
-    """An :class:`EventStream` when any sink flag asks for one."""
-    if getattr(args, "trace_out", None) or \
-            getattr(args, "events_out", None):
-        from repro.obs.events import EventStream
-        return EventStream()
-    return None
-
-
-def _write_obs_outputs(args, profiler: Profiler, events) -> None:
-    if getattr(args, "events_out", None) and events is not None:
-        events.write_jsonl(args.events_out)
-    if getattr(args, "trace_out", None):
-        from repro.obs import chrometrace
-        chrometrace.write_trace(args.trace_out, profiler=profiler,
-                                events=events)
-    if getattr(args, "profile_out", None):
-        profiler.write_folded(args.profile_out)
-
-
-def _emit_obs(cfg: ObsConfig, profiler: Profiler, metrics: dict) -> None:
-    if cfg.metrics and metrics:
-        print("\n-- metrics --")
-        for name, value in sorted(metrics.items()):
-            print(f"{name}: {value}")
-    if cfg.trace:
-        print("\n-- trace --")
-        print(profiler.render_spans())
-
-
-def _asked_views(args, cfg: ObsConfig, result) -> None:
-    """An analysis run with a profiler carries both of its views; keep
-    only those the flags asked for: the span tree under ``--trace`` /
-    ``--trace-out``, the hotspot document under ``--profile`` /
-    ``--profile-out``."""
-    if not (cfg.trace or getattr(args, "trace_out", None)):
-        result.trace = []
-    if not cfg.profile:
-        result.profile = {}
+def _print_json(doc: dict, args, profiler: Profiler,
+                spans: str = "trace") -> None:
+    """Print a ``--json`` document with the telemetry the obs flags
+    ask for, and none they do not: the span tree under ``spans`` with
+    ``--trace`` and the profile document under ``profile`` with
+    ``--profile``.  ``run`` and ``mc`` name the span key ``spans``,
+    since their ``trace`` is the executed path."""
+    for key, asked, view in ((spans, args.trace, profiler.spans),
+                             ("profile", args.profile,
+                              profiler.to_dict)):
+        if asked:
+            doc[key] = view()
+        else:
+            doc.pop(key, None)
+    print(json.dumps(doc, indent=2))
 
 
 def _analyze_with_obs(args):
-    cfg, profiler = _obs_setup(args)
+    profiler = _obs_setup(args)
     with profiler.region("analysis.parse_resolve"):
         program, text = _load(args.file, with_text=True)
     result = analyze_program(program, profiler=profiler,
                              source_text=text)
-    _asked_views(args, cfg, result)
-    return cfg, profiler, result
+    return profiler, result
 
 
 def _summary_store_for(args):
@@ -214,15 +184,12 @@ def _analyze_incremental(args, store):
     pass."""
     from repro.analysis.summaries import engine as summaries
 
-    cfg, profiler = _obs_setup(args)
-    events = _events_for(args)
+    profiler = _obs_setup(args)
     with open(args.file) as handle:
         text = handle.read()
     result, info = summaries.analyze_with_summaries(
-        text, store=store, label=args.file, profiler=profiler,
-        events=events)
-    _asked_views(args, cfg, result)
-    return cfg, profiler, result, events, info
+        text, store=store, label=args.file, profiler=profiler)
+    return profiler, result, info
 
 
 def _figure_text(result, explain: bool) -> str:
@@ -241,22 +208,17 @@ def cmd_analyze(args) -> int:
     store = _summary_store_for(args)
     info = None
     if store is not None:
-        cfg, profiler, result, events, info = _analyze_incremental(
-            args, store)
+        profiler, result, info = _analyze_incremental(args, store)
     else:
-        cfg, profiler, result = _analyze_with_obs(args)
-        events = None
-    _write_obs_outputs(args, profiler, events)
+        profiler, result = _analyze_with_obs(args)
     if args.json:
         doc = result.to_dict()
         # the key set must not depend on the cache: a miss says so,
-        # and a hit, which has no spans of its own, takes the
-        # profiler's
+        # and a hit, which has no spans of its own, gets the
+        # profiler's from _print_json like every other run
         if info is not None:
             doc["cached"] = info["cached"]
-        if (cfg.trace or args.trace_out) and not doc.get("trace"):
-            doc["trace"] = profiler.spans()
-        print(json.dumps(doc, indent=2))
+        _print_json(doc, args, profiler)
     else:
         print(_figure_text(result, args.explain))
         print()
@@ -287,8 +249,7 @@ def cmd_analyze(args) -> int:
                   f"{'hit (replayed)' if info['cached'] else 'miss'}")
             metrics.update(summaries.summary_counts(
                 [summaries.summary_row(result, info)]))
-        _emit_obs(cfg, profiler, metrics)
-        _emit_profile(cfg, profiler)
+        _emit_obs(args, profiler, metrics)
     if info is not None and info["drift"]:
         _print_summary_drift(info["drift"])
         return 1
@@ -318,28 +279,23 @@ def _cmd_analyze_corpus(args) -> int:
     from repro.analysis.summaries import engine as summaries
     from repro.obs.export import run_meta
 
-    cfg, profiler = _obs_setup(args)
-    events = _events_for(args)
+    profiler = _obs_setup(args)
     store = _summary_store_for(args) or summaries.resolve_store(
         None, True)
     jobs = args.jobs
-    if jobs > 1 and (profiler.enabled or events is not None):
+    if jobs > 1 and profiler.enabled:
         # workers return values, not telemetry
-        print("note: --jobs runs the corpus in-process when a trace, "
-              "profile or event stream is recorded", file=sys.stderr)
+        print("note: --jobs runs the corpus in-process when a trace "
+              "or profile is recorded", file=sys.stderr)
         jobs = 1
     report = summaries.analyze_corpus(store, profiler=profiler,
-                                      events=events, jobs=jobs)
-    _write_obs_outputs(args, profiler, events)
+                                      jobs=jobs)
     if args.json:
-        doc = {"programs": report["rows"],
-               "errors": report["errors"],
-               "drift": report["drift"],
-               "stats": report["stats"],
-               "run_meta": run_meta()}
-        if cfg.trace or args.trace_out:
-            doc["trace"] = profiler.spans()
-        print(json.dumps(doc, indent=2))
+        _print_json({"programs": report["rows"],
+                     "errors": report["errors"],
+                     "drift": report["drift"],
+                     "stats": report["stats"],
+                     "run_meta": run_meta()}, args, profiler)
     else:
         width = max((len(r["label"]) for r in report["rows"]),
                     default=8)
@@ -357,8 +313,8 @@ def _cmd_analyze_corpus(args) -> int:
         print(f"store {stats['root']}: {stats['procs']} proc / "
               f"{stats['programs']} program record(s), "
               f"{stats['bytes']} bytes")
-        _emit_obs(cfg, profiler, summaries.summary_counts(report["rows"]))
-        _emit_profile(cfg, profiler)
+        _emit_obs(args, profiler,
+                  summaries.summary_counts(report["rows"]))
     if report["drift"]:
         _print_summary_drift(report["drift"])
         return 1
@@ -457,10 +413,9 @@ def _cmd_summaries_canary(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    cfg, profiler, result = _analyze_with_obs(args)
+    profiler, result = _analyze_with_obs(args)
     partitions = {name: partition_procedure(result, name)
                   for name in result.verdicts}
-    _write_obs_outputs(args, profiler, None)
     if args.json:
         doc = {
             "procedures": [
@@ -478,27 +433,21 @@ def cmd_blocks(args) -> int:
         }
         if result.metrics:
             doc["metrics"] = dict(result.metrics)
-        if cfg.trace:
-            doc["trace"] = profiler.spans()
-        if result.profile:
-            doc["profile"] = dict(result.profile)
-        print(json.dumps(doc, indent=2))
+        _print_json(doc, args, profiler)
         return 0
     for parts in partitions.values():
         for partition in parts:
             print(partition.render())
             print()
-    _emit_obs(cfg, profiler, result.metrics)
-    _emit_profile(cfg, profiler)
+    _emit_obs(args, profiler, result.metrics)
     return 0
 
 
 def cmd_variants(args) -> int:
-    cfg, profiler = _obs_setup(args)
+    profiler = _obs_setup(args)
     with profiler.region("analysis.parse_resolve"):
         program = _load(args.file)
     result = analyze_program(program, profiler=profiler)
-    _write_obs_outputs(args, profiler, None)
     if args.json:
         doc = {"variants": [{"name": v.name,
                              "procedure": v.proc.name,
@@ -506,15 +455,12 @@ def cmd_variants(args) -> int:
                             for v in result.variant_set.variants]}
         if result.metrics:
             doc["metrics"] = dict(result.metrics)
-        if cfg.trace:
-            doc["trace"] = profiler.spans()
-        print(json.dumps(doc, indent=2))
+        _print_json(doc, args, profiler)
         return 0
     for variant in result.variant_set.variants:
         print(pretty(variant.proc))
         print()
-    _emit_obs(cfg, profiler, result.metrics)
-    _emit_profile(cfg, profiler)
+    _emit_obs(args, profiler, result.metrics)
     return 0
 
 
@@ -532,11 +478,10 @@ def _explain_cex(args, result, interp):
 
 
 def cmd_run(args) -> int:
-    cfg, profiler = _obs_setup(args)
-    events = _events_for(args)
+    profiler = _obs_setup(args)
     with profiler.region("run.parse_resolve"):
         program = _load(args.file)
-    interp = Interp(program, events=events)
+    interp = Interp(program)
     specs = [_parse_spec(s) for s in args.threads]
     world = interp.make_world(specs)
     path_log = [] if (args.explain_cex or args.json) else None
@@ -544,8 +489,7 @@ def cmd_run(args) -> int:
     with profiler.region("run.execute", seed=args.seed):
         try:
             run_random(interp, world, seed=args.seed,
-                       max_steps=args.max_steps, path_log=path_log,
-                       events=events)
+                       max_steps=args.max_steps, path_log=path_log)
         except AssertionViolation as exc:
             violation = str(exc)
     cex = None
@@ -553,7 +497,6 @@ def cmd_run(args) -> int:
         from repro.mc.cex import RunResultView
         cex = _explain_cex(
             args, RunResultView(violation, path_log), interp)
-    _write_obs_outputs(args, profiler, events)
     done = all(t.done for t in world.threads)
     if args.json:
         doc = {
@@ -566,9 +509,7 @@ def cmd_run(args) -> int:
             doc["path"] = path_log
         if cex is not None:
             doc["counterexample"] = cex.to_dict()
-        if cfg.trace:
-            doc["spans"] = profiler.spans()
-        print(json.dumps(doc, indent=2))
+        _print_json(doc, args, profiler, spans="spans")
         return 1 if violation is not None else 0
     for event in world.history:
         print(event)
@@ -580,16 +521,14 @@ def cmd_run(args) -> int:
     else:
         status = "all threads done" if done else "step budget exhausted"
         print(f"-- {status} (seed={args.seed})")
-    _emit_obs(cfg, profiler, {})
-    _emit_profile(cfg, profiler)
+    _emit_obs(args, profiler, {})
     return 1 if violation is not None else 0
 
 
 def cmd_mc(args) -> int:
-    cfg, profiler = _obs_setup(args)
-    events = _events_for(args)
+    profiler = _obs_setup(args)
     program = _load(args.file)
-    interp = Interp(program, events=events)
+    interp = Interp(program)
     specs = [_parse_spec(s) for s in args.threads]
     # uid -> (proc, text, mover) source annotations back the heatmap
     # document (--json) and the graph edges' mover tags (--graph-out);
@@ -609,15 +548,13 @@ def cmd_mc(args) -> int:
                             threads=len(specs),
                             record_pruned=args.graph_por_pruned,
                             mover_of=heatmap.mover_fn(annotations),
-                            uid_map=stable_uid_map(interp),
-                            events=events)
+                            uid_map=stable_uid_map(interp))
     observer = observers.compose(
-        observers.Events(events) if events is not None else None,
         # the per-call timers feed only the hotspot table: --trace
         # alone keeps the mc.run > mc.init, mc.dfs spans without them
-        observers.Profile(profiler, events, timed=cfg.profile)
+        observers.Profile(profiler, timed=args.profile)
         if profiler.enabled else None,
-        observers.Heartbeat(args.progress, args.deadline, events=events)
+        observers.Heartbeat(args.progress, args.deadline)
         if args.progress is not None or args.deadline is not None
         else None,
         observers.TraceMalloc() if args.trace_malloc else None,
@@ -630,12 +567,9 @@ def cmd_mc(args) -> int:
     finally:
         if graph is not None:
             graph.close()
-    if not cfg.profile:
-        result.profile = {}
     cex = None
     if result.violation and args.explain_cex:
         cex = _explain_cex(args, result, interp)
-    _write_obs_outputs(args, profiler, events)
     if args.json:
         doc = result.to_dict()
         if annotations is not None:
@@ -644,9 +578,7 @@ def cmd_mc(args) -> int:
                 annotated=analysis is not None)
         if cex is not None:
             doc["counterexample"] = cex.to_dict()
-        if cfg.trace:
-            doc["spans"] = profiler.spans()
-        print(json.dumps(doc, indent=2))
+        _print_json(doc, args, profiler, spans="spans")
     else:
         print(result)
         if cex is not None:
@@ -655,8 +587,7 @@ def cmd_mc(args) -> int:
         elif result.violation:
             for step in result.trace:
                 print(f"  {step}")
-        _emit_obs(cfg, profiler, result.metrics)
-        _emit_profile(cfg, profiler)
+        _emit_obs(args, profiler, result.metrics)
     if result.violation:
         return 1
     if result.deadline_hit:
@@ -682,8 +613,7 @@ def cmd_lint(args) -> int:
     from repro.analysis.lint import lint_counts, lint_program
     from repro.obs.export import LINT_REPORT_SCHEMA, validate
 
-    cfg, profiler = _obs_setup(args)
-    events = _events_for(args)
+    profiler = _obs_setup(args)
     rules = [r.strip() for r in (args.rules or "").split(",")
              if r.strip()] or None
 
@@ -704,9 +634,7 @@ def cmd_lint(args) -> int:
     for label, source in targets:
         with profiler.region("lint.target", target=label):
             results.append(lint_program(
-                source, label=label, rules=rules,
-                events=events, profiler=profiler))
-    _write_obs_outputs(args, profiler, events)
+                source, label=label, rules=rules, profiler=profiler))
 
     if args.manifest:
         with open(args.manifest) as handle:
@@ -729,8 +657,8 @@ def cmd_lint(args) -> int:
             failures.append(f"{name}: listed in manifest but not "
                             f"linted in this run")
         if args.json:
-            print(json.dumps({"v": 1, "matched": not failures,
-                              "failures": failures}, indent=2))
+            _print_json({"v": 1, "matched": not failures,
+                         "failures": failures}, args, profiler)
         elif failures:
             for line in failures:
                 print(f"MISMATCH {line}")
@@ -746,12 +674,11 @@ def cmd_lint(args) -> int:
             print("error: lint JSON failed schema validation: "
                   + "; ".join(errors), file=sys.stderr)
             return 2
-        print(json.dumps(doc, indent=2))
+        _print_json(doc, args, profiler)
     else:
         for res in results:
             print(res.render())
-        _emit_obs(cfg, profiler, lint_counts(results))
-        _emit_profile(cfg, profiler)
+        _emit_obs(args, profiler, lint_counts(results))
     if any(r.errors for r in results):
         return 2
     if any(r.warnings for r in results):
@@ -888,28 +815,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = argparse.ArgumentParser(add_help=False)
     obs.add_argument("--trace", action="store_true",
-                     help="print the span tree of the timed regions "
-                          "(also: REPRO_TRACE=1)")
+                     help="print the span tree of the timed regions; "
+                          "with --json, embed it in the document")
     obs.add_argument("--metrics", action="store_true",
-                     help="print the metrics report "
-                          "(also: REPRO_METRICS=1)")
+                     help="print the metrics report")
     obs.add_argument("--json", action="store_true",
                      help="emit a machine-readable JSON document "
                           "instead of text")
-    obs.add_argument("--trace-out", metavar="FILE",
-                     help="write spans + event stream as a Chrome/"
-                          "Perfetto trace-event file")
-    obs.add_argument("--events-out", metavar="FILE",
-                     help="write the structured event stream as JSONL")
     obs.add_argument("--profile", action="store_true",
                      help="deterministic work-counter profiler: ranked "
                           "hotspot table in text output, 'profile' "
-                          "document in --json (also: REPRO_PROFILE=1)")
-    obs.add_argument("--profile-out", metavar="FILE",
-                     help="write the region profile in collapsed-"
-                          "stack (folded) format — one 'outer;inner "
-                          "usecs' line per nesting path, flamegraph."
-                          "pl/speedscope-ready (implies --profile)")
+                          "document (hotspots and collapsed stacks) "
+                          "in --json")
 
     p = sub.add_parser("analyze", parents=[obs],
                        help="run the atomicity inference")
@@ -935,8 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="with --corpus: fan targets across N forked "
                         "worker processes; output is byte-identical "
-                        "to a sequential pass, which a trace, profile "
-                        "or event stream forces")
+                        "to a sequential pass, which a trace or "
+                        "profile forces")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("blocks", parents=[obs],

@@ -61,22 +61,16 @@ class RuntimeVerdict:
 class RuntimeAtomicityChecker:
     """Block-based reduction check over a recorded trace."""
 
-    def __init__(self, events=None) -> None:
+    def __init__(self) -> None:
         self.trace: list[TraceAction] = []
         self.invocations: list[Invocation] = []
         #: classification depends only on (op, addr, locks, tid); cache it
         self._protected_cache: dict[tuple, bool] = {}
-        #: optional :class:`repro.obs.events.EventStream` receiving
-        #: ``dyn.invocation`` / ``dyn.verdict`` events
-        self.events = events
 
     # -- recording ------------------------------------------------------------
     def begin(self, tid: int, proc: str) -> int:
         inv = Invocation(len(self.invocations), tid, proc)
         self.invocations.append(inv)
-        if self.events is not None:
-            self.events.emit("dyn.invocation", tid=tid, proc=proc,
-                             index=inv.index)
         return inv.index
 
     def record(self, invocation: int, tid: int, op: str, addr: tuple,
@@ -126,9 +120,4 @@ class RuntimeAtomicityChecker:
             if not self.check_invocation(inv):
                 verdict.atomic = False
                 verdict.failing.append(inv.index)
-        if self.events is not None:
-            for verdict in out.values():
-                self.events.emit("dyn.verdict", proc=verdict.proc,
-                                 atomic=verdict.atomic,
-                                 witnesses=verdict.witnesses)
         return out

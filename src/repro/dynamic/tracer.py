@@ -16,7 +16,7 @@ class TracingInterp(Interp):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.checker = RuntimeAtomicityChecker(events=self.events)
+        self.checker = RuntimeAtomicityChecker()
         self._current: dict[int, int] = {}  # tid -> invocation index
 
     # -- helpers ------------------------------------------------------------

@@ -47,15 +47,10 @@ class Interp:
 
     def __init__(self, program: A.Program | str,
                  primitives: Optional[dict] = None,
-                 extra_procs: Optional[list[A.Procedure]] = None,
-                 events=None):
+                 extra_procs: Optional[list[A.Procedure]] = None):
         if isinstance(program, str):
             program = load_program(program)
         self.program = program
-        #: optional :class:`repro.obs.events.EventStream` receiving
-        #: ``interp.sc`` / ``interp.cas`` events (None = off; the hot
-        #: path pays one attribute check)
-        self.events = events
         self.primitives = default_primitives()
         if primitives:
             self.primitives.update(primitives)
@@ -207,8 +202,7 @@ class Interp:
         plain read or write of a local, parameter or thread-local, or
         a ``VL`` test of the thread's own reservation?  Control nodes
         have no actions.  Globals, fields, elements, allocation, LL,
-        SC, CAS and lock operations fail (SC and CAS also emit
-        ``interp.sc``/``interp.cas`` events)."""
+        SC, CAS and lock operations fail."""
         # imported on first use: loading repro.analysis costs ~50 ms
         # that a plain interpreter run does not need
         from repro.analysis.actions import node_actions
@@ -488,9 +482,6 @@ class Interp:
             ok = bool(thread.reservations.get(addr, False))
             if ok:
                 self._store(world, thread, addr, value)
-            if self.events is not None:
-                self.events.emit("interp.sc", tid=thread.tid,
-                                 addr=repr(addr), ok=ok)
             return ok
         if isinstance(e, A.CASExpr):
             expected = self._eval(world, thread, e.expected)
@@ -505,9 +496,6 @@ class Interp:
                 ok = False  # the modification counter moved: ABA defence
             if ok:
                 self._store(world, thread, addr, new)
-            if self.events is not None:
-                self.events.emit("interp.cas", tid=thread.tid,
-                                 addr=repr(addr), ok=ok)
             return ok
         raise InterpError(f"cannot evaluate {type(e).__name__}")
 
@@ -558,8 +546,7 @@ class Interp:
 
 
 def run(interp: Interp, world: World, schedule: Callable[[World, list[int]], int],
-        max_steps: int = 100_000, path_log: Optional[list] = None,
-        events=None) -> World:
+        max_steps: int = 100_000, path_log: Optional[list] = None) -> World:
     """Run until all threads are done or the step budget is exhausted.
     ``schedule(world, enabled)`` picks the next thread id.
 
@@ -567,18 +554,12 @@ def run(interp: Interp, world: World, schedule: Callable[[World, list[int]], int
     transition — the same ``{tid, uid, desc, kind, via, proc}`` shape
     the model checker records on :attr:`MCResult.path` — so a
     violating schedule can be rendered as an annotated counterexample
-    (:mod:`repro.mc.cex`).  ``events`` receives ``sched.switch``
-    events on every context switch."""
-    last: Optional[int] = None
+    (:mod:`repro.mc.cex`)."""
     for _ in range(max_steps):
         enabled = interp.enabled_threads(world)
         if not enabled:
             return world
         tid = schedule(world, enabled)
-        if events is not None and tid != last:
-            events.emit("sched.switch", tid=tid,
-                        prev=-1 if last is None else last)
-        last = tid
         if path_log is not None:
             thread = world.threads[tid]
             frame = thread.frame

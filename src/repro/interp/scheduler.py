@@ -25,14 +25,10 @@ class RoundRobin:
 
 
 class RandomScheduler:
-    """Uniform random choice among enabled threads (seeded).  When an
-    event stream is given, the seed decision is recorded as a
-    ``sched.seed`` event (counterexample reproducibility)."""
+    """Uniform random choice among enabled threads (seeded)."""
 
-    def __init__(self, seed: int = 0, events=None):
+    def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-        if events is not None:
-            events.emit("sched.seed", seed=seed)
 
     def __call__(self, world: World, enabled: list[int]) -> int:
         return self.rng.choice(enabled)
@@ -40,14 +36,13 @@ class RandomScheduler:
 
 def run_random(interp: Interp, world: World, seed: int = 0,
                max_steps: int = 100_000,
-               path_log: Optional[list] = None, events=None) -> World:
-    return run(interp, world, RandomScheduler(seed, events=events),
-               max_steps, path_log=path_log, events=events)
+               path_log: Optional[list] = None) -> World:
+    return run(interp, world, RandomScheduler(seed), max_steps,
+               path_log=path_log)
 
 
 def run_round_robin(interp: Interp, world: World,
                     max_steps: int = 100_000,
-                    path_log: Optional[list] = None,
-                    events=None) -> World:
+                    path_log: Optional[list] = None) -> World:
     return run(interp, world, RoundRobin(), max_steps,
-               path_log=path_log, events=events)
+               path_log=path_log)

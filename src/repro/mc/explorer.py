@@ -60,7 +60,7 @@ read worlds (``GraphCapture`` reads ``world is None`` as disabled);
 the keys, and so what is explored, are the same either way.
 
 It collects only the core counters (:meth:`Explorer._metrics`).  All
-other telemetry — events, profiler regions, heartbeat and deadline,
+other telemetry — profiler regions, heartbeat and deadline,
 tracemalloc, graph capture, coverage — is an observer passed as
 ``observer=`` (the hook protocol, and which ``repro mc`` flag attaches
 which observer: :mod:`repro.mc.observers`); ``None``, the default,

@@ -5,9 +5,8 @@ its hooks at fixed points of the DFS; ``None`` (the default) costs one
 ``is None`` test per hook site.  :class:`Observer` is the protocol and
 :func:`compose` combines several observers into one.
 
-``repro mc`` composes what its flags ask for (``--events-out`` /
-``--trace-out`` → :class:`Events`, ``--profile`` / ``--profile-out`` /
-``--trace`` / ``--trace-out`` → :class:`Profile`, ``--progress`` /
+``repro mc`` composes what its flags ask for (``--profile`` /
+``--trace`` → :class:`Profile`, ``--progress`` /
 ``--deadline`` → :class:`Heartbeat`, ``--trace-malloc`` →
 :class:`TraceMalloc`, ``--graph-out`` →
 :class:`repro.obs.graph.GraphWriter`) and always attaches
@@ -100,42 +99,13 @@ def compose(*observers: Optional[Observer]) -> Optional[Observer]:
     return live[0] if live else None
 
 
-class Events(Observer):
-    """``mc.push`` / ``mc.pop`` / ``mc.ample`` / ``mc.violation`` /
-    ``mc.cap`` events on an :class:`~repro.obs.events.EventStream`."""
-
-    def __init__(self, events):
-        self.events = events
-
-    def start(self, explorer, result):
-        self._result = result
-
-    def ample(self, world, tid, desc, tids):
-        self.events.emit("mc.ample", tid=tid, desc=desc)
-
-    def push(self, succ, depth):
-        self.events.emit("mc.push", depth=depth, desc=succ.desc,
-                         states=self._result.states)
-
-    def pop(self, depth):
-        self.events.emit("mc.pop", depth=depth)
-
-    def finish(self, result):
-        if result.violation and result.path:
-            self.events.emit("mc.violation", desc=result.path[-1]["desc"],
-                             message=result.violation)
-        elif result.capped:
-            self.events.emit("mc.cap", states=result.states)
-
-
 class Profile(Observer):
     """Profiler regions for the explorer: ``mc.run`` spans the search,
     with ``mc.init`` up to the first expansion and ``mc.dfs`` after
     it; inside ``mc.dfs``, ``mc.successors``, ``mc.canonicalize`` and
     ``mc.por_ample`` time the explorer's ``_successors``, ``_key`` and
     ``_alone``, and ``mc.dedup`` counts canonical-key lookups (calls)
-    and hits (work).  The ranked document lands in ``result.profile``;
-    the top hotspots are mirrored into ``events`` when given.
+    and hits (work).  The ranked document lands in ``result.profile``.
 
     ``timed=False`` leaves the explorer's methods unwrapped: their
     per-call timers feed only the hotspot table, and they slow a large
@@ -145,9 +115,8 @@ class Profile(Observer):
                 ("mc.canonicalize", "_key", None),
                 ("mc.por_ample", "_alone", None))
 
-    def __init__(self, profiler, events=None, timed: bool = True):
+    def __init__(self, profiler, timed: bool = True):
         self.profiler = profiler
-        self.events = events
         self.timed = timed
 
     def start(self, explorer, result):
@@ -177,7 +146,6 @@ class Profile(Observer):
         # closing the root also closes whichever phase is still open
         self._run.__exit__(None, None, None)
         result.profile = prof.to_dict()
-        prof.emit_hotspots(self.events)
 
 
 def _timed(fn: Callable, acc: list, work: Optional[Callable]) -> Callable:
@@ -251,17 +219,14 @@ class Heartbeat(Observer):
     sharing the explorer's clock tick.  Every ``period`` seconds, and
     once after the search, a beat writes a progress line (EWMA rate,
     ETA to the state cap, deadline budget left) to ``sink`` (default:
-    stderr) and emits ``explorer.progress``; past ``deadline`` seconds
-    the tick emits ``mc.deadline`` and stops the search."""
+    stderr); past ``deadline`` seconds the tick stops the search."""
 
     def __init__(self, period: Optional[float] = None,
                  deadline: Optional[float] = None,
-                 sink: Optional[Callable[[str], None]] = None,
-                 events=None):
+                 sink: Optional[Callable[[str], None]] = None):
         self.period = period
         self.deadline = deadline
         self.sink = sink or (lambda line: print(line, file=sys.stderr))
-        self.events = events
 
     def start(self, explorer, result):
         self._mode, self._cap = explorer.mode, explorer.max_states
@@ -282,9 +247,6 @@ class Heartbeat(Observer):
     def tick(self):
         now = time.perf_counter()
         if self.deadline is not None and now - self._t0 >= self.deadline:
-            if self.events is not None:
-                self.events.emit("mc.deadline", states=self._result.states,
-                                 deadline_s=self.deadline)
             return True
         if self._next_beat is not None and now >= self._next_beat:
             self._beat(now)
@@ -300,29 +262,17 @@ class Heartbeat(Observer):
         elapsed = now - self._t0
         rate = self._rate.update(r.states, now)
         text = f" rate={rate:,.0f}/s"
-        fields: dict = {"rate_states_per_s": round(rate, 1)}
         if self._cap is not None:
             eta = self._rate.eta_s(self._cap - r.states)
             text += " eta_cap=?" if eta is None else f" eta_cap={eta:.1f}s"
-            if eta is not None:
-                fields["eta_cap_s"] = round(eta, 3)
         if self.deadline is not None:
             left = max(0.0, self.deadline - elapsed)
             text += f" deadline_in={left:.1f}s"
-            fields["deadline_in_s"] = round(left, 3)
         self.sink(f"[mc:{self._mode}] {'done ' if final else ''}"
                   f"t={elapsed:.1f}s states={r.states} "
                   f"trans={r.transitions} frontier={self._frontier} "
                   f"depth_max={self._max_depth} "
                   f"mem={peak_rss_mb():.1f}MB{text}")
-        if self.events is not None:
-            lookups = r.transitions + 1   # the initial state's too
-            self.events.emit(
-                "explorer.progress", states=r.states,
-                transitions=r.transitions, depth=self._max_depth,
-                frontier=self._frontier, elapsed_s=round(elapsed, 3),
-                dedup_hit_rate=round((lookups - r.states) / lookups, 6),
-                mem_mb=round(peak_rss_mb(), 1), final=final, **fields)
 
 
 class TraceMalloc(Observer):

@@ -12,6 +12,10 @@ and is imported lazily to keep ``repro.obs`` free of import cycles.
 
 from __future__ import annotations
 
+import json
+import pathlib
+from typing import Union
+
 #: throughput rates computed over windows at or below this are
 #: noise-dominated (timer resolution + interpreter jitter swamp the
 #: signal on sub-millisecond runs) and are reported as 0.0
@@ -193,7 +197,8 @@ HOTSPOT_SCHEMA = {
 }
 
 #: shape of ``Profiler.to_dict()`` — the ranked hotspot table embedded
-#: in analysis/MC JSON under ``"profile"`` when ``--profile`` is on
+#: in every obs command's JSON under ``"profile"`` when ``--profile``
+#: is on
 PROFILE_SCHEMA = {
     "type": "object",
     "required": ["v", "hotspots"],
@@ -201,8 +206,7 @@ PROFILE_SCHEMA = {
         "v": {"type": "integer"},
         "hotspots": {"type": "array", "items": HOTSPOT_SCHEMA},
         # collapsed-stack view: {"outer;inner": wall_s} per region
-        # nesting path — feeds the report's inline SVG flame chart
-        # and the --profile-out folded export
+        # nesting path, frames escaped (profile.escape_frame)
         "folded": {"type": "object"},
     },
 }
@@ -370,6 +374,36 @@ PERFDIFF_SCHEMA = {
         "groups": {"type": "object"},
     },
 }
+
+
+# -- JSONL reader --------------------------------------------------------------
+
+def read_jsonl(path: Union[str, pathlib.Path]) -> list[dict]:
+    """Load a JSONL file as a list of objects.  Blank lines are
+    skipped, and a final line with no trailing newline that does not
+    parse is dropped: its writer was killed mid-write.  Any other line
+    that is not a JSON object raises ``ValueError`` naming the file
+    and line; a file that is not UTF-8 raises one naming the file."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    if not line.endswith("\n"):
+                        break       # only the last line can lack one
+                    raise ValueError(f"{path}:{number}: not valid JSON") \
+                        from None
+                if not isinstance(record, dict):
+                    raise ValueError(
+                        f"{path}:{number}: not a JSON object")
+                records.append(record)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
+    return records
 
 
 # -- serializers ---------------------------------------------------------------

@@ -53,7 +53,7 @@ import random
 from typing import IO, Callable, Optional, Union
 
 from repro.mc.observers import Observer
-from repro.obs.events import read_jsonl
+from repro.obs.export import read_jsonl
 from repro.obs.schemas import GRAPH as SCHEMA_VERSION
 
 #: node-record emission cap when ``REPRO_GRAPH_NODE_CAP`` is unset
@@ -155,8 +155,7 @@ class GraphWriter(Observer):
                  record_pruned: bool = False,
                  mover_of: Optional[Callable[[Optional[int]],
                                              Optional[str]]] = None,
-                 uid_map: Optional[dict] = None,
-                 events=None):
+                 uid_map: Optional[dict] = None):
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         cap = node_cap if node_cap is not None else node_cap_from_env()
@@ -166,7 +165,6 @@ class GraphWriter(Observer):
         #: the program-counter uids inside state keys before hashing
         #: and to edge uid tags, so captures compare across processes
         self.uid_map = uid_map or {}
-        self.events = events
         self._nodes = _Thinner(cap)
         self._edges = _Thinner(cap * EDGE_CAP_FACTOR, seed=1)
         self._pruned_n = 0
@@ -248,22 +246,17 @@ class GraphWriter(Observer):
         """Write the exact-total summary record and close the file."""
         if self._fh is None:
             return
-        truncated = self._nodes.truncated or self._edges.truncated
         self._write({"kind": "graph.summary",
                      "nodes": self._nodes.count,
                      "edges": self._edges.count,
                      "pruned": self._pruned_n,
                      "nodes_written": self._nodes.written,
                      "edges_written": self._edges.written,
-                     "truncated": truncated,
+                     "truncated": self._nodes.truncated
+                     or self._edges.truncated,
                      "max_depth": self._max_depth})
         self._fh.close()
         self._fh = None
-        if self.events is not None:
-            self.events.emit("mc.graph", nodes=self._nodes.count,
-                             edges=self._edges.count,
-                             pruned=self._pruned_n,
-                             truncated=truncated, path=str(self.path))
 
 
 # -- reading ---------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import pathlib
 import statistics
 
-from repro.obs.events import read_jsonl
+from repro.obs.export import read_jsonl
 from repro.obs.schemas import PERFDIFF as SCHEMA_VERSION
 
 #: relative attributed-work growth a region must exceed to gate
@@ -46,25 +46,11 @@ DEFAULT_THRESHOLD = 0.25
 #: 1 -> 2 counter step is +100% and still meaningless)
 WORK_FLOOR = 16
 
-#: region-name prefix -> attribution group
-_GROUPS = (
-    ("mc.", "explorer"),
-    ("theorem.", "theorem"),
-    ("lint.", "lint-rule"),
-    ("analysis.", "analysis-pass"),
-    ("summary.", "summary-cache"),
-)
-
 
 def group_of(name: str) -> str:
-    """Attribution group of a region name: the workload of a
-    ``<workload>/<layer>`` bench row, else by profiler prefix."""
-    if "/" in name:
-        return name.split("/", 1)[0]
-    for prefix, group in _GROUPS:
-        if name.startswith(prefix):
-            return group
-    return "other"
+    """Attribution group of a ``<workload>/<layer>`` row: its
+    workload."""
+    return name.partition("/")[0]
 
 
 # -- side construction ---------------------------------------------------------
@@ -73,7 +59,9 @@ def side_from_records(label: str, records: list) -> dict:
     """A side from ``bench/run.py`` records.  Untraced records carry
     no layers and are skipped; per workload, each layer's ``.calls``
     and ``.self_s`` are the medians over its traced records (repeats
-    of one workload must not add up)."""
+    of one workload must not add up).  ``counters`` maps each
+    ``<workload>/<layer>`` row to its calls, ``wall`` to its self
+    time."""
     side: dict = {"label": label, "counters": {}, "wall": {}}
     layers: dict[str, tuple[list, list]] = {}
     for record in records:
@@ -92,8 +80,8 @@ def side_from_records(label: str, records: list) -> dict:
     for name, (calls, self_s) in layers.items():
         if not any(calls) and not any(self_s):
             continue        # a layer this workload never enters
-        units = int(statistics.median(calls)) if calls else 0
-        side["counters"][name] = {"calls": units, "work": 0}
+        side["counters"][name] = \
+            int(statistics.median(calls)) if calls else 0
         if self_s:
             side["wall"][name] = float(statistics.median(self_s))
     return side
@@ -159,10 +147,8 @@ def attribute(a: dict, b: dict,
     rows: list[dict] = []
     names = set(a["counters"]) | set(b["counters"])
     for name in names:
-        ca = a["counters"].get(name, {"calls": 0, "work": 0})
-        cb = b["counters"].get(name, {"calls": 0, "work": 0})
-        units_a = int(ca["calls"]) + int(ca["work"])
-        units_b = int(cb["calls"]) + int(cb["work"])
+        units_a = a["counters"].get(name, 0)
+        units_b = b["counters"].get(name, 0)
         delta = units_b - units_a
         if units_a > 0:
             rel = delta / units_a

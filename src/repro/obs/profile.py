@@ -7,9 +7,8 @@ A scoped ``profiler.region("name", **attrs)`` (plus the lock-free
 * the **span tree** — every region is a :class:`Span` under the
   innermost open region, with its attributes and monotonic
   (``time.perf_counter``) start and end.  ``--trace`` prints it
-  (:meth:`Profiler.render_spans`), the ``trace``/``spans`` JSON keys
-  carry it (:meth:`Profiler.spans`) and ``--trace-out`` exports it in
-  Chrome trace-event format (:mod:`repro.obs.chrometrace`);
+  (:meth:`Profiler.render_spans`) and the ``trace``/``spans`` JSON
+  keys carry it (:meth:`Profiler.spans`);
 * the **entries** — three numbers per dotted name: ``calls``,
   ``work`` (an explicit, deterministic unit count — sites classified,
   states expanded, rule firings, …) and ``wall_s``.  Work and call
@@ -20,14 +19,12 @@ A scoped ``profiler.region("name", **attrs)`` (plus the lock-free
   share of the total *attributed* time; regions nest, so shares are an
   attribution summary, not a partition of the run;
 * the **collapsed stacks** — every ``acc``/region exit also credits
-  its wall time to the full ``outer;inner`` path of open regions, so
-  :meth:`Profiler.folded_lines` emits standard folded format (integer
-  microsecond counts, flamegraph.pl/speedscope-ready,
-  ``--profile-out``).
+  its wall time to the full ``outer;inner`` path of open regions.
 
-:meth:`Profiler.to_dict` emits the schema-validated hotspot document
-embedded in analysis/MC JSON output
-(:data:`repro.obs.export.PROFILE_SCHEMA`).  For a per-function view
+:meth:`Profiler.to_dict` emits the schema-validated profile document
+that ``--json --profile`` embeds in every obs command's output
+(:data:`repro.obs.export.PROFILE_SCHEMA`): the ranked hotspots and,
+under ``folded``, the collapsed stacks.  For a per-function view
 of code that carries no regions, run ``python -m cProfile -m repro``.
 
 A disabled profiler (``Profiler(enabled=False)``, or the shared
@@ -62,15 +59,13 @@ _NULL_REGION = _NullRegion()
 
 # -- folded-path escaping ------------------------------------------------------
 #
-# The collapsed-stack format is line-oriented: frames joined with ";",
-# then a space and the sample count.  A region name containing ";" or
-# whitespace would silently corrupt the file (extra frames, shifted
-# counts), so frames are escaped at path-build time and every consumer
-# (``parse_folded_lines`` / ``split_path``) round-trips them back.
+# A folded path joins frames with ";", and the line format that
+# flame-graph tools read ends it at a space before the sample count.
+# A region name containing ";" or whitespace would read as extra
+# frames, so frames are escaped at path-build time.
 
 _ESCAPES = {"\\": "\\\\", ";": "\\;", " ": "\\s",
             "\t": "\\t", "\n": "\\n"}
-_UNESCAPES = {"\\": "\\", ";": ";", "s": " ", "t": "\t", "n": "\n"}
 _ESC_CACHE: dict[str, str] = {}
 
 
@@ -88,70 +83,6 @@ def escape_frame(name: str) -> str:
             cached = name
         _ESC_CACHE[name] = cached
     return cached
-
-
-def unescape_frame(frame: str) -> str:
-    """Inverse of :func:`escape_frame` for a single frame."""
-    if "\\" not in frame:
-        return frame
-    out: list[str] = []
-    i = 0
-    while i < len(frame):
-        ch = frame[i]
-        if ch == "\\" and i + 1 < len(frame):
-            out.append(_UNESCAPES.get(frame[i + 1], frame[i + 1]))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def split_path(path: str) -> list[str]:
-    """Split an escaped folded path on unescaped ``;`` into raw
-    (unescaped) frame names.  A regex lookbehind would misread
-    ``\\\\;`` (escaped backslash before a real separator), so this is
-    a manual scan."""
-    frames: list[str] = []
-    cur: list[str] = []
-    i = 0
-    while i < len(path):
-        ch = path[i]
-        if ch == "\\" and i + 1 < len(path):
-            cur.append(ch)
-            cur.append(path[i + 1])
-            i += 2
-        elif ch == ";":
-            frames.append(unescape_frame("".join(cur)))
-            cur = []
-            i += 1
-        else:
-            cur.append(ch)
-            i += 1
-    frames.append(unescape_frame("".join(cur)))
-    return frames
-
-
-def parse_folded_lines(lines) -> dict[str, int]:
-    """Parse folded-format lines back into ``{path: usecs}`` (paths
-    kept escaped, exactly as written — feed them to
-    :func:`split_path` for raw frames).  Escaped frames contain no
-    literal whitespace, so the count is everything after the last
-    space.  Blank and malformed lines are skipped."""
-    out: dict[str, int] = {}
-    for line in lines:
-        line = line.strip("\n")
-        if not line.strip():
-            continue
-        path, sep, count = line.rpartition(" ")
-        if not sep or not path:
-            continue
-        try:
-            usecs = int(count)
-        except ValueError:
-            continue
-        out[path] = out.get(path, 0) + usecs
-    return out
 
 
 class Span:
@@ -228,8 +159,8 @@ class Profiler:
         # name -> [calls, work, wall_s]
         self._entries: dict[str, list] = {}
         # the open regions, innermost last, and the collapsed-stack
-        # accumulator they feed:
-        # "outer;inner" -> cumulative wall_s, flame-chart/folded food
+        # accumulator they feed: "outer;inner" -> cumulative wall_s
+        # (parents include their children's time)
         self._stack: list[Span] = []
         self._folded: dict[str, float] = {}
 
@@ -313,27 +244,6 @@ class Profiler:
                  "share": round(entry[2] / total, 4) if total else 0.0}
                 for name, entry in ranked]
 
-    def folded(self) -> dict[str, float]:
-        """Collapsed-stack view: ``{"outer;inner": wall_s}`` per
-        region-nesting path (parents include their children's time —
-        region scopes are cumulative)."""
-        return dict(self._folded)
-
-    def folded_lines(self) -> list[str]:
-        """Brendan-Gregg folded format: one ``path count`` line per
-        nesting path, counts in integer microseconds — feed straight
-        into ``flamegraph.pl`` or speedscope."""
-        return [f"{path} {max(1, round(wall * 1_000_000))}"
-                for path, wall in sorted(self._folded.items())]
-
-    def write_folded(self, path) -> None:
-        """Write :meth:`folded_lines` to ``path``."""
-        import pathlib
-
-        target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("\n".join(self.folded_lines()) + "\n")
-
     def to_dict(self, limit: Optional[int] = None) -> dict:
         out: dict = {"v": PROFILE_VERSION,
                      "hotspots": self.hotspots(limit)}
@@ -366,18 +276,6 @@ class Profiler:
                 f"{r['share'] * 100:>5.1f}% "
                 f"{r['calls']:>8} {r['work']:>10}")
         return "\n".join(lines)
-
-    def emit_hotspots(self, events, limit: int = 10) -> None:
-        """Mirror the top hotspots into an
-        :class:`~repro.obs.events.EventStream` (``profile.hotspot``
-        kind), so ``--events-out`` / Chrome-trace export carry them
-        without new plumbing."""
-        if events is None:
-            return
-        for entry in self.hotspots(limit):
-            events.emit("profile.hotspot", name=entry["name"],
-                        wall_s=entry["wall_s"], work=entry["work"],
-                        calls=entry["calls"])
 
 
 #: shared disabled profiler — the default for instrumented call sites.

@@ -1,12 +1,12 @@
 """Central registry of per-subsystem schema versions.
 
-Every versioned artifact the observability stack emits — event
-streams, state-graph captures, profiles, counterexample documents —
-stamps a ``"v"`` field so consumers can reject incompatible layouts.
-This registry is the single source of truth:
+Every versioned artifact the observability stack emits — state-graph
+captures, profiles, counterexample documents — stamps a ``"v"`` field
+so consumers can reject incompatible layouts.  This registry is the
+single source of truth:
 
 * emitting modules import their constant from here
-  (``events.SCHEMA_VERSION is schemas.EVENTS``);
+  (``graph.SCHEMA_VERSION is schemas.GRAPH``);
 * the ``schema_versions`` block of every ``run_meta`` is
   :func:`registry` verbatim;
 * :func:`check_registry`, run by the tier-1 tests, re-imports the
@@ -18,9 +18,6 @@ layout changes incompatibly.
 """
 
 from __future__ import annotations
-
-#: structured event stream records (:mod:`repro.obs.events`)
-EVENTS = 1
 
 #: JSONL state-graph capture artifacts (:mod:`repro.obs.graph`)
 GRAPH = 1
@@ -53,7 +50,6 @@ def registry() -> dict:
     """``{subsystem: version}`` for every versioned document schema —
     the block stamped into ``run_meta``."""
     return {
-        "events": EVENTS,
         "graph": GRAPH,
         "profile": PROFILE,
         "lint": LINT,
@@ -71,10 +67,9 @@ def check_registry() -> list[str]:
     literal again."""
     from repro.analysis.summaries import store as summary_store
     from repro.mc import cex
-    from repro.obs import events, graph, heatmap, perfdiff, profile
+    from repro.obs import graph, heatmap, perfdiff, profile
 
     live = {
-        "events": events.SCHEMA_VERSION,
         "graph": graph.SCHEMA_VERSION,
         "profile": profile.PROFILE_VERSION,
         "cex": cex.SCHEMA_VERSION,

@@ -192,31 +192,20 @@ def test_cli_run_json_includes_path(broken_file, capsys):
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["violation"]
-    assert doc["path"]
+    # the schedule is replayable from the document: its seed, and
+    # the path and history it produced
+    assert doc["seed"] == 1
+    assert doc["path"] and doc["path"][0]["kind"] == "invoke"
+    assert doc["history"]
     assert validate(doc["counterexample"], CEX_SCHEMA) == []
 
 
-def test_cli_trace_out_writes_loadable_chrome_trace(broken_file,
-                                                    tmp_path, capsys):
-    trace_path = tmp_path / "trace.json"
-    events_path = tmp_path / "events.jsonl"
+def test_cli_mc_json_trace_survives_violation(broken_file, capsys):
     code = cli.main(["mc", broken_file, "DownBad()", "DownBad()",
-                     "--trace-out", str(trace_path),
-                     "--events-out", str(events_path)])
-    capsys.readouterr()
+                     "--json", "--trace"])
     assert code == 1
-    doc = json.loads(trace_path.read_text())
-    events = doc["traceEvents"]
-    assert events and isinstance(events, list)
-    phases = {e["ph"] for e in events}
-    assert {"X", "i", "M"} <= phases
-    for event in events:
-        assert event["pid"] == 1
-        if event["ph"] in ("X", "i"):
-            assert event["ts"] >= 0
-        if event["ph"] == "X":
-            assert event["dur"] >= 0
-    # the instant events mirror the structured stream on disk
-    from tests.test_events import read_events
-    stream = read_events(events_path)
-    assert {e["kind"] for e in stream} >= {"mc.push", "mc.violation"}
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["violation"] and doc["trace"]
+    (run,) = doc["spans"]
+    assert run["name"] == "mc.run"
+    assert [c["name"] for c in run["children"]] == ["mc.init", "mc.dfs"]

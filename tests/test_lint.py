@@ -7,7 +7,6 @@ from repro import corpus
 from repro.analysis import analyze_program
 from repro.analysis.lint import (LINT_VERSION, RULES, Severity,
                                  lint_counts, lint_program)
-from repro.obs.events import EVENT_SCHEMA, EventStream
 from repro.obs.export import (LINT_REPORT_SCHEMA, LINT_SCHEMA,
                               validate)
 
@@ -389,13 +388,10 @@ def test_analysis_lint_counts_match_lint_program(name):
     assert lint_keys == lint_counts([lint_program(source)])
 
 
-def test_event_stream_receives_findings():
-    events = EventStream()
-    lint_program(corpus.DOUBLE_LL_DOWN, label="dll", events=events)
-    findings = events.snapshot("lint.finding")
-    assert {e["rule"] for e in findings} == {"llsc.multi-ll",
-                                             "llsc.nested-ll"}
-    (run,) = events.snapshot("lint.run")
-    assert run["target"] == "dll" and run["errors"] == 2
-    for event in events.snapshot():
-        assert validate(event, EVENT_SCHEMA) == []
+def test_lint_result_counts_findings():
+    result = lint_program(corpus.DOUBLE_LL_DOWN, label="dll")
+    by_rule = result.counts_by_rule()
+    assert set(by_rule) == {"llsc.multi-ll", "llsc.nested-ll"}
+    assert result.target == "dll" and result.errors == 2
+    assert sum(by_rule.values()) == len(result.findings) \
+        == result.errors + result.warnings + result.infos

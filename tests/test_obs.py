@@ -1,7 +1,7 @@
 """The observability layer: the profiler's span tree, the progress-rate
 estimator, JSON schema round-trips, classification provenance, and the
-CLI surfacing (--trace/--metrics/--profile/--json/--explain,
-REPRO_TRACE, exit codes)."""
+CLI surfacing (--trace/--metrics/--profile/--json/--explain, exit
+codes)."""
 
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from repro.analysis.report import (line_provenance, render_figure,
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, observers
 from repro.mc.observers import EwmaRate
-from repro.obs import ObsConfig, Profiler
-from repro.obs.export import (ANALYSIS_SCHEMA, MC_SCHEMA, analysis_to_dict,
-                              mc_to_dict, validate)
+from repro.obs import Profiler
+from repro.obs.export import (ANALYSIS_SCHEMA, MC_SCHEMA, PROFILE_SCHEMA,
+                              analysis_to_dict, mc_to_dict, validate)
 
 
 # -- span tree ------------------------------------------------------------------
@@ -79,7 +79,8 @@ def test_hand_closed_region_closes_open_children():
     assert all(s.end is not None for root in prof.roots
                for s in root.walk())
     assert prof.counters()["inner"]["calls"] == 1
-    assert set(prof.folded()) == {"outer", "outer;inner", "next"}
+    assert set(prof.to_dict()["folded"]) == {"outer", "outer;inner",
+                                             "next"}
 
 
 # -- progress rate ----------------------------------------------------------------
@@ -328,14 +329,9 @@ def test_cli_analyze_explain_and_metrics(queue_file, capsys):
     assert "analysis.variants: 5" in out
 
 
-def test_cli_analyze_trace_flag_and_env(queue_file, capsys,
-                                        monkeypatch):
+def test_cli_analyze_trace_flag(queue_file, capsys):
     assert cli.main(["analyze", "--trace", queue_file]) == 0
     assert "analysis.classify" in capsys.readouterr().out
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    assert cli.main(["analyze", queue_file]) == 0
-    assert "analysis.classify" in capsys.readouterr().out
-    monkeypatch.setenv("REPRO_TRACE", "0")
     assert cli.main(["analyze", queue_file]) == 0
     assert "analysis.classify" not in capsys.readouterr().out
 
@@ -391,15 +387,12 @@ proc P() {
     assert "(seed=5)" in out
 
 
-def test_cli_variants_profile_out_writes_folded(tmp_path, capsys):
+def test_cli_variants_profile_carries_folded_stacks(tmp_path, capsys):
     src = tmp_path / "aba.synl"
     src.write_text(corpus.ABA_STACK)
-    out = tmp_path / "v.folded"
-    assert cli.main(["variants", "--profile-out", str(out),
-                     str(src)]) == 0
-    paths = [line.rsplit(" ", 1)[0]
-             for line in out.read_text().splitlines()]
-    assert "analysis.run;analysis.variants" in paths
+    assert cli.main(["variants", "--json", "--profile", str(src)]) == 0
+    folded = json.loads(capsys.readouterr().out)["profile"]["folded"]
+    assert "analysis.run;analysis.variants" in folded
 
 
 def test_cli_run_profile_prints_hotspots(tmp_path, capsys):
@@ -442,14 +435,11 @@ def test_cli_mc_trace_alone_leaves_explorer_unwrapped(tmp_path, capsys,
         and "mc.dfs" in trace
     assert wrapped == []
     # every profile view still times the explorer's methods
-    for flags in (["--profile"], ["--profile-out",
-                                  str(tmp_path / "mc.folded")]):
+    for flags in (["--profile"], ["--trace", "--profile"],
+                  ["--json", "--profile"]):
         assert cli.main(argv + flags) == 0
         assert wrapped == ["_successors", "_key", "_alone"]
         wrapped.clear()
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    assert cli.main(argv + ["--trace"]) == 0
-    assert wrapped == ["_successors", "_key", "_alone"]
     capsys.readouterr()
 
 
@@ -460,16 +450,52 @@ def test_cli_experiments_rejects_obs_flags(capsys):
     assert "--profile" in capsys.readouterr().err
 
 
-# -- config -------------------------------------------------------------------------
+#: each obs command's argv, and the key its --json document keeps the
+#: span tree under (``run`` and ``mc`` use ``trace`` for the path)
+_OBS_COMMANDS = [
+    (["analyze", "{src}"], "trace"),
+    (["blocks", "{src}"], "trace"),
+    (["variants", "{src}"], "trace"),
+    (["run", "{src}", "PopCheck()", "Recycle()"], "spans"),
+    (["mc", "{src}", "PopCheck()", "Recycle()"], "spans"),
+    (["lint", "{src}"], "trace"),
+]
 
-def test_obs_config_env_parsing():
-    cfg = ObsConfig.from_env({"REPRO_TRACE": "1"})
-    assert cfg.trace and not cfg.metrics
-    assert not ObsConfig.from_env({"REPRO_TRACE": "off"}).trace
-    assert not ObsConfig.from_env({}).metrics
-    merged = ObsConfig.from_env({"REPRO_METRICS": "yes"}).with_flags(
-        trace=True)
-    assert merged.trace and merged.metrics
+
+@pytest.fixture
+def aba_file(tmp_path):
+    path = tmp_path / "aba.synl"
+    path.write_text(corpus.ABA_STACK)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, spans", _OBS_COMMANDS,
+                         ids=[a[0] for a, _ in _OBS_COMMANDS])
+def test_obs_command_json_carries_trace_and_profile(aba_file, capsys,
+                                                    argv, spans):
+    argv = [a.format(src=aba_file) for a in argv]
+    cli.main(argv + ["--json", "--trace", "--profile"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc[spans]
+    assert validate(doc["profile"], PROFILE_SCHEMA) == []
+    assert doc["profile"]["hotspots"]
+    cli.main(argv + ["--json"])
+    bare = json.loads(capsys.readouterr().out)
+    assert spans not in bare and "profile" not in bare
+
+
+@pytest.mark.parametrize("flag", ["--events-out", "--trace-out",
+                                  "--profile-out"])
+@pytest.mark.parametrize("argv", [a for a, _ in _OBS_COMMANDS],
+                         ids=[a[0] for a, _ in _OBS_COMMANDS])
+def test_obs_command_rejects_removed_file_flags(aba_file, tmp_path,
+                                                capsys, argv, flag):
+    argv = [a.format(src=aba_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag, str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- the centralized schema-version registry ---------------------------------------
@@ -478,8 +504,8 @@ def test_schema_registry_matches_live_constants():
     from repro.obs import schemas
 
     registry = schemas.registry()
-    assert set(registry) == {"events", "graph", "profile", "lint",
-                             "cex", "heatmap", "summary", "perfdiff"}
+    assert set(registry) == {"graph", "profile", "lint", "cex",
+                             "heatmap", "summary", "perfdiff"}
     assert all(isinstance(v, int) and v >= 1
                for v in registry.values())
     # every emitter imports its constant from the registry, so the

@@ -2,7 +2,7 @@
 submission order, equality with a sequential map, the clamp to the
 item count, worker failures raised as :class:`WorkerError`, and the
 two ``--jobs`` commands — a killed worker exits 2, a recorded trace or
-event stream runs in-process, and parallel documents equal sequential
+profile runs in-process, and parallel documents equal sequential
 ones."""
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ReproError
-from repro.obs.events import read_jsonl
 from repro.parallel import WorkerError, fork_map
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -145,17 +144,17 @@ def _region_names(out: str) -> list[str]:
             if line.strip()]
 
 
-@pytest.mark.parametrize("flag", ["--trace", "--events-out"])
+@pytest.mark.parametrize("flag", ["--trace", "--profile"])
 def test_corpus_jobs_records_telemetry_in_process(tmp_path, capsys, flag):
     def run(store: str, *jobs: str):
-        extra = [flag] if flag == "--trace" \
-            else [flag, str(tmp_path / f"{store}.jsonl")]
+        extra = [flag] if flag == "--trace" else ["--json", flag]
         assert main(_corpus(tmp_path, store, *extra, *jobs)) == 0
         out, err = capsys.readouterr()
         if flag == "--trace":
             return _region_names(out), err
-        return [e["kind"] for e in
-                read_jsonl(tmp_path / f"{store}.jsonl")], err
+        # calls and work are deterministic; the wall-time rank is not
+        return {h["name"]: (h["calls"], h["work"]) for h in
+                json.loads(out)["profile"]["hotspots"]}, err
 
     sequential, quiet = run("seq")
     parallel, note = run("par", "--jobs", "2")

@@ -47,74 +47,74 @@ def write_bench_run(path, records):
     return str(path)
 
 
-def _side(label, counters, wall=None):
-    return {"label": label,
-            "counters": {name: {"calls": c, "work": w}
-                         for name, (c, w) in counters.items()},
-            "wall": dict(wall or {})}
+def _side(label, rows):
+    """A side built, as ``perf diff`` builds one, from traced bench
+    records: ``rows`` maps ``<workload>/<layer>`` to ``(calls,
+    self_s)``, one record per workload."""
+    layers: dict = {}
+    for name, stats in rows.items():
+        workload, layer = name.split("/", 1)
+        layers.setdefault(workload, {})[layer] = stats
+    return side_from_records(label, [bench_record(workload, by_layer)
+                                     for workload, by_layer
+                                     in layers.items()])
 
 
 # -- grouping ----------------------------------------------------------------------
 
 def test_group_of_prefixes():
     assert group_of("gh-full/mc.canonical") == "gh-full"
-    assert group_of("mc.successors") == "explorer"
-    assert group_of("theorem.5.3") == "theorem"
-    assert group_of("lint.checker.aba_discipline") == "lint-rule"
-    assert group_of("analysis.classify") == "analysis-pass"
-    assert group_of("summary.lookup") == "summary-cache"
-    assert group_of("parse.tokens") == "other"
+    assert group_of("table2-nfq/mc.properties") == "table2-nfq"
 
 
 # -- attribution ranking and the drift gate ----------------------------------------
 
 def test_rows_ranked_by_absolute_delta():
-    a = _side("a", {"mc.successors": (0, 1000),
-                    "mc.dedup": (0, 500),
-                    "theorem.5.3": (0, 100)})
-    b = _side("b", {"mc.successors": (0, 1400),   # +400
-                    "mc.dedup": (0, 1200),        # +700
-                    "theorem.5.3": (0, 90)})      # -10
+    a = _side("a", {"gh-full/interp.step": (1000, 0.0),
+                    "gh-full/mc.canonical": (500, 0.0),
+                    "gh-full/mc.por": (100, 0.0)})
+    b = _side("b", {"gh-full/interp.step": (1400, 0.0),   # +400
+                    "gh-full/mc.canonical": (1200, 0.0),  # +700
+                    "gh-full/mc.por": (90, 0.0)})         # -10
     report = attribute(a, b)
     assert [r["name"] for r in report["rows"]] == \
-        ["mc.dedup", "mc.successors", "theorem.5.3"]
+        ["gh-full/mc.canonical", "gh-full/interp.step", "gh-full/mc.por"]
 
 
 def test_equal_call_deltas_rank_by_self_time_delta():
-    a = _side("a", {"w/x": (10, 0), "w/y": (10, 0)},
-              {"w/x": 0.1, "w/y": 0.1})
-    b = _side("b", {"w/x": (10, 0), "w/y": (10, 0)},
-              {"w/x": 0.15, "w/y": 0.4})
+    a = _side("a", {"w/x": (10, 0.1), "w/y": (10, 0.1)})
+    b = _side("b", {"w/x": (10, 0.15), "w/y": (10, 0.4)})
     assert [r["name"] for r in attribute(a, b)["rows"]] == ["w/y", "w/x"]
 
 
 def test_growth_past_threshold_gates():
-    a = _side("a", {"mc.successors": (0, 1000)})
-    b = _side("b", {"mc.successors": (0, 1400)})
+    a = _side("a", {"gh-full/interp.step": (1000, 0.0)})
+    b = _side("b", {"gh-full/interp.step": (1400, 0.0)})
     report = attribute(a, b)                      # +40% > 25%
     assert report["drift"] is True
-    assert report["drifted"] == ["mc.successors"]
+    assert report["drifted"] == ["gh-full/interp.step"]
 
 
 def test_shrinking_work_never_gates():
     # a speedup is not a regression, mirroring the watchdog
-    a = _side("a", {"mc.successors": (0, 1400)})
-    b = _side("b", {"mc.successors": (0, 100)})
+    a = _side("a", {"gh-full/interp.step": (1400, 0.0)})
+    b = _side("b", {"gh-full/interp.step": (100, 0.0)})
     report = attribute(a, b)
     assert report["drift"] is False
 
 
 def test_work_floor_suppresses_tiny_absolute_deltas():
     # +100% relative, but only +8 units: below WORK_FLOOR
-    a = _side("a", {"theorem.5.5": (0, 8)})
-    b = _side("b", {"theorem.5.5": (0, 16)})
+    a = _side("a", {"gh-full/mc.por": (8, 0.0)})
+    b = _side("b", {"gh-full/mc.por": (16, 0.0)})
     assert attribute(a, b)["drift"] is False
-    big = _side("b", {"theorem.5.5": (0, 8 + WORK_FLOOR + 1)})
+    big = _side("b", {"gh-full/mc.por": (8 + WORK_FLOOR + 1, 0.0)})
     assert attribute(a, big)["drift"] is True
 
 
 def test_identical_sides_have_zero_drift():
-    a = _side("a", {"mc.successors": (10, 1000), "mc.dedup": (5, 40)})
+    a = _side("a", {"gh-full/interp.step": (1010, 0.2),
+                    "gh-full/mc.canonical": (45, 0.1)})
     report = attribute(a, dict(a, label="b"))
     assert report["drift"] is False
     assert all(r["delta"] == 0 for r in report["rows"])
@@ -122,24 +122,26 @@ def test_identical_sides_have_zero_drift():
 
 def test_new_region_counts_as_full_growth():
     a = _side("a", {})
-    b = _side("b", {"mc.por_ample": (0, 500)})
+    b = _side("b", {"gh-full/mc.por": (500, 0.0)})
     (row,) = attribute(a, b)["rows"]
     assert row["units_a"] == 0 and row["drift"] is True
 
 
 def test_groups_aggregate_units():
-    a = _side("a", {"mc.successors": (0, 1000), "mc.dedup": (0, 500),
-                    "theorem.5.3": (0, 100)})
-    b = _side("b", {"mc.successors": (0, 1200), "mc.dedup": (0, 700),
-                    "theorem.5.3": (0, 100)})
+    a = _side("a", {"gh-full/interp.step": (1000, 0.0),
+                    "gh-full/mc.canonical": (500, 0.0),
+                    "table2-nfq/mc.canonical": (100, 0.0)})
+    b = _side("b", {"gh-full/interp.step": (1200, 0.0),
+                    "gh-full/mc.canonical": (700, 0.0),
+                    "table2-nfq/mc.canonical": (100, 0.0)})
     groups = attribute(a, b)["groups"]
-    assert groups["explorer"]["delta"] == 400
-    assert groups["theorem"]["delta"] == 0
+    assert groups["gh-full"]["delta"] == 400
+    assert groups["table2-nfq"]["delta"] == 0
 
 
 def test_attribution_document_validates():
-    a = _side("a", {"mc.successors": (3, 1000)}, {"mc.successors": 0.1})
-    b = _side("b", {"mc.successors": (3, 1400)}, {"mc.successors": 0.2})
+    a = _side("a", {"gh-full/interp.step": (1003, 0.1)})
+    b = _side("b", {"gh-full/interp.step": (1403, 0.2)})
     report = attribute(a, b)
     assert validate(report, PERFDIFF_SCHEMA) == []
 
@@ -154,9 +156,8 @@ def test_side_from_records_takes_per_workload_medians():
                                 {"mc.canonical": (766, 0.02)}))
     records.append(bench_record(trace=0))       # no layers: skipped
     side = side_from_records("x", records)
-    assert side["counters"] == {
-        "gh-full/mc.canonical": {"calls": 462, "work": 0},
-        "table2-nfq/mc.canonical": {"calls": 766, "work": 0}}
+    assert side["counters"] == {"gh-full/mc.canonical": 462,
+                                "table2-nfq/mc.canonical": 766}
     assert side["wall"] == {"gh-full/mc.canonical": 0.2,
                             "table2-nfq/mc.canonical": 0.02}
 
@@ -164,7 +165,7 @@ def test_side_from_records_takes_per_workload_medians():
 def test_side_from_records_keeps_timed_layers_without_calls():
     side = side_from_records("x", [bench_record()])
     # mc.explorer has only a self time; mc.por was never entered
-    assert side["counters"]["gh-full/mc.explorer"]["calls"] == 0
+    assert side["counters"]["gh-full/mc.explorer"] == 0
     assert side["wall"]["gh-full/mc.explorer"] == 0.0113
     assert "gh-full/mc.por" not in side["counters"]
 
@@ -177,13 +178,13 @@ def test_resolve_side_bench_dir(tmp_path):
     write_bench_run(tmp_path / "b.jsonl", [bench_record("table2-nfq")])
     (tmp_path / "notes.txt").write_text("not a record\n")
     side = resolve_side(str(tmp_path))
-    assert side["counters"]["gh-full/mc.canonical"]["calls"] == 462
+    assert side["counters"]["gh-full/mc.canonical"] == 462
     assert "table2-nfq/interp.step" in side["counters"]
     assert side["label"] == str(tmp_path)
 
 
 @pytest.mark.parametrize("text", [
-    "mc.run;mc.successors 1500000\n",               # --profile-out
+    "mc.run;mc.successors 1500000\n",               # collapsed stacks
     '{"v": 1, "hotspots": [{"name": "mc.run", "calls": 1}]}\n',
 ], ids=["folded", "profile-doc"])
 def test_resolve_side_rejects_non_bench_files(tmp_path, text):
@@ -202,15 +203,18 @@ def test_resolve_side_unknown_operand_raises(tmp_path):
 # -- rendering ---------------------------------------------------------------------
 
 def test_render_names_drifted_regions():
-    a = _side("a", {"mc.successors": (0, 1000), "mc.dedup": (0, 400)})
-    b = _side("b", {"mc.successors": (0, 1400), "mc.dedup": (0, 390)})
+    a = _side("a", {"gh-full/interp.step": (1000, 0.0),
+                    "gh-full/mc.canonical": (400, 0.0)})
+    b = _side("b", {"gh-full/interp.step": (1400, 0.0),
+                    "gh-full/mc.canonical": (390, 0.0)})
     text = render_attribution(attribute(a, b))
-    assert "DRIFT: 1 region(s) grew past +25%: mc.successors" in text
+    assert "DRIFT: 1 region(s) grew past +25%: gh-full/interp.step" \
+        in text
     assert "+40.0%" in text and "-2.5%" in text
 
 
 def test_render_clean_diff_says_so():
-    a = _side("a", {"mc.successors": (0, 1000)})
+    a = _side("a", {"gh-full/interp.step": (1000, 0.0)})
     text = render_attribution(attribute(a, dict(a, label="b")))
     assert "no attributed drift" in text
 

@@ -15,10 +15,9 @@ from repro.analysis.inference import analyze_program
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, observers
 from repro.mc.explorer import MCResult
-from repro.obs.config import ObsConfig
-from repro.obs.events import EVENT_SCHEMA, EventStream
 from repro.obs.export import MIN_RATE_WINDOW_S, PROFILE_SCHEMA, validate
-from repro.obs.profile import NULL_PROFILER, Profiler, malloc_top, peak_rss_mb
+from repro.obs.profile import (NULL_PROFILER, Profiler, escape_frame,
+                               malloc_top, peak_rss_mb)
 
 TINY = """
 global G;
@@ -144,17 +143,6 @@ def test_lint_checker_regions_and_rule_work():
     assert any(n.startswith("lint.rule.") for n in names)
 
 
-def test_emit_hotspots_produces_valid_events():
-    prof = Profiler()
-    prof.acc("a", 0.2, work=3)
-    prof.acc("b", 0.1, work=1)
-    events = EventStream()
-    prof.emit_hotspots(events, limit=1)
-    (event,) = events.snapshot("profile.hotspot")
-    assert validate(event, EVENT_SCHEMA) == []
-    assert event["name"] == "a" and event["work"] == 3
-
-
 def test_render_table():
     prof = Profiler()
     prof.acc("analysis.classify", 0.01, work=42)
@@ -180,14 +168,6 @@ def test_malloc_top_requires_tracing():
         tracemalloc.stop()
     assert entries and all(
         set(e) == {"site", "kb", "count"} for e in entries)
-
-
-# -- config ------------------------------------------------------------------------
-
-def test_profile_env_and_flags():
-    cfg = ObsConfig.from_env({"REPRO_PROFILE": "1"})
-    assert cfg.profile
-    assert not ObsConfig.from_env({"REPRO_PROFILE": "off"}).profile
 
 
 # -- explorer integration ----------------------------------------------------------
@@ -229,17 +209,15 @@ def test_explorer_heartbeat_and_progress_events():
     beats: list[str] = []
     interp = Interp(TINY)
     specs = [ThreadSpec.of(("Inc",)) for _ in range(3)]
-    events = EventStream()
     result = Explorer(interp, specs, mode="por",
                       observer=observers.Heartbeat(
-                          0.0001, sink=beats.append,
-                          events=events)).run()
-    assert beats and "done" in beats[-1]
+                          0.0001, sink=beats.append)).run()
+    # a short period beats during the search, then once more at the end
+    assert len(beats) >= 2
+    assert all(b.startswith("[mc:por] ") for b in beats)
+    assert "done" not in beats[0] and "done" in beats[-1]
     assert f"states={result.states}" in beats[-1]
-    progress_events = events.snapshot("explorer.progress")
-    assert progress_events
-    assert all(validate(e, EVENT_SCHEMA) == [] for e in progress_events)
-    assert progress_events[-1]["states"] == result.states
+    assert f"trans={result.transitions}" in beats[-1]
 
 
 def test_explorer_trace_malloc_metric():
@@ -263,7 +241,7 @@ def test_folded_paths_follow_region_nesting():
         time.sleep(0.001)
         with prof.region("inner"):
             time.sleep(0.001)
-    folded = prof.folded()
+    folded = prof.to_dict()["folded"]
     assert set(folded) == {"outer", "outer;inner"}
     # region scopes are cumulative: outer includes inner's time
     assert folded["outer"] >= folded["outer;inner"]
@@ -273,28 +251,13 @@ def test_acc_folds_under_the_live_stack():
     prof = Profiler()
     with prof.region("phase"):
         prof.acc("hot-loop", 0.002, work=10)
-    assert "phase;hot-loop" in prof.folded()
+    assert "phase;hot-loop" in prof.to_dict()["folded"]
     # acc outside any region lands at the root
     prof.acc("flush", 0.001)
-    assert "flush" in prof.folded()
+    assert "flush" in prof.to_dict()["folded"]
     # zero-wall acc contributes no folded path
     prof.acc("counter-only", 0.0, work=5)
-    assert "counter-only" not in prof.folded()
-
-
-def test_folded_lines_format_and_write(tmp_path):
-    prof = Profiler()
-    prof.acc("a", 0.002)
-    with prof.region("a"):
-        prof.acc("b", 0.0000001)   # rounds up to the 1us floor
-    lines = prof.folded_lines()
-    assert lines == sorted(lines)
-    by_path = dict(line.rsplit(" ", 1) for line in lines)
-    assert by_path["a;b"] == "1"
-    assert int(by_path["a"]) >= 2000
-    target = tmp_path / "nested" / "profile.folded"
-    prof.write_folded(target)
-    assert target.read_text().splitlines() == lines
+    assert "counter-only" not in prof.to_dict()["folded"]
 
 
 def test_to_dict_carries_folded_and_validates():
@@ -310,53 +273,34 @@ def test_to_dict_carries_folded_and_validates():
 
 # -- folded-path escaping ----------------------------------------------------------
 
-def test_escape_frame_round_trips_special_chars():
-    from repro.obs.profile import (escape_frame, split_path,
-                                   unescape_frame)
-
-    for name in ("plain", "has space", "semi;colon", "tab\there",
-                 "new\nline", "back\\slash", "mix ;\t\n end",
-                 "theorem 5.3; weak interference"):
-        escaped = escape_frame(name)
-        # no literal whitespace (the folded format is two-column) and
-        # no unescaped separator (frames must survive the join)
-        assert " " not in escaped
-        assert "\n" not in escaped and "\t" not in escaped
-        assert unescape_frame(escaped) == name
-        assert split_path(escaped) == [name]
+def _separators(path: str) -> int:
+    """The unescaped ``;`` in an escaped folded path: every backslash
+    there starts a two-character escape."""
+    return path.replace("\\\\", "").replace("\\;", "").count(";")
 
 
-def test_split_path_honours_escaped_separators():
-    from repro.obs.profile import escape_frame, split_path
+def test_escape_frame_keeps_each_name_one_frame():
+    names = ("plain", "has space", "semi;colon", "tab\there",
+             "new\nline", "back\\slash", "back\\;slash",
+             "mix ;\t\n end", "theorem 5.3; weak interference")
+    escaped = [escape_frame(name) for name in names]
+    # no literal whitespace (the folded line format is two-column),
+    # no separator, and no two names share an escape
+    for frame in escaped:
+        assert not any(c in frame for c in " \t\n")
+        assert _separators(frame) == 0
+    assert len(set(escaped)) == len(names)
 
-    frames = ["outer scope", "mid;frame", "leaf\\end"]
-    path = ";".join(escape_frame(f) for f in frames)
-    assert split_path(path) == frames
 
-
-def test_folded_lines_survive_hostile_region_names(tmp_path):
-    from repro.obs.profile import parse_folded_lines, split_path
-
+def test_folded_lines_survive_hostile_region_names():
     prof = Profiler()
     with prof.region("theorem 5.3; reduction"):
         with prof.region("site visit\tpass"):
             time.sleep(0.001)
-    lines = prof.folded_lines()
-    # the collapsed format stays two-column: escaped path + count
-    parsed = parse_folded_lines(lines)
-    assert len(parsed) == len(prof.folded())
-    paths = [split_path(p) for p in parsed]
-    assert ["theorem 5.3; reduction", "site visit\tpass"] in paths
-    # and the file round-trips through write_folded
-    target = tmp_path / "hostile.folded"
-    prof.write_folded(target)
-    reparsed = parse_folded_lines(target.read_text().splitlines())
-    assert reparsed == parsed
-
-
-def test_parse_folded_lines_skips_malformed():
-    from repro.obs.profile import parse_folded_lines
-
-    parsed = parse_folded_lines(
-        ["a;b 100", "", "no-count-column", "c notanumber", "d 5"])
-    assert parsed == {"a;b": 100, "d": 5}
+    folded = prof.to_dict()["folded"]
+    # one escaped path per nesting, each frame intact
+    assert sorted(_separators(path) for path in folded) == [0, 1]
+    assert all(not any(c in path for c in " \t\n") for path in folded)
+    outer = escape_frame("theorem 5.3; reduction")
+    assert set(folded) == {outer,
+                           outer + ";" + escape_frame("site visit\tpass")}

@@ -240,12 +240,12 @@ def test_corpus_trace_prints_and_embeds_the_span_tree(tmp_path, capsys):
 
 def test_trace_key_does_not_depend_on_the_cache(tmp_path, capsys):
     target = _write(tmp_path, "q.synl", corpus.NFQ_PRIME)
-    argv = ["analyze", target, "--json", *_store_args(tmp_path),
-            "--trace-out", str(tmp_path / "t.json")]
+    argv = ["analyze", target, "--json", "--trace",
+            *_store_args(tmp_path)]
     assert main(argv) == 0
     miss = json.loads(capsys.readouterr().out)
     assert main(argv) == 0
     hit = json.loads(capsys.readouterr().out)
     assert miss["cached"] is False and hit["cached"] is True
-    assert "trace" in miss
+    assert miss["trace"] and hit["trace"]
     assert set(hit) == set(miss)

@@ -113,19 +113,23 @@ def test_metrics_and_profiler_attribution(tmp_path):
         == 1
 
 
-def test_summary_events_emitted(tmp_path):
-    from repro.obs.events import EventStream
-
+def test_summary_info_reports_resolve_emit_and_replay(tmp_path):
     store = _store(tmp_path)
-    events = EventStream()
-    analyze_with_summaries(corpus.CAS_COUNTER, store=store,
-                           events=events, label="cas")
-    analyze_with_summaries(corpus.CAS_COUNTER, store=store,
-                           events=events, label="cas")
-    kinds = [e["kind"] for e in events.snapshot()]
-    assert "summary.resolve" in kinds
-    assert "summary.emit" in kinds
-    assert "summary.replay" in kinds
+    _, miss = analyze_with_summaries(corpus.CAS_COUNTER, store=store,
+                                     label="cas")
+    # resolve found nothing, so the miss emitted a record per proc
+    # and one for the program
+    assert miss["label"] == "cas" and not miss["cached"]
+    assert miss["misses"] == sorted(miss["proc_keys"])
+    assert not miss["hits"] and not miss["invalidated"]
+    stats = store.stats()
+    assert (stats["procs"], stats["programs"]) \
+        == (len(miss["proc_keys"]), 1)
+    # the second pass replays them
+    result, hit = analyze_with_summaries(corpus.CAS_COUNTER,
+                                         store=store, label="cas")
+    assert hit["cached"] and getattr(result, "cached", False)
+    assert hit["hits"] == miss["misses"] and not hit["misses"]
 
 
 # -- invalidation cascades (satellite) -----------------------------------------
