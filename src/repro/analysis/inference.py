@@ -35,6 +35,7 @@ Pipeline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.analysis import atomicity as AT
 from repro.analysis.actions import RawAction, Target, node_actions
@@ -206,9 +207,6 @@ class AnalysisResult:
     #: counts, per-theorem exclusion tallies, mover distribution, plus
     #: the ``lint.*`` counts of the embedded lint pass)
     metrics: dict[str, int] = field(default_factory=dict)
-    #: span tree (``Profiler.spans``) when the analysis ran with a
-    #: profiler, else empty
-    trace: list = field(default_factory=list)
     #: discipline-lint findings for the source program
     #: (:class:`repro.analysis.lint.LintResult`), None when disabled
     lint: object = None
@@ -216,14 +214,12 @@ class AnalysisResult:
     #: lint found the discipline they assume violated:
     #: ``{"theorem", "region", "rules", "detail"}``
     downgrades: list[dict] = field(default_factory=list)
-    #: ranked hotspot document (``Profiler.to_dict`` shape) when the
-    #: analysis ran with a profiler, else empty
-    profile: dict = field(default_factory=dict)
 
-    def to_dict(self, include_provenance: bool = True) -> dict:
+    def to_dict(self, include_provenance: bool = True,
+                telemetry: Optional[dict] = None) -> dict:
         from repro.obs.export import analysis_to_dict
 
-        return analysis_to_dict(self, include_provenance)
+        return analysis_to_dict(self, include_provenance, telemetry)
 
     def is_atomic(self, proc_name: str) -> bool:
         return self.verdicts[proc_name].atomic
@@ -461,9 +457,7 @@ class AtomicityChecker:
             contexts=self.contexts, uniqueness=self.unique,
             diagnostics=self.diagnostics,
             metrics=dict(sorted(self._counts.items())),
-            trace=prof.spans() if prof.enabled else [],
-            lint=self.lint, downgrades=self.downgrades,
-            profile=prof.to_dict() if prof.enabled else {})
+            lint=self.lint, downgrades=self.downgrades)
 
     # -- discipline queries ---------------------------------------------------
     def _versioned(self, target: Target) -> bool:

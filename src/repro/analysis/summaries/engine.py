@@ -175,8 +175,6 @@ class CachedAnalysisResult:
         self.downgrades = [dict(d)
                            for d in self._doc.get("downgrades", [])]
         self.metrics = dict(self._doc.get("metrics", {}))
-        self.trace: list = []
-        self.profile: dict = {}
         lint_doc = self._doc.get("lint")
         self.lint = (self._Lint(lint_doc,
                                 record.get("lint_rendered", []))

@@ -142,20 +142,25 @@ def _emit_obs(args, profiler: Profiler, metrics: dict) -> None:
         print(profiler.render())
 
 
-def _print_json(doc: dict, args, profiler: Profiler,
-                spans: str = "trace") -> None:
-    """Print a ``--json`` document with the telemetry the obs flags
-    ask for, and none they do not: the span tree under ``spans`` with
-    ``--trace`` and the profile document under ``profile`` with
-    ``--profile``.  ``run`` and ``mc`` name the span key ``spans``,
-    since their ``trace`` is the executed path."""
-    for key, asked, view in ((spans, args.trace, profiler.spans),
-                             ("profile", args.profile,
-                              profiler.to_dict)):
-        if asked:
-            doc[key] = view()
-        else:
-            doc.pop(key, None)
+def _telemetry(args, profiler: Profiler, spans: str = "trace") -> dict:
+    """The telemetry the obs flags ask for, and none they do not, each
+    built once: the span tree under ``spans`` with ``--trace`` and the
+    profile document under ``profile`` with ``--profile``.  ``run``
+    and ``mc`` name the span key ``spans``, since their ``trace`` is
+    the executed path."""
+    out = {}
+    if args.trace:
+        out[spans] = profiler.spans()
+    if args.profile:
+        out["profile"] = profiler.to_dict()
+    return out
+
+
+def _print_json(doc: dict, telemetry: dict) -> None:
+    """Print a ``--json`` document with ``telemetry``
+    (:func:`_telemetry`) in it: in the slots a result's ``to_dict``
+    gave it, else at the end."""
+    doc.update(telemetry)
     print(json.dumps(doc, indent=2))
 
 
@@ -212,13 +217,15 @@ def cmd_analyze(args) -> int:
     else:
         profiler, result = _analyze_with_obs(args)
     if args.json:
-        doc = result.to_dict()
+        telemetry = _telemetry(args, profiler)
         # the key set must not depend on the cache: a miss says so,
-        # and a hit, which has no spans of its own, gets the
-        # profiler's from _print_json like every other run
+        # and a hit's replayed document, which has no telemetry slots,
+        # gets the profiler's at the end
+        doc = (result.to_dict() if getattr(result, "cached", False)
+               else result.to_dict(telemetry=telemetry))
         if info is not None:
             doc["cached"] = info["cached"]
-        _print_json(doc, args, profiler)
+        _print_json(doc, telemetry)
     else:
         print(_figure_text(result, args.explain))
         print()
@@ -295,7 +302,7 @@ def _cmd_analyze_corpus(args) -> int:
                      "errors": report["errors"],
                      "drift": report["drift"],
                      "stats": report["stats"],
-                     "run_meta": run_meta()}, args, profiler)
+                     "run_meta": run_meta()}, _telemetry(args, profiler))
     else:
         width = max((len(r["label"]) for r in report["rows"]),
                     default=8)
@@ -433,7 +440,7 @@ def cmd_blocks(args) -> int:
         }
         if result.metrics:
             doc["metrics"] = dict(result.metrics)
-        _print_json(doc, args, profiler)
+        _print_json(doc, _telemetry(args, profiler))
         return 0
     for parts in partitions.values():
         for partition in parts:
@@ -455,7 +462,7 @@ def cmd_variants(args) -> int:
                             for v in result.variant_set.variants]}
         if result.metrics:
             doc["metrics"] = dict(result.metrics)
-        _print_json(doc, args, profiler)
+        _print_json(doc, _telemetry(args, profiler))
         return 0
     for variant in result.variant_set.variants:
         print(pretty(variant.proc))
@@ -509,7 +516,7 @@ def cmd_run(args) -> int:
             doc["path"] = path_log
         if cex is not None:
             doc["counterexample"] = cex.to_dict()
-        _print_json(doc, args, profiler, spans="spans")
+        _print_json(doc, _telemetry(args, profiler, "spans"))
         return 1 if violation is not None else 0
     for event in world.history:
         print(event)
@@ -571,14 +578,15 @@ def cmd_mc(args) -> int:
     if result.violation and args.explain_cex:
         cex = _explain_cex(args, result, interp)
     if args.json:
-        doc = result.to_dict()
+        telemetry = _telemetry(args, profiler, "spans")
+        doc = result.to_dict(telemetry)
         if annotations is not None:
             doc["heatmap"] = heatmap.build_heatmap(
                 result.metrics["mc.stmt_heat"], annotations,
                 annotated=analysis is not None)
         if cex is not None:
             doc["counterexample"] = cex.to_dict()
-        _print_json(doc, args, profiler, spans="spans")
+        _print_json(doc, telemetry)
     else:
         print(result)
         if cex is not None:
@@ -658,7 +666,7 @@ def cmd_lint(args) -> int:
                             f"linted in this run")
         if args.json:
             _print_json({"v": 1, "matched": not failures,
-                         "failures": failures}, args, profiler)
+                         "failures": failures}, _telemetry(args, profiler))
         elif failures:
             for line in failures:
                 print(f"MISMATCH {line}")
@@ -674,7 +682,7 @@ def cmd_lint(args) -> int:
             print("error: lint JSON failed schema validation: "
                   + "; ".join(errors), file=sys.stderr)
             return 2
-        _print_json(doc, args, profiler)
+        _print_json(doc, _telemetry(args, profiler))
     else:
         for res in results:
             print(res.render())

@@ -2,7 +2,11 @@
 
 Transition granularity is one CFG node (one statement / branch test),
 the usual statement granularity of explicit-state model checkers; all
-reads/writes inside a node happen in one transition.
+reads/writes inside a node happen in one transition.  A step that
+loads a global, field or element, or the class of the object a CAS on
+a field targets, appends the address to its world's ``reads`` while
+that is a list: the model checker's step memo keys a step's outcome
+by what it loaded (:mod:`repro.mc.explorer`).
 
 Synchronization semantics (§3.1):
 
@@ -69,8 +73,6 @@ class Interp:
         for proc in extra_procs or []:
             self.proc_params[proc.name] = [
                 proc.param_bindings[name] for name in proc.params]
-        #: node uid -> :meth:`_node_is_local`, filled on first use
-        self._local: dict[int, bool] = {}
 
     # -- world construction ----------------------------------------------------
     def make_world(self, specs: list[ThreadSpec]) -> World:
@@ -176,41 +178,6 @@ class Interp:
         thread.frame = frame
         return world.emit(Event("invoke", tid, display or name,
                                 tuple(args)))
-
-    # -- thread-local steps ---------------------------------------------------
-    def local_step(self, thread: Thread) -> bool:
-        """Does ``thread``'s next step read and write nothing but its
-        own frame, thread-locals and reservations?  Then it is a
-        both-mover whose outcome, successor thread and event alike,
-        is a function of the thread alone, whatever world holds it.
-        Invoking and returning qualify, and so do the nodes
-        :meth:`_node_is_local` accepts."""
-        frame = thread.frame
-        if frame is None:
-            return True
-        node = frame.node
-        if node is None:
-            return True
-        local = self._local.get(node.uid)
-        if local is None:
-            local = self._local[node.uid] = self._node_is_local(node)
-        return local
-
-    @staticmethod
-    def _node_is_local(node: CFGNode) -> bool:
-        """Is every action of ``node`` (§3.3, :func:`node_actions`) a
-        plain read or write of a local, parameter or thread-local, or
-        a ``VL`` test of the thread's own reservation?  Control nodes
-        have no actions.  Globals, fields, elements, allocation, LL,
-        SC, CAS and lock operations fail."""
-        # imported on first use: loading repro.analysis costs ~50 ms
-        # that a plain interpreter run does not need
-        from repro.analysis.actions import node_actions
-
-        return all(a.via == "VL" or (a.via == "plain"
-                                     and a.op in ("read", "write")
-                                     and a.target.kind == "var")
-                   for a in node_actions(node))
 
     # -- the step function ----------------------------------------------------------
     def step(self, world: World, tid: Optional[int],
@@ -369,17 +336,30 @@ class Interp:
 
     def _load(self, world: World, thread: Thread, addr: Addr) -> Value:
         kind = addr[0]
-        if kind == "g":
-            return world.globals[addr[1]]
+        if kind == "l":
+            return thread.frame.env.get(addr[2])
         if kind == "t":
             # thread-locals are only ever addressed by their own thread
             return thread.threadlocals[addr[2]]
-        if kind == "l":
-            return thread.frame.env.get(addr[2])
+        reads = world.reads
+        if reads is not None:
+            reads.append(addr)
+        return self.load(world, addr)
+
+    @staticmethod
+    def load(world: World, addr: Addr) -> Value:
+        """The value at shared address ``addr`` of ``world``, not
+        recorded anywhere: a global, a field, an element, or
+        ``("c", oid)``, the class name of object ``oid``."""
+        kind = addr[0]
+        if kind == "g":
+            return world.globals[addr[1]]
         if kind == "f":
             return world.heap.read_field(Ref(addr[1]), addr[2])
         if kind == "e":
             return world.heap.read_elem(Ref(addr[1]), addr[2])
+        if kind == "c":
+            return world.heap.get(Ref(addr[1])).class_name
         raise InterpError(f"bad address {addr!r}")
 
     def _store(self, world: World, thread: Thread, addr: Addr,
@@ -425,8 +405,10 @@ class Interp:
         if isinstance(loc, A.Field) and isinstance(loc.base, A.Var):
             base = self._eval(world, thread, loc.base)
             if isinstance(base, Ref):
-                obj = world.heap.get(base)
-                decl = self.program.class_decl(obj.class_name)
+                # a load, so that a step memo keys it: two worlds may
+                # hold objects of different classes under one oid
+                decl = self.program.class_decl(
+                    self._load(world, thread, ("c", base.oid)))
                 return decl is not None \
                     and loc.name in decl.versioned_fields
         return False

@@ -11,13 +11,13 @@ Threads carry two caches for the model checker, both derived from the
 thread's own contents and both dropped by :meth:`World.own_thread`
 before every write: ``canon``, its key fragment
 (:mod:`repro.mc.canonical`), and ``memo``, its next step when that
-step is thread-local (:class:`repro.mc.explorer.StepMemo`).  A step
-qualifies when it reads and writes nothing but the thread's own frame,
-thread-locals and reservations (:meth:`repro.interp.interp.Interp.local_step`),
-so its successor is a function of the thread alone.  The memo holds
-that successor thread, which no world owns (:meth:`World.disown`):
-a world that steps it again copies it first, so a cached thread never
-changes.
+step writes nothing but the thread (:mod:`repro.mc.explorer`'s step
+memo).  Such a step's successor is a function of the thread and of
+the shared values it loads, which a world collects in ``reads`` while
+one is set (:meth:`repro.interp.interp.Interp.load`); the memo keys
+the successor by them.  It holds the successor thread, which no world
+owns (:meth:`World.disown`): a world that steps it again copies it
+first, so a cached thread never changes.
 
 Each thread executes a :class:`ThreadSpec`: a list of procedure
 invocations (optionally repeated forever), which models the paper's
@@ -33,7 +33,9 @@ from typing import Optional
 from repro.cfg.graph import CFGNode, ProcCFG
 from repro.interp.values import Heap, Value, cache_slot
 
-Addr = tuple  # ('g', name) | ('t', tid, name) | ('f', oid, fd) | ('e', oid, i)
+#: ('g', name) | ('t', tid, name) | ('l', tid, binder) | ('f', oid, fd) |
+#: ('e', oid, i), and ('c', oid), object oid's class, as a shared load
+Addr = tuple
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,8 @@ class Thread:
     #: :meth:`World.own_thread` clears it before every write
     canon: Optional[tuple] = cache_slot()
     #: :mod:`repro.mc.explorer`'s memo of this thread's next step, when
-    #: that step is thread-local; :meth:`World.own_thread` clears it
-    #: before every write
+    #: that step writes nothing but the thread; :meth:`World.own_thread`
+    #: clears it before every write
     memo: Optional[object] = cache_slot()
 
     @property
@@ -138,6 +140,9 @@ class World:
         self._seq = 0
         #: tids of the threads no other world can see
         self._owned: set[int] = set()
+        #: when a list, each step appends to it the shared addresses it
+        #: loads from this world (:meth:`repro.interp.interp.Interp.load`)
+        self.reads: Optional[list] = None
 
     def add_thread(self, thread: Thread) -> None:
         self._owned.add(len(self.threads))
@@ -158,6 +163,16 @@ class World:
         """Give up thread ``tid``: from now on it is shared, and a
         write copies it first."""
         self._owned.discard(tid)
+
+    def wrote_only(self, tid: int, parent: "World") -> bool:
+        """Has nothing but thread ``tid`` been written since this world
+        was copied from ``parent``?  No heap object was allocated or
+        written, no other thread was made owned, and the versions and
+        locks equal ``parent``'s (every store to a global, field or
+        element bumps its version)."""
+        return (not self.heap.owned and self._owned <= {tid}
+                and self.locks == parent.locks
+                and self.versions == parent.versions)
 
     def emit(self, event: Event) -> Event:
         event.seq = self._seq

@@ -27,7 +27,8 @@ def cache_slot():
     """A slot where the model checker caches something derived from a
     heap object's or a thread's contents: :mod:`repro.mc.canonical`'s
     rename-independent key fragment, or :mod:`repro.mc.explorer`'s
-    memo of a thread-local step.  The owner clears it on every write
+    memo of a step that writes only its thread, keyed by the shared
+    values the step loads.  The owner clears it on every write
     (:class:`Heap`, ``World.own_thread``).  Not an argument, not
     compared, not shown, not copied."""
     return field(default=None, init=False, repr=False, compare=False)

@@ -78,15 +78,17 @@ adds ``(new - old) << SLOT_BITS * (p + 1)`` for each slot it rendered
 again; the full walk packs every slot.  An id too wide for its slot
 raises instead of aliasing.
 
-**Thread-local steps.**  A step that reads and writes only its
-thread's own state (``Interp.local_step``) leaves every other
-component as it was, so the successor's packed key is the parent's
-with one thread slot changed.  The explorer memoizes such a step on
-the parent thread, and with it ``keys``: the map from ``(the parent
+**Steps that write only their thread.**  Such a step (a load, an
+``LL``, a failed ``SC`` or ``CAS``, or one over locals) leaves every
+other component as it was, versions included, so the successor's
+packed key is the parent's with one thread slot changed.  The explorer
+memoizes such a step on the parent thread, keyed by the shared values
+it loaded, and with each outcome ``keys``: the map from ``(the parent
 thread's key id, refs numbered before the thread)`` to the successor
 thread's key id.  Those two determine the successor's key id, because
-the parent thread's key renders the number of every ref it holds, and
-the start says which of them the thread introduces.  The map is
+the parent thread's key renders the number of every ref it holds, the
+start says which of them the thread introduces, and the outcome fixes
+the counters the step observed, all current.  The map is
 filled by :func:`note_step_key` from a rekey that kept the numbering
 and whose successor thread holds only refs the parent thread held.
 :func:`step_key` reads it, but only while every thread of the parent

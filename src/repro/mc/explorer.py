@@ -32,24 +32,31 @@ an observer is attached; its value, and so graph-capture node ids, is
 that of a from-scratch :func:`~repro.mc.canonical.state_key` walk.
 The interner is dropped when :meth:`Explorer.run` returns.
 
-**Memoized thread-local steps.**  A step that reads and writes nothing
-but its thread's own frame, thread-locals and reservations
-(``Interp.local_step``: invoking, returning, control nodes, and
-statements and branches over locals, including ``VL``; never globals,
-fields, elements, allocation, LL/SC/CAS or locks) is a both-mover
-whose successor is a function of the thread alone.  The first time a
-thread takes such a step, :meth:`Explorer._step_thread` steps a copy
-as usual and caches a :class:`StepMemo` on the parent thread: the
+**The step memo.**  A step that writes nothing but its own thread (a
+control node, a statement over locals, invoking or returning, but also
+a plain load, an ``LL``, a failed ``SC`` or ``CAS``) has an outcome
+fixed by its thread and the shared values it loads.  On a miss,
+:meth:`Explorer._step_thread` steps a copy as usual, with the copy
+collecting the addresses the step loads (``World.reads``).  When the
+step allocated nothing and wrote no heap object, version, lock or other
+thread (``World.wrote_only``), it is cached on the parent thread as a
+small trie: a :class:`StepRead` node holds the step's next loaded
+address, each branch is keyed by what was read there, ``(class, value,
+modification counter)``, and the leaf is a :class:`StepMemo`, the
 successor thread, which no world owns from then on, so it never
-changes, and the step's events.  A step that raises is not cached.
-The memo lives in the thread's ``memo`` slot, which
+changes, and the step's events.  The class keeps ``True`` and ``1``
+apart; the counter is needed because a read records it in the
+thread's ``observed`` map, which the thread's key holds.  A step that
+loads nothing is a leaf at the root.  A step that raises is not
+cached.  The memo lives in the thread's ``memo`` slot, which
 ``World.own_thread`` drops on every write, as it drops ``canon``.
-Later, any world holding the same thread object takes the step with
-no copy and no interpreter step, and its key is the parent's with one
-slot changed (:func:`~repro.mc.canonical.step_key`, with the memo's
-map of thread key ids) whenever the map knows the thread's key id and
-no thread was written since the parent was keyed; otherwise the
-successor world is built and keyed as any other.
+Later, any world holding the same thread object walks the trie,
+reading each address from the world without recording it; at a leaf
+it takes the step with no copy and no interpreter step, and its key is
+the parent's with one slot changed (:func:`~repro.mc.canonical.step_key`,
+with the leaf's map of thread key ids) whenever the map knows the
+thread's key id and no thread was written since the parent was keyed;
+otherwise the successor world is built and keyed as any other.
 
 **Lazy successors.**  Such a successor carries its parent world and
 the memo instead of a world (``_Succ.parent``); :meth:`Explorer._run`
@@ -75,7 +82,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.errors import AssertionViolation
+from repro.errors import AssertionViolation, InterpError
 from repro.interp.interp import AssumeFailed, Interp
 from repro.interp.state import Event, Thread, ThreadSpec, World
 from repro.mc.atomic import run_to_commit, run_variant
@@ -120,9 +127,6 @@ class MCResult:
     #: (``Explorer._metrics``) plus whatever the attached observers add
     #: (e.g. ``Coverage``'s ``mc.depth`` / ``mc.stmt_heat``)
     metrics: dict = field(default_factory=dict)
-    #: ranked hotspot document (``Profiler.to_dict`` shape) when the
-    #: exploration ran with a ``Profile`` observer, else empty
-    profile: dict = field(default_factory=dict)
     quiescent: Optional[set] = None
     #: quiescent states where every thread's script has completed.
     #: ``full``/``por``/``atomic`` preserve the whole quiescent set;
@@ -142,10 +146,10 @@ class MCResult:
             return 0.0
         return self.states / self.elapsed
 
-    def to_dict(self) -> dict:
+    def to_dict(self, telemetry: Optional[dict] = None) -> dict:
         from repro.obs.export import mc_to_dict
 
-        return mc_to_dict(self)
+        return mc_to_dict(self, telemetry)
 
     def __str__(self) -> str:
         if self.violation:
@@ -163,14 +167,27 @@ class MCResult:
 
 @dataclass(slots=True)
 class StepMemo:
-    """A thread-local step, cached on the thread it steps from (its
-    ``memo`` slot): the successor thread, owned by no world, the
-    step's events, and ``keys``, the successor's thread key ids
+    """A step that writes only its thread, as the leaf of the memo on
+    the thread it steps from: the successor thread, owned by no world,
+    the step's events, and ``keys``, the successor's thread key ids
     (:func:`~repro.mc.canonical.note_step_key`)."""
 
     thread: Thread
     events: list[Event]
     keys: dict = field(default_factory=dict)
+
+
+class StepRead:
+    """A node of a thread's step memo: the step's next load is from
+    shared address ``addr``, and ``branches`` maps what it reads there,
+    ``(class, value, modification counter)``, to the memo of the rest
+    of the step, a :class:`StepRead` or a :class:`StepMemo`."""
+
+    __slots__ = ("addr", "branches")
+
+    def __init__(self, addr: tuple) -> None:
+        self.addr = addr
+        self.branches: dict = {}
 
 
 @dataclass(slots=True)
@@ -193,9 +210,10 @@ class _Succ:
     #: ``world``'s packed key, 0 until computed; a memo hit may have it
     #: before ``world`` and ``ctx`` are built
     packed: int = 0
-    #: the parent thread's memo, when the step is thread-local
+    #: the step's leaf of the parent thread's memo, when the step
+    #: writes only its thread
     memo: Optional[StepMemo] = None
-    #: the world stepped from, when the step is thread-local
+    #: the world stepped from, when ``memo`` is set
     parent: Optional[World] = None
 
     def step_info(self) -> dict:
@@ -238,10 +256,11 @@ class Explorer:
 
     # -- successor generation --------------------------------------------------
     def _step_thread(self, world: World, tid: int) -> _Succ:
-        """Thread ``tid``'s one-statement successor.  A thread-local
-        step is taken from the thread's memo when it has one, without
-        its world unless an observer is attached, and cached in a new
-        memo when it has not."""
+        """Thread ``tid``'s one-statement successor.  A step that
+        writes only its thread is taken from the thread's memo when
+        the memo has it for what ``world`` holds, without its world
+        unless an observer is attached, and cached in the memo when it
+        has not."""
         thread = world.threads[tid]
         frame = thread.frame
         node = frame.node if frame is not None else None
@@ -254,12 +273,15 @@ class Explorer:
         desc = f"t{tid}@{node.uid if node else 'call'}"
         memo = thread.memo
         if memo is not None:
-            succ = _Succ(desc, None, memo.events, tid=tid, uid=uid,
-                         kind=kind, proc=proc, memo=memo, parent=world)
-            if self.observer is not None:
-                self._build(succ)
-            return succ
+            leaf = self._recall(world, memo)
+            if leaf is not None:
+                succ = _Succ(desc, None, leaf.events, tid=tid, uid=uid,
+                             kind=kind, proc=proc, memo=leaf, parent=world)
+                if self.observer is not None:
+                    self._build(succ)
+                return succ
         w = world.copy()
+        w.reads = reads = []
         try:
             event = self.interp.step(w, tid)
         except AssumeFailed:
@@ -268,15 +290,57 @@ class Explorer:
         except AssertionViolation as exc:
             return _Succ(desc, None, [], violation=str(exc),
                          tid=tid, uid=uid, kind=kind, proc=proc)
+        w.reads = None
         events = [event] if event is not None else []
         succ = _Succ(desc, w, events, tid=tid, uid=uid, kind=kind,
                      proc=proc)
-        if self.interp.local_step(thread):
+        if w.wrote_only(tid, world):
             # freeze the stepped thread: a world that writes it copies it
             w.disown(tid)
-            succ.memo = thread.memo = StepMemo(w.threads[tid], events)
+            succ.memo = StepMemo(w.threads[tid], events)
             succ.parent = world
+            self._remember(world, thread, reads, succ.memo)
         return succ
+
+    def _read_key(self, world: World, addr: tuple) -> tuple:
+        """What a step memo keys a load from ``addr`` in ``world`` by:
+        the value's class, the value and the address's modification
+        counter."""
+        value = self.interp.load(world, addr)
+        return value.__class__, value, world.versions.get(addr, 0)
+
+    def _recall(self, world: World, memo) -> Optional[StepMemo]:
+        """The leaf of a thread's step memo that ``world`` reaches, or
+        None when ``world`` holds a value the memo has no branch for
+        (or one the step would fail to load)."""
+        read_key = self._read_key
+        try:
+            while memo.__class__ is StepRead:
+                memo = memo.branches.get(read_key(world, memo.addr))
+                if memo is None:
+                    return None
+        except InterpError:
+            return None  # the real step raises it
+        return memo
+
+    def _remember(self, world: World, thread: Thread, reads: list,
+                  leaf: StepMemo) -> None:
+        """Cache ``leaf`` in ``thread``'s memo, under what the step
+        read from ``world`` at the addresses ``reads``, in load
+        order."""
+        if not reads:
+            thread.memo = leaf
+            return
+        node = thread.memo
+        if node is None:
+            node = thread.memo = StepRead(reads[0])
+        for addr in reads[1:]:
+            branches = node.branches
+            key = self._read_key(world, node.addr)
+            node = branches.get(key)
+            if node is None:
+                node = branches[key] = StepRead(addr)
+        node.branches[self._read_key(world, node.addr)] = leaf
 
     @staticmethod
     def _build(succ: _Succ) -> None:

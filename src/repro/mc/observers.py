@@ -105,7 +105,8 @@ class Profile(Observer):
     it; inside ``mc.dfs``, ``mc.successors``, ``mc.canonicalize`` and
     ``mc.por_ample`` time the explorer's ``_successors``, ``_key`` and
     ``_alone``, and ``mc.dedup`` counts canonical-key lookups (calls)
-    and hits (work).  The ranked document lands in ``result.profile``.
+    and hits (work).  The ranked document is the profiler's
+    (``Profiler.to_dict``).
 
     ``timed=False`` leaves the explorer's methods unwrapped: their
     per-call timers feed only the hotspot table, and they slow a large
@@ -145,7 +146,6 @@ class Profile(Observer):
         prof.acc("mc.dedup", 0.0, work=hits, calls=hits + result.states)
         # closing the root also closes whichever phase is still open
         self._run.__exit__(None, None, None)
-        result.profile = prof.to_dict()
 
 
 def _timed(fn: Callable, acc: list, work: Optional[Callable]) -> Callable:

@@ -29,8 +29,8 @@ def test_exploration_leaves_no_cyclic_garbage(tmp_path, mode, observed):
     gc.collect()
     gc.disable()
     try:
-        observer, graph, _events = _everything(tmp_path / "g.jsonl") \
-            if observed else (None, None, None)
+        observer, graph = _everything(tmp_path / "g.jsonl")[:2] \
+            if observed else (None, None)
         explorer = Explorer(GH, GH_SPECS_3, mode=mode, max_states=2000,
                             observer=observer)
         result = explorer.run()

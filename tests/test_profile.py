@@ -115,16 +115,21 @@ def test_work_counters_deterministic_across_runs():
 def test_profile_document_validates():
     prof = Profiler()
     result = analyze_program(corpus.GH_PROGRAM1, profiler=prof)
-    assert result.profile["v"] == 1
-    assert validate(result.profile, PROFILE_SCHEMA) == []
-    exported = result.to_dict()
-    assert exported["profile"] == result.profile
+    doc = prof.to_dict()
+    assert doc["v"] == 1
+    assert validate(doc, PROFILE_SCHEMA) == []
+    exported = result.to_dict(telemetry={"profile": doc})
+    assert exported["profile"] is doc
+    assert list(exported)[-2:] == ["profile", "run_meta"]
 
 
 def test_profile_absent_when_disabled():
-    result = analyze_program(corpus.GH_PROGRAM1)
-    assert result.profile == {}
-    assert "profile" not in result.to_dict()
+    # the profiler's documents are built by whoever prints them: a
+    # result holds none
+    result = analyze_program(corpus.GH_PROGRAM1, profiler=Profiler())
+    assert not hasattr(result, "profile") and not hasattr(result, "trace")
+    doc = result.to_dict()
+    assert "profile" not in doc and "trace" not in doc
 
 
 def test_theorem_attribution_from_tallies():
@@ -181,9 +186,10 @@ def _explore(*observer_list, threads=3, mode="por"):
 
 def test_explorer_profile_document():
     prof = Profiler()
-    result = _explore(observers.Profile(prof))
-    assert validate(result.profile, PROFILE_SCHEMA) == []
-    names = {h["name"] for h in result.profile["hotspots"]}
+    _explore(observers.Profile(prof))
+    doc = prof.to_dict()
+    assert validate(doc, PROFILE_SCHEMA) == []
+    names = {h["name"] for h in doc["hotspots"]}
     assert {"mc.successors", "mc.canonicalize", "mc.dedup",
             "mc.por_ample"} <= names
 
@@ -193,7 +199,6 @@ def test_explorer_coverage_observer():
     assert "mc.max_depth" in core and "mc.depth" not in core
     result = _explore(observers.Coverage())
     m = result.metrics
-    assert result.profile == {}
     assert set(core) < set(m)
     assert "mc.dedup_hit_rate" not in m   # one name per metric
     assert 0 <= m["mc.cache_hit_ratio"] <= 1

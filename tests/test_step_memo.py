@@ -1,22 +1,19 @@
-"""Memoized thread-local steps (:class:`repro.mc.explorer.StepMemo`): a
-step that reads and writes only its thread's own state is cached on the
-thread and replayed in every world that holds the same thread.  Each
-replay must equal a real interpreter step, and no step the interpreter
-classifies as local may touch a shared component."""
-
-import random
+"""The step memo (:class:`repro.mc.explorer.StepMemo`): a step that
+writes nothing but its own thread is cached on the thread, keyed by
+the shared values it loaded (:class:`repro.mc.explorer.StepRead`), and
+replayed in every world that holds the same thread and the same
+values.  Each replay must equal a real interpreter step, which must
+leave every shared component and the other threads as they were."""
 
 import pytest
 
 from repro import corpus
-from repro.cfg.graph import NodeKind
-from repro.errors import InterpError
 from repro.experiments import table2
-from repro.interp import Interp, ThreadSpec, run
+from repro.interp import Interp, ThreadSpec
+from repro.interp.values import HeapObject
 from repro.mc import Explorer, QueueContents, QueueShape
 from repro.mc import explorer as mc_explorer
-from repro.synl import ast as A
-from tests.key_oracle import fresh_world
+from tests.memo_replay import Replayed, replayed
 
 GH_SPECS = [ThreadSpec.of(("Apply", i)) for i in (1, 2)]
 #: the correct Table 2 rows, capped for tier-1
@@ -25,107 +22,121 @@ NFQ_ROWS = [("unbounded AddNode", table2._specs_add_heavy(2)),
 CAP = 3000
 
 
-def _detached(world):
-    """A copy of ``world`` sharing no thread or heap object with it,
-    made without touching ``world``'s ownership."""
-    out = fresh_world(world)
-    out.heap._next = world.heap._next
-    return out
-
-
-class _Replayed(Explorer):
-    """Replays every memo hit with a real step of a detached copy of
-    the parent world and keeps what differs from the memo."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.hits = 0
-        self.mismatches: list[str] = []
-
-    def _step_thread(self, world, tid):
-        memo = world.threads[tid].memo
-        if memo is not None:
-            self.hits += 1
-            self._replay(world, tid, memo)
-        return super()._step_thread(world, tid)
-
-    def _replay(self, world, tid, memo):
-        stepped = _detached(world)
-        event = self.interp.step(stepped, tid)
-        found = []
-        if stepped.threads[tid] != memo.thread:
-            found.append("thread")
-        if ([event] if event is not None else []) != memo.events:
-            found.append("event")
-        if stepped.globals != world.globals:
-            found.append("globals")
-        if stepped.heap.objects != world.heap.objects:
-            found.append("heap")
-        if stepped.versions != world.versions:
-            found.append("versions")
-        if stepped.locks != world.locks:
-            found.append("locks")
-        if any(t != world.threads[j] for j, t in enumerate(stepped.threads)
-               if j != tid):
-            found.append("other threads")
-        if found and len(self.mismatches) < 5:
-            self.mismatches.append(f"t{tid}: {', '.join(found)}")
-
-
-def _replayed(interp, specs, mode, cap=None, props=False) -> _Replayed:
-    explorer = _Replayed(interp, specs, mode=mode, max_states=cap,
-                         properties=[QueueShape(), QueueContents()]
-                         if props else None)
-    explorer.run()
-    return explorer
-
-
 @pytest.mark.parametrize("mode", ["full", "por"])
 def test_gh_memo_hits_equal_real_steps(mode):
-    explorer = _replayed(Interp(corpus.GH_PROGRAM1), GH_SPECS, mode)
+    _result, explorer = replayed(Interp(corpus.GH_PROGRAM1), GH_SPECS, mode)
     assert explorer.hits > 100
     assert explorer.mismatches == []
 
 
 @pytest.mark.parametrize("label,specs", NFQ_ROWS)
 def test_nfq_memo_hits_equal_real_steps(label, specs):
-    explorer = _replayed(Interp(corpus.NFQ_PRIME), specs, "full", CAP,
-                         props=True)
-    assert explorer.hits > 100
+    _result, explorer = replayed(Interp(corpus.NFQ_PRIME), specs, "full",
+                                 CAP, props=True)
+    assert explorer.read_hits > 100
     assert explorer.mismatches == []
 
 
-def _reads_global(e) -> bool:
-    """Does expression ``e`` read a global without SC or CAS?"""
-    if isinstance(e, (A.SCExpr, A.CASExpr)):
-        return False
-    if isinstance(e, A.Var):
-        return e.kind is A.VarKind.GLOBAL
-    if isinstance(e, A.LLExpr):
-        return _reads_global(e.loc)
-    if isinstance(e, A.Unary):
-        return _reads_global(e.operand)
-    if isinstance(e, A.Binary):
-        return _reads_global(e.left) or _reads_global(e.right)
-    return False
+class _ThreadKeyed(Replayed):
+    """The mutation: every load keyed by a constant, so a step's memo
+    is keyed by its thread alone."""
+
+    def _read_key(self, world, addr):
+        return None
 
 
-def test_a_global_reading_branch_marked_local_fails_the_replay():
-    # mutation check: DeqP's `if (h == LL(Tail))` reads the shared
-    # tail, so its cached outcome is wrong in worlds with another tail
-    # (reached on the AddNode row, whose one DeqP holds no reservation
-    # on the tail the first time round)
-    interp = Interp(corpus.NFQ_PRIME)
-    classify = interp._node_is_local
-
-    def mislabel(node):
-        if node.kind is NodeKind.BRANCH and _reads_global(node.expr):
-            return True
-        return classify(node)
-
-    interp._node_is_local = mislabel
-    explorer = _replayed(interp, NFQ_ROWS[0][1], "full", CAP, props=True)
+def test_a_memo_keyed_by_the_thread_alone_fails_the_replay():
+    # DeqP's `if (h == LL(Tail))` reads the shared tail, so an outcome
+    # cached for one tail is wrong in worlds with another
+    _result, explorer = replayed(Interp(corpus.NFQ_PRIME), NFQ_ROWS[0][1],
+                                 "full", CAP, props=True, cls=_ThreadKeyed)
     assert explorer.mismatches
+
+
+READER = """
+global X;
+init { X = 0; }
+proc Get() { local v = X in { return v; } }
+"""
+
+
+def _at_load():
+    """An explorer over :data:`READER` and a world whose one thread
+    is about to load ``X``."""
+    interp = Interp(READER)
+    specs = [ThreadSpec.of(("Get",))]
+    explorer = Explorer(interp, specs)
+    world = interp.make_world(specs)
+    interp.step(world, 0)  # invoke
+    return explorer, world
+
+
+def test_the_memo_keys_a_load_by_its_modification_counter():
+    # a read records the counter in the thread's observed map, so two
+    # worlds with the same thread and value but another counter must
+    # not share an outcome
+    explorer, first = _at_load()
+    thread = first.threads[0]
+    stepped = explorer._step_thread(first, 0)
+    assert stepped.memo is not None and thread.memo is not None
+    addr = ("g", "X")
+    second = first.copy()
+    second.versions[addr] = first.versions[addr] + 1
+    assert second.threads[0] is thread and second.globals == first.globals
+    assert explorer._recall(first, thread.memo) is stepped.memo
+    assert explorer._recall(second, thread.memo) is None
+    succ = explorer._step_thread(second, 0)
+    assert succ.memo is not stepped.memo
+    assert succ.memo.thread.observed[addr] == second.versions[addr]
+    assert stepped.memo.thread.observed[addr] == first.versions[addr]
+    # both outcomes are cached now
+    assert explorer._recall(second, thread.memo) is succ.memo
+    assert explorer._recall(first, thread.memo) is stepped.memo
+
+
+def test_the_memo_keys_a_load_by_the_value_class():
+    # True == 1 in Python, but the thread returns a different value
+    explorer, first = _at_load()
+    first.globals["X"] = 1
+    thread = first.threads[0]
+    explorer._step_thread(first, 0)
+    second = first.copy()
+    second.globals["X"] = True
+    assert explorer._recall(second, thread.memo) is None
+    envs = [explorer._step_thread(w, 0).memo.thread.frame.env
+            for w in (first, second)]
+    assert [type(v) for env in envs for v in env.values()] == [int, bool]
+
+
+CELLS = """
+class Cell { versioned V; }
+class Plain { V; }
+global C;
+init { C = new Cell; local r = C in { r.V = 0; } }
+proc Bump() { if (CAS(C.V, 0, 1)) { return; } }
+"""
+
+
+def test_the_memo_keys_a_versioned_cas_by_the_target_class():
+    # the CAS honours a stale counter only on a versioned field, so
+    # the class of the target object is a load the memo keys: two
+    # worlds may hold objects of different classes under one oid
+    interp = Interp(CELLS)
+    specs = [ThreadSpec.of(("Bump",))]
+    explorer = Explorer(interp, specs)
+    first = interp.make_world(specs)
+    interp.step(first, 0)  # invoke
+    oid = first.globals["C"].oid
+    first.threads[0].observed[("f", oid, "V")] = -1  # a stale read
+    thread = first.threads[0]
+    failed = explorer._step_thread(first, 0)
+    assert failed.memo is not None  # the CAS failed: nothing written
+    second = first.copy()
+    second.heap.objects[oid] = HeapObject("Plain", {"V": 0})
+    assert explorer._recall(second, thread.memo) is None
+    succ = explorer._step_thread(second, 0)
+    assert succ.memo is None and succ.world.heap.objects[oid].fields \
+        == {"V": 1}
 
 
 def test_memo_hits_reuse_the_parent_key_slot(monkeypatch):
@@ -145,59 +156,38 @@ def test_memo_hits_reuse_the_parent_key_slot(monkeypatch):
     assert len(copies) < 0.8 * result.transitions
 
 
-# -- the classifier over random runs ------------------------------------------
-
-
-def _shared(world, tid: int) -> tuple:
-    """Everything a step of thread ``tid`` must not touch to be local:
-    globals, heap, versions, locks, the other threads, and the
-    thread's own observed counters (a shared read records one)."""
-    return (dict(world.globals), dict(world.versions), dict(world.locks),
-            {oid: obj.copy() for oid, obj in world.heap.objects.items()},
-            world.heap._next,
-            [t.copy() for j, t in enumerate(world.threads) if j != tid],
-            dict(world.threads[tid].observed))
-
-
-def _checking(interp: Interp, checked: list) -> None:
-    """Make ``interp.step`` check every step it classifies as local."""
+def test_most_nfq_steps_come_from_the_memo():
+    # the NFQ' row's loads, LLs and failed SCs write only their thread
+    interp = Interp(corpus.NFQ_PRIME)
+    steps = []
     step = interp.step
+    interp.step = lambda *a, **k: steps.append(1) or step(*a, **k)
+    result = Explorer(interp, NFQ_ROWS[0][1], mode="full",
+                      max_states=CAP,
+                      properties=[QueueShape(), QueueContents()]).run()
+    assert len(steps) < 0.3 * result.transitions
 
-    def checked_step(world, tid, thread=None):
-        if thread is not None or not interp.local_step(world.threads[tid]):
-            return step(world, tid, thread)
-        before = _shared(world, tid)
-        event = step(world, tid)
-        assert _shared(world, tid) == before, \
-            f"local step of t{tid} changed shared state"
-        checked.append(1)
-        return event
 
-    interp.step = checked_step
+# -- every corpus program ------------------------------------------------------
 
 
 def _specs(interp: Interp) -> list[ThreadSpec]:
-    """Up to three threads, each calling one procedure twice."""
+    """Three threads, each calling one procedure twice, the procedures
+    taken in turn."""
+    procs = list(interp.proc_params.items())
     specs = []
-    for i, (name, params) in enumerate(interp.proc_params.items()):
+    for i in range(3):
+        name, params = procs[i % len(procs)]
         args = tuple(range(1, len(params) + 1))
         specs.append(ThreadSpec.of((name, *args), (name, *args)))
-        if i == 2:
-            break
     return specs
 
 
 @pytest.mark.parametrize("name", corpus.__all__)
 def test_local_steps_touch_no_shared_component(name):
-    checked = []
+    # every memo hit is a step that wrote only its thread: its real
+    # replay must leave the shared components and other threads alone
     interp = Interp(getattr(corpus, name))
-    _checking(interp, checked)
-    for seed in range(4):
-        world = interp.make_world(_specs(interp))
-        rng = random.Random(seed)
-        try:
-            run(interp, world, lambda _w, enabled: rng.choice(enabled),
-                max_steps=400)
-        except InterpError:
-            pass  # a failed assertion or a fault ends the run
-    assert checked
+    _result, explorer = replayed(interp, _specs(interp), "full", 400)
+    assert explorer.read_hits
+    assert explorer.mismatches == []
