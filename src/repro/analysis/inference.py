@@ -35,7 +35,6 @@ Pipeline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.analysis import atomicity as AT
 from repro.analysis.actions import RawAction, Target, node_actions
@@ -215,11 +214,10 @@ class AnalysisResult:
     #: ``{"theorem", "region", "rules", "detail"}``
     downgrades: list[dict] = field(default_factory=list)
 
-    def to_dict(self, include_provenance: bool = True,
-                telemetry: Optional[dict] = None) -> dict:
+    def to_dict(self, include_provenance: bool = True) -> dict:
         from repro.obs.export import analysis_to_dict
 
-        return analysis_to_dict(self, include_provenance, telemetry)
+        return analysis_to_dict(self, include_provenance)
 
     def is_atomic(self, proc_name: str) -> bool:
         return self.verdicts[proc_name].atomic

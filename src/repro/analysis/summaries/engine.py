@@ -54,7 +54,7 @@ ENV_VAR = "REPRO_SUMMARIES"
 
 #: doc fields excluded from stored records and from hit-vs-fresh
 #: comparison: they vary run to run without the verdict changing
-VOLATILE_KEYS = ("run_meta", "cached", "trace", "profile")
+VOLATILE_KEYS = ("run_meta", "cached")
 
 #: doc fields compared when deciding drift (verdicts, provenance,
 #: lint findings — not timings or counter noise)
@@ -136,7 +136,7 @@ class CachedAnalysisResult:
     replayed from a stored program record.  Exposes the attributes the
     CLI and exporters touch; ``to_dict()`` returns the stored
     document (provenance chains intact) plus a fresh ``run_meta`` and
-    ``cached: true``."""
+    ``cached: true``, in the key order of a fresh analysis."""
 
     cached = True
 
@@ -195,9 +195,11 @@ class CachedAnalysisResult:
         return self.record.get(key, "")
 
     def to_dict(self, include_provenance: bool = True) -> dict:
-        from repro.obs.export import run_meta
+        from repro.obs.export import ANALYSIS_KEYS, run_meta
 
-        doc = dict(self._doc)
+        # the store sorts the keys; a miss prints them as
+        # analysis_to_dict writes them
+        doc = {k: self._doc[k] for k in ANALYSIS_KEYS if k in self._doc}
         if not include_provenance:
             procedures = []
             for proc in doc.get("procedures", []):
@@ -213,8 +215,8 @@ class CachedAnalysisResult:
                 proc["variants"] = variants
                 procedures.append(proc)
             doc["procedures"] = procedures
-        doc["cached"] = True
         doc["run_meta"] = run_meta()
+        doc["cached"] = True
         return doc
 
 

@@ -8,8 +8,6 @@
     python -m repro run FILE T0 T1 ...   # execute under a random schedule
     python -m repro mc FILE T0 ... --mode atomic   # model-check
     python -m repro lint FILE            # discipline linter (docs/LINT.md)
-    python -m repro graph stats G.jsonl  # state-graph capture analytics
-    python -m repro graph diff A B       # structural drift between runs
     python -m repro analyze --corpus --jobs 4      # parallel corpus pass
     python -m repro experiments section63 --jobs 4 # parallel variant grid
     python -m repro perf diff A B        # attributed perf forensics
@@ -27,10 +25,8 @@ table) and ``--json`` (machine-readable output); ``analyze`` also accepts
 accept ``--explain-cex`` (annotated counterexample timeline on
 violation), and ``mc`` accepts ``--progress N`` (live heartbeat with
 EWMA throughput + ETA), ``--deadline SECS`` (graceful soft timeout,
-exit :data:`EXIT_DEADLINE`), ``--trace-malloc`` (allocation-site
-telemetry) and ``--graph-out FILE`` (stream the explored state graph
-as schema-versioned JSONL; ``--graph-por-pruned`` additionally records
-the transitions POR pruned away).  See docs/OBSERVABILITY.md.
+exit :data:`EXIT_DEADLINE`) and ``--trace-malloc`` (allocation-site
+telemetry).  See docs/OBSERVABILITY.md.
 
 A command's ``--json`` document is the one record of a run: with
 ``--trace`` it carries the span tree, with ``--profile`` the profile
@@ -158,8 +154,7 @@ def _telemetry(args, profiler: Profiler, spans: str = "trace") -> dict:
 
 def _print_json(doc: dict, telemetry: dict) -> None:
     """Print a ``--json`` document with ``telemetry``
-    (:func:`_telemetry`) in it: in the slots a result's ``to_dict``
-    gave it, else at the end."""
+    (:func:`_telemetry`) at its end."""
     doc.update(telemetry)
     print(json.dumps(doc, indent=2))
 
@@ -217,15 +212,11 @@ def cmd_analyze(args) -> int:
     else:
         profiler, result = _analyze_with_obs(args)
     if args.json:
-        telemetry = _telemetry(args, profiler)
-        # the key set must not depend on the cache: a miss says so,
-        # and a hit's replayed document, which has no telemetry slots,
-        # gets the profiler's at the end
-        doc = (result.to_dict() if getattr(result, "cached", False)
-               else result.to_dict(telemetry=telemetry))
+        # a miss and a hit print the same keys in the same order
+        doc = result.to_dict()
         if info is not None:
             doc["cached"] = info["cached"]
-        _print_json(doc, telemetry)
+        _print_json(doc, _telemetry(args, profiler))
     else:
         print(_figure_text(result, args.explain))
         print()
@@ -471,17 +462,13 @@ def cmd_variants(args) -> int:
     return 0
 
 
-def _explain_cex(args, result, interp):
-    """Annotate a violating path against a fresh analysis of the same
-    source (best-effort: an unanalyzable program still renders the
-    bare timeline)."""
-    from repro.mc.cex import build_cex
-
+def _analysis(args):
+    """A fresh analysis of ``args.file`` for annotating a run, or None
+    when the program does not analyze (the run still renders, bare)."""
     try:
-        analysis = analyze_program(_load(args.file))
+        return analyze_program(_load(args.file))
     except ReproError:
-        analysis = None
-    return build_cex(result, interp, analysis)
+        return None
 
 
 def cmd_run(args) -> int:
@@ -501,9 +488,9 @@ def cmd_run(args) -> int:
             violation = str(exc)
     cex = None
     if violation is not None and args.explain_cex:
-        from repro.mc.cex import RunResultView
-        cex = _explain_cex(
-            args, RunResultView(violation, path_log), interp)
+        from repro.mc.cex import RunResultView, build_cex
+        cex = build_cex(RunResultView(violation, path_log), interp,
+                        _analysis(args))
     done = all(t.done for t in world.threads)
     if args.json:
         doc = {
@@ -537,25 +524,9 @@ def cmd_mc(args) -> int:
     program = _load(args.file)
     interp = Interp(program)
     specs = [_parse_spec(s) for s in args.threads]
-    # uid -> (proc, text, mover) source annotations back the heatmap
-    # document (--json) and the graph edges' mover tags (--graph-out);
-    # best-effort — an unanalyzable program still runs, unannotated
-    analysis = annotations = None
-    if args.graph_out or args.json:
-        from repro.obs import heatmap
-        try:
-            analysis = analyze_program(_load(args.file))
-        except ReproError:
-            analysis = None
-        annotations = heatmap.uid_annotations(interp, analysis)
-    graph = None
-    if args.graph_out:
-        from repro.obs.graph import GraphWriter, stable_uid_map
-        graph = GraphWriter(args.graph_out, mode=args.mode,
-                            threads=len(specs),
-                            record_pruned=args.graph_por_pruned,
-                            mover_of=heatmap.mover_fn(annotations),
-                            uid_map=stable_uid_map(interp))
+    # the heatmap document (--json) and the counterexample
+    # (--explain-cex) share one analysis
+    analysis = _analysis(args) if args.json else None
     observer = observers.compose(
         # the per-call timers feed only the hotspot table: --trace
         # alone keeps the mc.run > mc.init, mc.dfs spans without them
@@ -565,28 +536,25 @@ def cmd_mc(args) -> int:
         if args.progress is not None or args.deadline is not None
         else None,
         observers.TraceMalloc() if args.trace_malloc else None,
-        observers.Coverage(),
-        graph)
-    try:
-        result = Explorer(interp, specs, mode=args.mode,
-                          max_states=args.max_states,
-                          observer=observer).run()
-    finally:
-        if graph is not None:
-            graph.close()
+        observers.Coverage())
+    result = Explorer(interp, specs, mode=args.mode,
+                      max_states=args.max_states,
+                      observer=observer).run()
     cex = None
     if result.violation and args.explain_cex:
-        cex = _explain_cex(args, result, interp)
+        from repro.mc.cex import build_cex
+        cex = build_cex(result, interp,
+                        analysis if args.json else _analysis(args))
     if args.json:
-        telemetry = _telemetry(args, profiler, "spans")
-        doc = result.to_dict(telemetry)
-        if annotations is not None:
-            doc["heatmap"] = heatmap.build_heatmap(
-                result.metrics["mc.stmt_heat"], annotations,
-                annotated=analysis is not None)
+        from repro.obs import heatmap
+        doc = result.to_dict()
+        doc["heatmap"] = heatmap.build_heatmap(
+            result.metrics["mc.stmt_heat"],
+            heatmap.uid_annotations(interp, analysis),
+            annotated=analysis is not None)
         if cex is not None:
             doc["counterexample"] = cex.to_dict()
-        _print_json(doc, telemetry)
+        _print_json(doc, _telemetry(args, profiler, "spans"))
     else:
         print(result)
         if cex is not None:
@@ -694,84 +662,31 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def _diff_command(args, compute: Callable[[], dict],
-                  render: Callable[[dict], str],
-                  drifted: Callable[[dict], bool]) -> int:
-    """The one output and exit path of ``graph diff`` and ``perf
-    diff``: exit 0 when ``compute()``'s document shows no drift, 1 on
-    drift, 2 when an operand is unreadable.  ``--out``
-    (``perf diff`` only) writes the document whatever the verdict, so
-    CI uploads it from failing and passing runs alike; ``--json``
-    prints it instead of the rendered text."""
-    try:
-        doc = compute()
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = getattr(args, "out", None)
-    if out:
-        path = pathlib.Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps(doc, indent=2) if args.json else render(doc))
-    return 1 if drifted(doc) else 0
-
-
 def cmd_perf(args) -> int:
     """Perf regression forensics (docs/OBSERVABILITY.md).  ``diff``
     resolves two operands — ``bench/run.py --out`` JSONL records or
     directories of them — and prints the ranked work-counter
     attribution table.  Exit 0 when no attributed drift
     (identical seeded runs diff empty by construction), 1 on drift, 2
-    on a usage error."""
+    when an operand is unreadable.  ``--out`` writes the document
+    whatever the verdict, so CI uploads it from failing and passing
+    runs alike; ``--json`` prints it instead of the table."""
     from repro.obs import perfdiff
 
     threshold = args.threshold if args.threshold is not None \
         else perfdiff.DEFAULT_THRESHOLD
-    return _diff_command(
-        args, lambda: perfdiff.diff_specs(args.a, args.b,
-                                          threshold=threshold),
-        perfdiff.render_attribution, lambda doc: doc["drift"])
-
-
-def cmd_graph(args) -> int:
-    """State-graph capture analytics (docs/OBSERVABILITY.md).
-
-    ``stats`` prints structural analytics of one capture, ``dot``
-    exports small captures as GraphViz DOT, ``diff`` compares two
-    captures by canonical node/edge ids (exit 0 identical, 1 drifted,
-    2 usage error)."""
-    from repro.obs import graph as graph_mod
-
-    if args.graph_cmd == "diff":
-        return _diff_command(
-            args, lambda: graph_mod.diff_graphs(
-                graph_mod.read_graph(args.a),
-                graph_mod.read_graph(args.b)),
-            lambda doc: graph_mod.render_diff(doc, args.a, args.b),
-            lambda doc: not doc["identical"])
     try:
-        if args.graph_cmd == "stats":
-            stats = graph_mod.graph_stats(
-                graph_mod.read_graph(args.capture))
-            if args.json:
-                print(json.dumps(stats, indent=2))
-            else:
-                print(graph_mod.render_stats(stats))
-            return 0
-        cap = args.max_nodes if args.max_nodes is not None \
-            else graph_mod.DEFAULT_DOT_CAP
-        dot = graph_mod.to_dot(graph_mod.read_graph(args.capture),
-                               max_nodes=cap)
-        if args.output:
-            pathlib.Path(args.output).write_text(dot)
-            print(f"wrote {args.output}")
-        else:
-            print(dot)
-        return 0
-    except ValueError as exc:
+        doc = perfdiff.diff_specs(args.a, args.b, threshold=threshold)
+    except (ReproError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.out:
+        path = pathlib.Path(args.out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(doc, indent=2) if args.json
+          else perfdiff.render_attribution(doc))
+    return 1 if doc["drift"] else 0
 
 
 def cmd_experiments(args) -> int:
@@ -914,17 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "gracefully after N seconds with verdict "
                         "UNKNOWN, partial counts and full telemetry "
                         f"(exit status {EXIT_DEADLINE})")
-    p.add_argument("--graph-out", metavar="FILE", default=None,
-                   help="stream the visited state graph as JSONL "
-                        "(canonical-hash node ids, mover-tagged "
-                        "edges; inspect with 'repro graph'; record "
-                        "emission thins out above "
-                        "$REPRO_GRAPH_NODE_CAP nodes)")
-    p.add_argument("--graph-por-pruned", action="store_true",
-                   help="additionally record the transitions POR "
-                        "elected not to explore (separate 'pruned' "
-                        "records; executes the not-taken successors, "
-                        "so the search does full-expansion work)")
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("lint", parents=[obs],
@@ -967,40 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the attribution document instead of "
                         "the table")
     q.set_defaults(fn=cmd_perf)
-
-    p = sub.add_parser("graph",
-                       help="state-graph capture analytics: stats, "
-                            "DOT export, structural diff "
-                            "(docs/OBSERVABILITY.md)")
-    graph_sub = p.add_subparsers(dest="graph_cmd", required=True)
-    q = graph_sub.add_parser(
-        "stats", help="node/edge/pruned counts, branching and "
-                      "in-degree distributions, depth layers, "
-                      "terminal/quiescent sets, POR reduction ratio")
-    q.add_argument("capture", help="a --graph-out JSONL capture")
-    q.add_argument("--json", action="store_true",
-                   help="emit a machine-readable JSON document "
-                        "instead of text")
-    q.set_defaults(fn=cmd_graph)
-    q = graph_sub.add_parser(
-        "dot", help="export a small capture as GraphViz DOT "
-                    "(mover-coloured edges, pruned edges dotted)")
-    q.add_argument("capture", help="a --graph-out JSONL capture")
-    q.add_argument("-o", "--output", default=None, metavar="FILE",
-                   help="write to FILE instead of stdout")
-    q.add_argument("--max-nodes", type=int, default=None,
-                   metavar="N", help="refuse captures with more than "
-                                     "N retained nodes (default: 250)")
-    q.set_defaults(fn=cmd_graph)
-    q = graph_sub.add_parser(
-        "diff", help="compare two captures by canonical node/edge "
-                     "ids (exit 1 on drift)")
-    q.add_argument("a", help="older capture")
-    q.add_argument("b", help="newer capture")
-    q.add_argument("--json", action="store_true",
-                   help="emit a machine-readable JSON document "
-                        "instead of text")
-    q.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("experiments",
                        help="regenerate a table/figure of the paper")

@@ -653,28 +653,6 @@ def state_key(world: World, base: Optional[KeyContext] = None):
     return _full_context(world, base.intern)
 
 
-def rebase_node_uids(world_key: tuple, uid_map: dict) -> tuple:
-    """Rewrite the CFG-node uids embedded in a :func:`state_key` tuple
-    (each thread's ``frame_key[1]`` program counter) through
-    ``uid_map``.
-
-    CFG node uids come from a process-global counter, so the *same*
-    program rebuilt later in one process gets shifted uids and
-    otherwise-equal state keys stop comparing equal across builds.
-    Graph capture (:mod:`repro.obs.graph`) uses this to rebase keys
-    onto a build-independent dense numbering before hashing them into
-    node ids, making captures comparable across runs and processes.
-    Unmapped uids pass through unchanged."""
-    globals_key, thread_keys, heap_key, locks_key = world_key
-    threads = []
-    for op_index, tls, frame_key, valid, current in thread_keys:
-        if frame_key is not None:
-            proc, uid, env, args = frame_key
-            frame_key = (proc, uid_map.get(uid, uid), env, args)
-        threads.append((op_index, tls, frame_key, valid, current))
-    return (globals_key, tuple(threads), heap_key, locks_key)
-
-
 def shared_key(world: World) -> tuple:
     """Canonical key of the *shared* state only: globals, the heap
     reachable from them, and the lock table.  Thread-private residue

@@ -260,8 +260,7 @@ def _annotate_stmt(step: CexStep, node: CFGNode,
     step.provenance = list(la.provenance)
 
 
-def build_cex(result, interp, analysis=None,
-              variant_interp=None) -> Counterexample:
+def build_cex(result, interp, analysis=None) -> Counterexample:
     """Reconstruct the violating path of an
     :class:`~repro.mc.explorer.MCResult` (or a ``run`` ``path_log`` —
     anything exposing ``violation``/``mode``/``path``) into an
@@ -273,13 +272,9 @@ def build_cex(result, interp, analysis=None,
     """
     if not result.violation:
         raise ValueError("result has no violation to explain")
-    uid_map: dict[int, CFGNode] = {}
-    for source in (interp, variant_interp):
-        if source is None:
-            continue
-        for cfg in source.cfgs.values():
-            for node in cfg.nodes:
-                uid_map[node.uid] = node
+    uid_map: dict[int, CFGNode] = {node.uid: node
+                                   for cfg in interp.cfgs.values()
+                                   for node in cfg.nodes}
     indexes: dict[str, _ProcIndex] = {}
     if analysis is not None:
         indexes = {name: _ProcIndex(verdict)

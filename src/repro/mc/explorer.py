@@ -28,8 +28,8 @@ ghosts' id in the low slot.  A transition without events keeps its
 parent's ghosts and their id.  The DFS stack set and the cycle proviso
 test the packed world key alone.  Observers still get the nested key,
 ``(world key, ghosts)``, built from the interned components only when
-an observer is attached; its value, and so graph-capture node ids, is
-that of a from-scratch :func:`~repro.mc.canonical.state_key` walk.
+an observer is attached; its value is that of a from-scratch
+:func:`~repro.mc.canonical.state_key` walk.
 The interner is dropped when :meth:`Explorer.run` returns.
 
 **The step memo.**  A step that writes nothing but its own thread (a
@@ -62,13 +62,15 @@ otherwise the successor world is built and keyed as any other.
 the memo instead of a world (``_Succ.parent``); :meth:`Explorer._run`
 builds the world, a copy of the parent holding the cached thread, and
 its key context only when the packed key is new.  With an observer
-attached every successor world is built at once, since observers
-read worlds (``GraphCapture`` reads ``world is None`` as disabled);
-the keys, and so what is explored, are the same either way.
+attached every successor world is built at once, so that every
+transition's nested key comes with the world it keys (the key
+oracle, ``tests.key_oracle``, walks that world from scratch and
+compares); the keys, and so what is explored, are the same either
+way.
 
 It collects only the core counters (:meth:`Explorer._metrics`).  All
 other telemetry — profiler regions, heartbeat and deadline,
-tracemalloc, graph capture, coverage — is an observer passed as
+tracemalloc, coverage — is an observer passed as
 ``observer=`` (the hook protocol, and which ``repro mc`` flag attaches
 which observer: :mod:`repro.mc.observers`); ``None``, the default,
 costs one ``is None`` test per hook site.  Library runs get coverage
@@ -146,10 +148,10 @@ class MCResult:
             return 0.0
         return self.states / self.elapsed
 
-    def to_dict(self, telemetry: Optional[dict] = None) -> dict:
+    def to_dict(self) -> dict:
         from repro.obs.export import mc_to_dict
 
-        return mc_to_dict(self, telemetry)
+        return mc_to_dict(self)
 
     def __str__(self) -> str:
         if self.violation:
@@ -258,9 +260,11 @@ class Explorer:
     def _step_thread(self, world: World, tid: int) -> _Succ:
         """Thread ``tid``'s one-statement successor.  A step that
         writes only its thread is taken from the thread's memo when
-        the memo has it for what ``world`` holds, without its world
-        unless an observer is attached, and cached in the memo when it
-        has not."""
+        the memo has it for what ``world`` holds, and cached in the
+        memo when it has not.  A memo hit comes without its world
+        unless an observer is attached: observers get each
+        transition's world beside its nested key, and the key oracle
+        walks that world from scratch."""
         thread = world.threads[tid]
         frame = thread.frame
         node = frame.node if frame is not None else None
@@ -402,8 +406,6 @@ class Explorer:
                 if self._closes_cycle(real, ctx, on_stack):
                     continue  # cycle proviso: fall back to full expansion
                 self.ample_reduced += 1
-                if self.observer is not None:
-                    self.observer.ample(world, tid, real[0].desc, tids)
                 return succs
         if self.mode in ("por", "both"):
             self.ample_full += 1
@@ -565,8 +567,6 @@ class Explorer:
             world, ghosts, gid, succs, index, _step, ctx = entry
             if succs is None:
                 succs = entry[3] = self._successors(world, ctx, on_stack)
-                if obs is not None:
-                    obs.expanded(ghosts, succs)
             if index >= len(succs):
                 stack.pop()
                 on_stack.discard(ctx.packed)

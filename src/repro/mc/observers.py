@@ -8,10 +8,9 @@ its hooks at fixed points of the DFS; ``None`` (the default) costs one
 ``repro mc`` composes what its flags ask for (``--profile`` /
 ``--trace`` → :class:`Profile`, ``--progress`` /
 ``--deadline`` → :class:`Heartbeat`, ``--trace-malloc`` →
-:class:`TraceMalloc`, ``--graph-out`` →
-:class:`repro.obs.graph.GraphWriter`) and always attaches
-:class:`Coverage`.  Library runs collect only the
-explorer's core counters unless given observers.
+:class:`TraceMalloc`) and always attaches :class:`Coverage`.  Library
+runs collect only the explorer's core counters unless given
+observers.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ class Observer:
       is the live :class:`~repro.mc.explorer.MCResult`;
     * ``state(key, world, depth)`` — a new state was counted (the
       initial one at depth 1), before its property check;
-    * ``expanded(ghosts, succs)`` — the stack top was expanded;
-    * ``ample(world, tid, desc, tids)`` — POR explored ``tid`` alone;
     * ``transition(succ, key, dup)`` — a transition was counted
       (``dup``: into a seen state);
     * ``push(succ, depth)`` / ``pop(depth)`` — the stack grew / shrank;
@@ -61,14 +58,6 @@ class Observer:
     def state(self, key, world, depth: int) -> None:
         for o in self.children:
             o.state(key, world, depth)
-
-    def expanded(self, ghosts: tuple, succs: list) -> None:
-        for o in self.children:
-            o.expanded(ghosts, succs)
-
-    def ample(self, world, tid: int, desc: str, tids: list) -> None:
-        for o in self.children:
-            o.ample(world, tid, desc, tids)
 
     def transition(self, succ, key, dup: bool) -> None:
         for o in self.children:
@@ -101,7 +90,7 @@ def compose(*observers: Optional[Observer]) -> Optional[Observer]:
 
 class Profile(Observer):
     """Profiler regions for the explorer: ``mc.run`` spans the search,
-    with ``mc.init`` up to the first expansion and ``mc.dfs`` after
+    with ``mc.init`` up to the first transition and ``mc.dfs`` from
     it; inside ``mc.dfs``, ``mc.successors``, ``mc.canonicalize`` and
     ``mc.por_ample`` time the explorer's ``_successors``, ``_key`` and
     ``_alone``, and ``mc.dedup`` counts canonical-key lookups (calls)
@@ -132,7 +121,7 @@ class Profile(Observer):
             setattr(explorer, method,
                     _timed(getattr(explorer, method), acc, work))
 
-    def expanded(self, ghosts, succs):
+    def transition(self, succ, key, dup):
         if self._init is not None:
             self._init.__exit__(None, None, None)
             self._init = None

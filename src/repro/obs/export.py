@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Optional, Union
+from typing import Union
 
 #: throughput rates computed over windows at or below this are
 #: noise-dominated (timer resolution + interpreter jitter swamp the
@@ -420,10 +420,8 @@ def run_meta() -> dict:
             "schema_versions": schemas.registry()}
 
 
-def mc_to_dict(result, telemetry: Optional[dict] = None) -> dict:
-    """Serialize an :class:`~repro.mc.explorer.MCResult`, with the
-    ``profile`` of ``telemetry`` (the profiler's document, when one was
-    asked for) in its slot."""
+def mc_to_dict(result) -> dict:
+    """Serialize an :class:`~repro.mc.explorer.MCResult`."""
     out = {
         "mode": result.mode,
         "states": result.states,
@@ -438,23 +436,22 @@ def mc_to_dict(result, telemetry: Optional[dict] = None) -> dict:
     }
     if result.path:
         out["path"] = [dict(step) for step in result.path]
-    if telemetry and "profile" in telemetry:
-        out["profile"] = telemetry["profile"]
     out["run_meta"] = run_meta()
     return out
 
 
-def analysis_to_dict(result, include_provenance: bool = True,
-                     telemetry: Optional[dict] = None) -> dict:
+#: the keys :func:`analysis_to_dict` may write before ``run_meta``, in
+#: its order
+ANALYSIS_KEYS = ("procedures", "all_atomic", "diagnostics", "options",
+                 "metrics", "lint", "downgrades")
+
+
+def analysis_to_dict(result, include_provenance: bool = True) -> dict:
     """Serialize an :class:`~repro.analysis.inference.AnalysisResult`
-    with per-line verdicts and provenance chains, and with the
-    ``trace`` (span tree) and ``profile`` of ``telemetry``, the
-    profiler's documents when they were asked for, in their slots."""
+    with per-line verdicts and provenance chains."""
     import string
 
     from repro.analysis.report import line_provenance, variant_lines
-
-    telemetry = telemetry or {}
 
     prefixes = iter(string.ascii_lowercase)
     procedures = []
@@ -491,15 +488,11 @@ def analysis_to_dict(result, include_provenance: bool = True,
     }
     if getattr(result, "metrics", None):
         out["metrics"] = dict(result.metrics)
-    if "trace" in telemetry:
-        out["trace"] = telemetry["trace"]
     lint = getattr(result, "lint", None)
     if lint is not None:
         out["lint"] = lint.to_dict()
     downgrades = getattr(result, "downgrades", None)
     if downgrades:
         out["downgrades"] = [dict(d) for d in downgrades]
-    if "profile" in telemetry:
-        out["profile"] = telemetry["profile"]
     out["run_meta"] = run_meta()
     return out

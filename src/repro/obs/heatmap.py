@@ -20,13 +20,12 @@ class, the localization layer repair tools need.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.obs.schemas import HEATMAP as SCHEMA_VERSION
 
 
-def uid_annotations(interp, analysis=None,
-                    variant_interp=None) -> dict[int, dict]:
+def uid_annotations(interp, analysis=None) -> dict[int, dict]:
     """Map every CFG node uid to ``{proc, text, mover}``.
 
     ``mover`` is the static classification (``"R"|"L"|"B"|"N"``) when
@@ -39,31 +38,21 @@ def uid_annotations(interp, analysis=None,
         indexes = {name: _ProcIndex(verdict)
                    for name, verdict in analysis.verdicts.items()}
     out: dict[int, dict] = {}
-    for source in (interp, variant_interp):
-        if source is None:
-            continue
-        for proc_name, cfg in source.cfgs.items():
-            index = indexes.get(proc_name)
-            for node in cfg.nodes:
-                text = describe_node(node)
-                mover: Optional[str] = None
-                if node.kind in _CONTROL_KINDS:
-                    mover = "B"
-                elif index is not None:
-                    la = index.match(text)
-                    # statements the variants elided contribute no
-                    # shared action: both-mover by Thm 3.1
-                    mover = la.mover if la is not None else "B"
-                out[node.uid] = {"proc": proc_name, "text": text,
-                                 "mover": mover}
+    for proc_name, cfg in interp.cfgs.items():
+        index = indexes.get(proc_name)
+        for node in cfg.nodes:
+            text = describe_node(node)
+            mover: Optional[str] = None
+            if node.kind in _CONTROL_KINDS:
+                mover = "B"
+            elif index is not None:
+                la = index.match(text)
+                # statements the variants elided contribute no
+                # shared action: both-mover by Thm 3.1
+                mover = la.mover if la is not None else "B"
+            out[node.uid] = {"proc": proc_name, "text": text,
+                             "mover": mover}
     return out
-
-
-def mover_fn(annotations: dict[int, dict]
-             ) -> Callable[[Optional[int]], Optional[str]]:
-    """A uid → mover lookup suitable for
-    :class:`repro.obs.graph.GraphWriter`'s ``mover_of``."""
-    return lambda uid: (annotations.get(uid) or {}).get("mover")
 
 
 def build_heatmap(stmt_heat: list, annotations: dict[int, dict],
@@ -72,9 +61,8 @@ def build_heatmap(stmt_heat: list, annotations: dict[int, dict],
     Coverage observer's raw rows (``metrics["mc.stmt_heat"]``).
 
     Rows are ordered by procedure then uid — source order within a
-    procedure — and uids the annotation map does not know (e.g. a
-    variant interp was live but not passed here) still appear, with
-    null proc/text."""
+    procedure — and uids the annotation map does not know still
+    appear, with null proc/text."""
     rows = []
     for uid, visits, switches, threads in stmt_heat:
         meta = annotations.get(uid) or {"proc": None, "text": None,

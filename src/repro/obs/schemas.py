@@ -1,12 +1,12 @@
 """Central registry of per-subsystem schema versions.
 
-Every versioned artifact the observability stack emits — state-graph
-captures, profiles, counterexample documents — stamps a ``"v"`` field
-so consumers can reject incompatible layouts.  This registry is the
+Every versioned artifact the observability stack emits — profiles,
+heatmaps, counterexample documents — stamps a ``"v"`` field so
+consumers can reject incompatible layouts.  This registry is the
 single source of truth:
 
 * emitting modules import their constant from here
-  (``graph.SCHEMA_VERSION is schemas.GRAPH``);
+  (``heatmap.SCHEMA_VERSION is schemas.HEATMAP``);
 * the ``schema_versions`` block of every ``run_meta`` is
   :func:`registry` verbatim;
 * :func:`check_registry`, run by the tier-1 tests, re-imports the
@@ -18,9 +18,6 @@ layout changes incompatibly.
 """
 
 from __future__ import annotations
-
-#: JSONL state-graph capture artifacts (:mod:`repro.obs.graph`)
-GRAPH = 1
 
 #: ranked-hotspot profile documents (:mod:`repro.obs.profile`)
 PROFILE = 1
@@ -50,7 +47,6 @@ def registry() -> dict:
     """``{subsystem: version}`` for every versioned document schema —
     the block stamped into ``run_meta``."""
     return {
-        "graph": GRAPH,
         "profile": PROFILE,
         "lint": LINT,
         "cex": CEX,
@@ -67,10 +63,9 @@ def check_registry() -> list[str]:
     literal again."""
     from repro.analysis.summaries import store as summary_store
     from repro.mc import cex
-    from repro.obs import graph, heatmap, perfdiff, profile
+    from repro.obs import heatmap, perfdiff, profile
 
     live = {
-        "graph": graph.SCHEMA_VERSION,
         "profile": profile.PROFILE_VERSION,
         "cex": cex.SCHEMA_VERSION,
         "heatmap": heatmap.SCHEMA_VERSION,

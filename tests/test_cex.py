@@ -176,6 +176,39 @@ def test_cli_mc_explain_cex_json(broken_file, capsys):
     assert doc["counterexample"]["steps"]
 
 
+def test_cli_mc_json_explain_cex_analyzes_once(tmp_path, monkeypatch,
+                                               capsys):
+    # the heatmap and the counterexample share one analysis of the file
+    path = tmp_path / "aba.synl"
+    path.write_text(corpus.ABA_STACK)
+    analyses, interps = [], []
+    real_analyze, real_interp = cli.analyze_program, cli.Interp
+
+    def analyze(program, *args, **kwargs):
+        analyses.append(program)
+        return real_analyze(program, *args, **kwargs)
+
+    def interp(program):
+        interps.append(real_interp(program))
+        return interps[-1]
+
+    monkeypatch.setattr(cli, "analyze_program", analyze)
+    monkeypatch.setattr(cli, "Interp", interp)
+    code = cli.main(["mc", str(path), "PopCheck(),PopCheck()",
+                     "Recycle()", "--json", "--explain-cex"])
+    assert code == 1
+    assert len(analyses) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["heatmap"]["annotated"]
+    # the same document a fresh analysis of the source annotates
+    (mc_interp,) = interps
+    fresh = build_cex(RunResultView(doc["violation"], doc["path"],
+                                    doc["mode"]),
+                      mc_interp, real_analyze(corpus.ABA_STACK))
+    assert doc["counterexample"] == fresh.to_dict()
+    assert doc["counterexample"]["annotated"]
+
+
 def test_cli_run_explain_cex(broken_file, capsys):
     code = cli.main(["run", broken_file, "DownBad()", "DownBad()",
                      "--seed", "1", "--explain-cex"])

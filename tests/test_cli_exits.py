@@ -138,7 +138,7 @@ def test_mc_json_stdout_stays_parseable_with_progress(tmp_path, capsys):
     assert "heatmap" in doc
 
 
-# -- graph/perf diff: 0 identical / 1 drift / 2 unreadable operand -----------------
+# -- perf diff: 0 identical / 1 drift / 2 unreadable operand ----------------------
 
 def _bench_side(tmp_path, name, calls):
     from tests.test_perfdiff import bench_record, write_bench_run
@@ -147,53 +147,18 @@ def _bench_side(tmp_path, name, calls):
         layers={"mc.canonical": (calls, 0.01)})])
 
 
-#: a four-node POR capture: a diamond whose second edge into dd33 is
-#: a duplicate, and one pruned transition
-GRAPH_RECORDS = [
-    {"kind": "graph.header", "v": 1, "mode": "por", "threads": 2,
-     "node_cap": 200000, "por_pruned": True},
-    {"kind": "node", "id": "aa00", "depth": 1, "init": True, "q": True},
-    {"kind": "node", "id": "bb11", "depth": 2},
-    {"kind": "node", "id": "cc22", "depth": 2},
-    {"kind": "node", "id": "dd33", "depth": 3, "q": True},
-    {"kind": "edge", "src": "aa00", "dst": "bb11", "tid": 0, "uid": 0,
-     "op": "stmt", "mover": "R", "dup": False},
-    {"kind": "edge", "src": "aa00", "dst": "cc22", "tid": 1, "uid": 0,
-     "op": "stmt", "mover": "R", "dup": False},
-    {"kind": "edge", "src": "bb11", "dst": "dd33", "tid": 0, "uid": 1,
-     "op": "stmt", "mover": "L", "dup": False},
-    {"kind": "edge", "src": "cc22", "dst": "dd33", "tid": 1, "uid": 1,
-     "op": "stmt", "mover": "L", "dup": True},
-    {"kind": "pruned", "src": "bb11", "dst": "cc22", "tid": 1, "uid": 0,
-     "op": "stmt"},
-    {"kind": "graph.summary", "nodes": 4, "edges": 4, "pruned": 1,
-     "nodes_written": 4, "edges_written": 4, "truncated": False,
-     "max_depth": 3},
-]
-
-
-def _graph_operand(tmp_path, name, drifted):
-    import json
-
-    text = "".join(json.dumps(r) + "\n" for r in GRAPH_RECORDS)
-    path = tmp_path / f"{name}.jsonl"
-    path.write_text(text.replace("dd33", "ee44") if drifted else text)
-    return str(path)
-
-
 def _perf_operand(tmp_path, name, drifted):
     return _bench_side(tmp_path, name, 1600 if drifted else 1000)
 
 
 def _corrupt_file_operand(tmp_path):
     path = tmp_path / "corrupt.jsonl"
-    path.write_text('{"kind": "graph.header"\n{"torn": \n')
+    path.write_text('{"kind": "bench"\n{"torn": \n')
     return str(path)
 
 
 # command -> (make operand, identical text, drift text)
 DIFFS = {
-    "graph": (_graph_operand, "graphs identical", "graph drift:"),
     "perf": (_perf_operand, "no attributed drift", "DRIFT: 1 region(s)"),
 }
 
@@ -272,8 +237,10 @@ def test_perf_diff_out_written_even_on_drift(tmp_path, capsys):
 def test_removed_ledger_commands_are_invalid_choices(capsys):
     # the run ledger and its subcommands are gone: the --json
     # documents are the one record of a run; so is the HTML report,
-    # which only re-rendered those documents
-    for argv in (["runs", "list"], ["replay", "last"], ["report"]):
+    # which only re-rendered those documents, and the state-graph
+    # capture, which only its own tests read
+    for argv in (["runs", "list"], ["replay", "last"], ["report"],
+                 ["graph", "stats", "x"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

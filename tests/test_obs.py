@@ -485,7 +485,7 @@ def test_obs_command_json_carries_trace_and_profile(aba_file, capsys,
 
 
 @pytest.mark.parametrize("flag", ["--events-out", "--trace-out",
-                                  "--profile-out"])
+                                  "--profile-out", "--graph-out"])
 @pytest.mark.parametrize("argv", [a for a, _ in _OBS_COMMANDS],
                          ids=[a[0] for a, _ in _OBS_COMMANDS])
 def test_obs_command_rejects_removed_file_flags(aba_file, tmp_path,
@@ -504,8 +504,8 @@ def test_schema_registry_matches_live_constants():
     from repro.obs import schemas
 
     registry = schemas.registry()
-    assert set(registry) == {"graph", "profile", "lint", "cex",
-                             "heatmap", "summary", "perfdiff"}
+    assert set(registry) == {"profile", "lint", "cex", "heatmap",
+                             "summary", "perfdiff"}
     assert all(isinstance(v, int) and v >= 1
                for v in registry.values())
     # every emitter imports its constant from the registry, so the

@@ -240,7 +240,7 @@ def test_corpus_trace_prints_and_embeds_the_span_tree(tmp_path, capsys):
 
 def test_trace_key_does_not_depend_on_the_cache(tmp_path, capsys):
     target = _write(tmp_path, "q.synl", corpus.NFQ_PRIME)
-    argv = ["analyze", target, "--json", "--trace",
+    argv = ["analyze", target, "--json", "--trace", "--profile",
             *_store_args(tmp_path)]
     assert main(argv) == 0
     miss = json.loads(capsys.readouterr().out)
@@ -248,4 +248,5 @@ def test_trace_key_does_not_depend_on_the_cache(tmp_path, capsys):
     hit = json.loads(capsys.readouterr().out)
     assert miss["cached"] is False and hit["cached"] is True
     assert miss["trace"] and hit["trace"]
-    assert set(hit) == set(miss)
+    assert miss["profile"] and hit["profile"]
+    assert list(hit) == list(miss)
