@@ -3,12 +3,12 @@
 .. code-block:: text
 
     python -m repro analyze FILE         # atomicity verdicts + report
+    python -m repro analyze --corpus     # one pass over the corpus
     python -m repro blocks FILE          # atomic-block partition (§6.4)
     python -m repro variants FILE        # print the exceptional variants
     python -m repro run FILE T0 T1 ...   # execute under a random schedule
     python -m repro mc FILE T0 ... --mode atomic   # model-check
     python -m repro lint FILE            # discipline linter (docs/LINT.md)
-    python -m repro analyze --corpus --jobs 4      # parallel corpus pass
     python -m repro experiments section63 --jobs 4 # parallel variant grid
     python -m repro perf diff A B        # attributed perf forensics
     python -m repro experiments NAME     # regenerate a table/figure
@@ -50,10 +50,8 @@ from repro.errors import AssertionViolation, ReproError
 from repro.interp import Interp, ThreadSpec, run_random
 from repro.mc import Explorer, observers
 from repro.obs import NULL_PROFILER, Profiler
-from repro.synl.inline import inline_calls
-from repro.synl.parser import parse_program
+from repro.synl.inline import load_program_with_calls
 from repro.synl.printer import pretty
-from repro.synl.resolve import resolve
 
 #: ``repro mc`` exit code when the state cap was hit (distinct from a
 #: property violation's 1 and a usage error's 2)
@@ -65,13 +63,10 @@ EXIT_CAPPED = 3
 EXIT_DEADLINE = 4
 
 
-def _load(path: str, inline: bool = True, with_text: bool = False):
+def _load(path: str, with_text: bool = False):
     with open(path) as handle:
         text = handle.read()
-    program = parse_program(text)
-    if inline:
-        program = inline_calls(program)
-    resolve(program)
+    program = load_program_with_calls(text)
     return (program, text) if with_text else program
 
 
@@ -111,7 +106,6 @@ def _number(kind: type, ok: Callable, what: str):
 
 
 _count = _number(int, lambda n: n >= 1, "an integer >= 1")
-_keep = _number(int, lambda n: n >= 0, "an integer >= 0")
 _period = _number(float, lambda x: x > 0, "a finite number > 0")
 _budget = _number(float, lambda x: x >= 0, "a finite number >= 0")
 
@@ -168,36 +162,6 @@ def _analyze_with_obs(args):
     return profiler, result
 
 
-def _summary_store_for(args):
-    """The summary store for this invocation, or None for a plain
-    (non-incremental) run."""
-    from repro.analysis.summaries import engine as summaries
-
-    return summaries.resolve_store(
-        getattr(args, "summary_store", None),
-        getattr(args, "incremental", False))
-
-
-def _analyze_incremental(args, store):
-    """The --incremental analyze path: resolve through the summary
-    store; a full hit replays the stored verdicts without running any
-    pass."""
-    from repro.analysis.summaries import engine as summaries
-
-    profiler = _obs_setup(args)
-    with open(args.file) as handle:
-        text = handle.read()
-    result, info = summaries.analyze_with_summaries(
-        text, store=store, label=args.file, profiler=profiler)
-    return profiler, result, info
-
-
-def _figure_text(result, explain: bool) -> str:
-    if getattr(result, "cached", False):
-        return result.figure(explain)
-    return render_figure(result, explain=explain)
-
-
 def cmd_analyze(args) -> int:
     if args.corpus:
         return _cmd_analyze_corpus(args)
@@ -205,20 +169,11 @@ def cmd_analyze(args) -> int:
         print("error: analyze needs a FILE (or --corpus)",
               file=sys.stderr)
         return 2
-    store = _summary_store_for(args)
-    info = None
-    if store is not None:
-        profiler, result, info = _analyze_incremental(args, store)
-    else:
-        profiler, result = _analyze_with_obs(args)
+    profiler, result = _analyze_with_obs(args)
     if args.json:
-        # a miss and a hit print the same keys in the same order
-        doc = result.to_dict()
-        if info is not None:
-            doc["cached"] = info["cached"]
-        _print_json(doc, _telemetry(args, profiler))
+        _print_json(result.to_dict(), _telemetry(args, profiler))
     else:
-        print(_figure_text(result, args.explain))
+        print(render_figure(result, explain=args.explain))
         print()
         for name, verdict in result.verdicts.items():
             print(f"{name}: "
@@ -235,179 +190,52 @@ def cmd_analyze(args) -> int:
             print("-- downgraded theorem applications --")
             for d in result.downgrades:
                 print(f"{d['detail']}")
-        metrics = dict(result.metrics)
-        if info is not None:
-            from repro.analysis.summaries import engine as summaries
-
-            print()
-            print("-- summary cache --")
-            print(f"procs: {len(info['hits'])} hit, "
-                  f"{len(info['misses'])} miss "
-                  f"({len(info['invalidated'])} invalidated); program "
-                  f"{'hit (replayed)' if info['cached'] else 'miss'}")
-            metrics.update(summaries.summary_counts(
-                [summaries.summary_row(result, info)]))
-        _emit_obs(args, profiler, metrics)
-    if info is not None and info["drift"]:
-        _print_summary_drift(info["drift"])
-        return 1
+        _emit_obs(args, profiler, result.metrics)
     return 0 if args.lenient or result.all_atomic else 1
 
 
-def _print_summary_drift(drift: list[dict]) -> None:
-    """Render cached-vs-fresh disagreements as drift tables (exit 1
-    follows — a drifting cache is the soundness alarm)."""
-    from repro.analysis.summaries import engine as summaries
-
-    print(file=sys.stderr)
-    print("summary cache drift: cached verdicts disagree with a "
-          "fresh recompute", file=sys.stderr)
-    for entry in drift:
-        print(f"\n{entry['program']} / {entry['proc']}:",
-              file=sys.stderr)
-        print(summaries.render_drift(entry["diff"]), file=sys.stderr)
-
-
 def _cmd_analyze_corpus(args) -> int:
-    """``repro analyze --corpus``: every corpus/examples program
-    through one shared summary store.  Exit 1 when any cached verdict
-    disagrees with a fresh recompute, 2 when a program fails to
-    analyze; atomicity verdicts do not affect the exit code (most
-    corpus programs are intentionally non-atomic)."""
-    from repro.analysis.summaries import engine as summaries
+    """``repro analyze --corpus``: one plain pass over the shipped
+    corpus programs, a ``program procs atomic`` row each.  Exit 2 when
+    a program fails to load or analyze; atomicity verdicts do not
+    affect the exit code (most corpus programs are intentionally
+    non-atomic).  ``--metrics`` totals each program's counts."""
+    from repro import corpus
     from repro.obs.export import run_meta
 
     profiler = _obs_setup(args)
-    store = _summary_store_for(args) or summaries.resolve_store(
-        None, True)
-    jobs = args.jobs
-    if jobs > 1 and profiler.enabled:
-        # workers return values, not telemetry
-        print("note: --jobs runs the corpus in-process when a trace "
-              "or profile is recorded", file=sys.stderr)
-        jobs = 1
-    report = summaries.analyze_corpus(store, profiler=profiler,
-                                      jobs=jobs)
+    rows: list[dict] = []
+    errors: list[dict] = []
+    metrics: dict[str, int] = {}
+    for name in sorted(corpus.__all__):
+        label = f"corpus/{name.lower()}"
+        source = getattr(corpus, name)
+        with profiler.region("analysis.target", target=label):
+            try:
+                with profiler.region("analysis.parse_resolve"):
+                    program = load_program_with_calls(source)
+                result = analyze_program(program, profiler=profiler,
+                                         source_text=source)
+            except ReproError as exc:
+                errors.append({"label": label, "error": str(exc)})
+                continue
+        rows.append({"label": label, "procs": len(result.verdicts),
+                     "atomic": bool(result.all_atomic)})
+        for key, value in result.metrics.items():
+            metrics[key] = metrics.get(key, 0) + value
     if args.json:
-        _print_json({"programs": report["rows"],
-                     "errors": report["errors"],
-                     "drift": report["drift"],
-                     "stats": report["stats"],
+        _print_json({"programs": rows, "errors": errors,
                      "run_meta": run_meta()}, _telemetry(args, profiler))
     else:
-        width = max((len(r["label"]) for r in report["rows"]),
-                    default=8)
-        print(f"{'program':<{width}}  procs  hit  miss  inval  "
-              f"cached  atomic")
-        for row in report["rows"]:
-            print(f"{row['label']:<{width}}  "
-                  f"{row['procs']:>5}  {row['hits']:>3}  "
-                  f"{row['misses']:>4}  {row['invalidated']:>5}  "
-                  f"{'yes' if row['cached'] else 'no':<6}  "
+        width = max((len(r["label"]) for r in rows), default=8)
+        print(f"{'program':<{width}}  procs  atomic")
+        for row in rows:
+            print(f"{row['label']:<{width}}  {row['procs']:>5}  "
                   f"{'yes' if row['atomic'] else 'no'}")
-        for err in report["errors"]:
+        for err in errors:
             print(f"{err['label']}: error: {err['error']}")
-        stats = report["stats"]
-        print(f"store {stats['root']}: {stats['procs']} proc / "
-              f"{stats['programs']} program record(s), "
-              f"{stats['bytes']} bytes")
-        _emit_obs(args, profiler,
-                  summaries.summary_counts(report["rows"]))
-    if report["drift"]:
-        _print_summary_drift(report["drift"])
-        return 1
-    return 2 if report["errors"] else 0
-
-
-def cmd_summaries(args) -> int:
-    """Summary-store maintenance and soundness canaries
-    (docs/ANALYSIS.md)."""
-    from repro.analysis.summaries import engine as summaries
-    from repro.obs.export import run_meta
-
-    if args.summaries_cmd == "canary":
-        return _cmd_summaries_canary(args)
-    store = summaries.resolve_store(args.store, True)
-    if args.summaries_cmd == "list":
-        entries = store.entries()
-        if args.json:
-            print(json.dumps({"entries": entries,
-                              "stats": store.stats()}, indent=2))
-            return 0
-        for entry in entries:
-            print(f"{entry['kind']:<7} {entry['key']}  "
-                  f"{entry['name']} ({entry['bytes']} bytes)")
-        stats = store.stats()
-        print(f"{stats['procs']} proc / {stats['programs']} program "
-              f"record(s), {stats['bytes']} bytes under "
-              f"{stats['root']}")
-        return 0
-    if args.summaries_cmd == "show":
-        for record in store.records():
-            if record["key"].startswith(args.key):
-                print(json.dumps(record, indent=2, sort_keys=True))
-                return 0
-        print(f"error: no summary record matches key {args.key!r}",
-              file=sys.stderr)
-        return 2
-    if args.summaries_cmd == "gc":
-        removed = store.gc(keep=args.keep)
-        print(f"removed {len(removed)} record(s), kept the "
-              f"{args.keep} most recent per kind under {store.root}")
-        return 0
-    # verify: recompute a sampled subset of stored program records
-    # and diff against the stored docs — the soundness canary.
-    report = summaries.verify_store(store, sample=args.sample)
-    if args.json:
-        print(json.dumps({**report, "run_meta": run_meta()},
-                         indent=2))
-    else:
-        print(f"verified {report['checked']} stored program "
-              f"record(s): {len(report['mismatches'])} mismatch(es)")
-        for entry in report["mismatches"]:
-            print(f"\n{entry['label']} ({entry['key']}):")
-            print(summaries.render_drift(entry["diff"]))
-    return 1 if report["mismatches"] else 0
-
-
-def _cmd_summaries_canary(args) -> int:
-    """Warm-cache canary (the CI job): analyze the corpus twice into
-    a fresh store; the second pass must be 100% hits with verdicts
-    byte-identical modulo ``run_meta``/``cached`` and no drift."""
-    import tempfile
-
-    from repro.analysis.summaries import engine as summaries
-    from repro.obs.export import run_meta
-    from repro.obs.schemas import SUMMARY
-
-    store_dir = args.store or tempfile.mkdtemp(prefix="repro-canary-")
-    report = summaries.warm_canary(store_dir)
-    doc = {"v": SUMMARY, "kind": "summary-stats", "canary": True,
-           "ok": report["ok"], "programs": report["programs"],
-           "rows": report["rows"], "stats": report["stats"],
-           "run_meta": run_meta()}
-    if args.stats_out:
-        with open(args.stats_out, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        verdict = "PASS" if report["ok"] else "FAIL"
-        print(f"warm-cache canary: {verdict} "
-              f"({report['programs']} program(s), second pass "
-              f"{'100% hits' if not report['not_cached'] else 'MISSED: ' + ', '.join(report['not_cached'])})")
-        stats = report["stats"]
-        print(f"store: {stats['procs']} proc / {stats['programs']} "
-              f"program record(s), {stats['bytes']} bytes")
-        for entry in report["mismatched"]:
-            print(f"\n{entry['label']}: cold/warm verdicts differ:")
-            print(summaries.render_drift(entry["diff"]))
-        for err in report["cold_errors"] + report["warm_errors"]:
-            print(f"{err['label']}: error: {err['error']}")
-    if report["drift"]:
-        _print_summary_drift(report["drift"])
-    return 0 if report["ok"] else 1
+        _emit_obs(args, profiler, metrics)
+    return 2 if errors else 0
 
 
 def cmd_blocks(args) -> int:
@@ -760,23 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explain", action="store_true",
                    help="annotate every line with its classification "
                         "provenance (which theorem fired)")
-    p.add_argument("--incremental", action="store_true",
-                   help="resolve through the content-addressed "
-                        "summary cache (docs/ANALYSIS.md); also: "
-                        "REPRO_SUMMARIES=DIR")
-    p.add_argument("--summary-store", metavar="DIR",
-                   help="summary store directory (implies "
-                        "--incremental; default .repro/summaries)")
     p.add_argument("--corpus", action="store_true",
-                   help="analyze every corpus/examples program "
-                        "through one shared store; exit 1 when any "
-                        "cached verdict disagrees with a fresh "
-                        "recompute")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="with --corpus: fan targets across N forked "
-                        "worker processes; output is byte-identical "
-                        "to a sequential pass, which a trace or "
-                        "profile forces")
+                   help="analyze every shipped corpus program, one "
+                        "'program procs atomic' row each; exit 2 when "
+                        "one fails to load or analyze")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("blocks", parents=[obs],
@@ -892,49 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="section63: per-mode state cap (default: "
                         "2000000)")
     p.set_defaults(fn=cmd_experiments)
-
-    p = sub.add_parser("summaries",
-                       help="inspect the incremental-analysis "
-                            "summary store (docs/ANALYSIS.md)")
-    sum_common = argparse.ArgumentParser(add_help=False)
-    sum_common.add_argument("--store", metavar="DIR",
-                            help="summary store directory (default: "
-                                 "$REPRO_SUMMARIES or "
-                                 ".repro/summaries)")
-    sum_common.add_argument("--json", action="store_true",
-                            help="emit JSON instead of text")
-    sum_sub = p.add_subparsers(dest="summaries_cmd", required=True)
-    q = sum_sub.add_parser("list", parents=[sum_common],
-                           help="stored summary records")
-    q.set_defaults(fn=cmd_summaries)
-    q = sum_sub.add_parser("show", parents=[sum_common],
-                           help="print one record as JSON")
-    q.add_argument("key", help="record key (or unique prefix)")
-    q.set_defaults(fn=cmd_summaries)
-    q = sum_sub.add_parser("gc", parents=[sum_common],
-                           help="drop all but the most recent "
-                                "records")
-    q.add_argument("--keep", type=_keep, metavar="N", default=256,
-                   help="records to keep per kind (default: 256)")
-    q.set_defaults(fn=cmd_summaries)
-    q = sum_sub.add_parser("verify", parents=[sum_common],
-                           help="recompute a sampled subset and diff "
-                                "against the stored verdicts (exit 1 "
-                                "on any mismatch)")
-    q.add_argument("--sample", type=_keep, metavar="N", default=5,
-                   help="program records to recompute (default: 5; "
-                        "0 recomputes every record)")
-    q.set_defaults(fn=cmd_summaries)
-    q = sum_sub.add_parser("canary", parents=[sum_common],
-                           help="warm-cache canary: corpus twice "
-                                "into a fresh store; second pass "
-                                "must be 100%% hits with identical "
-                                "verdicts (exit 1 otherwise)")
-    q.add_argument("--stats-out", metavar="FILE",
-                   help="write the canary/store stats document "
-                        "(the CI artifact; renders as the report's "
-                        "'Summary cache' block)")
-    q.set_defaults(fn=cmd_summaries)
 
     return parser
 

@@ -440,12 +440,6 @@ def mc_to_dict(result) -> dict:
     return out
 
 
-#: the keys :func:`analysis_to_dict` may write before ``run_meta``, in
-#: its order
-ANALYSIS_KEYS = ("procedures", "all_atomic", "diagnostics", "options",
-                 "metrics", "lint", "downgrades")
-
-
 def analysis_to_dict(result, include_provenance: bool = True) -> dict:
     """Serialize an :class:`~repro.analysis.inference.AnalysisResult`
     with per-line verdicts and provenance chains."""

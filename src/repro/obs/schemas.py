@@ -31,12 +31,6 @@ CEX = 1
 #: per-statement source heatmap documents (:mod:`repro.obs.heatmap`)
 HEATMAP = 1
 
-#: content-addressed procedure/program summary records
-#: (:mod:`repro.analysis.summaries.store`)
-#: v2: name-insensitive proc slices (no pretty-printed text / lint
-#: messages), full-key filenames, callee-closure interference
-SUMMARY = 2
-
 #: differential-profiling attribution documents
 #: (:mod:`repro.obs.perfdiff` — ``repro perf diff --json`` and its
 #: ``--out`` file)
@@ -51,7 +45,6 @@ def registry() -> dict:
         "lint": LINT,
         "cex": CEX,
         "heatmap": HEATMAP,
-        "summary": SUMMARY,
         "perfdiff": PERFDIFF,
     }
 
@@ -61,7 +54,6 @@ def check_registry() -> list[str]:
     emitting module (empty list = consistent).  The tier-1 tests run
     this so CI notices the moment a module grows a local version
     literal again."""
-    from repro.analysis.summaries import store as summary_store
     from repro.mc import cex
     from repro.obs import heatmap, perfdiff, profile
 
@@ -69,7 +61,6 @@ def check_registry() -> list[str]:
         "profile": profile.PROFILE_VERSION,
         "cex": cex.SCHEMA_VERSION,
         "heatmap": heatmap.SCHEMA_VERSION,
-        "summary": summary_store.SCHEMA_VERSION,
         "perfdiff": perfdiff.SCHEMA_VERSION,
     }
     problems = []

@@ -1,7 +1,7 @@
 """Ordered fork-map: fan independent items across forked workers.
 
 :func:`fork_map` is the one parallel mechanism behind ``--jobs``
-(``analyze --corpus`` and ``experiments section63``).  Items are
+(``experiments section63``).  Items are
 strided across the workers (worker ``w`` runs ``items[w::jobs]``) so
 chunks balance without reordering; each worker returns one JSON-able
 value per item through its own result file, and the parent reassembles

@@ -1,8 +1,5 @@
 """Shared fixtures: corpus analyses are session-cached (each full
-inference run costs ~a second), and the default summary store is
-pointed at a per-test temporary directory so CLI invocations from the
-suite (``analyze --corpus``, ``--incremental``) never write into the
-checkout's ``.repro/summaries``."""
+inference run costs ~a second)."""
 
 from __future__ import annotations
 
@@ -10,13 +7,6 @@ import pytest
 
 from repro import corpus
 from repro.analysis import analyze_program
-from repro.analysis.summaries import engine as summaries_engine
-
-
-@pytest.fixture(autouse=True)
-def _isolated_summary_store(tmp_path, monkeypatch):
-    monkeypatch.setattr(summaries_engine, "DEFAULT_STORE_DIR",
-                        str(tmp_path / "default-summaries"))
 
 
 @pytest.fixture(scope="session")

@@ -237,10 +237,11 @@ def test_perf_diff_out_written_even_on_drift(tmp_path, capsys):
 def test_removed_ledger_commands_are_invalid_choices(capsys):
     # the run ledger and its subcommands are gone: the --json
     # documents are the one record of a run; so is the HTML report,
-    # which only re-rendered those documents, and the state-graph
-    # capture, which only its own tests read
+    # which only re-rendered those documents, the state-graph
+    # capture, which only its own tests read, and the summary cache,
+    # which replayed stored verdicts however the analysis had changed
     for argv in (["runs", "list"], ["replay", "last"], ["report"],
-                 ["graph", "stats", "x"]):
+                 ["graph", "stats", "x"], ["summaries", "list"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -253,6 +254,7 @@ def test_removed_ledger_commands_are_invalid_choices(capsys):
     ["mc", "{aba}", "PopCheck()", "Recycle()", "--mode", "por"],
     ["lint", "{aba}"],
     ["experiments", "figure3"],
+    pytest.param(["analyze", "--corpus"], id="analyze-corpus"),
 ], ids=lambda argv: argv[0])
 def test_commands_write_nothing_into_the_working_directory(
         tmp_path, monkeypatch, capsys, argv):
@@ -261,6 +263,25 @@ def test_commands_write_nothing_into_the_working_directory(
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     assert main([a.format(aba=aba) for a in argv]) in (0, 2)
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--incremental", "{aba}"],
+    ["analyze", "--summary-store", "store", "{aba}"],
+    ["analyze", "--corpus", "--jobs", "2"],
+], ids=lambda argv: argv[1])
+def test_removed_analyze_flags_exit_2_and_write_nothing(
+        tmp_path, monkeypatch, capsys, argv):
+    # the summary cache and the parallel corpus pass are gone
+    aba = _write(tmp_path, "aba.synl", corpus.ABA_STACK)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(aba=aba) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert list(cwd.iterdir()) == []
 
 
@@ -309,8 +330,6 @@ def test_experiments_bad_max_states_exits_2(capsys, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["summaries", "gc", "--keep", "-1"],
-    ["summaries", "verify", "--sample", "-1"],
     ["perf", "diff", "a", "b", "--threshold", "nan"],
     ["perf", "diff", "a", "b", "--threshold", "-0.1"],
     ["experiments", "section63", "--threads", "0"],
@@ -323,19 +342,6 @@ def test_bad_numeric_flag_exits_2(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "Traceback" not in err
-
-
-def test_summaries_gc_negative_keep_leaves_store_untouched(
-        tmp_path, capsys):
-    store = tmp_path / "store"
-    assert main(["analyze", "--incremental", "--summary-store",
-                 str(store), "--lenient",
-                 _write(tmp_path, "sem.synl", corpus.SEMAPHORE)]) == 0
-    before = sorted(p for p in store.rglob("*") if p.is_file())
-    assert before
-    with pytest.raises(SystemExit):
-        main(["summaries", "gc", "--keep", "-1", "--store", str(store)])
-    assert sorted(p for p in store.rglob("*") if p.is_file()) == before
 
 
 def test_mc_budget_flag_boundaries_accepted(tmp_path, capsys):

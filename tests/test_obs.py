@@ -505,7 +505,7 @@ def test_schema_registry_matches_live_constants():
 
     registry = schemas.registry()
     assert set(registry) == {"profile", "lint", "cex", "heatmap",
-                             "summary", "perfdiff"}
+                             "perfdiff"}
     assert all(isinstance(v, int) and v >= 1
                for v in registry.values())
     # every emitter imports its constant from the registry, so the

@@ -1,9 +1,8 @@
 """The ordered fork-map behind ``--jobs`` (:mod:`repro.parallel`):
 submission order, equality with a sequential map, the clamp to the
-item count, worker failures raised as :class:`WorkerError`, and the
-two ``--jobs`` commands — a killed worker exits 2, a recorded trace or
-profile runs in-process, and parallel documents equal sequential
-ones."""
+item count, worker failures raised as :class:`WorkerError`, and
+``experiments section63 --jobs`` — a killed worker exits 2, and the
+parallel document equals the sequential one."""
 
 from __future__ import annotations
 
@@ -111,76 +110,33 @@ def test_fork_map_removes_its_result_files(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# -- the --jobs commands -----------------------------------------------------------
+# -- experiments section63 --jobs -------------------------------------------------
 
-def _corpus(tmp_path, store: str, *extra: str) -> list[str]:
-    return ["analyze", "--corpus", "--summary-store",
-            str(tmp_path / store), *extra]
+_SECTION63 = ["experiments", "section63", "--threads", "2",
+              "--max-states", "200"]
 
 
 @needs_fork
-def test_corpus_jobs_killed_worker_exits_2(tmp_path, capsys,
-                                           monkeypatch):
-    from repro.analysis.summaries import engine
+def test_section63_jobs_killed_worker_exits_2(capsys, monkeypatch):
+    from repro.experiments import section63
 
     parent = os.getpid()
-    real = engine._analyze_one
+    real = section63._run_one
 
-    def analyze_or_die(*args, **kwargs):
+    def run_or_die(*args, **kwargs):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_analyze_one", analyze_or_die)
-    assert main(_corpus(tmp_path, "s", "--jobs", "2")) == 2
+    monkeypatch.setattr(section63, "_run_one", run_or_die)
+    assert main(_SECTION63 + ["--jobs", "2"]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and "killed by signal 9" in line
 
 
-def _region_names(out: str) -> list[str]:
-    """The region names of the ``-- trace --`` section, in order."""
-    section = out.split("-- trace --", 1)[1]
-    return [line.split()[0] for line in section.splitlines()
-            if line.strip()]
-
-
-@pytest.mark.parametrize("flag", ["--trace", "--profile"])
-def test_corpus_jobs_records_telemetry_in_process(tmp_path, capsys, flag):
-    def run(store: str, *jobs: str):
-        extra = [flag] if flag == "--trace" else ["--json", flag]
-        assert main(_corpus(tmp_path, store, *extra, *jobs)) == 0
-        out, err = capsys.readouterr()
-        if flag == "--trace":
-            return _region_names(out), err
-        # calls and work are deterministic; the wall-time rank is not
-        return {h["name"]: (h["calls"], h["work"]) for h in
-                json.loads(out)["profile"]["hotspots"]}, err
-
-    sequential, quiet = run("seq")
-    parallel, note = run("par", "--jobs", "2")
-    assert "note: --jobs" not in quiet
-    assert "note: --jobs runs the corpus in-process" in note
-    assert parallel == sequential
-    assert "summary.resolve" in sequential
-
-
-@needs_fork
-def test_corpus_jobs_json_matches_sequential(tmp_path, capsys):
-    assert main(_corpus(tmp_path, "a", "--json", "--jobs", "2")) == 0
-    out, err = capsys.readouterr()
-    parallel = json.loads(out)
-    assert err == ""
-    assert main(_corpus(tmp_path, "b", "--json")) == 0
-    sequential = json.loads(capsys.readouterr().out)
-    for key in ("programs", "drift", "errors"):
-        assert parallel[key] == sequential[key], key
-    assert set(parallel) == set(sequential)
-
-
 @needs_fork
 def test_section63_jobs_json_matches_sequential(capsys):
-    argv = ["experiments", "section63", "--threads", "2",
-            "--max-states", "200", "--json"]
+    argv = _SECTION63 + ["--json"]
     assert main(argv + ["--jobs", "2"]) == 0
     parallel = json.loads(capsys.readouterr().out)
     assert main(argv) == 0
