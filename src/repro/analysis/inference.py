@@ -30,6 +30,18 @@ Pipeline
    * **step 6** — propagate through the AST with the §3.3 calculus;
    * **step 7** — a procedure is atomic iff all its exceptional variants
      have body atomicity ≤ A (Thm 5.2).
+
+Cost
+----
+Whole-program facts are computed once where they are fixed, not once
+per query: the binding kinds once per expansion round (shared by every
+procedure's purity check), the CAS/SC write discipline of a root once
+per run (sites, their locality and the alias analysis do not change
+after site collection), and each variant's node and statement
+atomicities in one bottom-up pass after classification.  Every memo
+lives on one :class:`AtomicityChecker` or its :class:`VariantContext`
+objects and dies with it; nothing is cached across runs, so a changed
+analysis can never replay a verdict computed by an older one.
 """
 
 from __future__ import annotations
@@ -44,7 +56,8 @@ from repro.analysis.conditions import (BlockInfo, blocks_of_program,
                                        condition_excludes)
 from repro.analysis.escape import EscapeResult, escape_analysis
 from repro.analysis.locks import LocksetResult, common_lock, lockset_analysis
-from repro.analysis.purity import PurityInfo, pure_loops, target_region
+from repro.analysis.purity import (PurityInfo, binding_kinds, pure_loops,
+                                   target_region)
 from repro.analysis.typing import ClassEnv, infer_classes
 from repro.analysis.uniqueness import UniquenessResult, uniqueness_analysis
 from repro.analysis.variants import Variant, VariantSet, make_variants
@@ -107,6 +120,9 @@ class VariantContext:
         self.windows = windows
         self.blocks = blocks
         self.sites: list[Site] = []
+        #: node -> sequential composition of its classified sites'
+        #: atomicities; filled once, after classification (step 6)
+        self.node_atoms: dict[CFGNode, Atomicity] = {}
         self.stmt_nodes: dict[int, list[CFGNode]] = {}
         for node in cfg.nodes:
             if node.stmt is not None:
@@ -140,6 +156,11 @@ class VariantContext:
                            if dom.dominates(bind, n)
                            and dom.postdominates(sc_node, n)}
                 self._block_nodes[b.decl.nid] = members
+
+    def node_atom(self, node: CFGNode) -> Atomicity:
+        """The atomicity of a CFG node's actions, composed in site
+        order (B for a node without sites)."""
+        return self.node_atoms.get(node, AT.B)
 
     def block_nodes(self, b: BlockInfo) -> set[CFGNode]:
         return self._block_nodes[b.decl.nid]
@@ -274,19 +295,20 @@ class AtomicityChecker:
                    cfgs: dict[str, ProcCFG]
                    ) -> dict[str, dict[A.Loop, PurityInfo]]:
         with self.profiler.region("analysis.purity"):
+            if not self.options.enable_purity:
+                return {proc.name: {} for proc in program.procs}
             escapes = {name: escape_analysis(cfg)
                        for name, cfg in cfgs.items()}
             unique = uniqueness_analysis(program, cfgs) \
                 if self.options.enable_uniqueness else UniquenessResult()
-            purity: dict[str, dict[A.Loop, PurityInfo]] = {}
-            for proc in program.procs:
-                if self.options.enable_purity:
-                    purity[proc.name] = pure_loops(
-                        cfgs[proc.name], program, escapes[proc.name],
-                        unique.unique_bindings())
-                else:
-                    purity[proc.name] = {}
-            return purity
+            # whole-program facts, computed once per round and shared by
+            # every procedure's purity check
+            kinds = binding_kinds(program)
+            unique_bindings = unique.unique_bindings()
+            return {proc.name: pure_loops(cfgs[proc.name], kinds,
+                                          escapes[proc.name],
+                                          unique_bindings)
+                    for proc in program.procs}
 
     def _expand_variants(self) -> tuple[
             VariantSet, dict[str, dict[A.Loop, PurityInfo]]]:
@@ -494,6 +516,8 @@ class AtomicityChecker:
 
     # -- site collection --------------------------------------------------------
     def _collect_sites(self) -> None:
+        #: root -> :meth:`_write_vias`, valid for this site set only
+        self._root_vias: dict[Target, frozenset[str]] = {}
         for ctx in self.contexts.values():
             reachable = ctx.cfg.reachable_from(ctx.cfg.entry)
             for node in ctx.cfg.ordered(reachable):
@@ -534,25 +558,27 @@ class AtomicityChecker:
             yield from ctx.sites
 
     # -- classification -------------------------------------------------------------
+    def _write_vias(self, root: Target) -> frozenset[str]:
+        """How the global writes that may alias ``root`` are made: the
+        set of their ``via`` tags (``plain``, ``SC``, ``CAS``).  The
+        sites, their locality and the alias analysis are fixed once
+        :meth:`_collect_sites` returns, so each distinct root is
+        scanned once per run."""
+        vias = self._root_vias.get(root)
+        if vias is None:
+            vias = frozenset(
+                site.action.via for site in self._all_sites()
+                if site.action.op == "write" and not site.is_local
+                and self.alias.may_alias(site.action.target, root))
+            self._root_vias[root] = vias
+        return vias
+
     def _sc_only(self, target: Target) -> bool:
-        for site in self._all_sites():
-            if site.action.op != "write" or site.is_local:
-                continue
-            if self.alias.may_alias(site.action.target, target) \
-                    and site.action.via != "SC":
-                return False
-        return True
+        return self._write_vias(target) <= {"SC"}
 
     def _cas_discipline(self, target: Target) -> bool:
-        if not self._versioned(target):
-            return False
-        for site in self._all_sites():
-            if site.action.op != "write" or site.is_local:
-                continue
-            if self.alias.may_alias(site.action.target, target) \
-                    and site.action.via != "CAS":
-                return False
-        return True
+        return self._versioned(target) \
+            and self._write_vias(target) <= {"CAS"}
 
     def _window_valid(self, w: Window) -> bool:
         theorem = "5.4" if w.kind == "CAS" else "5.3"
@@ -956,41 +982,59 @@ class AtomicityChecker:
                      tag="agreement")
 
     # -- steps 6/7: propagation and verdicts --------------------------------------------
-    def _node_atom(self, ctx: VariantContext, node: CFGNode) -> Atomicity:
-        atoms = [s.atomicity for s in ctx.sites if s.node is node]
-        return AT.seq_all(atoms)
+    @staticmethod
+    def _index_node_atoms(ctx: VariantContext) -> None:
+        """Fold each node's classified sites, in site order, into
+        ``ctx.node_atoms``."""
+        per_node: dict[CFGNode, list[Atomicity]] = {}
+        for site in ctx.sites:
+            per_node.setdefault(site.node, []).append(site.atomicity)
+        ctx.node_atoms = {node: AT.seq_all(atoms)
+                          for node, atoms in per_node.items()}
 
-    def stmt_atomicity(self, ctx: VariantContext, s: A.Stmt) -> Atomicity:
-        nodes = ctx.stmt_nodes.get(s.nid, [])
-        if isinstance(s, A.Block):
-            return AT.seq_all([self.stmt_atomicity(ctx, x)
-                               for x in s.stmts])
-        if isinstance(s, A.LocalDecl):
-            bind = [n for n in nodes if n.kind is NodeKind.BIND]
-            head = self._node_atom(ctx, bind[0]) if bind else AT.B
-            return AT.seq(head, self.stmt_atomicity(ctx, s.body))
-        if isinstance(s, A.If):
-            branch = [n for n in nodes if n.kind is NodeKind.BRANCH]
-            cond = self._node_atom(ctx, branch[0]) if branch else AT.B
-            then = self.stmt_atomicity(ctx, s.then)
-            els = self.stmt_atomicity(ctx, s.els) \
-                if s.els is not None else AT.B
-            return AT.seq(cond, AT.join(then, els))
-        if isinstance(s, A.Loop):
-            return AT.iter_closure(self.stmt_atomicity(ctx, s.body))
-        if isinstance(s, A.Synchronized):
-            acq = [n for n in nodes if n.kind is NodeKind.ACQUIRE]
-            rel = [n for n in nodes if n.kind is NodeKind.RELEASE]
-            inner = self.stmt_atomicity(ctx, s.body)
-            head = self._node_atom(ctx, acq[0]) if acq else AT.R
-            tail = self._node_atom(ctx, rel[0]) if rel else AT.L
-            return AT.seq(AT.seq(head, inner), tail)
-        # simple statements: compose their node actions
-        return AT.seq_all([self._node_atom(ctx, n) for n in nodes])
+    @staticmethod
+    def _stmt_atoms(ctx: VariantContext, body: A.Stmt
+                    ) -> dict[int, Atomicity]:
+        """Step 6: the §3.3 atomicity of every statement under ``body``,
+        keyed by nid, from one bottom-up pass over the tree."""
+        atoms: dict[int, Atomicity] = {}
+
+        def kind_atom(s: A.Stmt, kind: NodeKind, default: Atomicity
+                    ) -> Atomicity:
+            for n in ctx.stmt_nodes.get(s.nid, ()):
+                if n.kind is kind:
+                    return ctx.node_atom(n)
+            return default
+
+        def visit(s: A.Stmt) -> Atomicity:
+            if isinstance(s, A.Block):
+                atom = AT.seq_all([visit(x) for x in s.stmts])
+            elif isinstance(s, A.LocalDecl):
+                atom = AT.seq(kind_atom(s, NodeKind.BIND, AT.B),
+                              visit(s.body))
+            elif isinstance(s, A.If):
+                then = visit(s.then)
+                els = visit(s.els) if s.els is not None else AT.B
+                atom = AT.seq(kind_atom(s, NodeKind.BRANCH, AT.B),
+                              AT.join(then, els))
+            elif isinstance(s, A.Loop):
+                atom = AT.iter_closure(visit(s.body))
+            elif isinstance(s, A.Synchronized):
+                inner = visit(s.body)
+                atom = AT.seq(AT.seq(kind_atom(s, NodeKind.ACQUIRE, AT.R),
+                                     inner),
+                              kind_atom(s, NodeKind.RELEASE, AT.L))
+            else:
+                # simple statements: compose their node actions
+                atom = AT.seq_all([ctx.node_atom(n)
+                                   for n in ctx.stmt_nodes.get(s.nid, ())])
+            atoms[s.nid] = atom
+            return atom
+
+        visit(body)
+        return atoms
 
     def _variant_read_only(self, ctx: VariantContext) -> bool:
-        from repro.analysis.purity import binding_kinds
-
         kinds = binding_kinds(ctx.variant.proc)
         for site in ctx.sites:
             if site.action.op != "write":
@@ -1016,14 +1060,11 @@ class AtomicityChecker:
             reports = []
             for variant in variant_set.of(proc.name):
                 ctx = self.contexts[variant.name]
-                stmt_atoms: dict[int, Atomicity] = {}
-                for node in variant.proc.body.walk():
-                    if isinstance(node, A.Stmt):
-                        stmt_atoms[node.nid] = self.stmt_atomicity(
-                            ctx, node)
-                body = self.stmt_atomicity(ctx, variant.proc.body)
+                self._index_node_atoms(ctx)
+                body = variant.proc.body
+                stmt_atoms = self._stmt_atoms(ctx, body)
                 reports.append(VariantReport(
-                    variant, ctx, body, stmt_atoms,
+                    variant, ctx, stmt_atoms[body.nid], stmt_atoms,
                     read_only=self._variant_read_only(ctx)))
             atomic = all(AT.is_atomic(r.body_atomicity)
                          for r in reports if not r.read_only)

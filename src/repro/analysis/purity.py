@@ -260,15 +260,18 @@ class PurityInfo:
 
 
 class PurityAnalysis:
-    """Checks every loop of one procedure CFG for purity."""
+    """Checks every loop of one procedure CFG for purity.
 
-    def __init__(self, cfg: ProcCFG, program: A.Program,
+    ``kinds`` is :func:`binding_kinds` of the whole program.  Computing
+    it walks the program, so a caller that checks several procedures
+    computes it once and passes the same map to each."""
+
+    def __init__(self, cfg: ProcCFG, kinds: dict[int, A.VarKind],
                  escape: EscapeResult, unique_bindings: set[int]):
         self.cfg = cfg
-        self.program = program
+        self.kinds = kinds
         self.escape = escape
         self.unique = unique_bindings
-        self.kinds = binding_kinds(program)
         self.coverings = find_covering_loops(cfg)
         self.reachable = cfg.reachable_from(cfg.entry)
 
@@ -420,7 +423,10 @@ class PurityAnalysis:
         return {info.loop: self.check_loop(info) for info in self.cfg.loops}
 
 
-def pure_loops(cfg: ProcCFG, program: A.Program, escape: EscapeResult,
-               unique_bindings: set[int]) -> dict[A.Loop, PurityInfo]:
-    """Run the purity analysis on every loop of the CFG."""
-    return PurityAnalysis(cfg, program, escape, unique_bindings).run()
+def pure_loops(cfg: ProcCFG, kinds: dict[int, A.VarKind],
+               escape: EscapeResult, unique_bindings: set[int]
+               ) -> dict[A.Loop, PurityInfo]:
+    """Run the purity analysis on every loop of the CFG.  ``kinds`` is
+    :func:`binding_kinds` of the whole program, computed once by the
+    caller for all its procedures."""
+    return PurityAnalysis(cfg, kinds, escape, unique_bindings).run()

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from repro.analysis import atomicity as AT
 from repro.analysis.atomicity import Atomicity
-from repro.analysis.inference import (AnalysisResult, VariantContext,
-                                      VariantReport)
+from repro.analysis.inference import AnalysisResult, VariantReport
 from repro.cfg.graph import CFGNode, NodeKind
 from repro.synl import ast as A
 from repro.synl.printer import pretty_expr
@@ -36,10 +35,6 @@ class ReportLine:
     def render(self) -> str:
         return f"{self.label}:{self.atomicity}  " \
                f"{'  ' * self.depth}{self.text}"
-
-
-def _node_atom(ctx: VariantContext, node: CFGNode) -> Atomicity:
-    return AT.seq_all([s.atomicity for s in ctx.sites if s.node is node])
 
 
 def _one_line(s: A.Stmt) -> str:
@@ -90,21 +85,16 @@ def variant_lines(report: VariantReport, prefix: str) -> list[ReportLine]:
                 visit(sub, depth)
             return
         if isinstance(s, A.LocalDecl):
+            # the binding line: the atomicity of the bind node alone
             bind_nodes = [n for n in ctx.stmt_nodes.get(s.nid, [])
                           if n.kind is NodeKind.BIND]
-            atom = _node_atom(ctx, bind_nodes[0]) if bind_nodes else AT.B
+            atom = ctx.node_atom(bind_nodes[0]) if bind_nodes else AT.B
             lines.append(ReportLine(label(), depth, _one_line(s), atom, s))
             visit(s.body, depth + 1)
             return
-        # composite statements become single lines with their composed
-        # atomicity (from the step-6 propagation)
+        # simple statements, and composite statements as single lines:
+        # their atomicity from the step-6 propagation
         atom = report.stmt_atoms.get(s.nid, AT.B)
-        if isinstance(s, (A.If, A.Loop, A.Synchronized)):
-            lines.append(ReportLine(label(), depth, _one_line(s), atom, s))
-            return
-        # simple statements: the atomicity of their node's actions
-        nodes = ctx.stmt_nodes.get(s.nid, [])
-        atom = AT.seq_all([_node_atom(ctx, n) for n in nodes])
         lines.append(ReportLine(label(), depth, _one_line(s), atom, s))
 
     visit(report.variant.proc.body, 0)

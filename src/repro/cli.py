@@ -531,6 +531,13 @@ def cmd_experiments(args) -> int:
         print(f"unknown experiment {args.name!r}; one of: {names}",
               file=sys.stderr)
         return 2
+    if args.name != "section63":
+        for flag, value in (("--threads", args.threads),
+                            ("--max-states", args.max_states)):
+            if value is not None:
+                print(f"error: {flag} applies only to section63, "
+                      f"not {args.name!r}", file=sys.stderr)
+                return 2
     doc: dict = {"name": args.name}
     if args.name == "section63":
         from repro.experiments import section63

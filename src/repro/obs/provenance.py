@@ -78,7 +78,8 @@ class Justification:
         if self.detail:
             out["detail"] = self.detail
         if self.counts:
-            out["counts"] = dict(self.counts)
+            # sorted, like render(): the engine fills counts from a set
+            out["counts"] = dict(sorted(self.counts.items()))
         return out
 
     def __str__(self) -> str:

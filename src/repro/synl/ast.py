@@ -85,21 +85,31 @@ class Node:
                 continue
             yield name, value
 
-    def children(self) -> Iterator["Node"]:
-        """Iterate over direct child nodes."""
-        for _, value in self._fields():
+    def children(self) -> list["Node"]:
+        """The direct child nodes, in field order.  (The attributes
+        :meth:`_fields` skips never hold nodes, so no filter is needed.)"""
+        out: list[Node] = []
+        for value in vars(self).values():
             if isinstance(value, Node):
-                yield value
+                out.append(value)
             elif isinstance(value, list):
                 for v in value:
                     if isinstance(v, Node):
-                        yield v
+                        out.append(v)
+        return out
 
     def walk(self) -> Iterator["Node"]:
-        """Pre-order traversal of this subtree (including self)."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Pre-order traversal of this subtree (including self).
+
+        An explicit stack, so each node costs O(1) rather than the
+        O(depth) of a chain of nested generators."""
+        stack: list[Node] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            kids = node.children()
+            kids.reverse()
+            stack.extend(kids)
 
     def span(self) -> tuple[Optional[SourcePos], Optional[SourcePos]]:
         """Smallest source span covering this subtree: the (start, end)

@@ -1,0 +1,166 @@
+"""Each §5.4 pass does its work once per run: whole-program facts are
+computed once per expansion round or once per variant, not once per
+query, and the results stay those of the per-query definitions."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro import corpus
+from repro.analysis import analyze_program
+from repro.analysis import atomicity as AT
+from repro.analysis import inference, purity
+from repro.analysis.inference import AtomicityChecker
+from repro.analysis.report import variant_lines
+from repro.cfg.graph import NodeKind
+from repro.synl import ast as A
+
+
+def test_binding_kinds_once_per_expansion_round(monkeypatch):
+    rounds = []
+    program_walks = []
+    real_kinds = purity.binding_kinds
+    real_purity_of = AtomicityChecker._purity_of
+
+    def counting_kinds(node):
+        if isinstance(node, A.Program):
+            program_walks.append(node)
+        return real_kinds(node)
+
+    def counting_purity_of(self, program, cfgs):
+        rounds.append(program)
+        return real_purity_of(self, program, cfgs)
+
+    monkeypatch.setattr(purity, "binding_kinds", counting_kinds)
+    monkeypatch.setattr(inference, "binding_kinds", counting_kinds,
+                        raising=False)
+    monkeypatch.setattr(AtomicityChecker, "_purity_of", counting_purity_of)
+    analyze_program(corpus.ALLOCATOR)
+    assert len(rounds) >= 2  # the allocator's pure loops nest
+    assert len(program_walks) <= len(rounds)
+
+
+def test_discipline_scans_sites_once_per_root(monkeypatch):
+    """``_sc_only`` and ``_cas_discipline`` share one scan of the sites
+    per distinct root.  Besides them only ``_conflicts`` (once per
+    call) iterates ``_all_sites``, so the discipline scans are the
+    ``_all_sites`` calls that ``_conflicts`` did not make."""
+    calls = {"all_sites": 0, "conflicts": 0}
+    roots = set()
+    real = {name: getattr(AtomicityChecker, name)
+            for name in ("_all_sites", "_conflicts", "_sc_only",
+                         "_cas_discipline")}
+
+    def all_sites(self):
+        calls["all_sites"] += 1
+        return real["_all_sites"](self)
+
+    def conflicts(self, site):
+        calls["conflicts"] += 1
+        return real["_conflicts"](self, site)
+
+    def sc_only(self, target):
+        roots.add(target)
+        return real["_sc_only"](self, target)
+
+    def cas_discipline(self, target):
+        roots.add(target)
+        return real["_cas_discipline"](self, target)
+
+    for name, fn in (("_all_sites", all_sites), ("_conflicts", conflicts),
+                     ("_sc_only", sc_only),
+                     ("_cas_discipline", cas_discipline)):
+        monkeypatch.setattr(AtomicityChecker, name, fn)
+    analyze_program(corpus.ALLOCATOR)
+    assert roots
+    assert calls["all_sites"] - calls["conflicts"] <= len(roots)
+
+
+def _reference_stmt_atom(ctx, s):
+    """The per-query definition of step 6: recurse over the subtree and
+    compose each node's sites, scanning the variant's sites per node."""
+    def node_atom(node):
+        return AT.seq_all([x.atomicity for x in ctx.sites
+                           if x.node is node])
+
+    def first(kind, default):
+        nodes = [n for n in ctx.stmt_nodes.get(s.nid, [])
+                 if n.kind is kind]
+        return node_atom(nodes[0]) if nodes else default
+
+    if isinstance(s, A.Block):
+        return AT.seq_all([_reference_stmt_atom(ctx, x) for x in s.stmts])
+    if isinstance(s, A.LocalDecl):
+        return AT.seq(first(NodeKind.BIND, AT.B),
+                      _reference_stmt_atom(ctx, s.body))
+    if isinstance(s, A.If):
+        els = _reference_stmt_atom(ctx, s.els) if s.els is not None \
+            else AT.B
+        return AT.seq(first(NodeKind.BRANCH, AT.B),
+                      AT.join(_reference_stmt_atom(ctx, s.then), els))
+    if isinstance(s, A.Loop):
+        return AT.iter_closure(_reference_stmt_atom(ctx, s.body))
+    if isinstance(s, A.Synchronized):
+        return AT.seq(AT.seq(first(NodeKind.ACQUIRE, AT.R),
+                             _reference_stmt_atom(ctx, s.body)),
+                      first(NodeKind.RELEASE, AT.L))
+    return AT.seq_all([node_atom(n) for n in ctx.stmt_nodes.get(s.nid, [])])
+
+
+@pytest.mark.parametrize("name", corpus.__all__)
+def test_stmt_atoms_and_report_lines_match_the_per_query_definition(name):
+    result = analyze_program(getattr(corpus, name))
+    for verdict in result.verdicts.values():
+        for report in verdict.variants:
+            ctx = report.ctx
+            body = report.variant.proc.body
+            stmts = [s for s in body.walk() if isinstance(s, A.Stmt)]
+            assert set(report.stmt_atoms) == {s.nid for s in stmts}
+            for s in stmts:
+                assert report.stmt_atoms[s.nid] \
+                    == _reference_stmt_atom(ctx, s), (report.variant.name,
+                                                      s)
+            assert report.body_atomicity == report.stmt_atoms[body.nid]
+            for line in variant_lines(report, "x"):
+                s = line.stmt
+                if isinstance(s, A.LocalDecl):
+                    bind = [n for n in ctx.stmt_nodes[s.nid]
+                            if n.kind is NodeKind.BIND]
+                    want = AT.seq_all([x.atomicity for x in ctx.sites
+                                       if x.node is bind[0]])
+                else:
+                    want = report.stmt_atoms[s.nid]
+                assert line.atomicity == want, (report.variant.name,
+                                                line.text)
+
+
+def test_analyze_json_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Step-4 provenance ``counts`` are filled from a set; the document
+    must not inherit its iteration order.  (Seeds 1, 3 and 4 give
+    three different orders when it does; 1 and 2 happen to agree.)"""
+    path = tmp_path / "nfq_prime.synl"
+    path.write_text(corpus.NFQ_PRIME)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    docs = []
+    for seed in ("1", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", "--json",
+             str(path)],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        doc.pop("run_meta")
+        docs.append(json.dumps(doc))
+    assert '"counts"' in docs[0]
+    assert docs[1:] == docs[:1] * 2

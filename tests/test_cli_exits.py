@@ -123,6 +123,21 @@ def test_experiments_unknown_name_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiments", "table2", "--threads", "3"],
+    ["experiments", "figure3", "--max-states", "100"],
+], ids=lambda argv: " ".join(argv))
+def test_experiments_section63_only_flag_exits_2(capsys, argv):
+    """--threads and --max-states reach only section63; elsewhere they
+    are refused rather than silently ignored."""
+    code = main(argv)
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and argv[2] in err
+
+
 # -- machine-clean stdout: progress stays on stderr --------------------------------
 
 def test_mc_json_stdout_stays_parseable_with_progress(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from repro import corpus
 from repro.analysis.escape import escape_analysis
-from repro.analysis.purity import (PurityAnalysis, find_covering_loops,
-                                   pure_loops)
+from repro.analysis.purity import (PurityAnalysis, binding_kinds,
+                                   find_covering_loops, pure_loops)
 from repro.analysis.uniqueness import uniqueness_analysis
 from repro.cfg import build_cfg
 from repro.synl.resolve import load_program
@@ -17,7 +17,7 @@ def purity_of(source, proc_name):
     cfgs = {p.name: build_cfg(p) for p in prog.procs}
     unique = uniqueness_analysis(prog, cfgs)
     cfg = cfgs[proc_name]
-    return pure_loops(cfg, prog, escape_analysis(cfg),
+    return pure_loops(cfg, binding_kinds(prog), escape_analysis(cfg),
                       unique.unique_bindings())
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro import corpus
 from repro.analysis.escape import escape_analysis
-from repro.analysis.purity import pure_loops
+from repro.analysis.purity import binding_kinds, pure_loops
 from repro.analysis.slices import negate, split_bare_sc
 from repro.analysis.uniqueness import uniqueness_analysis
 from repro.analysis.variants import make_variants
@@ -19,7 +19,8 @@ def variants_of(source):
     prog = load_program(source)
     cfgs = {p.name: build_cfg(p) for p in prog.procs}
     unique = uniqueness_analysis(prog, cfgs)
-    purity = {p.name: pure_loops(cfgs[p.name], prog,
+    kinds = binding_kinds(prog)
+    purity = {p.name: pure_loops(cfgs[p.name], kinds,
                                  escape_analysis(cfgs[p.name]),
                                  unique.unique_bindings())
               for p in prog.procs}
