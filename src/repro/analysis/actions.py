@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cfg.graph import CFGNode, NodeKind
+from repro.cfg.graph import CONTROL_KINDS, CFGNode, NodeKind
 from repro.synl import ast as A
 
 
@@ -182,8 +182,7 @@ def node_actions(node: CFGNode) -> list[RawAction]:
     out: list[RawAction] = []
     kind = node.kind
     stmt = node.stmt
-    if kind in (NodeKind.ENTRY, NodeKind.EXIT, NodeKind.LOOP_HEAD,
-                NodeKind.BREAK, NodeKind.CONTINUE):
+    if kind in CONTROL_KINDS:
         pass
     elif kind is NodeKind.RETURN:
         assert isinstance(stmt, A.Return)

@@ -96,28 +96,6 @@ def _spine_assumes(stmt: A.Stmt):
         yield from _spine_assumes(stmt.body)
 
 
-def _updates_binding(stmt: A.Stmt, binding: int) -> bool:
-    for node in stmt.walk():
-        if isinstance(node, A.Assign) and isinstance(node.target, A.Var) \
-                and node.target.binding == binding:
-            return True
-    return False
-
-
-def _successful_scs_on(stmt: A.Stmt, svar_region) -> list[A.Expr]:
-    """TRUE(SC(svar, ...)) occurrences within the block."""
-    from repro.analysis.purity import target_region
-
-    out = []
-    for node in stmt.walk():
-        if isinstance(node, A.Assume):
-            cond = node.cond
-            if isinstance(cond, A.SCExpr) and A.is_location(cond.loc):
-                if target_region(location_target(cond.loc)) == svar_region:
-                    out.append(cond)
-    return out
-
-
 def blocks_of_proc(proc: A.Procedure) -> list[BlockInfo]:
     """All local blocks of a (variant) procedure, with conditions."""
     from repro.analysis.purity import target_region
@@ -127,32 +105,39 @@ def blocks_of_proc(proc: A.Procedure) -> list[BlockInfo]:
         if not isinstance(node, A.LocalDecl) or node.binding is None:
             continue
         init = node.init
-        svar: Target | None = None
-        kind = "local"
         if isinstance(init, A.LLExpr) and A.is_location(init.loc):
             svar = location_target(init.loc)
-            scs = _successful_scs_on(node.body, target_region(svar))
-            if scs:
-                kind = "llsc"
-            else:
-                scs = []
+            sc_region = target_region(svar)
         elif A.is_location(init):
             svar = location_target(init)
-            scs = []
+            sc_region = None
         else:
             continue  # not a block on a variable (e.g. local x = new C)
-        if _updates_binding(node.body, node.binding):
+        # one walk of the block: its member nids, whether the body
+        # updates lvar, and an LL block's TRUE(SC(svar, ...))s
+        member_nids, scs, updated = [], [], False
+        for sub in node.walk():
+            member_nids.append(sub.nid)
+            if isinstance(sub, A.Assign) and isinstance(sub.target, A.Var):
+                updated = updated or sub.target.binding == node.binding
+            elif sc_region is not None and isinstance(sub, A.Assume) \
+                    and isinstance(sub.cond, A.SCExpr) \
+                    and A.is_location(sub.cond.loc) \
+                    and target_region(location_target(sub.cond.loc)) \
+                    == sc_region:
+                scs.append(sub.cond)
+        if updated:
             continue  # condition (i) of §5.3 fails: no local condition
         atoms = set()
         for assume in _spine_assumes(node.body):
             atom = _atom_of(assume.cond, node.binding)
             if atom is not None:
                 atoms.add(atom)
-        member_nids = frozenset(n.nid for n in node.walk())
-        out.append(BlockInfo(kind=kind, decl=node, lvar=node.binding,
-                             svar=svar, condition=frozenset(atoms),
-                             member_nids=member_nids,
-                             sc_exprs=scs if kind == "llsc" else []))
+        out.append(BlockInfo(kind="llsc" if scs else "local", decl=node,
+                             lvar=node.binding, svar=svar,
+                             condition=frozenset(atoms),
+                             member_nids=frozenset(member_nids),
+                             sc_exprs=scs))
     return out
 
 

@@ -14,12 +14,15 @@ atomicity type the inference assigned, e.g.::
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.analysis import atomicity as AT
 from repro.analysis.atomicity import Atomicity
-from repro.analysis.inference import AnalysisResult, VariantReport
-from repro.cfg.graph import CFGNode, NodeKind
+from repro.analysis.inference import (AnalysisResult, ProcVerdict,
+                                      VariantReport)
+from repro.cfg.graph import CFGNode
+from repro.errors import SourcePos
 from repro.synl import ast as A
 from repro.synl.printer import pretty_expr
 
@@ -86,8 +89,7 @@ def variant_lines(report: VariantReport, prefix: str) -> list[ReportLine]:
             return
         if isinstance(s, A.LocalDecl):
             # the binding line: the atomicity of the bind node alone
-            bind_nodes = [n for n in ctx.stmt_nodes.get(s.nid, [])
-                          if n.kind is NodeKind.BIND]
+            bind_nodes = ctx.stmt_nodes.get(s.nid)
             atom = ctx.node_atom(bind_nodes[0]) if bind_nodes else AT.B
             lines.append(ReportLine(label(), depth, _one_line(s), atom, s))
             visit(s.body, depth + 1)
@@ -101,21 +103,25 @@ def variant_lines(report: VariantReport, prefix: str) -> list[ReportLine]:
     return lines
 
 
+def _covered(stmt: A.Stmt, depth: int = 0
+             ) -> Iterator[tuple[A.Stmt, int]]:
+    """The statements the report line of ``stmt`` accounts for, each
+    with its nesting depth below the line: the statement alone for a
+    simple statement or a ``local`` binding, the whole statement
+    subtree for a composite ``if``/``loop``/``synchronized`` line."""
+    yield stmt, depth
+    if depth or isinstance(stmt, (A.If, A.Loop, A.Synchronized)):
+        for sub in stmt.children():
+            if isinstance(sub, A.Stmt):
+                yield from _covered(sub, depth + 1)
+
+
 def _line_nodes(report: VariantReport, line: ReportLine) -> list[CFGNode]:
-    """The CFG nodes whose actions a report line accounts for —
-    mirrors the node selection of :func:`variant_lines`, except that
-    composite lines (rendered as ``if (...) ...``) cover their whole
-    statement subtree so no provenance is lost."""
-    ctx = report.ctx
-    s = line.stmt
-    if isinstance(s, A.LocalDecl):
-        return [n for n in ctx.stmt_nodes.get(s.nid, [])
-                if n.kind is NodeKind.BIND]
-    if isinstance(s, (A.If, A.Loop, A.Synchronized)):
-        nids = {x.nid for x in s.walk() if isinstance(x, A.Stmt)}
-        return [n for nid in sorted(nids)
-                for n in ctx.stmt_nodes.get(nid, [])]
-    return ctx.stmt_nodes.get(s.nid, [])
+    """The CFG nodes whose actions a report line accounts for, so a
+    composite line loses no provenance of its subtree."""
+    stmt_nodes = report.ctx.stmt_nodes
+    return [n for s, _ in _covered(line.stmt)
+            for n in stmt_nodes.get(s.nid, ())]
 
 
 def line_sites(report: VariantReport, line: ReportLine):
@@ -181,3 +187,86 @@ def line_atomicities(result: AnalysisResult,
                 return [(line.text, str(line.atomicity))
                         for line in variant_lines(report, "x")]
     raise KeyError(variant_name)
+
+
+@dataclass
+class LineAnnotation:
+    """One analysis report line: its mover type and provenance."""
+
+    variant: str
+    text: str
+    mover: str
+    provenance: list = field(default_factory=list)
+
+    @property
+    def theorems(self) -> list[str]:
+        """Every theorem cited anywhere in the provenance chain,
+        including the per-theorem tallies of step-4 aggregates."""
+        out = set()
+        for j in self.provenance:
+            if j.theorem is not None:
+                out.add(j.theorem)
+            out.update(t for t in j.counts if t[:1].isdigit())
+        return sorted(out)
+
+    def citation(self) -> str:
+        """The most informative single justification, rendered."""
+        chain = self.provenance
+        best = next((j for j in chain
+                     if j.mover == self.mover and j.theorem is not None),
+                    None)
+        if best is None:
+            best = next((j for j in chain if j.mover == self.mover), None)
+        if best is None:
+            best = next((j for j in chain if j.theorem is not None), None)
+        if best is None and chain:
+            best = chain[0]
+        return best.render() if best is not None else "no provenance"
+
+
+@dataclass
+class ProcJoin:
+    """One procedure's report lines, keyed by the source positions of
+    the statements they cover."""
+
+    verdict: ProcVerdict
+    body_mover: str
+    #: every theorem any line of any variant cites, sorted
+    theorems: list[str]
+    #: statement position -> the innermost line covering it; among
+    #: lines of several variants at one depth, the first in report order
+    lines: dict[SourcePos, LineAnnotation]
+
+    def line_of(self, node: CFGNode) -> LineAnnotation | None:
+        """The line covering a runtime node's statement, or None when
+        no variant line covers it (the variants elided it)."""
+        return self.lines.get(node.stmt.pos)
+
+
+def statement_join(result: AnalysisResult) -> dict[str, ProcJoin]:
+    """Join every procedure's report lines (across all of its
+    variants) to the statement source positions they cover.  A runtime
+    CFG node of the procedure finds its line by its statement's
+    position: variants clone statements with their positions, so the
+    join is exact and needs no text comparison."""
+    out: dict[str, ProcJoin] = {}
+    for name, verdict in result.verdicts.items():
+        lines: dict[SourcePos, LineAnnotation] = {}
+        depths: dict[SourcePos, int] = {}
+        theorems: set[str] = set()
+        for report in verdict.variants:
+            for line in variant_lines(report, "x"):
+                la = LineAnnotation(report.variant.name, line.text,
+                                    str(line.atomicity),
+                                    line_provenance(report, line))
+                theorems.update(la.theorems)
+                for stmt, depth in _covered(line.stmt):
+                    pos = stmt.pos
+                    if pos is not None and depth < depths.get(pos, depth + 1):
+                        depths[pos] = depth
+                        lines[pos] = la
+        reports = verdict.variants
+        out[name] = ProcJoin(
+            verdict, str(reports[0].body_atomicity) if reports else "B",
+            sorted(theorems), lines)
+    return out

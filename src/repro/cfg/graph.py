@@ -38,6 +38,11 @@ class NodeKind(enum.Enum):
     RELEASE = "release"    # synchronized exit (explicit or implicit)
 
 
+#: kinds of pure control flow: nodes that carry no action
+CONTROL_KINDS = frozenset({NodeKind.ENTRY, NodeKind.EXIT, NodeKind.LOOP_HEAD,
+                           NodeKind.BREAK, NodeKind.CONTINUE})
+
+
 @dataclass(eq=False)
 class CFGNode:
     kind: NodeKind

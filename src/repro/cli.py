@@ -46,6 +46,7 @@ from typing import Callable
 
 from repro.analysis import analyze_program, render_figure
 from repro.analysis.blocks import partition_procedure
+from repro.analysis.report import statement_join
 from repro.errors import AssertionViolation, ReproError
 from repro.interp import Interp, ThreadSpec, run_random
 from repro.mc import Explorer, observers
@@ -353,7 +354,7 @@ def cmd_mc(args) -> int:
     interp = Interp(program)
     specs = [_parse_spec(s) for s in args.threads]
     # the heatmap document (--json) and the counterexample
-    # (--explain-cex) share one analysis
+    # (--explain-cex) share one analysis and its one statement join
     analysis = _analysis(args) if args.json else None
     observer = observers.compose(
         # the per-call timers feed only the hotspot table: --trace
@@ -368,17 +369,20 @@ def cmd_mc(args) -> int:
     result = Explorer(interp, specs, mode=args.mode,
                       max_states=args.max_states,
                       observer=observer).run()
+    explain = result.violation and args.explain_cex
+    if explain and not args.json:
+        analysis = _analysis(args)
+    join = statement_join(analysis) if analysis is not None else None
     cex = None
-    if result.violation and args.explain_cex:
+    if explain:
         from repro.mc.cex import build_cex
-        cex = build_cex(result, interp,
-                        analysis if args.json else _analysis(args))
+        cex = build_cex(result, interp, analysis, join)
     if args.json:
         from repro.obs import heatmap
         doc = result.to_dict()
         doc["heatmap"] = heatmap.build_heatmap(
             result.metrics["mc.stmt_heat"],
-            heatmap.uid_annotations(interp, analysis),
+            heatmap.uid_annotations(interp, join),
             annotated=analysis is not None)
         if cex is not None:
             doc["counterexample"] = cex.to_dict()

@@ -17,23 +17,24 @@ is the presentation argued for by runtime atomicity debuggers (render
 the concrete buggy interleaving) combined with the paper's
 theorem-level reasoning.
 
-Mapping runtime steps back to analysis lines is textual: exceptional
-variants rewrite ``if (SC(v, e)) ...`` into ``TRUE(SC(v, e));`` /
-``TRUE(!SC(v, e));``, so an executed branch is matched first by exact
-line text, then by its condition appearing inside a variant line
-(preferring the success branch, then theorem-bearing provenance).
-Control-only transitions (loop heads, branches over procedure-local
-data that the variants elided) are both-movers by Theorem 3.1 and are
-annotated as such.
+Runtime steps map back to analysis lines through the position join of
+:func:`repro.analysis.report.statement_join`: a step's statement takes
+the innermost report line that covers its source position — its own
+line, or the composite ``if``/``loop``/``synchronized`` line around
+it.  Exceptional variants clone statements with their positions, so a
+branch the variants rewrote into ``TRUE(SC(v, e));`` still finds that
+line.  Control-only transitions (loop heads, ``break``) and statements
+no variant line covers (the variants elided them) are both-movers by
+Theorem 3.1 and are annotated as such.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cfg.graph import CFGNode, NodeKind
+from repro.analysis.report import ProcJoin, _one_line, statement_join
+from repro.cfg.graph import CONTROL_KINDS, CFGNode, NodeKind
 from repro.synl.printer import pretty_expr
 
 from repro.obs.schemas import CEX as SCHEMA_VERSION
@@ -41,17 +42,10 @@ from repro.obs.schemas import CEX as SCHEMA_VERSION
 #: annotation used for transitions that touch no shared state
 _CONTROL = ("B", "Thm 3.1: thread-local control flow")
 
-_CONTROL_KINDS = (NodeKind.LOOP_HEAD, NodeKind.BREAK, NodeKind.CONTINUE,
-                  NodeKind.ENTRY, NodeKind.EXIT)
-
 
 def describe_node(node: CFGNode) -> str:
     """A compact one-line source rendering of a CFG node."""
-    from repro.analysis.report import _one_line
-
     kind = node.kind
-    if kind is NodeKind.BRANCH:
-        return f"if ({pretty_expr(node.expr)}) ..."
     if kind is NodeKind.ACQUIRE:
         return f"monitor-enter ({pretty_expr(node.expr)})"
     if kind is NodeKind.RELEASE:
@@ -65,86 +59,6 @@ def describe_node(node: CFGNode) -> str:
     if node.stmt is not None:
         return _one_line(node.stmt)
     return kind.value
-
-
-@dataclass
-class LineAnnotation:
-    """One analysis report line: its mover type and provenance."""
-
-    variant: str
-    text: str
-    mover: str
-    provenance: list = field(default_factory=list)
-
-    @property
-    def theorems(self) -> list[str]:
-        """Every theorem cited anywhere in the provenance chain,
-        including the per-theorem tallies of step-4 aggregates."""
-        out = set()
-        for j in self.provenance:
-            if j.theorem is not None:
-                out.add(j.theorem)
-            out.update(t for t in j.counts if t[:1].isdigit())
-        return sorted(out)
-
-    def citation(self) -> str:
-        """The most informative single justification, rendered."""
-        chain = self.provenance
-        best = next((j for j in chain
-                     if j.mover == self.mover and j.theorem is not None),
-                    None)
-        if best is None:
-            best = next((j for j in chain if j.mover == self.mover), None)
-        if best is None:
-            best = next((j for j in chain if j.theorem is not None), None)
-        if best is None and chain:
-            best = chain[0]
-        return best.render() if best is not None else "no provenance"
-
-
-class _ProcIndex:
-    """Lookup from runtime statement text to analysis annotations for
-    one procedure (across all of its exceptional variants)."""
-
-    def __init__(self, verdict):
-        from repro.analysis.report import line_provenance, variant_lines
-
-        self.verdict = verdict
-        self.lines: list[LineAnnotation] = []
-        for report in verdict.variants:
-            for line in variant_lines(report, "x"):
-                self.lines.append(LineAnnotation(
-                    report.variant.name, line.text,
-                    str(line.atomicity),
-                    line_provenance(report, line)))
-
-    @property
-    def body_mover(self) -> str:
-        reports = self.verdict.variants
-        return str(reports[0].body_atomicity) if reports else "B"
-
-    def match(self, text: str) -> Optional[LineAnnotation]:
-        for la in self.lines:
-            if la.text == text:
-                return la
-        # branch → TRUE(...) variant-line fallback
-        m = re.fullmatch(r"if \((.+)\) \.\.\.", text)
-        needles = []
-        if m:
-            cond = m.group(1)
-            needles = [f"TRUE({cond});", cond, cond.lstrip("!")]
-        else:
-            # last resort: shared sync sub-expressions
-            needles = re.findall(r"(?:LL|SC|VL|CAS)\([^()]*(?:\([^()]*"
-                                 r"\)[^()]*)*\)", text)
-        for needle in needles:
-            hits = [la for la in self.lines if needle in la.text]
-            if not hits:
-                continue
-            exact = [la for la in hits if la.text == f"TRUE({needle});"]
-            cited = [la for la in hits if la.theorems]
-            return (exact or cited or hits)[0]
-        return None
 
 
 @dataclass
@@ -233,15 +147,15 @@ class Counterexample:
 
 
 def _annotate_stmt(step: CexStep, node: CFGNode,
-                   index: Optional[_ProcIndex]) -> None:
-    if node.kind in _CONTROL_KINDS:
+                   proc_join: Optional[ProcJoin]) -> None:
+    if node.kind in CONTROL_KINDS:
         step.mover, step.citation = _CONTROL
         step.theorems = ["3.1"]
         return
-    if index is None:
+    if proc_join is None:
         step.mover, step.citation = "?", "no analysis available"
         return
-    la = index.match(step.text)
+    la = proc_join.line_of(node)
     if la is None:
         # the variants elided this statement: it contributed no shared
         # action to any variant, so it moves freely (Thm 3.1)
@@ -260,7 +174,8 @@ def _annotate_stmt(step: CexStep, node: CFGNode,
     step.provenance = list(la.provenance)
 
 
-def build_cex(result, interp, analysis=None) -> Counterexample:
+def build_cex(result, interp, analysis=None,
+              join: Optional[dict[str, ProcJoin]] = None) -> Counterexample:
     """Reconstruct the violating path of an
     :class:`~repro.mc.explorer.MCResult` (or a ``run`` ``path_log`` —
     anything exposing ``violation``/``mode``/``path``) into an
@@ -268,17 +183,17 @@ def build_cex(result, interp, analysis=None) -> Counterexample:
 
     ``analysis`` is the :class:`~repro.analysis.inference.AnalysisResult`
     for the *same* program; without it the timeline still renders, but
-    steps carry no mover/theorem annotations.
+    steps carry no mover/theorem annotations.  ``join`` is its
+    :func:`~repro.analysis.report.statement_join`, built here when the
+    caller has none to share.
     """
     if not result.violation:
         raise ValueError("result has no violation to explain")
     uid_map: dict[int, CFGNode] = {node.uid: node
                                    for cfg in interp.cfgs.values()
                                    for node in cfg.nodes}
-    indexes: dict[str, _ProcIndex] = {}
-    if analysis is not None:
-        indexes = {name: _ProcIndex(verdict)
-                   for name, verdict in analysis.verdicts.items()}
+    if join is None:
+        join = statement_join(analysis) if analysis is not None else {}
 
     steps: list[CexStep] = []
     for raw in result.path:
@@ -286,20 +201,19 @@ def build_cex(result, interp, analysis=None) -> Counterexample:
         if kind == "init":
             continue
         proc = raw.get("proc")
-        index = indexes.get(proc)
+        proc_join = join.get(proc)
         step = CexStep(seq=len(steps) + 1, tid=raw["tid"], kind=kind,
                        desc=raw["desc"], text=raw["desc"], proc=proc,
                        variant=raw.get("via"))
         if kind == "invoke":
             step.text = f"call {proc}()"
-            if index is not None:
-                step.mover = index.body_mover
+            if proc_join is not None:
+                step.mover = proc_join.body_mover
                 step.citation = (
                     "procedure shown atomic (reducible, §3.3)"
-                    if index.verdict.atomic else
+                    if proc_join.verdict.atomic else
                     "procedure NOT shown atomic — its steps interleave")
-                step.theorems = sorted(
-                    {t for la in index.lines for t in la.theorems})
+                step.theorems = list(proc_join.theorems)
         elif kind == "return":
             step.text = f"return from {proc}"
             step.mover, step.citation = _CONTROL
@@ -307,17 +221,16 @@ def build_cex(result, interp, analysis=None) -> Counterexample:
         elif kind == "atomic":
             suffix = f" via {raw['via']}" if raw.get("via") else ""
             step.text = f"{proc}(){suffix} as one atomic transition"
-            if index is not None:
-                step.mover = index.body_mover
+            if proc_join is not None:
+                step.mover = proc_join.body_mover
                 step.citation = ("whole invocation is one transition "
                                  "(Thm 4.1/5.2 reduction)")
-                step.theorems = sorted(
-                    {t for la in index.lines for t in la.theorems})
+                step.theorems = list(proc_join.theorems)
         else:  # stmt
             node = uid_map.get(raw.get("uid"))
             if node is not None:
                 step.text = describe_node(node)
-                _annotate_stmt(step, node, index)
+                _annotate_stmt(step, node, proc_join)
             else:
                 step.mover, step.citation = "?", "unknown CFG node"
         steps.append(step)

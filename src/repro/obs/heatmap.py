@@ -11,9 +11,10 @@ statement), and which threads ever ran it.
 This module turns those raw ``[[uid, visits, switches, tid_mask]]``
 rows into a *source overlay*: each CFG uid is resolved back to its
 procedure, one-line source text (:func:`repro.mc.cex.describe_node`),
-and — when an analysis result is supplied — the mover classification
-the §5.4 inference assigned to that line (reusing the textual matcher
-counterexample explanations use).  ``repro mc --json`` embeds the
+and — when an analysis is supplied — the mover classification the §5.4
+inference assigned to the report line covering that statement's source
+position (the :func:`repro.analysis.report.statement_join` that
+counterexample explanations read too).  ``repro mc --json`` embeds the
 overlay under ``"heatmap"``: statement text × visit intensity × mover
 class, the localization layer repair tools need.
 """
@@ -22,36 +23,33 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cfg.graph import CONTROL_KINDS
 from repro.obs.schemas import HEATMAP as SCHEMA_VERSION
 
 
-def uid_annotations(interp, analysis=None) -> dict[int, dict]:
+def uid_annotations(interp, join=None) -> dict[int, dict]:
     """Map every CFG node uid to ``{proc, text, mover}``.
 
-    ``mover`` is the static classification (``"R"|"L"|"B"|"N"``) when
-    ``analysis`` covers the statement, ``"B"`` for pure control flow
-    (Thm 3.1), else None (no analysis / no textual match)."""
-    from repro.mc.cex import _CONTROL_KINDS, _ProcIndex, describe_node
+    ``join`` is the analysis's
+    :func:`~repro.analysis.report.statement_join`.  ``mover`` is the
+    static classification (``"R"|"L"|"B"|"A"|"N"``) of the report line
+    covering the statement, ``"B"`` for pure control flow and for
+    statements no variant line covers (Thm 3.1), else None (no
+    analysis of the procedure)."""
+    from repro.mc.cex import describe_node
 
-    indexes: dict[str, _ProcIndex] = {}
-    if analysis is not None:
-        indexes = {name: _ProcIndex(verdict)
-                   for name, verdict in analysis.verdicts.items()}
     out: dict[int, dict] = {}
     for proc_name, cfg in interp.cfgs.items():
-        index = indexes.get(proc_name)
+        proc_join = join.get(proc_name) if join is not None else None
         for node in cfg.nodes:
-            text = describe_node(node)
             mover: Optional[str] = None
-            if node.kind in _CONTROL_KINDS:
+            if node.kind in CONTROL_KINDS:
                 mover = "B"
-            elif index is not None:
-                la = index.match(text)
-                # statements the variants elided contribute no
-                # shared action: both-mover by Thm 3.1
+            elif proc_join is not None:
+                la = proc_join.line_of(node)
                 mover = la.mover if la is not None else "B"
-            out[node.uid] = {"proc": proc_name, "text": text,
-                             "mover": mover}
+            out[node.uid] = {"proc": proc_name,
+                             "text": describe_node(node), "mover": mover}
     return out
 
 

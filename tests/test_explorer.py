@@ -262,6 +262,7 @@ def test_stmt_heat_is_deterministic():
 
 def test_heatmap_document_annotates_statements():
     from repro.analysis import analyze_program
+    from repro.analysis.report import statement_join
     from repro.obs.export import HEATMAP_SCHEMA, validate
     from repro.obs.heatmap import build_heatmap, uid_annotations
 
@@ -270,7 +271,7 @@ def test_heatmap_document_annotates_statements():
     specs = [ThreadSpec.of(("Apply", 1)), ThreadSpec.of(("Apply", 2))]
     r = Explorer(interp, specs, mode="full",
                  observer=observers.Coverage()).run()
-    annotations = uid_annotations(interp, analysis)
+    annotations = uid_annotations(interp, statement_join(analysis))
     doc = build_heatmap(r.metrics["mc.stmt_heat"], annotations,
                         annotated=True)
     assert validate(doc, HEATMAP_SCHEMA) == []
