@@ -43,14 +43,6 @@ class Target:
             return f"{self.name}{suffix}"
         return f"{self.name}.{self.field}{suffix}"
 
-    @property
-    def is_heap(self) -> bool:
-        return self.kind in ("field", "elem")
-
-    def region(self) -> "Target":
-        """The index-insensitive region containing this target."""
-        return self
-
 
 @dataclass
 class RawAction:
@@ -61,10 +53,6 @@ class RawAction:
     via: str = "plain"             # 'plain' | 'LL' | 'SC' | 'VL' | 'CAS'
     expr: Optional[A.Expr] = None  # originating LL/SC/VL/CAS expression
     node: Optional[CFGNode] = None
-
-    @property
-    def is_update(self) -> bool:
-        return self.op == "write"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         via = f"/{self.via}" if self.via != "plain" else ""
@@ -227,11 +215,3 @@ def _lock_target(lock: A.Expr) -> Target:
         return location_target(lock)
     # a computed lock expression: model as an unknown lock
     return Target("global", name="<computed-lock>")
-
-
-def node_writes(node: CFGNode) -> list[RawAction]:
-    return [a for a in node_actions(node) if a.op == "write"]
-
-
-def node_reads(node: CFGNode) -> list[RawAction]:
-    return [a for a in node_actions(node) if a.op == "read"]

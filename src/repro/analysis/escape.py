@@ -141,9 +141,6 @@ class EscapeResult:
     def __init__(self, sol: Solution):
         self._sol = sol
 
-    def fresh_before(self, node: CFGNode) -> frozenset:
-        return self._sol.before[node]
-
     def is_fresh(self, node: CFGNode, binding: int | None) -> bool:
         """Is ``binding`` holding a fresh unescaped object just before
         ``node`` executes?"""

@@ -2,8 +2,9 @@
 
 Pipeline
 --------
-1. Parse/resolve the program; build CFGs; run escape, uniqueness and
-   purity analyses on the original procedures.
+1. Parse/resolve the program (procedure calls are inlined by
+   :func:`~repro.synl.resolve.load_program`); build CFGs; run escape,
+   uniqueness and purity analyses on the original procedures.
 2. Replace each procedure by its exceptional variants (§5.2,
    :mod:`repro.analysis.variants`).
 3. On the variant program: re-run escape/uniqueness, infer classes,
@@ -30,6 +31,22 @@ Pipeline
    * **step 6** — propagate through the AST with the §3.3 calculus;
    * **step 7** — a procedure is atomic iff all its exceptional variants
      have body atomicity ≤ A (Thm 5.2).
+
+The exclusion engine
+--------------------
+Each adjacency query (:meth:`AtomicityChecker._excluded`) owns one
+:class:`_CaseSplit`, which holds the query's alias pairs and dies with
+it; every rule records "excluded when these two targets are the same
+cell" through its one :meth:`_CaseSplit.same_cell`.  The window and
+condition rules are written for one role (a site protected against
+the other) and applied with each site in turn in that role.  Step 2
+is one lookup from an action's ``(op, via)`` to the window slot it
+fills (:data:`_STEP2_SLOT`).  Each discipline condition is tested in
+one place: a CAS window is built only for a versioned root (the query
+:func:`repro.analysis.typing.versioned`, shared with lint) whose
+Thm 5.4 discipline lint does not refute; :meth:`_window_valid` adds
+the CAS-only writes of a CAS window and the lint veto of an SC/VL
+window; step 2 adds the SC-only writes of an SC/VL window.
 
 Cost
 ----
@@ -58,7 +75,7 @@ from repro.analysis.escape import EscapeResult, escape_analysis
 from repro.analysis.locks import LocksetResult, common_lock, lockset_analysis
 from repro.analysis.purity import (PurityInfo, binding_kinds, pure_loops,
                                    target_region)
-from repro.analysis.typing import ClassEnv, infer_classes
+from repro.analysis.typing import ClassEnv, infer_classes, versioned
 from repro.analysis.uniqueness import UniquenessResult, uniqueness_analysis
 from repro.analysis.variants import Variant, VariantSet, make_variants
 from repro.analysis.windows import Window, WindowIndex
@@ -84,8 +101,88 @@ class InferenceOptions:
     enable_lint: bool = True         # discipline linter + downgrades
 
 
-#: sentinel pair key for the conflict pair itself (see ``_excluded``)
+#: sentinel pair key for the conflict pair itself (see :class:`_CaseSplit`)
 _P0 = ("#conflict",)
+
+#: step 2 (Thms 5.3/5.4): the window slot an action may fill, by
+#: ``(op, via)`` — a successful SC/CAS/VL ends a window, an LL (or the
+#: plain read a CAS matches) opens one
+_STEP2_SLOT = {("write", "SC"): "end", ("write", "CAS"): "end",
+               ("read", "VL"): "end", ("read", "LL"): "ll",
+               ("read", "plain"): "ll"}
+
+_FLIP = {"before": "after", "after": "before"}
+
+
+def _as_is(mine, theirs):
+    return mine, theirs
+
+
+def _swapped(mine, theirs):
+    return theirs, mine
+
+
+class _CaseSplit:
+    """One adjacency query's alias case split (§5.4).
+
+    A rule that excludes the adjacency only in one branch of an alias
+    question marks the pair of bindings it depends on, a-side binding
+    first, as closed in that branch: ``aliased`` (both denote one cell)
+    or not.  The query excludes the adjacency when some pair has both
+    branches closed, or when a rule needs no case split (two same-named
+    globals are one cell).  :data:`_P0` stands for the conflict pair
+    itself: when the two conflicting locations may be distinct cells,
+    their not-aliased branch has no conflict and is closed from the
+    start."""
+
+    def __init__(self, alias: AliasAnalysis, ta: Target, tb: Target):
+        self.alias = alias
+        self.regions = (target_region(ta), target_region(tb))
+        self.flags: dict[tuple, list[bool]] = {}
+        self.unconditional = False
+        #: tags of the rules whose marks count towards an exclusion
+        self.fired: set[str] = set()
+        if not (ta.kind == "global" and tb.kind == "global"
+                and ta.name == tb.name):
+            self.mark(_P0, aliased=False)
+            if ta.binding is not None and tb.binding is not None:
+                self.mark((ta.binding, tb.binding), aliased=False)
+
+    def mark(self, pair: tuple, aliased: bool,
+             tag: str | None = None) -> None:
+        self.flags.setdefault(pair, [False, False])[
+            0 if aliased else 1] = True
+        if tag is not None:
+            self.fired.add(tag)
+
+    def same_cell(self, ta: Target, tb: Target, tag: str) -> None:
+        """Record an exclusion (theorem ``tag``) that holds when the
+        a-side target ``ta`` and the b-side target ``tb`` denote the
+        same cell: unconditional for same-named globals; an aliased
+        mark on the pair of their bindings for heap cells; and an
+        aliased mark on the conflict pair itself when the two targets'
+        regions are the conflicting locations' (then "not aliased"
+        already means "no conflict")."""
+        if ta.kind == "global" and tb.kind == "global":
+            if ta.name == tb.name:
+                self.unconditional = True
+                self.fired.add(tag)
+            return
+        if not self.alias.may_alias(ta, tb):
+            return
+        if ta.binding is not None and tb.binding is not None:
+            self.mark((ta.binding, tb.binding), aliased=True, tag=tag)
+        if (target_region(ta), target_region(tb)) == self.regions:
+            self.mark(_P0, aliased=True, tag=tag)
+
+    def has_pairs(self) -> bool:
+        """Did the query split on a binding pair?"""
+        return any(pair is not _P0 for pair in self.flags)
+
+    def excluded(self) -> bool:
+        return self.unconditional or any(
+            aliased and not_aliased
+            for aliased, not_aliased in self.flags.values())
 
 
 @dataclass
@@ -161,9 +258,6 @@ class VariantContext:
         """The atomicity of a CFG node's actions, composed in site
         order (B for a node without sites)."""
         return self.node_atoms.get(node, AT.B)
-
-    def block_nodes(self, b: BlockInfo) -> set[CFGNode]:
-        return self._block_nodes[b.decl.nid]
 
     def node_in_block(self, b: BlockInfo, node: CFGNode) -> bool:
         return node in self._block_nodes[b.decl.nid]
@@ -401,7 +495,7 @@ class AtomicityChecker:
                 f"{region} ({ids})")
 
     def _lint_vetoes(self, root: Target, theorem: str) -> bool:
-        if not getattr(self, "_lint_taint", None):
+        if not self._lint_taint:
             return False
         from repro.analysis.lint import region_key
         key = region_key(root)
@@ -480,39 +574,13 @@ class AtomicityChecker:
             lint=self.lint, downgrades=self.downgrades)
 
     # -- discipline queries ---------------------------------------------------
-    def _versioned(self, target: Target) -> bool:
-        if target.kind == "global" or target.binding is None:
-            # plain global, or an element/field of an object named
-            # directly by a global: use the global's declaration flag
-            for decl in self.program.globals:
-                if decl.name == target.name:
-                    return decl.versioned
-            return False
-        if target.kind in ("field", "elem") and target.binding is not None:
-            classes = self.env.of_binding(target.binding)
-            if not classes:
-                return False
-            for cname in classes:
-                cls = self._class_decl(cname)
-                if cls is None or target.field not in cls.versioned_fields:
-                    return False
-            return True
-        return False
-
-    def _class_decl(self, name: str):
-        for c in self.program.classes:
-            if c.name == name:
-                return c
-        return None
-
     def _cas_root_ok(self, root: Target) -> bool:
-        """CAS windows are built only for declared-versioned roots; the
-        CAS-only-writes half of the discipline is re-checked lazily in
-        :meth:`_window_valid` (sites do not exist yet at build time).
-        Regions whose ABA discipline lint refuted get no windows."""
-        if self._lint_vetoes(root, "5.4"):
-            return False
-        return self._versioned(root)
+        """CAS windows are built only for declared-versioned roots whose
+        ABA discipline lint does not refute (Thm 5.4); the CAS-only
+        writes half of the discipline needs the sites, so
+        :meth:`_window_valid` checks it once they exist."""
+        return not self._lint_vetoes(root, "5.4") \
+            and versioned(self.program, self.env, root)
 
     # -- site collection --------------------------------------------------------
     def _collect_sites(self) -> None:
@@ -576,30 +644,27 @@ class AtomicityChecker:
     def _sc_only(self, target: Target) -> bool:
         return self._write_vias(target) <= {"SC"}
 
-    def _cas_discipline(self, target: Target) -> bool:
-        return self._versioned(target) \
-            and self._write_vias(target) <= {"CAS"}
+    def _cas_only(self, target: Target) -> bool:
+        """The CAS-only-writes half of the Thm 5.4 discipline (the
+        versioned half is :meth:`_cas_root_ok`'s)."""
+        return self._write_vias(target) <= {"CAS"}
 
     def _window_valid(self, w: Window) -> bool:
-        theorem = "5.4" if w.kind == "CAS" else "5.3"
-        if self._lint_vetoes(w.root, theorem):
-            return False
+        """The window's discipline, as far as window build could not
+        check it: a CAS window needs CAS-only writes to its root, an
+        SC/VL window a Thm 5.3 discipline that lint does not refute."""
         if w.kind == "CAS":
-            return self._cas_discipline(w.root)
-        return True
+            return self._cas_only(w.root)
+        return not self._lint_vetoes(w.root, "5.3")
 
     def _step2_types(self, ctx: VariantContext) -> dict[tuple, tuple]:
         """(node uid, region, slot) -> (L/R, window kind) from
-        Theorem 5.3 (SC/VL windows) and 5.4 (CAS windows), step 2."""
+        Theorem 5.3 (SC/VL windows on SC-only roots) and 5.4 (CAS
+        windows), step 2."""
         out: dict[tuple, tuple] = {}
         for w in ctx.windows.windows:
-            if w.kind in ("SC", "VL") and (
-                    not self._sc_only(w.root)
-                    or self._lint_vetoes(w.root, "5.3")):
-                continue
-            if w.kind == "CAS" and (
-                    not self._cas_discipline(w.root)
-                    or self._lint_vetoes(w.root, "5.4")):
+            if not self._window_valid(w) \
+                    or w.kind != "CAS" and not self._sc_only(w.root):
                 continue
             region = target_region(w.root)
             out[(w.end_node.uid, region, "end")] = (AT.L, w.kind)
@@ -626,61 +691,35 @@ class AtomicityChecker:
                 detail="allocation" if action.op == "alloc"
                 else f"local action on {action.target}"))
             return AT.B
-        if action.op == "acquire":
+        if action.op in ("acquire", "release"):
+            mover = AT.R if action.op == "acquire" else AT.L
             self._tally("analysis.steps.thm3.2")
-            site.steps.append("step1:acquire")
+            site.steps.append(f"step1:{action.op}")
             site.provenance.append(justify(
-                "step1", "acquire", mover="R",
-                detail=f"lock acquire of {action.target}"))
-            return AT.R
-        if action.op == "release":
-            self._tally("analysis.steps.thm3.2")
-            site.steps.append("step1:release")
-            site.provenance.append(justify(
-                "step1", "release", mover="L",
-                detail=f"lock release of {action.target}"))
-            return AT.L
-        region = target_region(action.target)
+                "step1", action.op, mover=str(mover),
+                detail=f"lock {action.op} of {action.target}"))
+            return mover
         candidates: list[Atomicity] = []
-        if action.op == "write" and action.via in ("SC", "CAS"):
-            hit = step2.get((site.node.uid, region, "end"))
-            if hit is not None:
-                t2, _kind = hit
-                self._tally("analysis.steps.thm5.4" if _kind == "CAS"
-                            else "analysis.steps.thm5.3")
-                candidates.append(t2)
-                site.steps.append("step2:successful-" + action.via)
-                site.provenance.append(justify(
-                    "step2", "successful-" + action.via, mover=str(t2),
-                    detail=f"successful {action.via} on {action.target}"))
-        if action.op == "read":
-            if action.via in ("LL", "plain"):
-                hit = step2.get((site.node.uid, region, "ll"))
-                if hit is not None:
-                    t2, kind = hit
-                    self._tally("analysis.steps.thm5.4" if kind == "CAS"
-                                else "analysis.steps.thm5.3")
-                    candidates.append(t2)
-                    site.steps.append("step2:matching-" + action.via)
-                    rule = "matching-CAS-read" if kind == "CAS" \
-                        else "matching-" + action.via
-                    what = "successful CAS" if kind == "CAS" \
-                        else f"successful {kind}"
-                    site.provenance.append(justify(
-                        "step2", rule, mover=str(t2),
-                        detail=f"matching {action.via} of a {what} "
-                               f"on {action.target}"))
-            if action.via == "VL":
-                hit = step2.get((site.node.uid, region, "end"))
-                if hit is not None:
-                    t2, _kind = hit
-                    self._tally("analysis.steps.thm5.4" if _kind == "CAS"
-                                else "analysis.steps.thm5.3")
-                    candidates.append(t2)
-                    site.steps.append("step2:successful-VL")
-                    site.provenance.append(justify(
-                        "step2", "successful-VL", mover=str(t2),
-                        detail=f"successful VL on {action.target}"))
+        slot = _STEP2_SLOT.get((action.op, action.via))
+        hit = step2.get((site.node.uid, target_region(action.target),
+                         slot)) if slot is not None else None
+        if hit is not None:
+            mover, kind = hit
+            via = action.via
+            self._tally("analysis.steps.thm5.4" if kind == "CAS"
+                        else "analysis.steps.thm5.3")
+            candidates.append(mover)
+            if slot == "end":
+                step = rule = f"successful-{via}"
+                detail = f"successful {via}"
+            else:
+                step = f"matching-{via}"
+                rule = "matching-CAS-read" if kind == "CAS" else step
+                detail = f"matching {via} of a successful {kind}"
+            site.steps.append(f"step2:{step}")
+            site.provenance.append(justify(
+                "step2", rule, mover=str(mover),
+                detail=f"{detail} on {action.target}"))
         mover, reasons = self._step4_mover(site)
         if mover is not None:
             candidates.append(mover)
@@ -755,54 +794,36 @@ class AtomicityChecker:
         """Can action ``b`` (from another thread) be shown NOT to occur
         immediately ``side`` (before/after) action ``a``?
 
+        The window and condition rules are each written for one role,
+        a site ("mine") against the other ("theirs"), and applied with
+        each site in turn as "mine"; ``orient`` puts a (mine, theirs)
+        pair back in (a, b) order for the :class:`_CaseSplit`.
+
         When ``reasons`` is given and the exclusion succeeds, the tags
         of every rule that contributed a mark (``5.1``, ``5.3``,
         ``5.4``, ``5.5``, ``agreement``) are tallied into it — an
         aggregate attribution over the alias case split, not a minimal
         proof core (see :mod:`repro.obs.provenance`)."""
         opts = self.options
-        self._unconditional = False
-        self._fired: set[str] = set()
-        pair_flags: dict[tuple, list[bool]] = {}
-
-        def mark(pair: tuple, aliased: bool, tag: str | None = None
-                 ) -> None:
-            flags = pair_flags.setdefault(pair, [False, False])
-            flags[0 if aliased else 1] = True
-            if tag is not None:
-                self._fired.add(tag)
-
-        # conflict-pair case split: when the two locations are distinct
-        # cells (heap cells via different bindings, or different elements
-        # of a global array), the not-aliased branch removes the
-        # conflict entirely.  ``_P0`` is the conflict pair itself.
-        ta, tb = a.action.target, b.action.target
-        conflict_must = ta.kind == "global" and tb.kind == "global" \
-            and ta.name == tb.name
-        self._conflict_regions = (target_region(ta), target_region(tb))
-        if not conflict_must:
-            mark(_P0, aliased=False)
-            if ta.binding is not None and tb.binding is not None:
-                mark((ta.binding, tb.binding), aliased=False)
-
         # Theorem 5.1: common lock
         if opts.enable_locks and common_lock(
                 self.alias, a.ctx.lockset.held_at(a.node),
                 b.ctx.lockset.held_at(b.node)):
             return self._conclude(True, {"5.1"}, reasons)
-
-        if opts.enable_windows:
-            self._window_rules(a, b, side, mark, pair_flags)
-        if opts.enable_conditions:
-            self._condition_rule(a, b, side, mark)
+        split = _CaseSplit(self.alias, a.action.target, b.action.target)
+        roles = ((a, b, side, _as_is),
+                 (b, a, _FLIP[side], _swapped))
+        for enabled, rule in ((opts.enable_windows, self._window_rule),
+                              (opts.enable_conditions,
+                               self._condition_rule)):
+            if enabled:
+                for role in roles:
+                    rule(split, *role)
         if opts.enable_agreement and side == "after":
-            self._agreement_rule(a, b, mark)
-
-        if any(pair is not _P0 for pair in pair_flags):
+            self._agreement_rule(split, a, b)
+        if split.has_pairs():
             self._tally("analysis.case_splits")
-        excluded = self._unconditional or any(
-            flags[0] and flags[1] for flags in pair_flags.values())
-        return self._conclude(excluded, self._fired, reasons)
+        return self._conclude(split.excluded(), split.fired, reasons)
 
     def _conclude(self, excluded: bool, fired: set[str],
                   reasons: dict[str, int] | None) -> bool:
@@ -815,133 +836,46 @@ class AtomicityChecker:
                     reasons[tag] = reasons.get(tag, 0) + 1
         return excluded
 
-    def _window_rules(self, a: Site, b: Site, side: str, mark,
-                      pair_flags) -> None:
-        """Theorems 5.3 (W1) and 5.4 (W2)."""
-        for w in a.ctx.windows.windows_protecting(a.node, side):
+    def _window_rule(self, split: "_CaseSplit", mine: Site, theirs: Site,
+                     side: str, orient) -> None:
+        """Theorems 5.3 (W1) and 5.4 (W2) for ``mine`` inside a window
+        that protects its ``side`` slot."""
+        act = theirs.action
+        for w in mine.ctx.windows.windows_protecting(mine.node, side):
             if not self._window_valid(w):
                 continue
-            family = ("SC",) if w.kind in ("SC", "VL") else ("CAS",)
-            tag = "5.3" if family == ("SC",) else "5.4"
+            family = "CAS" if w.kind == "CAS" else "SC"
+            tag = "5.4" if family == "CAS" else "5.3"
             # W1: a successful SC on v cannot occur inside the window
-            if b.action.op == "write" and b.action.via in family:
-                self._mark_alias(w.root, b.action.target, a, b, mark,
-                                 a_side_target=w.root, tag=tag)
+            if act.op == "write" and act.via == family:
+                split.same_cell(*orient(w.root, act.target), tag)
             # W2: nothing from a competing SC-block on v can occur inside
-            for wb in b.ctx.windows.sc_block_memberships(b.node):
-                if not self._window_valid(wb):
-                    continue
-                if wb.kind not in family:
-                    continue
-                self._mark_alias(w.root, wb.root, a, b, mark,
-                                 a_side_target=w.root,
-                                 b_side_target=wb.root, tag=tag)
-        # symmetric: b protected in its own window against a
-        flip = "after" if side == "before" else "before"
-        for wb in b.ctx.windows.windows_protecting(b.node, flip):
-            if not self._window_valid(wb):
+            for wt in theirs.ctx.windows.sc_block_memberships(theirs.node):
+                if wt.kind == family and self._window_valid(wt):
+                    split.same_cell(*orient(w.root, wt.root), tag)
+
+    def _condition_rule(self, split: "_CaseSplit", mine: Site,
+                        theirs: Site, side: str, orient) -> None:
+        """Theorem 5.5 for ``mine`` inside an LL-SC block with
+        condition p and ``theirs`` inside a local block whose condition
+        implies !p on the same variable: neither can run adjacent to
+        the other inside its block."""
+        for b1 in mine.ctx.blocks:
+            if b1.kind != "llsc" \
+                    or not mine.ctx.node_in_block(b1, mine.node) \
+                    or not self._sc_only(b1.svar) \
+                    or not self._uniform_condition(b1):
                 continue
-            family = ("SC",) if wb.kind in ("SC", "VL") else ("CAS",)
-            tag = "5.3" if family == ("SC",) else "5.4"
-            if a.action.op == "write" and a.action.via in family:
-                self._mark_alias(wb.root, a.action.target, a, b, mark,
-                                 b_side_target=wb.root,
-                                 swap=True, tag=tag)
-            for wa in a.ctx.windows.sc_block_memberships(a.node):
-                if not self._window_valid(wa) or wa.kind not in family:
+            for b2 in theirs.ctx.blocks:
+                if not theirs.ctx.node_in_block(b2, theirs.node) \
+                        or b2 is b1 and mine.ctx is theirs.ctx \
+                        or not condition_excludes(b2.condition,
+                                                  b1.condition):
                     continue
-                self._mark_alias(wb.root, wa.root, a, b, mark,
-                                 a_side_target=wa.root,
-                                 b_side_target=wb.root, tag=tag)
-
-    _unconditional = False
-
-    def _mark_alias(self, v: Target, u: Target, a: Site, b: Site, mark,
-                    a_side_target: Target | None = None,
-                    b_side_target: Target | None = None,
-                    swap: bool = False,
-                    tag: str | None = None) -> None:
-        """Record an exclusion that holds when u and v denote the same
-        cell: unconditional for same-named globals; an aliased-case mark
-        on the (a-side binding, b-side binding) pair for heap cells; and
-        an aliased-case mark on the conflict pair itself when the rule
-        pair covers the conflicting locations' regions (then "not
-        aliased" already means "no conflict").  ``tag`` names the
-        theorem the mark came from, for provenance."""
-        if v.kind == "global" and u.kind == "global":
-            if v.name == u.name:
-                self._unconditional = True
-                if tag is not None:
-                    self._fired.add(tag)
-            return
-        if v.kind != u.kind or v.field != u.field:
-            return
-        if not self.alias.may_alias(v, u):
-            return
-        a_target = a_side_target if a_side_target is not None \
-            else (u if swap else v)
-        b_target = b_side_target if b_side_target is not None \
-            else (v if swap else u)
-        if a_target.binding is not None and b_target.binding is not None:
-            mark((a_target.binding, b_target.binding), aliased=True,
-                 tag=tag)
-        regions = getattr(self, "_conflict_regions", None)
-        if regions is not None \
-                and target_region(a_target) == regions[0] \
-                and target_region(b_target) == regions[1]:
-            mark(_P0, aliased=True, tag=tag)
-
-    def _condition_rule(self, a: Site, b: Site, side: str, mark) -> None:
-        """Theorem 5.5: an LL-SC block with condition p and a local block
-        with condition implying !p on the same variable exclude each
-        other's transitions."""
-        for first, second, fside in ((a, b, side),
-                                     (b, a,
-                                      "after" if side == "before"
-                                      else "before")):
-            # first inside the LL-SC block, second inside the local block
-            for b1 in first.ctx.blocks:
-                if b1.kind != "llsc" \
-                        or not first.ctx.node_in_block(b1, first.node):
-                    continue
-                if not self._sc_only(b1.svar):
-                    continue
-                if not self._uniform_condition(b1):
-                    continue
-                for b2 in second.ctx.blocks:
-                    if not second.ctx.node_in_block(b2, second.node):
-                        continue
-                    if b2 is b1 and first.ctx is second.ctx:
-                        continue
-                    if not self.alias.may_alias(b1.svar, b2.svar):
-                        continue
-                    if not condition_excludes(b2.condition, b1.condition):
-                        continue
-                    inside = (
-                        first.ctx.adjacency_inside_block(
-                            b1, first.node, fside)
-                        or second.ctx.adjacency_inside_block(
-                            b2, second.node,
-                            "after" if fside == "before" else "before"))
-                    if not inside:
-                        continue
-                    if b1.svar.kind == "global" \
-                            and b2.svar.kind == "global":
-                        if b1.svar.name == b2.svar.name:
-                            self._unconditional = True
-                            self._fired.add("5.5")
-                        continue
-                    a_svar = b1.svar if first is a else b2.svar
-                    b_svar = b2.svar if first is a else b1.svar
-                    if a_svar.binding is not None \
-                            and b_svar.binding is not None:
-                        mark((a_svar.binding, b_svar.binding),
-                             aliased=True, tag="5.5")
-                    regions = getattr(self, "_conflict_regions", None)
-                    if regions is not None \
-                            and target_region(a_svar) == regions[0] \
-                            and target_region(b_svar) == regions[1]:
-                        mark(_P0, aliased=True, tag="5.5")
+                if mine.ctx.adjacency_inside_block(b1, mine.node, side) \
+                        or theirs.ctx.adjacency_inside_block(
+                            b2, theirs.node, _FLIP[side]):
+                    split.same_cell(*orient(b1.svar, b2.svar), "5.5")
 
     def _uniform_condition(self, b1: BlockInfo) -> bool:
         """All LL-SC blocks on (aliases of) b1.svar share one condition."""
@@ -955,7 +889,8 @@ class AtomicityChecker:
                     return False
         return True
 
-    def _agreement_rule(self, a: Site, b: Site, mark) -> None:
+    def _agreement_rule(self, split: "_CaseSplit", a: Site,
+                        b: Site) -> None:
         """LL-agreement: if ``a`` sits in a window on global ``v`` and a
         successful SC(v) of another thread lands immediately after it,
         the two windows on ``v`` overlap, so both threads read the same
@@ -978,8 +913,8 @@ class AtomicityChecker:
                     continue
                 if w.ll_binding is None or wb.ll_binding is None:
                     continue
-                mark((w.ll_binding, wb.ll_binding), aliased=False,
-                     tag="agreement")
+                split.mark((w.ll_binding, wb.ll_binding), aliased=False,
+                           tag="agreement")
 
     # -- steps 6/7: propagation and verdicts --------------------------------------------
     @staticmethod

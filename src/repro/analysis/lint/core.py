@@ -36,7 +36,7 @@ from repro.analysis.matching import matching_reads
 from repro.analysis.typing import ClassEnv, infer_classes
 from repro.analysis.uniqueness import UniquenessResult, uniqueness_analysis
 from repro.cfg.builder import build_cfg
-from repro.cfg.graph import CFGNode, NodeKind, ProcCFG
+from repro.cfg.graph import CFGNode, ProcCFG
 from repro.synl import ast as A
 from repro.synl.resolve import load_program
 
@@ -253,25 +253,6 @@ class LintContext:
             cfg = self.cfgs[name]
             for node, action in pairs:
                 yield name, cfg, node, action
-
-    def versioned(self, target: Target) -> bool:
-        """Mirror of the inference engine's discipline query: is the
-        region of ``target`` covered by a modification counter?"""
-        if target.kind == "global" or target.binding is None:
-            for decl in self.program.globals:
-                if decl.name == target.name:
-                    return decl.versioned
-            return False
-        if target.kind in ("field", "elem"):
-            classes = self.env.of_binding(target.binding)
-            if not classes:
-                return False
-            for cname in classes:
-                cls = self.program.class_decl(cname)
-                if cls is None or target.field not in cls.versioned_fields:
-                    return False
-            return True
-        return False
 
     def is_private(self, proc: str, node: CFGNode,
                    target: Target) -> bool:

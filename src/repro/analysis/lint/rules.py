@@ -13,6 +13,7 @@ from repro.analysis.lint.core import (LintContext, Severity, checker,
                                       declare, pretty_target, region_key)
 from repro.analysis.matching import matching_lls_search, matching_reads
 from repro.analysis.purity import target_region
+from repro.analysis.typing import versioned
 from repro.cfg.graph import CFGNode, ProcCFG
 from repro.synl import ast as A
 
@@ -232,7 +233,7 @@ def aba_discipline(ctx: LintContext) -> None:
                 f"bound from a read of the region); legal per §5.2, "
                 f"but no Thm 5.4 window protects it",
                 proc=proc, node=node, target=target)
-        elif not ctx.versioned(target):
+        elif not versioned(ctx.program, ctx.env, target):
             ctx.report(
                 "aba.unversioned-cas",
                 f"{label} compares a previously-read value but "
@@ -257,7 +258,7 @@ def aba_counter_bypass(ctx: LintContext) -> None:
         target = action.target
         if target is None or target.kind == "var":
             continue
-        if not ctx.versioned(target):
+        if not versioned(ctx.program, ctx.env, target):
             continue
         if ctx.is_private(proc, node, target):
             continue

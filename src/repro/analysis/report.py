@@ -210,18 +210,22 @@ class LineAnnotation:
         return sorted(out)
 
     def citation(self) -> str:
-        """The most informative single justification, rendered."""
+        """The most informative justification of the line's own mover,
+        rendered.  When no justification has that mover, the line's
+        type was composed (§3.3) from the types of its statements, as
+        for a composite ``if``/``loop``/``synchronized`` line, and the
+        citation names the composition: it never shows another mover
+        as the line's."""
         chain = self.provenance
-        best = next((j for j in chain
-                     if j.mover == self.mover and j.theorem is not None),
-                    None)
-        if best is None:
-            best = next((j for j in chain if j.mover == self.mover), None)
-        if best is None:
-            best = next((j for j in chain if j.theorem is not None), None)
-        if best is None and chain:
-            best = chain[0]
-        return best.render() if best is not None else "no provenance"
+        mine = [j for j in chain if j.mover == self.mover]
+        best = next((j for j in mine if j.theorem is not None),
+                    mine[0] if mine else None)
+        if best is not None:
+            return best.render()
+        if not chain:
+            return "no provenance"
+        parts = ", ".join(sorted({j.mover for j in chain if j.mover}))
+        return f"{self.mover} by §3.3 composition of {parts}"
 
 
 @dataclass

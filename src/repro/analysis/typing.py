@@ -54,6 +54,24 @@ class ClassEnv:
         return out
 
 
+def versioned(program: A.Program, env: ClassEnv, target) -> bool:
+    """Is the region of ``target`` (an
+    :class:`~repro.analysis.actions.Target`) covered by a modification
+    counter (§5.2)?  The discipline query of both the inference engine
+    (Thm 5.4 windows) and the linter's ``aba.*`` rules."""
+    if target.kind == "global" or target.binding is None:
+        # plain global, or an element/field of an object named directly
+        # by a global: use the global's declaration flag
+        return next((d.versioned for d in program.globals
+                     if d.name == target.name), False)
+    if target.kind in ("field", "elem"):
+        classes = env.of_binding(target.binding)
+        return bool(classes) and all(
+            (cls := program.class_decl(c)) is not None
+            and target.field in cls.versioned_fields for c in classes)
+    return False
+
+
 class _Inference:
     def __init__(self, program: A.Program):
         self.program = program

@@ -77,12 +77,22 @@ class _ProcExpander:
         if isinstance(s, A.Block):
             results: list[tuple[list[A.Stmt], dict, bool]] = [([], {}, False)]
             for sub in s.stmts:
+                # expand each sub-statement once; every alternative after
+                # the first takes a clone, so no two alternatives share a
+                # statement object (CFG nodes are keyed by statement nid)
+                subs = None
                 new_results = []
                 for stmts, sel, terminated in results:
                     if terminated:
                         new_results.append((stmts, sel, True))
                         continue
-                    for sub_stmts, sub_sel, sub_term in self.expand_stmt(sub):
+                    if subs is None:
+                        subs = fresh = self.expand_stmt(sub)
+                    else:
+                        fresh = [([clone_stmt(x) for x in sub_stmts],
+                                  sub_sel, sub_term)
+                                 for sub_stmts, sub_sel, sub_term in subs]
+                    for sub_stmts, sub_sel, sub_term in fresh:
                         new_results.append(
                             (stmts + sub_stmts, {**sel, **sub_sel},
                              sub_term))

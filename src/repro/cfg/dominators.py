@@ -50,9 +50,3 @@ class Dominators:
     def postdominates(self, a: CFGNode, b: CFGNode) -> bool:
         """Every path b→exit passes through a."""
         return a in self._postdom[b]
-
-    def dom_set(self, node: CFGNode) -> set[CFGNode]:
-        return set(self._dom[node])
-
-    def postdom_set(self, node: CFGNode) -> set[CFGNode]:
-        return set(self._postdom[node])

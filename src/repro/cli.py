@@ -51,8 +51,8 @@ from repro.errors import AssertionViolation, ReproError
 from repro.interp import Interp, ThreadSpec, run_random
 from repro.mc import Explorer, observers
 from repro.obs import NULL_PROFILER, Profiler
-from repro.synl.inline import load_program_with_calls
 from repro.synl.printer import pretty
+from repro.synl.resolve import load_program
 
 #: ``repro mc`` exit code when the state cap was hit (distinct from a
 #: property violation's 1 and a usage error's 2)
@@ -64,11 +64,16 @@ EXIT_CAPPED = 3
 EXIT_DEADLINE = 4
 
 
-def _load(path: str, with_text: bool = False):
+def _source(path: str) -> str:
     with open(path) as handle:
-        text = handle.read()
-    program = load_program_with_calls(text)
-    return (program, text) if with_text else program
+        return handle.read()
+
+
+def _analyze(args, profiler: Profiler = NULL_PROFILER):
+    """The analysis of ``args.file``, for every command that analyzes
+    one: the checker parses the text itself, so its lint pass reads the
+    file's ``// lint: ignore[...]`` suppressions."""
+    return analyze_program(_source(args.file), profiler=profiler)
 
 
 #: one thread-spec call, ``NAME(INT, ...)``
@@ -156,11 +161,7 @@ def _print_json(doc: dict, telemetry: dict) -> None:
 
 def _analyze_with_obs(args):
     profiler = _obs_setup(args)
-    with profiler.region("analysis.parse_resolve"):
-        program, text = _load(args.file, with_text=True)
-    result = analyze_program(program, profiler=profiler,
-                             source_text=text)
-    return profiler, result
+    return profiler, _analyze(args, profiler)
 
 
 def cmd_analyze(args) -> int:
@@ -213,10 +214,7 @@ def _cmd_analyze_corpus(args) -> int:
         source = getattr(corpus, name)
         with profiler.region("analysis.target", target=label):
             try:
-                with profiler.region("analysis.parse_resolve"):
-                    program = load_program_with_calls(source)
-                result = analyze_program(program, profiler=profiler,
-                                         source_text=source)
+                result = analyze_program(source, profiler=profiler)
             except ReproError as exc:
                 errors.append({"label": label, "error": str(exc)})
                 continue
@@ -271,10 +269,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_variants(args) -> int:
-    profiler = _obs_setup(args)
-    with profiler.region("analysis.parse_resolve"):
-        program = _load(args.file)
-    result = analyze_program(program, profiler=profiler)
+    profiler, result = _analyze_with_obs(args)
     if args.json:
         doc = {"variants": [{"name": v.name,
                              "procedure": v.proc.name,
@@ -295,7 +290,7 @@ def _analysis(args):
     """A fresh analysis of ``args.file`` for annotating a run, or None
     when the program does not analyze (the run still renders, bare)."""
     try:
-        return analyze_program(_load(args.file))
+        return _analyze(args)
     except ReproError:
         return None
 
@@ -303,7 +298,7 @@ def _analysis(args):
 def cmd_run(args) -> int:
     profiler = _obs_setup(args)
     with profiler.region("run.parse_resolve"):
-        program = _load(args.file)
+        program = load_program(_source(args.file))
     interp = Interp(program)
     specs = [_parse_spec(s) for s in args.threads]
     world = interp.make_world(specs)
@@ -350,8 +345,7 @@ def cmd_run(args) -> int:
 
 def cmd_mc(args) -> int:
     profiler = _obs_setup(args)
-    program = _load(args.file)
-    interp = Interp(program)
+    interp = Interp(load_program(_source(args.file)))
     specs = [_parse_spec(s) for s in args.threads]
     # the heatmap document (--json) and the counterexample
     # (--explain-cex) share one analysis and its one statement join

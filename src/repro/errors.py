@@ -47,10 +47,6 @@ class ResolveError(SynlError):
     """Scope or kind error (undeclared variable, bad break/continue, ...)."""
 
 
-class AnalysisError(ReproError):
-    """The static analysis could not be applied (violated assumptions)."""
-
-
 class InterpError(ReproError):
     """Runtime error during interpretation of a SYNL program."""
 

@@ -420,9 +420,6 @@ class Program(Node):
                 return p
         raise KeyError(name)
 
-    def global_names(self) -> set[str]:
-        return {d.name for d in self.globals}
-
     def versioned_names(self) -> set[str]:
         return {d.name for d in self.globals if d.versioned}
 

@@ -14,7 +14,10 @@ declared procedure:
 
 Inlining replaces the call by the callee's body with parameters bound
 to the arguments; ``return e`` statements become an assignment to the
-result variable plus a ``break`` out of a wrapper loop:
+result variable plus a ``break`` out of a wrapper loop.  Every binder
+copied from the callee (its parameters and its ``local`` names) gets
+the fresh suffix ``__inline_N`` of its expansion, so no callee name can
+capture the caller's result variable or a name an argument mentions:
 
 .. code-block:: text
 
@@ -22,10 +25,11 @@ result variable plus a ``break`` out of a wrapper loop:
     =>
     local x = 0 in {
       __inline_N: loop {
-        local p = a in {          # one binder per parameter
-          <body with `return e` -> { x = e; break __inline_N; }>
+        local p__inline_N = a in {    # one binder per parameter
+          <body with each binder y renamed y__inline_N, and
+           `return e` -> { x = e; break __inline_N; }>
         }
-        break __inline_N;         # a body that falls off the end
+        break __inline_N;             # a body that falls off the end
       }
       S
     }
@@ -168,17 +172,21 @@ class Inliner:
                 f"{call.name} expects {len(proc.params)} arguments, "
                 f"got {len(call.args)}", call.pos)
         label = f"__inline_{next(_FRESH)}"
-        # the callee body may itself contain calls: rewrite it first
+        # the callee body may itself contain calls: rewrite it first;
+        # then give every binder it copies a fresh name, so none can
+        # capture the caller's result variable or argument names
+        params = {p: p + label for p in proc.params}
         body = self._stmt(proc.body)
+        _rename_binders(body, params, label)
         body = _rewrite_returns(body, result_var, label)
         fall_off = A.Break(label)
         inner: A.Stmt = A.Block([body, fall_off])
-        # bind parameters innermost-last so argument expressions are
-        # evaluated in the caller's scope (they cannot mention params)
+        # bind parameters innermost-last; the arguments are evaluated
+        # in the caller's scope
         for param, arg in zip(reversed(proc.params),
                               reversed(list(call.args))):
             self._forbid_call_in_expr(arg)
-            inner = A.LocalDecl(param, clone_expr(arg), inner)
+            inner = A.LocalDecl(params[param], clone_expr(arg), inner)
         wrapper = A.Loop(A.Block([inner]), label)
         if result_var is None:
             assert rest is None
@@ -187,6 +195,30 @@ class Inliner:
         seq = A.Block([wrapper] + (
             rest.stmts if isinstance(rest, A.Block) else [rest]))
         return A.LocalDecl(result_var, zero, seq)
+
+
+def _rename_binders(s: A.Stmt, names: dict[str, str],
+                    suffix: str) -> None:
+    """Rename, in place, the variables of a freshly copied callee body
+    that ``names`` maps (its parameters) and every ``local`` it binds
+    (``x`` becomes ``x`` + ``suffix``), respecting scopes."""
+    if isinstance(s, A.LocalDecl):
+        _rename_vars(s.init, names)
+        names = {**names, s.name: s.name + suffix}
+        s.name = names[s.name]
+        _rename_binders(s.body, names, suffix)
+        return
+    for child in s.children():
+        if isinstance(child, A.Stmt):
+            _rename_binders(child, names, suffix)
+        else:
+            _rename_vars(child, names)
+
+
+def _rename_vars(e: A.Expr, names: dict[str, str]) -> None:
+    for node in e.walk():
+        if isinstance(node, A.Var) and node.name in names:
+            node.name = names[node.name]
 
 
 def _rewrite_returns(s: A.Stmt, result_var: str | None,
@@ -232,18 +264,14 @@ def _rewrite_returns(s: A.Stmt, result_var: str | None,
     return out
 
 
+def calls_procedures(program: A.Program) -> bool:
+    """Does the program call one of its own procedures anywhere?"""
+    names = {p.name for p in program.procs}
+    return any(isinstance(node, A.PrimCall) and node.name in names
+               for node in program.walk())
+
+
 def inline_calls(program: A.Program) -> A.Program:
     """Inline all procedure calls; returns a fresh *unresolved* program
-    (resolve it afterwards, or use :func:`load_program_with_calls`)."""
+    (:func:`repro.synl.resolve.load_program` resolves it)."""
     return Inliner(program).run()
-
-
-def load_program_with_calls(text: str) -> A.Program:
-    """Parse, inline procedure calls, and resolve."""
-    from repro.synl.parser import parse_program
-    from repro.synl.resolve import resolve
-
-    program = parse_program(text)
-    program = inline_calls(program)
-    resolve(program)
-    return program

@@ -246,9 +246,15 @@ def resolve(program: A.Program) -> Resolution:
 
 
 def load_program(text: str) -> A.Program:
-    """Parse **and** resolve SYNL source text — the normal entry point."""
+    """Parse **and** resolve SYNL source text — the one entry point of
+    every command and library caller.  Calls to the program's own
+    procedures are inlined first (:mod:`repro.synl.inline`); a program
+    that makes none is resolved as parsed, without a copy."""
+    from repro.synl.inline import calls_procedures, inline_calls
     from repro.synl.parser import parse_program
 
     program = parse_program(text)
+    if calls_procedures(program):
+        program = inline_calls(program)
     resolve(program)
     return program

@@ -48,7 +48,7 @@ def test_binding_kinds_once_per_expansion_round(monkeypatch):
 
 
 def test_discipline_scans_sites_once_per_root(monkeypatch):
-    """``_sc_only`` and ``_cas_discipline`` share one scan of the sites
+    """``_sc_only`` and ``_cas_only`` share one scan of the sites
     per distinct root.  Besides them only ``_conflicts`` (once per
     call) iterates ``_all_sites``, so the discipline scans are the
     ``_all_sites`` calls that ``_conflicts`` did not make."""
@@ -56,7 +56,7 @@ def test_discipline_scans_sites_once_per_root(monkeypatch):
     roots = set()
     real = {name: getattr(AtomicityChecker, name)
             for name in ("_all_sites", "_conflicts", "_sc_only",
-                         "_cas_discipline")}
+                         "_cas_only")}
 
     def all_sites(self):
         calls["all_sites"] += 1
@@ -70,13 +70,13 @@ def test_discipline_scans_sites_once_per_root(monkeypatch):
         roots.add(target)
         return real["_sc_only"](self, target)
 
-    def cas_discipline(self, target):
+    def cas_only(self, target):
         roots.add(target)
-        return real["_cas_discipline"](self, target)
+        return real["_cas_only"](self, target)
 
     for name, fn in (("_all_sites", all_sites), ("_conflicts", conflicts),
                      ("_sc_only", sc_only),
-                     ("_cas_discipline", cas_discipline)):
+                     ("_cas_only", cas_only)):
         monkeypatch.setattr(AtomicityChecker, name, fn)
     analyze_program(corpus.ALLOCATOR)
     assert roots

@@ -10,15 +10,12 @@ import json
 from repro import corpus
 from repro.analysis import analyze_program
 from repro.cli import main
-from repro.synl.inline import load_program_with_calls
 
 
 def _analyses() -> dict:
     """``{label: AnalysisResult}`` for every corpus program, as the
     pass labels them."""
-    return {f"corpus/{name.lower()}": analyze_program(
-                load_program_with_calls(getattr(corpus, name)),
-                source_text=getattr(corpus, name))
+    return {f"corpus/{name.lower()}": analyze_program(getattr(corpus, name))
             for name in corpus.__all__}
 
 

@@ -242,3 +242,21 @@ def test_cli_mc_json_trace_survives_violation(broken_file, capsys):
     (run,) = doc["spans"]
     assert run["name"] == "mc.run"
     assert [c["name"] for c in run["children"]] == ["mc.init", "mc.dfs"]
+
+
+def test_a_citation_never_shows_another_mover(capsys):
+    """A step under a composite line (here Recycle's ``if (CAS(Top, x,
+    y)) ...``, an N line) cites the §3.3 composition, not a
+    justification of one of the line's inner actions."""
+    code = cli.main(["mc", "examples/synl/aba_stack.synl",
+                     "PopCheck(),PopCheck()", "Recycle()", "--json",
+                     "--explain-cex"])
+    assert code == 1
+    steps = json.loads(capsys.readouterr().out)["counterexample"]["steps"]
+    cited = [s for s in steps if " by " in s["citation"]]
+    assert cited
+    for step in cited:
+        assert step["citation"].startswith(f"{step['mover']} by "), step
+    composed = [s for s in steps if "§3.3 composition" in s["citation"]]
+    assert composed and all(s["mover"] == "N" and s["proc"] == "Recycle"
+                            for s in composed)

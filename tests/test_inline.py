@@ -6,9 +6,10 @@ import pytest
 from repro.analysis import analyze_program
 from repro.errors import ResolveError
 from repro.interp import Interp, ThreadSpec, run_round_robin
-from repro.synl.inline import inline_calls, load_program_with_calls
+from repro.synl.inline import inline_calls
 from repro.synl.parser import parse_program
 from repro.synl import ast as A
+from repro.synl.resolve import load_program
 
 
 def _returns(world, proc=None):
@@ -17,7 +18,7 @@ def _returns(world, proc=None):
 
 
 def test_void_call_inlined_and_executes():
-    prog = load_program_with_calls("""
+    prog = load_program("""
         global G;
         init { G = 0; }
         proc Bump() { G = G + 1; }
@@ -30,7 +31,7 @@ def test_void_call_inlined_and_executes():
 
 
 def test_value_call_binds_result():
-    prog = load_program_with_calls("""
+    prog = load_program("""
         global G;
         init { G = 40; }
         proc ReadPlus(k) { return G + k; }
@@ -45,7 +46,7 @@ def test_value_call_binds_result():
 
 
 def test_early_return_from_branch():
-    prog = load_program_with_calls("""
+    prog = load_program("""
         proc Sign(v) {
           if (v > 0) { return 1; }
           if (v < 0) { return -1; }
@@ -63,7 +64,7 @@ def test_early_return_from_branch():
 
 
 def test_call_with_loop_in_callee():
-    prog = load_program_with_calls("""
+    prog = load_program("""
         global G;
         init { G = 0; }
         proc Inc() {
@@ -87,7 +88,7 @@ def test_call_with_loop_in_callee():
 
 
 def test_nested_calls_inline_transitively():
-    prog = load_program_with_calls("""
+    prog = load_program("""
         proc A() { return 1; }
         proc B() { local a = A() in { return a + 1; } }
         proc C() { local b = B() in { return b + 1; } }
@@ -104,12 +105,12 @@ def test_nested_calls_inline_transitively():
 
 def test_recursion_rejected():
     with pytest.raises(ResolveError, match="recursive"):
-        load_program_with_calls("proc P() { P(); }")
+        load_program("proc P() { P(); }")
 
 
 def test_mutual_recursion_rejected():
     with pytest.raises(ResolveError, match="recursive"):
-        load_program_with_calls("""
+        load_program("""
             proc P() { Q(); }
             proc Q() { P(); }
         """)
@@ -117,7 +118,7 @@ def test_mutual_recursion_rejected():
 
 def test_call_in_expression_position_rejected():
     with pytest.raises(ResolveError, match="statement or as a local"):
-        load_program_with_calls("""
+        load_program("""
             global G;
             proc P() { return 1; }
             proc Q() { G = P() + 1; }
@@ -126,14 +127,14 @@ def test_call_in_expression_position_rejected():
 
 def test_arity_mismatch_rejected():
     with pytest.raises(ResolveError, match="arguments"):
-        load_program_with_calls("""
+        load_program("""
             proc P(a, b) { return a; }
             proc Q() { P(1); }
         """)
 
 
 def test_primitive_names_left_alone():
-    prog = load_program_with_calls("""
+    prog = load_program("""
         proc P(v) { return compute(v, 1); }
     """)
     calls = [n for n in prog.walk() if isinstance(n, A.PrimCall)]
@@ -142,7 +143,7 @@ def test_primitive_names_left_alone():
 
 def test_inlined_program_is_analyzable():
     """The paper's intended workflow: write helpers, inline, analyze."""
-    prog = load_program_with_calls("""
+    prog = load_program("""
         global Sem;
         init { Sem = 1; }
         proc Down() {
@@ -171,3 +172,68 @@ def test_inlining_preserves_original_program():
     before = original.key()
     inline_calls(original)
     assert original.key() == before
+
+
+_CAPTURE = """
+    global G;
+    init { G = 5; }
+    proc Get() {
+      local t = LL(G) in { return t; }
+    }
+    proc Inc() {
+      loop {
+        local t = Get() in {
+          if (SC(G, t + 1)) { return; }
+        }
+      }
+    }
+    proc Check() { assert(G == 6); }
+"""
+
+
+def test_callee_local_does_not_capture_the_result_variable():
+    """``Get``'s ``local t`` used to shadow ``Inc``'s result variable
+    ``t``: the caller's ``t`` stayed 0 and ``Inc`` stored 1."""
+    interp = Interp(load_program(_CAPTURE))
+    world = interp.make_world([ThreadSpec.of(("Inc",), ("Check",))])
+    run_round_robin(interp, world)  # raises on a failed assert
+    assert world.globals["G"] == 6
+
+
+def test_callee_parameters_do_not_capture_argument_names():
+    prog = load_program("""
+        proc Sub(a, b) { return a - b; }
+        proc Use() {
+          local a = 10 in local x = 3 in
+          local r = Sub(x, a) in { return r; }
+        }
+    """)
+    interp = Interp(prog)
+    world = interp.make_world([ThreadSpec.of(("Use",))])
+    run_round_robin(interp, world)
+    assert _returns(world, "Use") == [-7]
+
+
+def test_every_entry_point_inlines():
+    """Lint, the analysis (and its embedded lint pass) and the
+    interpreter all read the inlined program."""
+    from repro.analysis.lint import lint_program
+
+    direct = lint_program(_CAPTURE)
+    embedded = analyze_program(_CAPTURE).lint
+    assert [d.rule for d in direct.findings] \
+        == [d.rule for d in embedded.findings]
+    assert "llsc.no-ll" not in [d.rule for d in direct.findings]
+    interp = Interp(_CAPTURE)
+    assert "Get" not in {n.name for n in interp.program.walk()
+                         if isinstance(n, A.PrimCall)}
+
+
+def test_a_program_without_calls_is_not_copied(monkeypatch):
+    from repro.synl import inline
+
+    def refuse(program):
+        raise AssertionError("inlined a program that makes no calls")
+
+    monkeypatch.setattr(inline, "inline_calls", refuse)
+    assert load_program("proc P() { return compute(1); }").procs

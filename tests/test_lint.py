@@ -395,3 +395,28 @@ def test_lint_result_counts_findings():
     assert result.target == "dll" and result.errors == 2
     assert sum(by_rule.values()) == len(result.findings) \
         == result.errors + result.warnings + result.infos
+
+
+def test_suppressions_apply_in_every_command(capsys):
+    """Every command that analyzes a file gives the analysis the file's
+    text, so its embedded lint pass honours the same suppressions."""
+    import argparse
+    import json
+
+    from repro import cli
+
+    path = "examples/synl/suppressed_semaphore.synl"
+    counts = {}
+    for command in ("analyze", "blocks", "variants"):
+        cli.main([command, path, "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        counts[command] = {k: v for k, v in doc["metrics"].items()
+                           if k.startswith("lint.")}
+    # the analysis that annotates `run`/`mc` output
+    counts["mc"] = {k: v for k, v in cli._analysis(
+        argparse.Namespace(file=path)).metrics.items()
+        if k.startswith("lint.")}
+    assert counts["analyze"]["lint.findings.suppressed"] == 1
+    assert counts["analyze"]["lint.findings.warning"] == 0
+    assert counts["blocks"] == counts["variants"] == counts["mc"] \
+        == counts["analyze"]

@@ -166,3 +166,75 @@ def test_nested_pure_loops_expand_recursively_via_checker():
     assert len(names) == 2
     for report in result.verdicts["MallocFromActive"].variants:
         assert "loop" not in pretty(report.variant.proc)
+
+
+def _counting_expansions(monkeypatch):
+    """Record every statement ``expand_stmt`` is called on (the list
+    keeps them alive, so ``id`` is a stable key)."""
+    from repro.analysis import variants
+
+    calls: list[A.Stmt] = []
+    real = variants._ProcExpander.expand_stmt
+
+    def counting(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(variants._ProcExpander, "expand_stmt", counting)
+    return calls
+
+
+def _no_shared_nodes(vs) -> bool:
+    seen: set[int] = set()
+    for proc in vs.program.procs:
+        for node in proc.body.walk():
+            if id(node) in seen:
+                return False
+            seen.add(id(node))
+    return True
+
+
+def test_a_block_expands_each_statement_once(monkeypatch):
+    """After a two-way split (two ``break`` exits of a pure loop) the
+    block's later statements are expanded once and cloned for the
+    second alternative, not expanded again per alternative."""
+    calls = _counting_expansions(monkeypatch)
+    vs = variants_of("""
+        global G; global H;
+        proc P() {
+          loop {
+            local t = LL(G) in {
+              if (t == 0) { break; }
+              if (SC(G, t - 1)) { break; }
+            }
+          }
+          H = 1;
+          H = 2;
+        }
+    """)
+    assert [v.name for v in vs.variants] == ["P1", "P2"]
+    tail = [s for s in calls if isinstance(s, A.Assign)
+            and isinstance(s.target, A.Var) and s.target.name == "H"]
+    assert len(tail) == 2
+    assert _no_shared_nodes(vs)
+    for v in vs.variants:
+        assert pretty(v.proc).endswith("H = 1;\n  H = 2;\n}")
+
+
+def test_allocator_expansion_counts(monkeypatch):
+    """``expand_stmt`` calls over the full analysis of ALLOCATOR (all
+    expansion rounds): a statement is expanded at most once per parent
+    statement that was expanded, and the variants share no AST
+    object."""
+    from collections import Counter
+
+    from repro.analysis import analyze_program
+
+    calls = _counting_expansions(monkeypatch)
+    result = analyze_program(corpus.ALLOCATOR)
+    assert calls
+    parents = Counter(id(c) for s in calls for c in s.children()
+                      if isinstance(c, A.Stmt))
+    for key, n in Counter(id(s) for s in calls).items():
+        assert n <= max(parents[key], 1)  # a procedure body has none
+    assert _no_shared_nodes(result.variant_set)
