@@ -32,6 +32,12 @@ A command's ``--json`` document is the one record of a run: with
 ``--trace`` it carries the span tree, with ``--profile`` the profile
 document (ranked hotspots and collapsed stacks), and no command keeps
 a log of its runs or writes a telemetry file beside it.
+
+Each command imports what it runs, inside its ``cmd_*`` function:
+this module loads only the analysis, so ``analyze``, ``blocks``,
+``variants`` and ``lint`` never load (nor, without cached bytecode,
+compile) the interpreter, the model checker or, unless ``--json``
+needs it, :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -42,17 +48,18 @@ import math
 import pathlib
 import re
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis import analyze_program, render_figure
 from repro.analysis.blocks import partition_procedure
 from repro.analysis.report import statement_join
 from repro.errors import AssertionViolation, ReproError
-from repro.interp import Interp, ThreadSpec, run_random
-from repro.mc import Explorer, observers
 from repro.obs import NULL_PROFILER, Profiler
 from repro.synl.printer import pretty
 from repro.synl.resolve import load_program
+
+if TYPE_CHECKING:
+    from repro.interp import ThreadSpec
 
 #: ``repro mc`` exit code when the state cap was hit (distinct from a
 #: property violation's 1 and a usage error's 2)
@@ -85,6 +92,8 @@ _SPEC_RE = re.compile(rf"(?:{_CALL},)*{_CALL}")
 def _parse_spec(text: str) -> ThreadSpec:
     """``"P(1,2),Q()"`` -> a two-call script; a trailing ``*`` repeats
     it forever.  Anything else is a usage error."""
+    from repro.interp import ThreadSpec
+
     repeat = text.endswith("*")
     body = text[:-1] if repeat else text
     if not _SPEC_RE.fullmatch(body):
@@ -203,7 +212,6 @@ def _cmd_analyze_corpus(args) -> int:
     affect the exit code (most corpus programs are intentionally
     non-atomic).  ``--metrics`` totals each program's counts."""
     from repro import corpus
-    from repro.obs.export import run_meta
 
     profiler = _obs_setup(args)
     rows: list[dict] = []
@@ -223,6 +231,7 @@ def _cmd_analyze_corpus(args) -> int:
         for key, value in result.metrics.items():
             metrics[key] = metrics.get(key, 0) + value
     if args.json:
+        from repro.obs.export import run_meta
         _print_json({"programs": rows, "errors": errors,
                      "run_meta": run_meta()}, _telemetry(args, profiler))
     else:
@@ -296,6 +305,8 @@ def _analysis(args):
 
 
 def cmd_run(args) -> int:
+    from repro.interp import Interp, run_random
+
     profiler = _obs_setup(args)
     with profiler.region("run.parse_resolve"):
         program = load_program(_source(args.file))
@@ -344,6 +355,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from repro.interp import Interp
+    from repro.mc import Explorer, observers
+
     profiler = _obs_setup(args)
     interp = Interp(load_program(_source(args.file)))
     specs = [_parse_spec(s) for s in args.threads]
@@ -413,7 +427,6 @@ def cmd_lint(args) -> int:
     manifest fully matched), 1 warnings only (or manifest deviation),
     2 errors."""
     from repro.analysis.lint import lint_counts, lint_program
-    from repro.obs.export import LINT_REPORT_SCHEMA, validate
 
     profiler = _obs_setup(args)
     rules = [r.strip() for r in (args.rules or "").split(",")
@@ -470,6 +483,7 @@ def cmd_lint(args) -> int:
         return 1 if failures else 0
 
     if args.json:
+        from repro.obs.export import LINT_REPORT_SCHEMA, validate
         doc = {"v": 1, "targets": [r.to_dict() for r in results]}
         errors = validate(doc, LINT_REPORT_SCHEMA)
         if errors:  # defensive: to_dict and schema must stay in sync

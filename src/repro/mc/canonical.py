@@ -84,13 +84,24 @@ other component as it was, versions included, so the successor's
 packed key is the parent's with one thread slot changed.  The explorer
 memoizes such a step on the parent thread, keyed by the shared values
 it loaded, and with each outcome ``keys``: the map from ``(the parent
-thread's key id, refs numbered before the thread)`` to the successor
-thread's key id.  Those two determine the successor's key id, because
-the parent thread's key renders the number of every ref it holds, the
-start says which of them the thread introduces, and the outcome fixes
-the counters the step observed, all current.  The map is
-filled by :func:`note_step_key` from a rekey that kept the numbering
-and whose successor thread holds only refs the parent thread held.
+thread's key id, refs numbered before the thread, the number of each
+extra oid)`` to the successor thread's key id.  The extra oids, kept
+once on the outcome (``StepMemo.extra``), are those of the refs the
+successor holds and the parent thread does not, and of the heap
+reservations and observed ``(address, counter)`` pairs the successor
+has and the parent thread lacks; an oid the parent world does not
+number counts as None.  These determine the successor's key id: the
+parent thread's key renders the number of every ref it holds, and
+every heap reservation and observed pair it has as the successor's
+key will (a thread-local step only adds a reservation or a pair, or
+renews an observed address's counter, whose oid is then extra: only
+another thread's store clears a reservation), the start says which
+refs the thread introduces and so where its heap addresses stop
+resolving, the extra numbers render the rest, and the outcome fixes
+the counters the step observed, all current.  (A load of ``B.f`` by a
+thread holding no ref to ``B``'s object renders that object's number,
+which two worlds may differ in under one thread key id.)  The map is
+filled by :func:`note_step_key` from a rekey that kept the numbering.
 :func:`step_key` reads it, but only while every thread of the parent
 world is still the one the parent's context keyed (``canon`` is the
 context's fragment): the explorer's lock peek may write one after
@@ -578,16 +589,19 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
 
 
 def step_key(base: KeyContext, threads: list, tid: int,
-             keys: dict) -> Optional[int]:
+             leaf) -> Optional[int]:
     """The packed key of the world of ``base``, now holding ``threads``,
-    after thread ``tid`` took the thread-local step whose key ids
-    ``keys`` maps (see the module docstring): ``base.packed`` with
-    thread ``tid``'s slot changed.  None when ``keys`` lacks the
-    thread's key id and start, or when a thread was written since
-    ``base`` keyed it."""
-    slots = base.slots
-    old = slots[tid + 1]
-    new = keys.get((old, base.ends[tid]))
+    after thread ``tid`` took the thread-local step of ``leaf`` (a
+    :class:`~repro.mc.explorer.StepMemo`, see the module docstring):
+    ``base.packed`` with thread ``tid``'s slot changed.  None when the
+    leaf's map lacks the thread's key id, start and extra oids'
+    numbers, or when a thread was written since ``base`` keyed it."""
+    extra = leaf.extra
+    if extra is None:
+        return None
+    old = base.slots[tid + 1]
+    ids = base.ids
+    new = leaf.keys.get((old, base.ends[tid], *map(ids.get, extra)))
     if new is None:
         return None
     for thread, frag in zip(threads, base.frags):
@@ -596,22 +610,34 @@ def step_key(base: KeyContext, threads: list, tid: int,
     return base.packed + ((new - old) << SLOT_BITS * (tid + 2))
 
 
-def note_step_key(keys: dict, base: KeyContext, ctx: KeyContext,
-                  tid: int, before: Thread) -> None:
-    """Record in ``keys`` the key id ``ctx`` gave thread ``tid``, after
-    the thread-local step that took ``before``, keyed by ``base``, to
-    the world of ``ctx``: when the rekey kept the numbering, ``base``
-    keyed ``before`` itself, and the successor holds no ref
-    ``before`` did not."""
+def note_step_key(leaf, base: KeyContext, ctx: KeyContext, tid: int,
+                  before: Thread) -> None:
+    """Record in ``leaf.keys`` the key id ``ctx`` gave thread ``tid``,
+    after the thread-local step of ``leaf`` that took ``before``, keyed
+    by ``base``, to the world of ``ctx``: when the rekey kept the
+    numbering and ``base`` keyed ``before`` itself.  The first record
+    sets ``leaf.extra`` (see the module docstring)."""
     frag = base.frags[tid]
     if ctx.ids is not base.ids or before.canon is not frag:
         return
-    after = ctx.frags[tid]
-    held = {ref.oid for ref in (*(frag[2] or ()), *(frag[4] or ()))}
-    for ref in (*(after[2] or ()), *(after[4] or ())):
-        if ref.oid not in held:
-            return
-    keys[(base.slots[tid + 1], base.ends[tid])] = ctx.slots[tid + 1]
+    extra = leaf.extra
+    if extra is None:
+        after = ctx.frags[tid]
+        held = {ref.oid for ref in (*(frag[2] or ()), *(frag[4] or ()))}
+        oids = [ref.oid for ref in (*(after[2] or ()), *(after[4] or ()))
+                if ref.oid not in held]
+        # a heap reservation or observed pair the parent thread has
+        # renders in its key as it will in the successor's
+        if after[6] is not frag[6]:
+            kept = set(frag[6])
+            oids += [addr[1] for addr in after[6] if addr not in kept]
+        if after[8] is not frag[8]:
+            kept = set(frag[8])
+            oids += [pair[0][1] for pair in after[8] if pair not in kept]
+        extra = leaf.extra = tuple(dict.fromkeys(oids))
+    ids = base.ids
+    leaf.keys[(base.slots[tid + 1], base.ends[tid], *map(ids.get, extra))] \
+        = ctx.slots[tid + 1]
 
 
 def step_context(base: KeyContext, world: World, tid: int,

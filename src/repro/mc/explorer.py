@@ -55,8 +55,11 @@ reading each address from the world without recording it; at a leaf
 it takes the step with no copy and no interpreter step, and its key is
 the parent's with one slot changed (:func:`~repro.mc.canonical.step_key`,
 with the leaf's map of thread key ids) whenever the map knows the
-thread's key id and no thread was written since the parent was keyed;
-otherwise the successor world is built and keyed as any other.
+thread's key id, its start and the parent world's numbers of the
+leaf's extra oids (those of what the successor adds to the parent
+thread: refs, heap reservations, observed pairs), and no thread was
+written since the parent was keyed; otherwise the successor world is
+built and keyed as any other, and the map learns its thread key id.
 
 **Lazy successors.**  Such a successor carries its parent world and
 the memo instead of a world (``_Succ.parent``); :meth:`Explorer._run`
@@ -93,8 +96,7 @@ from repro.mc.canonical import (Interner, KeyContext, note_step_key,
                                 step_context, step_key)
 from repro.mc.por import SafetyCache
 from repro.mc.properties import Property
-from repro.obs.export import MIN_RATE_WINDOW_S
-from repro.obs.profile import peak_rss_mb
+from repro.obs.profile import MIN_RATE_WINDOW_S, peak_rss_mb
 
 #: the DFS calls the observer's clock tick every 256 loop iterations
 _TICK_MASK = 0xFF
@@ -141,7 +143,7 @@ class MCResult:
     @property
     def states_per_s(self) -> float:
         """Throughput, 0.0 for runs shorter than
-        :data:`~repro.obs.export.MIN_RATE_WINDOW_S` — a rate computed
+        :data:`~repro.obs.profile.MIN_RATE_WINDOW_S` — a rate computed
         over a sub-millisecond window is timer noise and must not be
         compared against real baselines."""
         if self.elapsed <= MIN_RATE_WINDOW_S:
@@ -171,12 +173,16 @@ class MCResult:
 class StepMemo:
     """A step that writes only its thread, as the leaf of the memo on
     the thread it steps from: the successor thread, owned by no world,
-    the step's events, and ``keys``, the successor's thread key ids
+    the step's events, ``keys``, the successor's thread key ids, and
+    ``extra``, the oids of the refs, heap reservations and observed
+    pairs the successor adds to the parent thread, None until ``keys``
+    has an entry
     (:func:`~repro.mc.canonical.note_step_key`)."""
 
     thread: Thread
     events: list[Event]
     keys: dict = field(default_factory=dict)
+    extra: Optional[tuple] = None
 
 
 class StepRead:
@@ -434,8 +440,7 @@ class Explorer:
             return packed
         memo = succ.memo
         if memo is not None:
-            packed = step_key(base, succ.parent.threads, succ.tid,
-                              memo.keys)
+            packed = step_key(base, succ.parent.threads, succ.tid, memo)
             if packed is not None:
                 succ.packed = packed
                 if succ.world is not None:
@@ -446,7 +451,7 @@ class Explorer:
                 self._build(succ)
         ctx = succ.ctx = state_key(succ.world, base)
         if memo is not None:
-            note_step_key(memo.keys, base, ctx, succ.tid,
+            note_step_key(memo, base, ctx, succ.tid,
                           succ.parent.threads[succ.tid])
         succ.packed = ctx.packed
         return ctx.packed

@@ -16,11 +16,6 @@ import json
 import pathlib
 from typing import Union
 
-#: throughput rates computed over windows at or below this are
-#: noise-dominated (timer resolution + interpreter jitter swamp the
-#: signal on sub-millisecond runs) and are reported as 0.0
-MIN_RATE_WINDOW_S = 0.001
-
 _TYPES = {
     "object": dict,
     "array": list,

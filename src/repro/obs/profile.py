@@ -282,6 +282,12 @@ class Profiler:
 NULL_PROFILER = Profiler(enabled=False)
 
 
+#: throughput rates computed over windows at or below this are
+#: noise-dominated (timer resolution + interpreter jitter swamp the
+#: signal on sub-millisecond runs) and are reported as 0.0
+MIN_RATE_WINDOW_S = 0.001
+
+
 def peak_rss_mb() -> float:
     """Peak resident set size of this process in MB (0.0 when the
     platform has no ``resource`` module, e.g. Windows)."""

@@ -29,8 +29,8 @@ capture the caller's result variable or a name an argument mentions:
           <body with each binder y renamed y__inline_N, and
            `return e` -> { x = e; break __inline_N; }>
         }
-        break __inline_N;             # a body that falls off the end
-      }
+        break __inline_N;             # only for a body that can fall
+      }                               # off its end
       S
     }
 
@@ -178,9 +178,12 @@ class Inliner:
         params = {p: p + label for p in proc.params}
         body = self._stmt(proc.body)
         _rename_binders(body, params, label)
-        body = _rewrite_returns(body, result_var, label)
-        fall_off = A.Break(label)
-        inner: A.Stmt = A.Block([body, fall_off])
+        # a body that always returns gets no fall-off break: slicing
+        # would take that dead break for an exit of the procedure
+        stmts = [_rewrite_returns(body, result_var, label)]
+        if _completes(body):
+            stmts.append(A.Break(label))
+        inner: A.Stmt = A.Block(stmts)
         # bind parameters innermost-last; the arguments are evaluated
         # in the caller's scope
         for param, arg in zip(reversed(proc.params),
@@ -219,6 +222,36 @@ def _rename_vars(e: A.Expr, names: dict[str, str]) -> None:
     for node in e.walk():
         if isinstance(node, A.Var) and node.name in names:
             node.name = names[node.name]
+
+
+def _completes(s: A.Stmt) -> bool:
+    """Can ``s`` complete normally, falling through to what follows it?
+    ``return``, ``break`` and ``continue`` cannot; a loop can only
+    when a ``break`` in it exits it.  Conservative: every other
+    statement can, so a ``true`` answer may be wrong but a ``false``
+    one is not."""
+    if isinstance(s, (A.Return, A.Break, A.Continue)):
+        return False
+    if isinstance(s, A.Block):
+        return all(_completes(x) for x in s.stmts)
+    if isinstance(s, (A.LocalDecl, A.Synchronized)):
+        return _completes(s.body)
+    if isinstance(s, A.If):
+        return s.els is None or _completes(s.then) or _completes(s.els)
+    if isinstance(s, A.Loop):
+        return _breaks_out(s.body, s.label)
+    return True
+
+
+def _breaks_out(s: A.Stmt, label: str | None, nested: bool = False) -> bool:
+    """Does ``s``, in the body of the loop labelled ``label``, hold a
+    ``break`` that exits that loop: one naming ``label``, or an
+    unlabelled one outside the ``nested`` loops?"""
+    if isinstance(s, A.Break):
+        return s.label == label if s.label is not None else not nested
+    nested = nested or isinstance(s, A.Loop)
+    return any(_breaks_out(child, label, nested) for child in s.children()
+               if isinstance(child, A.Stmt))
 
 
 def _rewrite_returns(s: A.Stmt, result_var: str | None,

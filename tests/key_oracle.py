@@ -12,8 +12,8 @@ key was seen before, and the search counts as many states as it saw
 distinct nested keys.
 
 Run as a module, it is the key-exactness canary: GH with threads
-``Apply(1..3)`` at 20,000 states and the two correct Table 2 rows in
-``full`` mode must give equal digests::
+``Apply(1..3)`` at 20,000 states, the two correct Table 2 rows in
+``full`` mode and :data:`ALIAS` must give equal digests::
 
     PYTHONPATH=src python -m tests.key_oracle
 """
@@ -115,11 +115,25 @@ def explore(interp, specs, mode: str, max_states: Optional[int] = None,
     return result, oracle
 
 
+#: a load that observes a heap object its thread holds no ref to: Read
+#: observes B's cell, whose number Move changes from 2 to 1 without
+#: changing Read's key, so a step memo keyed without that number gives
+#: Read's successor the wrong one
+ALIAS = """
+class Cell { f; }
+global A; global B; global C;
+init { A = new Cell; B = new Cell; C = null; }
+proc Read() { local x = B.f in { return x; } }
+proc Move() { C = A; A = null; return 0; }
+"""
+ALIAS_SPECS = [ThreadSpec.of(("Read",)), ThreadSpec.of(("Move",))]
+
+
 def canary_runs(cap: Optional[int] = None) -> list[tuple[str, tuple]]:
     """The canary's explorations, as ``(label, (result, oracle))``:
     GH with threads ``Apply(1..3)`` (20,000 states) and the correct
     Table 2 rows in ``full`` mode (to the end), or each capped at
-    ``cap`` states."""
+    ``cap`` states, and :data:`ALIAS` in ``full`` mode (20 states)."""
     gh_specs = [ThreadSpec.of(("Apply", i)) for i in (1, 2, 3)]
     runs = [("gh-full", explore(Interp(GH_PROGRAM1), gh_specs, "full",
                                 cap or 20_000))]
@@ -129,6 +143,7 @@ def canary_runs(cap: Optional[int] = None) -> list[tuple[str, tuple]]:
         runs.append((f"{label}/full", explore(
             nfq, specs, "full", cap or 400_000,
             [QueueShape(), QueueContents()])))
+    runs.append(("alias/full", explore(Interp(ALIAS), ALIAS_SPECS, "full")))
     return runs
 
 

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import repro.interp
 from repro import cli, corpus
 from repro.analysis import analyze_program
 from repro.interp import Interp, ThreadSpec, run_random
@@ -182,7 +183,8 @@ def test_cli_mc_json_explain_cex_analyzes_once(tmp_path, monkeypatch,
     path = tmp_path / "aba.synl"
     path.write_text(corpus.ABA_STACK)
     analyses, interps = [], []
-    real_analyze, real_interp = cli.analyze_program, cli.Interp
+    # repro mc imports the interpreter when it runs
+    real_analyze, real_interp = cli.analyze_program, repro.interp.Interp
 
     def analyze(program, *args, **kwargs):
         analyses.append(program)
@@ -193,7 +195,7 @@ def test_cli_mc_json_explain_cex_analyzes_once(tmp_path, monkeypatch,
         return interps[-1]
 
     monkeypatch.setattr(cli, "analyze_program", analyze)
-    monkeypatch.setattr(cli, "Interp", interp)
+    monkeypatch.setattr(repro.interp, "Interp", interp)
     code = cli.main(["mc", str(path), "PopCheck(),PopCheck()",
                      "Recycle()", "--json", "--explain-cex"])
     assert code == 1

@@ -36,9 +36,10 @@ def _assert_exact(oracle) -> None:
 
 
 def test_key_exactness_canary_small():
-    # the CI canary's explorations, capped
-    for _label, (result, oracle) in canary_runs(CAP):
-        assert result.capped
+    # the CI canary's explorations, capped but for the alias program's
+    # 20 states
+    for label, (result, oracle) in canary_runs(CAP):
+        assert result.capped != (label == "alias/full")
         _assert_exact(oracle)
 
 

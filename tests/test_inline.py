@@ -229,6 +229,43 @@ def test_every_entry_point_inlines():
                          if isinstance(n, A.PrimCall)}
 
 
+def _wrapper_breaks(source: str, caller: str) -> int:
+    """How many ``break`` statements of ``caller``, inlined, exit an
+    expansion's wrapper loop."""
+    proc = next(p for p in inline_calls(parse_program(source)).procs
+                if p.name == caller)
+    return sum(1 for n in proc.walk() if isinstance(n, A.Break)
+               and (n.label or "").startswith("__inline_"))
+
+
+def test_only_a_callee_that_can_fall_off_its_end_gets_a_fall_off_break():
+    # one break per return, plus the fall-off break when the callee's
+    # body can complete normally
+    cases = {
+        "proc F() { return 1; }": 1,
+        "proc F() { if (1 > 0) { return 1; } else { return 2; } }": 2,
+        "proc F() { loop { return 1; } }": 1,
+        "proc F() { if (1 > 0) { return 1; } }": 2,
+        "proc F() { loop { break; } return 1; }": 1,
+        "proc F() { loop { loop { break; } } }": 0,
+        "proc F() { L: loop { loop { break L; } } }": 1,
+        "proc F() { skip; }": 1,
+    }
+    for callee, breaks in cases.items():
+        source = callee + " proc Use() { local x = F() in { return x; } }"
+        assert _wrapper_breaks(source, "Use") == breaks, callee
+
+
+def test_a_callee_that_always_returns_adds_no_variant():
+    """A dead fall-off ``break`` after ``Get``'s body used to count as
+    an exit of ``Inc``'s loop, giving a spurious variant ``Inc2`` with
+    an ``SC`` and no ``LL``."""
+    result = analyze_program(_CAPTURE)
+    assert [v.name for v in result.variant_set.variants] \
+        == ["Get", "Inc", "Check"]
+    assert not [d for d in result.diagnostics if "matching LLs" in d]
+
+
 def test_a_program_without_calls_is_not_copied(monkeypatch):
     from repro.synl import inline
 

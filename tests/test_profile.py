@@ -15,9 +15,9 @@ from repro.analysis.inference import analyze_program
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, observers
 from repro.mc.explorer import MCResult
-from repro.obs.export import MIN_RATE_WINDOW_S, PROFILE_SCHEMA, validate
-from repro.obs.profile import (NULL_PROFILER, Profiler, escape_frame,
-                               malloc_top, peak_rss_mb)
+from repro.obs.export import PROFILE_SCHEMA, validate
+from repro.obs.profile import (MIN_RATE_WINDOW_S, NULL_PROFILER, Profiler,
+                               escape_frame, malloc_top, peak_rss_mb)
 
 TINY = """
 global G;

@@ -13,6 +13,7 @@ from repro.interp import Interp, ThreadSpec
 from repro.interp.values import HeapObject
 from repro.mc import Explorer, QueueContents, QueueShape
 from repro.mc import explorer as mc_explorer
+from tests.key_oracle import ALIAS, ALIAS_SPECS, explore
 from tests.memo_replay import Replayed, replayed
 
 GH_SPECS = [ThreadSpec.of(("Apply", i)) for i in (1, 2)]
@@ -166,6 +167,16 @@ def test_most_nfq_steps_come_from_the_memo():
                       max_states=CAP,
                       properties=[QueueShape(), QueueContents()]).run()
     assert len(steps) < 0.3 * result.transitions
+
+
+@pytest.mark.parametrize("mode", ["full", "por"])
+def test_a_memo_key_renders_the_numbers_of_the_heap_addresses_it_adds(mode):
+    # Read's load observes B's cell, which Read holds no ref to; Move
+    # renumbers that cell from 2 to 1 and leaves Read's key as it was,
+    # so the memo's map must key the successor by the cell's number too
+    result, oracle = explore(Interp(ALIAS), ALIAS_SPECS, mode)
+    assert oracle.exact, oracle.mismatches[:1]
+    assert (result.states, result.transitions) == (20, 31)
 
 
 # -- every corpus program ------------------------------------------------------
