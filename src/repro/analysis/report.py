@@ -24,7 +24,7 @@ from repro.analysis.inference import (AnalysisResult, ProcVerdict,
 from repro.cfg.graph import CFGNode
 from repro.errors import SourcePos
 from repro.synl import ast as A
-from repro.synl.printer import pretty_expr
+from repro.synl.printer import stmt_head
 
 
 @dataclass
@@ -40,36 +40,13 @@ class ReportLine:
                f"{'  ' * self.depth}{self.text}"
 
 
-def _one_line(s: A.Stmt) -> str:
-    """A compact single-line rendering of a statement."""
-    if isinstance(s, A.Assign):
-        return f"{pretty_expr(s.target)} = {pretty_expr(s.value)};"
-    if isinstance(s, A.Assume):
-        return f"TRUE({pretty_expr(s.cond)});"
-    if isinstance(s, A.AssertStmt):
-        return f"assert({pretty_expr(s.cond)});"
-    if isinstance(s, A.ExprStmt):
-        return f"{pretty_expr(s.expr)};"
-    if isinstance(s, A.Return):
-        return f"return {pretty_expr(s.value)};" if s.value is not None \
-            else "return;"
-    if isinstance(s, A.Break):
-        return f"break {s.label};" if s.label else "break;"
-    if isinstance(s, A.Continue):
-        return f"continue {s.label};" if s.label else "continue;"
-    if isinstance(s, A.Skip):
-        return "skip;"
-    if isinstance(s, A.LocalDecl):
-        return f"local {s.name} = {pretty_expr(s.init)} in"
-    if isinstance(s, A.If):
-        return f"if ({pretty_expr(s.cond)}) ..."
-    if isinstance(s, A.Loop):
-        return f"{s.label}: loop ..." if s.label else "loop ..."
-    if isinstance(s, A.Synchronized):
-        return f"synchronized ({pretty_expr(s.lock)}) ..."
-    if isinstance(s, A.Block):
-        return "{ ... }"
-    raise TypeError(type(s).__name__)
+def _line_text(s: A.Stmt) -> str:
+    """A statement's report line: the printer's first line, with `` ...``
+    standing for the body of a composite statement."""
+    head = stmt_head(s)
+    if isinstance(s, (A.If, A.Loop, A.Synchronized)):
+        return f"{head} ..."
+    return head
 
 
 def variant_lines(report: VariantReport, prefix: str) -> list[ReportLine]:
@@ -91,13 +68,13 @@ def variant_lines(report: VariantReport, prefix: str) -> list[ReportLine]:
             # the binding line: the atomicity of the bind node alone
             bind_nodes = ctx.stmt_nodes.get(s.nid)
             atom = ctx.node_atom(bind_nodes[0]) if bind_nodes else AT.B
-            lines.append(ReportLine(label(), depth, _one_line(s), atom, s))
+            lines.append(ReportLine(label(), depth, _line_text(s), atom, s))
             visit(s.body, depth + 1)
             return
         # simple statements, and composite statements as single lines:
         # their atomicity from the step-6 propagation
         atom = report.stmt_atoms.get(s.nid, AT.B)
-        lines.append(ReportLine(label(), depth, _one_line(s), atom, s))
+        lines.append(ReportLine(label(), depth, _line_text(s), atom, s))
 
     visit(report.variant.proc.body, 0)
     return lines

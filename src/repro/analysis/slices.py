@@ -17,52 +17,10 @@ for UpdateTail's bare SC statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.cfg.graph import CFGNode, LoopInfo, NodeKind, ProcCFG
 from repro.synl import ast as A
-
-# -- cloning (decorations dropped; variants get re-resolved) -------------------
-
-
-def clone_expr(e: A.Expr) -> A.Expr:
-    from repro.synl.parser import _clone_expr
-
-    return _clone_expr(e)
-
-
-def clone_stmt(s: A.Stmt) -> A.Stmt:
-    if isinstance(s, A.Block):
-        out: A.Stmt = A.Block([clone_stmt(x) for x in s.stmts])
-    elif isinstance(s, A.Assign):
-        out = A.Assign(clone_expr(s.target), clone_expr(s.value))
-    elif isinstance(s, A.LocalDecl):
-        out = A.LocalDecl(s.name, clone_expr(s.init), clone_stmt(s.body))
-    elif isinstance(s, A.If):
-        out = A.If(clone_expr(s.cond), clone_stmt(s.then),
-                   clone_stmt(s.els) if s.els is not None else None)
-    elif isinstance(s, A.Loop):
-        out = A.Loop(clone_stmt(s.body), s.label)
-    elif isinstance(s, A.Break):
-        out = A.Break(s.label)
-    elif isinstance(s, A.Continue):
-        out = A.Continue(s.label)
-    elif isinstance(s, A.Return):
-        out = A.Return(clone_expr(s.value) if s.value is not None else None)
-    elif isinstance(s, A.Skip):
-        out = A.Skip()
-    elif isinstance(s, A.Synchronized):
-        out = A.Synchronized(clone_expr(s.lock), clone_stmt(s.body))
-    elif isinstance(s, A.Assume):
-        out = A.Assume(clone_expr(s.cond))
-    elif isinstance(s, A.AssertStmt):
-        out = A.AssertStmt(clone_expr(s.cond))
-    elif isinstance(s, A.ExprStmt):
-        out = A.ExprStmt(clone_expr(s.expr))
-    else:  # pragma: no cover
-        raise TypeError(f"cannot clone {type(s).__name__}")
-    out.at(s.pos)
-    return out
-
 
 _NEGATED_OP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">",
                ">": "<=", ">=": "<"}
@@ -71,17 +29,17 @@ _NEGATED_OP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">",
 def negate(e: A.Expr) -> A.Expr:
     """Logical negation with simplification (``!(a == b)`` → ``a != b``)."""
     if isinstance(e, A.Unary) and e.op == "!":
-        return clone_expr(e.operand)
+        return e.operand.clone()
     if isinstance(e, A.Binary) and e.op in _NEGATED_OP:
-        out: A.Expr = A.Binary(_NEGATED_OP[e.op], clone_expr(e.left),
-                               clone_expr(e.right))
+        out: A.Expr = A.Binary(_NEGATED_OP[e.op], e.left.clone(),
+                               e.right.clone())
         out.at(e.pos)
         return out
     if isinstance(e, A.Const) and isinstance(e.value, bool):
         out = A.Const(not e.value)
         out.at(e.pos)
         return out
-    out = A.Unary("!", clone_expr(e))
+    out = A.Unary("!", e.clone())
     out.at(e.pos)
     return out
 
@@ -143,20 +101,20 @@ class SliceRebuilder:
         if isinstance(s, (A.Assign, A.Assume, A.AssertStmt, A.ExprStmt,
                           A.Skip)):
             if self._kept(s):
-                return _Rebuilt([clone_stmt(s)])
+                return _Rebuilt([s.clone()])
             return _Rebuilt([])
 
         if isinstance(s, (A.Break, A.Continue, A.Return)):
             if self._kept(s):
-                return _Rebuilt([clone_stmt(s)], True)
+                return _Rebuilt([s.clone()], True)
             return _Rebuilt([])
 
         if isinstance(s, A.LocalDecl):
             if not self._kept(s):
                 return _Rebuilt([])
             body = self.rebuild(s.body)
-            decl = A.LocalDecl(s.name, clone_expr(s.init),
-                               _as_block(body.stmts, s.pos))
+            decl = A.LocalDecl(s.name, s.init.clone(),
+                               A.Block(body.stmts).at(s.pos))
             decl.at(s.pos)
             return _Rebuilt([decl], body.terminated)
 
@@ -175,16 +133,16 @@ class SliceRebuilder:
             if true_kept and false_kept:
                 then = self.rebuild(s.then)
                 els = self.rebuild(s.els) if s.els is not None else None
-                node = A.If(clone_expr(s.cond),
-                            _as_block(then.stmts, s.pos),
-                            _as_block(els.stmts, s.pos)
+                node = A.If(s.cond.clone(),
+                            A.Block(then.stmts).at(s.pos),
+                            A.Block(els.stmts).at(s.pos)
                             if els is not None and els.stmts else None)
                 node.at(s.pos)
                 terminated = then.terminated and (
                     els is not None and els.terminated)
                 return _Rebuilt([node], terminated)
             if true_kept:
-                assume = A.Assume(clone_expr(s.cond))
+                assume = A.Assume(s.cond.clone())
                 assume.at(s.pos)
                 then = self.rebuild(s.then)
                 return _Rebuilt([assume] + then.stmts, then.terminated)
@@ -202,7 +160,7 @@ class SliceRebuilder:
             if not heads or heads[0] not in self.keep:
                 return _Rebuilt([])
             body = self.rebuild(s.body)
-            loop = A.Loop(_as_block(body.stmts, s.pos), s.label)
+            loop = A.Loop(A.Block(body.stmts).at(s.pos), s.label)
             loop.at(s.pos)
             return _Rebuilt([loop])
 
@@ -210,23 +168,12 @@ class SliceRebuilder:
             if not self._kept(s):
                 return _Rebuilt([])
             body = self.rebuild(s.body)
-            sync = A.Synchronized(clone_expr(s.lock),
-                                  _as_block(body.stmts, s.pos))
+            sync = A.Synchronized(s.lock.clone(),
+                                  A.Block(body.stmts).at(s.pos))
             sync.at(s.pos)
             return _Rebuilt([sync], body.terminated)
 
         raise TypeError(f"cannot rebuild {type(s).__name__}")
-
-
-def _as_block(stmts: list[A.Stmt], pos) -> A.Block:
-    block = A.Block(stmts)
-    block.at(pos)
-    return block
-
-
-import itertools
-
-_SLICE_LABEL = itertools.count(1)
 
 
 def _retarget_breaks(stmts: list[A.Stmt], old_label: str | None,
@@ -237,8 +184,8 @@ def _retarget_breaks(stmts: list[A.Stmt], old_label: str | None,
                 node.label = new_label
 
 
-def exceptional_slice(cfg: ProcCFG, info: LoopInfo,
-                      exit_node: CFGNode) -> list[A.Stmt]:
+def exceptional_slice(cfg: ProcCFG, info: LoopInfo, exit_node: CFGNode,
+                      labels: Iterator[str]) -> list[A.Stmt]:
     """The exceptional slice for one exit, as a fresh statement list that
     replaces the loop.
 
@@ -246,7 +193,8 @@ def exceptional_slice(cfg: ProcCFG, info: LoopInfo,
     falls through to the code after the loop).  When that break sits
     inside a *residual* inner loop kept in the slice, dropping it would
     leave the inner loop with no exit; instead the slice is wrapped in a
-    fresh once-through labelled loop and the break retargeted to it.
+    fresh once-through loop, labelled with the next of ``labels``, and
+    the break retargeted to it.
     """
     keep = slice_nodes_for_exit(cfg, info, exit_node)
     exits_via_break = (exit_node.kind is NodeKind.BREAK
@@ -257,11 +205,11 @@ def exceptional_slice(cfg: ProcCFG, info: LoopInfo,
     rebuilder = SliceRebuilder(cfg, keep, drop)
     stmts = rebuilder.rebuild(info.loop.body).stmts
     if nested:
-        fresh = f"__slice_{next(_SLICE_LABEL)}"
+        fresh = next(labels)
         _retarget_breaks(stmts, info.loop.label, fresh)
         trailing = A.Break(fresh)
         trailing.at(info.loop.pos)
-        wrapper = A.Loop(_as_block(stmts + [trailing], info.loop.pos),
+        wrapper = A.Loop(A.Block(stmts + [trailing]).at(info.loop.pos),
                          fresh)
         wrapper.at(info.loop.pos)
         stmts = [wrapper]
@@ -278,21 +226,21 @@ def split_bare_sc(stmts: list[A.Stmt]) -> list[list[A.Stmt]]:
     def expand(s: A.Stmt) -> list[list[A.Stmt]]:
         if isinstance(s, A.ExprStmt) and isinstance(
                 s.expr, (A.SCExpr, A.CASExpr)):
-            ok = A.Assume(clone_expr(s.expr))
+            ok = A.Assume(s.expr.clone())
             ok.at(s.pos)
             fail = A.Assume(negate(s.expr))
             fail.at(s.pos)
             return [[ok], [fail]]
         if isinstance(s, A.Block):
             variants = split_bare_sc(s.stmts)
-            return [[_as_block(v, s.pos)] for v in variants]
+            return [[A.Block(v).at(s.pos)] for v in variants]
         if isinstance(s, A.LocalDecl):
             bodies = expand(s.body)
             out = []
             for b in bodies:
-                decl = A.LocalDecl(s.name, clone_expr(s.init),
+                decl = A.LocalDecl(s.name, s.init.clone(),
                                    b[0] if len(b) == 1
-                                   else _as_block(b, s.pos))
+                                   else A.Block(b).at(s.pos))
                 decl.at(s.pos)
                 out.append([decl])
             return out
@@ -303,14 +251,14 @@ def split_bare_sc(stmts: list[A.Stmt]) -> list[list[A.Stmt]]:
             for t in thens:
                 for e in elses:
                     node = A.If(
-                        clone_expr(s.cond),
-                        t[0] if len(t) == 1 else _as_block(t, s.pos),
+                        s.cond.clone(),
+                        t[0] if len(t) == 1 else A.Block(t).at(s.pos),
                         None if e is None else
-                        (e[0] if len(e) == 1 else _as_block(e, s.pos)))
+                        (e[0] if len(e) == 1 else A.Block(e).at(s.pos)))
                     node.at(s.pos)
                     out.append([node])
             return out
-        return [[clone_stmt(s)]]
+        return [[s.clone()]]
 
     results: list[list[A.Stmt]] = [[]]
     for s in stmts:

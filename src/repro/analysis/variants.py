@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.analysis.purity import PurityInfo
-from repro.analysis.slices import clone_stmt, exceptional_slice, split_bare_sc
+from repro.analysis.slices import exceptional_slice, split_bare_sc
 from repro.cfg.graph import CFGNode, ProcCFG
 from repro.synl import ast as A
 from repro.synl.resolve import resolve
@@ -64,9 +65,11 @@ def _exit_label(node: CFGNode) -> str:
 
 
 class _ProcExpander:
-    def __init__(self, cfg: ProcCFG, purity: dict[A.Loop, PurityInfo]):
+    def __init__(self, cfg: ProcCFG, purity: dict[A.Loop, PurityInfo],
+                 labels: Iterator[str]):
         self.cfg = cfg
         self.purity = purity
+        self.labels = labels  # for the slices' once-through wrapper loops
 
     def _is_pure(self, loop: A.Loop) -> bool:
         info = self.purity.get(loop)
@@ -89,7 +92,7 @@ class _ProcExpander:
                     if subs is None:
                         subs = fresh = self.expand_stmt(sub)
                     else:
-                        fresh = [([clone_stmt(x) for x in sub_stmts],
+                        fresh = [([x.clone() for x in sub_stmts],
                                   sub_sel, sub_term)
                                  for sub_stmts, sub_sel, sub_term in subs]
                     for sub_stmts, sub_sel, sub_term in fresh:
@@ -109,14 +112,15 @@ class _ProcExpander:
                 # fixpoint) and expand only its body now
                 out = []
                 for body, sel, _term in self.expand_stmt(s.body):
-                    loop = A.Loop(A_block(body, s.pos), s.label)
+                    loop = A.Loop(A.Block(body).at(s.pos), s.label)
                     loop.at(s.pos)
                     out.append(([loop], sel, False))
                 return out
             info = self.cfg.loop_info(s)
             alternatives = []
             for exit_node in info.exceptional_exits:
-                slice_stmts = exceptional_slice(self.cfg, info, exit_node)
+                slice_stmts = exceptional_slice(self.cfg, info, exit_node,
+                                                self.labels)
                 terminated = isinstance(exit_node.stmt, A.Return)
                 for split in split_bare_sc(slice_stmts):
                     alternatives.append(
@@ -127,8 +131,8 @@ class _ProcExpander:
         if isinstance(s, A.LocalDecl):
             out = []
             for body, sel, term in self.expand_stmt(s.body):
-                decl = A.LocalDecl(s.name, clone_expr_of(s.init),
-                                   A_block(body, s.pos))
+                decl = A.LocalDecl(s.name, s.init.clone(),
+                                   A.Block(body).at(s.pos))
                 decl.at(s.pos)
                 out.append(([decl], sel, term))
             return out
@@ -141,8 +145,8 @@ class _ProcExpander:
             for tstmts, tsel, tterm in thens:
                 for estmts, esel, eterm in elses:
                     node = A.If(
-                        clone_expr_of(s.cond), A_block(tstmts, s.pos),
-                        A_block(estmts, s.pos)
+                        s.cond.clone(), A.Block(tstmts).at(s.pos),
+                        A.Block(estmts).at(s.pos)
                         if estmts is not None else None)
                     node.at(s.pos)
                     out.append(([node], {**tsel, **esel},
@@ -152,8 +156,8 @@ class _ProcExpander:
         if isinstance(s, A.Synchronized):
             out = []
             for body, sel, term in self.expand_stmt(s.body):
-                sync = A.Synchronized(clone_expr_of(s.lock),
-                                      A_block(body, s.pos))
+                sync = A.Synchronized(s.lock.clone(),
+                                      A.Block(body).at(s.pos))
                 sync.at(s.pos)
                 out.append(([sync], sel, term))
             return out
@@ -161,22 +165,10 @@ class _ProcExpander:
         if isinstance(s, A.Loop):
             # non-pure loop: kept unchanged (§5.2); nested pure loops
             # inside it are also kept (conservative)
-            return [([clone_stmt(s)], {}, False)]
+            return [([s.clone()], {}, False)]
 
         terminated = isinstance(s, (A.Return,))
-        return [([clone_stmt(s)], {}, terminated)]
-
-
-def A_block(stmts: list[A.Stmt], pos) -> A.Block:
-    block = A.Block(stmts)
-    block.at(pos)
-    return block
-
-
-def clone_expr_of(e: A.Expr) -> A.Expr:
-    from repro.analysis.slices import clone_expr
-
-    return clone_expr(e)
+        return [([s.clone()], {}, terminated)]
 
 
 def make_variants(program: A.Program,
@@ -187,16 +179,18 @@ def make_variants(program: A.Program,
     variants: list[Variant] = []
     by_source: dict[str, list[Variant]] = {}
     procs: list[A.Procedure] = []
+    labels = map("__slice_{}".format, itertools.count(1))
 
     for proc in program.procs:
-        expander = _ProcExpander(cfgs[proc.name], purity.get(proc.name, {}))
+        expander = _ProcExpander(cfgs[proc.name], purity.get(proc.name, {}),
+                                 labels)
         alternatives = expander.expand_stmt(proc.body)
         named: list[Variant] = []
         multiple = len(alternatives) > 1
         for i, (stmts, sel, _term) in enumerate(alternatives, start=1):
             name = f"{proc.name}{i}" if multiple else proc.name
             vproc = A.Procedure(name, list(proc.params),
-                                A_block(stmts, proc.body.pos))
+                                A.Block(stmts).at(proc.body.pos))
             vproc.at(proc.pos)
             variant = Variant(name=name, source=proc.name, proc=vproc,
                               exits=sel)
@@ -206,36 +200,14 @@ def make_variants(program: A.Program,
         by_source[proc.name] = named
 
     vprogram = A.Program(
-        globals=[_clone_vardecl(d) for d in program.globals],
-        threadlocals=[_clone_vardecl(d) for d in program.threadlocals],
-        consts=[_clone_constdecl(c) for c in program.consts],
-        classes=[_clone_classdecl(c) for c in program.classes],
+        globals=[d.clone() for d in program.globals],
+        threadlocals=[d.clone() for d in program.threadlocals],
+        consts=[c.clone() for c in program.consts],
+        classes=[c.clone() for c in program.classes],
         procs=procs,
-        init=clone_stmt(program.init) if program.init is not None else None,
-        threadinit=clone_stmt(program.threadinit)
+        init=program.init.clone() if program.init is not None else None,
+        threadinit=program.threadinit.clone()
         if program.threadinit is not None else None,
     )
     resolve(vprogram)
     return VariantSet(vprogram, variants, by_source)
-
-
-def _clone_vardecl(d: A.VarDecl) -> A.VarDecl:
-    out = A.VarDecl(d.name,
-                    clone_expr_of(d.init) if d.init is not None else None,
-                    d.versioned)
-    out.at(d.pos)
-    return out
-
-
-def _clone_constdecl(c: A.ConstDecl) -> A.ConstDecl:
-    value = A.Const(c.value.value)
-    value.at(c.value.pos)
-    out = A.ConstDecl(c.name, value)
-    out.at(c.pos)
-    return out
-
-
-def _clone_classdecl(c: A.ClassDecl) -> A.ClassDecl:
-    out = A.ClassDecl(c.name, list(c.fields), c.versioned_fields)
-    out.at(c.pos)
-    return out

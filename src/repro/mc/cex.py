@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.report import ProcJoin, _one_line, statement_join
+from repro.analysis.report import ProcJoin, statement_join
 from repro.cfg.graph import CONTROL_KINDS, CFGNode, NodeKind
-from repro.synl.printer import pretty_expr
+from repro.synl.printer import pretty_expr, stmt_head
 
 from repro.obs.schemas import CEX as SCHEMA_VERSION
 
@@ -56,8 +56,10 @@ def describe_node(node: CFGNode) -> str:
         return "break;"
     if kind is NodeKind.CONTINUE:
         return "continue;"
+    if kind is NodeKind.BRANCH:
+        return f"{stmt_head(node.stmt)} ..."
     if node.stmt is not None:
-        return _one_line(node.stmt)
+        return stmt_head(node.stmt)
     return kind.value
 
 

@@ -11,22 +11,28 @@ Design notes
 * The resolver (:mod:`repro.synl.resolve`) decorates ``Var`` nodes with
   their :class:`VarKind` and binding id, and ``LocalDecl`` nodes with a
   unique binding id.
+* A node's *structural fields* are its dataclass fields with
+  ``init=True``, in declaration order.  One per-class table of them
+  (``Node._fields``) drives :meth:`Node.key`, :meth:`Node.children` and
+  :meth:`Node.clone`; ``pos``, ``nid`` and the resolver's decorations are
+  not in it.
 
-The statement sugar accepted by the parser (``while``, ``x++``, compound
-conditions) is desugared either in the parser itself or by
-:mod:`repro.synl.desugar`, so the analyses only ever see the core forms.
+The statement sugar accepted by the parser (``while``, ``x++``) is
+desugared in the parser itself, so the analyses only ever see the core
+forms.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Iterator, Optional, TypeVar
 
 from repro.errors import SourcePos
 
 _NID = itertools.count(1)
+_N = TypeVar("_N", bound="Node")
 
 
 class VarKind(enum.Enum):
@@ -51,25 +57,29 @@ class Node:
 
     pos: Optional[SourcePos] = field(default=None, init=False, repr=False)
     nid: int = field(default=0, init=False, repr=False)
+    #: the names of the structural fields, set per class at the end of
+    #: this module
+    _fields: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self) -> None:
         self.nid = next(_NID)
 
-    def at(self, pos: Optional[SourcePos]) -> "Node":
+    def at(self: _N, pos: Optional[SourcePos]) -> _N:
         """Attach a source position; returns self for chaining."""
         self.pos = pos
         return self
 
     # -- structural identity -------------------------------------------------
     def key(self) -> tuple:
-        """A structural key: node class name plus keys of the children and
-        scalar fields, ignoring nid/pos/analysis decorations.  A block
+        """A structural key: node class name plus keys of the structural
+        fields, ignoring nid/pos/analysis decorations.  A block
         containing a single statement is identified with that statement
         (the printer braces sub-statements for unambiguous reparsing)."""
         if isinstance(self, Block) and len(self.stmts) == 1:
             return self.stmts[0].key()
         parts: list = [type(self).__name__]
-        for name, value in self._fields():
+        for name in self._fields:
+            value = getattr(self, name)
             if isinstance(value, Node):
                 parts.append(value.key())
             elif isinstance(value, list):
@@ -79,23 +89,29 @@ class Node:
                 parts.append(value)
         return tuple(parts)
 
-    def _fields(self) -> Iterator[tuple[str, object]]:
-        for name, value in vars(self).items():
-            if name in ("pos", "nid", "kind", "binding", "param_bindings"):
-                continue
-            yield name, value
-
     def children(self) -> list["Node"]:
-        """The direct child nodes, in field order.  (The attributes
-        :meth:`_fields` skips never hold nodes, so no filter is needed.)"""
+        """The direct child nodes, in field order."""
         out: list[Node] = []
-        for value in vars(self).values():
+        for name in self._fields:
+            value = getattr(self, name)
             if isinstance(value, Node):
                 out.append(value)
             elif isinstance(value, list):
                 for v in value:
                     if isinstance(v, Node):
                         out.append(v)
+        return out
+
+    def clone(self: _N) -> _N:
+        """A deep copy of this subtree that shares no node with it.
+
+        Children are copied first, in field order, so a copy's nids keep
+        the original's relative order.  Each copy is built by its class's
+        constructor: it gets a fresh nid and no resolver decorations
+        (re-resolve the copy), and keeps the original's ``pos``."""
+        out = type(self)(*[_copy(getattr(self, name))
+                           for name in self._fields])
+        out.pos = self.pos
         return out
 
     def walk(self) -> Iterator["Node"]:
@@ -128,6 +144,14 @@ class Node:
             if end is None or key > (end.line, end.col):
                 end = pos
         return start, end
+
+
+def _copy(value):
+    if isinstance(value, Node):
+        return value.clone()
+    if isinstance(value, list):
+        return [_copy(v) for v in value]
+    return value
 
 
 def structural_eq(a: Node, b: Node) -> bool:
@@ -428,3 +452,12 @@ class Program(Node):
             if c.name == name:
                 return c
         return None
+
+
+def _set_field_tables(cls: type[Node]) -> None:
+    cls._fields = tuple(f.name for f in fields(cls) if f.init)
+    for sub in cls.__subclasses__():
+        _set_field_tables(sub)
+
+
+_set_field_tables(Node)

@@ -16,8 +16,9 @@ Inlining replaces the call by the callee's body with parameters bound
 to the arguments; ``return e`` statements become an assignment to the
 result variable plus a ``break`` out of a wrapper loop.  Every binder
 copied from the callee (its parameters and its ``local`` names) gets
-the fresh suffix ``__inline_N`` of its expansion, so no callee name can
-capture the caller's result variable or a name an argument mentions:
+the fresh suffix ``__inline_N`` of its expansion (``N`` counts the
+expansions of one program, from 1), so no callee name can capture the
+caller's result variable or a name an argument mentions:
 
 .. code-block:: text
 
@@ -46,50 +47,33 @@ import itertools
 from repro.errors import ResolveError
 from repro.synl import ast as A
 
-_FRESH = itertools.count(1)
-
 
 class Inliner:
     def __init__(self, program: A.Program):
         self.program = program
         self.procs = {p.name: p for p in program.procs}
+        self._fresh = itertools.count(1)  # expansions of this run
 
     def run(self) -> A.Program:
         """Return a new, call-free program (original is untouched)."""
-        from repro.analysis.slices import clone_stmt
-
         self._check_recursion()
-        out_procs = []
-        for proc in self.program.procs:
-            body = self._stmt(proc.body)
-            out_procs.append(self._mk_proc(proc, body))
-        out = A.Program(
-            globals=list(self.program.globals),
-            threadlocals=list(self.program.threadlocals),
-            consts=list(self.program.consts),
-            classes=list(self.program.classes),
-            procs=out_procs,
-            init=self._stmt(self.program.init)
-            if self.program.init is not None else None,
-            threadinit=self._stmt(self.program.threadinit)
-            if self.program.threadinit is not None else None,
-        )
+        self._check_call_positions()
+        out = self.program.clone()
+        for proc in out.procs:
+            proc.body = self._stmt(proc.body)
+        if out.init is not None:
+            out.init = self._stmt(out.init)
+        if out.threadinit is not None:
+            out.threadinit = self._stmt(out.threadinit)
         return out
 
-    @staticmethod
-    def _mk_proc(proc: A.Procedure, body: A.Stmt) -> A.Procedure:
-        block = body if isinstance(body, A.Block) else A.Block([body])
-        new = A.Procedure(proc.name, list(proc.params), block)
-        new.at(proc.pos)
-        return new
+    def _is_call(self, e: A.Expr) -> bool:
+        return isinstance(e, A.PrimCall) and e.name in self.procs
 
     # -- recursion check ------------------------------------------------------------
     def _callees(self, proc: A.Procedure) -> set[str]:
-        out = set()
-        for node in proc.body.walk():
-            if isinstance(node, A.PrimCall) and node.name in self.procs:
-                out.add(node.name)
-        return out
+        return {node.name for node in proc.body.walk()
+                if self._is_call(node)}
 
     def _check_recursion(self) -> None:
         graph = {name: self._callees(proc)
@@ -113,83 +97,59 @@ class Inliner:
         for name in graph:
             visit(name, [])
 
-    # -- statement rewriting -----------------------------------------------------------
-    def _stmt(self, s: A.Stmt) -> A.Stmt:
-        from repro.analysis.slices import clone_expr, clone_stmt
-
-        if isinstance(s, A.Block):
-            out = A.Block([self._stmt(x) for x in s.stmts])
-        elif isinstance(s, A.ExprStmt) and isinstance(s.expr, A.PrimCall) \
-                and s.expr.name in self.procs:
-            return self._inline_call(s.expr, result_var=None)
-        elif isinstance(s, A.LocalDecl):
-            if isinstance(s.init, A.PrimCall) and s.init.name in self.procs:
-                inlined = self._inline_call(s.init, result_var=s.name,
-                                            rest=self._stmt(s.body))
-                inlined.at(s.pos)
-                return inlined
-            out = A.LocalDecl(s.name, clone_expr(s.init),
-                              self._stmt(s.body))
-        elif isinstance(s, A.If):
-            self._forbid_call_in_expr(s.cond)
-            out = A.If(clone_expr(s.cond), self._stmt(s.then),
-                       self._stmt(s.els) if s.els is not None else None)
-        elif isinstance(s, A.Loop):
-            out = A.Loop(self._stmt(s.body), s.label)
-        elif isinstance(s, A.Synchronized):
-            out = A.Synchronized(clone_expr(s.lock), self._stmt(s.body))
-        elif isinstance(s, A.Assign):
-            self._forbid_call_in_expr(s.value)
-            out = clone_stmt(s)
-        else:
-            for node in s.walk():
-                if isinstance(node, A.PrimCall) \
-                        and node.name in self.procs:
-                    raise ResolveError(
-                        f"call to {node.name!r} is only supported as a "
-                        f"statement or as a local binding initializer",
-                        node.pos)
-            out = clone_stmt(s)
-        out.at(s.pos)
-        return out
-
-    def _forbid_call_in_expr(self, e: A.Expr) -> None:
-        for node in e.walk():
-            if isinstance(node, A.PrimCall) and node.name in self.procs:
+    def _check_call_positions(self) -> None:
+        """Calls are statements or ``local`` initializers, nothing else
+        (a pre-order walk meets the statement before its call)."""
+        allowed: set[int] = set()
+        for node in self.program.walk():
+            if isinstance(node, A.ExprStmt):
+                allowed.add(id(node.expr))
+            elif isinstance(node, A.LocalDecl):
+                allowed.add(id(node.init))
+            elif self._is_call(node) and id(node) not in allowed:
                 raise ResolveError(
                     f"call to {node.name!r} is only supported as a "
                     f"statement or as a local binding initializer",
                     node.pos)
 
+    # -- statement rewriting -----------------------------------------------------------
+    def _stmt(self, s: A.Stmt) -> A.Stmt:
+        """Inline the calls in ``s``, a copy this run owns, in place;
+        returns the statement that replaces ``s``."""
+        if isinstance(s, A.ExprStmt) and self._is_call(s.expr):
+            return self._inline_call(s.expr, result_var=None)
+        if isinstance(s, A.LocalDecl) and self._is_call(s.init):
+            rest = self._stmt(s.body)
+            return self._inline_call(s.init, result_var=s.name,
+                                     rest=rest).at(s.pos)
+        return _map_stmts(s, self._stmt)
+
     # -- the expansion -------------------------------------------------------------------
     def _inline_call(self, call: A.PrimCall, result_var: str | None,
                      rest: A.Stmt | None = None) -> A.Stmt:
-        from repro.analysis.slices import clone_expr
-
         proc = self.procs[call.name]
         if len(call.args) != len(proc.params):
             raise ResolveError(
                 f"{call.name} expects {len(proc.params)} arguments, "
                 f"got {len(call.args)}", call.pos)
-        label = f"__inline_{next(_FRESH)}"
-        # the callee body may itself contain calls: rewrite it first;
-        # then give every binder it copies a fresh name, so none can
-        # capture the caller's result variable or argument names
+        label = f"__inline_{next(self._fresh)}"
+        # a fresh copy of the callee body, its own calls inlined; then
+        # every binder it copies gets a fresh name, so none can capture
+        # the caller's result variable or argument names
         params = {p: p + label for p in proc.params}
-        body = self._stmt(proc.body)
+        body = self._stmt(proc.body.clone())
         _rename_binders(body, params, label)
         # a body that always returns gets no fall-off break: slicing
         # would take that dead break for an exit of the procedure
+        completes = _completes(body)
         stmts = [_rewrite_returns(body, result_var, label)]
-        if _completes(body):
+        if completes:
             stmts.append(A.Break(label))
         inner: A.Stmt = A.Block(stmts)
         # bind parameters innermost-last; the arguments are evaluated
         # in the caller's scope
-        for param, arg in zip(reversed(proc.params),
-                              reversed(list(call.args))):
-            self._forbid_call_in_expr(arg)
-            inner = A.LocalDecl(params[param], clone_expr(arg), inner)
+        for param, arg in zip(reversed(proc.params), reversed(call.args)):
+            inner = A.LocalDecl(params[param], arg, inner)
         wrapper = A.Loop(A.Block([inner]), label)
         if result_var is None:
             assert rest is None
@@ -198,6 +158,18 @@ class Inliner:
         seq = A.Block([wrapper] + (
             rest.stmts if isinstance(rest, A.Block) else [rest]))
         return A.LocalDecl(result_var, zero, seq)
+
+
+def _map_stmts(s: A.Stmt, rewrite) -> A.Stmt:
+    """Replace each child statement ``c`` of ``s`` by ``rewrite(c)``, in
+    place, in field order; returns ``s``."""
+    for name in s._fields:
+        value = getattr(s, name)
+        if isinstance(value, A.Stmt):
+            setattr(s, name, rewrite(value))
+        elif isinstance(value, list):
+            value[:] = [rewrite(x) for x in value]
+    return s
 
 
 def _rename_binders(s: A.Stmt, names: dict[str, str],
@@ -256,45 +228,18 @@ def _breaks_out(s: A.Stmt, label: str | None, nested: bool = False) -> bool:
 
 def _rewrite_returns(s: A.Stmt, result_var: str | None,
                      label: str) -> A.Stmt:
-    """Replace ``return [e]`` by ``[result = e;] break label;``.
+    """Replace, in place, ``return [e]`` by ``[result = e;] break label;``.
     Unlabelled breaks/continues belong to the callee's own loops and are
     left untouched (the wrapper loop is only exited via the label)."""
-    from repro.analysis.slices import clone_expr, clone_stmt
-
-    if isinstance(s, A.Return):
-        stmts: list[A.Stmt] = []
-        if result_var is not None and s.value is not None:
-            target = A.Var(result_var)
-            target.at(s.pos)
-            assign = A.Assign(target, clone_expr(s.value))
-            assign.at(s.pos)
-            stmts.append(assign)
-        brk = A.Break(label)
-        brk.at(s.pos)
-        stmts.append(brk)
-        out: A.Stmt = A.Block(stmts)
-        out.at(s.pos)
-        return out
-    if isinstance(s, A.Block):
-        out = A.Block([_rewrite_returns(x, result_var, label)
-                       for x in s.stmts])
-    elif isinstance(s, A.LocalDecl):
-        out = A.LocalDecl(s.name, clone_expr(s.init),
-                          _rewrite_returns(s.body, result_var, label))
-    elif isinstance(s, A.If):
-        out = A.If(clone_expr(s.cond),
-                   _rewrite_returns(s.then, result_var, label),
-                   _rewrite_returns(s.els, result_var, label)
-                   if s.els is not None else None)
-    elif isinstance(s, A.Loop):
-        out = A.Loop(_rewrite_returns(s.body, result_var, label), s.label)
-    elif isinstance(s, A.Synchronized):
-        out = A.Synchronized(clone_expr(s.lock),
-                             _rewrite_returns(s.body, result_var, label))
-    else:
-        return clone_stmt(s)
-    out.at(s.pos)
-    return out
+    if not isinstance(s, A.Return):
+        return _map_stmts(
+            s, lambda sub: _rewrite_returns(sub, result_var, label))
+    stmts: list[A.Stmt] = []
+    if result_var is not None and s.value is not None:
+        target = A.Var(result_var).at(s.pos)
+        stmts.append(A.Assign(target, s.value).at(s.pos))
+    stmts.append(A.Break(label).at(s.pos))
+    return A.Block(stmts).at(s.pos)
 
 
 def calls_procedures(program: A.Program) -> bool:

@@ -22,7 +22,7 @@ Grammar (concrete syntax; the paper only defines abstract syntax):
     assume      := 'TRUE' '(' expr ')' ';'
 
 ``x++;`` desugars to ``x = x + 1;`` and ``while (e) s`` to
-``loop { if (e) s else break; }`` (see also :mod:`repro.synl.desugar`).
+``loop { if (e) s else break; }``.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ class Parser:
             if not A.is_location(e):
                 raise ParseError("increment target is not a location",
                                  tok.pos)
-            bump = A.Binary(op, _clone_location(e), A.Const(1))
+            bump = A.Binary(op, e.clone(), A.Const(1))
             bump.at(tok.pos)
             node = A.Assign(e, bump)
             node.at(tok.pos)
@@ -491,55 +491,6 @@ class Parser:
             raise ParseError("expected a location (x, x.fd, or x[e])",
                              self._peek().pos)
         return e
-
-
-def _clone_location(e: A.Expr) -> A.Expr:
-    """Deep-copy a location expression (for ``x++`` desugaring)."""
-    if isinstance(e, A.Var):
-        out: A.Expr = A.Var(e.name)
-    elif isinstance(e, A.Field):
-        out = A.Field(_clone_location(e.base), e.name)
-    elif isinstance(e, A.Index):
-        out = A.Index(_clone_location(e.base), _clone_expr(e.index))
-    else:  # pragma: no cover - guarded by is_location
-        raise ParseError("not a location")
-    out.at(e.pos)
-    return out
-
-
-def _clone_expr(e: A.Expr) -> A.Expr:
-    """Deep-copy an arbitrary expression."""
-    if isinstance(e, A.Const):
-        out: A.Expr = A.Const(e.value)
-    elif isinstance(e, A.Var):
-        out = A.Var(e.name)
-    elif isinstance(e, A.Field):
-        out = A.Field(_clone_expr(e.base), e.name)
-    elif isinstance(e, A.Index):
-        out = A.Index(_clone_expr(e.base), _clone_expr(e.index))
-    elif isinstance(e, A.Unary):
-        out = A.Unary(e.op, _clone_expr(e.operand))
-    elif isinstance(e, A.Binary):
-        out = A.Binary(e.op, _clone_expr(e.left), _clone_expr(e.right))
-    elif isinstance(e, A.PrimCall):
-        out = A.PrimCall(e.name, [_clone_expr(a) for a in e.args])
-    elif isinstance(e, A.New):
-        out = A.New(e.class_name)
-    elif isinstance(e, A.NewArray):
-        out = A.NewArray(e.class_name, _clone_expr(e.size))
-    elif isinstance(e, A.LLExpr):
-        out = A.LLExpr(_clone_expr(e.loc))
-    elif isinstance(e, A.VLExpr):
-        out = A.VLExpr(_clone_expr(e.loc))
-    elif isinstance(e, A.SCExpr):
-        out = A.SCExpr(_clone_expr(e.loc), _clone_expr(e.value))
-    elif isinstance(e, A.CASExpr):
-        out = A.CASExpr(_clone_expr(e.loc), _clone_expr(e.expected),
-                        _clone_expr(e.new))
-    else:  # pragma: no cover
-        raise ParseError(f"cannot clone {type(e).__name__}")
-    out.at(e.pos)
-    return out
 
 
 def parse_program(text: str) -> A.Program:

@@ -67,6 +67,40 @@ def pretty_expr(e: A.Expr, parent_prec: int = 0) -> str:
     raise TypeError(f"unknown expression {type(e).__name__}")
 
 
+def stmt_head(s: A.Stmt) -> str:
+    """The first line the printer emits for ``s``: all of a simple
+    statement, the header of a composite one (``if (e)``, ``loop``,
+    ``local x = e in``, ...)."""
+    if isinstance(s, A.Block):
+        return "{"
+    if isinstance(s, A.Assign):
+        return f"{pretty_expr(s.target)} = {pretty_expr(s.value)};"
+    if isinstance(s, A.LocalDecl):
+        return f"local {s.name} = {pretty_expr(s.init)} in"
+    if isinstance(s, A.If):
+        return f"if ({pretty_expr(s.cond)})"
+    if isinstance(s, A.Loop):
+        return f"{s.label}: loop" if s.label else "loop"
+    if isinstance(s, A.Break):
+        return f"break {s.label};" if s.label else "break;"
+    if isinstance(s, A.Continue):
+        return f"continue {s.label};" if s.label else "continue;"
+    if isinstance(s, A.Return):
+        return "return;" if s.value is None \
+            else f"return {pretty_expr(s.value)};"
+    if isinstance(s, A.Skip):
+        return "skip;"
+    if isinstance(s, A.Synchronized):
+        return f"synchronized ({pretty_expr(s.lock)})"
+    if isinstance(s, A.Assume):
+        return f"TRUE({pretty_expr(s.cond)});"
+    if isinstance(s, A.AssertStmt):
+        return f"assert({pretty_expr(s.cond)});"
+    if isinstance(s, A.ExprStmt):
+        return f"{pretty_expr(s.expr)};"
+    raise TypeError(f"unknown statement {type(s).__name__}")
+
+
 class _Printer:
     def __init__(self, indent: str = "  "):
         self.indent = indent
@@ -76,51 +110,21 @@ class _Printer:
         self.lines.append(self.indent * depth + text)
 
     def stmt(self, s: A.Stmt, depth: int) -> None:
+        self.emit(depth, stmt_head(s))
         if isinstance(s, A.Block):
-            self.emit(depth, "{")
             for sub in s.stmts:
                 self.stmt(sub, depth + 1)
             self.emit(depth, "}")
-        elif isinstance(s, A.Assign):
-            self.emit(depth,
-                      f"{pretty_expr(s.target)} = {pretty_expr(s.value)};")
         elif isinstance(s, A.LocalDecl):
-            self.emit(depth, f"local {s.name} = {pretty_expr(s.init)} in")
             self.stmt(s.body, depth + 1 if not isinstance(s.body, A.Block)
                       else depth)
         elif isinstance(s, A.If):
-            self.emit(depth, f"if ({pretty_expr(s.cond)})")
             self.stmt(_blockify(s.then), depth)
             if s.els is not None:
                 self.emit(depth, "else")
                 self.stmt(_blockify(s.els), depth)
-        elif isinstance(s, A.Loop):
-            prefix = f"{s.label}: " if s.label else ""
-            self.emit(depth, f"{prefix}loop")
+        elif isinstance(s, (A.Loop, A.Synchronized)):
             self.stmt(_blockify(s.body), depth)
-        elif isinstance(s, A.Break):
-            self.emit(depth, f"break {s.label};" if s.label else "break;")
-        elif isinstance(s, A.Continue):
-            self.emit(depth,
-                      f"continue {s.label};" if s.label else "continue;")
-        elif isinstance(s, A.Return):
-            if s.value is None:
-                self.emit(depth, "return;")
-            else:
-                self.emit(depth, f"return {pretty_expr(s.value)};")
-        elif isinstance(s, A.Skip):
-            self.emit(depth, "skip;")
-        elif isinstance(s, A.Synchronized):
-            self.emit(depth, f"synchronized ({pretty_expr(s.lock)})")
-            self.stmt(_blockify(s.body), depth)
-        elif isinstance(s, A.Assume):
-            self.emit(depth, f"TRUE({pretty_expr(s.cond)});")
-        elif isinstance(s, A.AssertStmt):
-            self.emit(depth, f"assert({pretty_expr(s.cond)});")
-        elif isinstance(s, A.ExprStmt):
-            self.emit(depth, f"{pretty_expr(s.expr)};")
-        else:
-            raise TypeError(f"unknown statement {type(s).__name__}")
 
     def program(self, p: A.Program) -> None:
         for c in p.consts:

@@ -1,6 +1,7 @@
 """Each CLI command imports what it runs: the analysis commands load no
 part of the model checker, the interpreter or the JSON exporter, which
-a cold ``repro analyze`` would otherwise compile and never call."""
+a cold ``repro analyze`` would otherwise compile and never call.  Nor
+does loading and running a program load the analysis."""
 
 import json
 import os
@@ -58,3 +59,29 @@ def test_mc_without_json_loads_no_exporter(tmp_path):
     loaded = _loaded("mc", str(path), "Push(1)", "Pop()")
     assert "repro.mc.explorer" in loaded
     assert "repro.obs.export" not in loaded
+
+
+#: load the inlining front-end canary's program and run it round-robin,
+#: then print the repro modules loaded
+_RUN_PROBE = """
+import json, sys
+from repro.interp import Interp, ThreadSpec, run_round_robin
+from repro.synl.resolve import load_program
+interp = Interp(load_program(sys.argv[1]))
+world = interp.make_world([ThreadSpec.of(("Inc",), ("Check",))])
+run_round_robin(interp, world)
+assert world.globals["G"] == 6
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+"""
+
+
+def test_loading_and_running_a_program_with_calls_loads_no_analysis():
+    from tests.test_inline import _CAPTURE
+
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", _RUN_PROBE, _CAPTURE],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = json.loads(proc.stdout)
+    assert "repro.synl.inline" in loaded
+    assert [m for m in loaded if m.startswith("repro.analysis")] == []

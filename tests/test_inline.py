@@ -4,6 +4,7 @@ inlined' convention, automated)."""
 import pytest
 
 from repro.analysis import analyze_program
+from repro.analysis.report import render_figure
 from repro.errors import ResolveError
 from repro.interp import Interp, ThreadSpec, run_round_robin
 from repro.synl.inline import inline_calls
@@ -125,6 +126,20 @@ def test_call_in_expression_position_rejected():
         """)
 
 
+@pytest.mark.parametrize("body", [
+    "local x = P() + 1 in { return x; }",
+    "synchronized (P()) { skip; }",
+    "local x = Q(P()) in { return x; }",
+])
+def test_a_call_nested_in_an_expression_is_rejected(body):
+    with pytest.raises(ResolveError, match="statement or as a local"):
+        load_program(f"""
+            proc P() {{ return 1; }}
+            proc Q(a) {{ return a; }}
+            proc R() {{ {body} }}
+        """)
+
+
 def test_arity_mismatch_rejected():
     with pytest.raises(ResolveError, match="arguments"):
         load_program("""
@@ -166,12 +181,16 @@ def test_inlined_program_is_analyzable():
 
 def test_inlining_preserves_original_program():
     original = parse_program("""
-        proc A() { return 1; }
+        global G = 0;
+        proc A() { return G; }
         proc B() { A(); }
     """)
     before = original.key()
-    inline_calls(original)
+    inlined = inline_calls(original)
     assert original.key() == before
+    # the copy shares no node, so resolving it decorates none of these
+    assert not {id(n) for n in original.walk()} \
+        & {id(n) for n in inlined.walk()}
 
 
 _CAPTURE = """
@@ -189,6 +208,16 @@ _CAPTURE = """
     }
     proc Check() { assert(G == 6); }
 """
+
+
+def test_the_same_source_gives_the_same_report_twice_in_one_process():
+    """Expansions are numbered per inlining run: a second load used to
+    render ``local t__inline_2 = LL(G)`` where the first had
+    ``t__inline_1``."""
+    first, second = (render_figure(analyze_program(load_program(_CAPTURE)))
+                     for _ in range(2))
+    assert "local t__inline_1 = LL(G) in" in first
+    assert first == second
 
 
 def test_callee_local_does_not_capture_the_result_variable():

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import corpus
+from repro.errors import SourcePos
 from repro.synl import ast as A
 from repro.synl.parser import parse_expr, parse_program, parse_stmt
 from repro.synl.printer import pretty, pretty_expr, pretty_stmt
+from repro.synl.resolve import load_program
 
 ALL_SOURCES = [
     corpus.NFQ, corpus.NFQ_PRIME, corpus.NFQ_PRIME_BUGGY,
@@ -109,3 +111,38 @@ def test_generated_stmt_roundtrip(stmt):
     text = pretty_stmt(stmt)
     again = parse_stmt(text)
     assert A.structural_eq(stmt, again), text
+
+
+# -- clone --------------------------------------------------------------------------
+
+def _assert_clone_is_a_copy(node: A.Node) -> A.Node:
+    copy = node.clone()
+    assert copy.key() == node.key()
+    assert pretty(copy) == pretty(node)
+    before, after = list(node.walk()), list(copy.walk())
+    assert [n.pos for n in after] == [n.pos for n in before]
+    assert not {id(n) for n in before} & {id(n) for n in after}
+    return copy
+
+
+@given(_stmts())
+@settings(max_examples=150, deadline=None)
+def test_generated_stmt_clone(stmt):
+    for i, node in enumerate(stmt.walk()):
+        node.at(SourcePos(i + 1, i % 7 + 1))
+    _assert_clone_is_a_copy(stmt)
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES,
+                         ids=lambda s: s.strip().splitlines()[0][:25])
+def test_corpus_clone_drops_the_resolver_decorations(source):
+    prog = load_program(source)
+    copy = _assert_clone_is_a_copy(prog)
+    assert any(isinstance(n, A.Var) and n.binding for n in prog.walk())
+    for node in copy.walk():
+        if isinstance(node, A.Var):
+            assert node.kind is None and node.binding is None
+        elif isinstance(node, A.LocalDecl):
+            assert node.binding is None
+        elif isinstance(node, A.Procedure):
+            assert node.param_bindings == {}

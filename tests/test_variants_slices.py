@@ -238,3 +238,29 @@ def test_allocator_expansion_counts(monkeypatch):
     for key, n in Counter(id(s) for s in calls).items():
         assert n <= max(parents[key], 1)  # a procedure body has none
     assert _no_shared_nodes(result.variant_set)
+
+
+_WRAPPED = """
+    global G, H;
+    proc P() {
+      L: loop {
+        local t = LL(G) in {
+          loop {
+            H = 1;
+            if (SC(G, t + 1)) { break L; }
+          }
+        }
+      }
+    }
+"""
+
+
+def test_slice_wrapper_labels_are_numbered_per_expansion():
+    """``break L`` sits in a residual inner loop, so the slice is
+    wrapped in a once-through ``__slice_N`` loop; a second expansion
+    in the same process numbers its wrappers from 1 again."""
+    first, second = (pretty(variants_of(_WRAPPED).program)
+                     for _ in range(2))
+    assert "__slice_1: loop" in first
+    assert first == second
+
