@@ -406,9 +406,14 @@ class AtomicityChecker:
 
     def _expand_variants(self) -> tuple[
             VariantSet, dict[str, dict[A.Loop, PurityInfo]]]:
-        """Iterate variant expansion until no pure loops remain —
+        """Iterate variant expansion until a round slices no loop —
         needed when pure loops nest (e.g. the allocator's anchor-pop
-        CAS loop inside the credit-reservation CAS loop)."""
+        CAS loop inside the credit-reservation CAS loop).  A pure loop
+        inside a kept non-pure loop is never sliced, so it does not
+        hold the iteration open.  Each slice removes its loop and adds
+        none (:func:`~repro.analysis.slices.exceptional_slice`), so
+        every variant a round changes has fewer loops than its parent,
+        and the round cap is only a guard."""
         current = self.program
         purity0: dict[str, dict[A.Loop, PurityInfo]] | None = None
         source_of: dict[str, str] | None = None
@@ -428,8 +433,7 @@ class AtomicityChecker:
                 source_of = {v.name: source_of[v.source]
                              for v in vs.variants}
             final_vs = vs
-            if not any(info.pure for per in purity.values()
-                       for info in per.values()):
+            if not vs.sliced:
                 break
             current = vs.program
         else:

@@ -67,13 +67,22 @@ class _Rebuilt:
 
 
 class SliceRebuilder:
-    """Rebuilds the AST of one exceptional slice."""
+    """Rebuilds the AST of one exceptional slice.
+
+    ``exit_break`` is the ``break`` that leaves the sliced loop, if the
+    slice's exit is one.  It is dropped, or, when ``residual`` is the
+    loop kept in the slice that holds it, rebuilt as ``break
+    exit_label`` and ``residual`` rebuilt with that label."""
 
     def __init__(self, cfg: ProcCFG, keep: set[CFGNode],
-                 drop_stmt: A.Stmt | None):
+                 exit_break: A.Break | None = None,
+                 residual: A.Loop | None = None,
+                 exit_label: str | None = None):
         self.cfg = cfg
         self.keep = keep
-        self.drop_stmt = drop_stmt  # the break of the sliced loop itself
+        self.exit_break = exit_break
+        self.residual = residual
+        self.exit_label = exit_label
         self._by_stmt: dict[int, list[CFGNode]] = {}
         for node in cfg.nodes:
             if node.stmt is not None:
@@ -95,8 +104,12 @@ class SliceRebuilder:
                     return _Rebuilt(out, True)
             return _Rebuilt(out)
 
-        if s is self.drop_stmt:
-            return _Rebuilt([], True)
+        if s is self.exit_break:
+            if self.residual is None:
+                return _Rebuilt([], True)
+            brk = A.Break(self.exit_label)
+            brk.at(s.pos)
+            return _Rebuilt([brk], True)
 
         if isinstance(s, (A.Assign, A.Assume, A.AssertStmt, A.ExprStmt,
                           A.Skip)):
@@ -160,7 +173,8 @@ class SliceRebuilder:
             if not heads or heads[0] not in self.keep:
                 return _Rebuilt([])
             body = self.rebuild(s.body)
-            loop = A.Loop(A.Block(body.stmts).at(s.pos), s.label)
+            label = self.exit_label if s is self.residual else s.label
+            loop = A.Loop(A.Block(body.stmts).at(s.pos), label)
             loop.at(s.pos)
             return _Rebuilt([loop])
 
@@ -176,14 +190,6 @@ class SliceRebuilder:
         raise TypeError(f"cannot rebuild {type(s).__name__}")
 
 
-def _retarget_breaks(stmts: list[A.Stmt], old_label: str | None,
-                     new_label: str) -> None:
-    for s in stmts:
-        for node in s.walk():
-            if isinstance(node, A.Break) and node.label == old_label:
-                node.label = new_label
-
-
 def exceptional_slice(cfg: ProcCFG, info: LoopInfo, exit_node: CFGNode,
                       labels: Iterator[str]) -> list[A.Stmt]:
     """The exceptional slice for one exit, as a fresh statement list that
@@ -192,28 +198,28 @@ def exceptional_slice(cfg: ProcCFG, info: LoopInfo, exit_node: CFGNode,
     A ``break`` of the sliced loop itself is normally dropped (control
     falls through to the code after the loop).  When that break sits
     inside a *residual* inner loop kept in the slice, dropping it would
-    leave the inner loop with no exit; instead the slice is wrapped in a
-    fresh once-through loop, labelled with the next of ``labels``, and
-    the break retargeted to it.
+    leave the inner loop with no exit; instead it breaks out of the
+    outermost such loop, labelled with the next of ``labels`` if it
+    has no label.  No statement after that loop is in the slice (the
+    exit is reached again only through the sliced loop's head), so
+    control still goes straight to the code after the sliced loop.  A
+    slice holds no loop that the sliced loop's body does not, so every
+    slice leaves one loop fewer and variant expansion terminates.
     """
     keep = slice_nodes_for_exit(cfg, info, exit_node)
-    exits_via_break = (exit_node.kind is NodeKind.BREAK
-                       and getattr(exit_node, "jump_target", None)
-                       is info.loop)
-    nested = exits_via_break and exit_node.loop is not info.loop
-    drop = exit_node.stmt if exits_via_break and not nested else None
-    rebuilder = SliceRebuilder(cfg, keep, drop)
-    stmts = rebuilder.rebuild(info.loop.body).stmts
-    if nested:
-        fresh = next(labels)
-        _retarget_breaks(stmts, info.loop.label, fresh)
-        trailing = A.Break(fresh)
-        trailing.at(info.loop.pos)
-        wrapper = A.Loop(A.Block(stmts + [trailing]).at(info.loop.pos),
-                         fresh)
-        wrapper.at(info.loop.pos)
-        stmts = [wrapper]
-    return stmts
+    if exit_node.kind is not NodeKind.BREAK \
+            or getattr(exit_node, "jump_target", None) is not info.loop:
+        return SliceRebuilder(cfg, keep).rebuild(info.loop.body).stmts
+    residual = None
+    if exit_node.loop is not info.loop:
+        outer = cfg.loop_info(exit_node.loop)
+        while outer.parent is not info:
+            outer = outer.parent
+        residual = outer.loop
+    rebuilder = SliceRebuilder(
+        cfg, keep, exit_node.stmt, residual,
+        None if residual is None else residual.label or next(labels))
+    return rebuilder.rebuild(info.loop.body).stmts
 
 
 # -- bare SC/CAS success split ---------------------------------------------------

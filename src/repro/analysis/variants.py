@@ -46,6 +46,9 @@ class VariantSet:
     program: A.Program                      #: the variant program
     variants: list[Variant]
     by_source: dict[str, list[Variant]] = field(default_factory=dict)
+    #: pure loops this expansion replaced by their slices (0: a further
+    #: expansion would change nothing)
+    sliced: int = 0
 
     def of(self, source: str) -> list[Variant]:
         return self.by_source.get(source, [])
@@ -69,7 +72,8 @@ class _ProcExpander:
                  labels: Iterator[str]):
         self.cfg = cfg
         self.purity = purity
-        self.labels = labels  # for the slices' once-through wrapper loops
+        self.labels = labels  # for the slices' residual exit loops
+        self.sliced = 0       # pure loops replaced by their slices
 
     def _is_pure(self, loop: A.Loop) -> bool:
         info = self.purity.get(loop)
@@ -117,6 +121,7 @@ class _ProcExpander:
                     out.append(([loop], sel, False))
                 return out
             info = self.cfg.loop_info(s)
+            self.sliced += 1
             alternatives = []
             for exit_node in info.exceptional_exits:
                 slice_stmts = exceptional_slice(self.cfg, info, exit_node,
@@ -180,11 +185,13 @@ def make_variants(program: A.Program,
     by_source: dict[str, list[Variant]] = {}
     procs: list[A.Procedure] = []
     labels = map("__slice_{}".format, itertools.count(1))
+    sliced = 0
 
     for proc in program.procs:
         expander = _ProcExpander(cfgs[proc.name], purity.get(proc.name, {}),
                                  labels)
         alternatives = expander.expand_stmt(proc.body)
+        sliced += expander.sliced
         named: list[Variant] = []
         multiple = len(alternatives) > 1
         for i, (stmts, sel, _term) in enumerate(alternatives, start=1):
@@ -210,4 +217,4 @@ def make_variants(program: A.Program,
         if program.threadinit is not None else None,
     )
     resolve(vprogram)
-    return VariantSet(vprogram, variants, by_source)
+    return VariantSet(vprogram, variants, by_source, sliced)

@@ -9,7 +9,6 @@
     python -m repro run FILE T0 T1 ...   # execute under a random schedule
     python -m repro mc FILE T0 ... --mode atomic   # model-check
     python -m repro lint FILE            # discipline linter (docs/LINT.md)
-    python -m repro experiments section63 --jobs 4 # parallel variant grid
     python -m repro perf diff A B        # attributed perf forensics
     python -m repro experiments NAME     # regenerate a table/figure
 
@@ -532,9 +531,7 @@ def cmd_perf(args) -> int:
 def cmd_experiments(args) -> int:
     """Regenerate a table/figure of the paper.  ``--json`` emits a
     machine-readable document (for ``section63``, the deterministic
-    per-mode ``verdicts`` and ``matches_paper`` beside the text), and
-    ``section63 --jobs N`` fans the none/por/atomic/both variant grid
-    across forked worker processes."""
+    per-mode ``verdicts`` and ``matches_paper`` beside the text)."""
     from repro import experiments
 
     module = getattr(experiments, args.name, None)
@@ -555,7 +552,7 @@ def cmd_experiments(args) -> int:
         from repro.experiments import section63
 
         n_threads = args.threads if args.threads is not None else 3
-        kwargs = {"n_threads": n_threads, "jobs": args.jobs}
+        kwargs = {"n_threads": n_threads}
         if args.max_states is not None:
             kwargs["max_states"] = args.max_states
         result = section63.run(**kwargs)
@@ -563,10 +560,6 @@ def cmd_experiments(args) -> int:
         doc["verdicts"] = result.verdicts()
         doc["matches_paper"] = result.matches_paper
     else:
-        if args.jobs > 1:
-            print(f"note: --jobs applies to the section63 variant "
-                  f"grid; running {args.name!r} in-process",
-                  file=sys.stderr)
         text = module.main()
     if args.json:
         doc["text"] = text
@@ -714,11 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON document "
                         "instead of text")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="section63: fan the none/por/atomic/both "
-                        "variant grid across N forked worker "
-                        "processes; per-mode verdicts are identical "
-                        "to a sequential run")
     p.add_argument("--threads", type=_count, default=None, metavar="N",
                    help="section63: driver threads (default: 3)")
     p.add_argument("--max-states", type=_count, default=None,

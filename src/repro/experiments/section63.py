@@ -23,7 +23,6 @@ from repro.corpus.gao_hesselink import GH_PROGRAM1
 from repro.experiments.common import Table
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, MCResult
-from repro.parallel import fork_map
 
 PAPER = {
     "none": 4_069_080,
@@ -46,8 +45,8 @@ class Section63Result:
 
     def verdicts(self) -> dict[str, dict]:
         """Deterministic per-mode verdict map (``experiments
-        section63 --json``).  No wall times: a parallel grid must
-        match a sequential one."""
+        section63 --json``).  No wall times, so two runs of the same
+        grid give the same map."""
         return {mode: {"states": r.states,
                        "transitions": r.transitions,
                        "violation": r.violation,
@@ -73,44 +72,18 @@ def _run_one(mode: str, n_threads: int, max_states: int) -> MCResult:
                     max_states=max_states).run()
 
 
-#: MCResult fields a ``--jobs`` worker returns to the parent — the
-#: deterministic verdict of one grid cell plus its wall time.  The
-#: state *sets* (quiescent/final) stay in the worker; the grid only
-#: compares counts.
-_CELL_FIELDS = ("states", "transitions", "elapsed", "violation",
-                "trace", "capped", "deadline_hit")
-
-
-def run(n_threads: int = 3, max_states: int = 2_000_000,
-        modes: tuple = ("none", "por", "atomic", "both"),
-        jobs: int = 1) -> Section63Result:
-    """Run the §6.3 variant grid, one MC exploration per mode.
-
-    With ``jobs > 1`` the modes are fanned across forked workers
-    (:func:`repro.parallel.fork_map`); each cell is an independent
-    state-space exploration with no observer attached, so the per-mode
-    verdicts are identical to a sequential run — only the wall clock
-    changes."""
+def run(n_threads: int = 3,
+        max_states: int = 2_000_000) -> Section63Result:
+    """Run the §6.3 variant grid: one MC exploration per mode, in the
+    order none, por, atomic, both."""
     out = Section63Result()
-    if jobs <= 1:
-        for mode in modes:
-            out.results[mode] = _run_one(mode, n_threads, max_states)
-        return out
-
-    def cell(mode: str) -> dict:
-        result = _run_one(mode, n_threads, max_states)
-        return {f: getattr(result, f) for f in _CELL_FIELDS}
-
-    for mode, fields in zip(modes, fork_map(cell, modes, jobs)):
-        out.results[mode] = MCResult(
-            mode={"none": "full"}.get(mode, mode), **fields)
+    for mode in ("none", "por", "atomic", "both"):
+        out.results[mode] = _run_one(mode, n_threads, max_states)
     return out
 
 
-def main(n_threads: int = 3, max_states: int = 2_000_000,
-         jobs: int = 1) -> str:
-    result = run(n_threads, max_states, jobs=jobs)
-    return render(result, n_threads)
+def main(n_threads: int = 3, max_states: int = 2_000_000) -> str:
+    return render(run(n_threads, max_states), n_threads)
 
 
 def render(result: Section63Result, n_threads: int = 3) -> str:

@@ -50,13 +50,7 @@ def describe_node(node: CFGNode) -> str:
         return f"monitor-enter ({pretty_expr(node.expr)})"
     if kind is NodeKind.RELEASE:
         return f"monitor-exit ({pretty_expr(node.expr)})"
-    if kind is NodeKind.LOOP_HEAD:
-        return "loop ..."
-    if kind is NodeKind.BREAK:
-        return "break;"
-    if kind is NodeKind.CONTINUE:
-        return "continue;"
-    if kind is NodeKind.BRANCH:
+    if kind is NodeKind.BRANCH or kind is NodeKind.LOOP_HEAD:
         return f"{stmt_head(node.stmt)} ..."
     if node.stmt is not None:
         return stmt_head(node.stmt)

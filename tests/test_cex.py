@@ -16,7 +16,7 @@ from repro.mc import Explorer
 from repro.mc.cex import RunResultView, build_cex, describe_node
 from repro.obs.export import CEX_SCHEMA, MC_SCHEMA, validate
 from repro.synl.parser import parse_program
-from repro.synl.resolve import resolve
+from repro.synl.resolve import load_program, resolve
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,29 @@ def test_describe_node_renders_branches():
     assert "if (SC(Sem, cur - 1)) ..." in texts
     assert "loop ..." in texts
     assert "local cur = LL(Sem) in" in texts
+
+
+def test_describe_node_renders_labels():
+    """Loop heads, breaks and continues keep their label, so a step
+    through an inlined call names the ``__inline_N`` wrapper it leaves."""
+    program = load_program("""
+        global G;
+        init { G = 0; }
+        proc Get() { return G; }
+        proc P() {
+          L: loop {
+            if (G > 1) { break L; }
+            G = G + 1;
+            continue L;
+          }
+        }
+        proc Q() { local x = Get() in { G = x; } }
+    """)
+    texts = {describe_node(n) for cfg in Interp(program).cfgs.values()
+             for n in cfg.nodes}
+    assert {"L: loop ...", "break L;", "continue L;",
+            "__inline_1: loop ...", "break __inline_1;"} <= texts
+    assert "break;" not in texts
 
 
 def test_atomic_mode_steps_annotated_as_one_transition():

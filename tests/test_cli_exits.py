@@ -285,10 +285,12 @@ def test_commands_write_nothing_into_the_working_directory(
     ["analyze", "--incremental", "{aba}"],
     ["analyze", "--summary-store", "store", "{aba}"],
     ["analyze", "--corpus", "--jobs", "2"],
+    ["experiments", "section63", "--jobs", "2"],
 ], ids=lambda argv: argv[1])
 def test_removed_analyze_flags_exit_2_and_write_nothing(
         tmp_path, monkeypatch, capsys, argv):
-    # the summary cache and the parallel corpus pass are gone
+    # the summary cache, the parallel corpus pass and the forked
+    # section63 grid are gone
     aba = _write(tmp_path, "aba.synl", corpus.ABA_STACK)
     cwd = tmp_path / "cwd"
     cwd.mkdir()

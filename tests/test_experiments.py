@@ -57,6 +57,26 @@ def test_section63_ordering_small_config():
         >= states["both"]
 
 
+def test_section63_json_verdicts_are_pinned(capsys):
+    """The 2-thread grid's ``--json`` verdicts, pinned (the CI §6.3
+    count canary runs the same command)."""
+    import json
+
+    from repro.cli import main
+
+    assert main(["experiments", "section63", "--threads", "2",
+                 "--max-states", "60000", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["matches_paper"] is True
+    assert {mode: (v["states"], v["transitions"], v["violation"],
+                   v["capped"])
+            for mode, v in doc["verdicts"].items()} == {
+        "none": (1153, 2121, None, False),
+        "por": (751, 936, None, False),
+        "atomic": (5, 4, None, False),
+        "both": (3, 2, None, False)}
+
+
 def test_section64_matches_paper():
     result = section64.run()
     assert result.lines == section64.PAPER_LINES

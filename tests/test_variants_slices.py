@@ -1,18 +1,24 @@
 """Exceptional slices and variant generation (§5.2)."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import assume, given, settings
 
 from repro import corpus
+from repro.analysis import analyze_program, inference
 from repro.analysis.escape import escape_analysis
 from repro.analysis.purity import binding_kinds, pure_loops
 from repro.analysis.slices import negate, split_bare_sc
 from repro.analysis.uniqueness import uniqueness_analysis
 from repro.analysis.variants import make_variants
+from repro.errors import ReproError
 from repro.synl import ast as A
 from repro.synl.parser import parse_expr, parse_stmt
-from repro.synl.printer import pretty, pretty_expr
+from repro.synl.printer import pretty, pretty_expr, pretty_stmt
 from repro.cfg import build_cfg
 from repro.synl.resolve import load_program
+from tests.test_printer_roundtrip import _stmts
 
 
 def variants_of(source):
@@ -256,11 +262,64 @@ _WRAPPED = """
 
 
 def test_slice_wrapper_labels_are_numbered_per_expansion():
-    """``break L`` sits in a residual inner loop, so the slice is
-    wrapped in a once-through ``__slice_N`` loop; a second expansion
-    in the same process numbers its wrappers from 1 again."""
+    """``break L`` sits in a residual inner loop, so the slice labels
+    that loop ``__slice_N`` and breaks out of it; a second expansion
+    in the same process numbers its labels from 1 again."""
     first, second = (pretty(variants_of(_WRAPPED).program)
                      for _ in range(2))
     assert "__slice_1: loop" in first
     assert first == second
+
+
+def test_residual_exit_expands_once_with_no_empty_variant():
+    """The sliced loop's exit in a residual inner loop becomes a break
+    out of that loop: no once-through wrapper is left for a later
+    round to slice again, so expansion stops with one variant."""
+    result = analyze_program(_WRAPPED)
+    assert not any("did not converge" in d for d in result.diagnostics)
+    (variant,) = result.variant_set.variants
+    assert pretty(variant.proc) == (
+        "proc P()\n{\n  local t = LL(G) in\n  {\n"
+        "    __slice_1: loop\n    {\n      H = 1;\n"
+        "      if (SC(G, t + 1))\n      {\n        break __slice_1;\n"
+        "      }\n    }\n  }\n}")
+
+
+def test_pure_loop_kept_in_a_non_pure_loop_ends_expansion():
+    """A pure loop inside a non-pure one is kept, not sliced, so it
+    does not hold expansion open until the round cap."""
+    result = analyze_program("""
+        global G, H;
+        proc P() {
+          loop {
+            H = 1;
+            loop { local t = LL(G) in { if (SC(G, t + 1)) { break; } } }
+          }
+        }
+    """)
+    assert not any("did not converge" in d for d in result.diagnostics)
+    assert [v.name for v in result.variant_set.variants] == ["P"]
+
+
+@given(_stmts())
+@settings(max_examples=400, deadline=None)
+def test_generated_expansion_converges_before_the_cap(stmt):
+    """Each round that slices leaves fewer loops, so a procedure with
+    ``n`` loops needs at most ``n + 1`` expansion rounds."""
+    try:
+        program = load_program("global x, y, Tail, next, prv;\n"
+                               f"proc P() {{\n{pretty_stmt(stmt)}\n}}\n")
+    except ReproError:
+        assume(False)
+    loops = sum(isinstance(n, A.Loop) for n in program.walk())
+    rounds = []
+
+    def counting(*args):
+        rounds.append(args)
+        return make_variants(*args)
+
+    with mock.patch.object(inference, "make_variants", counting):
+        result = analyze_program(program)
+    assert not any("did not converge" in d for d in result.diagnostics)
+    assert len(rounds) <= loops + 1
 
