@@ -79,6 +79,15 @@ class _ProcExpander:
         info = self.purity.get(loop)
         return info is not None and info.pure
 
+    def _slices(self, s: A.Stmt) -> bool:
+        """Does expanding ``s`` slice a loop?  Every pure loop it
+        reaches is sliced, or a pure loop inside it is; a non-pure loop
+        is kept verbatim, with the pure loops inside it."""
+        if isinstance(s, A.Loop):
+            return self._is_pure(s)
+        return any(self._slices(c) for c in s.children()
+                   if isinstance(c, A.Stmt))
+
     def expand_stmt(self, s: A.Stmt) -> list[tuple[list[A.Stmt], dict, bool]]:
         """Return alternatives as (stmts, exit-selection, terminated)."""
         if isinstance(s, A.Block):
@@ -107,10 +116,7 @@ class _ProcExpander:
             return results
 
         if isinstance(s, A.Loop) and self._is_pure(s):
-            nested_pure = any(
-                isinstance(d, A.Loop) and self._is_pure(d)
-                for d in s.body.walk())
-            if nested_pure:
+            if self._slices(s.body):
                 # slice innermost pure loops first: keep this loop for a
                 # later expansion round (the checker iterates to a
                 # fixpoint) and expand only its body now

@@ -191,7 +191,6 @@ class Interp:
             thread = world.own_thread(tid)
         if thread.done:
             raise InterpError(f"thread {thread.tid} is done")
-        thread.steps += 1
 
         if thread.frame is None:
             name, args = thread.current_call()

@@ -17,7 +17,10 @@ the shared values it loads, which a world collects in ``reads`` while
 one is set (:meth:`repro.interp.interp.Interp.load`); the memo keys
 the successor by them.  It holds the successor thread, which no world
 owns (:meth:`World.disown`): a world that steps it again copies it
-first, so a cached thread never changes.
+first, so a cached thread never changes.  The explorer keeps one such
+unowned thread per distinct thread content for a whole run, so equal
+threads reached along different interleavings are one object with
+one memo.
 
 Each thread executes a :class:`ThreadSpec`: a list of procedure
 invocations (optionally repeated forever), which models the paper's
@@ -93,7 +96,6 @@ class Thread:
     reservations: dict[Addr, bool] = field(default_factory=dict)
     #: addr -> modification counter observed at the last read
     observed: dict[Addr, int] = field(default_factory=dict)
-    steps: int = 0
     #: :mod:`repro.mc.canonical`'s cached key fragment of this thread;
     #: :meth:`World.own_thread` clears it before every write
     canon: Optional[tuple] = cache_slot()
@@ -119,7 +121,7 @@ class Thread:
             self.tid, self.spec, self.op_index,
             self.frame.copy() if self.frame is not None else None,
             dict(self.threadlocals), dict(self.reservations),
-            dict(self.observed), self.steps)
+            dict(self.observed))
 
 
 class World:

@@ -61,6 +61,24 @@ thread: refs, heap reservations, observed pairs), and no thread was
 written since the parent was keyed; otherwise the successor world is
 built and keyed as any other, and the map learns its thread key id.
 
+There is one memo per distinct thread content, not per copy.  A step
+that writes shared state hands its successor a fresh copy of the
+thread, and the same thread is reached again along other
+interleavings.  So after every real step :meth:`Explorer._share` looks
+the successor thread up in a per-run, per-tid table keyed by its key
+fragment (its ``canon``, which keying the successor needs anyway), and
+a world whose thread has the contents of the table's takes the
+table's thread, and with it the memo the first one filled.  A
+fragment merges ``1`` with ``True``, wraps a repeating script's op
+index and leaves out thread-private reservations and observed
+addresses, so a hit is taken only when the contents are also exactly
+equal, value classes and dict order included (:func:`_same_thread`);
+every world is then equal, field by field, to the one a fresh copy
+would give.  The stepped world gives up its thread after every real
+step: a thread in the table is owned by no world, so a world that
+writes it (a later step, or the lock peek of ``Interp.enabled``)
+copies it first.
+
 **Lazy successors.**  Such a successor carries its parent world and
 the memo instead of a world (``_Succ.parent``); :meth:`Explorer._run`
 builds the world, a copy of the parent holding the cached thread, and
@@ -84,6 +102,7 @@ from __future__ import annotations
 
 import gc
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -91,9 +110,9 @@ from repro.errors import AssertionViolation, InterpError
 from repro.interp.interp import AssumeFailed, Interp
 from repro.interp.state import Event, Thread, ThreadSpec, World
 from repro.mc.atomic import run_to_commit, run_variant
-from repro.mc.canonical import (Interner, KeyContext, note_step_key,
-                                quiescent_key, shared_key, state_key,
-                                step_context, step_key)
+from repro.mc.canonical import (Interner, KeyContext, _thread_fragment,
+                                note_step_key, quiescent_key, shared_key,
+                                state_key, step_context, step_key)
 from repro.mc.por import SafetyCache
 from repro.mc.properties import Property
 from repro.obs.profile import MIN_RATE_WINDOW_S, peak_rss_mb
@@ -185,6 +204,40 @@ class StepMemo:
     extra: Optional[tuple] = None
 
 
+def _same_values(a, b) -> bool:
+    """Are the sequences ``a`` and ``b`` equal, value by value, with
+    values of the same classes?  ``1 == True``, but a step may tell
+    them apart."""
+    return len(a) == len(b) and all(
+        x == y and x.__class__ is y.__class__ for x, y in zip(a, b))
+
+
+def _same_dicts(a: dict, b: dict) -> bool:
+    """Are ``a`` and ``b`` equal, in insertion order too (the order of
+    a thread's refs fixes their numbering), with values of the same
+    classes?"""
+    return list(a) == list(b) and _same_values(a.values(), b.values())
+
+
+def _same_thread(a: Thread, b: Thread) -> bool:
+    """Do threads ``a`` and ``b`` of one tid hold the same contents?
+    Equal key fragments are not enough: a fragment merges ``1`` with
+    ``True``, wraps a repeating script's op index and leaves out
+    thread-private reservations and observed addresses."""
+    fa, fb = a.frame, b.frame
+    if fa is None or fb is None:
+        if fa is not fb:
+            return False
+    elif not (fa.node is fb.node and fa.proc_name == fb.proc_name
+              and _same_dicts(fa.env, fb.env)
+              and _same_values(fa.args, fb.args)):
+        return False
+    return (a.op_index == b.op_index
+            and _same_dicts(a.threadlocals, b.threadlocals)
+            and _same_dicts(a.reservations, b.reservations)
+            and _same_dicts(a.observed, b.observed))
+
+
 class StepRead:
     """A node of a thread's step memo: the step's next load is from
     shared address ``addr``, and ``branches`` maps what it reads there,
@@ -261,6 +314,9 @@ class Explorer:
         self.ample_full = 0
         #: the key components' interner while :meth:`run` runs
         self._intern: Optional[Interner] = None
+        #: tid -> key fragment -> the thread of the run with those
+        #: contents, owned by no world (:meth:`_share`)
+        self._twins: defaultdict[int, dict] = defaultdict(dict)
 
     # -- successor generation --------------------------------------------------
     def _step_thread(self, world: World, tid: int) -> _Succ:
@@ -304,13 +360,30 @@ class Explorer:
         events = [event] if event is not None else []
         succ = _Succ(desc, w, events, tid=tid, uid=uid, kind=kind,
                      proc=proc)
-        if w.wrote_only(tid, world):
-            # freeze the stepped thread: a world that writes it copies it
-            w.disown(tid)
+        local = w.wrote_only(tid, world)
+        self._share(w, tid, thread)
+        if local:
             succ.memo = StepMemo(w.threads[tid], events)
             succ.parent = world
             self._remember(world, thread, reads, succ.memo)
         return succ
+
+    def _share(self, w: World, tid: int, before: Thread) -> None:
+        """Freeze thread ``tid`` of ``w``, stepped from ``before``: a
+        world that writes it copies it.  When the run already holds a
+        thread with the same contents, ``w`` takes that one instead, so
+        equal threads reached along different interleavings share one
+        step memo.  The table is keyed by the thread's key fragment,
+        which ``w``'s key needs anyway, and a hit is taken only when
+        the contents are exactly the same (:func:`_same_thread`)."""
+        w.disown(tid)
+        after = w.threads[tid]
+        frag = before.canon
+        frag = after.canon = _thread_fragment(
+            after, (before, frag) if frag is not None else None)
+        twin = self._twins[tid].setdefault(frag, after)
+        if twin is not after and _same_thread(twin, after):
+            w.threads[tid] = twin
 
     def _read_key(self, world: World, addr: tuple) -> tuple:
         """What a step memo keys a load from ``addr`` in ``world`` by:
@@ -515,11 +588,13 @@ class Explorer:
         # key components are interned in a table that lives as long as
         # the search
         self._intern = Interner()
+        self._twins.clear()
         start = time.perf_counter()
         try:
             max_depth = self._run(result)
         finally:
             self._intern = None
+            self._twins.clear()
             if gc_was_enabled:
                 gc.enable()
         result.elapsed = time.perf_counter() - start

@@ -10,7 +10,10 @@ shared component or other thread the real step wrote.
 
 Run as a module, it is the step memo replay canary: GH with threads
 ``Apply(1..3)`` at 20,000 states and the two correct Table 2 rows in
-``full`` mode, to the end, must replay every hit without a mismatch::
+``full`` mode, to the end, must replay every hit without a mismatch,
+and GH must take at least :data:`GH_MIN_HITS` steps from the memo: a
+thread reached again along another interleaving is the run's one
+thread with its contents, and holds the memo the first one filled::
 
     PYTHONPATH=src python -m tests.memo_replay
 """
@@ -26,6 +29,12 @@ from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, QueueContents, QueueShape
 from repro.mc.explorer import StepRead
 from tests.key_oracle import fresh_world
+
+
+#: the floor of gh-full's memo hits, between 31,907 (one memo per copy
+#: of a thread) and 42,925 (one per distinct thread content): a change
+#: that stops equal threads sharing their memo falls below it
+GH_MIN_HITS = 40_000
 
 
 def detached(world):
@@ -107,6 +116,8 @@ def main() -> int:
     failed = False
     for label, (result, explorer) in runs:
         failed |= bool(explorer.mismatched) or not explorer.read_hits
+        if label == "gh-full":
+            failed |= explorer.hits < GH_MIN_HITS
         print(f"{label}: {result.states} states, {explorer.hits} memo "
               f"hits ({explorer.read_hits} keyed by loads), "
               f"{explorer.mismatched} mismatches "

@@ -166,7 +166,109 @@ def test_most_nfq_steps_come_from_the_memo():
     result = Explorer(interp, NFQ_ROWS[0][1], mode="full",
                       max_states=CAP,
                       properties=[QueueShape(), QueueContents()]).run()
-    assert len(steps) < 0.3 * result.transitions
+    assert len(steps) < 0.12 * result.transitions
+
+
+def test_most_gh_steps_come_from_the_memo():
+    # GH's stores write shared state and are never memoized, but the
+    # successor thread is the run's one thread with its contents, and
+    # so is the memo of the steps that follow it
+    interp = Interp(corpus.GH_PROGRAM1)
+    steps = []
+    step = interp.step
+    interp.step = lambda *a, **k: steps.append(1) or step(*a, **k)
+    result = Explorer(interp,
+                      [ThreadSpec.of(("Apply", i)) for i in (1, 2, 3)],
+                      mode="full", max_states=CAP).run()
+    assert len(steps) < 0.2 * result.transitions
+
+
+# -- one thread object, and one memo, per distinct thread --------------------
+
+SWAP = """
+global X, Y;
+init { X = 0; Y = 0; }
+proc SetX() { X = 1; return; }
+proc SetY() { Y = 1; }
+"""
+
+
+def _stepped(explorer, world, tids):
+    """The world after thread ``tids[0]``, then ``tids[1]``, ... each
+    took one step by :meth:`Explorer._step_thread`."""
+    for tid in tids:
+        succ = explorer._step_thread(world, tid)
+        if succ.world is None:
+            explorer._build(succ)
+        world = succ.world
+    return world
+
+
+def test_two_interleavings_reaching_one_thread_share_it_and_its_memo():
+    # `X = 1` writes a global, so each interleaving's step copies the
+    # thread: both copies become the one thread the run keeps for them
+    interp = Interp(SWAP)
+    specs = [ThreadSpec.of(("SetX",)), ThreadSpec.of(("SetY",))]
+    explorer = Explorer(interp, specs)
+    world0 = interp.make_world(specs)
+    first = _stepped(explorer, world0, [0, 0])
+    second = _stepped(explorer, world0, [1, 1, 0, 0])
+    assert first.globals != second.globals
+    assert first.threads[0] is second.threads[0]
+    # `return` writes only the thread: its memo serves both worlds
+    leaf = explorer._step_thread(first, 0).memo
+    assert leaf is not None
+    assert explorer._step_thread(second, 0).memo is leaf
+
+
+TWINS = """
+global X;
+threadlocal T;
+init { X = 0; }
+threadinit { T = 1; }
+proc Set() { local v = 1 in { X = 1; X = v; } }
+"""
+
+
+def _twins(change):
+    """Thread 0 stepped over `X = 1` in two worlds, the second's thread
+    a copy of the first's changed by ``change``: the two successor
+    threads, whose key fragments are equal."""
+    interp = Interp(TWINS)
+    specs = [ThreadSpec.of(("Set",), repeat=True)]
+    explorer = Explorer(interp, specs)
+    first = interp.make_world(specs)
+    interp.step(first, 0)  # invoke
+    interp.step(first, 0)  # local v = 1
+    second = first.copy()
+    change(second.own_thread(0))
+    a, b = (explorer._step_thread(w, 0).world.threads[0]
+            for w in (first, second))
+    assert a.canon == b.canon
+    return a, b
+
+
+def _set_env_true(thread):
+    (binder,) = thread.frame.env
+    thread.frame.env[binder] = True
+
+
+@pytest.mark.parametrize("change", [
+    _set_env_true,
+    lambda t: t.threadlocals.update(T=True),
+    lambda t: t.reservations.update({("t", 0, "T"): True}),
+    lambda t: setattr(t, "op_index", t.op_index + 1),  # one script period
+], ids=["env-class", "threadlocal-class", "private-reservation",
+        "op-index-period"])
+def test_threads_with_equal_fragments_but_other_contents_are_not_shared(
+        change):
+    a, b = _twins(change)
+    assert a is not b
+
+
+def test_threads_with_equal_contents_are_shared():
+    a, b = _twins(lambda t: None)
+    assert a is b
 
 
 @pytest.mark.parametrize("mode", ["full", "por"])

@@ -323,3 +323,32 @@ def test_generated_expansion_converges_before_the_cap(stmt):
     assert not any("did not converge" in d for d in result.diagnostics)
     assert len(rounds) <= loops + 1
 
+
+
+def test_pure_loop_over_a_kept_non_pure_loop_is_sliced():
+    """The pure loop inside the non-pure inner loop is kept verbatim,
+    so it does not make the outer retry loop wait for a later round:
+    the outer loop is sliced in the first one."""
+    result = analyze_program("""
+        global G, H;
+        proc P() {
+          loop {
+            local t = LL(G) in {
+              if (t > 5) {
+                loop {
+                  H = 1;
+                  loop {
+                    local u = LL(H) in { if (SC(H, u + 1)) { break; } }
+                  }
+                }
+              }
+              if (SC(G, t + 1)) { return; }
+            }
+          }
+        }
+    """)
+    assert not any("did not converge" in d for d in result.diagnostics)
+    (variant,) = result.variant_set.variants
+    assert pretty(variant.proc) == (
+        "proc P()\n{\n  local t = LL(G) in\n  {\n    TRUE(t <= 5);\n"
+        "    TRUE(SC(G, t + 1));\n    return;\n  }\n}")
