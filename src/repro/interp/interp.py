@@ -24,7 +24,8 @@ Synchronization semantics (§3.1):
   the modification-counter ABA defence of §5.2.  Undeclared CAS targets
   get raw compare-and-swap, so the ABA problem is demonstrable.
 * ``synchronized`` uses Java monitor semantics (re-entrant; acquire
-  blocks, making the transition disabled).
+  blocks, making the transition disabled; the block releases the
+  object it acquired).  :meth:`Interp.enabled` writes nothing.
 """
 
 from __future__ import annotations
@@ -132,9 +133,10 @@ class Interp:
             return True
         if node.kind is NodeKind.ACQUIRE:
             if not isinstance(node.expr, (A.Var, A.Const)):
-                # evaluating a field or element lock's base records
-                # its reads: they go to this world's own copy
-                thread = world.own_thread(tid)
+                # evaluating a field or element lock's base records a
+                # read on the thread: peek on a throwaway copy, so that
+                # the test writes nothing
+                thread = thread.copy()
             lock = self._peek(world, thread, node.expr)
             if not isinstance(lock, Ref):
                 raise InterpError(f"synchronized on non-object {lock!r}")
@@ -264,7 +266,8 @@ class Interp:
             return self._finish(world, thread, value)
         elif kind is NodeKind.ACQUIRE:
             lock = self._eval(world, thread, node.expr)
-            assert isinstance(lock, Ref)
+            if not isinstance(lock, Ref):
+                raise InterpError(f"synchronized on non-object {lock!r}")
             owner = world.locks.get(lock.oid)
             if owner is None:
                 world.locks[lock.oid] = (thread.tid, 1)
@@ -273,9 +276,14 @@ class Interp:
             else:
                 raise InterpError(
                     f"thread {thread.tid} stepped into a held lock")
+            # the frame holds the object until the block releases it,
+            # in a monitor slot: -1, or -2 inside that block, and so on
+            # (binders are positive)
+            frame.env[min([0, *frame.env]) - 1] = lock
         elif kind is NodeKind.RELEASE:
-            lock = self._eval(world, thread, node.expr)
-            assert isinstance(lock, Ref)
+            # the innermost block's object, which its lock expression
+            # may no longer read
+            lock = frame.env.pop(min(frame.env))
             owner = world.locks.get(lock.oid)
             if owner is None or owner[0] != thread.tid:
                 raise InterpError(

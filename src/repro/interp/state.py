@@ -20,7 +20,8 @@ owns (:meth:`World.disown`): a world that steps it again copies it
 first, so a cached thread never changes.  The explorer keeps one such
 unowned thread per distinct thread content for a whole run, so equal
 threads reached along different interleavings are one object with
-one memo.
+one memo.  Once keyed, a world is never written: the explorer steps
+its copies, and ``Interp.enabled`` peeks at a lock without writing.
 
 Each thread executes a :class:`ThreadSpec`: a list of procedure
 invocations (optionally repeated forever), which models the paper's

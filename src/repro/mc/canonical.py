@@ -40,13 +40,11 @@ again.  The context holds the parent's key, its numbering (oid to
 ``("ref", n)``, shared read-only by every context that keeps it), how
 many refs were numbered after the globals, after each thread and after
 each heap object, the thread fragments the thread keys were rendered
-from, and the parent's globals, locks and versions.  What the step
+from, and the parent world, never written once keyed (the explorer
+steps copies, and ``Interp.enabled`` writes nothing).  What the step
 wrote is read off the successor: a thread whose ``canon`` is not the
 fragment its key was rendered from, a heap object in ``Heap.owned``,
-and globals, locks or versions that compare unequal.  Threads are not
-read off ``World._owned``: the explorer's lock peek
-(``Interp.enabled``) may write a thread of the parent after it was
-keyed, and the successors share that thread unwritten.
+and globals, locks or versions that compare unequal.
 
 The numbering is kept when every written component *introduces* the
 same oids as before: the oids it numbers first, in the same order.
@@ -67,13 +65,14 @@ falls back to the full walk.  Keys are the same either way.
 **Collapsed keys.**  A context keeps the key as ids: an
 :class:`Interner` gives each distinct component (globals key, thread
 key, heap entry, locks key) an id from 1 up and keeps the component
-under it, so equal components are one object and ``KeyContext.key``
-rebuilds the nested key from them.  ``slots`` lists the ids in key
-order: globals, each thread, each heap object, locks.  ``packed`` puts
-slot ``p`` in bits ``SLOT_BITS * (p + 1)`` and up of one int, leaving
-the lowest slot to the explorer's ghosts.  No slot is zero, so for one
-interner and one thread count, two packed ints are equal exactly when
-the keys are, heaps of different sizes included.  An incremental key
+under it, so equal components are one object.  ``slots`` lists the
+ids in key order: globals, each thread, each heap object, locks.
+``packed`` puts slot ``p`` in bits ``SLOT_BITS * (p + 1)`` and up of
+one int, leaving the lowest slot to the explorer's ghosts.  No slot is
+zero, so for one interner and one thread count, two packed ints are
+equal exactly when the keys are, heaps of different sizes included,
+and :func:`unpack` turns one back into the nested key (as
+``KeyContext.key`` does).  An incremental key
 adds ``(new - old) << SLOT_BITS * (p + 1)`` for each slot it rendered
 again; the full walk packs every slot.  An id too wide for its slot
 raises instead of aliasing.
@@ -101,13 +100,10 @@ resolving, the extra numbers render the rest, and the outcome fixes
 the counters the step observed, all current.  (A load of ``B.f`` by a
 thread holding no ref to ``B``'s object renders that object's number,
 which two worlds may differ in under one thread key id.)  The map is
-filled by :func:`note_step_key` from a rekey that kept the numbering.
-:func:`step_key` reads it, but only while every thread of the parent
-world is still the one the parent's context keyed (``canon`` is the
-context's fragment): the explorer's lock peek may write one after
-keying.  :func:`step_context` builds the successor's context, once the
-explorer has built its world, from the parent's context and that
-slot.
+filled by :func:`note_step_key` from a rekey that kept the numbering,
+and read by :func:`step_key`.  :func:`step_context` builds the
+successor's context, once the explorer has built its world, from the
+parent's context and that slot.
 """
 
 from __future__ import annotations
@@ -451,13 +447,13 @@ class KeyContext:
     the locks) and those ids packed into one int (``packed``, see
     :func:`_pack`), its numbering (``ids``, read-only and shared by
     every context that reuses it), the numbering's component boundaries
-    (``ends`` of :func:`_walk`), the world's threads and the fragments
-    their keys were rendered from, and its globals, locks and versions,
-    to compare with a successor's.  ``KeyContext(intern)`` stands for
-    no world yet."""
+    (``ends`` of :func:`_walk`), the fragments its thread keys were
+    rendered from, and the world itself, which nothing writes once it
+    is keyed, to compare with a successor.  ``KeyContext(intern)``
+    stands for no world yet."""
 
-    __slots__ = ("intern", "slots", "packed", "ids", "ends", "threads",
-                 "frags", "globals", "locks", "versions")
+    __slots__ = ("intern", "slots", "packed", "ids", "ends", "frags",
+                 "world")
 
     def __init__(self, intern: Interner, slots: Optional[list] = None,
                  packed: int = 0, ids: Optional[dict] = None,
@@ -470,27 +466,32 @@ class KeyContext:
         self.ids = ids
         self.ends = ends
         self.frags = frags
-        self.threads = self.globals = self.locks = self.versions = None
-        if world is not None:
-            # the list itself changes when the world's owner copies a
-            # thread on write
-            self.threads = list(world.threads)
-            self.globals, self.locks = world.globals, world.locks
-            self.versions = world.versions
+        self.world = world
 
     @property
     def key(self) -> Optional[tuple]:
         """The world's key, ``(globals_key, thread_keys, heap_key,
         locks_key)``, made of the interned components."""
-        slots = self.slots
-        if slots is None:
+        if not self.packed:
             return None
-        objects = self.intern.objects
-        heap = len(self.frags) + 1
-        return (objects[slots[0]],
-                tuple([objects[n] for n in slots[1:heap]]),
-                tuple([objects[n] for n in slots[heap:-1]]),
-                objects[slots[-1]])
+        return unpack(self.intern, self.packed, len(self.frags))[0]
+
+
+def unpack(intern: Interner, packed: int, threads: int) -> tuple:
+    """``(world key, ghosts)`` of a state with ``threads`` threads,
+    ``packed`` as the explorer's seen set holds it: the world key as
+    :func:`state_key` without ``base`` gives it, and the ghosts (None
+    for a zero low slot), made of the components in ``intern``."""
+    objects = intern.objects
+    mask = (1 << SLOT_BITS) - 1
+    parts = []
+    # the locks' slot, the highest, is never zero
+    while packed:
+        parts.append(objects[packed & mask])
+        packed >>= SLOT_BITS
+    heap = threads + 2
+    return ((parts[1], tuple(parts[2:heap]), tuple(parts[heap:-1]),
+             parts[-1]), parts[0])
 
 
 def _full_context(world: World, intern: Interner) -> KeyContext:
@@ -515,7 +516,8 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
     # (slot, id) of each component rendered again
     rendered = []
     values = world.globals
-    if values != base.globals:
+    parent = base.world
+    if values != parent.globals:
         items = sorted(values.items())
         refs = _refs([v for _name, v in items]) or ()
         if not _introduces(refs, ids, 0, ends[0]):
@@ -524,8 +526,8 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
 
     versions = world.versions
     bumped = None
-    if versions != base.versions:
-        before = base.versions
+    if versions != parent.versions:
+        before = parent.versions
         bumped = {addr for addr, counter in versions.items()
                   if before.get(addr) != counter}
     frags = base_frags = base.frags
@@ -539,12 +541,8 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
                 continue
         else:
             if frag is None:
-                # the base's thread, if still unwritten, holds the dicts
-                # its fragment was taken from
-                other = base.threads[tid]
                 frag = thread.canon = _thread_fragment(
-                    thread,
-                    (other, base_frag) if other.canon is base_frag else None)
+                    thread, (parent.threads[tid], base_frag))
             if not _introduces((*(frag[2] or ()), *(frag[4] or ())), ids,
                                ends[tid], ends[tid + 1]):
                 return None
@@ -576,7 +574,7 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
             rendered.append((first + n, intern[_heap_entry(frag, n, ids)]))
 
     locks = world.locks
-    if locks != base.locks:
+    if locks != parent.locks:
         rendered.append((len(slots) - 1, intern[_locks_key(locks, ids)]))
 
     packed = base.packed
@@ -588,14 +586,13 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
     return KeyContext(intern, slots, packed, ids, ends, frags, world)
 
 
-def step_key(base: KeyContext, threads: list, tid: int,
-             leaf) -> Optional[int]:
-    """The packed key of the world of ``base``, now holding ``threads``,
-    after thread ``tid`` took the thread-local step of ``leaf`` (a
+def step_key(base: KeyContext, tid: int, leaf) -> Optional[int]:
+    """The packed key of the world of ``base`` after thread ``tid`` took
+    the thread-local step of ``leaf`` (a
     :class:`~repro.mc.explorer.StepMemo`, see the module docstring):
     ``base.packed`` with thread ``tid``'s slot changed.  None when the
     leaf's map lacks the thread's key id, start and extra oids'
-    numbers, or when a thread was written since ``base`` keyed it."""
+    numbers."""
     extra = leaf.extra
     if extra is None:
         return None
@@ -604,22 +601,18 @@ def step_key(base: KeyContext, threads: list, tid: int,
     new = leaf.keys.get((old, base.ends[tid], *map(ids.get, extra)))
     if new is None:
         return None
-    for thread, frag in zip(threads, base.frags):
-        if thread.canon is not frag:
-            return None
     return base.packed + ((new - old) << SLOT_BITS * (tid + 2))
 
 
-def note_step_key(leaf, base: KeyContext, ctx: KeyContext, tid: int,
-                  before: Thread) -> None:
-    """Record in ``leaf.keys`` the key id ``ctx`` gave thread ``tid``,
-    after the thread-local step of ``leaf`` that took ``before``, keyed
-    by ``base``, to the world of ``ctx``: when the rekey kept the
-    numbering and ``base`` keyed ``before`` itself.  The first record
-    sets ``leaf.extra`` (see the module docstring)."""
-    frag = base.frags[tid]
-    if ctx.ids is not base.ids or before.canon is not frag:
+def note_step_key(leaf, base: KeyContext, ctx: KeyContext,
+                  tid: int) -> None:
+    """Record in ``leaf.keys`` the key id ``ctx`` gave thread ``tid``
+    after the thread-local step of ``leaf`` from the world of ``base``
+    to that of ``ctx``, when the rekey kept the numbering.  The first
+    record sets ``leaf.extra`` (see the module docstring)."""
+    if ctx.ids is not base.ids:
         return
+    frag = base.frags[tid]
     extra = leaf.extra
     if extra is None:
         after = ctx.frags[tid]
@@ -666,8 +659,7 @@ def state_key(world: World, base: Optional[KeyContext] = None):
     built from ``base`` when the writes since the copy left the
     numbering as it was, else by a full walk.
     ``world`` must not have been copied since it was, and the world
-    ``base`` was built from must not have had its globals, locks,
-    versions or heap written since (its threads may be)."""
+    ``base`` was built from must not have been written since."""
     if base is None:
         globals_key, thread_keys, heap_key, locks_key, _ids, _ends = \
             _walk(world, _STATE)

@@ -26,11 +26,11 @@ entry, locks key and ghosts tuple as a small id
 world key's packed component ids (``KeyContext.packed``) with the
 ghosts' id in the low slot.  A transition without events keeps its
 parent's ghosts and their id.  The DFS stack set and the cycle proviso
-test the packed world key alone.  Observers still get the nested key,
-``(world key, ghosts)``, built from the interned components only when
-an observer is attached; its value is that of a from-scratch
-:func:`~repro.mc.canonical.state_key` walk.
-The interner is dropped when :meth:`Explorer.run` returns.
+test the packed world key alone.  Observers get the int the seen set
+holds; :func:`~repro.mc.canonical.unpack` turns it back into the
+nested key, ``(world key, ghosts)``, whose value is that of a
+from-scratch :func:`~repro.mc.canonical.state_key` walk.  The interner
+is dropped when :meth:`Explorer.run` returns.
 
 **The step memo.**  A step that writes nothing but its own thread (a
 control node, a statement over locals, invoking or returning, but also
@@ -57,9 +57,9 @@ the parent's with one slot changed (:func:`~repro.mc.canonical.step_key`,
 with the leaf's map of thread key ids) whenever the map knows the
 thread's key id, its start and the parent world's numbers of the
 leaf's extra oids (those of what the successor adds to the parent
-thread: refs, heap reservations, observed pairs), and no thread was
-written since the parent was keyed; otherwise the successor world is
-built and keyed as any other, and the map learns its thread key id.
+thread: refs, heap reservations, observed pairs); otherwise the
+successor world is built and keyed as any other, and the map learns
+its thread key id.
 
 There is one memo per distinct thread content, not per copy.  A step
 that writes shared state hands its successor a fresh copy of the
@@ -76,18 +76,14 @@ equal, value classes and dict order included (:func:`_same_thread`);
 every world is then equal, field by field, to the one a fresh copy
 would give.  The stepped world gives up its thread after every real
 step: a thread in the table is owned by no world, so a world that
-writes it (a later step, or the lock peek of ``Interp.enabled``)
-copies it first.
+steps it copies it first.
 
 **Lazy successors.**  Such a successor carries its parent world and
 the memo instead of a world (``_Succ.parent``); :meth:`Explorer._run`
 builds the world, a copy of the parent holding the cached thread, and
-its key context only when the packed key is new.  With an observer
-attached every successor world is built at once, so that every
-transition's nested key comes with the world it keys (the key
-oracle, ``tests.key_oracle``, walks that world from scratch and
-compares); the keys, and so what is explored, are the same either
-way.
+its key context only when the packed key is new.  Observed and bare
+runs take this one path: a keyed world is never written again, and
+never rebuilt for telemetry.
 
 It collects only the core counters (:meth:`Explorer._metrics`).  All
 other telemetry — profiler regions, heartbeat and deadline,
@@ -323,10 +319,7 @@ class Explorer:
         """Thread ``tid``'s one-statement successor.  A step that
         writes only its thread is taken from the thread's memo when
         the memo has it for what ``world`` holds, and cached in the
-        memo when it has not.  A memo hit comes without its world
-        unless an observer is attached: observers get each
-        transition's world beside its nested key, and the key oracle
-        walks that world from scratch."""
+        memo when it has not.  A memo hit comes without its world."""
         thread = world.threads[tid]
         frame = thread.frame
         node = frame.node if frame is not None else None
@@ -341,11 +334,8 @@ class Explorer:
         if memo is not None:
             leaf = self._recall(world, memo)
             if leaf is not None:
-                succ = _Succ(desc, None, leaf.events, tid=tid, uid=uid,
+                return _Succ(desc, None, leaf.events, tid=tid, uid=uid,
                              kind=kind, proc=proc, memo=leaf, parent=world)
-                if self.observer is not None:
-                    self._build(succ)
-                return succ
         w = world.copy()
         w.reads = reads = []
         try:
@@ -503,29 +493,25 @@ class Explorer:
 
     def _packed(self, succ: _Succ, base: KeyContext) -> int:
         """The packed world key of a successor, keyed from ``base``, its
-        parent's key context, at most once.  A memo hit whose key the
-        memo's map gives keeps no context until ``_run`` builds its
-        world; any other successor keeps its context (a memo hit's
-        world is built first), and a thread-local step records its key
-        id in the memo."""
+        parent's key context, at most once.  A successor whose key the
+        memo's map gives keeps no context, and a memo hit no world,
+        until ``_run`` builds them; any other successor keeps its
+        context (a memo hit's world is built first), and a thread-local
+        step records its key id in the memo."""
         packed = succ.packed
         if packed:
             return packed
         memo = succ.memo
         if memo is not None:
-            packed = step_key(base, succ.parent.threads, succ.tid, memo)
+            packed = step_key(base, succ.tid, memo)
             if packed is not None:
                 succ.packed = packed
-                if succ.world is not None:
-                    succ.ctx = step_context(base, succ.world, succ.tid,
-                                            packed)
                 return packed
             if succ.world is None:
                 self._build(succ)
         ctx = succ.ctx = state_key(succ.world, base)
         if memo is not None:
-            note_step_key(memo, base, ctx, succ.tid,
-                          succ.parent.threads[succ.tid])
+            note_step_key(memo, base, ctx, succ.tid)
         succ.packed = ctx.packed
         return ctx.packed
 
@@ -617,7 +603,7 @@ class Explorer:
         seen = {ctx0.packed | gid0}
         result.states = 1
         if obs is not None:
-            obs.state((ctx0.key, ghosts0), world0, 1)
+            obs.state(ctx0.packed | gid0, world0, 1)
         message = self._check(world0, ghosts0)
         if message is not None:
             result.violation = message
@@ -666,20 +652,21 @@ class Explorer:
             new_key = self._key(succ, new_gid, ctx)
             dup = new_key in seen
             if obs is not None:
-                nested = (succ.ctx.key, new_ghosts)
-                obs.transition(succ, nested, dup)
+                obs.transition(succ, new_key, dup)
             if dup:
                 continue
             seen.add(new_key)
             if succ.ctx is None:
-                # a memo hit keyed from its parent's context alone
-                self._build(succ)
+                # keyed from its parent's context alone: a memo hit, or
+                # a step whose memo leaf learned its key since
+                if succ.world is None:
+                    self._build(succ)
                 succ.ctx = step_context(ctx, succ.world, succ.tid,
                                         succ.packed)
             result.states += 1
             depth = len(stack) + 1
             if obs is not None:
-                obs.state(nested, succ.world, depth)
+                obs.state(new_key, succ.world, depth)
             message = self._check(succ.world, new_ghosts)
             if message is not None:
                 self._violation(result, stack, succ, message)

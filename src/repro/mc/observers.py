@@ -8,9 +8,9 @@ its hooks at fixed points of the DFS; ``None`` (the default) costs one
 ``repro mc`` composes what its flags ask for (``--profile`` /
 ``--trace`` → :class:`Profile`, ``--progress`` /
 ``--deadline`` → :class:`Heartbeat`, ``--trace-malloc`` →
-:class:`TraceMalloc`) and always attaches :class:`Coverage`.  Library
-runs collect only the explorer's core counters unless given
-observers.
+:class:`TraceMalloc`) and always attaches :class:`Coverage`; the
+search itself is the one library runs take.  Library runs collect
+only the explorer's core counters unless given observers.
 """
 
 from __future__ import annotations
@@ -39,11 +39,19 @@ class Observer:
     * ``state(key, world, depth)`` — a new state was counted (the
       initial one at depth 1), before its property check;
     * ``transition(succ, key, dup)`` — a transition was counted
-      (``dup``: into a seen state);
+      (``dup``: into a seen state; ``succ.world`` is None for a step
+      memo hit, whose world is built only for a new state, after the
+      hook);
     * ``push(succ, depth)`` / ``pop(depth)`` — the stack grew / shrank;
     * ``tick()`` — every 256 loop iterations; True stops the search
       (``MCResult.deadline_hit``, the verdict UNKNOWN);
     * ``finish(result)`` — the core counters are on ``result.metrics``.
+
+    ``key`` is the int the explorer's seen set holds for the state;
+    :func:`repro.mc.canonical.unpack` with the explorer's interner
+    (``explorer._intern``, live until ``run`` returns) turns it into
+    the nested key, ``(world key, ghosts)``.  An attached observer
+    does not change what the explorer does.
     """
 
     children: tuple = ()

@@ -8,12 +8,15 @@ full walk of a copy whose threads and heap objects are fresh
 transition of a search, duplicates included, and digests both
 sequences.  It also checks the dedup itself, which the explorer does
 on packed ints: a transition is a duplicate exactly when its nested
-key was seen before, and the search counts as many states as it saw
-distinct nested keys.
+key (the packed int decoded by :func:`repro.mc.canonical.unpack`) was
+seen before, and the search counts as many states as it saw distinct
+nested keys.  The oracle attaches to the explorer as an observer, and
+the explorer takes the same path with and without one.
 
 Run as a module, it is the key-exactness canary: GH with threads
 ``Apply(1..3)`` at 20,000 states, the two correct Table 2 rows in
-``full`` mode and :data:`ALIAS` must give equal digests::
+``full`` mode, :data:`ALIAS` and :data:`LOCKS` must give equal
+digests::
 
     PYTHONPATH=src python -m tests.key_oracle
 """
@@ -30,6 +33,7 @@ from repro.interp import Interp, ThreadSpec
 from repro.interp.state import World
 from repro.mc import (Explorer, QueueContents, QueueShape, observers,
                       state_key)
+from repro.mc.canonical import unpack
 
 
 def fresh_world(world: World) -> World:
@@ -52,10 +56,13 @@ def fresh_key(world: World) -> tuple:
 
 class FromScratch(observers.Observer):
     """Checks each dedup key (the initial state's and every
-    transition's) against :func:`fresh_key` of its world, with the same
-    ghosts, and digests both sequences with SHA-1.  Checks each
-    transition's ``dup`` flag against the nested keys seen so far, and
-    their number against the states the search counted."""
+    transition's), decoded, against :func:`fresh_key` of its world,
+    with the same ghosts, and digests both sequences with SHA-1.
+    Checks each transition's ``dup`` flag against the nested keys seen
+    so far, and their number against the states the search counted.
+    A step memo hit comes without its world: the oracle builds it from
+    the parent world and the memo's thread, as the explorer does for a
+    new state."""
 
     def __init__(self) -> None:
         self.dedup = hashlib.sha1()
@@ -70,9 +77,14 @@ class FromScratch(observers.Observer):
         #: ``result.states`` once the search is over
         self.states: Optional[int] = None
 
-    def _check(self, key: tuple, world: World) -> tuple:
-        """The from-scratch key with ``key``'s ghosts: ``key`` itself,
-        whose components are shared, when the two are equal."""
+    def start(self, explorer, result):
+        self.explorer = explorer
+
+    def _check(self, packed: int, world: World) -> tuple:
+        """The from-scratch key with the ghosts of ``packed``, a dedup
+        key: its decoded nested key, whose components are shared, when
+        the two are equal."""
+        key = unpack(self.explorer._intern, packed, len(world.threads))
         expected = (fresh_key(world), key[1])
         self.dedup.update(repr(key).encode())
         self.scratch.update(repr(expected).encode())
@@ -88,7 +100,11 @@ class FromScratch(observers.Observer):
             self.keys.add(self._check(key, world))
 
     def transition(self, succ, key, dup):
-        expected = self._check(key, succ.world)
+        world = succ.world
+        if world is None:
+            world = succ.parent.copy()
+            world.threads[succ.tid] = succ.memo.thread
+        expected = self._check(key, world)
         if dup != (expected in self.keys):
             self.dup_mismatches += 1
         self.keys.add(expected)
@@ -115,6 +131,16 @@ def explore(interp, specs, mode: str, max_states: Optional[int] = None,
     return result, oracle
 
 
+#: a field lock: each thread's enabledness test reads ``B`` to find the
+#: lock, which must write nothing to the world it tests
+LOCKS = """
+class Box { lock; n; }
+global B;
+init { local b = new Box in { b.lock = new Box; b.n = 0; B = b; } }
+proc Hold() { synchronized (B.lock) { B.n = B.n + 1; } }
+"""
+LOCKS_SPECS = [ThreadSpec.of(("Hold",)) for _ in range(3)]
+
 #: a load that observes a heap object its thread holds no ref to: Read
 #: observes B's cell, whose number Move changes from 2 to 1 without
 #: changing Read's key, so a step memo keyed without that number gives
@@ -133,7 +159,8 @@ def canary_runs(cap: Optional[int] = None) -> list[tuple[str, tuple]]:
     """The canary's explorations, as ``(label, (result, oracle))``:
     GH with threads ``Apply(1..3)`` (20,000 states) and the correct
     Table 2 rows in ``full`` mode (to the end), or each capped at
-    ``cap`` states, and :data:`ALIAS` in ``full`` mode (20 states)."""
+    ``cap`` states, :data:`ALIAS` in ``full`` mode (20 states) and
+    :data:`LOCKS` in ``full`` mode (81 states)."""
     gh_specs = [ThreadSpec.of(("Apply", i)) for i in (1, 2, 3)]
     runs = [("gh-full", explore(Interp(GH_PROGRAM1), gh_specs, "full",
                                 cap or 20_000))]
@@ -144,6 +171,7 @@ def canary_runs(cap: Optional[int] = None) -> list[tuple[str, tuple]]:
             nfq, specs, "full", cap or 400_000,
             [QueueShape(), QueueContents()])))
     runs.append(("alias/full", explore(Interp(ALIAS), ALIAS_SPECS, "full")))
+    runs.append(("locks/full", explore(Interp(LOCKS), LOCKS_SPECS, "full")))
     return runs
 
 

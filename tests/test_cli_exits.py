@@ -49,6 +49,25 @@ def test_mc_violation_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_block_releases_the_object_it_acquired(tmp_path, capsys):
+    # the block moves B to a fresh box: its lock expression no longer
+    # reads the object it acquired
+    path = _write(tmp_path, "moved.synl", """
+        class Box { lock; n; }
+        global B;
+        init { local b = new Box in { b.lock = new Box; b.n = 0; B = b; } }
+        proc Hold() { synchronized (B.lock) { B = new Box; } }
+        """)
+    assert main(["run", path, "Hold()"]) == 0
+    assert main(["mc", path, "Hold()"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    # a second Hold finds B.lock null: an error in every mode, also
+    # where an atomic run steps into the acquire without testing it
+    for mode in ("full", "atomic", "both"):
+        assert main(["mc", path, "Hold()", "Hold()", "--mode", mode]) == 2
+        assert "synchronized on non-object" in capsys.readouterr().err
+
+
 def test_mc_capped_exits_3(tmp_path, capsys):
     code = main(["mc", _write(tmp_path, "sem.synl",
                               corpus.BROKEN_SEMAPHORE),

@@ -18,7 +18,7 @@ from repro.errors import AssertionViolation
 from repro.interp import AssumeFailed, Interp, ThreadSpec
 from repro.interp.state import World
 from repro.interp.values import HeapArray, HeapObject
-from repro.mc import run_to_commit, run_variant, state_key
+from repro.mc import Explorer, run_to_commit, run_variant, state_key
 from repro.mc.canonical import (Interner, KeyContext, _object_fragment,
                                 _thread_fragment)
 
@@ -29,7 +29,8 @@ PROGRAMS = {
     "nfq": (Interp(corpus.NFQ_PRIME),
             [ThreadSpec.of(("AddNode", 1)), ThreadSpec.of(("DeqP",)),
              ThreadSpec.of(("UpdateTail",), repeat=True)]),
-    # a field lock: enabled() evaluates its base, recording a read
+    # a field lock: enabled() evaluates its base, which records a read
+    # on a throwaway copy of the thread
     "locks": (Interp("""
         class Box { lock; n; }
         global B;
@@ -240,8 +241,9 @@ def _assert_owns_what_changed(before: tuple, world: World) -> None:
 
 
 def _apply(op: str, interp: Interp, world: World, tid: int) -> None:
-    """One write to ``world``: a step, an enabledness test (a lock
-    peek), or a call pushed by hand (as the variant mode does)."""
+    """One operation on ``world``: a step, an enabledness test (a lock
+    peek, which writes nothing), or a call pushed by hand (as the
+    variant mode does)."""
     if op == "enabled":
         interp.enabled(world, tid)
     elif op == "begin_call":
@@ -368,19 +370,32 @@ def test_begin_call_writes_only_the_copy():
 
 
 def test_lock_peek_writes_only_the_copy():
-    # enabled() evaluates a field lock's base, which records a read
+    # enabled() evaluates a field lock's base, which records a read: on
+    # a throwaway copy of the thread, so the world is not written
     interp = Interp("""
     class Box { lock; }
     global B;
     init { local b = new Box in { b.lock = new Box; B = b; } }
     proc Hold() { synchronized (B.lock) { skip; } }
     """)
-    parent = interp.make_world([ThreadSpec.of(("Hold",))])
-    interp.step(parent, 0)  # invoke: the next node acquires B.lock
-    before, observed = state_key(parent), dict(parent.threads[0].observed)
-    child = parent.copy()
-    assert interp.enabled(child, 0)
-    assert ("g", "B") in child.threads[0].observed
-    assert 0 in child._owned
-    assert parent.threads[0].observed == observed
-    assert state_key(parent) == before
+    world = interp.make_world([ThreadSpec.of(("Hold",))])
+    interp.step(world, 0)  # invoke: the next node acquires B.lock
+    # a world that owns the thread, then a copy that shares it
+    for tested in (world, world.copy()):
+        before = state_key(tested)
+        thread, frag = tested.threads[0], tested.threads[0].canon
+        owned = set(tested._owned)
+        assert interp.enabled(tested, 0)
+        assert tested.threads[0] is thread and thread.canon is frag
+        assert thread.observed == {}
+        assert tested._owned == owned
+        assert state_key(tested) == before
+
+
+def test_lock_peek_leaves_the_state_space_as_it_is():
+    # a peek that recorded its read gave 137 states and 234 transitions
+    interp, _specs = PROGRAMS["locks"]
+    result = Explorer(interp, [ThreadSpec.of(("Hold",))] * 3, mode="full",
+                      collect_quiescent=True).run()
+    assert (result.states, result.transitions) == (81, 144)
+    assert (len(result.quiescent), len(result.final)) == (8, 1)

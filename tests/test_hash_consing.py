@@ -23,14 +23,20 @@ NFQ_SPECS = [ThreadSpec.of(("AddNode", 1)), ThreadSpec.of(("DeqP",)),
 
 
 class _Keys(observers.Observer):
-    """Each new state's dedup key next to its world's from-scratch key
-    (no key context, no cached fragment)."""
+    """Each new state's dedup key, decoded into the nested key, next to
+    its world's from-scratch key (no key context, no cached
+    fragment)."""
 
     def __init__(self):
         self.pairs = []
 
+    def start(self, explorer, result):
+        self.explorer = explorer
+
     def state(self, key, world, depth):
-        self.pairs.append((key, fresh_key(world)))
+        nested = canonical.unpack(self.explorer._intern, key,
+                                  len(world.threads))
+        self.pairs.append((nested, fresh_key(world)))
 
 
 def test_memory_per_explored_state():
@@ -151,7 +157,8 @@ def test_intern_table_does_not_outlive_the_run():
             def state(self, key, world, depth):
                 super().state(key, world, depth)
                 if len(self.pairs) == 100:
-                    during.append(_dict_referrers(key[0][1][0]))
+                    during.append(
+                        _dict_referrers(self.pairs[-1][0][0][1][0]))
 
         probe = Probe()
         explorer = Explorer(GH, GH_SPECS[:2], mode="full", observer=probe)

@@ -15,7 +15,8 @@ from repro.interp import Interp, ThreadSpec
 from repro.experiments.section63 import commutes
 from repro.mc import Explorer, Property, QueueContents, QueueShape
 from repro.mc.canonical import Interner, KeyContext, state_key
-from tests.key_oracle import FromScratch, canary_runs, explore, fresh_key
+from tests.key_oracle import (LOCKS, LOCKS_SPECS, FromScratch, canary_runs,
+                              explore, fresh_key)
 
 GH = Interp(corpus.GH_PROGRAM1)
 GH_SPECS = [ThreadSpec.of(("Apply", i)) for i in (1, 2, 3)]
@@ -37,9 +38,9 @@ def _assert_exact(oracle) -> None:
 
 def test_key_exactness_canary_small():
     # the CI canary's explorations, capped but for the alias program's
-    # 20 states
+    # 20 states and the lock program's 81
     for label, (result, oracle) in canary_runs(CAP):
-        assert result.capped != (label == "alias/full")
+        assert result.capped != (label in ("alias/full", "locks/full"))
         _assert_exact(oracle)
 
 
@@ -229,14 +230,10 @@ def test_reservation_invalidated_on_another_thread_rerenders_it():
 
 def test_lock_peek_after_keying_reaches_the_successors():
     # the explorer tests enabledness on the world it expands, after
-    # keying it: a field lock's base read is recorded on the thread,
-    # which the successors that step another thread share (the second
-    # of them finds the thread's fragment already recomputed)
-    interp = Interp("""
-    class Box { lock; n; }
-    global B;
-    init { local b = new Box in { b.lock = new Box; b.n = 0; B = b; } }
-    proc Hold() { synchronized (B.lock) { B.n = B.n + 1; } }
-    """)
-    specs = [ThreadSpec.of(("Hold",)) for _ in range(3)]
-    _assert_exact(explore(interp, specs, "full")[1])
+    # keying it: finding a field lock evaluates its base, whose read
+    # must reach neither that world nor the successors that share its
+    # threads, so their keys and step memos stay those of the threads
+    # they hold
+    result, oracle = explore(Interp(LOCKS), LOCKS_SPECS, "full")
+    assert result.states == 81
+    _assert_exact(oracle)

@@ -270,6 +270,44 @@ def test_contended_acquire_disabled():
     assert not interp.enabled(world, 1)
 
 
+#: the block moves ``B`` to a fresh box, whose ``lock`` is null, so its
+#: lock expression no longer reads the object it acquired
+MOVED = """
+    class Box { lock; n; }
+    global B;
+    init { local b = new Box in { b.lock = new Box; b.n = 0; B = b; } }
+    proc Hold() { synchronized (B.lock) { B = new Box; } }
+"""
+
+
+def test_release_frees_the_object_the_block_acquired():
+    interp, world = _two_threads(MOVED, ThreadSpec.of(("Hold",)),
+                                 ThreadSpec.of())
+    lock = world.heap.read_field(world.globals["B"], "lock")
+    interp.step(world, 0)  # invoke
+    interp.step(world, 0)  # acquire
+    assert world.locks == {lock.oid: (0, 1)}
+    assert lock in world.threads[0].frame.env.values()
+    run_round_robin(interp, world)
+    assert world.locks == {} and world.threads[0].done
+
+
+def test_nested_blocks_release_innermost_first():
+    interp, world = _two_threads(
+        "class C { } global A; global B;"
+        " init { A = new C; B = new C; }"
+        " proc P() { synchronized (A) { synchronized (B) { A = B; } } }",
+        ThreadSpec.of(("P",)), ThreadSpec.of())
+    a, b = world.globals["A"], world.globals["B"]
+    for _ in range(4):  # invoke, acquire A, acquire B, A = B
+        interp.step(world, 0)
+    assert world.locks == {a.oid: (0, 1), b.oid: (0, 1)}
+    interp.step(world, 0)  # the inner block releases B
+    assert world.locks == {a.oid: (0, 1)}
+    run_round_robin(interp, world)
+    assert world.locks == {}
+
+
 def test_world_copy_is_independent():
     interp, world = _two_threads(
         SHARED + "proc P() { G = G + 1; }",

@@ -1,7 +1,7 @@
-"""Lazy successors: without an observer, a memo hit's world is built
-only when its state is new; with one, every successor world is built at
-once.  Both must explore the same: states, transitions, the violation
-and its path, and the quiescent and final sets."""
+"""Lazy successors: a memo hit's world is built only when its state is
+new, with or without an observer.  A run under an observer must
+explore what a plain one does: states, transitions, the violation and
+its path, and the quiescent and final sets."""
 
 import pytest
 

@@ -10,6 +10,7 @@ from repro import corpus
 from repro.experiments.section63 import commutes
 from repro.experiments.table2 import _specs_add_heavy
 from repro.interp import Interp, ThreadSpec
+from repro.interp.state import World
 from repro.mc import Explorer, QueueContents, QueueShape, observers
 from repro.obs.profile import Profiler
 
@@ -118,6 +119,33 @@ def test_observers_never_change_table2_results(mode):
     # the violation is the last thing the search reports
     assert recorder.log[-1] == ("violation", seen.trace[-1],
                                 seen.violation)
+
+
+@pytest.mark.parametrize("mode", ["full", "por"])
+def test_observers_take_the_bare_runs_path(mode, monkeypatch):
+    # an observed run copies and steps exactly the worlds a bare run
+    # does: a step memo hit's world is built only for a new state
+    calls = {"copy": 0, "step": 0}
+    copy, step = World.copy, Interp.step
+
+    def counted_copy(world):
+        calls["copy"] += 1
+        return copy(world)
+
+    def counted_step(interp, *args, **kwargs):
+        calls["step"] += 1
+        return step(interp, *args, **kwargs)
+
+    monkeypatch.setattr(World, "copy", counted_copy)
+    monkeypatch.setattr(Interp, "step", counted_step)
+    interp = Interp(corpus.GH_PROGRAM1)
+    counts = []
+    for observer in (None, _everything()[0]):
+        calls.update(copy=0, step=0)
+        Explorer(interp, GH_SPECS, mode=mode, observer=observer).run()
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["copy"] > 0 and counts[0]["step"] > 0
 
 
 def test_capped_run_emits_cap_and_keeps_counts():
