@@ -3,7 +3,7 @@
 from repro.analysis.atomicity import (Atomicity, iter_closure, join, meet,
                                       parse_atomicity, seq, seq_all)
 from repro.analysis.blocks import (BlockPartition, partition_lines,
-                                   partition_procedure, partition_program)
+                                   partition_procedure)
 from repro.analysis.inference import (AnalysisResult, AtomicityChecker,
                                       InferenceOptions, analyze_program)
 from repro.analysis.purity import PurityAnalysis, PurityInfo, pure_loops
@@ -33,7 +33,6 @@ __all__ = [
     "BlockPartition",
     "partition_lines",
     "partition_procedure",
-    "partition_program",
     "render_figure",
     "render_variant",
     "variant_lines",

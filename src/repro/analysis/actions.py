@@ -7,6 +7,10 @@ an access is a *local action* (both-mover) or a *global action* is
 decided later by the inference driver using the escape and uniqueness
 analyses — see :mod:`repro.analysis.inference`.
 
+:func:`node_actions` extracts a node's actions once and keeps them on
+the :class:`~repro.cfg.graph.CFGNode`, so the purity, uniqueness,
+matching and lint passes that rescan a node all read one list.
+
 Targets are syntactic location descriptors:
 
 * ``GLOBAL name``          — a global variable;
@@ -166,7 +170,16 @@ def expr_actions(e: A.Expr, out: list[RawAction]) -> None:
 
 
 def node_actions(node: CFGNode) -> list[RawAction]:
-    """Extract the actions of one CFG node, in evaluation order."""
+    """The actions of one CFG node, in evaluation order.  They are
+    extracted on the first call and kept on the node, so every later
+    call (from any analysis, lint rule or the model checker) returns the
+    same list; callers must not mutate it."""
+    if node.actions is None:
+        node.actions = _extract_actions(node)
+    return node.actions
+
+
+def _extract_actions(node: CFGNode) -> list[RawAction]:
     out: list[RawAction] = []
     kind = node.kind
     stmt = node.stmt

@@ -88,7 +88,3 @@ def partition_procedure(result: AnalysisResult,
         out.append(partition_lines(lines, report.variant.name))
     return out
 
-
-def partition_program(result: AnalysisResult) -> dict[str, list[BlockPartition]]:
-    return {name: partition_procedure(result, name)
-            for name in result.verdicts}

@@ -176,7 +176,6 @@ def escape_analysis(cfg: ProcCFG) -> EscapeResult:
         return fact
 
     problem: Problem[frozenset] = Problem(
-        direction="forward",
         boundary=frozenset(),
         init=top,  # optimistic start for the must-analysis fixpoint
         meet=intersection_meet,

@@ -3,13 +3,15 @@
 Pipeline
 --------
 1. Parse/resolve the program (procedure calls are inlined by
-   :func:`~repro.synl.resolve.load_program`); build CFGs; run escape,
-   uniqueness and purity analyses on the original procedures.
+   :func:`~repro.synl.resolve.load_program`); build its fact base
+   (:class:`ProgramFacts`), which lint reads; run purity on it.
 2. Replace each procedure by its exceptional variants (§5.2,
-   :mod:`repro.analysis.variants`).
-3. On the variant program: re-run escape/uniqueness, infer classes,
-   build locksets, dominators, windows (Thm 5.3/5.4) and local-condition
-   blocks (Thm 5.5).
+   :mod:`repro.analysis.variants`), round after round until a round
+   slices no loop; a round that changes nothing returns its input
+   program, so its fact base carries over.
+3. On the variant program, from that last round's fact base: escape,
+   uniqueness, classes and aliases, locksets; then dominators, windows
+   (Thm 5.3/5.4) and local-condition blocks (Thm 5.5).
 4. Classify every action:
 
    * **step 1** — local actions are B (Thm 3.1); acquires R, releases L
@@ -51,8 +53,11 @@ window; step 2 adds the SC-only writes of an SC/VL window.
 Cost
 ----
 Whole-program facts are computed once where they are fixed, not once
-per query: the binding kinds once per expansion round (shared by every
-procedure's purity check), the CAS/SC write discipline of a root once
+per query: a program's CFGs and its escape, lockset, uniqueness,
+class, alias and binding-kind facts once per :class:`ProgramFacts`
+(one for the source program, shared by lint and the first expansion
+round, and one per later round, the last of which the classification
+reads), the CAS/SC write discipline of a root once
 per run (sites, their locality and the alias analysis do not change
 after site collection), and each variant's node and statement
 atomicities in one bottom-up pass after classification.  Every memo
@@ -64,6 +69,7 @@ analysis can never replay a verdict computed by an older one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis import atomicity as AT
 from repro.analysis.actions import RawAction, Target, node_actions
@@ -359,6 +365,53 @@ def _failing_sync_exprs(cond: A.Expr, negated: bool = False):
         yield from _failing_sync_exprs(cond.right, negated)
 
 
+class ProgramFacts:
+    """One program's CFGs and the facts the analyses derive from them.
+
+    The CFGs are built with the fact base; every other fact is computed
+    at most once, when something first reads it: per procedure its
+    escape result and lockset, per program the uniqueness result, the
+    class environment and alias analysis, and the binding kinds.  The
+    checker builds one for the source program (read by lint and by the
+    first expansion round) and one for each later round's input
+    program; the last round's is the variant program's."""
+
+    def __init__(self, program: A.Program):
+        self.program = program
+        self.cfgs: dict[str, ProcCFG] = {p.name: build_cfg(p)
+                                         for p in program.procs}
+        self._escape: dict[str, EscapeResult] = {}
+        self._locks: dict[str, LocksetResult] = {}
+
+    def escape(self, proc: str) -> EscapeResult:
+        result = self._escape.get(proc)
+        if result is None:
+            result = self._escape[proc] = escape_analysis(self.cfgs[proc])
+        return result
+
+    def lockset(self, proc: str) -> LocksetResult:
+        result = self._locks.get(proc)
+        if result is None:
+            result = self._locks[proc] = lockset_analysis(self.cfgs[proc])
+        return result
+
+    @cached_property
+    def uniqueness(self) -> UniquenessResult:
+        return uniqueness_analysis(self.program, self.cfgs)
+
+    @cached_property
+    def env(self) -> ClassEnv:
+        return infer_classes(self.program)
+
+    @cached_property
+    def alias(self) -> AliasAnalysis:
+        return AliasAnalysis(self.program, self.env)
+
+    @cached_property
+    def kinds(self) -> dict[int, A.VarKind]:
+        return binding_kinds(self.program)
+
+
 class AtomicityChecker:
     """Run the full inference on a SYNL program (source text or AST)."""
 
@@ -385,44 +438,41 @@ class AtomicityChecker:
         self._counts[name] = self._counts.get(name, 0) + n
 
     # -- pipeline -----------------------------------------------------------
-    def _purity_of(self, program: A.Program,
-                   cfgs: dict[str, ProcCFG]
+    def _purity_of(self, facts: ProgramFacts
                    ) -> dict[str, dict[A.Loop, PurityInfo]]:
         with self.profiler.region("analysis.purity"):
+            program = facts.program
             if not self.options.enable_purity:
                 return {proc.name: {} for proc in program.procs}
-            escapes = {name: escape_analysis(cfg)
-                       for name, cfg in cfgs.items()}
-            unique = uniqueness_analysis(program, cfgs) \
-                if self.options.enable_uniqueness else UniquenessResult()
-            # whole-program facts, computed once per round and shared by
-            # every procedure's purity check
-            kinds = binding_kinds(program)
+            unique = facts.uniqueness if self.options.enable_uniqueness \
+                else UniquenessResult()
             unique_bindings = unique.unique_bindings()
-            return {proc.name: pure_loops(cfgs[proc.name], kinds,
-                                          escapes[proc.name],
+            return {proc.name: pure_loops(facts.cfgs[proc.name],
+                                          facts.kinds,
+                                          facts.escape(proc.name),
                                           unique_bindings)
                     for proc in program.procs}
 
-    def _expand_variants(self) -> tuple[
-            VariantSet, dict[str, dict[A.Loop, PurityInfo]]]:
-        """Iterate variant expansion until a round slices no loop —
-        needed when pure loops nest (e.g. the allocator's anchor-pop
-        CAS loop inside the credit-reservation CAS loop).  A pure loop
-        inside a kept non-pure loop is never sliced, so it does not
-        hold the iteration open.  Each slice removes its loop and adds
-        none (:func:`~repro.analysis.slices.exceptional_slice`), so
-        every variant a round changes has fewer loops than its parent,
-        and the round cap is only a guard."""
-        current = self.program
+    def _expand_variants(self, facts: ProgramFacts) -> tuple[
+            VariantSet, dict[str, dict[A.Loop, PurityInfo]],
+            ProgramFacts]:
+        """Iterate variant expansion from the source program's facts
+        until a round slices no loop — needed when pure loops nest
+        (e.g. the allocator's anchor-pop CAS loop inside the
+        credit-reservation CAS loop).  A pure loop inside a kept
+        non-pure loop is never sliced, so it does not hold the
+        iteration open.  Each slice removes its loop and adds none
+        (:func:`~repro.analysis.slices.exceptional_slice`), so every
+        variant a round changes has fewer loops than its parent, and
+        the round cap is only a guard.  Returns the variants, the
+        source program's purity and the variant program's facts."""
         purity0: dict[str, dict[A.Loop, PurityInfo]] | None = None
         source_of: dict[str, str] | None = None
         for _ in range(10):
-            cfgs = {p.name: build_cfg(p) for p in current.procs}
-            purity = self._purity_of(current, cfgs)
+            purity = self._purity_of(facts)
             if purity0 is None:
                 purity0 = purity
-            vs = make_variants(current, cfgs, purity)
+            vs = make_variants(facts.program, facts.cfgs, purity)
             if source_of is None:
                 source_of = {v.name: v.source for v in vs.variants}
             else:
@@ -433,9 +483,10 @@ class AtomicityChecker:
                 source_of = {v.name: source_of[v.source]
                              for v in vs.variants}
             final_vs = vs
+            if vs.program is not facts.program:
+                facts = ProgramFacts(vs.program)
             if not vs.sliced:
                 break
-            current = vs.program
         else:
             self.diagnostics.append(
                 "variant expansion did not converge in 10 rounds")
@@ -446,7 +497,7 @@ class AtomicityChecker:
             by_source.setdefault(v.source, []).append(v)
         final_vs.by_source = by_source
         assert purity0 is not None
-        return final_vs, purity0
+        return final_vs, purity0, facts
 
     #: lint error rules that void a mover theorem's side condition on
     #: the affected region (llsc → Thm 5.3 windows, aba → Thm 5.4)
@@ -458,9 +509,9 @@ class AtomicityChecker:
         "aba.plain-write-versioned": "5.4",
     }
 
-    def _run_lint(self) -> None:
-        """Run the discipline linter over the source program, attach
-        its findings, and derive the theorem-downgrade taint: regions
+    def _run_lint(self, facts: ProgramFacts) -> None:
+        """Run the discipline linter over the source program's facts,
+        attach its findings, and derive the theorem-downgrade taint: regions
         whose discipline a lint *error* refutes get no Thm 5.3/5.4
         windows, and the suppression is recorded in ``downgrades`` /
         ``diagnostics`` instead of being silently assumed."""
@@ -471,7 +522,7 @@ class AtomicityChecker:
             return
         from repro.analysis.lint import Severity, lint_counts, lint_program
         with self.profiler.region("analysis.lint"):
-            self.lint = lint_program(self.program,
+            self.lint = lint_program(facts,
                                      source_text=self.source_text,
                                      profiler=self.profiler)
         self._counts.update(lint_counts([self.lint]))
@@ -510,31 +561,32 @@ class AtomicityChecker:
         opts = self.options
         prof = self.profiler
         with prof.region("analysis.run"):
-            self._run_lint()
+            facts = ProgramFacts(self.program)
+            self._run_lint(facts)
             with prof.region("analysis.variants"):
-                variant_set, purity = self._expand_variants()
-            vprog = variant_set.program
+                variant_set, purity, facts = self._expand_variants(facts)
+            #: the variant program's facts
+            self.facts = facts
             with prof.region("analysis.classes_alias"):
-                self.env: ClassEnv = infer_classes(vprog)
-                self.alias = AliasAnalysis(vprog, self.env)
+                self.env: ClassEnv = facts.env
+                self.alias = facts.alias
             with prof.region("analysis.escape_uniqueness"):
-                v_cfgs = {p.name: build_cfg(p) for p in vprog.procs}
-                self.unique = uniqueness_analysis(vprog, v_cfgs) \
+                self.unique = facts.uniqueness \
                     if opts.enable_uniqueness else UniquenessResult()
-                blocks = blocks_of_program(vprog) \
+                blocks = blocks_of_program(variant_set.program) \
                     if opts.enable_conditions else {}
 
             with prof.region("analysis.lockset_windows"):
                 self.contexts: dict[str, VariantContext] = {}
                 for variant in variant_set.variants:
-                    cfg = v_cfgs[variant.name]
+                    cfg = facts.cfgs[variant.name]
                     dom = Dominators(cfg)
                     windows = WindowIndex(cfg, dom, self._cas_root_ok)
                     if not opts.enable_windows:
                         windows.windows = []
                     ctx = VariantContext(
-                        variant, cfg, escape_analysis(cfg),
-                        lockset_analysis(cfg), dom, windows,
+                        variant, cfg, facts.escape(variant.name),
+                        facts.lockset(variant.name), dom, windows,
                         blocks.get(variant.name, []))
                     for diag in windows.diagnostics:
                         self.diagnostics.append(
@@ -974,7 +1026,7 @@ class AtomicityChecker:
         return atoms
 
     def _variant_read_only(self, ctx: VariantContext) -> bool:
-        kinds = binding_kinds(ctx.variant.proc)
+        kinds = self.facts.kinds
         for site in ctx.sites:
             if site.action.op != "write":
                 continue

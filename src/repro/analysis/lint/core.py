@@ -1,5 +1,5 @@
 """Core of the discipline linter: rule registry, diagnostics,
-suppressions, and the shared analysis context.
+suppressions, and the checkers' context.
 
 The linter checks the *side conditions* the mover theorems of the
 paper assume rather than verify: unique matching LLs per SC/VL
@@ -9,7 +9,11 @@ windows of Theorem 5.4, the working-copy uniqueness idiom (§4), and
 pass in the style of Eraser.  Rules are registered by
 :mod:`repro.analysis.lint.rules` and :mod:`repro.analysis.lint.race`;
 :func:`lint_program` runs every registered checker over one program
-and returns a :class:`LintResult`.
+and returns a :class:`LintResult`.  The checkers read the program's
+facts (CFGs, escape, locksets, uniqueness, classes and aliases) from a
+:class:`~repro.analysis.inference.ProgramFacts`; inside the atomicity
+checker that is the checker's own fact base for the source program,
+so lint derives none of them again.
 
 Findings can be suppressed in source with a trailing or preceding
 comment ``// lint: ignore[rule.id]``.  The bracket list is
@@ -29,13 +33,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.analysis.actions import RawAction, Target, node_actions
-from repro.analysis.alias import AliasAnalysis
-from repro.analysis.escape import EscapeResult, escape_analysis
-from repro.analysis.locks import LocksetResult, lockset_analysis
+from repro.analysis.inference import ProgramFacts
 from repro.analysis.matching import matching_reads
-from repro.analysis.typing import ClassEnv, infer_classes
-from repro.analysis.uniqueness import UniquenessResult, uniqueness_analysis
-from repro.cfg.builder import build_cfg
 from repro.cfg.graph import CFGNode, ProcCFG
 from repro.synl import ast as A
 from repro.synl.resolve import load_program
@@ -208,27 +207,15 @@ def region_label(target: Target) -> str:
 # -- analysis context ----------------------------------------------------------
 
 class LintContext:
-    """Shared per-program analyses plus the findings accumulator."""
+    """The program's facts (a
+    :class:`~repro.analysis.inference.ProgramFacts`), lint's region
+    indices over them and the findings accumulator."""
 
-    def __init__(self, program: A.Program,
+    def __init__(self, facts: ProgramFacts,
                  source_text: Optional[str] = None):
-        self.program = program
+        self.facts = facts
         self.source = source_text
-        self.cfgs: dict[str, ProcCFG] = {
-            p.name: build_cfg(p) for p in program.procs}
-        self.escape: dict[str, EscapeResult] = {
-            n: escape_analysis(c) for n, c in self.cfgs.items()}
-        self.locks: dict[str, LocksetResult] = {
-            n: lockset_analysis(c) for n, c in self.cfgs.items()}
-        self.uniqueness: UniquenessResult = uniqueness_analysis(
-            program, self.cfgs)
-        self.env: ClassEnv = infer_classes(program)
-        self.alias = AliasAnalysis(program, self.env)
         self.findings: list[Diagnostic] = []
-        self._actions: dict[str, list[tuple[CFGNode, RawAction]]] = {
-            name: [(node, a) for node in cfg.nodes
-                   for a in node_actions(node)]
-            for name, cfg in self.cfgs.items()}
         # region indices over procedure code (init/threadinit excluded:
         # they run before/at thread start, outside the concurrent phase)
         self.llsc_regions: set[tuple] = set()
@@ -249,10 +236,10 @@ class LintContext:
 
     def actions(self) -> Iterator[
             tuple[str, ProcCFG, CFGNode, RawAction]]:
-        for name, pairs in self._actions.items():
-            cfg = self.cfgs[name]
-            for node, action in pairs:
-                yield name, cfg, node, action
+        for name, cfg in self.facts.cfgs.items():
+            for node in cfg.nodes:
+                for action in node_actions(node):
+                    yield name, cfg, node, action
 
     def is_private(self, proc: str, node: CFGNode,
                    target: Target) -> bool:
@@ -260,9 +247,9 @@ class LintContext:
         thread-private at this point (fresh or working-copy unique)?"""
         if target.binding is None:
             return False
-        if self.uniqueness.is_unique(target.binding):
+        if self.facts.uniqueness.is_unique(target.binding):
             return True
-        return self.escape[proc].is_fresh(node, target.binding)
+        return self.facts.escape(proc).is_fresh(node, target.binding)
 
     def cas_read_nodes(self) -> set[tuple[str, CFGNode]]:
         """(proc, node) pairs acting as the matching read of some CAS
@@ -416,13 +403,15 @@ def _sort_key(d: Diagnostic) -> tuple:
             d.rule, d.message)
 
 
-def lint_program(source: Union[str, A.Program], *,
+def lint_program(source: Union[str, A.Program, ProgramFacts], *,
                  label: Optional[str] = None,
                  source_text: Optional[str] = None,
                  rules: Optional[list[str]] = None,
                  profiler=None) -> LintResult:
-    """Run every registered checker over a program (source text or a
-    resolved AST).  ``rules`` optionally restricts output to the given
+    """Run every registered checker over a program: source text, a
+    resolved AST, or a program's facts (the atomicity checker passes
+    the source program's, so lint and the analysis derive each fact
+    once).  ``rules`` optionally restricts output to the given
     rule ids / family prefixes (the ``lint.*`` counters come from
     :func:`lint_counts` over the results); ``profiler`` (a
     :class:`~repro.obs.profile.Profiler`) gets a timed
@@ -437,13 +426,13 @@ def lint_program(source: Union[str, A.Program], *,
         from repro.obs.profile import NULL_PROFILER
         profiler = NULL_PROFILER
     if isinstance(source, str):
-        program = load_program(source)
         if source_text is None:
             source_text = source
-    else:
-        program = source
+        source = load_program(source)
     with profiler.region("lint.context"):
-        ctx = LintContext(program, source_text)
+        facts = source if isinstance(source, ProgramFacts) \
+            else ProgramFacts(source)
+        ctx = LintContext(facts, source_text)
     for check in CHECKERS:
         with profiler.region(f"lint.checker.{check.__name__}"):
             check(ctx)

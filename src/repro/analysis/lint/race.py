@@ -61,7 +61,7 @@ def race_pass(ctx: LintContext) -> None:
     for acc in accesses:
         target = acc[3]
         for rep, members in groups:
-            if ctx.alias.may_alias(rep, target):
+            if ctx.facts.alias.may_alias(rep, target):
                 members.append(acc)
                 break
         else:
@@ -73,12 +73,12 @@ def race_pass(ctx: LintContext) -> None:
             continue  # read-only regions race benignly
         candidate: Optional[list] = None
         for proc, node, _op, _target in members:
-            held = ctx.locks[proc].held_at(node)
+            held = ctx.facts.lockset(proc).held_at(node)
             if candidate is None:
                 candidate = list(held)
             else:
                 candidate = [l for l in candidate
-                             if any(ctx.alias.must_alias(l, h)
+                             if any(ctx.facts.alias.must_alias(l, h)
                                     for h in held)]
             if not candidate:
                 break

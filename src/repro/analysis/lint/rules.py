@@ -233,7 +233,7 @@ def aba_discipline(ctx: LintContext) -> None:
                 f"bound from a read of the region); legal per §5.2, "
                 f"but no Thm 5.4 window protects it",
                 proc=proc, node=node, target=target)
-        elif not versioned(ctx.program, ctx.env, target):
+        elif not versioned(ctx.facts.program, ctx.facts.env, target):
             ctx.report(
                 "aba.unversioned-cas",
                 f"{label} compares a previously-read value but "
@@ -258,7 +258,7 @@ def aba_counter_bypass(ctx: LintContext) -> None:
         target = action.target
         if target is None or target.kind == "var":
             continue
-        if not versioned(ctx.program, ctx.env, target):
+        if not versioned(ctx.facts.program, ctx.facts.env, target):
             continue
         if ctx.is_private(proc, node, target):
             continue
@@ -297,7 +297,7 @@ def _dereferenced_threadlocals(program: A.Program) -> set[str]:
 def _threadlocal_span(ctx: LintContext, name: str):
     """Anchor uniqueness findings at the first procedure-code use of
     the thread-local."""
-    for proc in ctx.program.procs:
+    for proc in ctx.facts.program.procs:
         for node in proc.walk():
             if isinstance(node, A.Var) and node.name == name \
                     and node.kind is A.VarKind.THREADLOCAL \
@@ -308,8 +308,8 @@ def _threadlocal_span(ctx: LintContext, name: str):
 
 @checker
 def uniqueness_rules(ctx: LintContext) -> None:
-    used = _dereferenced_threadlocals(ctx.program)
-    for name, reason in sorted(ctx.uniqueness.rejected.items()):
+    used = _dereferenced_threadlocals(ctx.facts.program)
+    for name, reason in sorted(ctx.facts.uniqueness.rejected.items()):
         if reason in ("never used", "no swap root"):
             continue  # nothing resembling the idiom — not a hazard
         if name not in used:

@@ -45,7 +45,6 @@ def lockset_analysis(cfg: ProcCFG) -> LocksetResult:
         return fact
 
     problem: Problem[frozenset] = Problem(
-        direction="forward",
         boundary=frozenset(),
         init=top,
         meet=intersection_meet,

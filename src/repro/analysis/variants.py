@@ -12,6 +12,8 @@ pure loops, times the SC success-split of
 :func:`repro.analysis.slices.split_bare_sc`).  Pure loops nested inside
 other pure loops are left inside their parent's slices (their atomicity
 is then computed via the iterative closure, which is conservative).
+An expansion that would change nothing returns the input program as
+its own variant program, so its facts can be reused.
 """
 
 from __future__ import annotations
@@ -93,22 +95,15 @@ class _ProcExpander:
         if isinstance(s, A.Block):
             results: list[tuple[list[A.Stmt], dict, bool]] = [([], {}, False)]
             for sub in s.stmts:
-                # expand each sub-statement once; every alternative after
-                # the first takes a clone, so no two alternatives share a
-                # statement object (CFG nodes are keyed by statement nid)
-                subs = None
+                if all(terminated for _s, _sel, terminated in results):
+                    break
+                subs = self.expand_stmt(sub)
                 new_results = []
                 for stmts, sel, terminated in results:
                     if terminated:
                         new_results.append((stmts, sel, True))
                         continue
-                    if subs is None:
-                        subs = fresh = self.expand_stmt(sub)
-                    else:
-                        fresh = [([x.clone() for x in sub_stmts],
-                                  sub_sel, sub_term)
-                                 for sub_stmts, sub_sel, sub_term in subs]
-                    for sub_stmts, sub_sel, sub_term in fresh:
+                    for sub_stmts, sub_sel, sub_term in subs:
                         new_results.append(
                             (stmts + sub_stmts, {**sel, **sub_sel},
                              sub_term))
@@ -186,21 +181,37 @@ def make_variants(program: A.Program,
                   cfgs: dict[str, ProcCFG],
                   purity: dict[str, dict[A.Loop, PurityInfo]]) -> VariantSet:
     """Build the variant program: every procedure replaced by its
-    exceptional variants, cloned and freshly resolved."""
-    variants: list[Variant] = []
-    by_source: dict[str, list[Variant]] = {}
-    procs: list[A.Procedure] = []
+    exceptional variants, cloned and freshly resolved.  When that
+    changes nothing (no loop sliced, so no bare SC split and one
+    alternative per procedure, and no statement after a ``return``
+    dropped), the variant program is ``program`` itself and each
+    variant its procedure."""
     labels = map("__slice_{}".format, itertools.count(1))
     sliced = 0
-
+    expanded: list[tuple[A.Procedure, list]] = []
     for proc in program.procs:
         expander = _ProcExpander(cfgs[proc.name], purity.get(proc.name, {}),
                                  labels)
-        alternatives = expander.expand_stmt(proc.body)
+        expanded.append((proc, expander.expand_stmt(proc.body)))
         sliced += expander.sliced
+    if not sliced and all(A.Block(alts[0][0]).key() == proc.body.key()
+                          for proc, alts in expanded):
+        same = [Variant(p.name, p.name, p) for p in program.procs]
+        return VariantSet(program, same, {v.source: [v] for v in same})
+
+    variants: list[Variant] = []
+    by_source: dict[str, list[Variant]] = {}
+    procs: list[A.Procedure] = []
+    for proc, alternatives in expanded:
         named: list[Variant] = []
         multiple = len(alternatives) > 1
         for i, (stmts, sel, _term) in enumerate(alternatives, start=1):
+            if i > 1:
+                # alternatives share the statements around each split
+                # (here and in split_bare_sc); CFG nodes and the
+                # resolver's decorations live on statement objects, so
+                # every variant after the first takes its own copy
+                stmts = [x.clone() for x in stmts]
             name = f"{proc.name}{i}" if multiple else proc.name
             vproc = A.Procedure(name, list(proc.params),
                                 A.Block(stmts).at(proc.body.pos))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.actions import Target, location_target, node_actions
+from repro.analysis.actions import Target, location_target
 from repro.analysis.matching import matching_lls, matching_reads
 from repro.analysis.purity import Region, target_region
 from repro.cfg.dominators import Dominators

@@ -8,7 +8,6 @@ from repro.cfg.builder import (
 )
 from repro.cfg.dataflow import Problem, Solution, solve
 from repro.cfg.graph import CFGNode, Edge, LoopInfo, NodeKind, ProcCFG
-from repro.cfg.liveness import LivenessResult, liveness
 
 __all__ = [
     "CFGBuilder",
@@ -23,6 +22,4 @@ __all__ = [
     "LoopInfo",
     "NodeKind",
     "ProcCFG",
-    "LivenessResult",
-    "liveness",
 ]

@@ -1,19 +1,18 @@
 """A small generic worklist dataflow framework over :class:`ProcCFG`.
 
-Analyses are described by a :class:`Problem`: direction, initial values,
-a meet over predecessor/successor facts, and a per-node transfer
-function.  Facts can be any values with a well-defined equality; the
-solver iterates to a fixpoint.  This powers liveness
-(:mod:`repro.cfg.liveness`), the escape analysis
-(:mod:`repro.analysis.escape`) and the constant-freshness bits of the
-uniqueness analysis.
+Analyses are forward problems described by a :class:`Problem`: the
+entry fact, initial values, a meet over predecessor facts, and a
+per-node transfer function.  Facts can be any values with a
+well-defined equality; the solver iterates to a fixpoint.  This powers
+the escape analysis (:mod:`repro.analysis.escape`) and the must-held
+locksets (:mod:`repro.analysis.locks`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, Optional, TypeVar
+from typing import Callable, Generic, Optional, TypeVar
 
 from repro.cfg.graph import CFGNode, Edge, ProcCFG
 
@@ -22,14 +21,14 @@ Fact = TypeVar("Fact")
 
 @dataclass
 class Problem(Generic[Fact]):
-    """A dataflow problem.
+    """A forward dataflow problem.
 
-    ``transfer(node, fact_in)`` returns the fact at the other side of the
-    node; ``meet(facts)`` combines facts from multiple CFG edges (it is
-    called with at least one fact); ``boundary`` is the fact at the entry
-    (forward) or exit (backward) node; ``init`` is the initial fact for
-    all other nodes (typically the lattice top for must-analyses or
-    bottom for may-analyses).
+    ``transfer(node, fact_in)`` returns the fact below the node;
+    ``meet(facts)`` combines facts from multiple incoming CFG edges (it
+    is called with at least one fact); ``boundary`` is the fact at the
+    entry node; ``init`` is the initial fact for all other nodes
+    (typically the lattice top for must-analyses or bottom for
+    may-analyses).
 
     ``edge_transfer(edge, fact)``, when given, refines the fact flowing
     along a specific CFG edge — used for branch-sensitive facts such as
@@ -37,7 +36,6 @@ class Problem(Generic[Fact]):
     analysis.
     """
 
-    direction: str  # "forward" | "backward"
     boundary: Fact
     init: Fact
     meet: Callable[[list[Fact]], Fact]
@@ -46,9 +44,8 @@ class Problem(Generic[Fact]):
 
 
 class Solution(Generic[Fact]):
-    """Fixpoint facts: ``before[n]`` is the fact on the input side of node
-    ``n`` (above it for forward problems, below it for backward ones) and
-    ``after[n]`` the fact on the output side."""
+    """Fixpoint facts: ``before[n]`` is the fact above node ``n`` and
+    ``after[n]`` the fact below it."""
 
     def __init__(self) -> None:
         self.before: dict[CFGNode, Fact] = {}
@@ -56,20 +53,8 @@ class Solution(Generic[Fact]):
 
 
 def solve(cfg: ProcCFG, problem: Problem[Fact]) -> Solution[Fact]:
-    """Iterate ``problem`` to a fixpoint over ``cfg``."""
-    forward = problem.direction == "forward"
-    start = cfg.entry if forward else cfg.exit
-
-    def in_edges(node: CFGNode) -> list:
-        return cfg.in_edges(node) if forward else cfg.out_edges(node)
-
-    def edge_src(edge) -> CFGNode:
-        return edge.src if forward else edge.dst
-
-    def outputs(node: CFGNode) -> list[CFGNode]:
-        return list(cfg.successors(node) if forward
-                    else cfg.predecessors(node))
-
+    """Iterate ``problem`` forward to a fixpoint over ``cfg``."""
+    start = cfg.entry
     sol: Solution[Fact] = Solution()
     for node in cfg.nodes:
         sol.before[node] = problem.init
@@ -82,13 +67,13 @@ def solve(cfg: ProcCFG, problem: Problem[Fact]) -> Solution[Fact]:
     while work:
         node = work.popleft()
         in_queue.discard(node)
-        edges = in_edges(node)
+        edges = cfg.in_edges(node)
         if node is start:
             fact_in = problem.boundary
         elif edges:
             incoming = []
             for edge in edges:
-                fact = sol.after[edge_src(edge)]
+                fact = sol.after[edge.src]
                 if problem.edge_transfer is not None:
                     fact = problem.edge_transfer(edge, fact)
                 incoming.append(fact)
@@ -99,18 +84,11 @@ def solve(cfg: ProcCFG, problem: Problem[Fact]) -> Solution[Fact]:
         sol.before[node] = fact_in
         if fact_out != sol.after[node]:
             sol.after[node] = fact_out
-            for nxt in outputs(node):
+            for nxt in cfg.successors(node):
                 if nxt not in in_queue:
                     in_queue.add(nxt)
                     work.append(nxt)
     return sol
-
-
-def union_meet(facts: list[frozenset]) -> frozenset:
-    out: frozenset = frozenset()
-    for f in facts:
-        out = out | f
-    return out
 
 
 def intersection_meet(facts: list[frozenset]) -> frozenset:

@@ -53,6 +53,9 @@ class CFGNode:
     loop: Optional[A.Loop] = field(default=None, init=False)
     #: creation order; used for deterministic iteration
     index: int = field(default=0, init=False)
+    #: the node's actions, kept by :func:`repro.analysis.actions.node_actions`
+    #: on its first call (None until then)
+    actions: Optional[list] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.uid = next(_CFG_NODE_ID)

@@ -71,8 +71,16 @@ EXIT_DEADLINE = 4
 
 
 def _source(path: str) -> str:
-    with open(path) as handle:
-        return handle.read()
+    """The text of ``path``.  A file that cannot be read as UTF-8 text
+    (missing, a directory, not UTF-8) is a usage error naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ReproError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"{path}: not UTF-8 text ({exc.reason} at "
+                         f"byte {exc.start})") from None
 
 
 def _analyze(args, profiler: Profiler = NULL_PROFILER):
@@ -437,8 +445,7 @@ def cmd_lint(args) -> int:
         for name in corpus_mod.__all__:
             targets.append((name, getattr(corpus_mod, name)))
     for path in args.files:
-        with open(path) as handle:
-            targets.append((path, handle.read()))
+        targets.append((path, _source(path)))
     if not targets:
         print("error: nothing to lint (give FILE arguments and/or "
               "--corpus)", file=sys.stderr)
@@ -451,8 +458,12 @@ def cmd_lint(args) -> int:
                 source, label=label, rules=rules, profiler=profiler))
 
     if args.manifest:
-        with open(args.manifest) as handle:
-            manifest = json.load(handle)
+        try:
+            manifest = json.loads(_source(args.manifest))
+        except ValueError as exc:
+            raise ReproError(f"{args.manifest}: not JSON ({exc})") from None
+        if not isinstance(manifest, dict):
+            raise ReproError(f"{args.manifest}: not a JSON object")
         expected = manifest.get("expected", {})
         failures: list[str] = []
         seen = set()
@@ -723,7 +734,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ReproError, FileNotFoundError) as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,8 +51,7 @@ class Interp:
     carry all mutable state."""
 
     def __init__(self, program: A.Program | str,
-                 primitives: Optional[dict] = None,
-                 extra_procs: Optional[list[A.Procedure]] = None):
+                 primitives: Optional[dict] = None):
         if isinstance(program, str):
             program = load_program(program)
         self.program = program
@@ -61,9 +60,6 @@ class Interp:
             self.primitives.update(primitives)
         self.cfgs: dict[str, ProcCFG] = {
             p.name: build_cfg(p) for p in program.procs}
-        for proc in extra_procs or []:
-            self.cfgs[proc.name] = build_cfg(proc)
-            self._extra = True
         self.consts: dict[str, Value] = {
             c.name: c.value.value for c in program.consts}
         self.versioned_globals = program.versioned_names()
@@ -71,9 +67,6 @@ class Interp:
         for p in program.procs:
             self.proc_params[p.name] = [
                 p.param_bindings[name] for name in p.params]
-        for proc in extra_procs or []:
-            self.proc_params[proc.name] = [
-                proc.param_bindings[name] for name in proc.params]
 
     # -- world construction ----------------------------------------------------
     def make_world(self, specs: list[ThreadSpec]) -> World:

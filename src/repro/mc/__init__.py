@@ -6,8 +6,7 @@ from repro.mc.atomic import AtomicOutcome, run_to_commit, run_variant
 from repro.mc.canonical import quiescent_key, shared_key, state_key
 from repro.mc.explorer import Explorer, MCResult
 from repro.mc.por import SafetyCache
-from repro.mc.properties import (NoAssertFailures, Property, QueueContents,
-                                 QueueShape)
+from repro.mc.properties import Property, QueueContents, QueueShape
 
 __all__ = [
     "Explorer",
@@ -22,5 +21,4 @@ __all__ = [
     "Property",
     "QueueShape",
     "QueueContents",
-    "NoAssertFailures",
 ]

@@ -143,9 +143,3 @@ class QueueContents(Property):
             return (f"queue contents {values!r} != outstanding "
                     f"enqueues {expect!r} (lost or duplicated node)")
         return None
-
-
-@dataclass
-class NoAssertFailures(Property):
-    """Placeholder: assertion statements are reported by the explorer
-    directly; this property exists so harnesses can opt in explicitly."""

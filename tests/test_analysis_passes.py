@@ -16,9 +16,11 @@ import repro
 from repro import corpus
 from repro.analysis import analyze_program
 from repro.analysis import atomicity as AT
-from repro.analysis import inference, purity
+from repro.analysis import (actions, escape, inference, lint, purity,
+                            uniqueness, variants)
 from repro.analysis.inference import AtomicityChecker
 from repro.analysis.report import variant_lines
+from repro.cfg import builder
 from repro.cfg.graph import NodeKind
 from repro.synl import ast as A
 
@@ -34,9 +36,9 @@ def test_binding_kinds_once_per_expansion_round(monkeypatch):
             program_walks.append(node)
         return real_kinds(node)
 
-    def counting_purity_of(self, program, cfgs):
-        rounds.append(program)
-        return real_purity_of(self, program, cfgs)
+    def counting_purity_of(self, facts):
+        rounds.append(facts.program)
+        return real_purity_of(self, facts)
 
     monkeypatch.setattr(purity, "binding_kinds", counting_kinds)
     monkeypatch.setattr(inference, "binding_kinds", counting_kinds,
@@ -45,6 +47,89 @@ def test_binding_kinds_once_per_expansion_round(monkeypatch):
     analyze_program(corpus.ALLOCATOR)
     assert len(rounds) >= 2  # the allocator's pure loops nest
     assert len(program_walks) <= len(rounds)
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record the calls of ``module.name`` made through every ``repro``
+    module that binds it."""
+    real = getattr(module, name)
+    calls: list = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("repro") \
+                and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_nfq_prime_derives_each_fact_once(monkeypatch):
+    """Lint and expansion round 1 share the source program's facts (3
+    procedures), and the classification reads the last round's (5
+    variants): 8 CFGs and escape results, 2 uniqueness results."""
+    cfgs = _count_calls(monkeypatch, builder, "build_cfg")
+    escapes = _count_calls(monkeypatch, escape, "escape_analysis")
+    unique = _count_calls(monkeypatch, uniqueness, "uniqueness_analysis")
+    result = analyze_program(corpus.NFQ_PRIME)
+    assert len(result.variant_set.variants) == 5
+    assert (len(cfgs), len(escapes), len(unique)) == (8, 8, 2)
+
+
+def test_allocator_builds_each_cfg_once(monkeypatch):
+    cfgs = _count_calls(monkeypatch, builder, "build_cfg")
+    analyze_program(corpus.ALLOCATOR)
+    assert len(cfgs) == 45
+
+
+def test_node_actions_are_extracted_once_per_node(monkeypatch):
+    extracted = _count_calls(monkeypatch, actions, "_extract_actions")
+    result = analyze_program(corpus.NFQ_PRIME)
+    nodes = [node for (node,) in extracted]
+    assert nodes and len(nodes) == len(set(nodes))
+    ctx = next(iter(result.contexts.values()))
+    node = ctx.cfg.nodes[0]
+    assert actions.node_actions(node) is actions.node_actions(node)
+
+
+def test_lint_and_the_first_expansion_round_read_one_fact_base(
+        monkeypatch):
+    linted, rounds = [], []
+    real_lint = lint.lint_program
+    real_purity_of = AtomicityChecker._purity_of
+
+    def lint_program(source, **kwargs):
+        linted.append(source)
+        return real_lint(source, **kwargs)
+
+    def purity_of(self, facts):
+        rounds.append(facts)
+        return real_purity_of(self, facts)
+
+    monkeypatch.setattr(lint, "lint_program", lint_program)
+    monkeypatch.setattr(AtomicityChecker, "_purity_of", purity_of)
+    analyze_program(corpus.NFQ_PRIME)
+    assert len(linted) == 1 and len(rounds) == 2
+    assert linted[0] is rounds[0]
+
+
+def test_a_round_that_changes_nothing_returns_its_input_program(
+        monkeypatch):
+    rounds = _count_calls(monkeypatch, variants, "make_variants")
+    result = analyze_program(corpus.NFQ_PRIME)
+    *_changed, (last, _cfgs, _purity) = rounds
+    assert _changed and result.variant_set.program is last
+    # with no pure loop the source program is its own variant program
+    result = analyze_program(corpus.LOCKED_REGISTER)
+    assert result.variant_set.program is result.program
+    assert [v.proc for v in result.variant_set.variants] \
+        == result.program.procs
+    # dropping the statements after a return is a change, as before
+    result = analyze_program("global G; proc P() { return 0; G = 1; }")
+    (variant,) = result.variant_set.variants
+    assert variant.proc.body.key() == A.Return(A.Const(0)).key()
 
 
 def test_discipline_scans_sites_once_per_root(monkeypatch):

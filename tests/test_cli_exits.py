@@ -34,6 +34,49 @@ def test_analyze_missing_file_exits_2(capsys):
     assert code == 2
 
 
+# -- unreadable input: 2 with one error line naming the path ----------------------
+
+def _unreadable(tmp_path, kind: str) -> str:
+    if kind == "directory":
+        path = tmp_path / "prog.synl"
+        path.mkdir()
+    else:
+        path = tmp_path / "binary.synl"
+        path.write_bytes(b"\377\376{")
+    return str(path)
+
+
+def _assert_usage_error(capsys, code: int, path: str) -> None:
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("kind", ["binary", "directory"])
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["blocks"], ["variants"], ["lint"], ["run", "P()"],
+    ["mc", "P()"]], ids=lambda c: c[0])
+def test_unreadable_file_exits_2(tmp_path, capsys, command, kind):
+    """For mc, 1 would read as "property violated"."""
+    path = _unreadable(tmp_path, kind)
+    code = main([command[0], path, *command[1:]])
+    _assert_usage_error(capsys, code, path)
+
+
+@pytest.mark.parametrize("kind", ["binary", "directory", "not-json",
+                                  "not-object"])
+def test_lint_unreadable_manifest_exits_2(tmp_path, capsys, kind):
+    if kind == "not-json":
+        path = _write(tmp_path, "manifest.json", '{"expected": ')
+    elif kind == "not-object":
+        path = _write(tmp_path, "manifest.json", "[]")
+    else:
+        path = _unreadable(tmp_path, kind)
+    code = main(["lint", "--corpus", "--manifest", path])
+    _assert_usage_error(capsys, code, path)
+
+
 # -- mc: 0 clean / 1 violation / 3 capped ------------------------------------------
 
 def test_mc_clean_exits_0(tmp_path, capsys):
