@@ -149,7 +149,20 @@ class Interp:
             f"lock expression must be a location, got {type(e).__name__}")
 
     def enabled_threads(self, world: World) -> list[int]:
-        return [t.tid for t in world.threads if self.enabled(world, t.tid)]
+        """The tids of the threads :meth:`enabled` admits, decided
+        inline for every thread but one about to take a lock."""
+        tids = []
+        for thread in world.threads:
+            frame = thread.frame
+            if frame is None:
+                if thread.done:
+                    continue
+            elif frame.node is not None \
+                    and frame.node.kind is NodeKind.ACQUIRE \
+                    and not self.enabled(world, thread.tid):
+                continue
+            tids.append(thread.tid)
+        return tids
 
     def begin_call(self, world: World, tid: int, name: str, args: tuple,
                    display: Optional[str] = None) -> Event:

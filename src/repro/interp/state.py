@@ -186,13 +186,19 @@ class World:
     def copy(self) -> "World":
         """An independent world that shares every thread and heap
         object with this one until either side writes it; afterwards
-        neither world owns any thread.  The history is not copied."""
-        out = World()
+        neither world owns any thread.  The history is not copied.
+        Every attribute :meth:`__init__` sets is set here, without the
+        fresh heap and stores it would make and drop."""
+        out = World.__new__(World)
         out.globals = dict(self.globals)
         out.heap = self.heap.copy()
         out.locks = dict(self.locks)
         out.versions = dict(self.versions)
         out.threads = list(self.threads)
+        out.history = []
+        out._seq = 0
+        out._owned = set()
+        out.reads = None
         self._owned.clear()
         return out
 

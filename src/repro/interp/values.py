@@ -15,9 +15,23 @@ from repro.errors import InterpError
 Value = object  # int | bool | None | Ref
 
 
-@dataclass(frozen=True)
 class Ref:
-    oid: int
+    """A reference to heap object ``oid``, a value like an int: equal
+    refs have equal oids, and the hash is that of ``(oid,)``.  Never
+    written after it is made."""
+
+    __slots__ = ("oid",)
+
+    def __init__(self, oid: int) -> None:
+        self.oid = oid
+
+    def __eq__(self, other):
+        if other.__class__ is Ref:
+            return self.oid == other.oid
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.oid,))
 
     def __repr__(self) -> str:
         return f"@{self.oid}"
@@ -154,9 +168,10 @@ class Heap:
         """An independent heap that shares every object with this one
         until either side writes it: a shallow copy of ``objects``,
         after which neither heap owns any object."""
-        out = Heap()
+        out = Heap.__new__(Heap)
         out._next = self._next
         out.objects = dict(self.objects)
+        out._owned = set()
         self._owned.clear()
         return out
 

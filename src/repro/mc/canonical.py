@@ -84,14 +84,15 @@ packed key is the parent's with one thread slot changed.  The explorer
 memoizes such a step on the parent thread, keyed by the shared values
 it loaded, and with each outcome ``keys``: the map from ``(the parent
 thread's key id, refs numbered before the thread, the number of each
-extra oid)`` to the successor thread's key id.  The extra oids, kept
-once on the outcome (``StepMemo.extra``), are those of the refs the
-successor holds and the parent thread does not, and of the heap
-reservations and observed ``(address, counter)`` pairs the successor
-has and the parent thread lacks; an oid the parent world does not
-number counts as None.  These determine the successor's key id: the
-parent thread's key renders the number of every ref it holds, and
-every heap reservation and observed pair it has as the successor's
+extra oid)`` to what the step adds to the packed key, the change of
+the thread's slot from its key id to the successor thread's.  The
+extra oids, kept once on the outcome (``StepMemo.extra``), are those
+of the refs the successor holds and the parent thread does not, and of
+the heap reservations and observed ``(address, counter)`` pairs the
+successor has and the parent thread lacks; an oid the parent world
+does not number counts as None.  These determine the successor's key
+id: the parent thread's key renders the number of every ref it holds,
+and every heap reservation and observed pair it has as the successor's
 key will (a thread-local step only adds a reservation or a pair, or
 renews an observed address's counter, whose oid is then extra: only
 another thread's store clears a reservation), the start says which
@@ -101,9 +102,10 @@ the counters the step observed, all current.  (A load of ``B.f`` by a
 thread holding no ref to ``B``'s object renders that object's number,
 which two worlds may differ in under one thread key id.)  The map is
 filled by :func:`note_step_key` from a rekey that kept the numbering,
-and read by :func:`step_key`.  :func:`step_context` builds the
-successor's context, once the explorer has built its world, from the
-parent's context and that slot.
+and read by the explorer's keying call, one dict lookup
+(:meth:`repro.mc.explorer.Explorer._key`).  :func:`step_context`
+builds the successor's context, once the explorer has built its world,
+from the parent's context and that slot.
 """
 
 from __future__ import annotations
@@ -586,30 +588,16 @@ def _rekey(world: World, base: KeyContext) -> Optional[KeyContext]:
     return KeyContext(intern, slots, packed, ids, ends, frags, world)
 
 
-def step_key(base: KeyContext, tid: int, leaf) -> Optional[int]:
-    """The packed key of the world of ``base`` after thread ``tid`` took
-    the thread-local step of ``leaf`` (a
-    :class:`~repro.mc.explorer.StepMemo`, see the module docstring):
-    ``base.packed`` with thread ``tid``'s slot changed.  None when the
-    leaf's map lacks the thread's key id, start and extra oids'
-    numbers."""
-    extra = leaf.extra
-    if extra is None:
-        return None
-    old = base.slots[tid + 1]
-    ids = base.ids
-    new = leaf.keys.get((old, base.ends[tid], *map(ids.get, extra)))
-    if new is None:
-        return None
-    return base.packed + ((new - old) << SLOT_BITS * (tid + 2))
-
-
 def note_step_key(leaf, base: KeyContext, ctx: KeyContext,
                   tid: int) -> None:
-    """Record in ``leaf.keys`` the key id ``ctx`` gave thread ``tid``
-    after the thread-local step of ``leaf`` from the world of ``base``
-    to that of ``ctx``, when the rekey kept the numbering.  The first
-    record sets ``leaf.extra`` (see the module docstring)."""
+    """Record in ``leaf.keys`` what the thread-local step of ``leaf``
+    from the world of ``base`` to that of ``ctx`` added to the packed
+    key, when the rekey kept the numbering: thread ``tid``'s slot
+    changed from its key id in ``base`` to the one ``ctx`` gave it.
+    The first record sets ``leaf.extra`` (see the module docstring).
+    :meth:`repro.mc.explorer.Explorer._key` reads the map: ``base``'s
+    packed key plus the entry under ``(thread tid's key id, its start,
+    *the numbers of the extra oids)`` is the successor's."""
     if ctx.ids is not base.ids:
         return
     frag = base.frags[tid]
@@ -629,15 +617,16 @@ def note_step_key(leaf, base: KeyContext, ctx: KeyContext,
             oids += [pair[0][1] for pair in after[8] if pair not in kept]
         extra = leaf.extra = tuple(dict.fromkeys(oids))
     ids = base.ids
-    leaf.keys[(base.slots[tid + 1], base.ends[tid], *map(ids.get, extra))] \
-        = ctx.slots[tid + 1]
+    old = base.slots[tid + 1]
+    leaf.keys[(old, base.ends[tid], *map(ids.get, extra))] \
+        = (ctx.slots[tid + 1] - old) << SLOT_BITS * (tid + 2)
 
 
 def step_context(base: KeyContext, world: World, tid: int,
                  packed: int) -> KeyContext:
     """The context of ``world``, stepped from the world of ``base`` by
-    thread ``tid``'s thread-local step, whose packed key
-    :func:`step_key` gave as ``packed``."""
+    thread ``tid``'s thread-local step, whose packed key a step memo
+    leaf's map gave as ``packed`` (:func:`note_step_key`)."""
     slot = tid + 1
     slots = list(base.slots)
     slots[slot] += (packed - base.packed) >> SLOT_BITS * (slot + 1)

@@ -53,10 +53,10 @@ cached.  The memo lives in the thread's ``memo`` slot, which
 Later, any world holding the same thread object walks the trie,
 reading each address from the world without recording it; at a leaf
 it takes the step with no copy and no interpreter step, and its key is
-the parent's with one slot changed (:func:`~repro.mc.canonical.step_key`,
-with the leaf's map of thread key ids) whenever the map knows the
-thread's key id, its start and the parent world's numbers of the
-leaf's extra oids (those of what the successor adds to the parent
+the parent's with one slot changed (one lookup in the leaf's map,
+which :func:`~repro.mc.canonical.note_step_key` fills) whenever the map
+knows the thread's key id, its start and the parent world's numbers of
+the leaf's extra oids (those of what the successor adds to the parent
 thread: refs, heap reservations, observed pairs); otherwise the
 successor world is built and keyed as any other, and the map learns
 its thread key id.
@@ -85,6 +85,23 @@ its key context only when the packed key is new.  Observed and bare
 runs take this one path: a keyed world is never written again, and
 never rebuilt for telemetry.
 
+**What a transition pays for.**  In ``full`` and ``por`` a transition
+pays only for what it changed.  Enabledness is decided inline except
+for a thread about to take a lock.  A memo hit costs the trie walk and
+one lookup in the leaf's map, inside :meth:`Explorer._key`, the one
+keying call per transition (``repro mc --profile`` times it as
+``mc.canonicalize``).  A successor's ``desc``/``uid``/``kind``/``proc``
+are derived from the stepped thread when first read, and the
+``MCResult.path`` dicts are built only for a violation.  A step without
+events keeps the ghosts tuple and its id, and one whose events change
+no ghost (``on_event`` returns the ghost itself) does too.  A new state
+reached by a step that writes only its thread, with the ghosts kept,
+runs no ``check_state``: it has its parent's shared state and ghosts,
+and the parent passed (the contract of
+:class:`~repro.mc.properties.Property`); ``check_quiescent`` still runs
+when it is quiescent.  ``tests/memo_replay.py`` re-runs the skipped
+checks.
+
 It collects only the core counters (:meth:`Explorer._metrics`).  All
 other telemetry — profiler regions, heartbeat and deadline,
 tracemalloc, coverage — is an observer passed as
@@ -108,7 +125,7 @@ from repro.interp.state import Event, Thread, ThreadSpec, World
 from repro.mc.atomic import run_to_commit, run_variant
 from repro.mc.canonical import (Interner, KeyContext, _thread_fragment,
                                 note_step_key, quiescent_key, shared_key,
-                                state_key, step_context, step_key)
+                                state_key, step_context)
 from repro.mc.por import SafetyCache
 from repro.mc.properties import Property
 from repro.obs.profile import MIN_RATE_WINDOW_S, peak_rss_mb
@@ -200,19 +217,19 @@ class StepMemo:
     extra: Optional[tuple] = None
 
 
-def _same_values(a, b) -> bool:
-    """Are the sequences ``a`` and ``b`` equal, value by value, with
-    values of the same classes?  ``1 == True``, but a step may tell
-    them apart."""
-    return len(a) == len(b) and all(
-        x == y and x.__class__ is y.__class__ for x, y in zip(a, b))
+def _same_values(a: tuple, b: tuple) -> bool:
+    """Are the tuples ``a`` and ``b`` equal, value by value, with
+    values of the same classes?  ``1 == True``, but a step may tell them
+    apart."""
+    return a == b and list(map(type, a)) == list(map(type, b))
 
 
 def _same_dicts(a: dict, b: dict) -> bool:
     """Are ``a`` and ``b`` equal, in insertion order too (the order of
     a thread's refs fixes their numbering), with values of the same
     classes?"""
-    return list(a) == list(b) and _same_values(a.values(), b.values())
+    return list(a.items()) == list(b.items()) \
+        and list(map(type, a.values())) == list(map(type, b.values()))
 
 
 def _same_thread(a: Thread, b: Thread) -> bool:
@@ -249,18 +266,20 @@ class StepRead:
 
 @dataclass(slots=True)
 class _Succ:
-    desc: str
     #: the successor world; None for a disabled or violating step, and
     #: for a memo hit not built yet (one whose ``parent`` is set)
     world: Optional[World]
     events: list[Event]
+    tid: int
+    #: the thread a one-statement step started from, which a keyed
+    #: world never writes; ``desc``/``uid``/``kind``/``proc`` are
+    #: derived from it when first read
+    thread: Optional[Thread] = None
     violation: Optional[str] = None
-    # provenance for counterexample reconstruction
-    tid: int = -1
-    uid: Optional[int] = None        # CFG node uid ('stmt' steps only)
-    kind: str = "stmt"               # 'invoke'|'stmt'|'return'|'atomic'
     via: Optional[str] = None        # exceptional-variant name, if any
-    proc: Optional[str] = None       # procedure being executed/invoked
+    #: ``(desc, uid, kind, proc)``: given for an atomic step, else
+    #: derived from ``thread`` on first read
+    info: Optional[tuple] = None
     #: ``world``'s :class:`~repro.mc.canonical.KeyContext`, computed at
     #: most once: by the cycle proviso or by the dedup in ``_run``
     ctx: Optional[KeyContext] = None
@@ -273,9 +292,46 @@ class _Succ:
     #: the world stepped from, when ``memo`` is set
     parent: Optional[World] = None
 
+    def _provenance(self) -> tuple:
+        """``(desc, uid, kind, proc)``, for counterexample
+        reconstruction: ``uid`` is the CFG-node uid of a ``stmt``
+        step, ``kind`` is ``invoke`` | ``stmt`` | ``return`` |
+        ``atomic``, ``proc`` the procedure executed or invoked."""
+        info = self.info
+        if info is None:
+            thread, tid = self.thread, self.tid
+            frame = thread.frame
+            if frame is None:
+                info = (f"t{tid}@call", None, "invoke",
+                        thread.current_call()[0])
+            elif frame.node is None:
+                info = (f"t{tid}@call", None, "return", frame.proc_name)
+            else:
+                uid = frame.node.uid
+                info = (f"t{tid}@{uid}", uid, "stmt", frame.proc_name)
+            self.info = info
+        return info
+
+    @property
+    def desc(self) -> str:
+        return self._provenance()[0]
+
+    @property
+    def uid(self) -> Optional[int]:
+        return self._provenance()[1]
+
+    @property
+    def kind(self) -> str:
+        return self._provenance()[2]
+
+    @property
+    def proc(self) -> Optional[str]:
+        return self._provenance()[3]
+
     def step_info(self) -> dict:
-        return {"tid": self.tid, "uid": self.uid, "desc": self.desc,
-                "kind": self.kind, "via": self.via, "proc": self.proc}
+        desc, uid, kind, proc = self._provenance()
+        return {"tid": self.tid, "uid": uid, "desc": desc, "kind": kind,
+                "via": self.via, "proc": proc}
 
 
 class Explorer:
@@ -321,35 +377,23 @@ class Explorer:
         the memo has it for what ``world`` holds, and cached in the
         memo when it has not.  A memo hit comes without its world."""
         thread = world.threads[tid]
-        frame = thread.frame
-        node = frame.node if frame is not None else None
-        uid = node.uid if node is not None else None
-        if frame is None:
-            kind, proc = "invoke", thread.current_call()[0]
-        else:
-            kind = "stmt" if node is not None else "return"
-            proc = frame.proc_name
-        desc = f"t{tid}@{node.uid if node else 'call'}"
         memo = thread.memo
         if memo is not None:
             leaf = self._recall(world, memo)
             if leaf is not None:
-                return _Succ(desc, None, leaf.events, tid=tid, uid=uid,
-                             kind=kind, proc=proc, memo=leaf, parent=world)
+                return _Succ(None, leaf.events, tid, thread, memo=leaf,
+                             parent=world)
         w = world.copy()
         w.reads = reads = []
         try:
             event = self.interp.step(w, tid)
         except AssumeFailed:
-            return _Succ(desc, None, [], tid=tid, uid=uid, kind=kind,
-                         proc=proc)
+            return _Succ(None, [], tid, thread)
         except AssertionViolation as exc:
-            return _Succ(desc, None, [], violation=str(exc),
-                         tid=tid, uid=uid, kind=kind, proc=proc)
+            return _Succ(None, [], tid, thread, violation=str(exc))
         w.reads = None
         events = [event] if event is not None else []
-        succ = _Succ(desc, w, events, tid=tid, uid=uid, kind=kind,
-                     proc=proc)
+        succ = _Succ(w, events, tid, thread)
         local = w.wrote_only(tid, world)
         self._share(w, tid, thread)
         if local:
@@ -423,6 +467,9 @@ class Explorer:
         world.threads[succ.tid] = succ.memo.thread
 
     def _atomic_one(self, world: World, tid: int) -> list[_Succ]:
+        """Thread ``tid``'s successors at operation granularity: one
+        per exceptional variant of its next call, or its run to the
+        commit point."""
         name, _args = world.threads[tid].current_call()
         if self.variant_interp is not None and self.variant_map is not None:
             outcomes = [(vname, run_variant(self.interp,
@@ -431,16 +478,9 @@ class Explorer:
                         for vname in self.variant_map.get(name, [name])]
         else:
             outcomes = [(None, run_to_commit(self.interp, world, tid))]
-        return [_Succ(o.desc, o.world, o.events, o.violation, tid=tid,
-                      kind="atomic", via=via, proc=name)
+        return [_Succ(o.world, o.events, tid, violation=o.violation,
+                      via=via, info=(o.desc, None, "atomic", name))
                 for via, o in outcomes]
-
-    def expand_thread(self, world: World, tid: int) -> list[_Succ]:
-        """One thread's successors at the mode's transition
-        granularity: one statement, or one whole operation."""
-        if self.mode in ("full", "por"):
-            return [self._step_thread(world, tid)]
-        return self._atomic_one(world, tid)
 
     def _alone(self, world: World, tid: int, tids: list[int]) -> bool:
         """Ample-set candidate test: may ``tid`` be explored alone?
@@ -455,16 +495,21 @@ class Explorer:
 
     def _successors(self, world: World, ctx: KeyContext,
                     on_stack: set) -> list[_Succ]:
-        if self.mode in ("full", "por"):
+        """The successors of ``world`` at the mode's transition
+        granularity, one statement (``full``, ``por``) or one whole
+        operation, of an ample set's thread when one qualifies."""
+        mode = self.mode
+        stepwise = mode in ("full", "por")
+        if stepwise:
             tids = self.interp.enabled_threads(world)
         else:
             tids = [t.tid for t in world.threads if not t.done]
-        if self.mode == "por" or (self.mode == "both"
-                                  and self.commutes is not None):
+        if mode == "por" or (mode == "both" and self.commutes is not None):
             for tid in tids:
                 if not self._alone(world, tid, tids):
                     continue
-                succs = self.expand_thread(world, tid)
+                succs = [self._step_thread(world, tid)] if stepwise \
+                    else self._atomic_one(world, tid)
                 if any(s.violation is not None for s in succs):
                     return succs
                 # a memo hit has no world yet, but is a transition
@@ -476,70 +521,88 @@ class Explorer:
                     continue  # cycle proviso: fall back to full expansion
                 self.ample_reduced += 1
                 return succs
-        if self.mode in ("por", "both"):
+        if mode in ("por", "both"):
             self.ample_full += 1
-        return [s for tid in tids for s in self.expand_thread(world, tid)]
+        if stepwise:
+            step = self._step_thread
+            return [step(world, tid) for tid in tids]
+        return [s for tid in tids for s in self._atomic_one(world, tid)]
 
     def _closes_cycle(self, succs: list[_Succ], base: KeyContext,
                       on_stack: set) -> bool:
         """Does a successor return to the DFS stack?  Keys the
         successors (from ``base``, their parent's key context) up to
         the first that does, and keeps those keys for the dedup in
-        :meth:`_run`."""
+        :meth:`_run`.  A probe is not a transition: it calls the class's
+        ``_key``, not an observer's timer set on the instance."""
+        key = Explorer._key
         for succ in succs:
-            if self._packed(succ, base) in on_stack:
+            if key(self, succ, 0, base) in on_stack:
                 return True
         return False
 
-    def _packed(self, succ: _Succ, base: KeyContext) -> int:
-        """The packed world key of a successor, keyed from ``base``, its
-        parent's key context, at most once.  A successor whose key the
-        memo's map gives keeps no context, and a memo hit no world,
-        until ``_run`` builds them; any other successor keeps its
-        context (a memo hit's world is built first), and a thread-local
-        step records its key id in the memo."""
+    def _key(self, succ: _Succ, ghosts_id: int, base: KeyContext) -> int:
+        """The dedup key of a successor state, keyed from ``base``, its
+        parent's key context, at most once: its packed world key with
+        ``ghosts_id`` in the low slot.  A thread-local step whose key
+        the memo leaf's map gives (:func:`~repro.mc.canonical.note_step_key`
+        writes the map) keeps no context, and a memo hit no world,
+        until ``_run`` builds them; any other successor is keyed by
+        :meth:`_keyed`."""
         packed = succ.packed
-        if packed:
-            return packed
+        if not packed:
+            leaf = succ.memo
+            if leaf is not None and leaf.extra is not None:
+                tid = succ.tid
+                delta = leaf.keys.get((base.slots[tid + 1], base.ends[tid],
+                                       *map(base.ids.get, leaf.extra)))
+                if delta is not None:
+                    packed = succ.packed = base.packed + delta
+            if not packed:
+                packed = self._keyed(succ, base)
+        return packed | ghosts_id
+
+    def _keyed(self, succ: _Succ, base: KeyContext) -> int:
+        """The packed world key of a successor from a walk
+        (:func:`~repro.mc.canonical.state_key` from ``base``): a memo
+        hit's world is built first, the successor keeps its context,
+        and a thread-local step records its key in the memo leaf."""
         memo = succ.memo
-        if memo is not None:
-            packed = step_key(base, succ.tid, memo)
-            if packed is not None:
-                succ.packed = packed
-                return packed
-            if succ.world is None:
-                self._build(succ)
+        if succ.world is None:
+            self._build(succ)
         ctx = succ.ctx = state_key(succ.world, base)
         if memo is not None:
             note_step_key(memo, base, ctx, succ.tid)
         succ.packed = ctx.packed
         return ctx.packed
 
-    def _key(self, succ: _Succ, ghosts_id: int, base: KeyContext) -> int:
-        """The dedup key of a successor state, keyed from ``base``: its
-        packed world key with ``ghosts_id`` in the low slot."""
-        return self._packed(succ, base) | ghosts_id
-
     # -- property plumbing -------------------------------------------------------
     def _apply_events(self, ghosts: tuple, events: list[Event]) -> tuple:
-        """The ghosts after ``events``; ``ghosts`` itself when there
-        are none."""
-        if not events or not ghosts:
-            return ghosts
-        out = list(ghosts)
+        """The ghosts after ``events``; ``ghosts`` itself when no
+        property's ``on_event`` returned another ghost."""
+        out = None
         for i, prop in enumerate(self.properties):
-            g = out[i]
+            g = old = ghosts[i]
             for event in events:
                 g = prop.on_event(g, event)
-            out[i] = g
-        return tuple(out)
+            if g is not old:
+                if out is None:
+                    out = list(ghosts)
+                out[i] = g
+        return ghosts if out is None else tuple(out)
 
-    def _check(self, world: World, ghosts: tuple) -> Optional[str]:
+    def _check(self, world: World, ghosts: tuple,
+               shared_passed: bool = False) -> Optional[str]:
+        """The first property violation in ``world`` with ``ghosts``.
+        ``shared_passed``: the shared state and the ghosts are those of
+        a state that passed, so ``check_state`` would pass again and
+        only ``check_quiescent`` runs."""
         quiescent = None  # asked once, when a property needs it
         for prop, ghost in zip(self.properties, ghosts):
-            message = prop.check_state(world, self.interp, ghost)
-            if message is not None:
-                return message
+            if not shared_passed:
+                message = prop.check_state(world, self.interp, ghost)
+                if message is not None:
+                    return message
             if quiescent is None:
                 quiescent = world.quiescent()
             if quiescent:
@@ -616,11 +679,14 @@ class Explorer:
         # the packed world keys on the stack
         on_stack = {ctx0.packed}
         # entries: [world, ghosts, their id, successors (None until
-        # expanded), next successor index, step that reached it, key
-        # context]
-        stack = [[world0, ghosts0, gid0, None, 0, _INIT_STEP, ctx0]]
+        # expanded), next successor index, the successor that reached
+        # it (None for the initial state), key context]
+        stack = [[world0, ghosts0, gid0, None, 0, None, ctx0]]
         max_depth = 1
         loop_i = 0
+        # bound after ``obs.start``, which may wrap them in timers
+        successors, key, check = self._successors, self._key, self._check
+        max_states = self.max_states
         while stack:
             loop_i += 1
             if obs is not None and not (loop_i & _TICK_MASK) \
@@ -632,7 +698,7 @@ class Explorer:
             entry = stack[-1]
             world, ghosts, gid, succs, index, _step, ctx = entry
             if succs is None:
-                succs = entry[3] = self._successors(world, ctx, on_stack)
+                succs = entry[3] = successors(world, ctx, on_stack)
             if index >= len(succs):
                 stack.pop()
                 on_stack.discard(ctx.packed)
@@ -647,9 +713,12 @@ class Explorer:
             if succ.world is None and succ.parent is None:
                 continue  # disabled transition
             result.transitions += 1
-            new_ghosts = self._apply_events(ghosts, succ.events)
-            new_gid = gid if new_ghosts is ghosts else intern[new_ghosts]
-            new_key = self._key(succ, new_gid, ctx)
+            new_ghosts, new_gid = ghosts, gid
+            if succ.events:
+                new_ghosts = self._apply_events(ghosts, succ.events)
+                if new_ghosts is not ghosts:
+                    new_gid = intern[new_ghosts]
+            new_key = key(succ, new_gid, ctx)
             dup = new_key in seen
             if obs is not None:
                 obs.transition(succ, new_key, dup)
@@ -667,19 +736,22 @@ class Explorer:
             depth = len(stack) + 1
             if obs is not None:
                 obs.state(new_key, succ.world, depth)
-            message = self._check(succ.world, new_ghosts)
+            # a thread-local step writes no heap object, global, lock
+            # or version: with no ghost changed either, its parent's
+            # check_state verdicts hold
+            message = check(succ.world, new_ghosts,
+                            succ.memo is not None and new_ghosts is ghosts)
             if message is not None:
                 self._violation(result, stack, succ, message)
                 break
             if collect:
                 self._record_quiescent(result, succ.world)
-            if self.max_states is not None \
-                    and result.states >= self.max_states:
+            if max_states is not None and result.states >= max_states:
                 result.capped = True
                 break
             on_stack.add(succ.ctx.packed)
-            stack.append([succ.world, new_ghosts, new_gid, None, 0,
-                          succ.step_info(), succ.ctx])
+            stack.append([succ.world, new_ghosts, new_gid, None, 0, succ,
+                          succ.ctx])
             if depth > max_depth:
                 max_depth = depth
             if obs is not None:
@@ -690,7 +762,8 @@ class Explorer:
     def _violation(result: MCResult, stack: list, succ: _Succ,
                    message: str) -> None:
         result.violation = message
-        result.path = [dict(e[5]) for e in stack] + [succ.step_info()]
+        reached = [e[5] for e in stack[1:]] + [succ]
+        result.path = [dict(_INIT_STEP)] + [s.step_info() for s in reached]
         result.trace = [s["desc"] for s in result.path]
 
     def _metrics(self, result: MCResult, max_depth: int) -> dict:

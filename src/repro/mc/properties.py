@@ -2,16 +2,25 @@
 
 A property carries *ghost state* (updated from history events by the
 explorer — e.g. the multiset of enqueued and dequeued values) and two
-checks: ``check_state`` runs in every explored state, ``check_quiescent``
-only when all threads are idle (the states at which the atomicity
-definition of §3.2 compares executions).  Ghost state is part of the
-canonical state key, mirroring TVLA's instrumentation predicates.
+checks: ``check_state`` holds in every explored state,
+``check_quiescent`` is run in every state where all threads are idle
+(the states at which the atomicity definition of §3.2 compares
+executions).  Ghost state is part of the canonical state key,
+mirroring TVLA's instrumentation predicates.
+
+``check_state`` may read only the shared state (globals, heap, locks
+and versions) and its ghost.  The explorer relies on it: a state
+reached by a step that wrote only its own thread and changed no ghost
+has its parent's shared state and ghosts, and the parent passed, so
+the explorer does not run ``check_state`` there (see
+:class:`Property`).  ``check_quiescent`` may read threads too, and runs
+in every quiescent state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.interp.interp import Interp
 from repro.interp.state import Event, World
@@ -19,7 +28,20 @@ from repro.interp.values import HeapObject, Ref
 
 
 class Property:
-    """Base class: stateless checks with trivial ghost."""
+    """Base class: stateless checks with trivial ghost.
+
+    ``on_event(ghost, event)`` returns the ghost after a history event;
+    ``ghost`` itself when the event does not change it, which lets the
+    explorer keep the state's ghosts tuple.
+
+    ``check_state(world, interp, ghost)`` must be a function of
+    ``world``'s shared state (globals, heap, locks, versions) and
+    ``ghost``: it runs at the initial state and at every state reached
+    by a step that wrote shared state or changed a ghost, and is taken
+    to pass, without a call, at a state reached by a step that wrote
+    only its own thread and changed no ghost, whose parent passed it.
+    ``check_quiescent(world, interp, ghost)`` runs at every quiescent
+    state and may read anything."""
 
     def initial_ghost(self):
         return None
@@ -77,8 +99,7 @@ class QueueShape(Property):
         return None
 
 
-@dataclass(frozen=True)
-class _QueueGhost:
+class _QueueGhost(NamedTuple):
     enqueued: tuple = ()   # values whose AddNode/Enq returned
     dequeued: tuple = ()   # values returned by Deq (except EMPTY)
 

@@ -8,10 +8,21 @@ copy of the parent world that shares no thread or heap object with
 it, and keeps what differs: the successor thread, the event, or any
 shared component or other thread the real step wrote.
 
+It is also the oracle for the ``check_state`` calls the explorer skips.
+A new state reached by a step that writes only its thread, with every
+ghost unchanged, has its parent's shared state and ghosts, and the
+parent passed every ``check_state`` (a state is expanded only after its
+checks pass), so the explorer runs only ``check_quiescent`` there.
+:class:`Replayed` runs every property's ``check_state`` on each such
+state's world and counts any result that is not the parent's, None, as
+a check mismatch.
+
 Run as a module, it is the step memo replay canary: GH with threads
 ``Apply(1..3)`` at 20,000 states and the two correct Table 2 rows in
 ``full`` mode, to the end, must replay every hit without a mismatch,
-and GH must take at least :data:`GH_MIN_HITS` steps from the memo: a
+the Table 2 rows must re-check every skipped ``check_state`` of
+``QueueShape`` and ``QueueContents`` without a check mismatch, and GH
+must take at least :data:`GH_MIN_HITS` steps from the memo: a
 thread reached again along another interleaving is the run's one
 thread with its contents, and holds the memo the first one filled::
 
@@ -58,6 +69,10 @@ class Replayed(Explorer):
         #: ``"t<tid>: <what>"``
         self.mismatched = 0
         self.mismatches: list[str] = []
+        #: states whose skipped check_state calls were run again, and
+        #: those where one gave a message
+        self.checked = 0
+        self.check_mismatched = 0
 
     def _step_thread(self, world, tid):
         memo = world.threads[tid].memo
@@ -67,6 +82,14 @@ class Replayed(Explorer):
             self.read_hits += memo.__class__ is StepRead
             self._replay(world, tid, leaf)
         return super()._step_thread(world, tid)
+
+    def _check(self, world, ghosts, shared_passed=False):
+        if shared_passed and self.properties:
+            self.checked += 1
+            if any(prop.check_state(world, self.interp, ghost) is not None
+                   for prop, ghost in zip(self.properties, ghosts)):
+                self.check_mismatched += 1
+        return super()._check(world, ghosts, shared_passed)
 
     def _replay(self, world, tid, leaf):
         stepped = detached(world)
@@ -118,10 +141,15 @@ def main() -> int:
         failed |= bool(explorer.mismatched) or not explorer.read_hits
         if label == "gh-full":
             failed |= explorer.hits < GH_MIN_HITS
+        else:
+            failed |= bool(explorer.check_mismatched) \
+                or not explorer.checked
         print(f"{label}: {result.states} states, {explorer.hits} memo "
               f"hits ({explorer.read_hits} keyed by loads), "
               f"{explorer.mismatched} mismatches "
-              f"{explorer.mismatches}")
+              f"{explorer.mismatches}; skipped check_state re-run on "
+              f"{explorer.checked} states, {explorer.check_mismatched} "
+              f"check mismatches")
     print("step memo replay canary:", "FAILED" if failed else "ok")
     return 1 if failed else 0
 

@@ -37,6 +37,34 @@ def test_array_alloc_zero_filled_and_bounds():
         heap.write_elem(a, -1, 0)
 
 
+# -- refs ---------------------------------------------------------------------------
+
+def test_refs_with_one_oid_are_equal_and_hash_equally():
+    a, b = Ref(1), Ref(1)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash((1,))
+    assert Ref(1) != Ref(2)
+
+
+def test_a_ref_equals_no_int_or_tuple():
+    assert Ref(1) != 1 and not Ref(1) == 1
+    assert Ref(1) != (1,) and not Ref(1) == (1,)
+    assert 1 != Ref(1) and (1,) != Ref(1)
+
+
+def test_ref_repr():
+    assert repr(Ref(1)) == "@1"
+    assert repr([Ref(3), None]) == "[@3, None]"
+
+
+def test_a_ref_is_a_dict_key():
+    table = {Ref(1): "one", Ref(2): "two"}
+    assert table[Ref(1)] == "one"
+    assert Ref(3) not in table
+    assert {Ref(1), Ref(1), Ref(2)} == {Ref(2), Ref(1)}
+
+
 def test_negative_array_size_rejected():
     with pytest.raises(InterpError, match="negative"):
         Heap().alloc_array("int", -1)
