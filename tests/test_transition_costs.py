@@ -183,11 +183,11 @@ def test_the_replay_oracle_catches_a_check_that_reads_a_thread():
 
 
 def test_events_that_change_no_ghost_keep_the_ghosts_object():
-    explorer = Explorer(Interp(corpus.NFQ_PRIME), [],
+    interp = Interp(corpus.NFQ_PRIME)
+    explorer = Explorer(interp, [],
                         properties=[QueueShape(), QueueContents()])
     ghosts = (None, QueueContents().initial_ghost())
-    world = Interp(corpus.NFQ_PRIME).make_world(
-        [ThreadSpec.of(("AddNode", 1))])
-    invoke = Interp(corpus.NFQ_PRIME).step(world, 0)
+    invoke = interp.step(interp.make_world([ThreadSpec.of(("AddNode", 1))]),
+                         0)
     assert invoke.kind == "invoke"
     assert explorer._apply_events(ghosts, [invoke]) is ghosts
